@@ -41,9 +41,7 @@ let fig6a () =
   List.iter
     (fun m ->
       let eppi = eppi_time ~m ~identities:1 () in
-      let emergent =
-        eppi_time ~transport:(`Simnet Eppi_simnet.Simnet.default_config) ~m ~identities:1 ()
-      in
+      let emergent = eppi_time ~transport:`Simnet ~m ~identities:1 () in
       let pure = Eppi_protocol.Purempc.estimate_time ~m ~identities:1 ~epsilon ~gamma () in
       Table.add_row table
         [

@@ -36,28 +36,13 @@ let plan_betas ?(mixing = Mixing.Bernoulli) ~policy ~epsilons ~frequencies ~m rn
   in
   Trace.begin_span "phase.mixing";
   let is_common = Array.map (fun b -> b >= 1.0) raw in
-  let n_common = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 is_common in
-  (* ξ: the strongest requirement among the identities that need mixing. *)
-  let xi_value =
-    let acc = ref 0.0 in
-    Array.iteri (fun j c -> if c then acc := Float.max !acc epsilons.(j)) is_common;
-    (* ξ = 1 would require infinitely many decoys; the strongest enforceable
-       requirement leaves at least one true positive in the pool. *)
-    Float.min !acc 0.999
-  in
-  let lam = Mixing.lambda ~xi:xi_value ~n_common ~n_total:n in
-  let is_mixed = Array.make n false in
-  let candidates =
-    Array.of_list
-      (List.filteri (fun j _ -> not is_common.(j)) (List.init n Fun.id))
-  in
-  let decoys = Mixing.select_decoys rng ~mode:mixing ~lambda:lam ~candidates in
-  Array.iteri (fun slot j -> if decoys.(slot) then is_mixed.(j) <- true) candidates;
+  let mix = Mixing.plan rng ~mode:mixing ~epsilons ~common:is_common in
   let final =
-    Array.init n (fun j -> if is_common.(j) || is_mixed.(j) then 1.0 else raw.(j))
+    Array.init n (fun j -> if is_common.(j) || mix.mixed.(j) then 1.0 else raw.(j))
   in
+  let n_common = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 is_common in
   Trace.end_span "phase.mixing" ~args:[ ("n_common", n_common) ];
-  { final; raw; is_common; is_mixed; lam; xi_value }
+  { final; raw; is_common; is_mixed = mix.mixed; lam = mix.lambda; xi_value = mix.xi }
 
 let run ?(mixing = Mixing.Bernoulli) ?provider_floors rng ~membership ~epsilons ~policy =
   let n = Bitmatrix.rows membership in
@@ -113,11 +98,7 @@ let extend rng ~previous ~membership ~epsilons ~policy =
   in
   let common = Array.init n (fun j -> if j < old_n then previous.common.(j) else raw.(j) >= 1.0) in
   let n_common = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 common in
-  let xi =
-    let acc = ref 0.0 in
-    Array.iteri (fun j c -> if c then acc := Float.max !acc epsilons.(j)) common;
-    Float.min !acc 0.999
-  in
+  let xi = Mixing.xi ~epsilons ~common in
   (* Decoys needed overall for the new xi, minus those already published;
      the deficit is spread over the appended non-common owners. *)
   let old_decoys =

@@ -32,3 +32,23 @@ let select_decoys rng ~mode ~lambda ~candidates =
       let mask = Array.make n false in
       Array.iter (fun slot -> mask.(slot) <- true) chosen;
       mask
+
+let xi ~epsilons ~common =
+  let acc = ref 0.0 in
+  Array.iteri (fun j c -> if c then acc := Float.max !acc epsilons.(j)) common;
+  (* ξ = 1 would require infinitely many decoys; the strongest enforceable
+     requirement leaves at least one true positive in the pool. *)
+  Float.min !acc 0.999
+
+type plan = { xi : float; lambda : float; mixed : bool array }
+
+let plan rng ~mode ~epsilons ~common =
+  let n = Array.length common in
+  let xi = xi ~epsilons ~common in
+  let n_common = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 common in
+  let lambda = lambda ~xi ~n_common ~n_total:n in
+  let candidates = Array.of_list (List.filter (fun j -> not common.(j)) (List.init n Fun.id)) in
+  let mixed = Array.make n false in
+  let decoys = select_decoys rng ~mode ~lambda ~candidates in
+  Array.iteri (fun slot j -> if decoys.(slot) then mixed.(j) <- true) candidates;
+  { xi; lambda; mixed }

@@ -44,3 +44,20 @@ val select_decoys :
 (** [select_decoys rng ~mode ~lambda ~candidates] returns, aligned with
     [candidates] (the indices of non-common identities), which of them are
     exaggerated to β = 1. *)
+
+val xi : epsilons:float array -> common:bool array -> float
+(** ξ, the required decoy fraction: the maximum ε over the common
+    identities (0 when there are none), capped at 0.999 — ξ = 1 would need
+    infinitely many decoys. *)
+
+type plan = {
+  xi : float;
+  lambda : float;  (** Eq. 7 for this ξ and the common count. *)
+  mixed : bool array;  (** Non-common identities exaggerated to β = 1. *)
+}
+
+val plan :
+  Eppi_prelude.Rng.t -> mode:mode -> epsilons:float array -> common:bool array -> plan
+(** The whole mixing step from the common flags: {!xi}, then {!lambda},
+    then {!select_decoys} over the non-common identities in index order
+    (its draws are the only ones made). *)

@@ -26,33 +26,38 @@ type result = {
   metrics : metrics;
 }
 
+type fault_report = {
+  excluded : int list;
+  survivors : int list;
+  attempts : int;
+  sss_retransmissions : int;
+  mpc_retransmissions : int;
+  duplicates : int;
+  retried_rounds : int;
+}
+
+type outcome =
+  | Complete of result * fault_report
+  | Degraded of result * fault_report
+  | Failed of string * fault_report
+
 let modulus_for m = Modarith.modulus (Modarith.next_prime (m + 1))
 
 (* Publication is a local scan of each provider's n bits. *)
 let publication_cost ~n = 2e-8 *. float_of_int n
 
 (* Release phase (public computation at a designated coordinator) followed
-   by local randomized publication.  Shared by [run] and [run_ft]; the rng
-   draw order here is load-bearing for bit-identical replays. *)
-let release_and_publish ~rng_release ~rng_publish ~mixing ~policy ~epsilons ~membership ~m
+   by local randomized publication.  The rng draw order here is
+   load-bearing for bit-identical replays. *)
+let release_and_publish ~rng_release ~rng_publish ~mixing ~policy ~epsilons ~membership
     ~(cb : Countbelow.result) =
   let n = Bitmatrix.rows membership in
+  let m = Bitmatrix.cols membership in
   Trace.begin_span "phase.mixing";
-  let xi =
-    let acc = ref 0.0 in
-    Array.iteri (fun j is_common -> if is_common then acc := Float.max !acc epsilons.(j)) cb.common;
-    Float.min !acc 0.999
-  in
-  let lambda = Eppi.Mixing.lambda ~xi ~n_common:cb.n_common ~n_total:n in
-  let mixed = Array.make n false in
-  let candidates =
-    Array.of_list (List.filteri (fun j _ -> not cb.common.(j)) (List.init n Fun.id))
-  in
-  let decoys = Eppi.Mixing.select_decoys rng_release ~mode:mixing ~lambda ~candidates in
-  Array.iteri (fun slot j -> if decoys.(slot) then mixed.(j) <- true) candidates;
+  let mix = Eppi.Mixing.plan rng_release ~mode:mixing ~epsilons ~common:cb.common in
   let betas =
     Array.init n (fun j ->
-        if cb.common.(j) || mixed.(j) then 1.0
+        if cb.common.(j) || mix.mixed.(j) then 1.0
         else begin
           match cb.frequencies.(j) with
           | None -> 1.0 (* unreachable: non-common identities carry a frequency *)
@@ -62,36 +67,38 @@ let release_and_publish ~rng_release ~rng_publish ~mixing ~policy ~epsilons ~mem
                 ~epsilon:epsilons.(j) ~m
         end)
   in
-  let n_mixed = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 mixed in
+  let n_mixed = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 mix.mixed in
   Trace.end_span "phase.mixing" ~args:[ ("n_common", cb.n_common); ("decoys", n_mixed) ];
   (* Phase 2: local randomized publication at every provider. *)
   Trace.begin_span "phase.publish";
   let published = Eppi.Publish.publish_matrix rng_publish ~betas membership in
   let index = Eppi.Index.of_matrix published in
   Trace.end_span "phase.publish" ~args:[ ("owners", n); ("providers", m) ];
-  (index, betas, mixed, lambda, xi)
+  (index, betas, mix)
 
-let run ?config ?reliability ?network ?transport ?pool ?strategy ?(c = 3)
-    ?(mixing = Eppi.Mixing.Bernoulli) rng ~membership ~epsilons ~policy =
+(* One construction over the providers whose columns [membership] holds,
+   under fault plans already in its node ids.  [tally] sees each stage's
+   reliability report, including a stalled stage's.  Without plans the
+   stages cannot stall, and this is the whole of {!run}. *)
+let attempt ~transport ~pool ~strategy ~sss_plan ~mpc_plan ~c ~mixing ~tally rng ~membership
+    ~epsilons ~policy =
   let n = Bitmatrix.rows membership in
   let m = Bitmatrix.cols membership in
-  if Array.length epsilons <> n then invalid_arg "Protocol.Construct.run: epsilons length mismatch";
   let q = modulus_for m in
   (* Each phase draws from its own child stream: how many draws one phase
      makes (which varies with the CountBelow strategy and circuit shapes)
      can never perturb the next phase, so the construction output is
-     bit-identical across strategies and domain counts. *)
+     bit-identical across strategies, domain counts and fault plans. *)
   let rng_sss = Rng.split rng in
   let rng_mpc = Rng.split rng in
   let rng_release = Rng.split rng in
   let rng_publish = Rng.split rng in
-  let the_pool = match pool with Some p -> p | None -> Pool.sequential in
   (* Per-domain pool accounting across the MPC stage: a zero sample opens
      each worker's counter track, the closing sample carries the busy
      delta — one counter track per pool domain in the exported trace. *)
   let pool_before =
     if Trace.enabled () then begin
-      let b = Pool.stats the_pool in
+      let b = Pool.stats pool in
       Array.iteri
         (fun i _ ->
           Trace.counter (Printf.sprintf "pool/worker-%d" i) [ ("busy_us", 0); ("jobs", 0) ])
@@ -107,67 +114,88 @@ let run ?config ?reliability ?network ?transport ?pool ?strategy ?(c = 3)
     Array.init m (fun i ->
         Array.init n (fun j -> if Bitmatrix.get membership ~row:j ~col:i then 1 else 0))
   in
-  let sss = Secsumshare.run ?config ?reliability rng_sss ~inputs ~c ~q in
-  let thresholds =
-    Array.map (fun epsilon -> Countbelow.integer_threshold ~policy ~epsilon ~m) epsilons
+  let stalled stage (r : Link.report) =
+    tally stage r;
+    Trace.end_span "phase.beta" ~args:[ ("excluded", List.length r.suspects) ];
+    Error (stage, r.suspects)
   in
-  let cb =
-    Countbelow.run ?network ?transport ~pool:the_pool ?strategy rng_mpc
-      ~shares:sss.coordinator_shares ~q ~thresholds
-  in
-  Trace.end_span "phase.beta"
-    ~args:
-      [
-        ("messages", sss.net.messages_sent + cb.comm.messages);
-        ("bytes", sss.net.bytes_sent + cb.comm.bytes);
-        ("sim_us", int_of_float ((sss.net.completion_time +. cb.time) *. 1e6));
-      ];
-  (match pool_before with
-  | None -> ()
-  | Some before ->
-      let after = Pool.stats the_pool in
-      Array.iteri
-        (fun i (b : Pool.worker_stat) ->
-          let a = after.(i) in
-          Trace.counter (Printf.sprintf "pool/worker-%d" i)
-            [ ("busy_us", (a.busy_ns - b.busy_ns) / 1000); ("jobs", a.jobs - b.jobs) ])
-        before);
-  let index, betas, mixed, lambda, xi =
-    release_and_publish ~rng_release ~rng_publish ~mixing ~policy ~epsilons ~membership ~m
-      ~cb
-  in
-  let publication_time = publication_cost ~n in
-  let sss_messages_bytes = (sss.net.messages_sent, sss.net.bytes_sent) in
-  let metrics =
-    {
-      secsumshare_time = sss.net.completion_time;
-      mpc_time = cb.time;
-      publication_time;
-      total_time = sss.net.completion_time +. cb.time +. publication_time;
-      messages = fst sss_messages_bytes + cb.comm.messages;
-      bytes = snd sss_messages_bytes + cb.comm.bytes;
-      circuit_stats = cb.circuit_stats;
-      mpc_comm = cb.comm;
-    }
-  in
-  { index; betas; common = cb.common; mixed; lambda; xi; metrics }
+  match Secsumshare.run ?plan:sss_plan rng_sss ~inputs ~c ~q with
+  | exception Link.Stalled r -> stalled `Secsumshare r
+  | sss -> (
+      tally `Secsumshare sss.link;
+      let thresholds =
+        Array.map (fun epsilon -> Countbelow.integer_threshold ~policy ~epsilon ~m) epsilons
+      in
+      match
+        Countbelow.run ~transport ~pool ?strategy ?plan:mpc_plan rng_mpc
+          ~shares:sss.coordinator_shares ~q ~thresholds
+      with
+      | exception Link.Stalled r -> stalled `Countbelow r
+      | cb ->
+          Option.iter (tally `Countbelow) cb.link;
+          let sss_time = sss.link.protocol_time in
+          let messages = sss.net.messages_sent + cb.comm.messages in
+          let bytes = sss.net.bytes_sent + cb.comm.bytes in
+          Trace.end_span "phase.beta"
+            ~args:
+              [
+                ("messages", messages);
+                ("bytes", bytes);
+                ("sim_us", int_of_float ((sss_time +. cb.time) *. 1e6));
+              ];
+          (match pool_before with
+          | None -> ()
+          | Some before ->
+              let after = Pool.stats pool in
+              Array.iteri
+                (fun i (b : Pool.worker_stat) ->
+                  let a = after.(i) in
+                  Trace.counter (Printf.sprintf "pool/worker-%d" i)
+                    [ ("busy_us", (a.busy_ns - b.busy_ns) / 1000); ("jobs", a.jobs - b.jobs) ])
+                before);
+          let index, betas, mix =
+            release_and_publish ~rng_release ~rng_publish ~mixing ~policy ~epsilons ~membership
+              ~cb
+          in
+          let publication_time = publication_cost ~n in
+          let metrics =
+            {
+              secsumshare_time = sss_time;
+              mpc_time = cb.time;
+              publication_time;
+              total_time = sss_time +. cb.time +. publication_time;
+              messages;
+              bytes;
+              circuit_stats = cb.circuit_stats;
+              mpc_comm = cb.comm;
+            }
+          in
+          Ok
+            {
+              index;
+              betas;
+              common = cb.common;
+              mixed = mix.mixed;
+              lambda = mix.lambda;
+              xi = mix.xi;
+              metrics;
+            })
+
+let run ?(transport = `Cost_model) ?(pool = Pool.sequential) ?strategy ?(c = 3)
+    ?(mixing = Eppi.Mixing.Bernoulli) rng ~membership ~epsilons ~policy =
+  if Array.length epsilons <> Bitmatrix.rows membership then
+    invalid_arg "Protocol.Construct.run: epsilons length mismatch";
+  match
+    attempt ~transport ~pool ~strategy ~sss_plan:None ~mpc_plan:None ~c ~mixing
+      ~tally:(fun _ _ -> ())
+      rng ~membership ~epsilons ~policy
+  with
+  | Ok result -> result
+  | Error _ -> failwith "Protocol.Construct.run: a stage stalled on a fault-free network"
 
 (* ---------- fault-tolerant construction ---------- *)
 
-type fault_report = {
-  excluded : int list;
-  survivors : int list;
-  attempts : int;
-  sss_retransmissions : int;
-  mpc_retransmissions : int;
-  duplicates : int;
-  retried_rounds : int;
-}
-
-type outcome =
-  | Complete of result * fault_report
-  | Degraded of result * fault_report
-  | Failed of string * fault_report
+let max_attempts = 3
 
 (* Project a fault plan expressed in original provider ids onto the id space
    of an attempt's net: survivors (in increasing original id order) become
@@ -207,18 +235,23 @@ let submatrix membership survivors =
     survivors;
   sub
 
-let run_ft ?config ?sss_plan ?mpc_plan ?reliability ?mpc_reliability ?deadline
-    ?(max_attempts = 3) ?network ?pool ?strategy ?(c = 3)
+let run_ft ?sss_plan ?mpc_plan ?(pool = Pool.sequential) ?(c = 3)
     ?(mixing = Eppi.Mixing.Bernoulli) rng ~membership ~epsilons ~policy =
-  let n = Bitmatrix.rows membership in
   let m = Bitmatrix.cols membership in
-  if Array.length epsilons <> n then
+  if Array.length epsilons <> Bitmatrix.rows membership then
     invalid_arg "Protocol.Construct.run_ft: epsilons length mismatch";
-  let the_pool = match pool with Some p -> p | None -> Pool.sequential in
   let sss_retrans = ref 0 in
   let mpc_retrans = ref 0 in
   let duplicates = ref 0 in
   let retried_rounds = ref 0 in
+  let tally stage (r : Link.report) =
+    duplicates := !duplicates + r.duplicates;
+    match stage with
+    | `Secsumshare -> sss_retrans := !sss_retrans + r.retransmissions
+    | `Countbelow ->
+        mpc_retrans := !mpc_retrans + r.retransmissions;
+        retried_rounds := !retried_rounds + r.retried_rounds
+  in
   let all = List.init m Fun.id in
   let report ~survivors ~attempts =
     {
@@ -231,7 +264,10 @@ let run_ft ?config ?sss_plan ?mpc_plan ?reliability ?mpc_reliability ?deadline
       retried_rounds = !retried_rounds;
     }
   in
-  let rec attempt k survivors =
+  (* Every attempt draws its phase streams from [rng] in turn, so the first
+     is exactly {!run}'s and a retry is a fresh run over the survivor set,
+     deterministic in (rng, attempt number). *)
+  let rec loop k survivors =
     let m' = List.length survivors in
     if k > max_attempts then
       Failed
@@ -243,114 +279,39 @@ let run_ft ?config ?sss_plan ?mpc_plan ?reliability ?mpc_reliability ?deadline
           report ~survivors ~attempts:(k - 1) )
     else begin
       Trace.begin_span "construct.attempt";
-      (* Fresh child streams per attempt: a retry is a brand-new protocol
-         run over the survivor set, deterministic in (rng, attempt number). *)
-      let arng = Rng.split rng in
-      let rng_sss = Rng.split arng in
-      let rng_mpc = Rng.split arng in
-      let rng_release = Rng.split arng in
-      let rng_publish = Rng.split arng in
-      let q = modulus_for m' in
-      let sub = submatrix membership survivors in
-      let inputs =
-        Array.init m' (fun i ->
-            Array.init n (fun j -> if Bitmatrix.get sub ~row:j ~col:i then 1 else 0))
+      let outcome =
+        attempt ~transport:`Cost_model ~pool ~strategy:None
+          ~sss_plan:(Option.map (remap_plan ~survivors ~nodes:m') sss_plan)
+          ~mpc_plan:(Option.map (remap_plan ~survivors ~nodes:c) mpc_plan)
+          ~c ~mixing ~tally rng
+          ~membership:(if m' = m then membership else submatrix membership survivors)
+          ~epsilons ~policy
       in
-      Trace.begin_span "phase.beta";
-      let sss_plan' = Option.map (remap_plan ~survivors ~nodes:m') sss_plan in
-      let sss = Secsumshare.run_ft ?config ?plan:sss_plan' ?reliability ?deadline rng_sss ~inputs ~c ~q in
-      sss_retrans := !sss_retrans + sss.report.retransmissions;
-      duplicates := !duplicates + sss.report.duplicates;
-      let finish_attempt exclude =
-        Trace.end_span "phase.beta" ~args:[ ("excluded", List.length exclude) ];
-        Trace.end_span "construct.attempt"
-          ~args:[ ("attempt", k); ("providers", m'); ("excluded", List.length exclude) ];
-        (* Suspects are attempt-local node ids; translate back. *)
-        let orig = Array.of_list survivors in
-        let excluded = List.map (fun i -> orig.(i)) exclude in
-        attempt (k + 1) (List.filter (fun p -> not (List.mem p excluded)) survivors)
-      in
-      match sss.shares with
-      | None when sss.report.suspects = [] ->
-          Trace.end_span "phase.beta" ~args:[ ("excluded", 0) ];
-          Trace.end_span "construct.attempt" ~args:[ ("attempt", k); ("providers", m') ];
-          Failed
-            ("SecSumShare stalled with no identified culprit", report ~survivors ~attempts:k)
-      | None -> finish_attempt sss.report.suspects
-      | Some shares -> begin
-          let thresholds =
-            Array.map
-              (fun epsilon -> Countbelow.integer_threshold ~policy ~epsilon ~m:m')
-              epsilons
-          in
-          let cb_outcome =
-            match mpc_plan with
-            | None ->
-                (* No coordinator faults requested: the in-process engine is
-                   exact and parallelizes on the pool. *)
-                `Done
-                  ( Countbelow.run ?network ~pool:the_pool ?strategy rng_mpc ~shares ~q
-                      ~thresholds,
-                    0 )
-            | Some plan ->
-                let plan' = remap_plan plan ~survivors ~nodes:c in
-                let r =
-                  Countbelow.run_reliable ?config ~plan:plan' ?reliability:mpc_reliability
-                    rng_mpc ~shares ~q ~thresholds
-                in
-                mpc_retrans := !mpc_retrans + r.retransmissions;
-                duplicates := !duplicates + r.duplicates;
-                retried_rounds := !retried_rounds + r.retried_rounds;
-                (match r.outcome with
-                | `Done cb -> `Done (cb, r.retransmissions)
-                | `Coordinators_failed dead -> `Dead dead)
-          in
-          match cb_outcome with
-          | `Dead [] ->
-              Trace.end_span "phase.beta" ~args:[ ("excluded", 0) ];
-              Trace.end_span "construct.attempt" ~args:[ ("attempt", k); ("providers", m') ];
-              Failed ("CountBelow stalled with no identified culprit", report ~survivors ~attempts:k)
-          | `Dead dead -> finish_attempt dead
-          | `Done (cb, _) ->
-              Trace.end_span "phase.beta"
-                ~args:
-                  [
-                    ("messages", sss.report.net.messages_sent + cb.comm.messages);
-                    ("bytes", sss.report.net.bytes_sent + cb.comm.bytes);
-                    ("sim_us", int_of_float ((sss.report.protocol_time +. cb.time) *. 1e6));
-                  ];
-              let index, betas, mixed, lambda, xi =
-                release_and_publish ~rng_release ~rng_publish ~mixing ~policy ~epsilons
-                  ~membership:sub ~m:m' ~cb
-              in
-              let publication_time = publication_cost ~n in
-              let metrics =
-                {
-                  secsumshare_time = sss.report.protocol_time;
-                  mpc_time = cb.time;
-                  publication_time;
-                  total_time = sss.report.protocol_time +. cb.time +. publication_time;
-                  messages = sss.report.net.messages_sent + cb.comm.messages;
-                  bytes = sss.report.net.bytes_sent + cb.comm.bytes;
-                  circuit_stats = cb.circuit_stats;
-                  mpc_comm = cb.comm;
-                }
-              in
-              let result = { index; betas; common = cb.common; mixed; lambda; xi; metrics } in
-              let rep = report ~survivors ~attempts:k in
-              Trace.end_span "construct.attempt"
-                ~args:
-                  [
-                    ("attempt", k);
-                    ("providers", m');
-                    ("sss_retransmissions", rep.sss_retransmissions);
-                    ("mpc_retransmissions", rep.mpc_retransmissions);
-                  ];
-              if rep.excluded = [] then Complete (result, rep) else Degraded (result, rep)
-        end
+      let suspects = match outcome with Ok _ -> [] | Error (_, s) -> s in
+      Trace.end_span "construct.attempt"
+        ~args:
+          [
+            ("attempt", k);
+            ("providers", m');
+            ("excluded", List.length suspects);
+            ("sss_retransmissions", !sss_retrans);
+            ("mpc_retransmissions", !mpc_retrans);
+          ];
+      match outcome with
+      | Ok result ->
+          let rep = report ~survivors ~attempts:k in
+          if rep.excluded = [] then Complete (result, rep) else Degraded (result, rep)
+      | Error (stage, []) ->
+          let name = match stage with `Secsumshare -> "SecSumShare" | `Countbelow -> "CountBelow" in
+          Failed (name ^ " stalled with no identified culprit", report ~survivors ~attempts:k)
+      | Error (_, suspects) ->
+          (* Suspects are attempt-local node ids; translate back. *)
+          let orig = Array.of_list survivors in
+          let excluded = List.map (fun i -> orig.(i)) suspects in
+          loop (k + 1) (List.filter (fun p -> not (List.mem p excluded)) survivors)
     end
   in
-  attempt 1 all
+  loop 1 all
 
 let beta_phase_time_estimate ?(network = Cost.lan) ~m ~identities ~c () =
   if m < c || c < 2 then invalid_arg "beta_phase_time_estimate: need m >= c >= 2";

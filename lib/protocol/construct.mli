@@ -43,9 +43,6 @@ val modulus_for : int -> Modarith.modulus
     and the "never common" threshold m+1 stays representable. *)
 
 val run :
-  ?config:Eppi_simnet.Simnet.config ->
-  ?reliability:Secsumshare.reliability ->
-  ?network:Eppi_mpc.Cost.network ->
   ?transport:Countbelow.transport ->
   ?pool:Pool.t ->
   ?strategy:Countbelow.strategy ->
@@ -59,24 +56,25 @@ val run :
 (** [c] defaults to 3 (the paper's configuration).  The matrix is
     owner-major.
 
-    [pool] and [strategy] select the CountBelow execution pipeline (see
-    {!Countbelow.run}); every phase draws from its own {!Rng.split} child
-    stream, so for a fixed seed the construction output — [common],
-    [betas], the published [index] — is bit-identical across strategies and
-    pool sizes.
+    [transport], [pool] and [strategy] select the CountBelow execution
+    pipeline (see {!Countbelow.run}); every phase draws from its own
+    {!Rng.split} child stream, so for a fixed seed the construction output
+    — [common], [betas], the published [index] — is bit-identical across
+    transports, strategies and pool sizes.
     @raise Invalid_argument on dimension mismatches, [c < 2] or [m < c]. *)
 
 (** {1 Fault-tolerant construction}
 
     {!run} assumes the fault-free network of the paper's experiments;
-    {!run_ft} runs the same two phases under a
-    {!Eppi_simnet.Simnet.fault_plan} with the reliability sublayer always
-    on, and turns detected provider failures into graceful degradation:
-    when the failure detector declares providers dead, the whole β phase is
-    re-run over the surviving provider set (thresholds, modulus and σ all
-    recomputed for m' = m - |excluded|), so every surviving owner's
-    published row still satisfies its ε false-positive guarantee — over the
-    survivors.  See docs/ROBUSTNESS.md. *)
+    {!run_ft} runs the same construction under
+    {!Eppi_simnet.Simnet.fault_plan}s.  A stage given a plan turns on its
+    reliability layer and failure detector (see {!Link}); when the detector
+    declares providers dead, the whole β phase is re-run over the surviving
+    provider set (thresholds, modulus and σ all recomputed for
+    m' = m - |excluded|), so every surviving owner's published row still
+    satisfies its ε false-positive guarantee — over the survivors.  Without
+    plans, {!run_ft} is {!run} with its default transport and strategy.
+    See docs/ROBUSTNESS.md. *)
 
 (** What happened, accumulated across retry attempts. *)
 type fault_report = {
@@ -104,16 +102,9 @@ type outcome =
           than c survivors, or a stall with no identifiable culprit. *)
 
 val run_ft :
-  ?config:Eppi_simnet.Simnet.config ->
   ?sss_plan:Eppi_simnet.Simnet.fault_plan ->
   ?mpc_plan:Eppi_simnet.Simnet.fault_plan ->
-  ?reliability:Secsumshare.reliability ->
-  ?mpc_reliability:Mpcnet.reliability ->
-  ?deadline:float ->
-  ?max_attempts:int ->
-  ?network:Eppi_mpc.Cost.network ->
   ?pool:Pool.t ->
-  ?strategy:Countbelow.strategy ->
   ?c:int ->
   ?mixing:Eppi.Mixing.mode ->
   Rng.t ->
@@ -127,11 +118,13 @@ val run_ft :
     other providers are ignored).  On each retry the plans are re-projected
     onto the survivor set, so a crashed provider's faults disappear with it.
     When [mpc_plan] is omitted the CountBelow stage runs on the in-process
-    engine ([pool]/[strategy] as in {!run}); outputs are bit-identical
-    either way.  Determinism: the outcome is a pure function of (rng seed,
-    fault plans, inputs).  [max_attempts] defaults to 3, [deadline] is the
-    SecSumShare failure-detector horizon (default 0.25 s).
-    @raise Invalid_argument on dimension mismatches, [c < 2] or [m < c]. *)
+    engine over [pool]; with it, the monolithic circuit runs over the
+    simulated network.  Every attempt draws its four phase streams from the
+    rng in turn, the first exactly as {!run} does, so a run that completes
+    without excluding anyone publishes {!run}'s index bit for bit, and the
+    outcome is a pure function of (rng seed, fault plans, inputs).  At most
+    3 attempts are made.
+    @raise Invalid_argument on dimension mismatches or [c < 2]. *)
 
 val beta_phase_time_estimate :
   ?network:Eppi_mpc.Cost.network -> m:int -> identities:int -> c:int -> unit -> float

@@ -13,9 +13,10 @@ type result = {
   circuit_stats : Circuit.stats;
   comm : Gmw.comm_stats;
   time : float;
+  link : Link.report option;
 }
 
-type transport = [ `Cost_model | `Simnet of Eppi_simnet.Simnet.config ]
+type transport = [ `Cost_model | `Simnet ]
 type strategy = [ `Monolithic | `Sharded ]
 
 let integer_threshold ~policy ~epsilon ~m =
@@ -70,10 +71,10 @@ let decode_counts compiled raw_outputs =
 (* ---------- monolithic path ---------- *)
 
 (* One count_below circuit over all n identities, walked by a single GMW
-   interpreter (optionally round-by-round over the simulated network).  This
-   is the paper-literal formulation and the reference the sharded pipeline
-   is tested against. *)
-let run_monolithic ~network ~transport rng ~shares ~q ~c ~clamped =
+   interpreter (optionally round-by-round over the simulated network, under
+   a fault plan if one is given).  This is the paper-literal formulation and
+   the reference the sharded pipeline is tested against. *)
+let run_monolithic ~transport ?plan rng ~shares ~q ~c ~clamped =
   Trace.begin_span "countbelow.monolithic";
   let source = Programs.count_below ~c ~q:(Modarith.to_int q) ~thresholds:clamped in
   let compiled = Compile.compile_source source in
@@ -81,27 +82,27 @@ let run_monolithic ~network ~transport rng ~shares ~q ~c ~clamped =
     Compile.encode_inputs compiled
       (List.init c (fun i -> (Printf.sprintf "s%d" i, Compile.Dints shares.(i))))
   in
-  let raw_outputs, comm, emergent_time =
+  let stats = Circuit.stats compiled.circuit in
+  let outputs_bits = Array.length (Circuit.outputs compiled.circuit) in
+  let raw_outputs, comm, link =
     match transport with
     | `Cost_model ->
         let mpc = Gmw.execute rng compiled.circuit ~inputs in
         (mpc.outputs, mpc.comm, None)
-    | `Simnet config ->
-        let mpc = Mpcnet.execute ~config rng compiled.circuit ~inputs in
-        let stats = Circuit.stats compiled.circuit in
-        let estimate =
-          Gmw.comm_estimate ~parties:(Array.length shares) stats
-            ~outputs:(Array.length (Circuit.outputs compiled.circuit))
+    | `Simnet ->
+        let mpc =
+          try Mpcnet.execute ?plan rng compiled.circuit ~inputs
+          with Link.Stalled _ as e ->
+            Trace.end_span "countbelow.monolithic" ~args:[ ("raised", 1) ];
+            raise e
         in
-        (mpc.outputs, estimate, Some mpc.net.completion_time)
+        (mpc.outputs, Gmw.comm_estimate ~parties:c stats ~outputs:outputs_bits, Some mpc.link)
   in
   let common, freqs, count = decode_counts compiled raw_outputs in
-  let stats = Circuit.stats compiled.circuit in
-  let outputs_bits = Array.length (Circuit.outputs compiled.circuit) in
   let time =
-    match emergent_time with
-    | Some t -> t
-    | None -> Cost.estimate ~network ~parties:c ~outputs:outputs_bits stats
+    match link with
+    | Some l -> l.protocol_time
+    | None -> Cost.estimate ~network:Cost.lan ~parties:c ~outputs:outputs_bits stats
   in
   Trace.end_span "countbelow.monolithic"
     ~args:
@@ -119,6 +120,7 @@ let run_monolithic ~network ~transport rng ~shares ~q ~c ~clamped =
     circuit_stats = stats;
     comm;
     time;
+    link;
   }
 
 (* ---------- sharded pipeline ---------- *)
@@ -139,7 +141,7 @@ type shard_circuit = {
    the domain pool.  Results are index-addressed and each shard draws from
    its own pre-split rng, so outputs, stats and comm accounting are
    bit-identical at every pool size (and to the sequential fallback). *)
-let run_sharded ~network ~pool rng ~shares ~q ~c ~n ~clamped =
+let run_sharded ~pool rng ~shares ~q ~c ~n ~clamped =
   let qi = Modarith.to_int q in
   (* Compile (or fetch) the comparator for each distinct threshold up front,
      sequentially: the parallel phase then only reads. *)
@@ -212,7 +214,7 @@ let run_sharded ~network ~pool rng ~shares ~q ~c ~n ~clamped =
       clamped
   in
   let comm = Gmw.comm_estimate ~parties:c agg ~outputs:out_bits in
-  let time = Cost.estimate ~network ~parties:c ~outputs:out_bits agg in
+  let time = Cost.estimate ~network:Cost.lan ~parties:c ~outputs:out_bits agg in
   {
     common;
     frequencies = Array.mapi (fun j f -> if common.(j) then None else Some f) freqs;
@@ -220,79 +222,19 @@ let run_sharded ~network ~pool rng ~shares ~q ~c ~n ~clamped =
     circuit_stats = agg;
     comm;
     time;
+    link = None;
   }
 
-let run ?(network = Cost.lan) ?(transport = `Cost_model) ?(pool = Pool.sequential) ?strategy
-    rng ~shares ~q ~thresholds =
+let run ?(transport = `Cost_model) ?(pool = Pool.sequential) ?strategy ?plan rng ~shares ~q
+    ~thresholds =
   let c, n = validate ~shares ~thresholds in
   if n = 0 then invalid_arg "Countbelow.run: no identities";
   let qi = Modarith.to_int q in
   let clamped = Array.map (fun t -> max 0 (min t (qi - 1))) thresholds in
-  let strategy =
-    match (strategy, transport) with
-    | Some s, `Cost_model -> s
-    | None, `Cost_model -> `Sharded
-    (* The network transport replays the protocol round-by-round over the
-       simulated LAN; it always walks the single circuit. *)
-    | _, `Simnet _ -> `Monolithic
-  in
-  match strategy with
-  | `Monolithic -> run_monolithic ~network ~transport rng ~shares ~q ~c ~clamped
-  | `Sharded -> run_sharded ~network ~pool rng ~shares ~q ~c ~n ~clamped
-
-(* ---------- reliable path (fault-tolerant construction) ---------- *)
-
-type reliable = {
-  outcome : [ `Done of result | `Coordinators_failed of int list ];
-  retransmissions : int;
-  duplicates : int;
-  retried_rounds : int;
-  suspects : int list;
-}
-
-let run_reliable ?config ?plan ?reliability rng ~shares ~q ~thresholds =
-  let c, n = validate ~shares ~thresholds in
-  if n = 0 then invalid_arg "Countbelow.run: no identities";
-  let qi = Modarith.to_int q in
-  let clamped = Array.map (fun t -> max 0 (min t (qi - 1))) thresholds in
-  Trace.begin_span "countbelow.reliable";
-  let source = Programs.count_below ~c ~q:qi ~thresholds:clamped in
-  let compiled = Compile.compile_source_cached circuit_cache source in
-  let inputs =
-    Compile.encode_inputs compiled
-      (List.init c (fun i -> (Printf.sprintf "s%d" i, Compile.Dints shares.(i))))
-  in
-  let mpc = Mpcnet.execute_reliable ?config ?plan ?reliability rng compiled.circuit ~inputs in
-  let stats = Circuit.stats compiled.circuit in
-  let out_bits = Array.length (Circuit.outputs compiled.circuit) in
-  Trace.end_span "countbelow.reliable"
-    ~args:
-      [
-        ("identities", n);
-        ("gates", stats.size);
-        ("retransmissions", mpc.retransmissions);
-        ("duplicates", mpc.duplicates);
-        ("failed", match mpc.outcome with Mpcnet.Outputs _ -> 0 | _ -> 1);
-      ];
-  let outcome =
-    match mpc.outcome with
-    | Mpcnet.Parties_failed dead -> `Coordinators_failed dead
-    | Mpcnet.Outputs raw ->
-        let common, freqs, count = decode_counts compiled raw in
-        `Done
-          {
-            common;
-            frequencies = Array.mapi (fun j f -> if common.(j) then None else Some f) freqs;
-            n_common = count;
-            circuit_stats = stats;
-            comm = Gmw.comm_estimate ~parties:c stats ~outputs:out_bits;
-            time = mpc.protocol_time;
-          }
-  in
-  {
-    outcome;
-    retransmissions = mpc.retransmissions;
-    duplicates = mpc.duplicates;
-    retried_rounds = mpc.retried_rounds;
-    suspects = mpc.suspects;
-  }
+  match (transport, strategy, plan) with
+  | `Cost_model, (None | Some `Sharded), None -> run_sharded ~pool rng ~shares ~q ~c ~n ~clamped
+  | `Cost_model, Some `Monolithic, None -> run_monolithic ~transport rng ~shares ~q ~c ~clamped
+  (* The network transport replays the protocol round-by-round over the
+     simulated LAN, always walking the single circuit; a fault plan implies
+     that network. *)
+  | _ -> run_monolithic ~transport:`Simnet ?plan rng ~shares ~q ~c ~clamped

@@ -22,22 +22,26 @@ type result = {
   circuit_stats : Eppi_circuit.Circuit.stats;
   comm : Eppi_mpc.Gmw.comm_stats;
   time : float;
-      (** Simulated MPC execution time: the cost model's estimate by
+      (** Simulated MPC execution time: the cost model's LAN estimate by
           default, or the emergent completion time when running over the
           simulated network (see [transport]). *)
+  link : Link.report option;
+      (** The reliability accounting of the simulated network run; [None]
+          when the in-process engine ran. *)
 }
 
 (** How the MPC stage runs: [`Cost_model] executes the in-process engine
-    and prices it with {!Eppi_mpc.Cost}; [`Simnet cfg] runs the protocol
-    round-by-round over the simulated network ({!Mpcnet}) so the time
-    emerges from message passing. *)
-type transport = [ `Cost_model | `Simnet of Eppi_simnet.Simnet.config ]
+    and prices it with {!Eppi_mpc.Cost} on {!Eppi_mpc.Cost.lan}; [`Simnet]
+    runs the protocol round-by-round over the simulated network
+    ({!Mpcnet}, {!Eppi_simnet.Simnet.default_config}) so the time emerges
+    from message passing. *)
+type transport = [ `Cost_model | `Simnet ]
 
 (** How the count-below computation is organized:
 
     - [`Monolithic] — the paper-literal formulation: one circuit over all n
-      identities, walked sequentially.  Always used under the [`Simnet]
-      transport (the network simulation replays a single protocol instance).
+      identities, walked sequentially.  Always used over the simulated
+      network (it replays a single protocol instance).
     - [`Sharded] — the multicore pipeline (default under [`Cost_model]):
       one comparator circuit per identity, memo-compiled per distinct
       [(c, q, threshold)], evaluated on the domain pool with a per-shard
@@ -53,10 +57,10 @@ val integer_threshold : policy:Eppi.Policy.t -> epsilon:float -> m:int -> int
     when no frequency is common (ε = 0). *)
 
 val run :
-  ?network:Eppi_mpc.Cost.network ->
   ?transport:transport ->
   ?pool:Pool.t ->
   ?strategy:strategy ->
+  ?plan:Eppi_simnet.Simnet.fault_plan ->
   Rng.t ->
   shares:int array array ->
   q:Modarith.modulus ->
@@ -68,38 +72,14 @@ val run :
     memberships since q > m).
 
     [pool] (default {!Pool.sequential}) supplies the domains the sharded
-    strategy evaluates on; it is ignored by [`Monolithic] and [`Simnet]
-    runs.  [strategy] defaults to [`Sharded] under [`Cost_model] and is
-    forced to [`Monolithic] under [`Simnet].  Outputs ([common],
-    [frequencies], [n_common]) are identical for every strategy and pool
-    size.
-    @raise Invalid_argument on shape violations or zero identities. *)
-
-(** {1 Reliable path}
-
-    Used by {!Construct.run_ft}: the monolithic circuit executed over
-    {!Mpcnet.execute_reliable}, so coordinator crashes and message loss are
-    survived or detected instead of hanging the round. *)
-
-type reliable = {
-  outcome : [ `Done of result | `Coordinators_failed of int list ];
-      (** [`Done r]: all rounds completed; [r.common]/[r.frequencies] are
-          bit-identical to {!run} on the same shares ([r.time] is the
-          emergent protocol completion time).  [`Coordinators_failed dead]:
-          the MPC stalled and the failure detector blamed [dead]. *)
-  retransmissions : int;
-  duplicates : int;
-  retried_rounds : int;
-  suspects : int list;  (** Every coordinator ever blamed (may be spurious on [`Done]). *)
-}
-
-val run_reliable :
-  ?config:Eppi_simnet.Simnet.config ->
-  ?plan:Eppi_simnet.Simnet.fault_plan ->
-  ?reliability:Mpcnet.reliability ->
-  Rng.t ->
-  shares:int array array ->
-  q:Modarith.modulus ->
-  thresholds:int array ->
-  reliable
-(** @raise Invalid_argument on shape violations or zero identities. *)
+    strategy evaluates on; it is ignored by monolithic runs.  [strategy]
+    defaults to [`Sharded] under [`Cost_model] and is forced to
+    [`Monolithic] over the simulated network.  A fault [plan] runs the
+    monolithic circuit over the simulated network under that plan, with
+    {!Mpcnet}'s reliability layer on, whatever [transport] says.  Outputs
+    ([common], [frequencies], [n_common]) are identical for every
+    transport, strategy and pool size, and for every plan the run
+    completes under.
+    @raise Invalid_argument on shape violations or zero identities.
+    @raise Link.Stalled if the plan stalled the MPC; the report's
+    [suspects] are the blamed coordinators. *)

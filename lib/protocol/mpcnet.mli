@@ -13,13 +13,12 @@
     Beaver triples are pre-distributed by the dealer before time zero, as
     in the in-process engine (the offline phase is out of scope).
 
-    {!execute} assumes a perfect network and raises if the run stalls.
-    {!execute_reliable} wraps every protocol message in a reliability
-    sublayer — sequence numbers, acks, retransmission with exponential
-    backoff — plus a timeout failure detector, and returns a typed outcome
-    instead of raising.  Because the dealer draws all randomness before the
-    network exists, a reliable run that completes produces outputs
-    bit-identical to the lossless run with the same rng. *)
+    Given a {!Eppi_simnet.Simnet.fault_plan}, every protocol message goes
+    through the {!Link} reliability layer and a per-round timeout failure
+    detector watches the parties; without one the run is the bare protocol
+    on a perfect network.  Because the dealer draws all randomness before
+    the network exists, a run that completes under a plan produces outputs
+    bit-identical to the fault-free run with the same rng. *)
 
 open Eppi_prelude
 open Eppi_circuit
@@ -28,66 +27,17 @@ type result = {
   outputs : bool array;
   rounds : int;  (** Broadcast rounds: one per AND layer plus the output round. *)
   net : Eppi_simnet.Simnet.metrics;
+  link : Link.report;
+      (** Reliability accounting; its [protocol_time] is the emergent
+          completion time of the protocol. *)
 }
 
 val execute :
-  ?config:Eppi_simnet.Simnet.config ->
-  Rng.t ->
-  Circuit.t ->
-  inputs:bool array array ->
-  result
-(** @raise Invalid_argument on missing input bits or fewer than 2 parties. *)
-
-(** {1 Reliable transport} *)
-
-type reliability = {
-  rto : float;  (** Initial retransmission timeout, seconds. *)
-  backoff : float;  (** Multiplier applied to the rto after each retry. *)
-  max_rto : float;  (** Cap on the backed-off rto. *)
-  max_retries : int;
-      (** Unacked after this many retransmissions => the destination is
-          declared dead. *)
-  round_deadline : float;
-      (** A party that entered a round this long ago and is still missing
-          contributions blames the missing parties. *)
-}
-
-val default_reliability : reliability
-(** 5 ms initial rto, x2 backoff capped at 80 ms, 12 retries, 250 ms round
-    deadline — sized for {!Eppi_simnet.Simnet.default_config} latency. *)
-
-type outcome =
-  | Outputs of bool array  (** All rounds completed; same value as {!execute}. *)
-  | Parties_failed of int list
-      (** The run stalled; the listed parties were blamed by the failure
-          detector (retransmissions exhausted, or missing at a deadline). *)
-
-type reliable_result = {
-  outcome : outcome;
-  rounds : int;
-  retransmissions : int;  (** Data packets re-sent after an rto expiry. *)
-  duplicates : int;  (** Received copies suppressed by sequence numbers. *)
-  retried_rounds : int;  (** Rounds in which at least one retransmission happened. *)
-  suspects : int list;
-      (** Every party ever blamed.  May be non-empty even on [Outputs] —
-          a deadline that fired late is a false alarm, not a failure. *)
-  protocol_time : float;
-      (** Sim time of the last fresh protocol progress (completion instant on
-          success).  Unlike [net.completion_time] it excludes trailing
-          retransmission timers, so it is comparable to {!execute}'s
-          completion time. *)
-  net : Eppi_simnet.Simnet.metrics;
-}
-
-val execute_reliable :
-  ?config:Eppi_simnet.Simnet.config ->
-  ?plan:Eppi_simnet.Simnet.fault_plan ->
-  ?reliability:reliability ->
-  Rng.t ->
-  Circuit.t ->
-  inputs:bool array array ->
-  reliable_result
-(** Run GMW under the given fault plan.  Completes (and matches the
-    lossless outputs bit for bit) as long as every message eventually gets
-    through; returns [Parties_failed] instead of raising when it cannot.
-    @raise Invalid_argument on missing input bits or fewer than 2 parties. *)
+  ?plan:Eppi_simnet.Simnet.fault_plan -> Rng.t -> Circuit.t -> inputs:bool array array -> result
+(** Under a [plan], a party still missing contributions to a round 0.25 s
+    after entering it blames the missing parties, and the reliability layer
+    resends after 5 ms, backing off x2 up to 80 ms, 12 times before blaming
+    the destination.
+    @raise Invalid_argument on missing input bits or fewer than 2 parties.
+    @raise Link.Stalled if the run could not complete; the report's
+    [suspects] are the blamed parties. *)

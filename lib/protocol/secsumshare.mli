@@ -22,41 +22,23 @@
 
     Requires m >= c >= 2.
 
-    {!run} is the historical strict entry point: it raises if the run does
-    not complete.  {!run_ft} is the fault-tolerant variant used by
-    {!Eppi_protocol.Construct.run_ft}: it accepts a
-    {!Eppi_simnet.Simnet.fault_plan}, always runs the reliability layer,
-    and on failure reports which providers a timeout-based failure detector
-    blames rather than raising. *)
+    Fault handling is an input, not a second protocol: given a
+    {!Eppi_simnet.Simnet.fault_plan}, every message goes through the
+    {!Link} reliability layer and a timeout failure detector watches the
+    ring; without one the run is the bare protocol on a perfect network. *)
 
 open Eppi_prelude
 
 type result = {
-  coordinator_shares : int array array;  (** c x n: s(r, j). *)
+  coordinator_shares : int array array;  (** c x n: s(r, ·). *)
   net : Eppi_simnet.Simnet.metrics;
-  retransmissions : int;  (** Data messages resent by the reliability layer. *)
+  link : Link.report;
+      (** Reliability accounting; its [protocol_time] is the stage's
+          completion time. *)
 }
-
-(** Loss handling for the share and super-share messages.  With a lossy
-    {!Eppi_simnet.Simnet.config} the bare protocol cannot complete (a
-    missing share silently corrupts the sum, so the run fails fast
-    instead); [reliability] adds a stop-and-wait layer — every data message
-    is acknowledged, deduplicated at the receiver, and resent after
-    [ack_timeout], backing off exponentially, up to [max_retries] times. *)
-type reliability = {
-  ack_timeout : float;  (** Seconds before the first resend. *)
-  max_retries : int;
-  backoff : float;  (** Timeout multiplier per retry. *)
-  max_timeout : float;  (** Cap on the backed-off timeout. *)
-}
-
-val default_reliability : reliability
-(** 10 ms initial timeout, x2 backoff capped at 80 ms, 25 retries: survives
-    heavy simulated loss on a LAN. *)
 
 val run :
-  ?config:Eppi_simnet.Simnet.config ->
-  ?reliability:reliability ->
+  ?plan:Eppi_simnet.Simnet.fault_plan ->
   Rng.t ->
   inputs:int array array ->
   c:int ->
@@ -64,54 +46,19 @@ val run :
   result
 (** [inputs.(i).(j)] is provider i's private value for identity j (all
     providers must supply equally long vectors with values in [0, q)).
+
+    Under a [plan], providers check for missing shares 0.25 s into the run
+    and coordinators for missing super-shares at 0.5 s.  A provider short
+    of shares blames exactly the ring predecessors whose vectors are
+    missing and is reported [stalled]; a coordinator blames the providers
+    whose super-share is missing unless they were themselves stalled.  The
+    reliability layer resends after 10 ms, backing off x2 up to 80 ms, 25
+    times before blaming the destination.  Protocol randomness is split per
+    provider before the network starts, so a completed run returns the
+    coordinator shares of the fault-free run.
     @raise Invalid_argument on shape violations or [m < c] or [c < 2].
-    @raise Failure if messages were lost and either no [reliability] layer
-    was configured or its retry budget was exhausted. *)
-
-(** {1 Fault-tolerant variant} *)
-
-(** What the failure detector saw. *)
-type report = {
-  suspects : int list;
-      (** Providers blamed with direct evidence: an exhausted
-          retransmission budget toward them, their share vectors missing at
-          a provider's deadline, or their super-share missing at a
-          coordinator's deadline while they themselves were not stalled. *)
-  stalled : int list;
-      (** Live victims: providers that missed their deadline because a
-          predecessor failed.  Never counted as suspects without direct
-          evidence — excluding them would punish survivors. *)
-  retransmissions : int;
-  duplicates : int;  (** Received copies suppressed by deduplication. *)
-  protocol_time : float;
-      (** Sim time of the last fresh protocol progress (completion instant
-          when complete); excludes trailing retransmission timers. *)
-  net : Eppi_simnet.Simnet.metrics;
-}
-
-type ft_result = {
-  shares : int array array option;
-      (** [Some] iff every coordinator received every expected super-share;
-          then the value equals what {!run} would return. *)
-  report : report;
-}
-
-val run_ft :
-  ?config:Eppi_simnet.Simnet.config ->
-  ?plan:Eppi_simnet.Simnet.fault_plan ->
-  ?reliability:reliability ->
-  ?deadline:float ->
-  Rng.t ->
-  inputs:int array array ->
-  c:int ->
-  q:Modarith.modulus ->
-  ft_result
-(** Like {!run} under the given fault plan, with the reliability layer
-    always on.  [deadline] (default 0.25 s) is the failure-detector
-    horizon: providers check for missing shares at [deadline], coordinators
-    for missing super-shares at [2 * deadline].
-    @raise Invalid_argument on shape violations, [m < c], [c < 2], or a
-    non-positive deadline. *)
+    @raise Link.Stalled if some coordinator never received every expected
+    super-share; the report's [suspects] are the blamed providers. *)
 
 val reconstruct : q:Modarith.modulus -> int array array -> int array
 (** Element-wise sum of the coordinator share vectors — the plain sums the

@@ -2,15 +2,9 @@ open Eppi_prelude
 
 type node_id = int
 
-type config = {
-  latency : float;
-  bandwidth : float;
-  drop_probability : float;
-  seed : int;
-}
+type config = { latency : float; bandwidth : float }
 
-let default_config =
-  { latency = 0.0005; bandwidth = 100_000_000.0; drop_probability = 0.0; seed = 1 }
+let default_config = { latency = 0.0005; bandwidth = 100_000_000.0 }
 
 type link_fault = { drop : float; duplicate : float; reorder : float }
 
@@ -67,7 +61,6 @@ and 'msg t = {
   busy_total : float array;
   crashed : bool array;
   slow_factor : float array;
-  rng : Rng.t;
   faults : faults option;
   mutable clock : float;
   mutable current_node : node_id;  (* node whose handler is running, -1 otherwise *)
@@ -132,7 +125,6 @@ let create ?(config = default_config) ?plan ~nodes () =
       busy_total = Array.make nodes 0.0;
       crashed = Array.make nodes false;
       slow_factor;
-      rng = Rng.create config.seed;
       faults;
       clock = 0.0;
       current_node = -1;
@@ -176,18 +168,12 @@ let send t ~src ~dst ~size msg =
   if size < 0 then invalid_arg "Simnet.send: negative size";
   t.messages_sent <- t.messages_sent + 1;
   t.bytes_sent <- t.bytes_sent + size;
+  let arrival =
+    t.clock
+    +. if src = dst then 0.0 else t.config.latency +. (float_of_int size /. t.config.bandwidth)
+  in
   match t.faults with
-  | None ->
-      (* Legacy path, byte-for-byte: loss draws come from [config.seed]. *)
-      if Rng.bernoulli t.rng t.config.drop_probability then
-        t.messages_dropped <- t.messages_dropped + 1
-      else begin
-        let delay =
-          if src = dst then 0.0
-          else t.config.latency +. (float_of_int size /. t.config.bandwidth)
-        in
-        Heap.push t.queue ~key:(t.clock +. delay) (Deliver { src; dst; msg })
-      end
+  | None -> Heap.push t.queue ~key:arrival (Deliver { src; dst; msg })
   | Some f ->
       if src <> dst && partitioned f ~clock:t.clock ~src ~dst then
         t.messages_dropped <- t.messages_dropped + 1
@@ -198,20 +184,14 @@ let send t ~src ~dst ~size msg =
         if Rng.bernoulli f.frng lf.drop then
           t.messages_dropped <- t.messages_dropped + 1
         else begin
-          let base =
-            if src = dst then 0.0
-            else t.config.latency +. (float_of_int size /. t.config.bandwidth)
-          in
           let extra =
             if Rng.bernoulli f.frng lf.reorder then Rng.float f.frng f.jitter else 0.0
           in
-          Heap.push t.queue ~key:(t.clock +. base +. extra) (Deliver { src; dst; msg });
+          Heap.push t.queue ~key:(arrival +. extra) (Deliver { src; dst; msg });
           if Rng.bernoulli f.frng lf.duplicate then begin
             t.messages_duplicated <- t.messages_duplicated + 1;
             let dup_extra = Rng.float f.frng f.jitter in
-            Heap.push t.queue
-              ~key:(t.clock +. base +. dup_extra)
-              (Deliver { src; dst; msg })
+            Heap.push t.queue ~key:(arrival +. dup_extra) (Deliver { src; dst; msg })
           end
         end
       end

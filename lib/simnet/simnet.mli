@@ -9,7 +9,7 @@
 
     Determinism: event ties break by insertion order, and any randomness a
     protocol needs must come from its own seeded {!Eppi_prelude.Rng}.  Fault
-    injection draws come from a third, dedicated stream seeded by
+    injection draws come from a dedicated stream seeded by
     {!fault_plan.fault_seed}, so the same plan perturbs the same messages no
     matter what the protocol itself draws. *)
 
@@ -20,19 +20,16 @@ type 'msg t
 type config = {
   latency : float;  (** Per-message propagation delay, seconds. *)
   bandwidth : float;  (** Bytes per second. *)
-  drop_probability : float;  (** Uniform message loss rate (fault injection). *)
-  seed : int;  (** Seed for loss draws only. *)
 }
 
 val default_config : config
-(** LAN-like: 0.5 ms latency, 100 MB/s, no loss. *)
+(** LAN-like: 0.5 ms latency, 100 MB/s. *)
 
 (** {1 Fault plans}
 
     A {!fault_plan} is a seeded, declarative description of everything that
-    goes wrong during a run.  When a plan is supplied to {!create} it
-    {e replaces} [config.drop_probability]: all loss, duplication and
-    reordering draws come from the plan's own rng stream. *)
+    goes wrong during a run, and the only source of faults: a net created
+    without one delivers every message exactly once, and draws nothing. *)
 
 type link_fault = {
   drop : float;  (** Per-message loss probability on this link. *)

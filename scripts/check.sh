@@ -379,4 +379,23 @@ print("BENCH_chaos.json well-formed: loss masked, crashes degraded gracefully")
 EOF
 fi
 
+# The CLI's secure path is one construction whatever the flags: the pool
+# size and injected loss change how it executes, never what it publishes.
+# With epsilon = 0.3 lambda stays below 1, so decoys are drawn at random
+# and a run on a different rng stream would publish a different index.
+echo "== secure index bit-identity =="
+SEC_DIR=$(mktemp -d /tmp/eppi_secure_smoke.XXXXXX)
+trap 'rm -rf "$SEC_DIR"' EXIT
+"$EPPI" generate --owners 200 --providers 40 --epsilon 0.3 --seed 5 \
+  -o "$SEC_DIR/net.csv" 2>/dev/null
+"$EPPI" construct -d "$SEC_DIR/net.csv" --secure -o "$SEC_DIR/plain.csv" 2>"$SEC_DIR/plain.log"
+grep -q 'lambda=0\.' "$SEC_DIR/plain.log" || { cat "$SEC_DIR/plain.log"; exit 1; }
+"$EPPI" construct -d "$SEC_DIR/net.csv" --secure --domains 2 -o "$SEC_DIR/domains.csv" 2>/dev/null
+"$EPPI" construct -d "$SEC_DIR/net.csv" --secure --drop 0.05 -o "$SEC_DIR/drop.csv" 2>/dev/null
+cmp "$SEC_DIR/plain.csv" "$SEC_DIR/domains.csv"
+cmp "$SEC_DIR/plain.csv" "$SEC_DIR/drop.csv"
+echo "secure, --domains 2 and --drop 0.05 publish the same index"
+rm -rf "$SEC_DIR"
+trap - EXIT
+
 echo "== check.sh: all green =="

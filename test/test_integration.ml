@@ -201,13 +201,22 @@ let test_secure_construction_over_lossy_network () =
     Array.iter (fun p -> Bitmatrix.set membership ~row:j ~col:p true) chosen
   done;
   let epsilons = Array.make n 0.5 in
-  let config =
-    { Eppi_simnet.Simnet.default_config with drop_probability = 0.25; seed = 11 }
+  let sss_plan =
+    {
+      Eppi_simnet.Simnet.no_faults with
+      fault_seed = 11;
+      default_link = { Eppi_simnet.Simnet.perfect_link with drop = 0.25 };
+    }
   in
   let r =
-    Eppi_protocol.Construct.run ~config
-      ~reliability:Eppi_protocol.Secsumshare.default_reliability (Rng.create 21) ~membership
-      ~epsilons ~policy:Eppi.Policy.Basic
+    match
+      Eppi_protocol.Construct.run_ft ~sss_plan (Rng.create 21) ~membership ~epsilons
+        ~policy:Eppi.Policy.Basic
+    with
+    | Complete (r, rep) ->
+        check_bool "loss was injected" true (rep.sss_retransmissions > 0);
+        r
+    | Degraded _ | Failed _ -> Alcotest.fail "loss alone must be masked"
   in
   for j = 0 to n - 1 do
     check_bool "recall despite loss" true (Eppi.Index.recall_ok ~membership r.index ~owner:j);

@@ -15,6 +15,11 @@ let q97 = Modarith.modulus 97
 let random_inputs rng ~m ~n ~max =
   Array.init m (fun _ -> Array.init n (fun _ -> Rng.int rng max))
 
+let drop_plan ?(seed = 21) drop =
+  { Simnet.no_faults with fault_seed = seed; default_link = { Simnet.perfect_link with drop } }
+
+let column_sums inputs j = Array.fold_left (fun acc row -> acc + row.(j)) 0 inputs
+
 (* ---------- SecSumShare ---------- *)
 
 let test_secsumshare_sums () =
@@ -92,73 +97,59 @@ let test_secsumshare_coordinator_shares_look_random () =
     counts
 
 let test_secsumshare_lossy_fails_fast () =
-  (* Without a reliability layer, a lossy network must fail loudly, never
-     return a corrupted sum. *)
-  let config = { Simnet.default_config with drop_probability = 0.4; seed = 5 } in
+  (* Loss the reliability layer cannot mask must fail loudly — a stall that
+     names suspects — never return a corrupted sum. *)
   let rng = Rng.create 50 in
   let inputs = random_inputs rng ~m:10 ~n:4 ~max:2 in
-  match Secsumshare.run ~config rng ~inputs ~c:3 ~q:q97 with
-  | _ -> Alcotest.fail "expected a failure on a lossy network"
-  | exception Failure _ -> ()
+  match Secsumshare.run ~plan:(drop_plan ~seed:5 1.0) rng ~inputs ~c:3 ~q:q97 with
+  | _ -> Alcotest.fail "expected a stall on a network that drops everything"
+  | exception Link.Stalled r -> check_bool "suspects named" true (r.suspects <> [])
 
 let test_secsumshare_reliable_on_lossy_network () =
   (* With acks + retransmission the sums are exact despite 30% loss. *)
-  let config = { Simnet.default_config with drop_probability = 0.3; seed = 7 } in
   let rng = Rng.create 51 in
   let m = 12 and n = 6 in
   let inputs = random_inputs rng ~m ~n ~max:2 in
-  let r =
-    Secsumshare.run ~config ~reliability:Secsumshare.default_reliability rng ~inputs ~c:3
-      ~q:q97
-  in
+  let r = Secsumshare.run ~plan:(drop_plan ~seed:7 0.3) rng ~inputs ~c:3 ~q:q97 in
   let sums = Secsumshare.reconstruct ~q:q97 r.coordinator_shares in
   for j = 0 to n - 1 do
-    let expected = Array.fold_left (fun acc row -> acc + row.(j)) 0 inputs in
-    check_int (Printf.sprintf "identity %d survives loss" j) expected sums.(j)
+    check_int (Printf.sprintf "identity %d survives loss" j) (column_sums inputs j) sums.(j)
   done;
-  check_bool "retransmissions happened" true (r.retransmissions > 0)
+  check_bool "retransmissions happened" true (r.link.retransmissions > 0)
 
 let test_secsumshare_reliable_no_loss_no_retransmit () =
+  (* A plan engages the acks; a fault-free plan needs no resend.  Without a
+     plan there are no acks at all: m * c messages. *)
   let rng = Rng.create 52 in
   let inputs = random_inputs rng ~m:9 ~n:3 ~max:2 in
-  let r =
-    Secsumshare.run ~reliability:Secsumshare.default_reliability rng ~inputs ~c:3 ~q:q97
-  in
-  check_int "no retransmissions on a clean network" 0 r.retransmissions
+  let r = Secsumshare.run ~plan:Simnet.no_faults rng ~inputs ~c:3 ~q:q97 in
+  check_int "no retransmissions on a clean network" 0 r.link.retransmissions;
+  check_int "every data message acked" (2 * 9 * 3) r.net.messages_sent;
+  let bare = Secsumshare.run (Rng.create 52) ~inputs ~c:3 ~q:q97 in
+  check_int "no acks without a plan" (9 * 3) bare.net.messages_sent
 
 let test_secsumshare_reliable_across_seeds () =
   (* Determinized stress: several loss seeds, all must converge exactly. *)
   for seed = 1 to 10 do
-    let config = { Simnet.default_config with drop_probability = 0.25; seed } in
     let rng = Rng.create (100 + seed) in
     let m = 8 and n = 3 in
     let inputs = random_inputs rng ~m ~n ~max:2 in
-    let r =
-      Secsumshare.run ~config ~reliability:Secsumshare.default_reliability rng ~inputs ~c:3
-        ~q:q97
-    in
+    let r = Secsumshare.run ~plan:(drop_plan ~seed 0.25) rng ~inputs ~c:3 ~q:q97 in
     let sums = Secsumshare.reconstruct ~q:q97 r.coordinator_shares in
     for j = 0 to n - 1 do
-      let expected = Array.fold_left (fun acc row -> acc + row.(j)) 0 inputs in
-      check_int (Printf.sprintf "seed %d identity %d" seed j) expected sums.(j)
+      check_int (Printf.sprintf "seed %d identity %d" seed j) (column_sums inputs j) sums.(j)
     done
   done
 
 let test_secsumshare_crashed_provider_fails_fast () =
   (* A crashed provider never contributes: the protocol must fail loudly
-     rather than deliver a silently-wrong sum. *)
+     rather than deliver a silently-wrong sum, and blame the dead. *)
   let rng = Rng.create 53 in
   let inputs = random_inputs rng ~m:8 ~n:3 ~max:2 in
-  let config = { Simnet.default_config with drop_probability = 0.0 } in
-  (* Crash node 5 before anything runs by injecting 100% loss toward it via
-     a wrapper: simplest faithful injection is a config with loss and no
-     reliability; the dedicated crash API is tested at the simnet level, so
-     here we emulate a dead provider with certain loss. *)
-  ignore config;
-  let lossy = { Simnet.default_config with drop_probability = 0.9; seed = 3 } in
-  match Secsumshare.run ~config:lossy rng ~inputs ~c:3 ~q:q97 with
+  let plan = { Simnet.no_faults with crashes = [ (0.0, 5) ] } in
+  match Secsumshare.run ~plan rng ~inputs ~c:3 ~q:q97 with
   | _ -> Alcotest.fail "expected failure"
-  | exception Failure _ -> ()
+  | exception Link.Stalled r -> Alcotest.(check (list int)) "blames provider 5" [ 5 ] r.suspects
 
 let test_secsumshare_validation () =
   let rng = Rng.create 6 in
@@ -318,8 +309,7 @@ let test_countbelow_simnet_transport () =
     freqs;
   let model = Countbelow.run (Rng.create 81) ~shares ~q ~thresholds in
   let networked =
-    Countbelow.run ~transport:(`Simnet Simnet.default_config) (Rng.create 82) ~shares ~q
-      ~thresholds
+    Countbelow.run ~transport:`Simnet (Rng.create 82) ~shares ~q ~thresholds
   in
   Alcotest.(check (array bool)) "same classification" model.common networked.common;
   Alcotest.(check (array (option int))) "same released frequencies" model.frequencies
@@ -476,6 +466,72 @@ let test_construct_epsilon_grid_consistency () =
         [ 1; 10; 20; 30; 39 ])
     [ 0.2; 0.5; 0.8 ]
 
+(* A digest of everything [Construct.run] publishes, independent of the
+   in-memory representation: the index CSV, the exact betas, the flags, λ
+   and ξ. *)
+let construct_digest (r : Construct.result) =
+  let b = Buffer.create 256 in
+  Buffer.add_string b (Eppi.Index.to_csv r.index);
+  Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h;" x)) r.betas;
+  let flags = Array.iter (fun x -> Buffer.add_char b (if x then '1' else '0')) in
+  flags r.common;
+  flags r.mixed;
+  Buffer.add_string b (Printf.sprintf "%h;%h" r.lambda r.xi);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let metrics_testable =
+  Alcotest.testable
+    (fun ppf (mt : Construct.metrics) ->
+      let s = mt.circuit_stats and c = mt.mpc_comm in
+      Format.fprintf ppf
+        "sss %h mpc %h pub %h total %h msgs %d bytes %d circuit %d/%d/%d/%d/%d/%d comm %d/%d/%d"
+        mt.secsumshare_time mt.mpc_time mt.publication_time mt.total_time mt.messages mt.bytes
+        s.size s.and_gates s.xor_gates s.not_gates s.inputs s.and_depth c.rounds c.messages
+        c.bytes)
+    ( = )
+
+let test_construct_pinned () =
+  (* A fixed construction's output digest and full metrics, pinned: the
+     fault-free path must keep doing exactly this work — the same messages,
+     bytes, circuit and simulated times — on both transports. *)
+  let membership = make_matrix ~m:9 ~freqs:[| 9; 1; 4; 2; 2; 3; 3; 1; 5; 1; 2; 8 |] in
+  let epsilons = [| 0.5; 0.3; 0.4; 0.4; 0.5; 0.5; 0.2; 0.6; 0.3; 0.5; 0.4; 0.4 |] in
+  let run ?transport () =
+    Construct.run ?transport (Rng.create 2024) ~membership ~epsilons ~policy:Eppi.Policy.Basic
+  in
+  let digest = "d42470e60a74e0b77ea9c20d5060503b" in
+  let model = run () in
+  Alcotest.(check string) "cost-model digest" digest (construct_digest model);
+  Alcotest.(check (float 0.0)) "lambda strictly between 0 and 1" 0x1.999999999999ap-3 model.lambda;
+  Alcotest.check metrics_testable "cost-model metrics"
+    {
+      secsumshare_time = 0x1.06fb9cc3f0853p-10;
+      mpc_time = 0x1.e05ff3db84759p+1;
+      publication_time = 0x1.01b2b29a4692cp-22;
+      total_time = 0x1.e080d5528258dp+1;
+      messages = 417;
+      bytes = 2952;
+      circuit_stats =
+        { size = 1686; and_gates = 588; xor_gates = 912; not_gates = 186; inputs = 144; and_depth = 16 };
+      mpc_comm = { rounds = 18; messages = 390; bytes = 1224 };
+    }
+    model.metrics;
+  let emergent = run ~transport:`Simnet () in
+  Alcotest.(check string) "simnet digest" digest (construct_digest emergent);
+  Alcotest.check metrics_testable "simnet metrics"
+    {
+      secsumshare_time = 0x1.06fb9cc3f0853p-10;
+      mpc_time = 0x1.1d9e87eaf0794p+0;
+      publication_time = 0x1.01b2b29a4692cp-22;
+      total_time = 0x1.1de04ad8ec3fdp+0;
+      messages = 489;
+      bytes = 3048;
+      circuit_stats =
+        { size = 1868; and_gates = 656; xor_gates = 1015; not_gates = 197; inputs = 144; and_depth = 28 };
+      mpc_comm = { rounds = 30; messages = 462; bytes = 1320 };
+    }
+    emergent.metrics
+
 let test_beta_phase_estimate_monotone () =
   let t_small = Construct.beta_phase_time_estimate ~m:10 ~identities:5 ~c:3 () in
   let t_many_ids = Construct.beta_phase_time_estimate ~m:10 ~identities:50 ~c:3 () in
@@ -483,9 +539,6 @@ let test_beta_phase_estimate_monotone () =
   check_bool "positive" true (t_small > 0.0)
 
 (* ---------- Fault tolerance: reliable transport + degradation ---------- *)
-
-let drop_plan ?(seed = 21) drop =
-  { Simnet.no_faults with fault_seed = seed; default_link = { Simnet.perfect_link with drop } }
 
 let countbelow_fixture seed =
   (* A small count_below instance shared by the mpcnet reliability tests. *)
@@ -508,26 +561,24 @@ let countbelow_fixture seed =
 
 let test_mpcnet_reliable_matches_lossless () =
   (* 10% loss on every link: the run must complete with outputs bit-identical
-     to the lossless engine, paid for in retransmissions. *)
+     to the fault-free run, paid for in retransmissions. *)
   let compiled, inputs, rng = countbelow_fixture 72 in
   let lossless = Mpcnet.execute rng compiled.circuit ~inputs in
   let _, inputs2, rng2 = countbelow_fixture 72 in
-  let r = Mpcnet.execute_reliable ~plan:(drop_plan 0.1) rng2 compiled.circuit ~inputs:inputs2 in
-  (match r.outcome with
-  | Mpcnet.Outputs outs ->
-      Alcotest.(check (array bool)) "bit-identical outputs" lossless.outputs outs
-  | Mpcnet.Parties_failed dead ->
-      Alcotest.failf "stalled, blamed %s" (String.concat "," (List.map string_of_int dead)));
-  check_bool "paid in retransmissions" true (r.retransmissions > 0);
-  check_bool "some rounds retried" true (r.retried_rounds > 0)
+  match Mpcnet.execute ~plan:(drop_plan 0.1) rng2 compiled.circuit ~inputs:inputs2 with
+  | exception Link.Stalled r ->
+      Alcotest.failf "stalled, blamed %s" (String.concat "," (List.map string_of_int r.suspects))
+  | r ->
+      Alcotest.(check (array bool)) "bit-identical outputs" lossless.outputs r.outputs;
+      check_bool "paid in retransmissions" true (r.link.retransmissions > 0);
+      check_bool "some rounds retried" true (r.link.retried_rounds > 0)
 
 let test_mpcnet_reliable_crash_detected () =
   let compiled, inputs, rng = countbelow_fixture 72 in
   let plan = { Simnet.no_faults with crashes = [ (0.001, 1) ] } in
-  let r = Mpcnet.execute_reliable ~plan rng compiled.circuit ~inputs in
-  match r.outcome with
-  | Mpcnet.Outputs _ -> Alcotest.fail "completed despite a crashed party"
-  | Mpcnet.Parties_failed dead -> Alcotest.(check (list int)) "blames exactly party 1" [ 1 ] dead
+  match Mpcnet.execute ~plan rng compiled.circuit ~inputs with
+  | _ -> Alcotest.fail "completed despite a crashed party"
+  | exception Link.Stalled r -> Alcotest.(check (list int)) "blames exactly party 1" [ 1 ] r.suspects
 
 let test_mpcnet_reliable_duplicates_suppressed () =
   let compiled, inputs, rng = countbelow_fixture 72 in
@@ -539,44 +590,40 @@ let test_mpcnet_reliable_duplicates_suppressed () =
       default_link = { Simnet.perfect_link with duplicate = 0.5; reorder = 0.3 };
     }
   in
-  let r = Mpcnet.execute_reliable ~plan rng2 compiled.circuit ~inputs:inputs2 in
-  (match r.outcome with
-  | Mpcnet.Outputs outs -> Alcotest.(check (array bool)) "unperturbed" lossless.outputs outs
-  | Mpcnet.Parties_failed _ -> Alcotest.fail "duplication must not stall the run");
-  check_bool "duplicates suppressed" true (r.duplicates > 0)
+  match Mpcnet.execute ~plan rng2 compiled.circuit ~inputs:inputs2 with
+  | exception Link.Stalled _ -> Alcotest.fail "duplication must not stall the run"
+  | r ->
+      Alcotest.(check (array bool)) "unperturbed" lossless.outputs r.outputs;
+      check_bool "duplicates suppressed" true (r.link.duplicates > 0)
 
 let test_mpcnet_reliable_deterministic () =
   (* Same fault-plan seed => identical traffic, retransmission schedule and
      outputs, event for event. *)
   let go () =
     let compiled, inputs, rng = countbelow_fixture 72 in
-    Mpcnet.execute_reliable ~plan:(drop_plan ~seed:9 0.15) rng compiled.circuit ~inputs
+    Mpcnet.execute ~plan:(drop_plan ~seed:9 0.15) rng compiled.circuit ~inputs
   in
   let a = go () and b = go () in
-  check_int "same retransmissions" a.retransmissions b.retransmissions;
-  check_int "same duplicates" a.duplicates b.duplicates;
+  check_int "same retransmissions" a.link.retransmissions b.link.retransmissions;
+  check_int "same duplicates" a.link.duplicates b.link.duplicates;
   check_int "same messages" a.net.messages_sent b.net.messages_sent;
   check_int "same drops" a.net.messages_dropped b.net.messages_dropped;
-  Alcotest.(check (float 0.0)) "same protocol time" a.protocol_time b.protocol_time;
-  match (a.outcome, b.outcome) with
-  | Mpcnet.Outputs oa, Mpcnet.Outputs ob -> Alcotest.(check (array bool)) "same outputs" oa ob
-  | _ -> Alcotest.fail "expected both runs to complete"
+  Alcotest.(check (float 0.0)) "same protocol time" a.link.protocol_time b.link.protocol_time;
+  Alcotest.(check (array bool)) "same outputs" a.outputs b.outputs
 
 let test_secsumshare_ft_complete_under_loss () =
   let rng = Rng.create 31 in
   let m = 10 and n = 6 in
   let inputs = random_inputs rng ~m ~n ~max:2 in
-  let r = Secsumshare.run_ft ~plan:(drop_plan 0.1) rng ~inputs ~c:3 ~q:q97 in
-  match r.shares with
-  | None -> Alcotest.fail "10% loss must be survivable"
-  | Some shares ->
-      let sums = Secsumshare.reconstruct ~q:q97 shares in
+  match Secsumshare.run ~plan:(drop_plan 0.1) rng ~inputs ~c:3 ~q:q97 with
+  | exception Link.Stalled _ -> Alcotest.fail "10% loss must be survivable"
+  | r ->
+      let sums = Secsumshare.reconstruct ~q:q97 r.coordinator_shares in
       for j = 0 to n - 1 do
-        let expected = Array.fold_left (fun acc row -> acc + row.(j)) 0 inputs in
-        check_int (Printf.sprintf "identity %d" j) expected sums.(j)
+        check_int (Printf.sprintf "identity %d" j) (column_sums inputs j) sums.(j)
       done;
-      check_bool "retransmitted" true (r.report.retransmissions > 0);
-      Alcotest.(check (list int)) "no suspects" [] r.report.suspects
+      check_bool "retransmitted" true (r.link.retransmissions > 0);
+      Alcotest.(check (list int)) "no suspects" [] r.link.suspects
 
 let test_secsumshare_ft_crash_blames_only_the_dead () =
   (* Provider 4 dead from the start: its ring successors (5 and 6 at c = 3)
@@ -586,10 +633,11 @@ let test_secsumshare_ft_crash_blames_only_the_dead () =
   let m = 8 and n = 4 in
   let inputs = random_inputs rng ~m ~n ~max:2 in
   let plan = { Simnet.no_faults with crashes = [ (0.0, 4) ] } in
-  let r = Secsumshare.run_ft ~plan rng ~inputs ~c:3 ~q:q97 in
-  check_bool "incomplete" true (r.shares = None);
-  Alcotest.(check (list int)) "blames exactly provider 4" [ 4 ] r.report.suspects;
-  Alcotest.(check (list int)) "successors stalled, not suspected" [ 5; 6 ] r.report.stalled
+  match Secsumshare.run ~plan rng ~inputs ~c:3 ~q:q97 with
+  | _ -> Alcotest.fail "completed despite a dead provider"
+  | exception Link.Stalled r ->
+      Alcotest.(check (list int)) "blames exactly provider 4" [ 4 ] r.suspects;
+      Alcotest.(check (list int)) "successors stalled, not suspected" [ 5; 6 ] r.stalled
 
 let ft_epsilons = [| 0.5; 0.6; 0.3; 0.8; 0.9 |]
 let ft_freqs = [| 2; 28; 9; 15; 1 |]
@@ -734,6 +782,31 @@ let qcheck_tests =
                 ~epsilon:epsilons.(j) ~m)
         in
         secure.common = expected);
+    Test.make ~name:"fault-free and lossy run_ft equal run" ~count:20
+      (triple (int_range 1 1000) (int_range 3 12) (int_range 1 6))
+      (fun (seed, m, n) ->
+        let rng = Rng.create seed in
+        let membership = Bitmatrix.create ~rows:n ~cols:m in
+        for j = 0 to n - 1 do
+          let f = 1 + Rng.int rng m in
+          let chosen = Rng.sample_without_replacement rng ~k:f ~n:m in
+          Array.iter (fun p -> Bitmatrix.set membership ~row:j ~col:p true) chosen
+        done;
+        let epsilons = Array.init n (fun _ -> Rng.float rng 1.0) in
+        let policy = Eppi.Policy.Basic in
+        let expected = Construct.run (Rng.create (seed + 1)) ~membership ~epsilons ~policy in
+        let equals_run = function
+          | Construct.Complete (r, _) ->
+              Bitmatrix.equal (Eppi.Index.matrix r.index) (Eppi.Index.matrix expected.index)
+              && r.common = expected.common && r.betas = expected.betas
+              && r.mixed = expected.mixed && r.lambda = expected.lambda && r.xi = expected.xi
+          | Construct.Degraded _ | Construct.Failed _ -> false
+        in
+        let plan = drop_plan ~seed 0.05 in
+        equals_run (Construct.run_ft (Rng.create (seed + 1)) ~membership ~epsilons ~policy)
+        && equals_run
+             (Construct.run_ft ~sss_plan:plan ~mpc_plan:plan (Rng.create (seed + 1)) ~membership
+                ~epsilons ~policy));
     Test.make ~name:"secure path preserves recall" ~count:30
       (pair (int_range 1 1000) (int_range 5 20))
       (fun (seed, m) ->
@@ -815,6 +888,7 @@ let () =
           Alcotest.test_case "epsilon grid consistency" `Quick
             test_construct_epsilon_grid_consistency;
           Alcotest.test_case "phase estimate monotone" `Quick test_beta_phase_estimate_monotone;
+          Alcotest.test_case "pinned output and metrics" `Quick test_construct_pinned;
         ] );
       ( "fault tolerance",
         [

@@ -1,6 +1,5 @@
-(* Tests for additive (c,c) and Shamir (k,n) secret sharing: Theorem 4.1's
-   recoverability and secrecy, plus the additive homomorphism SecSumShare
-   relies on. *)
+(* Tests for additive (c,c) secret sharing: Theorem 4.1's recoverability
+   and secrecy, plus the additive homomorphism SecSumShare relies on. *)
 
 open Eppi_prelude
 open Eppi_secretshare
@@ -104,75 +103,6 @@ let test_additive_partial_sum_independent_of_secret () =
   let m0 = mean_partial 0 and m9 = mean_partial 9 in
   check_bool "partial-view means agree across secrets" true (Float.abs (m0 -. m9) < 0.15)
 
-(* ---------- Shamir ---------- *)
-
-let p257 = Modarith.modulus 257
-
-let test_shamir_roundtrip () =
-  let rng = Rng.create 11 in
-  let scheme = Shamir.create rng ~p:p257 ~k:3 ~n:6 in
-  for v = 0 to 50 do
-    let shares = Shamir.share scheme rng v in
-    check_int "all shares reconstruct" v (Shamir.reconstruct ~p:p257 shares)
-  done
-
-let test_shamir_threshold_subsets () =
-  let rng = Rng.create 12 in
-  let scheme = Shamir.create rng ~p:p257 ~k:3 ~n:5 in
-  let shares = Shamir.share scheme rng 123 in
-  let subsets = [ [ 0; 1; 2 ]; [ 0; 2; 4 ]; [ 1; 3; 4 ]; [ 2; 3; 4 ] ] in
-  List.iter
-    (fun idxs ->
-      let subset = Array.of_list (List.map (fun i -> shares.(i)) idxs) in
-      check_int "3-subset reconstructs" 123 (Shamir.reconstruct ~p:p257 subset))
-    subsets
-
-let test_shamir_below_threshold_uniform () =
-  (* With k-1 shares the secret stays hidden: the value of share 1 is
-     uniform whatever the secret. *)
-  let p = Modarith.modulus 17 in
-  let trials = 30_000 in
-  let histogram secret =
-    let rng = Rng.create 13 in
-    let scheme = Shamir.create rng ~p ~k:2 ~n:3 in
-    let counts = Array.make 17 0 in
-    for _ = 1 to trials do
-      let shares = Shamir.share scheme rng secret in
-      let _, y = shares.(0) in
-      counts.(y) <- counts.(y) + 1
-    done;
-    counts
-  in
-  let h = histogram 5 in
-  let expected = float_of_int trials /. 17.0 in
-  Array.iteri
-    (fun i c ->
-      check_bool
-        (Printf.sprintf "uniform bucket %d" i)
-        true
-        (Float.abs (float_of_int c -. expected) < 6.0 *. sqrt expected))
-    h
-
-let test_shamir_validation () =
-  let rng = Rng.create 14 in
-  Alcotest.check_raises "composite modulus"
-    (Invalid_argument "Shamir.create: modulus must be prime") (fun () ->
-      ignore (Shamir.create rng ~p:(Modarith.modulus 100) ~k:2 ~n:3));
-  Alcotest.check_raises "k > n" (Invalid_argument "Shamir.create: need 1 <= k <= n < p")
-    (fun () -> ignore (Shamir.create rng ~p:p257 ~k:5 ~n:3))
-
-let test_shamir_agrees_with_additive_semantics () =
-  (* Cross-check: both schemes are exact on the full share set. *)
-  let rng = Rng.create 15 in
-  let scheme = Shamir.create rng ~p:p257 ~k:4 ~n:4 in
-  for _ = 1 to 30 do
-    let v = Rng.int rng 257 in
-    let add_shares = Additive.share rng ~q:p257 ~c:4 v in
-    let sh_shares = Shamir.share scheme rng v in
-    check_int "additive" v (Additive.reconstruct ~q:p257 add_shares);
-    check_int "shamir" v (Shamir.reconstruct ~p:p257 sh_shares)
-  done
-
 let qcheck_tests =
   let open QCheck in
   [
@@ -191,14 +121,6 @@ let qcheck_tests =
         let a = Modarith.reduce q a and b = Modarith.reduce q b in
         let sum = Additive.add ~q (Additive.share rng ~q ~c:3 a) (Additive.share rng ~q ~c:3 b) in
         Additive.reconstruct ~q sum = Modarith.add q a b);
-    Test.make ~name:"shamir full-set reconstruction" ~count:200
-      (triple small_int (int_range 1 5) int)
-      (fun (seed, k, v) ->
-        let rng = Rng.create seed in
-        let n = k + 2 in
-        let scheme = Shamir.create rng ~p:p257 ~k ~n in
-        let v = Modarith.reduce p257 v in
-        Shamir.reconstruct ~p:p257 (Shamir.share scheme rng v) = v);
   ]
 
 let () =
@@ -216,15 +138,6 @@ let () =
           Alcotest.test_case "secrecy distribution" `Quick test_additive_secrecy_distribution;
           Alcotest.test_case "partial sums secret-independent" `Quick
             test_additive_partial_sum_independent_of_secret;
-        ] );
-      ( "shamir",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_shamir_roundtrip;
-          Alcotest.test_case "threshold subsets" `Quick test_shamir_threshold_subsets;
-          Alcotest.test_case "below threshold uniform" `Quick test_shamir_below_threshold_uniform;
-          Alcotest.test_case "validation" `Quick test_shamir_validation;
-          Alcotest.test_case "cross-check with additive" `Quick
-            test_shamir_agrees_with_additive_semantics;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

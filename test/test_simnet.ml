@@ -56,7 +56,7 @@ let test_simple_delivery () =
   Alcotest.(check (list (pair int string))) "delivered" [ (0, "hello") ] !got
 
 let test_latency_model () =
-  let config = { Simnet.default_config with latency = 0.1; bandwidth = 1000.0 } in
+  let config = { Simnet.latency = 0.1; bandwidth = 1000.0 } in
   let net = Simnet.create ~config ~nodes:2 () in
   let arrival = ref 0.0 in
   Simnet.on_receive net 1 (fun sim ~src:_ _ -> arrival := Simnet.now sim);
@@ -109,9 +109,11 @@ let test_metrics_counts () =
   check_int "dropped" 0 m.messages_dropped;
   check_int "bytes" 150 m.bytes_sent
 
+let drop_plan ?(seed = 0) drop =
+  { Simnet.no_faults with fault_seed = seed; default_link = { Simnet.perfect_link with drop } }
+
 let test_drop_injection () =
-  let config = { Simnet.default_config with drop_probability = 1.0 } in
-  let net = Simnet.create ~config ~nodes:2 () in
+  let net = Simnet.create ~plan:(drop_plan 1.0) ~nodes:2 () in
   let got = ref 0 in
   Simnet.on_receive net 1 (fun _ ~src:_ _ -> incr got);
   Simnet.at net ~delay:0.0 0 (fun sim -> Simnet.send sim ~src:0 ~dst:1 ~size:10 ());
@@ -120,8 +122,7 @@ let test_drop_injection () =
   check_int "drop counted" 1 (Simnet.metrics net).messages_dropped
 
 let test_partial_drop_rate () =
-  let config = { Simnet.default_config with drop_probability = 0.3; seed = 9 } in
-  let net = Simnet.create ~config ~nodes:2 () in
+  let net = Simnet.create ~plan:(drop_plan ~seed:9 0.3) ~nodes:2 () in
   let got = ref 0 in
   Simnet.on_receive net 1 (fun _ ~src:_ _ -> incr got);
   Simnet.at net ~delay:0.0 0 (fun sim ->
