@@ -36,3 +36,33 @@ let matrix_of_frequencies rng ~m ~freqs =
       Array.iter (fun p -> Bitmatrix.set membership ~row:j ~col:p true) chosen)
     freqs;
   membership
+
+(* ---- results and gates ---- *)
+
+(* Field readers for gates.  A missing or mistyped field reads as NaN,
+   false or [], so a gate over it fails instead of raising. *)
+let num v path = Option.value ~default:Float.nan (Json.find_num v path)
+let flag v path = Json.find v path = Some (Json.Bool true)
+let items v path = Option.value ~default:[] (Option.bind (Json.find v path) Json.list)
+let has keys v = List.for_all (fun k -> Json.member k v <> None) keys
+
+(* Write a bench's result to [file], then check every gate — a named
+   predicate over that same value — and report each.  Any failure raises
+   once the file is on disk, so the harness exits non-zero and the failing
+   result stays behind for inspection. *)
+let publish file result gates =
+  let oc = open_out file in
+  output_string oc (Json.to_string result);
+  output_char oc '\n';
+  close_out oc;
+  note "wrote %s" file;
+  let failed =
+    List.filter_map
+      (fun (name, holds) ->
+        let ok = holds result in
+        note "gate %s: %s" (if ok then "ok" else "FAILED") name;
+        if ok then None else Some name)
+      gates
+  in
+  if failed <> [] then
+    failwith (Printf.sprintf "%s: gate failed: %s" file (String.concat "; " failed))

@@ -17,7 +17,9 @@
    + {b coordinator crash} — a CountBelow coordinator dies mid-MPC; same
      contract, exercised through the reliable GMW transport.
 
-   Writes BENCH_chaos.json.
+   Writes BENCH_chaos.json and gates on the verdicts it records: the
+   harness exits non-zero unless every lossy run is bit-identical and
+   both crash runs degrade within the ε contract.
 
    Environment knobs: CHAOS_N (identities, default 60), CHAOS_M (providers,
    default 12), CHAOS_DROPS (comma list of drop rates, default
@@ -105,10 +107,37 @@ let run () =
              (String.concat "," (List.map string_of_int rep.excluded)))
     | Construct.Failed (reason, _) -> failwith (Printf.sprintf "%s: failed: %s" what reason)
   in
-  let degraded what = function
-    | Construct.Degraded (r, rep) -> (r, rep)
-    | Construct.Complete _ -> failwith (Printf.sprintf "%s: crash went undetected" what)
-    | Construct.Failed (reason, _) -> failwith (Printf.sprintf "%s: failed: %s" what reason)
+  (* A crash run's verdict: the outcome kind, and whether the ε contract
+     holds — the run finished excluding exactly the victim, and every
+     surviving owner's row is right for the survivor set.  Only the
+     provider campaign records its survivor count. *)
+  let crash what ~victim ~survivors outcome =
+    let holds r (rep : Construct.fault_report) =
+      rep.excluded = [ victim ]
+      &&
+      match check_epsilon_invariant ~what r rep ~membership ~epsilons ~policy with
+      | () -> true
+      | exception Failure msg ->
+          Bench_util.note "%s" msg;
+          false
+    in
+    let name, rep, contract =
+      match outcome with
+      | Construct.Complete (r, rep) -> ("complete", rep, holds r rep)
+      | Construct.Degraded (r, rep) -> ("degraded", rep, holds r rep)
+      | Construct.Failed (reason, rep) ->
+          Bench_util.note "%s: failed: %s" what reason;
+          ("failed", rep, false)
+    in
+    Bench_util.note "%s: %s after %d attempts, excluded [%s], epsilon contract %s over %d survivors"
+      what name rep.attempts
+      (String.concat ";" (List.map string_of_int rep.excluded))
+      (if contract then "holds" else "BROKEN")
+      (List.length rep.survivors);
+    Json.Obj
+      ([ ("victim", Json.int victim); ("outcome", Str name); ("attempts", Json.int rep.attempts) ]
+      @ (if survivors then [ ("survivors", Json.int (List.length rep.survivors)) ] else [])
+      @ [ ("epsilon_contract", Bool contract) ])
   in
 
   (* Campaign 1: loss sweep, bit-identity against the lossless baseline. *)
@@ -120,19 +149,25 @@ let run () =
         let what = Printf.sprintf "drop %.2f" drop in
         let plan = drop_plan ~seed drop in
         let r, rep = complete what (construct ~sss_plan:plan ~mpc_plan:plan ()) in
-        if r.betas <> baseline.betas then failwith (what ^ ": betas diverged from lossless");
-        if not (Bitmatrix.equal (Eppi.Index.matrix r.index) (Eppi.Index.matrix baseline.index))
-        then failwith (what ^ ": published index diverged from lossless");
+        let bit_identical =
+          r.betas = baseline.betas
+          && Bitmatrix.equal (Eppi.Index.matrix r.index) (Eppi.Index.matrix baseline.index)
+        in
         let r2, rep2 = complete what (construct ~sss_plan:plan ~mpc_plan:plan ()) in
         if
           not (Bitmatrix.equal (Eppi.Index.matrix r2.index) (Eppi.Index.matrix r.index))
           || rep2.sss_retransmissions <> rep.sss_retransmissions
           || rep2.mpc_retransmissions <> rep.mpc_retransmissions
         then failwith (what ^ ": same fault seed did not reproduce the run");
-        Bench_util.note
-          "%s: bit-identical to lossless (retransmissions sss=%d mpc=%d, duplicates=%d)" what
+        Bench_util.note "%s: %s lossless (retransmissions sss=%d mpc=%d, duplicates=%d)" what
+          (if bit_identical then "bit-identical to" else "DIVERGED from")
           rep.sss_retransmissions rep.mpc_retransmissions rep.duplicates;
-        (drop, rep))
+        Json.Obj
+          [ ("drop", Num drop); ("bit_identical", Bool bit_identical);
+            ("sss_retransmissions", Json.int rep.sss_retransmissions);
+            ("mpc_retransmissions", Json.int rep.mpc_retransmissions);
+            ("duplicates", Json.int rep.duplicates);
+            ("retried_rounds", Json.int rep.retried_rounds) ])
       (drop_rates ())
   in
 
@@ -141,56 +176,31 @@ let run () =
   let crash_plan =
     { (drop_plan ~seed 0.02) with crashes = [ (0.0, victim) ] }
   in
-  let r_crash, rep_crash = degraded "provider crash" (construct ~sss_plan:crash_plan ()) in
-  if rep_crash.excluded <> [ victim ] then
-    failwith
-      (Printf.sprintf "provider crash: excluded [%s], wanted [%d]"
-         (String.concat ";" (List.map string_of_int rep_crash.excluded))
-         victim);
-  check_epsilon_invariant ~what:"provider crash" r_crash rep_crash ~membership ~epsilons ~policy;
-  Bench_util.note "provider %d crashed: Degraded, %d attempts, epsilon contract holds over %d survivors"
-    victim rep_crash.attempts
-    (List.length rep_crash.survivors);
+  let provider_crash =
+    crash "provider crash" ~victim ~survivors:true (construct ~sss_plan:crash_plan ())
+  in
 
   (* Campaign 3: a CountBelow coordinator dies mid-MPC. *)
   let mpc_crash = { Simnet.no_faults with fault_seed = seed; crashes = [ (0.002, 1) ] } in
-  let r_mpc, rep_mpc = degraded "coordinator crash" (construct ~mpc_plan:mpc_crash ()) in
-  if rep_mpc.excluded <> [ 1 ] then failwith "coordinator crash: wrong exclusion";
-  check_epsilon_invariant ~what:"coordinator crash" r_mpc rep_mpc ~membership ~epsilons ~policy;
-  Bench_util.note "coordinator 1 crashed mid-MPC: Degraded, %d attempts, epsilon contract holds"
-    rep_mpc.attempts;
+  let coordinator_crash =
+    crash "coordinator crash" ~victim:1 ~survivors:false (construct ~mpc_plan:mpc_crash ())
+  in
 
-  let out = open_out "BENCH_chaos.json" in
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"bench\": \"chaos\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"n_identities\": %d,\n" n);
-  Buffer.add_string b (Printf.sprintf "  \"m_providers\": %d,\n" m);
-  Buffer.add_string b (Printf.sprintf "  \"fault_seed\": %d,\n" seed);
-  Buffer.add_string b "  \"loss_sweep\": [\n";
-  List.iteri
-    (fun i (drop, (rep : Construct.fault_report)) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"drop\": %.3f, \"bit_identical\": true, \"sss_retransmissions\": %d, \
-            \"mpc_retransmissions\": %d, \"duplicates\": %d, \"retried_rounds\": %d }%s\n"
-           drop rep.sss_retransmissions rep.mpc_retransmissions rep.duplicates
-           rep.retried_rounds
-           (if i = List.length sweep - 1 then "" else ",")))
-    sweep;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"provider_crash\": { \"victim\": %d, \"outcome\": \"degraded\", \"attempts\": %d, \
-        \"survivors\": %d, \"epsilon_contract\": true },\n"
-       victim rep_crash.attempts
-       (List.length rep_crash.survivors));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"coordinator_crash\": { \"victim\": 1, \"outcome\": \"degraded\", \"attempts\": %d, \
-        \"epsilon_contract\": true }\n"
-       rep_mpc.attempts);
-  Buffer.add_string b "}\n";
-  output_string out (Buffer.contents b);
-  close_out out;
-  Bench_util.note "wrote BENCH_chaos.json"
+  let open Bench_util in
+  let degraded_within_contract key v =
+    Json.find_str v [ key; "outcome" ] = Some "degraded" && flag v [ key; "epsilon_contract" ]
+  in
+  publish "BENCH_chaos.json"
+    (Obj
+       [ ("bench", Str "chaos"); ("n_identities", Json.int n); ("m_providers", Json.int m);
+         ("fault_seed", Json.int seed); ("loss_sweep", List sweep);
+         ("provider_crash", provider_crash); ("coordinator_crash", coordinator_crash) ])
+    [ ( "loss sweep populated, every lossy run bit-identical to lossless",
+        fun v ->
+          let runs = items v [ "loss_sweep" ] in
+          List.length runs >= min 2 (List.length (drop_rates ()))
+          && List.for_all (fun r -> flag r [ "bit_identical" ]) runs );
+      ( "provider crash degrades within the epsilon contract",
+        degraded_within_contract "provider_crash" );
+      ( "coordinator crash degrades within the epsilon contract",
+        degraded_within_contract "coordinator_crash" ) ]

@@ -4,7 +4,8 @@
    latency, and the candidate-set-size distribution.  Also scans every
    encoded fuzzy request frame for plaintext demographic bytes — the wire
    invariant docs/FUZZY.md argues for — and re-checks the <2%
-   disabled-tracing overhead on the fuzzy path.  Writes BENCH_fuzzy.json.
+   disabled-tracing overhead on the fuzzy path.  Writes BENCH_fuzzy.json
+   and checks its gates on that value (Bench_util.publish).
 
    Environment knobs: FUZZY_N (owners, default 2000), FUZZY_M (providers,
    default 1024), FUZZY_QUERIES (default 2000), FUZZY_K (default 10). *)
@@ -78,6 +79,7 @@ let run () =
   let truth_rows = Array.init n (fun owner -> Eppi.Index.query index ~owner) in
   (* One workload per noise rate; probes are encoded up front so the timed
      loop measures resolution, not Bloom encoding. *)
+  let leaks = ref 0 in
   let noise_runs =
     List.map
       (fun factor ->
@@ -99,11 +101,11 @@ let run () =
             in
             List.iter
               (fun text ->
-                if contains_substring frame text then
-                  failwith
-                    (Printf.sprintf
-                       "fuzzy: frame for owner %d leaks plaintext %S (noise x%.1f)" truth text
-                       factor))
+                if contains_substring frame text then begin
+                  incr leaks;
+                  Bench_util.note "frame for owner %d leaks plaintext %S (noise x%.1f)" truth
+                    text factor
+                end)
               (plaintexts observed @ plaintexts roster.(truth)))
           probes;
         let hits = ref 0 and empty = ref 0 in
@@ -146,15 +148,10 @@ let run () =
         (factor, recall, !empty, mean_size, sizes_sorted, latencies))
       [ 0.0; 1.0; 2.0 ]
   in
-  (* The acceptance gate: recall@k at the default noise rate. *)
   let default_recall =
     List.find_map (fun (f, r, _, _, _, _) -> if f = 1.0 then Some r else None) noise_runs
     |> Option.get
   in
-  if default_recall < 0.9 then
-    failwith
-      (Printf.sprintf "fuzzy: recall@%d %.4f under default noise is below the 0.9 gate" k
-         default_recall);
   (* Exact-path latency on the same engine for the side-by-side. *)
   let exact_workload = Workload.zipf (Rng.create 17) ~n ~count:queries in
   let exact_latencies = Array.make queries 0.0 in
@@ -173,7 +170,6 @@ let run () =
     (percentile exact_latencies 0.99);
   (* Disabled-tracing overhead on the fuzzy path: best-of-3 resolve sweeps
      measured twice with tracing off must agree within 2% + 20 ms. *)
-  let _, _, _, _, _, _ = List.nth noise_runs 1 in
   let trace_workload =
     Workload.fuzzy ~noise:(scale_noise 1.0) (Rng.create 1010) ~roster ~count:queries
   in
@@ -197,11 +193,6 @@ let run () =
   in
   let no_trace_baseline = best_of_3 () in
   let disabled_seconds = best_of_3 () in
-  if disabled_seconds > (1.02 *. no_trace_baseline) +. 0.02 then
-    failwith
-      (Printf.sprintf
-         "fuzzy: disabled tracing costs too much: %.6f s vs %.6f s baseline (limit 2%% + 20 ms)"
-         disabled_seconds no_trace_baseline);
   let enabled_seconds =
     if Eppi_obs.Trace.enabled () then None
     else begin
@@ -219,52 +210,64 @@ let run () =
     | Some s -> Printf.sprintf "%.3f s" s
     | None -> "outer --trace active, skipped");
   let snap = Serve.metrics engine in
-  if
-    snap.fuzzy_queries
-    <> snap.fuzzy_resolved + snap.fuzzy_empty + snap.fuzzy_rejected + snap.fuzzy_shed
-  then failwith "fuzzy: metrics conservation law violated";
-  (* JSON out. *)
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"bench\": \"fuzzy\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"n_owners\": %d,\n" n);
-  Buffer.add_string b (Printf.sprintf "  \"m_providers\": %d,\n" m);
-  Buffer.add_string b (Printf.sprintf "  \"queries\": %d,\n" queries);
-  Buffer.add_string b (Printf.sprintf "  \"k\": %d,\n" k);
-  Buffer.add_string b (Printf.sprintf "  \"resolver_build_seconds\": %.6f,\n" build_seconds);
-  Buffer.add_string b (Printf.sprintf "  \"no_plaintext_in_frames\": true,\n");
-  Buffer.add_string b "  \"noise_runs\": [\n";
-  List.iteri
-    (fun i (factor, recall, empty, mean_size, sizes_sorted, latencies) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"noise_factor\": %.1f, \"recall_at_k\": %.4f, \"empty\": %d, \
-            \"candidates\": { \"mean\": %.4f, \"p50\": %d, \"p90\": %d, \"max\": %d }, \
-            \"latency_s\": { \"p50\": %.9f, \"p99\": %.9f } }%s\n"
-           factor recall empty mean_size
-           (int_of_float (percentile (Array.map float_of_int sizes_sorted) 0.5))
-           (int_of_float (percentile (Array.map float_of_int sizes_sorted) 0.9))
-           sizes_sorted.(Array.length sizes_sorted - 1)
-           (percentile latencies 0.5) (percentile latencies 0.99)
-           (if i = List.length noise_runs - 1 then "" else ",")))
-    noise_runs;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"recall_at_k_default_noise\": %.4f,\n" default_recall);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"exact_latency_s\": { \"p50\": %.9f, \"p99\": %.9f },\n"
-       (percentile exact_latencies 0.5)
-       (percentile exact_latencies 0.99));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"trace\": { \"no_trace_baseline_seconds\": %.6f, \"disabled_seconds\": %.6f, \
-        \"enabled_seconds\": %s, \"disabled_overhead_ok\": true },\n"
-       no_trace_baseline disabled_seconds
-       (match enabled_seconds with Some s -> Printf.sprintf "%.6f" s | None -> "null"));
-  Buffer.add_string b (Printf.sprintf "  \"metrics\": %s\n" (Metrics.to_json snap));
-  Buffer.add_string b "}\n";
-  let out = open_out "BENCH_fuzzy.json" in
-  output_string out (Buffer.contents b);
-  close_out out;
-  Bench_util.note "wrote BENCH_fuzzy.json"
+  let latency sorted =
+    Json.Obj [ ("p50", Num (percentile sorted 0.5)); ("p99", Num (percentile sorted 0.99)) ]
+  in
+  let open Bench_util in
+  publish "BENCH_fuzzy.json"
+    (Obj
+       [ ("bench", Str "fuzzy"); ("n_owners", Json.int n); ("m_providers", Json.int m);
+         ("queries", Json.int queries); ("k", Json.int k);
+         ("resolver_build_seconds", Num build_seconds);
+         ("no_plaintext_in_frames", Bool (!leaks = 0));
+         ( "noise_runs",
+           List
+             (List.map
+                (fun (factor, recall, empty, mean_size, sizes_sorted, latencies) ->
+                  let size q =
+                    Json.int (int_of_float (percentile (Array.map float_of_int sizes_sorted) q))
+                  in
+                  Json.Obj
+                    [ ("noise_factor", Num factor); ("recall_at_k", Num recall);
+                      ("empty", Json.int empty);
+                      ( "candidates",
+                        Obj
+                          [ ("mean", Num mean_size); ("p50", size 0.5); ("p90", size 0.9);
+                            ("max", Json.int sizes_sorted.(Array.length sizes_sorted - 1)) ] );
+                      ("latency_s", latency latencies) ])
+                noise_runs) );
+         ("recall_at_k_default_noise", Num default_recall);
+         ("exact_latency_s", latency exact_latencies);
+         ( "trace",
+           Obj
+             [ ("no_trace_baseline_seconds", Num no_trace_baseline);
+               ("disabled_seconds", Num disabled_seconds);
+               ("enabled_seconds", Num (Option.value ~default:Float.nan enabled_seconds));
+               ( "disabled_overhead_ok",
+                 Bool (disabled_seconds <= (1.02 *. no_trace_baseline) +. 0.02) ) ] );
+         ("metrics", Metrics.json snap) ])
+    [ ( "carries the headline fields",
+        has
+          [ "resolver_build_seconds"; "no_plaintext_in_frames"; "noise_runs";
+            "recall_at_k_default_noise"; "exact_latency_s"; "trace"; "metrics" ] );
+      ( "recall@k >= 0.9 under default noise",
+        fun v -> num v [ "recall_at_k_default_noise" ] >= 0.9 );
+      ("no plaintext demographic bytes in any frame", fun v -> flag v [ "no_plaintext_in_frames" ]);
+      ( "noise sweep populated, every run consistent",
+        fun v ->
+          let runs = items v [ "noise_runs" ] in
+          List.length runs >= 3
+          && List.for_all
+               (fun r ->
+                 let recall = num r [ "recall_at_k" ] in
+                 0.0 <= recall && recall <= 1.0
+                 && num r [ "latency_s"; "p50" ] <= num r [ "latency_s"; "p99" ]
+                 && num r [ "candidates"; "p50" ] <= num r [ "candidates"; "max" ])
+               runs );
+      ( "disabled tracing within 2% + 20 ms of the untraced baseline",
+        fun v -> flag v [ "trace"; "disabled_overhead_ok" ] );
+      ( "fuzzy metrics conserve requests",
+        fun v ->
+          let c key = num v [ "metrics"; key ] in
+          c "fuzzy_queries"
+          = c "fuzzy_resolved" +. c "fuzzy_empty" +. c "fuzzy_rejected" +. c "fuzzy_shed" ) ]

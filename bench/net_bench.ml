@@ -13,10 +13,11 @@
    by at least 8x on the full-size index, and every republish returns
    the next generation in sequence.
 
-   Throughput *scaling* across domain counts is recorded, not asserted:
-   the JSON carries a "cores" field and CI gates the >= 2x expectation on
-   machines with enough cores (a single-core box cannot exhibit parallel
-   speedup, only the absence of a regression).
+   Throughput *scaling* across domain counts is gated only at full size
+   and by the "cores" the JSON records: >= 2x from 1 to 4 domains with 6
+   or more cores, no regression with 4 or 5, nothing below (a single-core
+   box cannot exhibit parallel speedup).  Every assertion on the result
+   is a gate checked on BENCH_net.json as written (Bench_util.publish).
 
    A replication scenario follows the single-daemon sweeps: NET_REPLICAS
    daemons serve the same index as a replica set, a cluster republish
@@ -176,10 +177,6 @@ let run () =
   let payload_ratio = float_of_int csv_bytes /. float_of_int binary_bytes in
   Bench_util.note "republish payload: csv %d bytes, binary %d bytes (%.1fx smaller)" csv_bytes
     binary_bytes payload_ratio;
-  if n >= 1000 && m >= 512 && payload_ratio < 8.0 then
-    failwith
-      (Printf.sprintf "net: binary payload only %.1fx smaller than CSV (need >= 8x)"
-         payload_ratio);
   (* ---- hot-swap latency under load: binary codec vs CSV baseline ----
      One 4-domain daemon, one load domain keeping 32-deep pipelined
      queries in flight, admin connection timing republish round-trips
@@ -231,9 +228,6 @@ let run () =
         in
         Atomic.set stop true;
         let load_replies = Domain.join load in
-        if load_replies = 0 then failwith "net: load domain made no progress";
-        let final_generation = Serve.generation engine in
-        if final_generation <> csv_swaps + swaps + 1 then failwith "net: final generation off";
         let stats = Client.stats_json admin in
         Client.shutdown admin;
         Client.close admin;
@@ -243,15 +237,18 @@ let run () =
           "hot swap under load (4 domains): binary p50 %.2g s, p99 %.2g s, worst %.2g s over \
            %d swaps; csv p50 %.2g s, p99 %.2g s over %d swaps (%d concurrent replies)"
           p50 p99 worst swaps csv_p50 csv_p99 csv_swaps load_replies;
-        ( (p50, p99, worst),
-          (csv_p50, csv_p99, csv_worst),
-          final_generation,
-          load_replies,
-          stats ))
+        let latency count p50 p99 worst =
+          [ ("count", Json.int count); ("p50_s", Json.Num p50); ("p99_s", Num p99);
+            ("worst_s", Num worst) ]
+        in
+        ( Json.Obj
+            (latency swaps p50 p99 worst
+            @ [ ("final_generation", Json.int (Serve.generation engine));
+                ("concurrent_replies", Json.int load_replies) ]),
+          Json.Obj (latency csv_swaps csv_p50 csv_p99 csv_worst),
+          Json.parse_exn stats ))
   in
-  let (p50, p99, worst), (csv_p50, csv_p99, csv_worst), final_generation, load_replies, stats =
-    swap_stats
-  in
+  let swap, swap_csv, metrics = swap_stats in
   (* ---- replication: availability under replica kill ----
      NET_REPLICAS daemons over [index1] form a static replica set.  A
      cluster republish fans [index2] out (generation 1 -> 2 everywhere,
@@ -308,19 +305,13 @@ let run () =
       (fun () ->
         (* Initial fan-out: everyone applies index2, generation 1 -> 2. *)
         let initial = Eppi_cluster.Fanout.republish repl_set index2 in
-        if initial.succeeded <> replicas then
-          failwith
-            (Printf.sprintf "net: initial fan-out reached %d/%d replicas" initial.succeeded
-               replicas);
         if initial.generation <> Some 2 then
           failwith "net: initial fan-out generations diverge";
         let initial_converged =
           Eppi_cluster.Fanout.converged (Eppi_cluster.Fanout.status repl_set) = Some 2
         in
-        if not initial_converged then
-          failwith "net: replicas not generation-converged within the initial fan-out round";
-        Bench_util.note "replication: %d replicas converged at generation 2 in %.3f s" replicas
-          initial.wall_seconds;
+        Bench_util.note "replication: %d/%d replicas at generation 2 in %.3f s (converged: %b)"
+          initial.succeeded replicas initial.wall_seconds initial_converged;
         (* Offered-load traffic with a mid-run kill.  Least-inflight with
            sequential windows concentrates traffic on replica 0 — which
            guarantees the kill hits the replica actually serving. *)
@@ -366,17 +357,12 @@ let run () =
         done;
         let cstats = Eppi_cluster.Client.stats cluster in
         Eppi_cluster.Client.close cluster;
-        if cstats.failovers < 1 then failwith "net: replica kill produced no failover";
         let settle = !t_kill +. 1.0 in
         let errors_after_settle =
           Array.fold_left
             (fun acc (t_end, _, ok) -> if (not ok) && t_end > settle then acc + 1 else acc)
             0 results
         in
-        if errors_after_settle > 0 then
-          failwith
-            (Printf.sprintf "net: %d windows still erroring after failover settled"
-               errors_after_settle);
         let lat_of f =
           match
             Array.to_list results
@@ -409,91 +395,119 @@ let run () =
            survivors must install generation 3 and agree within this one
            fan-out round. *)
         let second = Eppi_cluster.Fanout.republish ~retries:1 repl_set index1 in
-        if second.succeeded <> replicas - 1 || second.failed <> 1 then
-          failwith
-            (Printf.sprintf "net: post-kill fan-out reached %d/%d replicas (want %d)"
-               second.succeeded replicas (replicas - 1));
         if second.generation <> Some 3 then failwith "net: survivor generations diverge";
         let survivors = Eppi_cluster.Replica_set.of_addrs (List.tl repl_addrs) in
         let converged_within_round =
           Eppi_cluster.Fanout.converged (Eppi_cluster.Fanout.status survivors) = Some 3
         in
-        if not converged_within_round then
-          failwith "net: survivors not generation-converged within one fan-out round";
         Bench_util.note
-          "replication republish around dead replica: %d/%d survivors at generation 3, \
-           convergence lag %.3f s"
-          second.succeeded replicas second.wall_seconds;
-        ( (initial.succeeded, initial.failed, initial.wall_seconds, initial_converged),
-          (!t_kill, !errors_total, errors_after_settle, p99_baseline, p99_kill_window,
-           cstats.failovers, failover_latency),
-          (second.succeeded, second.failed, second.wall_seconds, converged_within_round),
-          windows ))
+          "replication republish around dead replica: %d/%d replicas at generation 3, \
+           convergence lag %.3f s (converged: %b)"
+          second.succeeded replicas second.wall_seconds converged_within_round;
+        let fanout (r : Eppi_cluster.Fanout.report) ~converged =
+          [ ("succeeded", Json.int r.succeeded); ("failed", Json.int r.failed);
+            ("wall_s", Num r.wall_seconds); ("converged_within_round", Bool converged) ]
+        in
+        Json.Obj
+          [ ("replicas", Json.int replicas); ("queries", Json.int repl_queries);
+            ("windows", Json.int windows); ("depth", Json.int repl_depth);
+            ("offered_qps", Num (Float.round repl_qps));
+            ("initial_republish", Obj (fanout initial ~converged:initial_converged));
+            ( "kill",
+              Obj
+                [ ("at_s", Num !t_kill); ("errors_total", Json.int !errors_total);
+                  ("errors_after_settle", Json.int errors_after_settle);
+                  ("p99_baseline_s", Num p99_baseline); ("p99_kill_window_s", Num p99_kill_window);
+                  ("failovers", Json.int cstats.failovers);
+                  ("failover_latency_s", Num failover_latency) ] );
+            ( "cluster_republish",
+              Obj
+                (fanout second ~converged:converged_within_round
+                @ [ ("convergence_lag_s", Num second.wall_seconds) ]) ) ])
   in
-  let ( (init_ok, init_fail, init_wall, init_conv),
-        (kill_at_s, errs, errs_settled, p99_base, p99_kill, failovers, failover_s),
-        (cr_ok, cr_fail, cr_wall, cr_conv),
-        repl_windows ) =
-    replication
+  let runs key rows =
+    Json.List
+      (List.map
+         (fun (k, seconds, qps) ->
+           Json.Obj [ (key, Json.int k); ("seconds", Num seconds); ("qps", Num (Float.round qps)) ])
+         rows)
   in
-  (* JSON out. *)
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"bench\": \"net\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"n_owners\": %d,\n" n);
-  Buffer.add_string b (Printf.sprintf "  \"m_providers\": %d,\n" m);
-  Buffer.add_string b (Printf.sprintf "  \"queries\": %d,\n" queries);
-  Buffer.add_string b (Printf.sprintf "  \"cores\": %d,\n" cores);
-  Buffer.add_string b "  \"depth_runs\": [\n";
-  List.iteri
-    (fun i (depth, seconds, qps) ->
-      Buffer.add_string b
-        (Printf.sprintf "    { \"depth\": %d, \"seconds\": %.6f, \"qps\": %.0f }%s\n" depth
-           seconds qps
-           (if i = List.length depth_runs - 1 then "" else ",")))
-    depth_runs;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"domain_runs\": [\n";
-  List.iteri
-    (fun i (domains, seconds, qps) ->
-      Buffer.add_string b
-        (Printf.sprintf "    { \"domains\": %d, \"seconds\": %.6f, \"qps\": %.0f }%s\n" domains
-           seconds qps
-           (if i = List.length domain_runs - 1 then "" else ",")))
-    domain_runs;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"payload\": { \"csv_bytes\": %d, \"binary_bytes\": %d, \"ratio\": %.2f },\n" csv_bytes
-       binary_bytes payload_ratio);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"swap\": { \"count\": %d, \"p50_s\": %.9f, \"p99_s\": %.9f, \"worst_s\": %.9f, \
-        \"final_generation\": %d, \"concurrent_replies\": %d },\n"
-       swaps p50 p99 worst final_generation load_replies);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"swap_csv\": { \"count\": %d, \"p50_s\": %.9f, \"p99_s\": %.9f, \"worst_s\": %.9f },\n"
-       csv_swaps csv_p50 csv_p99 csv_worst);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"replication\": {\n\
-       \    \"replicas\": %d, \"queries\": %d, \"windows\": %d, \"depth\": %d, \
-        \"offered_qps\": %.0f,\n\
-       \    \"initial_republish\": { \"succeeded\": %d, \"failed\": %d, \"wall_s\": %.6f, \
-        \"converged_within_round\": %b },\n\
-       \    \"kill\": { \"at_s\": %.6f, \"errors_total\": %d, \"errors_after_settle\": %d, \
-        \"p99_baseline_s\": %.9f, \"p99_kill_window_s\": %.9f, \"failovers\": %d, \
-        \"failover_latency_s\": %.9f },\n\
-       \    \"cluster_republish\": { \"succeeded\": %d, \"failed\": %d, \"wall_s\": %.6f, \
-        \"converged_within_round\": %b, \"convergence_lag_s\": %.6f }\n\
-       \  },\n"
-       replicas repl_queries repl_windows repl_depth repl_qps init_ok init_fail init_wall
-       init_conv kill_at_s errs errs_settled p99_base p99_kill failovers failover_s cr_ok
-       cr_fail cr_wall cr_conv cr_wall);
-  Buffer.add_string b (Printf.sprintf "  \"metrics\": %s\n" (String.trim stats));
-  Buffer.add_string b "}\n";
-  let out = open_out "BENCH_net.json" in
-  output_string out (Buffer.contents b);
-  close_out out;
-  Bench_util.note "wrote BENCH_net.json"
+  let open Bench_util in
+  (* Size and speed comparisons are gated at full size only (CI runs
+     n=2000, m=1024); structural and accounting gates hold at any size. *)
+  let full_size = n >= 1000 && m >= 512 in
+  let repl path v = num v ("replication" :: path) in
+  publish "BENCH_net.json"
+    (Obj
+       [ ("bench", Str "net"); ("n_owners", Json.int n); ("m_providers", Json.int m);
+         ("queries", Json.int queries); ("cores", Json.int cores);
+         ("depth_runs", runs "depth" depth_runs); ("domain_runs", runs "domains" domain_runs);
+         ( "payload",
+           Obj
+             [ ("csv_bytes", Json.int csv_bytes); ("binary_bytes", Json.int binary_bytes);
+               ("ratio", Num payload_ratio) ] );
+         ("swap", swap); ("swap_csv", swap_csv); ("replication", replication);
+         ("metrics", metrics) ])
+    ([ ( "carries the headline fields",
+         has
+           [ "depth_runs"; "domain_runs"; "payload"; "swap"; "swap_csv"; "cores"; "replication";
+             "metrics" ] );
+       ( "depth sweep populated, every run timed",
+         fun v ->
+           let rs = items v [ "depth_runs" ] in
+           List.length rs >= min 2 (List.length (depths ()))
+           && List.for_all (fun r -> num r [ "qps" ] > 0.0 && num r [ "seconds" ] > 0.0) rs );
+       ( "domain sweep populated",
+         fun v ->
+           List.length (items v [ "domain_runs" ]) >= min 2 (List.length (domain_counts ())) );
+       ("binary payload smaller than CSV", fun v -> num v [ "payload"; "ratio" ] > 1.0);
+       ( "every republish installed the next generation",
+         fun v ->
+           num v [ "swap"; "final_generation" ]
+           = num v [ "swap"; "count" ] +. num v [ "swap_csv"; "count" ] +. 1.0 );
+       ( "swap latencies ordered: 0 < p50 <= p99 <= worst",
+         fun v ->
+           let l k = num v [ "swap"; k ] in
+           0.0 < l "p50_s" && l "p50_s" <= l "p99_s" && l "p99_s" <= l "worst_s" );
+       ("queries kept flowing during swaps", fun v -> num v [ "swap"; "concurrent_replies" ] > 0.0);
+       ( "daemon conserves requests",
+         fun v ->
+           let c k = num v [ "metrics"; k ] in
+           c "queries" = c "served" +. c "unknown" +. c "shed_rate" +. c "shed_queue" );
+       ( "initial fan-out reached every replica and converged within the round",
+         fun v ->
+           repl [ "initial_republish"; "succeeded" ] v = repl [ "replicas" ] v
+           && flag v [ "replication"; "initial_republish"; "converged_within_round" ] );
+       ( "replica kill failed over, zero errors once settled",
+         fun v ->
+           repl [ "kill"; "failovers" ] v >= 1.0
+           && repl [ "kill"; "errors_after_settle" ] v = 0.0 );
+       ( "kill-window latencies recorded",
+         fun v ->
+           List.for_all
+             (fun k -> repl [ "kill"; k ] v > 0.0)
+             [ "p99_baseline_s"; "p99_kill_window_s"; "failover_latency_s" ] );
+       ( "post-kill fan-out reached the survivors and converged within the round",
+         fun v ->
+           repl [ "cluster_republish"; "succeeded" ] v = repl [ "replicas" ] v -. 1.0
+           && repl [ "cluster_republish"; "failed" ] v = 1.0
+           && flag v [ "replication"; "cluster_republish"; "converged_within_round" ] ) ]
+    @
+    if not full_size then []
+    else
+      [ ("binary payload >= 8x smaller than CSV", fun v -> num v [ "payload"; "ratio" ] >= 8.0);
+        ( "binary swap p99 within 1.5x of the CSV baseline",
+          fun v -> num v [ "swap"; "p99_s" ] <= 1.5 *. num v [ "swap_csv"; "p99_s" ] );
+        ( "4 domains over 1: 2x throughput with >= 6 cores, no regression with >= 4",
+          fun v ->
+            let qps_at d =
+              List.find_map
+                (fun r ->
+                  if num r [ "domains" ] = float_of_int d then Some (num r [ "qps" ]) else None)
+                (items v [ "domain_runs" ])
+            in
+            match (qps_at 1, qps_at 4) with
+            | Some q1, Some q4 ->
+                let cores = num v [ "cores" ] in
+                if cores >= 6.0 then q4 >= 2.0 *. q1 else cores < 4.0 || q4 >= q1
+            | _ -> true ) ])

@@ -6,7 +6,8 @@
    seconds from the cost model, this target measures the harness's own
    wall-clock time — the thing the multicore pipeline actually improves —
    and writes BENCH_construct.json so successive PRs can track the
-   trajectory.
+   trajectory.  Its own gate is the sharded-vs-monolithic output
+   equality, checked on every run.
 
    Environment knobs: SCALING_N (identities, default 2000), SCALING_M
    (providers, default 8), SCALING_DOMAINS (comma list, default 1,2,4,8). *)
@@ -75,31 +76,19 @@ let run () =
       Bench_util.note "4-domain speedup: x%.2f vs 1 domain, x%.2f vs monolithic" (s1 /. s4)
         (mono_time /. s4)
   | _ -> ());
-  let out = open_out "BENCH_construct.json" in
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"bench\": \"construct-scaling\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"n_identities\": %d,\n" n);
-  Buffer.add_string b (Printf.sprintf "  \"m_providers\": %d,\n" m);
-  Buffer.add_string b
-    (Printf.sprintf "  \"recommended_domain_count\": %d,\n" (Domain.recommended_domain_count ()));
-  Buffer.add_string b (Printf.sprintf "  \"monolithic_seconds\": %.6f,\n" mono_time);
-  Buffer.add_string b "  \"sharded_runs\": [\n";
-  List.iteri
-    (fun i (d, s) ->
-      Buffer.add_string b
-        (Printf.sprintf "    { \"domains\": %d, \"seconds\": %.6f }%s\n" d s
-           (if i = List.length runs - 1 then "" else ",")))
-    runs;
-  Buffer.add_string b "  ],\n";
-  (* null, not nan, when the domain list lacks a 1 or 4 entry: nan is not JSON. *)
-  let json_float x = if Float.is_nan x then "null" else Printf.sprintf "%.4f" x in
-  Buffer.add_string b
-    (Printf.sprintf "  \"speedup_4_domains_vs_1_domain\": %s,\n" (json_float (speedup s1 s4)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"speedup_4_domains_vs_monolithic\": %s\n"
-       (json_float (speedup (Some mono_time) s4)));
-  Buffer.add_string b "}\n";
-  output_string out (Buffer.contents b);
-  close_out out;
-  Bench_util.note "wrote BENCH_construct.json"
+  (* Speedups are NaN when the domain list lacks a 1 or 4 entry: null in
+     the JSON. *)
+  Bench_util.publish "BENCH_construct.json"
+    (Obj
+       [ ("bench", Str "construct-scaling"); ("n_identities", Json.int n);
+         ("m_providers", Json.int m);
+         ("recommended_domain_count", Json.int (Domain.recommended_domain_count ()));
+         ("monolithic_seconds", Num mono_time);
+         ( "sharded_runs",
+           List
+             (List.map
+                (fun (d, s) -> Json.Obj [ ("domains", Json.int d); ("seconds", Num s) ])
+                runs) );
+         ("speedup_4_domains_vs_1_domain", Num (speedup s1 s4));
+         ("speedup_4_domains_vs_monolithic", Num (speedup (Some mono_time) s4)) ])
+    []

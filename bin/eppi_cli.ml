@@ -326,6 +326,16 @@ let with_cluster ~what addrs f =
   let client = Eppi_cluster.Client.create ~request_timeout:30.0 set in
   Fun.protect ~finally:(fun () -> Eppi_cluster.Client.close client) (fun () -> f client)
 
+(* The one-line JSON summary of a `query --replay-log` run: [requests],
+   the per-transport counters, then wall time and throughput. *)
+let print_replay_summary ~requests ~wall_seconds counters =
+  let qps = float_of_int requests /. Float.max 1e-9 wall_seconds in
+  print_endline
+    (Json.to_string
+       (Obj
+          ((("requests", Json.int requests) :: List.map (fun (k, v) -> (k, Json.int v)) counters)
+          @ [ ("wall_seconds", Num wall_seconds); ("qps", Num (Float.round qps)) ])))
+
 let query_cmd =
   let owners =
     Arg.(
@@ -447,12 +457,9 @@ let query_cmd =
               with_cluster ~what:"query" addr (fun cluster ->
                   Eppi_cluster.Client.replay ~depth cluster workload)
             in
-            Printf.printf
-              "{\"requests\": %d, \"served\": %d, \"unknown\": %d, \"shed\": %d, \
-               \"providers_listed\": %d, \"failovers\": %d, \"wall_seconds\": %.6f, \
-               \"qps\": %.0f}\n"
-              s.requests s.served s.unknown s.shed s.providers_listed s.failovers s.wall_seconds
-              (float_of_int s.requests /. Float.max 1e-9 s.wall_seconds)
+            print_replay_summary ~requests:s.requests ~wall_seconds:s.wall_seconds
+              [ ("served", s.served); ("unknown", s.unknown); ("shed", s.shed);
+                ("providers_listed", s.providers_listed); ("failovers", s.failovers) ]
         | None ->
             if owners = [] then usage_error "--owner required";
             let requests = List.map (fun owner -> Eppi_net.Wire.Query { owner }) owners in
@@ -468,13 +475,10 @@ let query_cmd =
             if owners <> [] then usage_error "--replay-log excludes --owner";
             let workload = Eppi_net.Replay.load log in
             let s = with_client addr (fun client -> Eppi_net.Replay.run ~depth client workload) in
-            Printf.printf
-              "{\"requests\": %d, \"served\": %d, \"unknown\": %d, \"shed\": %d, \
-               \"providers_listed\": %d, \"first_generation\": %d, \"last_generation\": %d, \
-               \"wall_seconds\": %.6f, \"qps\": %.0f}\n"
-              s.requests s.served s.unknown s.shed s.providers_listed s.first_generation
-              s.last_generation s.wall_seconds
-              (float_of_int s.requests /. Float.max 1e-9 s.wall_seconds)
+            print_replay_summary ~requests:s.requests ~wall_seconds:s.wall_seconds
+              [ ("served", s.served); ("unknown", s.unknown); ("shed", s.shed);
+                ("providers_listed", s.providers_listed);
+                ("first_generation", s.first_generation); ("last_generation", s.last_generation) ]
         | None ->
             if owners = [] then usage_error "--owner required";
             let requests = List.map (fun owner -> Eppi_net.Wire.Query { owner }) owners in
@@ -988,8 +992,8 @@ let stats_delta_line ~dt ?prev cur =
     (d "queries") (rate "queries") (d "served") (d "cache_hits")
     (d "shed_rate" + d "shed_queue")
     (d "fuzzy_queries") (d "audits") (get cur "generation") (get cur "swaps")
-    (fmt_duration (getf cur "p50"))
-    (fmt_duration (getf cur "p99"))
+    (fmt_duration (getf cur "p50_s"))
+    (fmt_duration (getf cur "p99_s"))
 
 let stats_cmd =
   let watch_arg =
@@ -1045,7 +1049,7 @@ let stats_cmd =
 
 (* ---- top: live request-stage telemetry ---- *)
 
-(* Render one Telemetry reply ({!Eppi_net.Telemetry.to_json}) as the
+(* Render one Telemetry reply ({!Eppi_net.Telemetry.json}) as the
    `eppi top` screen: window rates per request class, the six-stage
    latency decomposition with its conservation check, worker counters,
    and the slow-request ring. *)
@@ -1155,43 +1159,34 @@ let render_cluster_top set =
     (match converged with
     | Some g -> Printf.sprintf "converged at generation %d" g
     | None -> "NOT converged");
-  Printf.bprintf b "replica                           gen  swaps   queries      p99\n";
+  Printf.bprintf b "replica                           gen  swaps   queries      p50      p99\n";
   List.iter
     (fun (addr, probe) ->
       let name = Eppi_net.Addr.to_string addr in
       match probe with
       | Error msg -> Printf.bprintf b "  %-30s down: %s\n" name msg
       | Ok ((s : Eppi_net.Wire.cluster_status), stats_raw) ->
-          let queries, p99 =
-            match Json.parse stats_raw with
-            | Ok v ->
-                ( Option.value ~default:0 (Json.find_int v [ "queries" ]),
-                  Option.value ~default:0.0 (Json.find_num v [ "p99" ]) )
-            | Error _ -> (0, 0.0)
-          in
-          Printf.bprintf b "  %-30s %4d %6d %9d %8s\n" name s.generation s.swaps queries
-            (fmt_duration p99))
+          let stats = Result.value ~default:Json.Null (Json.parse stats_raw) in
+          let latency k = fmt_duration (Option.value ~default:0.0 (Json.find_num stats [ k ])) in
+          Printf.bprintf b "  %-30s %4d %6d %9d %8s %8s\n" name s.generation s.swaps
+            (Option.value ~default:0 (Json.find_int stats [ "queries" ]))
+            (latency "p50_s") (latency "p99_s"))
     probes;
   Buffer.contents b
 
 let cluster_top_json set =
-  let b = Buffer.create 512 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i (addr, probe) ->
-      if i > 0 then Buffer.add_string b ", ";
-      let name = String.concat "\\\"" (String.split_on_char '"' (Eppi_net.Addr.to_string addr)) in
-      match probe with
-      | Error msg ->
-          let msg = String.concat "\\\"" (String.split_on_char '"' msg) in
-          Printf.bprintf b "{\"addr\": \"%s\", \"up\": false, \"error\": \"%s\"}" name msg
-      | Ok ((s : Eppi_net.Wire.cluster_status), _) ->
-          Printf.bprintf b
-            "{\"addr\": \"%s\", \"up\": true, \"generation\": %d, \"swaps\": %d, \"peers\": %d}"
-            name s.generation s.swaps (List.length s.peers))
-    (List.map (fun addr -> (addr, probe_replica addr)) (Eppi_cluster.Replica_set.addrs set));
-  Buffer.add_char b ']';
-  Buffer.contents b
+  Json.to_string
+    (List
+       (List.map
+          (fun addr ->
+            let addr_field = ("addr", Json.Str (Eppi_net.Addr.to_string addr)) in
+            match probe_replica addr with
+            | Error msg -> Json.Obj [ addr_field; ("up", Bool false); ("error", Str msg) ]
+            | Ok ((s : Eppi_net.Wire.cluster_status), _) ->
+                Obj
+                  [ addr_field; ("up", Bool true); ("generation", Json.int s.generation);
+                    ("swaps", Json.int s.swaps); ("peers", Json.int (List.length s.peers)) ])
+          (Eppi_cluster.Replica_set.addrs set)))
 
 let top_cmd =
   let interval_arg =
@@ -1259,7 +1254,7 @@ let top_cmd =
           with its conservation check, per-worker queue depth and busy time, and the \
           slowest-request ring.  $(b,--json) dumps the raw snapshot for scripting.  With a \
           comma-separated replica set ($(b,--connect A,B,C)): one row per replica — \
-          generation, swaps, query count, p99 — plus a convergence verdict")
+          generation, swaps, query count, p50, p99 — plus a convergence verdict")
     term
 
 let shutdown_cmd =

@@ -11,64 +11,39 @@ type result = {
   xi : float;
 }
 
-type result_betas = {
-  final : float array;
-  raw : float array;
-  is_common : bool array;
-  is_mixed : bool array;
-  lam : float;
-  xi_value : float;
-}
-
-let plan_betas ?(mixing = Mixing.Bernoulli) ~policy ~epsilons ~frequencies ~m rng =
-  let n = Array.length epsilons in
-  if Array.length frequencies <> n then
-    invalid_arg "Construct.plan_betas: frequencies/epsilons length mismatch";
-  if m <= 0 then invalid_arg "Construct.plan_betas: m must be positive";
+let run ?(mixing = Mixing.Bernoulli) ?provider_floors rng ~membership ~epsilons ~policy =
+  let n = Bitmatrix.rows membership in
+  let m = Bitmatrix.cols membership in
+  if Array.length epsilons <> n then invalid_arg "Construct.run: epsilons length mismatch";
+  if m <= 0 then invalid_arg "Construct.run: m must be positive";
   Array.iter
-    (fun e -> if e < 0.0 || e > 1.0 then invalid_arg "Construct.plan_betas: epsilon out of [0, 1]")
+    (fun e -> if e < 0.0 || e > 1.0 then invalid_arg "Construct.run: epsilon out of [0, 1]")
     epsilons;
-  let raw =
+  let frequencies = Array.init n (fun j -> Bitmatrix.row_count membership j) in
+  let raw_betas =
     Trace.span "phase.beta" ~args:[ ("owners", n) ] (fun () ->
         Array.init n (fun j ->
             let sigma = float_of_int frequencies.(j) /. float_of_int m in
             Policy.beta policy ~sigma ~epsilon:epsilons.(j) ~m))
   in
   Trace.begin_span "phase.mixing";
-  let is_common = Array.map (fun b -> b >= 1.0) raw in
-  let mix = Mixing.plan rng ~mode:mixing ~epsilons ~common:is_common in
-  let final =
-    Array.init n (fun j -> if is_common.(j) || mix.mixed.(j) then 1.0 else raw.(j))
+  let common = Array.map (fun b -> b >= 1.0) raw_betas in
+  let mix = Mixing.plan rng ~mode:mixing ~epsilons ~common in
+  let betas =
+    Array.init n (fun j -> if common.(j) || mix.mixed.(j) then 1.0 else raw_betas.(j))
   in
-  let n_common = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 is_common in
+  let n_common = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 common in
   Trace.end_span "phase.mixing" ~args:[ ("n_common", n_common) ];
-  { final; raw; is_common; is_mixed = mix.mixed; lam = mix.lambda; xi_value = mix.xi }
-
-let run ?(mixing = Mixing.Bernoulli) ?provider_floors rng ~membership ~epsilons ~policy =
-  let n = Bitmatrix.rows membership in
-  let m = Bitmatrix.cols membership in
-  if Array.length epsilons <> n then invalid_arg "Construct.run: epsilons length mismatch";
-  let frequencies = Array.init n (fun j -> Bitmatrix.row_count membership j) in
-  let plan = plan_betas ~mixing ~policy ~epsilons ~frequencies ~m rng in
   let index =
     Trace.span "phase.publish" ~args:[ ("owners", n); ("providers", m) ] (fun () ->
         let published =
           match provider_floors with
-          | None -> Publish.publish_matrix rng ~betas:plan.final membership
-          | Some floors ->
-              Publish.publish_matrix_with_floors rng ~betas:plan.final ~floors membership
+          | None -> Publish.publish_matrix rng ~betas membership
+          | Some floors -> Publish.publish_matrix_with_floors rng ~betas ~floors membership
         in
         Index.of_matrix published)
   in
-  {
-    index;
-    betas = plan.final;
-    raw_betas = plan.raw;
-    common = plan.is_common;
-    mixed = plan.is_mixed;
-    lambda = plan.lam;
-    xi = plan.xi_value;
-  }
+  { index; betas; raw_betas; common; mixed = mix.mixed; lambda = mix.lambda; xi = mix.xi }
 
 let extend rng ~previous ~membership ~epsilons ~policy =
   let old_n = Index.owners previous.index in

@@ -22,27 +22,6 @@ type result = {
   xi : float;  (** Required decoy fraction: max ε over common identities. *)
 }
 
-type result_betas = {
-  final : float array;
-  raw : float array;
-  is_common : bool array;
-  is_mixed : bool array;
-  lam : float;
-  xi_value : float;
-}
-
-val plan_betas :
-  ?mixing:Mixing.mode ->
-  policy:Policy.t ->
-  epsilons:float array ->
-  frequencies:int array ->
-  m:int ->
-  Rng.t ->
-  result_betas
-(** The β-calculation phase alone (no matrix needed): exactly the
-    computation the distributed protocol performs, factored out so the
-    protocol tests can diff the two implementations. *)
-
 val run :
   ?mixing:Mixing.mode ->
   ?provider_floors:float array ->

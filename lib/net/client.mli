@@ -118,12 +118,12 @@ val batch : t -> int array -> int * Eppi_serve.Serve.reply array
 val audit : t -> provider:int -> int * int list option
 
 val stats_json : t -> string
-(** The engine's merged {!Eppi_serve.Metrics} snapshot as JSON, with the
-    server's per-worker counters ([workers]) and trace-drop count
-    ([trace_dropped]) spliced in. *)
+(** The engine's merged {!Eppi_serve.Metrics} snapshot as JSON, followed
+    by the server's per-worker counters ([workers]) and trace-drop count
+    ([trace_dropped]). *)
 
 val telemetry_json : t -> string
-(** The daemon's live telemetry snapshot as JSON ({!Telemetry.to_json}):
+(** The daemon's live telemetry snapshot as JSON ({!Telemetry.json}):
     rolling-window p50/p99/throughput per request class, per-stage
     histograms with their conservation check, the slow-request ring,
     per-worker counters and generation/trace info. *)

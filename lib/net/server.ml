@@ -1,6 +1,7 @@
 module Trace = Eppi_obs.Trace
 module Serve = Eppi_serve.Serve
 module Clock = Eppi_prelude.Clock
+module Json = Eppi_prelude.Json
 
 type config = {
   max_connections : int;
@@ -60,43 +61,36 @@ let rec request_code = function
   | Wire.Cluster_status -> 11
   | Wire.Traced { request; _ } -> request_code request
 
-(* Splice extra top-level fields into a flat JSON object string. *)
-let splice_json json extra =
-  match String.rindex_opt json '}' with
-  | Some i -> String.sub json 0 i ^ ", " ^ extra ^ String.sub json i (String.length json - i)
-  | None -> json
-
 let workers_json t =
-  let b = Buffer.create 64 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i (id, depth, busy_ns, served) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Printf.bprintf b "{\"id\": %d, \"queue_depth\": %d, \"busy_us\": %d, \"served\": %d}" id depth
-        (busy_ns / 1000) served)
-    (t.worker_info ());
-  Buffer.add_char b ']';
-  Buffer.contents b
+  Json.List
+    (List.map
+       (fun (id, depth, busy_ns, served) ->
+         Json.Obj
+           [ ("id", Json.int id); ("queue_depth", Json.int depth);
+             ("busy_us", Json.int (busy_ns / 1000)); ("served", Json.int served) ])
+       (t.worker_info ()))
 
 (* The Stats reply: the engine's merged metrics plus the per-worker
    counters and the trace session's drop count, so backpressure is
    visible without a trace session. *)
 let stats_json t =
-  splice_json
-    (Eppi_serve.Metrics.to_json (Serve.metrics t.engine))
-    (Printf.sprintf "\"workers\": %s, \"trace_dropped\": %d" (workers_json t)
-       (Trace.dropped_events ()))
+  Json.to_string
+    (Eppi_serve.Metrics.json (Serve.metrics t.engine)
+       ~extra:
+         [ ("workers", workers_json t); ("trace_dropped", Json.int (Trace.dropped_events ())) ])
 
 let telemetry_json t =
   let m = Serve.metrics t.engine in
   let extra =
-    Printf.sprintf
-      "\"workers\": %s, \"generation\": %d, \"swaps\": %d, \"trace\": {\"enabled\": %b, \
-       \"dropped\": %d}, \"telemetry_enabled\": %b"
-      (workers_json t) m.Eppi_serve.Metrics.generation m.Eppi_serve.Metrics.swaps
-      (Trace.enabled ()) (Trace.dropped_events ()) t.config.telemetry
+    [ ("workers", workers_json t); ("generation", Json.int m.generation);
+      ("swaps", Json.int m.swaps);
+      ( "trace",
+        Json.Obj
+          [ ("enabled", Bool (Trace.enabled ()));
+            ("dropped", Json.int (Trace.dropped_events ())) ] );
+      ("telemetry_enabled", Bool t.config.telemetry) ]
   in
-  Telemetry.to_json ~extra t.telemetry ~now_ns:(Clock.monotonic_ns ())
+  Json.to_string (Telemetry.json ~extra t.telemetry ~now_ns:(Clock.monotonic_ns ()))
 
 (* Reads only the published generation, merged metrics and static config —
    safe from any domain, which is why the multicore mux answers it inline. *)

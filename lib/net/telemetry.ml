@@ -17,6 +17,7 @@
    reads by the completion stack's CAS (release) / exchange (acquire) pair,
    the same discipline the reply frames already rely on. *)
 
+module Json = Eppi_prelude.Json
 module Stats = Eppi_prelude.Stats
 
 type record = {
@@ -166,67 +167,55 @@ let finished t = t.finished
 
 (* ---- JSON rendering ---- *)
 
-let add_hist b name h =
-  Printf.bprintf b "\"%s\": {\"count\": %d, \"mean_s\": %.9f, \"p50_s\": %.9f, \"p99_s\": %.9f}"
-    name
-    (Stats.Log2_histogram.total h)
-    (Stats.Log2_histogram.mean h)
-    (Stats.Log2_histogram.quantile h 0.5)
-    (Stats.Log2_histogram.quantile h 0.99)
-
-let to_json ?(extra = "") t ~now_ns =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\"requests\": %d" t.finished;
+let json ?(extra = []) t ~now_ns =
+  let int = Json.int in
+  let latency ~mean ~p50 ~p99 =
+    [ ("mean_s", Json.Num mean); ("p50_s", Num p50); ("p99_s", Num p99) ]
+  in
+  let hist ?sum_ns h =
+    let module H = Stats.Log2_histogram in
+    let sum = Option.fold ~none:[] ~some:(fun ns -> [ ("sum_ns", int ns) ]) sum_ns in
+    (("count", int (H.total h)) :: sum)
+    @ latency ~mean:(H.mean h) ~p50:(H.quantile h 0.5) ~p99:(H.quantile h 0.99)
+  in
   (* Rolling window, one summary per request class. *)
-  Printf.bprintf b ", \"window\": {\"span_s\": %.1f" (Stats.Windowed.span_s t.windows.(0));
-  Array.iteri
-    (fun i name ->
-      let s = Stats.Windowed.snapshot t.windows.(i) ~now_ns in
-      Printf.bprintf b
-        ", \"%s\": {\"count\": %d, \"rate\": %.3f, \"mean_s\": %.9f, \"p50_s\": %.9f, \"p99_s\": %.9f}"
-        name s.Stats.Windowed.count s.rate s.mean s.p50 s.p99)
-    classes;
-  Buffer.add_string b "}";
+  let window =
+    List.mapi
+      (fun i name ->
+        let s = Stats.Windowed.snapshot t.windows.(i) ~now_ns in
+        ( name,
+          Json.Obj
+            (("count", int s.count) :: ("rate", Num s.rate)
+            :: latency ~mean:s.mean ~p50:s.p50 ~p99:s.p99) ))
+      (Array.to_list classes)
+  in
   (* Cumulative per-stage histograms with exact integer sums. *)
-  Buffer.add_string b ", \"stages\": {";
-  Array.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_string b ", ";
-      Printf.bprintf b
-        "\"%s\": {\"count\": %d, \"sum_ns\": %d, \"mean_s\": %.9f, \"p50_s\": %.9f, \"p99_s\": %.9f}"
-        name
-        (Stats.Log2_histogram.total t.stage_hist.(i))
-        t.stage_sum_ns.(i)
-        (Stats.Log2_histogram.mean t.stage_hist.(i))
-        (Stats.Log2_histogram.quantile t.stage_hist.(i) 0.5)
-        (Stats.Log2_histogram.quantile t.stage_hist.(i) 0.99))
-    stage_names;
-  Buffer.add_string b ", ";
-  add_hist b "total" t.total_hist;
-  Printf.bprintf b ", \"sum_ns\": %d}" t.total_sum_ns;
-  let s = stage_sum_ns t in
-  Printf.bprintf b
-    ", \"conservation\": {\"stage_sum_ns\": %d, \"total_ns\": %d, \"exact\": %b}"
-    s t.total_sum_ns (s = t.total_sum_ns);
+  let stages =
+    List.mapi
+      (fun i name -> (name, Json.Obj (hist ~sum_ns:t.stage_sum_ns.(i) t.stage_hist.(i))))
+      (Array.to_list stage_names)
+    @ [ ("total", Obj (hist t.total_hist)); ("sum_ns", int t.total_sum_ns) ]
+  in
   (* Worst-N ring, slowest first. *)
   let slow =
     Array.to_list t.slow
     |> List.filter_map Fun.id
     |> List.sort (fun a b -> compare b.s_total_ns a.s_total_ns)
+    |> List.map (fun s ->
+           Json.Obj
+             (("kind", Json.Str (kind_name s.s_kind)) :: ("trace_id", int s.s_trace_id)
+             :: ("total_ns", int s.s_total_ns)
+             :: List.mapi
+                  (fun j name -> (name ^ "_ns", int s.s_stages.(j)))
+                  (Array.to_list stage_names)))
   in
-  Buffer.add_string b ", \"slow\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ", ";
-      Printf.bprintf b "{\"kind\": \"%s\", \"trace_id\": %d, \"total_ns\": %d" (kind_name s.s_kind)
-        s.s_trace_id s.s_total_ns;
-      Array.iteri (fun j name -> Printf.bprintf b ", \"%s_ns\": %d" name s.s_stages.(j)) stage_names;
-      Buffer.add_string b "}")
-    slow;
-  Buffer.add_string b "]";
-  if extra <> "" then begin
-    Buffer.add_string b ", ";
-    Buffer.add_string b extra
-  end;
-  Buffer.add_string b "}";
-  Buffer.contents b
+  let stage_sum = stage_sum_ns t in
+  Json.Obj
+    ([ ("requests", int t.finished);
+       ("window", Obj (("span_s", Num (Stats.Windowed.span_s t.windows.(0))) :: window));
+       ("stages", Obj stages);
+       ( "conservation",
+         Obj [ ("stage_sum_ns", int stage_sum); ("total_ns", int t.total_sum_ns);
+               ("exact", Bool (stage_sum = t.total_sum_ns)) ] );
+       ("slow", List slow) ]
+    @ extra)

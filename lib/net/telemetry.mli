@@ -57,12 +57,12 @@ val stage_sum_ns : t -> int
 
 val total_sum_ns : t -> int
 
-val to_json : ?extra:string -> t -> now_ns:int -> string
+val json : ?extra:(string * Eppi_prelude.Json.t) list -> t -> now_ns:int -> Eppi_prelude.Json.t
 (** The snapshot carried by the [Telemetry] wire reply: window summaries
     per class, per-stage histograms with integer sums, the conservation
-    check, and the slow ring (slowest first).  [extra] is spliced in as
-    additional top-level fields (the server adds worker, generation and
-    trace info). *)
+    check, and the slow ring (slowest first), followed by the [extra]
+    fields (the server adds worker, generation and trace info).  The
+    field list with units is in docs/OBSERVABILITY.md. *)
 
 val class_of_kind : int -> int
 (** Request-code → window-class index (see {!classes}). *)

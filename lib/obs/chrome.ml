@@ -6,30 +6,13 @@
    become B/E pairs, instants "i" events, counters "C" events whose args
    render as stacked series.  Timestamps are microseconds relative to the
    earliest event in the session, so traces start at t=0 regardless of
-   machine uptime. *)
+   machine uptime.
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+   Each event is one [Json.t] rendered by the shared writer; only the
+   constant envelope around them is literal text, so a large session is
+   streamed event by event instead of materialising as one value. *)
 
-let add_args b args =
-  Buffer.add_string b "{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (escape k) v))
-    args;
-  Buffer.add_string b "}"
+module Json = Eppi_prelude.Json
 
 let origin_of tracks =
   List.fold_left
@@ -37,48 +20,49 @@ let origin_of tracks =
       List.fold_left (fun acc (e : Trace.event) -> min acc e.ts) acc t.track_events)
     max_int tracks
 
-let to_json tracks =
+let render add tracks =
   let origin = origin_of tracks in
-  let us ts = float_of_int (ts - origin) /. 1e3 in
-  let b = Buffer.create 65_536 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  let first = ref true in
-  let emit item =
-    if !first then first := false else Buffer.add_string b ",\n";
-    Buffer.add_string b item
+  let sep = ref "" in
+  let emit fields =
+    add !sep;
+    sep := ",\n";
+    add (Json.to_string (Obj fields))
   in
+  add "{\"traceEvents\":[";
   List.iter
     (fun (t : Trace.track) ->
+      let tid = ("tid", Json.int t.track_domain) in
       emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           t.track_domain (escape t.track_label));
+        [ ("name", Str "thread_name"); ("ph", Str "M"); ("pid", Json.int 1); tid;
+          ("args", Obj [ ("name", Str t.track_label) ]) ];
       List.iter
         (fun (e : Trace.event) ->
-          let common =
-            Printf.sprintf "\"name\":\"%s\",\"cat\":\"eppi\",\"pid\":1,\"tid\":%d,\"ts\":%.3f"
-              (escape e.name) t.track_domain (us e.ts)
+          let phase =
+            match e.kind with
+            | Trace.Span_begin -> [ ("ph", Json.Str "B") ]
+            | Trace.Span_end -> [ ("ph", Str "E") ]
+            | Trace.Instant -> [ ("ph", Str "i"); ("s", Str "t") ]
+            | Trace.Counter -> [ ("ph", Str "C") ]
           in
-          let eb = Buffer.create 128 in
-          Buffer.add_string eb "{";
-          Buffer.add_string eb common;
-          (match e.kind with
-          | Trace.Span_begin -> Buffer.add_string eb ",\"ph\":\"B\""
-          | Trace.Span_end -> Buffer.add_string eb ",\"ph\":\"E\""
-          | Trace.Instant -> Buffer.add_string eb ",\"ph\":\"i\",\"s\":\"t\""
-          | Trace.Counter -> Buffer.add_string eb ",\"ph\":\"C\"");
-          if e.args <> [] then begin
-            Buffer.add_string eb ",\"args\":";
-            add_args eb e.args
-          end;
-          Buffer.add_string eb "}";
-          emit (Buffer.contents eb))
+          let args =
+            if e.args = [] then []
+            else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) e.args)) ]
+          in
+          emit
+            ([ ("name", Json.Str e.name); ("cat", Str "eppi"); ("pid", Json.int 1); tid;
+               ("ts", Num (float_of_int (e.ts - origin) /. 1e3)) ]
+            @ phase @ args))
         t.track_events)
     tracks;
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}\n";
+  add "],\"displayTimeUnit\":\"ms\"}\n"
+
+let to_json tracks =
+  let b = Buffer.create 65_536 in
+  render (Buffer.add_string b) tracks;
   Buffer.contents b
 
 let write path =
-  let json = to_json (Trace.tracks ()) in
   let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc json)
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> render (output_string oc) (Trace.tracks ()))

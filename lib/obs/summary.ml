@@ -129,15 +129,3 @@ let pp ppf t =
   end
 
 let print ppf t = Format.fprintf ppf "@[<v>%a@]@." pp t
-
-let counters_json t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"trace.wall_ns\": %d,\n" t.wall_ns);
-  Buffer.add_string b (Printf.sprintf "  \"trace.tracks\": %d,\n" t.track_count);
-  Buffer.add_string b (Printf.sprintf "  \"trace.dropped\": %d" t.dropped);
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf ",\n  \"%s\": %d" (Chrome.escape k) v))
-    t.counters;
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b

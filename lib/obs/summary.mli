@@ -32,7 +32,3 @@ val pp : Format.formatter -> t -> unit
 val print : Format.formatter -> t -> unit
 (** [pp] wrapped in its own vertical box with a trailing newline — what
     the CLI calls. *)
-
-val counters_json : t -> string
-(** A self-describing flat JSON object: [trace.wall_ns], [trace.tracks],
-    [trace.dropped], then one key per counter series. *)

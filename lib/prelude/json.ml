@@ -1,10 +1,11 @@
-(* Minimal recursive-descent JSON reader.
+(* JSON values: one writer and one recursive-descent reader.
 
-   The daemon's Stats/Telemetry replies are JSON strings built by hand on
-   the server side; the CLI needs to take them apart again (to render
-   `eppi top` and to diff counters for `eppi stats --watch`) without
-   pulling in an external dependency.  This covers the full JSON grammar
-   but optimizes for nothing: replies are a few KB at most. *)
+   Every JSON document this repository emits — daemon replies, the Chrome
+   trace export, CLI output, bench results — is built as a [t] and
+   rendered by [to_string], so there is exactly one escaper.  The reader
+   takes the daemon's replies apart again for `eppi top` and `eppi stats
+   --watch`.  Full grammar, no dependencies, optimized for nothing:
+   replies are a few KB at most. *)
 
 type t =
   | Null
@@ -13,6 +14,69 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+
+(* ---- writer ---- *)
+
+let int i = Num (float_of_int i)
+
+let escape_into b s =
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when c < ' ' -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s
+
+(* Integral values below 2^53 print as integers (every such float is an
+   exact integer); others with the fewest of 15..17 significant digits
+   that read back to the same float.  NaN and infinities have no JSON
+   spelling: null. *)
+let number f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 0x1p53 then Printf.sprintf "%.0f" f
+  else
+    let digits d = Printf.sprintf "%.*g" d f in
+    match List.find_opt (fun s -> float_of_string s = f) [ digits 15; digits 16 ] with
+    | Some s -> s
+    | None -> digits 17
+
+let rec write b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (string_of_bool x)
+  | Num f -> Buffer.add_string b (number f)
+  | Str s ->
+      Buffer.add_char b '"';
+      escape_into b s;
+      Buffer.add_char b '"'
+  | List items ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char b ',';
+          write b v)
+        items;
+      Buffer.add_char b ']'
+  | Obj fields ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          write b (Str k);
+          Buffer.add_char b ':';
+          write b v)
+        fields;
+      Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 256 in
+  write b v;
+  Buffer.contents b
+
+(* ---- reader ---- *)
 
 exception Parse_error of string
 

@@ -1,10 +1,20 @@
-(** Minimal JSON reader for the daemon's own replies.
+(** JSON values, with one reader and one writer.
 
-    The wire protocol carries Stats/Telemetry payloads as JSON strings
-    assembled by hand on the server; the CLI pulls them apart again to
-    render `eppi top` and to diff counters for `eppi stats --watch`.
-    Full grammar, zero dependencies, no performance ambitions — replies
-    are a few KB. *)
+    Every JSON document the repository produces is built as a {!t} and
+    rendered by {!to_string}: the daemon's Stats and Telemetry replies,
+    the Chrome trace export, the CLI's [--json] output and the bench
+    result files.  The same module parses them back — the CLI renders
+    `eppi top` and diffs counters for `eppi stats --watch` from the
+    parsed replies, and the tests compare parsed values.  Full grammar,
+    zero dependencies, no performance ambitions: replies are a few KB.
+
+    The writer has one escaper and no formatting options.  Output is
+    compact (no whitespace between tokens); object fields keep their list
+    order.  Integral numbers print without a fraction ([3], not [3.0]),
+    other finite numbers print with the fewest digits that read back to
+    the same float, and NaN and the infinities print as [null], so
+    [parse (to_string v) = Ok v] for every value whose numbers are
+    finite. *)
 
 type t =
   | Null
@@ -13,6 +23,18 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+
+(** {1 Writing} *)
+
+val int : int -> t
+(** [Num] of an integer; exact up to 2{^53}. *)
+
+val to_string : t -> string
+(** Compact rendering.  Strings escape the double quote, backslash,
+    newline, carriage return and tab by name and every other byte below
+    0x20 as [\u00XX]; all other bytes pass through unchanged. *)
+
+(** {1 Reading} *)
 
 exception Parse_error of string
 

@@ -156,19 +156,24 @@ let hit_rate s =
   let lookups = s.cache_hits + s.cache_misses in
   if lookups = 0 then 0.0 else float_of_int s.cache_hits /. float_of_int lookups
 
-let to_json s =
-  Printf.sprintf
-    "{ \"queries\": %d, \"served\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \
-     \"cache_hit_rate\": %.4f, \"negative_hits\": %d, \"unknown\": %d, \"shed_rate\": %d, \
-     \"shed_queue\": %d, \"audits\": %d, \"generation\": %d, \"swaps\": %d, \
-     \"fuzzy_queries\": %d, \"fuzzy_resolved\": %d, \"fuzzy_empty\": %d, \
-     \"fuzzy_rejected\": %d, \"fuzzy_shed\": %d, \"fuzzy_scanned\": %d, \
-     \"latency_count\": %d, \"latency_mean_s\": %.9f, \
-     \"p50_s\": %.9f, \"p95_s\": %.9f, \"p99_s\": %.9f }"
-    s.queries s.served s.cache_hits s.cache_misses (hit_rate s) s.negative_hits s.unknown
-    s.shed_rate s.shed_queue s.audits s.generation s.swaps s.fuzzy_queries s.fuzzy_resolved
-    s.fuzzy_empty s.fuzzy_rejected s.fuzzy_shed s.fuzzy_scanned s.latency_count s.latency_mean
-    s.p50 s.p95 s.p99
+let json ?(extra = []) s =
+  let ints = List.map (fun (k, v) -> (k, Json.int v)) in
+  Json.Obj
+    (ints [ ("queries", s.queries); ("served", s.served); ("cache_hits", s.cache_hits);
+            ("cache_misses", s.cache_misses) ]
+    @ [ ("cache_hit_rate", Json.Num (hit_rate s)) ]
+    @ ints
+        [ ("negative_hits", s.negative_hits); ("unknown", s.unknown); ("shed_rate", s.shed_rate);
+          ("shed_queue", s.shed_queue); ("audits", s.audits); ("generation", s.generation);
+          ("swaps", s.swaps); ("fuzzy_queries", s.fuzzy_queries);
+          ("fuzzy_resolved", s.fuzzy_resolved); ("fuzzy_empty", s.fuzzy_empty);
+          ("fuzzy_rejected", s.fuzzy_rejected); ("fuzzy_shed", s.fuzzy_shed);
+          ("fuzzy_scanned", s.fuzzy_scanned); ("latency_count", s.latency_count) ]
+    @ [ ("latency_mean_s", Json.Num s.latency_mean); ("p50_s", Num s.p50); ("p95_s", Num s.p95);
+        ("p99_s", Num s.p99) ]
+    @ extra)
+
+let to_json s = Json.to_string (json s)
 
 let pp ppf s =
   Format.fprintf ppf

@@ -98,7 +98,14 @@ val diff : snapshot -> snapshot -> snapshot
 val hit_rate : snapshot -> float
 (** cache_hits / (cache_hits + cache_misses); 0 when no lookups ran. *)
 
+val json : ?extra:(string * Eppi_prelude.Json.t) list -> snapshot -> Eppi_prelude.Json.t
+(** One JSON object with every snapshot field — counters as integers,
+    [cache_hit_rate] as a ratio, latencies in seconds under [_s] keys
+    ([latency_mean_s], [p50_s], [p95_s], [p99_s]) — followed by the
+    [extra] fields (the daemon's Stats reply appends its worker and
+    trace counters). *)
+
 val to_json : snapshot -> string
-(** A single JSON object with every snapshot field. *)
+(** [json] without extras, rendered by {!Eppi_prelude.Json.to_string}. *)
 
 val pp : Format.formatter -> snapshot -> unit

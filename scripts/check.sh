@@ -20,27 +20,12 @@ rm -f BENCH_construct.json
 
 # A ~5 s smoke of the serving bench: tiny index, short replay, 1 and 2
 # domains. Exercises the postings compiler, caches, admission control and
-# the bench's reply-equality + shed-conservation assertions, then checks
-# the emitted JSON is well-formed and carries the headline fields.
+# the bench's reply-equality + shed-conservation assertions; the bench
+# exits non-zero unless every gate on its BENCH_serve.json holds.
 echo "== serve smoke =="
 SERVE_N=120 SERVE_M=64 SERVE_QUERIES=4000 SERVE_DOMAINS=1,2 \
   SERVE_TELEMETRY_QUERIES=2000 SERVE_TELEMETRY_DOMAINS=2 \
   dune exec bench/main.exe -- serve
-test -s BENCH_serve.json
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-import json
-with open("BENCH_serve.json") as f:
-    data = json.load(f)
-for key in ("speedup_postings_vs_naive", "cache_hit_rate", "latency_s",
-            "domain_runs", "admission", "telemetry", "metrics"):
-    if key not in data:
-        raise SystemExit(f"BENCH_serve.json missing {key!r}")
-if not data["telemetry"]["overhead_ok"]:
-    raise SystemExit(f"BENCH_serve.json: telemetry overhead gate failed: {data['telemetry']}")
-print("BENCH_serve.json well-formed")
-EOF
-fi
 rm -f BENCH_serve.json
 
 # A ~5 s smoke of the tracing layer (docs/OBSERVABILITY.md): trace a small
@@ -115,6 +100,8 @@ test "$(wc -l < "$NET_DIR/replies2.txt")" -eq 50
 "$EPPI" stats --connect "$NET_SOCK" --watch 0.2 --iterations 2 >"$NET_DIR/watch.txt"
 test "$(wc -l < "$NET_DIR/watch.txt")" -eq 2
 grep -q "queries" "$NET_DIR/watch.txt"
+# After 100 queries both watch lines carry a measured p50 and p99, not "-".
+test "$(grep -cE 'p50 [0-9.]+[nmu]?s  p99 [0-9.]+[nmu]?s$' "$NET_DIR/watch.txt")" -eq 2
 if command -v python3 >/dev/null 2>&1; then
   NET_STATS="$NET_DIR/stats.json" NET_TELEMETRY="$NET_DIR/telemetry.json" python3 - <<'EOF'
 import json, os
@@ -192,9 +179,20 @@ test "$(wc -l < "$CLU_DIR/replies2.txt")" -eq 50
 "$EPPI" republish --cluster "$CLU_PEERS" --require 2 -i "$CLU_DIR/index1.csv" >"$CLU_DIR/repub2.txt"
 grep -q "republished 2/3 replicas at generation 3" "$CLU_DIR/repub2.txt"
 "$EPPI" top --connect "$CLU_PEERS" --json >"$CLU_DIR/top.json"
+# The table view shows a measured p50 and p99 for a survivor that served
+# the failed-over queries.
+"$EPPI" top --connect "$CLU_PEERS" --once >"$CLU_DIR/top.txt"
+grep -Eq ' [0-9.]+[nmu]?s +[0-9.]+[nmu]?s$' "$CLU_DIR/top.txt"
+# Addresses reach --json through the one JSON escaper: a backslash in a
+# socket path still yields a parseable document.
+"$EPPI" top --connect "$CLU_DIR/x\\q.sock,$CLU_DIR/y.sock" --json >"$CLU_DIR/odd.json"
 if command -v python3 >/dev/null 2>&1; then
-  CLU_TOP="$CLU_DIR/top.json" python3 - <<'EOF'
+  CLU_TOP="$CLU_DIR/top.json" CLU_ODD="$CLU_DIR/odd.json" python3 - <<'EOF'
 import json, os
+with open(os.environ["CLU_ODD"]) as f:
+    odd = json.load(f)
+if [r["up"] for r in odd] != [False, False] or not odd[0]["addr"].endswith("x\\q.sock"):
+    raise SystemExit(f"cluster: top --json over absent replicas: {odd}")
 with open(os.environ["CLU_TOP"]) as f:
     rows = json.load(f)
 if len(rows) != 3:
@@ -221,49 +219,11 @@ trap - EXIT
 
 # A ~5 s smoke of the network bench: tiny index, short replay, two pipeline
 # depths, a 1-vs-2 domain sweep (with its reply-equality check), CSV and
-# binary republishes under load; then check the emitted JSON.
+# binary republishes under load, and the replica-kill scenario; the bench
+# exits non-zero unless every gate on its BENCH_net.json holds.
 echo "== net bench smoke =="
 NET_N=120 NET_M=64 NET_QUERIES=3000 NET_DEPTHS=1,8 NET_DOMAINS=1,2 NET_SWAPS=5 \
   dune exec bench/main.exe -- net
-test -s BENCH_net.json
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-import json
-with open("BENCH_net.json") as f:
-    data = json.load(f)
-for key in ("depth_runs", "domain_runs", "payload", "swap", "swap_csv", "cores",
-            "replication", "metrics"):
-    if key not in data:
-        raise SystemExit(f"BENCH_net.json missing {key!r}")
-if len(data["depth_runs"]) < 2:
-    raise SystemExit("BENCH_net.json: depth sweep not populated")
-if len(data["domain_runs"]) < 2:
-    raise SystemExit("BENCH_net.json: domain sweep not populated")
-if data["payload"]["ratio"] <= 1.0:
-    raise SystemExit(f"BENCH_net.json: binary payload not smaller than CSV: {data['payload']}")
-csv_swaps = data["swap_csv"]["count"]
-if data["swap"]["final_generation"] != data["swap"]["count"] + csv_swaps + 1:
-    raise SystemExit(f"BENCH_net.json: generation accounting off: {data['swap']}")
-repl = data["replication"]
-init = repl["initial_republish"]
-if init["succeeded"] != repl["replicas"] or not init["converged_within_round"]:
-    raise SystemExit(f"BENCH_net.json: initial fan-out incomplete: {init}")
-kill = repl["kill"]
-if kill["errors_after_settle"] != 0:
-    raise SystemExit(f"BENCH_net.json: errors persisted after failover settled: {kill}")
-if kill["failovers"] < 1:
-    raise SystemExit(f"BENCH_net.json: replica kill produced no failover: {kill}")
-for key in ("p99_baseline_s", "p99_kill_window_s", "failover_latency_s"):
-    if kill[key] <= 0.0:
-        raise SystemExit(f"BENCH_net.json: {key} not recorded: {kill}")
-cr = repl["cluster_republish"]
-if (cr["succeeded"] != repl["replicas"] - 1 or cr["failed"] != 1
-        or not cr["converged_within_round"]):
-    raise SystemExit(f"BENCH_net.json: post-kill fan-out off: {cr}")
-print("BENCH_net.json well-formed (replication: converged, zero settled errors, "
-      f"{kill['failovers']} failover(s))")
-EOF
-fi
 rm -f BENCH_net.json
 
 # A ~5 s smoke of the fuzzy lookup path (docs/FUZZY.md): generate a roster
@@ -327,57 +287,22 @@ rm -rf "$FUZ_DIR"
 trap - EXIT
 
 # A ~5 s smoke of the fuzzy bench: small roster, short query stream.  The
-# bench itself exits non-zero unless recall@10 >= 0.9 at default noise, no
-# generated frame contains a plaintext demographic byte, and the
-# disabled-tracing overhead stays under the bound; here we additionally
-# check the emitted JSON carries the headline fields.
+# bench exits non-zero unless recall@10 >= 0.9 at default noise, no
+# generated frame contains a plaintext demographic byte, the
+# disabled-tracing overhead stays under the bound and the fuzzy metrics
+# conserve — the gates on its BENCH_fuzzy.json.
 echo "== fuzzy bench smoke =="
 FUZZY_N=300 FUZZY_M=64 FUZZY_QUERIES=600 dune exec bench/main.exe -- fuzzy
-test -s BENCH_fuzzy.json
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-import json
-with open("BENCH_fuzzy.json") as f:
-    data = json.load(f)
-for key in ("resolver_build_seconds", "no_plaintext_in_frames", "noise_runs",
-            "recall_at_k_default_noise", "exact_latency_s", "trace", "metrics"):
-    if key not in data:
-        raise SystemExit(f"BENCH_fuzzy.json missing {key!r}")
-if data["recall_at_k_default_noise"] < 0.9:
-    raise SystemExit(f"BENCH_fuzzy.json: recall gate failed: {data['recall_at_k_default_noise']}")
-if len(data["noise_runs"]) < 3:
-    raise SystemExit("BENCH_fuzzy.json: noise sweep not populated")
-print("BENCH_fuzzy.json well-formed")
-EOF
-fi
 rm -f BENCH_fuzzy.json
 
 # A ~5 s smoke of the fault-tolerant construction (docs/ROBUSTNESS.md):
 # the chaos bench sweeps drop rates and crashes a provider mid-SecSumShare
-# and a coordinator mid-MPC.  The bench itself exits non-zero unless every
-# lossy run is bit-identical to the lossless baseline and every crash run
-# comes back Degraded with the epsilon contract intact over the survivors;
-# here we additionally check the emitted JSON records those verdicts.
+# and a coordinator mid-MPC.  The bench exits non-zero unless every lossy
+# run is bit-identical to the lossless baseline and every crash run comes
+# back Degraded with the epsilon contract intact over the survivors.
 echo "== chaos smoke =="
 CHAOS_N=40 CHAOS_M=10 CHAOS_DROPS=0.05,0.1 dune exec bench/main.exe -- chaos
-test -s BENCH_chaos.json
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-import json
-with open("BENCH_chaos.json") as f:
-    data = json.load(f)
-if len(data["loss_sweep"]) < 2:
-    raise SystemExit("BENCH_chaos.json: loss sweep not populated")
-for run in data["loss_sweep"]:
-    if not run["bit_identical"]:
-        raise SystemExit(f"BENCH_chaos.json: lossy run diverged: {run}")
-for key in ("provider_crash", "coordinator_crash"):
-    crash = data[key]
-    if crash["outcome"] != "degraded" or not crash["epsilon_contract"]:
-        raise SystemExit(f"BENCH_chaos.json: {key} violated the contract: {crash}")
-print("BENCH_chaos.json well-formed: loss masked, crashes degraded gracefully")
-EOF
-fi
+rm -f BENCH_chaos.json
 
 # The CLI's secure path is one construction whatever the flags: the pool
 # size and injected loss change how it executes, never what it publishes.

@@ -722,19 +722,25 @@ let test_extend_validation () =
         (Construct.extend (Rng.create 78) ~previous ~membership:wider
            ~epsilons:[| 0.5; 0.5 |] ~policy:Policy.Basic))
 
-let test_plan_betas_matches_run () =
+(* Construct.run's β phase is the plan the paper specifies: β* from the
+   policy at the row's true frequency, common iff β* >= 1, and β = 1 for
+   common and mixed identities. *)
+let test_run_follows_beta_plan () =
   let membership = make_matrix ~m:500 ~freqs:[| 5; 50; 495 |] in
   let epsilons = [| 0.4; 0.7; 0.9 |] in
-  let frequencies = Array.init 3 (fun j -> Bitmatrix.row_count membership j) in
-  let plan =
-    Construct.plan_betas ~policy:(Policy.Chernoff 0.9) ~epsilons ~frequencies ~m:500
-      (Rng.create 77)
-  in
-  let r =
-    Construct.run (Rng.create 77) ~membership ~epsilons ~policy:(Policy.Chernoff 0.9)
-  in
-  Alcotest.(check (array bool)) "same commons" plan.is_common r.common;
-  Alcotest.(check (array (float 1e-12))) "same betas" plan.final r.betas
+  let policy = Policy.Chernoff 0.9 in
+  let r = Construct.run (Rng.create 77) ~membership ~epsilons ~policy in
+  Array.iteri
+    (fun j epsilon ->
+      let sigma = float_of_int (Bitmatrix.row_count membership j) /. 500.0 in
+      let raw = Policy.beta policy ~sigma ~epsilon ~m:500 in
+      Alcotest.(check (float 1e-12)) (Printf.sprintf "raw beta %d" j) raw r.raw_betas.(j);
+      check_bool (Printf.sprintf "common %d" j) (raw >= 1.0) r.common.(j);
+      Alcotest.(check (float 1e-12))
+        (Printf.sprintf "beta %d" j)
+        (if r.common.(j) || r.mixed.(j) then 1.0 else raw)
+        r.betas.(j))
+    epsilons
 
 (* ---------- Analysis ---------- *)
 
@@ -952,7 +958,7 @@ let () =
           Alcotest.test_case "no commons, no mixing" `Quick test_construct_no_commons_no_mixing;
           Alcotest.test_case "chernoff success ratio" `Quick test_construct_success_ratio_chernoff;
           Alcotest.test_case "basic about half" `Quick test_construct_basic_about_half;
-          Alcotest.test_case "plan matches run" `Quick test_plan_betas_matches_run;
+          Alcotest.test_case "plan matches run" `Quick test_run_follows_beta_plan;
           Alcotest.test_case "extend keeps old rows static" `Quick
             test_extend_keeps_old_rows_static;
           Alcotest.test_case "extend rejects changed history" `Quick

@@ -623,9 +623,9 @@ let daemon_basics ~shards ~workers () =
           check_bool "audit equals engine audit" true (owners = Serve.audit engine ~provider:3);
           let _, out_of_range = Client.audit c ~provider:(m + 1) in
           check_bool "audit out of range" true (out_of_range = None);
-          let json = Client.stats_json c in
-          check_bool "stats is json" true (String.length json > 0 && json.[0] = '{');
-          check_bool "stats counts queries" true (contains json "\"queries\"");
+          let stats = Json.parse_exn (Client.stats_json c) in
+          check_bool "stats is json" true (Json.obj stats <> None);
+          check_bool "stats counts queries" true (Json.find_int stats [ "queries" ] <> None);
           (* A batch wider than the worker pool splits across every
              domain and must reassemble in order. *)
           let owners = Array.init 64 (fun i -> i mod (n + 4)) in
@@ -673,9 +673,10 @@ let test_daemon_republish () =
           | Ok _ -> Alcotest.fail "bad csv must be rejected"
           | Error msg -> check_bool "error names republish" true (contains msg "republish"));
           check_int "failed republish keeps generation" 2 (Serve.generation engine);
-          let json = Client.stats_json c in
-          check_bool "stats carries generation" true (contains json "\"generation\": 2");
-          check_bool "stats counts swaps" true (contains json "\"swaps\"")))
+          let stats = Json.parse_exn (Client.stats_json c) in
+          check_bool "stats carries generation" true
+            (Json.find_int stats [ "generation" ] = Some 2);
+          check_bool "stats counts swaps" true (Json.find_int stats [ "swaps" ] <> None)))
 
 (* Cluster_status is answered inline by the mux: generation tracks the
    number of applied republishes, swaps counts them, and peers echoes the
@@ -963,8 +964,9 @@ let daemon_fuzzy ~shards ~workers () =
           let alien = Bloom.keyed ~seed:0x5EED ~bits:128 () in
           let _, mismatch = Client.query_fuzzy c (Probe.of_demographic alien roster.(0)) in
           check_bool "wrong geometry is a typed mismatch" true (mismatch = Serve.Probe_mismatch);
-          let json = Client.stats_json c in
-          check_bool "stats counts fuzzy queries" true (contains json "\"fuzzy_queries\"");
+          let stats = Json.parse_exn (Client.stats_json c) in
+          check_bool "stats counts fuzzy queries" true
+            (Json.find_int stats [ "fuzzy_queries" ] <> None);
           let metrics = Serve.metrics engine in
           check_int "fuzzy conservation" metrics.fuzzy_queries
             (metrics.fuzzy_resolved + metrics.fuzzy_empty + metrics.fuzzy_rejected
@@ -1329,6 +1331,185 @@ let daemon_telemetry ~shards ~workers () =
                   > 0)
           | _ -> Alcotest.fail "stats reply lacks workers"))
 
+(* ---------- reply schemas ---------- *)
+
+(* One line per leaf of a parsed reply, in document order: "path=value",
+   list elements by index, integral numbers exactly and other numbers at
+   three significant digits (the pins below were taken from replies that
+   printed fixed decimals, so more digits would not be comparable). *)
+let leaves v =
+  let join prefix k = if prefix = "" then k else prefix ^ "." ^ k in
+  let rec go prefix v acc =
+    match v with
+    | Json.Obj fields -> List.fold_left (fun acc (k, v) -> go (join prefix k) v acc) acc fields
+    | Json.List [] -> (prefix ^ "=[]") :: acc
+    | Json.List items ->
+        snd
+          (List.fold_left
+             (fun (i, acc) v -> (i + 1, go (join prefix (string_of_int i)) v acc))
+             (0, acc) items)
+    | Json.Num f when Float.is_integer f -> Printf.sprintf "%s=%.0f" prefix f :: acc
+    | Json.Num f -> Printf.sprintf "%s=%.3g" prefix f :: acc
+    | Json.Bool b -> Printf.sprintf "%s=%b" prefix b :: acc
+    | Json.Str s -> Printf.sprintf "%s=%S" prefix s :: acc
+    | Json.Null -> (prefix ^ "=null") :: acc
+  in
+  List.rev (go "" v [])
+
+(* Leaf paths with list indices collapsed to "*", first occurrence kept. *)
+let shape lines =
+  let path line =
+    List.hd (String.split_on_char '=' line)
+    |> String.split_on_char '.'
+    |> List.map (fun k -> if int_of_string_opt k <> None then "*" else k)
+    |> String.concat "."
+  in
+  List.fold_left (fun acc p -> if List.mem p acc then acc else acc @ [ p ]) [] (List.map path lines)
+
+(* A fixed engine state: two shards' metrics and a telemetry store fed
+   eight hand-stamped requests (one per class, three queries), its slow
+   ring cut to two entries. *)
+let fixture_metrics () =
+  let module Metrics = Eppi_serve.Metrics in
+  let a = Metrics.create () and b = Metrics.create () in
+  let times k f = for _ = 1 to k do f () done in
+  times 7 (fun () -> Metrics.incr_queries a);
+  times 4 (fun () -> Metrics.incr_served a);
+  times 3 (fun () -> Metrics.incr_cache_hit a);
+  Metrics.incr_cache_miss a;
+  Metrics.incr_negative_hit a;
+  Metrics.incr_unknown a;
+  Metrics.incr_queries b;
+  Metrics.incr_shed_rate b;
+  Metrics.incr_shed_queue b;
+  Metrics.incr_audits b;
+  Metrics.incr_swaps b;
+  Metrics.set_generation b 3;
+  times 5 (fun () -> Metrics.incr_fuzzy a);
+  times 2 (fun () -> Metrics.incr_fuzzy_resolved a);
+  Metrics.incr_fuzzy_empty a;
+  Metrics.incr_fuzzy_rejected a;
+  Metrics.incr_fuzzy_shed a;
+  Metrics.add_fuzzy_scanned a 40;
+  Metrics.record_latency a 2e-6;
+  Metrics.record_latency a 3e-6;
+  Metrics.record_latency b 1.5e-3;
+  Metrics.snapshot [ a; b ]
+
+let fixture_base_ns = 1_000_000_000_000
+
+let fixture_telemetry () =
+  let t = Telemetry.create ~slow_slots:2 () in
+  let feed ~kind ~trace_id ~after_ms stages =
+    let stage i = List.nth stages i in
+    let at = fixture_base_ns + (after_ms * 1_000_000) in
+    let r = Telemetry.make ~kind ~trace_id ~t_read:at ~t_decoded:(at + stage 0) in
+    r.t_dispatched <- r.t_decoded + stage 1;
+    r.t_started <- r.t_dispatched + stage 2;
+    r.t_done <- r.t_started + stage 3;
+    r.t_flushed <- r.t_done + stage 4;
+    Telemetry.finish t r ~t_written:(r.t_flushed + stage 5)
+  in
+  feed ~kind:1 ~trace_id:(-1) ~after_ms:0 [ 1_500; 250; 4_000; 12_000; 800; 3_000 ];
+  feed ~kind:1 ~trace_id:7 ~after_ms:100 [ 1_200; 300; 2_000; 9_000; 400; 2_500 ];
+  feed ~kind:1 ~trace_id:(-1) ~after_ms:300 [ 900; 200; 1_000; 7_000; 300; 2_000 ];
+  feed ~kind:2 ~trace_id:(-1) ~after_ms:500 [ 2_500; 600; 8_000; 40_000; 1_200; 5_000 ];
+  feed ~kind:9 ~trace_id:12 ~after_ms:700 [ 3_000; 400; 6_000; 90_000; 700; 4_000 ];
+  feed ~kind:3 ~trace_id:(-1) ~after_ms:900 [ 1_100; 150; 0; 20_000; 0; 2_200 ];
+  feed ~kind:8 ~trace_id:(-1) ~after_ms:1_100 [ 50_000; 500; 10_000; 2_000_000; 900; 6_000 ];
+  feed ~kind:4 ~trace_id:(-1) ~after_ms:1_500 [ 800; 0; 0; 30_000; 0; 1_800 ];
+  t
+
+(* The fixture's replies, pinned: every key path, in order, and every
+   integer.  A change to how the replies are rendered must keep them. *)
+let pinned_metrics =
+  [ "queries=8"; "served=4"; "cache_hits=3"; "cache_misses=1"; "cache_hit_rate=0.75";
+    "negative_hits=1"; "unknown=1"; "shed_rate=1"; "shed_queue=1"; "audits=1"; "generation=3";
+    "swaps=1"; "fuzzy_queries=5"; "fuzzy_resolved=2"; "fuzzy_empty=1"; "fuzzy_rejected=1";
+    "fuzzy_shed=1"; "fuzzy_scanned=40"; "latency_count=3"; "latency_mean_s=0.000502";
+    "p50_s=2.9e-06"; "p95_s=0.00148"; "p99_s=0.00148" ]
+
+let pinned_telemetry =
+  [ "requests=8"; "window.span_s=10"; "window.query.count=3"; "window.query.rate=0.3";
+    "window.query.mean_s=1.61e-05"; "window.query.p50_s=1.16e-05"; "window.query.p99_s=2.32e-05";
+    "window.batch.count=1"; "window.batch.rate=0.1"; "window.batch.mean_s=5.73e-05";
+    "window.batch.p50_s=4.63e-05"; "window.batch.p99_s=4.63e-05"; "window.fuzzy.count=1";
+    "window.fuzzy.rate=0.1"; "window.fuzzy.mean_s=0.000104"; "window.fuzzy.p50_s=9.27e-05";
+    "window.fuzzy.p99_s=9.27e-05"; "window.audit.count=1"; "window.audit.rate=0.1";
+    "window.audit.mean_s=2.35e-05"; "window.audit.p50_s=2.32e-05"; "window.audit.p99_s=2.32e-05";
+    "window.republish.count=1"; "window.republish.rate=0.1"; "window.republish.mean_s=0.00207";
+    "window.republish.p50_s=0.00148"; "window.republish.p99_s=0.00148"; "window.admin.count=1";
+    "window.admin.rate=0.1"; "window.admin.mean_s=3.26e-05"; "window.admin.p50_s=2.32e-05";
+    "window.admin.p99_s=2.32e-05"; "stages.decode.count=8"; "stages.decode.sum_ns=61000";
+    "stages.decode.mean_s=7.62e-06"; "stages.decode.p50_s=1.45e-06";
+    "stages.decode.p99_s=4.63e-05"; "stages.dispatch.count=8"; "stages.dispatch.sum_ns=2400";
+    "stages.dispatch.mean_s=3e-07"; "stages.dispatch.p50_s=1.81e-07";
+    "stages.dispatch.p99_s=7.24e-07"; "stages.queue.count=8"; "stages.queue.sum_ns=31000";
+    "stages.queue.mean_s=3.88e-06"; "stages.queue.p50_s=1.45e-06"; "stages.queue.p99_s=1.16e-05";
+    "stages.execute.count=8"; "stages.execute.sum_ns=2208000"; "stages.execute.mean_s=0.000276";
+    "stages.execute.p50_s=2.32e-05"; "stages.execute.p99_s=0.00148"; "stages.reorder.count=8";
+    "stages.reorder.sum_ns=4300"; "stages.reorder.mean_s=5.38e-07";
+    "stages.reorder.p50_s=3.62e-07"; "stages.reorder.p99_s=1.45e-06"; "stages.flush.count=8";
+    "stages.flush.sum_ns=26500"; "stages.flush.mean_s=3.31e-06"; "stages.flush.p50_s=2.9e-06";
+    "stages.flush.p99_s=5.79e-06"; "stages.total.count=8"; "stages.total.mean_s=0.000292";
+    "stages.total.p50_s=2.32e-05"; "stages.total.p99_s=0.00148"; "stages.sum_ns=2333200";
+    "conservation.stage_sum_ns=2333200"; "conservation.total_ns=2333200";
+    "conservation.exact=true"; "slow.0.kind=\"republish_binary\""; "slow.0.trace_id=-1";
+    "slow.0.total_ns=2067400"; "slow.0.decode_ns=50000"; "slow.0.dispatch_ns=500";
+    "slow.0.queue_ns=10000"; "slow.0.execute_ns=2000000"; "slow.0.reorder_ns=900";
+    "slow.0.flush_ns=6000"; "slow.1.kind=\"fuzzy\""; "slow.1.trace_id=12";
+    "slow.1.total_ns=104100"; "slow.1.decode_ns=3000"; "slow.1.dispatch_ns=400";
+    "slow.1.queue_ns=6000"; "slow.1.execute_ns=90000"; "slow.1.reorder_ns=700";
+    "slow.1.flush_ns=4000" ]
+
+(* The pinned fixture renders field for field; the live replies of a
+   2-worker daemon carry the same fields followed by the server's own,
+   with the server's values fixed for an untraced, never-republished
+   daemon. *)
+let test_reply_schemas () =
+  let check = Alcotest.(check (list string)) in
+  check "stats fields" pinned_metrics
+    (leaves (Json.parse_exn (Eppi_serve.Metrics.to_json (fixture_metrics ()))));
+  check "telemetry fields" pinned_telemetry
+    (leaves
+       (Json.parse_exn
+          (Json.to_string
+             (Telemetry.json (fixture_telemetry ()) ~now_ns:(fixture_base_ns + 2_000_000_000)))));
+  let workers =
+    [ "workers.*.id"; "workers.*.queue_depth"; "workers.*.busy_us"; "workers.*.served" ]
+  in
+  let n = 20 in
+  with_server ~shards:2 ~workers:2 (test_index ~n ~m:9) (fun addr _engine ->
+      let c = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          for i = 0 to 39 do
+            ignore (Client.query c ~owner:(i mod (n + 2)))
+          done;
+          let stats = leaves (Json.parse_exn (Client.stats_json c)) in
+          let telemetry = leaves (Json.parse_exn (Client.telemetry_json c)) in
+          check "stats reply shape"
+            (shape pinned_metrics @ workers @ [ "trace_dropped" ])
+            (shape stats);
+          check "telemetry reply shape"
+            (shape pinned_telemetry @ workers
+            @ [ "generation"; "swaps"; "trace.enabled"; "trace.dropped"; "telemetry_enabled" ])
+            (shape telemetry);
+          let has line reply = check_bool line true (List.mem line reply) in
+          List.iter
+            (fun l -> has l stats)
+            [ "workers.0.id=0"; "workers.1.id=1"; "trace_dropped=0" ];
+          List.iter
+            (fun l -> has l telemetry)
+            [
+              "generation=1";
+              "swaps=0";
+              "trace.enabled=false";
+              "trace.dropped=0";
+              "telemetry_enabled=true";
+            ]))
+
 (* A trace id minted by the client must label spans on BOTH sides of the
    socket: the client's [client.request] span and the daemon's
    [net.request] span (recorded on a different domain, hence a different
@@ -1606,6 +1787,7 @@ let () =
             (daemon_telemetry ~shards:4 ~workers:4);
           Alcotest.test_case "trace id joins client and server tracks" `Quick
             test_trace_propagation;
+          Alcotest.test_case "stats and telemetry schemas pinned" `Quick test_reply_schemas;
         ] );
       ( "client robustness",
         [

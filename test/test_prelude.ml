@@ -350,6 +350,43 @@ let test_json_lookup () =
   check_bool "list access" true
     (match Json.find v [ "l" ] with Some (Json.List [ _; _ ]) -> true | _ -> false)
 
+(* The writer: one escaper (these cases used to test the Chrome export's
+   private copy), null for non-finite numbers, integers without a
+   fraction, compact containers in field order. *)
+let test_json_writer_escaping () =
+  let str s = Json.to_string (Json.Str s) in
+  Alcotest.(check string) "plain" "\"abc\"" (str "abc");
+  Alcotest.(check string) "quote" "\"a\\\"b\"" (str "a\"b");
+  Alcotest.(check string) "backslash" "\"a\\\\b\"" (str "a\\b");
+  Alcotest.(check string) "newline" "\"a\\nb\"" (str "a\nb");
+  Alcotest.(check string) "control" "\"a\\u0001b\"" (str "a\001b");
+  Alcotest.(check string) "keys escape too" "{\"k\\\"\":1}"
+    (Json.to_string (Json.Obj [ ("k\"", Json.int 1) ]));
+  (* A Unix-socket path with a backslash, as `eppi top --json` prints it:
+     the old quote-only escaping emitted invalid JSON for it. *)
+  let row = Json.Obj [ ("addr", Json.Str "a\\q.sock"); ("up", Json.Bool false) ] in
+  Alcotest.(check string) "socket path" "{\"addr\":\"a\\\\q.sock\",\"up\":false}"
+    (Json.to_string row);
+  check_bool "socket path parses back" true (Json.parse (Json.to_string row) = Ok row)
+
+let test_json_writer_numbers () =
+  let num f = Json.to_string (Json.Num f) in
+  Alcotest.(check string) "nan is null" "null" (num Float.nan);
+  Alcotest.(check string) "infinity is null" "null" (num Float.infinity);
+  Alcotest.(check string) "negative infinity is null" "null" (num Float.neg_infinity);
+  Alcotest.(check string) "integral float" "42" (num 42.0);
+  Alcotest.(check string) "negative int" "-7" (Json.to_string (Json.int (-7)));
+  (* Plain %g would switch to an exponent from 1e15 on: a nanosecond sum
+     past eleven days of request time. *)
+  Alcotest.(check string) "large integer, no exponent" "1000000000000000" (num 1e15);
+  Alcotest.(check string) "largest exact integer" "9007199254740991" (num 0x1.fffffffffffffp52);
+  Alcotest.(check string) "fraction" "0.1" (num 0.1);
+  Alcotest.(check string) "shortest round trip" "3.6e-07" (num 3.6e-7);
+  Alcotest.(check string) "compact containers in order" "{\"b\":[1,true,null],\"a\":{}}"
+    (Json.to_string
+       (Json.Obj
+          [ ("b", Json.List [ Json.int 1; Json.Bool true; Json.Null ]); ("a", Json.Obj []) ]))
+
 (* ---------- Bitvec ---------- *)
 
 let test_bitvec_basics () =
@@ -491,9 +528,40 @@ let test_table_csv () =
 
 (* ---------- qcheck properties ---------- *)
 
+(* Any value whose numbers are finite: bytes of every kind in strings and
+   keys, integers beyond 2^53, nested containers. *)
+let json_value =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num (if Float.is_finite f then f else 0.0)) float;
+        map Json.int int;
+        map (fun s -> Json.Str s) string;
+      ]
+  in
+  QCheck.make ~print:Json.to_string
+    (sized
+       (fix (fun self n ->
+            if n <= 1 then leaf
+            else
+              frequency
+                [
+                  (2, leaf);
+                  (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 3))));
+                  ( 1,
+                    map
+                      (fun l -> Json.Obj l)
+                      (list_size (int_bound 4) (pair string (self (n / 3)))) );
+                ])))
+
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"json to_string parses back" ~count:500 json_value (fun v ->
+        Json.parse (Json.to_string v) = Ok v);
     Test.make ~name:"rng int always in bounds" ~count:500
       (pair small_int (int_range 1 1000))
       (fun (seed, bound) ->
@@ -675,6 +743,8 @@ let () =
           Alcotest.test_case "values" `Quick test_json_values;
           Alcotest.test_case "malformed rejected" `Quick test_json_errors;
           Alcotest.test_case "path lookup" `Quick test_json_lookup;
+          Alcotest.test_case "writer escaping" `Quick test_json_writer_escaping;
+          Alcotest.test_case "writer numbers" `Quick test_json_writer_numbers;
         ] );
       ( "clock",
         [

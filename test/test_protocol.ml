@@ -391,18 +391,16 @@ let test_construct_agrees_with_centralized () =
   let membership = make_matrix ~m ~freqs in
   let policy = Eppi.Policy.Chernoff 0.9 in
   let secure = Construct.run (Rng.create 10) ~membership ~epsilons ~policy in
-  let reference =
-    Eppi.Construct.plan_betas ~policy ~epsilons ~frequencies:freqs ~m (Rng.create 11)
-  in
-  Alcotest.(check (array bool)) "same common classification" reference.is_common secure.common;
+  let reference = Eppi.Construct.run (Rng.create 11) ~membership ~epsilons ~policy in
+  Alcotest.(check (array bool)) "same common classification" reference.common secure.common;
   (* Non-common, non-mixed betas must agree exactly (same released
      frequency, same float computation). *)
   Array.iteri
     (fun j common ->
-      if (not common) && (not secure.mixed.(j)) && not reference.is_mixed.(j) then
+      if (not common) && (not secure.mixed.(j)) && not reference.mixed.(j) then
         Alcotest.(check (float 1e-12))
           (Printf.sprintf "beta %d" j)
-          reference.final.(j) secure.betas.(j))
+          reference.betas.(j) secure.betas.(j))
     secure.common
 
 let test_construct_recall () =
@@ -655,10 +653,9 @@ let test_construct_ft_clean_is_complete () =
       check_int "all providers" m (Eppi.Index.providers r.index);
       (* Classification agrees with the centralized reference. *)
       let reference =
-        Eppi.Construct.plan_betas ~policy ~epsilons:ft_epsilons ~frequencies:ft_freqs ~m
-          (Rng.create 41)
+        Eppi.Construct.run (Rng.create 41) ~membership ~epsilons:ft_epsilons ~policy
       in
-      Alcotest.(check (array bool)) "same common classification" reference.is_common r.common
+      Alcotest.(check (array bool)) "same common classification" reference.common r.common
 
 let test_construct_ft_loss_bit_identical () =
   (* The acceptance invariant: 10% loss in both phases, same construction

@@ -274,19 +274,19 @@ let test_metrics_snapshot_merges_shards () =
   check_int "latency samples" 2 snap.latency_count;
   check_bool "p95 sees the slow shard" true (snap.p95 > 1e-4);
   check_close "hit rate counts hits only" 1.0 (Metrics.hit_rate snap);
-  (* to_json must be parseable enough to contain every counter. *)
-  let json = Metrics.to_json snap in
+  (* to_json parses back to the snapshot's values. *)
+  let json = Json.parse_exn (Metrics.to_json snap) in
   List.iter
-    (fun key ->
-      check_bool (Printf.sprintf "json has %s" key) true
-        (let re = Printf.sprintf "\"%s\"" key in
-         let rec find i =
-           if i + String.length re > String.length json then false
-           else if String.sub json i (String.length re) = re then true
-           else find (i + 1)
-         in
-         find 0))
-    [ "queries"; "served"; "cache_hits"; "shed_queue"; "p99_s" ]
+    (fun (key, expected) ->
+      check_bool (Printf.sprintf "json %s" key) true (Json.find_num json [ key ] = Some expected))
+    [
+      ("queries", 3.0);
+      ("served", 1.0);
+      ("cache_hits", 1.0);
+      ("shed_queue", 0.0);
+      ("cache_hit_rate", 1.0);
+      ("p99_s", snap.p99);
+    ]
 
 let test_metrics_diff () =
   let m = Metrics.create () in
@@ -506,8 +506,9 @@ let test_metrics_generation_and_swaps () =
   let d = Metrics.diff newer snap in
   check_int "diff swaps" 1 d.swaps;
   check_int "diff generation from newer" 2 d.generation;
-  check_bool "json carries generation" true (contains (Metrics.to_json newer) "\"generation\": 2");
-  check_bool "json carries swaps" true (contains (Metrics.to_json newer) "\"swaps\": 2")
+  let json = Json.parse_exn (Metrics.to_json newer) in
+  check_bool "json carries generation" true (Json.find_int json [ "generation" ] = Some 2);
+  check_bool "json carries swaps" true (Json.find_int json [ "swaps" ] = Some 2)
 
 let test_workload_request_logs () =
   let w = [| 3; 1; 4; 1; 5 |] in
