@@ -15,9 +15,10 @@
 
    Environment knobs: SERVE_N (owners, default 2000), SERVE_M (providers,
    default 4096), SERVE_QUERIES (default 200000), SERVE_DOMAINS (comma
-   list, default 1,2,4), SERVE_TELEMETRY_QUERIES (per-round requests of
-   the telemetry-overhead gate, default 20000), SERVE_TELEMETRY_DOMAINS
-   (its worker-domain count, default 4). *)
+   list, default 1,2,4), SERVE_TELEMETRY_QUERIES (sizes the
+   telemetry-overhead gate: 30 alternating rounds of a tenth of this many
+   queries per daemon; default 20000), SERVE_TELEMETRY_DOMAINS (its
+   worker-domain count, default 4). *)
 
 open Eppi_prelude
 open Eppi_serve
@@ -220,15 +221,21 @@ let run () =
     (match enabled_seconds with
     | Some s -> Printf.sprintf "%.3f s" s
     | None -> "outer --trace active, skipped");
-  (* Always-on stage telemetry must be invisible at the client: run a
-     real multicore daemon twice — telemetry off, then on (the config
-     knob exists for exactly this measurement) — and compare the
-     client-observed per-request p50 over a Unix socket.  Best-of-3
-     medians; the gate allows 2% plus a 10 µs floor (a socket RTT's p50
-     sits in the tens of µs, where scheduler noise dwarfs percentages). *)
+  (* Always-on stage telemetry must be invisible at the client: run two
+     real multicore daemons side by side — telemetry off and on (the
+     config knob exists for exactly this measurement) — and compare the
+     client-observed per-request p50 over a Unix socket.  Short rounds
+     alternate (off, on, off, on, ...) so host drift lands on both sides
+     alike; each side's p50 is over all of its samples.  The gate allows
+     2% plus a 10 µs floor (a socket RTT's p50 sits in the tens of µs,
+     where scheduler noise dwarfs percentages). *)
   let telemetry_queries = getenv_int "SERVE_TELEMETRY_QUERIES" 20_000 in
   let telemetry_domains = getenv_int "SERVE_TELEMETRY_DOMAINS" 4 in
-  let daemon_p50 ~telemetry =
+  let rounds = 30 in
+  let per_round = max 1 (telemetry_queries / 10) in
+  (* [f] gets [round samples ~off], which times [per_round] sequential
+     queries against a started, warmed daemon into [samples] from [off]. *)
+  let with_daemon ~telemetry f =
     let path =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "eppi-serve-bench-%d-%b.sock" (Unix.getpid ()) telemetry)
@@ -263,23 +270,25 @@ let run () =
             for i = 0 to 999 do
               ignore (Eppi_net.Client.query c ~owner:workload.(i mod Array.length workload))
             done;
-            let samples = Array.make telemetry_queries 0.0 in
-            let best = ref infinity in
-            for _round = 1 to 3 do
-              Gc.compact ();
-              for i = 0 to telemetry_queries - 1 do
-                let owner = workload.(i mod Array.length workload) in
-                let t0 = Clock.monotonic_ns () in
-                ignore (Eppi_net.Client.query c ~owner);
-                samples.(i) <- float_of_int (Clock.monotonic_ns () - t0) /. 1e9
-              done;
-              let p50 = Stats.quantile samples 0.5 in
-              if p50 < !best then best := p50
-            done;
-            !best))
+            f (fun samples ~off ->
+                for i = off to off + per_round - 1 do
+                  let owner = workload.(i mod Array.length workload) in
+                  let t0 = Clock.monotonic_ns () in
+                  ignore (Eppi_net.Client.query c ~owner);
+                  samples.(i) <- float_of_int (Clock.monotonic_ns () - t0) /. 1e9
+                done)))
   in
-  let telemetry_off_p50 = daemon_p50 ~telemetry:false in
-  let telemetry_on_p50 = daemon_p50 ~telemetry:true in
+  let samples_off = Array.make (rounds * per_round) 0.0 in
+  let samples_on = Array.make (rounds * per_round) 0.0 in
+  with_daemon ~telemetry:false (fun round_off ->
+      with_daemon ~telemetry:true (fun round_on ->
+          Gc.compact ();
+          for r = 0 to rounds - 1 do
+            round_off samples_off ~off:(r * per_round);
+            round_on samples_on ~off:(r * per_round)
+          done));
+  let telemetry_off_p50 = Stats.quantile samples_off 0.5 in
+  let telemetry_on_p50 = Stats.quantile samples_on 0.5 in
   Bench_util.note "telemetry overhead: p50 %.1f us off, %.1f us on (%+.2f%%) at %d domains"
     (telemetry_off_p50 *. 1e6) (telemetry_on_p50 *. 1e6)
     (100.0 *. ((telemetry_on_p50 /. telemetry_off_p50) -. 1.0))

@@ -514,15 +514,11 @@ let run t listener =
         Some (Telemetry.make ~kind:(request_code request) ~trace_id ~t_read ~t_decoded)
       else None
     in
-    (* A request the mux answers itself: dispatch and queue-wait collapse
-       to zero, execute covers the handler plus the frame encode. *)
+    (* A request the mux answers itself: the record keeps [t_dispatched =
+       t_started = t_decoded], so dispatch and queue-wait are zero-width
+       and execute covers the handler (already evaluated into [response])
+       plus the frame encode. *)
     let inline response =
-      (match record with
-      | Some r ->
-          let now = Clock.monotonic_ns () in
-          r.Telemetry.t_dispatched <- now;
-          r.Telemetry.t_started <- now
-      | None -> ());
       if response = Wire.Shutting_down then shutting := true;
       let frame = encode_frame response in
       (match record with Some r -> r.Telemetry.t_done <- Clock.monotonic_ns () | None -> ());

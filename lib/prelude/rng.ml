@@ -1,43 +1,52 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer: an [int64] stored into a
+   mutable record field is boxed on every store, while raw byte reads and
+   writes stay unboxed, so a draw allocates nothing in native code. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* splitmix64 finalizer: two xor-shift-multiply rounds give full avalanche. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int seed))
 
-let split t = { state = Int64.logxor (bits64 t) 0xA02184DCF58B5B21L }
-let copy t = { state = t.state }
+let[@inline] bits64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix state
+
+let split t = of_state (Int64.logxor (bits64 t) 0xA02184DCF58B5B21L)
+let copy = Bytes.copy
 
 (* Non-negative 62-bit value, safe to treat as an OCaml int. *)
-let bits62 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling over [0, 2^62) keeps the draw unbiased. *)
-  let range = 1 lsl 62 in
-  let rec draw () =
-    let v = bits62 t in
-    let r = v mod bound in
-    if v - r <= range - bound then r else draw ()
-  in
-  draw ()
+  let limit = (1 lsl 62) - bound in
+  let v = ref (bits62 t) in
+  let r = ref (!v mod bound) in
+  while !v - !r > limit do
+    v := bits62 t;
+    r := !v mod bound
+  done;
+  !r
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let unit_float t =
-  (* 53 random bits scaled into [0, 1). *)
-  Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1p-53
+(* 53 random bits scaled into [0, 1). *)
+let[@inline] unit_float t = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1p-53
 
 let float t x = unit_float t *. x
 let bool t = Int64.logand (bits64 t) 1L = 1L

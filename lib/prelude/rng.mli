@@ -5,7 +5,8 @@
     seed.  The generator is splitmix64 (Steele, Lea & Flood, OOPSLA'14): a
     64-bit state advanced by a Weyl constant and finalized with a strong
     avalanche mix.  [split] derives an independent child stream, which lets
-    concurrent protocol parties draw without interleaving artefacts. *)
+    concurrent protocol parties draw without interleaving artefacts.  In
+    native code [int], [bool] and [bernoulli] allocate nothing. *)
 
 type t
 

@@ -109,11 +109,11 @@ let attempt ~transport ~pool ~strategy ~sss_plan ~mpc_plan ~c ~mixing ~tally rng
   in
   Trace.begin_span "phase.beta";
   (* Providers' private inputs: their own membership column, one bit per
-     identity. *)
-  let inputs =
-    Array.init m (fun i ->
-        Array.init n (fun j -> if Bitmatrix.get membership ~row:j ~col:i then 1 else 0))
-  in
+     identity, scattered from each owner row's set bits. *)
+  let inputs = Array.init m (fun _ -> Array.make n 0) in
+  for j = 0 to n - 1 do
+    Bitvec.iter_set (fun i -> inputs.(i).(j) <- 1) (Bitmatrix.row membership j)
+  done;
   let stalled stage (r : Link.report) =
     tally stage r;
     Trace.end_span "phase.beta" ~args:[ ("excluded", List.length r.suspects) ];

@@ -73,33 +73,27 @@ let run ?plan rng ~inputs ~c ~q =
         match msg with
         | Shares { k; values } ->
             got_share.(i).(k) <- true;
-            for j = 0 to n - 1 do
-              acc.(i).(j) <- Modarith.add q acc.(i).(j) values.(j)
-            done;
+            Additive.add_into ~q ~acc:acc.(i) values;
             received.(i) <- received.(i) + 1;
             finish_if_complete i
         | Super values ->
             got_super.(src) <- true;
             let r = i in
-            for j = 0 to n - 1 do
-              coordinator_shares.(r).(j) <- Modarith.add q coordinator_shares.(r).(j) values.(j)
-            done;
+            Additive.add_into ~q ~acc:coordinator_shares.(r) values;
             coord_received.(r) <- coord_received.(r) + 1;
             if coord_received.(r) = coord_expect.(r)
                && Array.for_all2 ( = ) coord_received coord_expect
             then Link.finish link);
     Simnet.at net ~delay:0.0 i (fun _ ->
-        (* Steps 1-2: split every private value into c shares; keep share 0,
-           send share k to the k-th successor. *)
+        (* Steps 1-2: split every private value into c shares; add share 0
+           into the local accumulator, send share k to the k-th successor. *)
         let my_rng = provider_rngs.(i) in
         Simnet.work net i (op_cost *. float_of_int (n * c));
-        let vectors = Array.init c (fun _ -> Array.make n 0) in
+        let vectors = Array.init c (fun k -> if k = 0 then [||] else Array.make n 0) in
+        let mine = acc.(i) and input = inputs.(i) in
         for j = 0 to n - 1 do
-          let shares = Additive.share my_rng ~q ~c inputs.(i).(j) in
-          Array.iteri (fun k s -> vectors.(k).(j) <- s) shares
-        done;
-        for j = 0 to n - 1 do
-          acc.(i).(j) <- Modarith.add q acc.(i).(j) vectors.(0).(j)
+          let own = Additive.share_into my_rng ~q input.(j) ~into:vectors j in
+          mine.(j) <- Modarith.add_residues q mine.(j) own
         done;
         for k = 1 to c - 1 do
           Link.send link ~src:i ~dst:((i + k) mod m) ~size:(message_size n) ~round:0

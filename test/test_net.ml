@@ -1290,6 +1290,13 @@ let daemon_telemetry ~shards ~workers () =
             (fun st ->
               check_int (st ^ " counts every request") finished (geti [ "stages"; st; "count" ]))
             [ "decode"; "dispatch"; "queue"; "execute"; "reorder"; "flush" ];
+          (* An inline daemon runs the handler on the mux: no dispatch, no
+             queue, so all handler time lands in execute. *)
+          if workers = 1 then
+            List.iter
+              (fun st ->
+                check_int (st ^ " is zero-width inline") 0 (geti [ "stages"; st; "sum_ns" ]))
+              [ "dispatch"; "queue" ];
           (match Json.find v [ "workers" ] with
           | Some (Json.List ws) ->
               check_int "one entry per worker domain" (if workers > 1 then workers else 0)

@@ -125,6 +125,97 @@ let test_sample_full () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "k = n is a permutation" [| 0; 1; 2; 3; 4 |] sorted
 
+(* The first outputs of every entry point, pinned: every seeded run in the
+   repository (construction, publication, the pinned construction digest)
+   replays this stream, so a change to the generator's arithmetic or draw
+   order must fail here first. *)
+let test_rng_stream_pinned () =
+  let bits name t expected =
+    Alcotest.(check (list int64)) name expected (List.map (fun _ -> Rng.bits64 t) expected)
+  in
+  let ints name expected draw =
+    Alcotest.(check (array int)) name expected (Array.map (fun _ -> draw ()) expected)
+  in
+  let bools name expected draw =
+    Alcotest.(check string) name expected
+      (String.map (fun _ -> if draw () then '1' else '0') expected)
+  in
+  bits "create 42" (Rng.create 42)
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L; 885919558081284366L ];
+  let parent = Rng.create 7 in
+  let child = Rng.split parent in
+  bits "split: child" child [ 8347233432914914387L; 1654456249501438065L; 8606717159672758837L ];
+  bits "split: parent after" parent [ 5573481420429128725L; -1088427420777695408L ];
+  let a = Rng.create 5 in
+  ignore (Rng.bits64 a);
+  let b = Rng.copy a in
+  ignore (Rng.bits64 a);
+  bits "copy" b [ -8553247020208786036L; -3997081669628113720L ];
+  let rng = Rng.create 11 in
+  ints "int 1031" [| 571; 558; 182; 595; 431; 824; 381; 700 |] (fun () -> Rng.int rng 1031);
+  (* A bound just above 2^61 rejects about half the raw draws. *)
+  ints "int 2^61+1"
+    [|
+      1005446732853309371;
+      1304608445638414880;
+      37024701727030702;
+      409194313676846733;
+      2006874809908401037;
+      2253257843317664619;
+    |]
+    (fun () -> Rng.int rng ((1 lsl 61) + 1));
+  ints "int max_int" [| 1490141166928044197; 3166255300981455002; 3013742729278946775 |]
+    (fun () -> Rng.int rng max_int);
+  let rng = Rng.create 13 in
+  ints "int_in -3 3" [| -1; 1; 3; 0; 3; 0; 2; 2; -2; -3 |] (fun () -> Rng.int_in rng (-3) 3);
+  let rng = Rng.create 17 in
+  bools "bool" "01010001111011101100110000011001" (fun () -> Rng.bool rng);
+  let rng = Rng.create 19 in
+  Alcotest.(check (list (float 0.0)))
+    "float 2.5"
+    [ 0x1.4d90881f903ccp-3; 0x1.284b84c07b4e3p+1; 0x1.edff0503ac57ap-3; 0x1.4dde6b3711984p-1 ]
+    (List.init 4 (fun _ -> Rng.float rng 2.5));
+  let rng = Rng.create 23 in
+  bools "bernoulli 0.3" "10011111100011001000000010010110" (fun () -> Rng.bernoulli rng 0.3);
+  let a = Array.init 10 Fun.id in
+  Rng.shuffle (Rng.create 29) a;
+  Alcotest.(check (array int)) "shuffle" [| 9; 3; 7; 2; 1; 8; 5; 0; 6; 4 |] a;
+  Alcotest.(check (array int))
+    "sample_without_replacement" [| 19; 13; 6; 12; 4 |]
+    (Rng.sample_without_replacement (Rng.create 31) ~k:5 ~n:20)
+
+(* The construction hot path draws one [int] per share, one [bool] per GMW
+   share bit and one [bernoulli] per published cell: none may allocate.
+   Bytecode boxes every int64, so the bound holds in native code only. *)
+let test_rng_draws_allocation_free () =
+  if Sys.backend_type = Sys.Native then begin
+    let rng = Rng.create 1 in
+    let draws = 10_000 in
+    let per_draw name draw =
+      let before = Gc.minor_words () in
+      draw ();
+      let words = Gc.minor_words () -. before in
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words over %d draws" name words draws)
+        true
+        (words < float_of_int draws)
+    in
+    let sink = ref 0 in
+    per_draw "int" (fun () ->
+        for _ = 1 to draws do
+          sink := !sink + Rng.int rng 1031
+        done);
+    per_draw "bool" (fun () ->
+        for _ = 1 to draws do
+          if Rng.bool rng then incr sink
+        done);
+    per_draw "bernoulli" (fun () ->
+        for _ = 1 to draws do
+          if Rng.bernoulli rng 0.3 then incr sink
+        done);
+    check_bool "draws consumed" true (!sink > 0)
+  end
+
 (* ---------- Sampling ---------- *)
 
 let test_binomial_edges () =
@@ -684,6 +775,8 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
           Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
           Alcotest.test_case "sample full" `Quick test_sample_full;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "draws allocation-free" `Quick test_rng_draws_allocation_free;
         ] );
       ( "sampling",
         [

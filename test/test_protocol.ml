@@ -128,6 +128,56 @@ let test_secsumshare_reliable_no_loss_no_retransmit () =
   let bare = Secsumshare.run (Rng.create 52) ~inputs ~c:3 ~q:q97 in
   check_int "no acks without a plan" (9 * 3) bare.net.messages_sent
 
+(* SecSumShare's coordinator shares, rebuilt outside the protocol: one
+   [Rng.split] per provider in provider order, one [Additive.share] per
+   identity from that provider's stream, share k to the k-th ring
+   successor, then each provider's held sum to coordinator (i mod c). *)
+let secsumshare_reference rng ~inputs ~c ~q =
+  let m = Array.length inputs and n = Array.length inputs.(0) in
+  let provider_rngs = Array.init m (fun _ -> Rng.split rng) in
+  let held = Array.init m (fun _ -> Array.make n 0) in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j v ->
+          Array.iteri
+            (fun k s ->
+              let p = (i + k) mod m in
+              held.(p).(j) <- Modarith.add q held.(p).(j) s)
+            (Eppi_secretshare.Additive.share provider_rngs.(i) ~q ~c v))
+        row)
+    inputs;
+  let coordinators = Array.init c (fun _ -> Array.make n 0) in
+  Array.iteri
+    (fun p sums ->
+      let r = p mod c in
+      Array.iteri (fun j x -> coordinators.(r).(j) <- Modarith.add q coordinators.(r).(j) x) sums)
+    held;
+  coordinators
+
+let test_secsumshare_matches_reference () =
+  let inputs_rng = Rng.create 77 in
+  List.iter
+    (fun qi ->
+      let q = Modarith.modulus qi in
+      for c = 2 to 5 do
+        for m = c to 12 do
+          for n = 1 to 16 do
+            let inputs = random_inputs inputs_rng ~m ~n ~max:qi in
+            let seed = (qi * 1_000_000) + (c * 10_000) + (m * 100) + n in
+            let expected = secsumshare_reference (Rng.create seed) ~inputs ~c ~q in
+            let shape = Printf.sprintf "q=%d c=%d m=%d n=%d" qi c m n in
+            let bare = Secsumshare.run (Rng.create seed) ~inputs ~c ~q in
+            if bare.coordinator_shares <> expected then
+              Alcotest.failf "%s: shares differ from the reference" shape;
+            let planned = Secsumshare.run ~plan:Simnet.no_faults (Rng.create seed) ~inputs ~c ~q in
+            if planned.coordinator_shares <> expected then
+              Alcotest.failf "%s: shares under a fault-free plan differ from the reference" shape
+          done
+        done
+      done)
+    [ 2; 3; 97; 1031 ]
+
 let test_secsumshare_reliable_across_seeds () =
   (* Determinized stress: several loss seeds, all must converge exactly. *)
   for seed = 1 to 10 do
@@ -849,6 +899,8 @@ let () =
           Alcotest.test_case "dead provider fails fast" `Quick
             test_secsumshare_crashed_provider_fails_fast;
           Alcotest.test_case "validation" `Quick test_secsumshare_validation;
+          Alcotest.test_case "coordinator shares match the reference" `Quick
+            test_secsumshare_matches_reference;
         ] );
       ( "countbelow",
         [

@@ -34,6 +34,32 @@ let test_additive_rejects_bad_c () =
   Alcotest.check_raises "c=0" (Invalid_argument "Additive.share: need at least one share")
     (fun () -> ignore (Additive.share rng ~q:q101 ~c:0 5))
 
+(* The draw order every seeded construction replays: shares 0 .. c-2 are
+   consecutive [Rng.int q] draws, the last balances the sum.  [share_into]
+   writes the same shares in place and returns share 0. *)
+let test_additive_draw_order () =
+  for c = 1 to 5 do
+    for v = 0 to 100 do
+      let seed = (c * 1000) + v in
+      let raw = Rng.create seed in
+      let drawn = Array.init (c - 1) (fun _ -> Rng.int raw 101) in
+      let last = Modarith.sub q101 v (Array.fold_left (Modarith.add q101) 0 drawn) in
+      let expected = Array.append drawn [| last |] in
+      let shares = Additive.share (Rng.create seed) ~q:q101 ~c v in
+      Alcotest.(check (array int)) (Printf.sprintf "share c=%d v=%d" c v) expected shares;
+      let into = Array.init c (fun _ -> Array.make 3 (-1)) in
+      let own = Additive.share_into (Rng.create seed) ~q:q101 v ~into 1 in
+      let placed = Array.mapi (fun k vector -> if k = 0 then own else vector.(1)) into in
+      Alcotest.(check (array int)) (Printf.sprintf "share_into c=%d v=%d" c v) expected placed;
+      check_bool "writes only slot 1 of vectors 1 .. c-1" true
+        (Array.for_all (fun vector -> vector.(0) = -1 && vector.(2) = -1) into
+        && into.(0).(1) = -1)
+    done
+  done;
+  Alcotest.check_raises "secret out of range"
+    (Invalid_argument "Additive.share_into: secret out of [0, q)") (fun () ->
+      ignore (Additive.share_into (Rng.create 1) ~q:q101 101 ~into:[| [| 0 |]; [| 0 |] |] 0))
+
 let test_additive_homomorphism () =
   let rng = Rng.create 5 in
   for _ = 1 to 50 do
@@ -132,6 +158,7 @@ let () =
           Alcotest.test_case "single share" `Quick test_additive_single_share;
           Alcotest.test_case "share range" `Quick test_additive_share_range;
           Alcotest.test_case "rejects bad c" `Quick test_additive_rejects_bad_c;
+          Alcotest.test_case "draw order" `Quick test_additive_draw_order;
           Alcotest.test_case "homomorphism" `Quick test_additive_homomorphism;
           Alcotest.test_case "add_into" `Quick test_additive_add_into;
           Alcotest.test_case "rerandomize" `Quick test_additive_rerandomize;
