@@ -17,7 +17,9 @@ type t = {
    never lose one. *)
 let keyed_hash seed s =
   let h = ref (Int64.of_int seed) in
-  String.iter (fun c -> h := Int64.add (Int64.mul !h 131L) (Int64.of_int (Char.code c))) s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.add (Int64.mul !h 131L) (Int64.of_int (Char.code (String.unsafe_get s i)))
+  done;
   Int64.to_int (Rng.bits64 (Rng.create (Int64.to_int !h))) land 0xFFFF_FFFF
 
 let dob_string (y, m, d) =

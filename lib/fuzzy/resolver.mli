@@ -11,7 +11,9 @@
 
     The structure is immutable after {!build} and safe to read from any
     domain; the serving engine swaps it atomically with the postings on
-    republish. *)
+    republish.  Signatures live in one flat buffer with their popcounts
+    precomputed, and {!resolve} works in per-domain scratch, so a resolve
+    allocates little beyond its outcome. *)
 
 open Eppi_linkage
 
@@ -43,8 +45,9 @@ val config : t -> config
 val entries : t -> int
 
 val compatible : t -> Probe.t -> bool
-(** Whether the probe's filter geometry matches the resolver's — scoring
-    filters built under different [bits]/[hashes] would be meaningless. *)
+(** Whether the probe's filter geometry matches the resolver's: the same
+    [bits] and [hashes], and four filters [bits] long.  Scoring filters
+    built under a different geometry would be meaningless. *)
 
 type resolved = {
   owner : int;

@@ -11,18 +11,20 @@ let keyed ~seed ?(bits = 256) ?(hashes = 4) () = { bits; hashes; seed }
 
 type t = { params : params; filter : Bitvec.t }
 
-(* Keyed positions for a bigram: derive [hashes] indexes from a splitmix
-   stream seeded by (seed, bigram). *)
-let positions params gram =
-  let h = ref (Int64.of_int params.seed) in
-  String.iter (fun c -> h := Int64.add (Int64.mul !h 131L) (Int64.of_int (Char.code c))) gram;
-  let rng = Rng.create (Int64.to_int !h) in
-  List.init params.hashes (fun _ -> Rng.int rng params.bits)
+(* Set bigram [a b]'s keyed positions: [hashes] indexes drawn from a
+   splitmix stream seeded by folding h <- 131 h + code over (seed, a, b). *)
+let set_gram params filter a b =
+  let h = Int64.add (Int64.mul (Int64.of_int params.seed) 131L) (Int64.of_int (Char.code a)) in
+  let h = Int64.add (Int64.mul h 131L) (Int64.of_int (Char.code b)) in
+  let rng = Rng.create (Int64.to_int h) in
+  for _ = 1 to params.hashes do
+    Bitvec.set filter (Rng.int rng params.bits)
+  done
 
 let encode params field =
   if params.bits <= 0 || params.hashes <= 0 then invalid_arg "Bloom.encode: bad parameters";
   let filter = Bitvec.create params.bits in
-  List.iter (fun gram -> List.iter (Bitvec.set filter) (positions params gram)) (Text.bigrams field);
+  Text.iter_bigrams (set_gram params filter) field;
   { params; filter }
 
 let dice a b =

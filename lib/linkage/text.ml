@@ -1,9 +1,16 @@
+(* [c] as it survives normalization: lowercased if an ASCII letter, kept if
+   a digit, ['\000'] (dropped) otherwise. *)
+let[@inline] normal_char c =
+  if (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') then c
+  else if c >= 'A' && c <= 'Z' then Char.lowercase_ascii c
+  else '\000'
+
 let normalize s =
   let buf = Buffer.create (String.length s) in
   String.iter
     (fun c ->
-      if (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') then Buffer.add_char buf c
-      else if c >= 'A' && c <= 'Z' then Buffer.add_char buf (Char.lowercase_ascii c))
+      let c = normal_char c in
+      if c <> '\000' then Buffer.add_char buf c)
     s;
   Buffer.contents buf
 
@@ -62,13 +69,24 @@ let levenshtein_similarity a b =
   if la = 0 && lb = 0 then 1.0
   else 1.0 -. (float_of_int (levenshtein a b) /. float_of_int (max la lb))
 
+(* The normalized string padded with '_' at both ends, walked in place:
+   '_' never survives normalization, so [prev = '_'] after the walk means
+   the string had no characters and no bigrams. *)
+let iter_bigrams f raw =
+  let prev = ref '_' in
+  for i = 0 to String.length raw - 1 do
+    let c = normal_char (String.unsafe_get raw i) in
+    if c <> '\000' then begin
+      f !prev c;
+      prev := c
+    end
+  done;
+  if !prev <> '_' then f !prev '_'
+
 let bigrams raw =
-  let s = normalize raw in
-  if s = "" then []
-  else begin
-    let padded = "_" ^ s ^ "_" in
-    List.init (String.length padded - 1) (fun i -> String.sub padded i 2)
-  end
+  let grams = ref [] in
+  iter_bigrams (fun a b -> grams := String.init 2 (fun i -> if i = 0 then a else b) :: !grams) raw;
+  List.rev !grams
 
 let dice a b =
   let ba = bigrams a and bb = bigrams b in

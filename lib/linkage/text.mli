@@ -22,5 +22,9 @@ val bigrams : string -> string list
 (** Padded character bigrams of the normalized string ("ann" ->
     ["_a"; "an"; "nn"; "n_"]); empty for the empty string. *)
 
+val iter_bigrams : (char -> char -> unit) -> string -> unit
+(** [iter_bigrams f s] calls [f a b] on each of [bigrams s], in order,
+    without building the strings. *)
+
 val dice : string -> string -> float
 (** Dice coefficient of the bigram multisets, in [0, 1]. *)

@@ -68,6 +68,8 @@ let union = binop ( lor )
 let inter = binop ( land )
 let diff = binop (fun x y -> x land lnot y land 0xff)
 
+let blit_bytes t dst off = Bytes.blit t.data 0 dst off (Bytes.length t.data)
+
 (* Byte-at-a-time scans: all-zero bytes (the common case in sparse rows) are
    skipped in one comparison, and bit indexes are loop-controlled so no
    per-bit bounds check is needed.  The padding bits of the last byte are

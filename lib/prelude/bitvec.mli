@@ -31,6 +31,12 @@ val inter : t -> t -> t
 val diff : t -> t -> t
 (** Bits set in the first operand but not the second. *)
 
+val blit_bytes : t -> Bytes.t -> int -> unit
+(** [blit_bytes v dst off] copies [v]'s packed form into [dst] from [off]:
+    [(length v + 7) / 8] bytes, bit [i] at bit [i mod 8] of byte [i / 8],
+    padding bits zero.  Lets a caller lay many vectors out in one buffer.
+    @raise Invalid_argument if they do not fit. *)
+
 val iter_set : (int -> unit) -> t -> unit
 (** Iterate the indexes of set bits in increasing order. *)
 

@@ -231,11 +231,13 @@ rm -f BENCH_net.json
 # linkage seed, resolve a planted owner through a clean probe and a typo'd
 # one, assert a wrong seed resolves nothing, that --fuzzy without
 # --linkage-seed is refused, and that the fuzzy metrics conserve; then shut
-# down cleanly.
+# down cleanly.  The two replies are kept in PIN_DIR for the md5 pins at the
+# end: every candidate, score and provider row is pinned, not just the top.
 echo "== fuzzy smoke =="
 FUZ_DIR=$(mktemp -d /tmp/eppi_fuzzy_smoke.XXXXXX)
 FUZ_SOCK="$FUZ_DIR/eppi.sock"
-trap 'rm -rf "$FUZ_DIR"' EXIT
+PIN_DIR=$(mktemp -d /tmp/eppi_pins.XXXXXX)
+trap 'rm -rf "$FUZ_DIR" "$PIN_DIR"' EXIT
 "$EPPI" generate --owners 80 --providers 24 --seed 5 -o "$FUZ_DIR/net.csv" \
   --roster "$FUZ_DIR/roster.csv" >/dev/null
 "$EPPI" construct -d "$FUZ_DIR/net.csv" -o "$FUZ_DIR/index.csv" 2>/dev/null
@@ -251,11 +253,11 @@ LAST=$(printf '%s' "$ROW" | cut -d, -f3)
 DOB=$(printf '%s' "$ROW" | cut -d, -f4)
 ZIP=$(printf '%s' "$ROW" | cut -d, -f5)
 "$EPPI" query --connect "$FUZ_SOCK" --fuzzy --linkage-seed 4242 \
-  --first "$FIRST" --last "$LAST" --dob "$DOB" --zip "$ZIP" >"$FUZ_DIR/exact.txt"
-head -n1 "$FUZ_DIR/exact.txt" | grep -q "^0 1.0000"
+  --first "$FIRST" --last "$LAST" --dob "$DOB" --zip "$ZIP" >"$PIN_DIR/exact.txt"
+head -n1 "$PIN_DIR/exact.txt" | grep -q "^0 1.0000"
 "$EPPI" query --connect "$FUZ_SOCK" --fuzzy --linkage-seed 4242 \
-  --first "${FIRST%?}x" --last "$LAST" --dob "$DOB" >"$FUZ_DIR/typo.txt"
-head -n1 "$FUZ_DIR/typo.txt" | grep -q "^0 "
+  --first "${FIRST%?}x" --last "$LAST" --dob "$DOB" >"$PIN_DIR/typo.txt"
+head -n1 "$PIN_DIR/typo.txt" | grep -q "^0 "
 if "$EPPI" query --connect "$FUZ_SOCK" --fuzzy --linkage-seed 9999 \
   --first "$FIRST" --last "$LAST" --dob "$DOB" >/dev/null 2>&1; then
   echo "fuzzy smoke: a probe under the wrong linkage seed must not resolve" >&2
@@ -284,7 +286,7 @@ fi
 wait "$FUZ_PID"
 test ! -e "$FUZ_SOCK"
 rm -rf "$FUZ_DIR"
-trap - EXIT
+trap 'rm -rf "$PIN_DIR"' EXIT
 
 # A ~5 s smoke of the fuzzy bench: small roster, short query stream.  The
 # bench exits non-zero unless recall@10 >= 0.9 at default noise, no
@@ -310,7 +312,7 @@ rm -f BENCH_chaos.json
 # and a run on a different rng stream would publish a different index.
 echo "== secure index bit-identity =="
 SEC_DIR=$(mktemp -d /tmp/eppi_secure_smoke.XXXXXX)
-trap 'rm -rf "$SEC_DIR"' EXIT
+trap 'rm -rf "$SEC_DIR" "$PIN_DIR"' EXIT
 "$EPPI" generate --owners 200 --providers 40 --epsilon 0.3 --seed 5 \
   -o "$SEC_DIR/net.csv" 2>/dev/null
 "$EPPI" construct -d "$SEC_DIR/net.csv" --secure -o "$SEC_DIR/plain.csv" 2>"$SEC_DIR/plain.log"
@@ -320,16 +322,20 @@ grep -q 'lambda=0\.' "$SEC_DIR/plain.log" || { cat "$SEC_DIR/plain.log"; exit 1;
 cmp "$SEC_DIR/plain.csv" "$SEC_DIR/domains.csv"
 cmp "$SEC_DIR/plain.csv" "$SEC_DIR/drop.csv"
 echo "secure, --domains 2 and --drop 0.05 publish the same index"
-# Generation and secure construction are seeded end to end, so both files
-# are pinned: a change to the RNG stream or to any draw order fails here at
-# CLI scale, not only in the unit-test construction digest.
-for pin in "net.csv 94626dc6949c149c8c4c74789ce876b3" "plain.csv 2c6834eb2b78c776effad638730b8155"; do
+# Generation, secure construction and fuzzy resolution are seeded end to
+# end, so their outputs are pinned: a change to the RNG stream, to any draw
+# order or to the fuzzy scorer fails here at CLI scale, not only in the
+# unit-test digests.
+for pin in "$SEC_DIR/net.csv 94626dc6949c149c8c4c74789ce876b3" \
+  "$SEC_DIR/plain.csv 2c6834eb2b78c776effad638730b8155" \
+  "$PIN_DIR/exact.txt 2c7966e3fa4fb04f8e730c5249ed4ee2" \
+  "$PIN_DIR/typo.txt 1da749c6f0d12bab7b88f298598b5958"; do
   set -- $pin
-  got=$(md5sum "$SEC_DIR/$1" | cut -d' ' -f1)
-  [ "$got" = "$2" ] || { echo "$1: md5 $got, pinned $2"; exit 1; }
+  got=$(md5sum "$1" | cut -d' ' -f1)
+  [ "$got" = "$2" ] || { echo "$(basename "$1"): md5 $got, pinned $2"; exit 1; }
 done
-echo "net.csv and plain.csv match their pinned md5s"
-rm -rf "$SEC_DIR"
+echo "net.csv, plain.csv and the fuzzy replies match their pinned md5s"
+rm -rf "$SEC_DIR" "$PIN_DIR"
 trap - EXIT
 
 echo "== check.sh: all green =="

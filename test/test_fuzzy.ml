@@ -1,8 +1,10 @@
 (* Tests for the approximate-identity resolver (lib/fuzzy): probe
    construction and blocking keys, roster CSV round-trips, resolution
    against a planted roster (exact self-match, corrupted variants,
-   threshold, padding floor, determinism), and the serving engine's fuzzy
-   path — reply shapes, metrics conservation, resolver hot-swap. *)
+   threshold, padding floor, determinism), pinned outcomes and a reference
+   scorer the resolver must match field for field, domain safety and
+   allocation, and the serving engine's fuzzy path — reply shapes, metrics
+   conservation, resolver hot-swap. *)
 
 open Eppi_prelude
 open Eppi_linkage
@@ -81,6 +83,10 @@ let test_roster_malformed () =
 
 (* ---- resolver ---- *)
 
+(* An identity no generated roster contains. *)
+let absent_person : Demographic.t =
+  { first = "zzyzx"; last = "qwertyuiop"; dob = (1900, 1, 1); zip = "00000"; gender = Other }
+
 let test_resolve_exact_self () =
   let people = roster 50 in
   let r = Resolver.build config people in
@@ -120,10 +126,7 @@ let test_resolve_padding_floor () =
   let r = Resolver.build config people in
   (* Any probe scans at least min_scan signatures — even one matching a
      rare (or absent) identity — so scan size does not leak rarity. *)
-  let absent : Demographic.t =
-    { first = "zzyzx"; last = "qwertyuiop"; dob = (1900, 1, 1); zip = "00000"; gender = Other }
-  in
-  let probe = Probe.of_demographic config.params absent in
+  let probe = Probe.of_demographic config.params absent_person in
   let outcome = Resolver.resolve r probe ~k:10 in
   check_bool "padding floor" true (outcome.scanned >= config.min_scan);
   let common = Probe.of_demographic config.params people.(0) in
@@ -162,6 +165,8 @@ let test_resolve_deterministic_and_validation () =
   check_bool "compatible" true (Resolver.compatible r probe);
   let alien = Probe.of_demographic (Bloom.keyed ~seed ~bits:128 ()) people.(7) in
   check_bool "incompatible geometry" false (Resolver.compatible r alien);
+  check_bool "filter shorter than its stated bits" false
+    (Resolver.compatible r { probe with first = Bitvec.create 128 });
   Alcotest.check_raises "resolve rejects geometry"
     (Invalid_argument "Resolver.resolve: incompatible probe geometry") (fun () ->
       ignore (Resolver.resolve r alien ~k:10));
@@ -191,6 +196,280 @@ let test_partial_probe_renormalizes () =
       check_int "partial self-match" 11 top.owner;
       check_bool "renormalized score is 1.0" true (top.score = 1.0)
   | [] -> Alcotest.fail "partial probe resolved nothing"
+
+(* ---- pinned outcomes and the reference scorer ---- *)
+
+(* The resolver as it was first written: one [Probe.t] per owner, buckets
+   as a [Hashtbl] of lists, and Dice through [Bitvec.inter] with both
+   sides recounted on every pair.  The resolver must agree with it on every
+   score, candidate, [scanned] and [buckets_hit]. *)
+module Reference = struct
+  type t = {
+    config : Resolver.config;
+    signatures : Probe.t array;
+    buckets : (int, int list) Hashtbl.t;
+  }
+
+  let build (config : Resolver.config) roster =
+    let signatures = Array.map (Probe.of_demographic config.params) roster in
+    let buckets = Hashtbl.create (max 16 (2 * Array.length roster)) in
+    Array.iteri
+      (fun owner (s : Probe.t) ->
+        Array.iter
+          (fun key ->
+            let members = Option.value ~default:[] (Hashtbl.find_opt buckets key) in
+            Hashtbl.replace buckets key (owner :: members))
+          s.keys)
+      signatures;
+    { config; signatures; buckets }
+
+  let dice a b =
+    let ca = Bitvec.count a and cb = Bitvec.count b in
+    if ca = 0 && cb = 0 then 1.0
+    else 2.0 *. float_of_int (Bitvec.count (Bitvec.inter a b)) /. float_of_int (ca + cb)
+
+  let weights = [| 0.25; 0.25; 0.30; 0.20 |]
+  let fields (p : Probe.t) = [| p.first; p.last; p.dob; p.zip |]
+
+  let score probe signature =
+    let pf = fields probe and sf = fields signature in
+    let acc = ref 0.0 and total = ref 0.0 in
+    Array.iteri
+      (fun i f ->
+        if Bitvec.count f > 0 then begin
+          total := !total +. weights.(i);
+          acc := !acc +. (weights.(i) *. dice f sf.(i))
+        end)
+      pf;
+    if !total = 0.0 then 0.0 else Float.round (!acc /. !total *. 10000.) /. 10000.
+
+  let resolve t (probe : Probe.t) ~k : Resolver.outcome =
+    let n = Array.length t.signatures in
+    if n = 0 then { candidates = []; scanned = 0; buckets_hit = 0 }
+    else begin
+      let seen = Bytes.make n '\000' in
+      let members = ref [] and count = ref 0 and buckets_hit = ref 0 in
+      let add owner =
+        if owner >= 0 && owner < n && Bytes.get seen owner = '\000' then begin
+          Bytes.set seen owner '\001';
+          members := owner :: !members;
+          incr count
+        end
+      in
+      Array.iter
+        (fun key ->
+          match Hashtbl.find_opt t.buckets key with
+          | Some owners ->
+              incr buckets_hit;
+              List.iter add owners
+          | None -> ())
+        probe.keys;
+      let target = min t.config.min_scan n in
+      if !count < target then begin
+        let rng = Rng.create (Probe.routing_hash probe) in
+        while !count < target do
+          add (Rng.int rng n)
+        done
+      end;
+      let scored =
+        List.filter_map
+          (fun owner ->
+            let s = score probe t.signatures.(owner) in
+            if s >= t.config.match_threshold then Some { Resolver.owner; score = s } else None)
+          !members
+      in
+      let sorted =
+        List.sort
+          (fun (a : Resolver.resolved) (b : Resolver.resolved) ->
+            if a.score <> b.score then compare b.score a.score else compare a.owner b.owner)
+          scored
+      in
+      { candidates = List.filteri (fun i _ -> i < k) sorted; scanned = !count;
+        buckets_hit = !buckets_hit }
+    end
+end
+
+(* The probe mix a deployment sees: clean and typo'd registrations,
+   partial records, a dob-only probe (birth-year key alone), identities
+   nobody registered, and keyless probes that reach no bucket and are
+   answered from the padding decoys alone. *)
+let pinned_records (people : Demographic.t array) =
+  let rng = Rng.create 37 in
+  let at = List.map (fun i -> people.(i)) in
+  let clean = at [ 0; 1; 7; 42; 123; 500; 999; 1234; 1777; 1999 ] in
+  let corrupted =
+    List.init 15 (fun _ ->
+        let truth = Rng.int rng (Array.length people) in
+        Demographic.corrupt rng people.(truth))
+  in
+  let partial =
+    List.map (fun (p : Demographic.t) -> { p with first = ""; zip = "" })
+      (at [ 3; 77; 640; 1500; 1998 ])
+  in
+  let dob_only =
+    List.map
+      (fun (p : Demographic.t) -> { p with first = ""; last = ""; zip = "" })
+      (at [ 5; 250; 1100; 1888 ])
+  in
+  let absent =
+    [ absent_person;
+      { first = "nobody"; last = "nowhere"; dob = (2077, 7, 7); zip = "99999"; gender = Male } ]
+  in
+  let keyless =
+    List.map (fun (p : Demographic.t) -> { p with last = ""; dob = (0, 0, 0) }) (at [ 11; 1300; 1600 ])
+    @ [ { absent_person with first = ""; last = ""; dob = (0, 0, 0); zip = "" } ]
+  in
+  Array.of_list (clean @ corrupted @ partial @ dob_only @ absent @ keyless)
+
+let pinned_roster = lazy (Roster.generate (Rng.create 31) ~n:2000)
+
+let pinned_probes =
+  lazy (Array.map (Probe.of_demographic config.params) (pinned_records (Lazy.force pinned_roster)))
+
+let render_outcome b (o : Resolver.outcome) =
+  Printf.bprintf b "scanned %d buckets %d:" o.scanned o.buckets_hit;
+  List.iter (fun (c : Resolver.resolved) -> Printf.bprintf b " %d=%h" c.owner c.score) o.candidates;
+  Buffer.add_char b '\n'
+
+(* Every pinned probe at the serving defaults (k = 10) and at threshold 0
+   (k = 20, so the tail of the candidate order is pinned too). *)
+let outcomes_digest resolve =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun probe ->
+      render_outcome b (resolve `Default probe ~k:10);
+      render_outcome b (resolve `Loose probe ~k:20))
+    (Lazy.force pinned_probes);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_outcomes_digest = "051bc79122cdfdc408dc6c609859dbb2"
+
+let test_resolve_pinned_outcomes () =
+  let people = Lazy.force pinned_roster in
+  let loose = { config with match_threshold = 0.0 } in
+  check_int "forty probes" 40 (Array.length (Lazy.force pinned_probes));
+  let flat = Resolver.build config people and flat_loose = Resolver.build loose people in
+  let reference = Reference.build config people
+  and reference_loose = Reference.build loose people in
+  Alcotest.(check string)
+    "resolver outcomes" pinned_outcomes_digest
+    (outcomes_digest (function
+      | `Default -> Resolver.resolve flat
+      | `Loose -> Resolver.resolve flat_loose));
+  Alcotest.(check string)
+    "reference outcomes" pinned_outcomes_digest
+    (outcomes_digest (function
+      | `Default -> Reference.resolve reference
+      | `Loose -> Reference.resolve reference_loose))
+
+(* The multicore daemon's worker domains share one resolver. *)
+let test_resolve_two_domains () =
+  let r = Resolver.build config (Lazy.force pinned_roster) in
+  let probes = Lazy.force pinned_probes in
+  let sequential = Array.map (fun p -> Resolver.resolve r p ~k:10) probes in
+  let rounds order () =
+    List.init 20 (fun _ -> Array.map (fun i -> (i, Resolver.resolve r probes.(i) ~k:10)) order)
+  in
+  let forward = Array.init (Array.length probes) Fun.id in
+  let backward = Array.init (Array.length probes) (fun i -> Array.length probes - 1 - i) in
+  let other = Domain.spawn (rounds backward) in
+  let mine = rounds forward () in
+  let theirs = Domain.join other in
+  List.iter
+    (Array.iter (fun (i, o) ->
+         check_bool (Printf.sprintf "probe %d matches sequential" i) true (o = sequential.(i))))
+    (mine @ theirs)
+
+(* After a warm-up, resolving allocates only the outcome itself: no
+   per-pair arrays, intersections or boxed scores. *)
+let test_resolve_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let people = Lazy.force pinned_roster in
+    let r = Resolver.build { config with min_scan = 1500 } people in
+    let probe =
+      Probe.of_demographic config.params (Demographic.corrupt (Rng.create 5) people.(17))
+    in
+    ignore (Resolver.resolve r probe ~k:10);
+    let before = Gc.minor_words () in
+    let o = Resolver.resolve r probe ~k:10 in
+    let words = Gc.minor_words () -. before in
+    check_bool (Printf.sprintf "scanned %d >= 1000" o.scanned) true (o.scanned >= 1000);
+    check_bool
+      (Printf.sprintf "%.0f minor words over %d scanned signatures" words o.scanned)
+      true
+      (words < 0.1 *. float_of_int o.scanned)
+  end
+
+(* Filter bits, blocking keys and routing hashes of a fixed record table:
+   probes are built on both sides of the wire, so any drift in the
+   encoding strands every client built before it. *)
+let test_probe_encoding_pinned () =
+  let people = Roster.generate (Rng.create 43) ~n:30 in
+  let odd : Demographic.t list =
+    [ absent_person;
+      { first = "O'Brien"; last = "van der Berg"; dob = (1999, 12, 31); zip = "02139-4307";
+        gender = Female };
+      { first = "MARY-JANE"; last = "Ng"; dob = (0, 0, 0); zip = ""; gender = Other };
+      { first = "x"; last = "_"; dob = (1, 2, 3); zip = "1"; gender = Male };
+      { first = "jos\xc3\xa9"; last = "\xc3\x85str\xc3\xb6m"; dob = (1950, 1, 1); zip = "a1b2";
+        gender = Other };
+      { first = ""; last = ""; dob = (0, 0, 0); zip = ""; gender = Other } ]
+  in
+  let b = Buffer.create 8192 in
+  let filter name bv =
+    Printf.bprintf b " %s[%s]" name
+      (String.concat "," (List.map string_of_int (Bitvec.to_index_list bv)))
+  in
+  List.iter
+    (fun (params : Bloom.params) ->
+      List.iter
+        (fun record ->
+          let p = Probe.of_demographic params record in
+          Printf.bprintf b "keys %s route %d"
+            (String.concat "," (Array.to_list (Array.map string_of_int p.keys)))
+            (Probe.routing_hash p);
+          filter "first" p.first;
+          filter "last" p.last;
+          filter "dob" p.dob;
+          filter "zip" p.zip;
+          Buffer.add_char b '\n')
+        (Array.to_list people @ odd))
+    [ config.params; Bloom.keyed ~seed:7 ~bits:100 ~hashes:3 () ];
+  List.iter
+    (fun s -> Printf.bprintf b "%s=%d\n" s (Probe.keyed_hash seed s))
+    [ ""; "y:1943"; "s:S530"; "s:0000"; "\xff\x00"; String.make 40 'z' ];
+  Alcotest.(check string)
+    "probe encoding digest" "2708eb9edf4ac70fef0397717ce0081e"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let qcheck_tests =
+  let open QCheck in
+  [
+    (* Random rosters, padding floors from 0 past the roster size, all
+       three threshold regimes and every k up to 20. *)
+    Test.make ~name:"resolve equals the reference scorer" ~count:150
+      (quad (int_range 0 300) (int_bound 305) (int_range 1 20) (pair (int_bound 2) int))
+      (fun (n, min_scan, k, (t, seed)) ->
+        let rng = Rng.create seed in
+        let people = Roster.generate rng ~n in
+        let config =
+          { config with match_threshold = [| 0.0; 0.6; 1.0 |].(t); min_scan = min_scan mod (n + 6) }
+        in
+        let flat = Resolver.build config people and reference = Reference.build config people in
+        let from_roster f = if n = 0 then [] else [ f people.(Rng.int rng n) ] in
+        let records =
+          from_roster Fun.id
+          @ from_roster (Demographic.corrupt rng)
+          @ from_roster (fun (p : Demographic.t) -> { p with first = ""; zip = "" })
+          @ from_roster (fun (p : Demographic.t) -> { p with last = ""; dob = (0, 0, 0) })
+          @ [ Demographic.random_person rng; absent_person ]
+        in
+        List.for_all
+          (fun record ->
+            let probe = Probe.of_demographic config.params record in
+            Resolver.resolve flat probe ~k = Reference.resolve reference probe ~k)
+          records);
+  ]
 
 (* ---- the engine's fuzzy path ---- *)
 
@@ -308,6 +587,7 @@ let () =
       ( "probe",
         [
           Alcotest.test_case "shape, determinism, keys" `Quick test_probe_shape;
+          Alcotest.test_case "encoding pinned" `Quick test_probe_encoding_pinned;
         ] );
       ( "roster",
         [
@@ -323,6 +603,9 @@ let () =
           Alcotest.test_case "determinism and validation" `Quick
             test_resolve_deterministic_and_validation;
           Alcotest.test_case "partial probe renormalizes" `Quick test_partial_probe_renormalizes;
+          Alcotest.test_case "pinned outcomes" `Quick test_resolve_pinned_outcomes;
+          Alcotest.test_case "two domains share a resolver" `Quick test_resolve_two_domains;
+          Alcotest.test_case "allocation per scanned signature" `Quick test_resolve_allocation;
         ] );
       ( "engine",
         [
@@ -331,4 +614,5 @@ let () =
           Alcotest.test_case "admission sheds" `Quick test_engine_fuzzy_admission;
           Alcotest.test_case "typo workload" `Quick test_workload_fuzzy;
         ] );
+      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

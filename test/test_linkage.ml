@@ -193,6 +193,42 @@ let test_end_to_end_with_eppi () =
     check_bool "recall" true (Eppi.Index.recall_ok ~membership r.index ~owner:e)
   done
 
+(* Filter bits of a fixed name table under three geometries (including a
+   length that is not a whole number of bytes), and the clusters offline
+   Bloom-mode linkage builds from them: both are pinned, so a faster
+   encoder must set exactly the same positions. *)
+let test_bloom_encoding_pinned () =
+  let names =
+    [ ""; "_"; "a"; "Ann"; "ann"; "O'Brien"; "van der Berg"; "MARY-JANE"; "jos\xc3\xa9";
+      "\xc3\x85str\xc3\xb6m"; "12345"; "19430612"; "  x  "; "zz"; "a1b2c3"; "smith"; "smyth";
+      "patricia"; "christopher"; String.make 64 'q' ]
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (p : Bloom.params) ->
+      List.iter
+        (fun name ->
+          Printf.bprintf b "%d/%d/%d %S:%s\n" p.bits p.hashes p.seed name
+            (String.concat ","
+               (List.map string_of_int (Bitvec.to_index_list (Bloom.to_bitvec (Bloom.encode p name))))))
+        names)
+    [ Bloom.default_params; Bloom.keyed ~seed:0xBEEF (); Bloom.keyed ~seed:3 ~bits:100 ~hashes:3 () ];
+  Alcotest.(check string)
+    "filter digest" "3e1d262879ddf547eaecdea7241826a3"
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  let config =
+    { Linkage.mode = Linkage.Bloom { Bloom.bits = 256; hashes = 4; seed = 5 };
+      match_threshold = 0.82 }
+  in
+  let linked, _, _ = quality_of config 4 in
+  let rendered =
+    Printf.sprintf "%d %d %s" linked.entities linked.candidate_pairs
+      (String.concat "," (Array.to_list (Array.map string_of_int linked.assignment)))
+  in
+  Alcotest.(check string)
+    "bloom linkage digest" "f53f03026a3cd35e0b126d80864f2f3a"
+    (Digest.to_hex (Digest.string rendered))
+
 let qcheck_tests =
   let open QCheck in
   let name_gen = Gen.oneofl [ "smith"; "smyth"; "johnson"; "jonson"; "garcia"; "chen"; "lee" ] in
@@ -275,6 +311,7 @@ let () =
           Alcotest.test_case "field score extremes" `Quick test_field_score_extremes;
           Alcotest.test_case "plaintext quality" `Quick test_link_plaintext_quality;
           Alcotest.test_case "bloom quality" `Quick test_link_bloom_quality;
+          Alcotest.test_case "bloom encoding pinned" `Quick test_bloom_encoding_pinned;
           Alcotest.test_case "no noise, perfect recall" `Quick test_link_no_noise_perfect_recall;
           Alcotest.test_case "blocking reduces work" `Quick test_link_blocking_reduces_work;
           Alcotest.test_case "to membership" `Quick test_to_membership;
