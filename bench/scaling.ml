@@ -1,18 +1,22 @@
 (* Multicore construction scaling: wall-clock time of the full distributed
    construction (SecSumShare + CountBelow + release + publication) at
-   1/2/4/8 domains, against the pre-shard monolithic single-domain path.
+   1/2/4/8 domains.
 
    Unlike the fig4/fig5/fig6 targets, which report *simulated* protocol
    seconds from the cost model, this target measures the harness's own
    wall-clock time — the thing the multicore pipeline actually improves —
    and writes BENCH_construct.json so successive PRs can track the
-   trajectory.  Its own gate is the sharded-vs-monolithic output
-   equality, checked on every run.
+   trajectory.  Its gates are checked on every run, at every domain count:
+   the construction's betas and common flags equal the first run's, and
+   CountBelow over the same coordinator shares gives every identity the
+   common bit and frequency of a per-gate Gmw.execute of its comparator.
 
    Environment knobs: SCALING_N (identities, default 2000), SCALING_M
    (providers, default 8), SCALING_DOMAINS (comma list, default 1,2,4,8). *)
 
 open Eppi_prelude
+module Compile = Eppi_sfdl.Compile
+module Countbelow = Eppi_protocol.Countbelow
 
 let getenv_int name default =
   match Sys.getenv_opt name with
@@ -32,6 +36,36 @@ let wall f =
   let result = f () in
   (Clock.seconds () -. t0, result)
 
+(* Each identity's (common, frequency) from a gate-at-a-time Gmw.execute of
+   its own comparator; the frequency is withheld (None) when common. *)
+let per_gate_reference ~shares ~q ~thresholds =
+  let c = Array.length shares in
+  let compiled = Hashtbl.create 8 in
+  Array.mapi
+    (fun j t ->
+      let t = max 0 (min t (q - 1)) in
+      let cmp =
+        match Hashtbl.find_opt compiled t with
+        | Some cmp -> cmp
+        | None ->
+            let cmp =
+              Compile.compile_source (Eppi_sfdl.Programs.count_below ~c ~q ~thresholds:[| t |])
+            in
+            Hashtbl.add compiled t cmp;
+            cmp
+      in
+      let inputs =
+        Compile.encode_inputs cmp
+          (List.init c (fun i -> (Printf.sprintf "s%d" i, Compile.Dints [| shares.(i).(j) |])))
+      in
+      let outputs =
+        Compile.decode_outputs cmp (Eppi_mpc.Gmw.execute (Rng.create j) cmp.circuit ~inputs).outputs
+      in
+      match (Compile.lookup_output outputs "common", Compile.lookup_output outputs "freq") with
+      | Dbools [| common |], Dints [| f |] -> (common, if common then None else Some f)
+      | _ -> failwith "scaling: bad comparator output shape")
+    thresholds
+
 let run () =
   let n = getenv_int "SCALING_N" 2000 in
   let m = getenv_int "SCALING_M" 8 in
@@ -43,52 +77,80 @@ let run () =
   let membership = Bench_util.matrix_of_frequencies rng ~m ~freqs in
   let epsilons = Array.init n (fun j -> 0.2 +. (0.6 *. float_of_int (j mod 5) /. 4.0)) in
   let policy = Eppi.Policy.Chernoff 0.9 in
-  let construct ?pool ?strategy () =
-    Eppi_protocol.Construct.run ?pool ?strategy (Rng.create 99) ~membership ~epsilons ~policy
+  (* CountBelow's inputs, as a construction over this matrix feeds them. *)
+  let q = Eppi_protocol.Construct.modulus_for m in
+  let inputs =
+    Array.init m (fun i ->
+        Array.init n (fun j -> if Bitmatrix.get membership ~row:j ~col:i then 1 else 0))
   in
-  (* Pre-shard reference: one monolithic circuit, sequential interpreter. *)
-  let mono_time, mono = wall (fun () -> construct ~strategy:`Monolithic ()) in
-  Bench_util.note "monolithic (pre-shard) 1 domain: %.3f s" mono_time;
+  let shares = (Eppi_protocol.Secsumshare.run (Rng.create 98) ~inputs ~c:3 ~q).coordinator_shares in
+  let thresholds =
+    Array.map (fun epsilon -> Countbelow.integer_threshold ~policy ~epsilon ~m) epsilons
+  in
+  let reference = per_gate_reference ~shares ~q:(Modarith.to_int q) ~thresholds in
+  let first = ref None in
   let runs =
     List.map
       (fun domains ->
-        let seconds, r =
-          if domains = 1 then wall (fun () -> construct ())
-          else
-            Pool.with_pool ~size:domains (fun pool -> wall (fun () -> construct ~pool ()))
-        in
-        (* The determinism contract, re-checked on the bench path. *)
-        if r.betas <> mono.betas || r.common <> mono.common then
-          failwith "scaling: construction output diverged across domain counts";
-        Bench_util.note "sharded %d domain%s: %.3f s (x%.2f vs monolithic)" domains
-          (if domains = 1 then " " else "s")
-          seconds (mono_time /. seconds);
-        (domains, seconds))
+        Pool.with_pool ~size:domains (fun pool ->
+            let seconds, r =
+              wall (fun () ->
+                  Eppi_protocol.Construct.run ~pool (Rng.create 99) ~membership ~epsilons ~policy)
+            in
+            let same_output =
+              match !first with
+              | None ->
+                  first := Some r;
+                  true
+              | Some (f : Eppi_protocol.Construct.result) ->
+                  r.betas = f.betas && r.common = f.common
+            in
+            let cb = Countbelow.run ~pool (Rng.create 97) ~shares ~q ~thresholds in
+            let mismatches = ref 0 in
+            Array.iteri
+              (fun j (common, freq) ->
+                if cb.common.(j) <> common || cb.frequencies.(j) <> freq then incr mismatches)
+              reference;
+            Bench_util.note "%d domain%s: %.3f s, %d of %d identities differ from per-gate GMW%s"
+              domains
+              (if domains = 1 then " " else "s")
+              seconds !mismatches n
+              (if same_output then "" else ", construction DIVERGED from the first run");
+            (domains, seconds, same_output, !mismatches)))
       (domain_counts ())
   in
-  let seconds_at d = List.assoc_opt d runs in
-  let speedup num den =
-    match (num, den) with Some a, Some b when b > 0.0 -> a /. b | _ -> Float.nan
-  in
+  let seconds_at d = List.find_map (fun (d', s, _, _) -> if d = d' then Some s else None) runs in
   let s1 = seconds_at 1 and s4 = seconds_at 4 in
   (match (s1, s4) with
-  | Some s1, Some s4 ->
-      Bench_util.note "4-domain speedup: x%.2f vs 1 domain, x%.2f vs monolithic" (s1 /. s4)
-        (mono_time /. s4)
+  | Some s1, Some s4 -> Bench_util.note "4-domain speedup: x%.2f vs 1 domain" (s1 /. s4)
   | _ -> ());
-  (* Speedups are NaN when the domain list lacks a 1 or 4 entry: null in
+  (* The speedup is NaN when the domain list lacks a 1 or 4 entry: null in
      the JSON. *)
-  Bench_util.publish "BENCH_construct.json"
+  let speedup =
+    match (s1, s4) with Some a, Some b when b > 0.0 -> a /. b | _ -> Float.nan
+  in
+  let open Bench_util in
+  publish "BENCH_construct.json"
     (Obj
        [ ("bench", Str "construct-scaling"); ("n_identities", Json.int n);
          ("m_providers", Json.int m);
          ("recommended_domain_count", Json.int (Domain.recommended_domain_count ()));
-         ("monolithic_seconds", Num mono_time);
          ( "sharded_runs",
            List
              (List.map
-                (fun (d, s) -> Json.Obj [ ("domains", Json.int d); ("seconds", Num s) ])
+                (fun (d, s, same, mismatches) ->
+                  Json.Obj
+                    [ ("domains", Json.int d); ("seconds", Num s);
+                      ("output_equal_across_domains", Bool same);
+                      ("identities_unlike_per_gate_gmw", Json.int mismatches) ])
                 runs) );
-         ("speedup_4_domains_vs_1_domain", Num (speedup s1 s4));
-         ("speedup_4_domains_vs_monolithic", Num (speedup (Some mono_time) s4)) ])
-    []
+         ("speedup_4_domains_vs_1_domain", Num speedup) ])
+    [ ( "construction output equal across domain counts",
+        fun v ->
+          let rs = items v [ "sharded_runs" ] in
+          rs <> [] && List.for_all (fun r -> flag r [ "output_equal_across_domains" ]) rs );
+      ( "every identity matches per-gate GMW at every domain count",
+        fun v ->
+          let rs = items v [ "sharded_runs" ] in
+          rs <> []
+          && List.for_all (fun r -> num r [ "identities_unlike_per_gate_gmw" ] = 0.0) rs ) ]

@@ -40,10 +40,6 @@ let execute rng circuit ~inputs =
   let stats = Circuit.stats circuit in
   let n_outputs = Array.length (Circuit.outputs circuit) in
   let comm = comm_estimate ~parties:p stats ~outputs:n_outputs in
-  (* One span per interpreter run, carrying the circuit's round/traffic
-     accounting; sharded CountBelow runs these on pool domains, so each
-     evaluation lands on its executing domain's track. *)
-  Eppi_obs.Trace.begin_span "gmw.execute";
   (* One bit-packed share row per party (Bytes-backed): 1 bit per wire
      instead of the word-per-bool of a [bool array], which keeps the whole
      working set cache-resident on wide circuits. *)
@@ -130,14 +126,4 @@ let execute rng circuit ~inputs =
   let views =
     Array.init p (fun i -> { party = i; wire_shares = shares.(i); opened })
   in
-  Eppi_obs.Trace.end_span "gmw.execute"
-    ~args:
-      [
-        ("gates", stats.size);
-        ("and_gates", stats.and_gates);
-        ("and_depth", stats.and_depth);
-        ("rounds", comm.rounds);
-        ("messages", comm.messages);
-        ("bytes", comm.bytes);
-      ];
   { outputs; comm; views }

@@ -1,8 +1,10 @@
 (** Semi-honest multi-party evaluation of Boolean circuits over XOR-shared
     bits (GMW style).
 
-    This is the repository's stand-in for FairplayMP's generic MPC engine
-    (see DESIGN.md for the substitution argument).  Every wire value is held
+    A gate-at-a-time interpreter over one instance.  The tests check
+    {!Bitslice}, the engine CountBelow runs, against it, and the Pure-MPC
+    baseline runs on it.  GMW is the repository's stand-in for FairplayMP's
+    generic MPC engine (see DESIGN.md).  Every wire value is held
     as an XOR-sharing across the parties.  Not/Xor/Const gates are evaluated
     locally for free; each And gate consumes one Beaver multiplication triple
     and requires every party to broadcast two masked bits, so the

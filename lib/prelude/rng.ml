@@ -23,6 +23,7 @@ let[@inline] bits64 t =
   Bytes.set_int64_ne t 0 state;
   mix state
 
+let bits63 t = Int64.to_int (bits64 t)
 let split t = of_state (Int64.logxor (bits64 t) 0xA02184DCF58B5B21L)
 let copy = Bytes.copy
 

@@ -6,7 +6,7 @@
     64-bit state advanced by a Weyl constant and finalized with a strong
     avalanche mix.  [split] derives an independent child stream, which lets
     concurrent protocol parties draw without interleaving artefacts.  In
-    native code [int], [bool] and [bernoulli] allocate nothing. *)
+    native code [bits63], [int], [bool] and [bernoulli] allocate nothing. *)
 
 type t
 
@@ -22,6 +22,10 @@ val copy : t -> t
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
+
+val bits63 : t -> int
+(** The low 63 bits of the next {!bits64} output, as an [int]: one draw,
+    one uniformly random word.  Allocates nothing in native code. *)
 
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).  Unbiased via rejection

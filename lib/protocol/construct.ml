@@ -80,15 +80,15 @@ let release_and_publish ~rng_release ~rng_publish ~mixing ~policy ~epsilons ~mem
    under fault plans already in its node ids.  [tally] sees each stage's
    reliability report, including a stalled stage's.  Without plans the
    stages cannot stall, and this is the whole of {!run}. *)
-let attempt ~transport ~pool ~strategy ~sss_plan ~mpc_plan ~c ~mixing ~tally rng ~membership
+let attempt ~transport ~pool ~sss_plan ~mpc_plan ~c ~mixing ~tally rng ~membership
     ~epsilons ~policy =
   let n = Bitmatrix.rows membership in
   let m = Bitmatrix.cols membership in
   let q = modulus_for m in
   (* Each phase draws from its own child stream: how many draws one phase
-     makes (which varies with the CountBelow strategy and circuit shapes)
-     can never perturb the next phase, so the construction output is
-     bit-identical across strategies, domain counts and fault plans. *)
+     makes (which varies with the circuit shapes) can never perturb the
+     next phase, so the construction output is bit-identical across
+     transports, domain counts and fault plans. *)
   let rng_sss = Rng.split rng in
   let rng_mpc = Rng.split rng in
   let rng_release = Rng.split rng in
@@ -127,7 +127,7 @@ let attempt ~transport ~pool ~strategy ~sss_plan ~mpc_plan ~c ~mixing ~tally rng
         Array.map (fun epsilon -> Countbelow.integer_threshold ~policy ~epsilon ~m) epsilons
       in
       match
-        Countbelow.run ~transport ~pool ?strategy ?plan:mpc_plan rng_mpc
+        Countbelow.run ~transport ~pool ?plan:mpc_plan rng_mpc
           ~shares:sss.coordinator_shares ~q ~thresholds
       with
       | exception Link.Stalled r -> stalled `Countbelow r
@@ -181,12 +181,12 @@ let attempt ~transport ~pool ~strategy ~sss_plan ~mpc_plan ~c ~mixing ~tally rng
               metrics;
             })
 
-let run ?(transport = `Cost_model) ?(pool = Pool.sequential) ?strategy ?(c = 3)
+let run ?(transport = `Cost_model) ?(pool = Pool.sequential) ?(c = 3)
     ?(mixing = Eppi.Mixing.Bernoulli) rng ~membership ~epsilons ~policy =
   if Array.length epsilons <> Bitmatrix.rows membership then
     invalid_arg "Protocol.Construct.run: epsilons length mismatch";
   match
-    attempt ~transport ~pool ~strategy ~sss_plan:None ~mpc_plan:None ~c ~mixing
+    attempt ~transport ~pool ~sss_plan:None ~mpc_plan:None ~c ~mixing
       ~tally:(fun _ _ -> ())
       rng ~membership ~epsilons ~policy
   with
@@ -280,7 +280,7 @@ let run_ft ?sss_plan ?mpc_plan ?(pool = Pool.sequential) ?(c = 3)
     else begin
       Trace.begin_span "construct.attempt";
       let outcome =
-        attempt ~transport:`Cost_model ~pool ~strategy:None
+        attempt ~transport:`Cost_model ~pool
           ~sss_plan:(Option.map (remap_plan ~survivors ~nodes:m') sss_plan)
           ~mpc_plan:(Option.map (remap_plan ~survivors ~nodes:c) mpc_plan)
           ~c ~mixing ~tally rng

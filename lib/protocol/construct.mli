@@ -45,7 +45,6 @@ val modulus_for : int -> Modarith.modulus
 val run :
   ?transport:Countbelow.transport ->
   ?pool:Pool.t ->
-  ?strategy:Countbelow.strategy ->
   ?c:int ->
   ?mixing:Eppi.Mixing.mode ->
   Rng.t ->
@@ -56,11 +55,11 @@ val run :
 (** [c] defaults to 3 (the paper's configuration).  The matrix is
     owner-major.
 
-    [transport], [pool] and [strategy] select the CountBelow execution
-    pipeline (see {!Countbelow.run}); every phase draws from its own
-    {!Rng.split} child stream, so for a fixed seed the construction output
-    — [common], [betas], the published [index] — is bit-identical across
-    transports, strategies and pool sizes.
+    [transport] and [pool] select how CountBelow runs (see
+    {!Countbelow.run}); every phase draws from its own {!Rng.split} child
+    stream, so for a fixed seed the construction output — [common],
+    [betas], the published [index] — is bit-identical across transports
+    and pool sizes.
     @raise Invalid_argument on dimension mismatches, [c < 2] or [m < c]. *)
 
 (** {1 Fault-tolerant construction}
@@ -73,7 +72,7 @@ val run :
     provider set (thresholds, modulus and σ all recomputed for
     m' = m - |excluded|), so every surviving owner's published row still
     satisfies its ε false-positive guarantee — over the survivors.  Without
-    plans, {!run_ft} is {!run} with its default transport and strategy.
+    plans, {!run_ft} is {!run} with its default transport.
     See docs/ROBUSTNESS.md. *)
 
 (** What happened, accumulated across retry attempts. *)
@@ -117,13 +116,12 @@ val run_ft :
     MPC net (coordinator k is the k-th surviving provider; plan entries for
     other providers are ignored).  On each retry the plans are re-projected
     onto the survivor set, so a crashed provider's faults disappear with it.
-    When [mpc_plan] is omitted the CountBelow stage runs on the in-process
-    engine over [pool]; with it, the monolithic circuit runs over the
-    simulated network.  Every attempt draws its four phase streams from the
-    rng in turn, the first exactly as {!run} does, so a run that completes
-    without excluding anyone publishes {!run}'s index bit for bit, and the
-    outcome is a pure function of (rng seed, fault plans, inputs).  At most
-    3 attempts are made.
+    When [mpc_plan] is omitted the CountBelow stage opens its layers in
+    process over [pool]; with it, over the simulated network.  Every attempt
+    draws its four phase streams from the rng in turn, the first exactly as
+    {!run} does, so a run that completes without excluding anyone publishes
+    {!run}'s index bit for bit, and the outcome is a pure function of (rng
+    seed, fault plans, inputs).  At most 3 attempts are made.
     @raise Invalid_argument on dimension mismatches or [c < 2]. *)
 
 val beta_phase_time_estimate :

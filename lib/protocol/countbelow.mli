@@ -30,27 +30,12 @@ type result = {
           when the in-process engine ran. *)
 }
 
-(** How the MPC stage runs: [`Cost_model] executes the in-process engine
-    and prices it with {!Eppi_mpc.Cost} on {!Eppi_mpc.Cost.lan}; [`Simnet]
-    runs the protocol round-by-round over the simulated network
-    ({!Mpcnet}, {!Eppi_simnet.Simnet.default_config}) so the time emerges
-    from message passing. *)
+(** [`Cost_model] opens each And layer in process, lane chunks on the pool,
+    and prices the run with {!Eppi_mpc.Cost} on {!Eppi_mpc.Cost.lan};
+    [`Simnet] opens each layer of every chunk in one broadcast round over
+    the simulated network ({!Mpcnet}), so the time emerges from message
+    passing. *)
 type transport = [ `Cost_model | `Simnet ]
-
-(** How the count-below computation is organized:
-
-    - [`Monolithic] — the paper-literal formulation: one circuit over all n
-      identities, walked sequentially.  Always used over the simulated
-      network (it replays a single protocol instance).
-    - [`Sharded] — the multicore pipeline (default under [`Cost_model]):
-      one comparator circuit per identity, memo-compiled per distinct
-      [(c, q, threshold)], evaluated on the domain pool with a per-shard
-      {!Rng.split}.  Classification outputs are bit-identical to
-      [`Monolithic] (GMW outputs are deterministic given the inputs); the
-      reported [circuit_stats]/[comm] sum the shards, with the
-      multiplicative depth taken as the max — shards batch into common
-      broadcast rounds. *)
-type strategy = [ `Monolithic | `Sharded ]
 
 val integer_threshold : policy:Eppi.Policy.t -> epsilon:float -> m:int -> int
 (** Smallest frequency count at which the policy's raw β reaches 1; [m + 1]
@@ -59,7 +44,6 @@ val integer_threshold : policy:Eppi.Policy.t -> epsilon:float -> m:int -> int
 val run :
   ?transport:transport ->
   ?pool:Pool.t ->
-  ?strategy:strategy ->
   ?plan:Eppi_simnet.Simnet.fault_plan ->
   Rng.t ->
   shares:int array array ->
@@ -71,15 +55,15 @@ val run :
     above [q - 1] are clamped to [q - 1], which is unreachable by any sum of
     memberships since q > m).
 
-    [pool] (default {!Pool.sequential}) supplies the domains the sharded
-    strategy evaluates on; it is ignored by monolithic runs.  [strategy]
-    defaults to [`Sharded] under [`Cost_model] and is forced to
-    [`Monolithic] over the simulated network.  A fault [plan] runs the
-    monolithic circuit over the simulated network under that plan, with
-    {!Mpcnet}'s reliability layer on, whatever [transport] says.  Outputs
-    ([common], [frequencies], [n_common]) are identical for every
-    transport, strategy and pool size, and for every plan the run
-    completes under.
+    Identities sharing a clamped threshold share one memoised
+    single-identity comparator and are evaluated 63 to a
+    {!Eppi_mpc.Bitslice} chunk, on [pool] (default {!Pool.sequential}) under
+    [`Cost_model].  A fault [plan] implies [`Simnet], with {!Mpcnet}'s
+    reliability layer on.  Each chunk draws from its own {!Rng.split} of
+    [rng], so outputs and draws are the same for every transport, pool and
+    plan the run completes under.  [circuit_stats] and [comm] sum the
+    identities' comparators, with the largest And depth as the depth.  A
+    [gmw.execute] trace span wraps the evaluation.
     @raise Invalid_argument on shape violations or zero identities.
     @raise Link.Stalled if the plan stalled the MPC; the report's
     [suspects] are the blamed coordinators. *)

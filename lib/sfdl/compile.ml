@@ -466,32 +466,6 @@ let compile_source src =
   | Result.Error { message; pos } -> raise (Error (message, pos)));
   compile program
 
-type cache = { lock : Mutex.t; table : (string, compiled) Hashtbl.t }
-
-let create_cache () = { lock = Mutex.create (); table = Hashtbl.create 32 }
-
-let compile_source_cached cache src =
-  (* The lock is held across the compile so two racing callers never build
-     the same circuit twice; generated sources are the key, so programs that
-     differ only in a constant (e.g. per-identity thresholds) hash apart
-     while the thousands of identities sharing a threshold compile once. *)
-  Mutex.lock cache.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache.lock)
-    (fun () ->
-      match Hashtbl.find_opt cache.table src with
-      | Some compiled -> compiled
-      | None ->
-          let compiled = compile_source src in
-          Hashtbl.replace cache.table src compiled;
-          compiled)
-
-let cache_size cache =
-  Mutex.lock cache.lock;
-  let n = Hashtbl.length cache.table in
-  Mutex.unlock cache.lock;
-  n
-
 let shape_bits = function
   | Sbool -> 1
   | Suint w -> w

@@ -48,21 +48,8 @@ val compile_source : string -> compiled
 (** Parse, typecheck and compile.
     @raise Lexer.Error, Parser.Error, Typecheck.Error, or Error. *)
 
-type cache
-(** A memo table of compiled circuits keyed on the program source.  Safe to
-    share across domains (a mutex guards the table); the compiled values are
-    immutable once published and may be evaluated concurrently. *)
-
-val create_cache : unit -> cache
-
-val compile_source_cached : cache -> string -> compiled
-(** Like {!compile_source}, but identical sources compile exactly once per
-    cache.  The construction pipeline keys its per-identity comparator
-    circuits this way: identities sharing a [(c, q, threshold)] triple
-    generate byte-identical sources and reuse one circuit. *)
-
-val cache_size : cache -> int
-(** Number of distinct sources currently memoized. *)
+val shape_bits : shape -> int
+(** Bits a value of this shape occupies in the input and output vectors. *)
 
 val encode_inputs : compiled -> (string * data) list -> bool array array
 (** Build the per-party input bit vectors expected by

@@ -11,9 +11,10 @@ echo "== dune runtest =="
 dune runtest
 
 # A ~5 s smoke of the scaling bench: small n, 1 and 2 domains. Exercises the
-# domain pool, the sharded CountBelow path, the circuit cache, and the
-# bench's own cross-strategy output-equality check (it exits non-zero if the
-# sharded construction ever diverges from the monolithic reference).
+# domain pool, the bit-sliced CountBelow, the comparator memo, and the
+# bench's own gates (it exits non-zero if the construction differs across
+# domain counts or any identity's CountBelow output differs from a per-gate
+# Gmw.execute of its comparator).
 echo "== scaling smoke =="
 SCALING_N=200 SCALING_M=6 SCALING_DOMAINS=1,2 dune exec bench/main.exe -- scaling
 rm -f BENCH_construct.json

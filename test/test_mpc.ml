@@ -174,6 +174,72 @@ let test_gmw_output_deterministic_across_randomness () =
     Alcotest.(check (array bool)) (Printf.sprintf "seed %d" seed) reference result.outputs
   done
 
+(* ---------- bit-sliced engine ---------- *)
+
+(* Open every layer of a chunk in process, handing each layer's opened
+   words to [see] before closing it: the engine's local driver, unrolled. *)
+let open_all ~see chunk =
+  for l = 0 to Bitslice.depth chunk - 1 do
+    let opened = Array.make (2 * Bitslice.layer_ands chunk l) 0 in
+    for i = 0 to Bitslice.parties chunk - 1 do
+      Bitslice.contribute chunk ~party:i ~layer:l opened
+    done;
+    see opened;
+    Bitslice.finish chunk ~layer:l opened
+  done
+
+let test_bitslice_random_circuits () =
+  (* Random circuits over 2-5 parties, 63 lanes of random 3-bit inputs:
+     every lane's outputs equal plaintext evaluation and Gmw.execute. *)
+  let rng = Rng.create 3 in
+  for round = 1 to 25 do
+    let parties = 2 + Rng.int rng 4 in
+    let circuit = random_circuit rng ~parties ~gates:40 in
+    let lanes = Bitslice.max_lanes in
+    let values = Array.init parties (fun _ -> Array.init lanes (fun _ -> Rng.int rng 8)) in
+    let chunk =
+      Bitslice.deal rng (Bitslice.schedule circuit) ~inputs:values ~ids:(Array.init lanes Fun.id)
+        ~pos:0 ~lanes
+    in
+    let out = Bitslice.evaluate chunk in
+    for k = 0 to lanes - 1 do
+      let inputs =
+        Array.init parties (fun p -> Array.init 3 (fun b -> (values.(p).(k) lsr b) land 1 = 1))
+      in
+      let plain = Circuit.eval circuit ~inputs in
+      let what = Printf.sprintf "random circuit %d, lane %d" round k in
+      Alcotest.(check (array bool)) what plain (Array.map (fun w -> Bitslice.lane w k) out);
+      Alcotest.(check (array bool)) what (Gmw.execute rng circuit ~inputs).outputs plain
+    done
+  done
+
+let test_bitslice_openings_secret_independent () =
+  (* The opened (d, e) words are one-time-pad masked lane by lane.  In
+     chunks whose even lanes compare (0, 63) and odd lanes (63, 0), both
+     kinds of lane open ~uniform bits at the same rate. *)
+  let compiled = millionaires_compiled 6 in
+  let sched = Bitslice.schedule compiled.circuit in
+  let lanes = Bitslice.max_lanes in
+  let a = Array.init lanes (fun k -> if k mod 2 = 0 then 0 else 63) in
+  let values = [| a; Array.map (fun v -> 63 - v) a |] in
+  let ids = Array.init lanes Fun.id in
+  let ones = Array.make 2 0 and total = Array.make 2 0 in
+  let rng = Rng.create 777 in
+  for _ = 1 to 40 do
+    open_all
+      ~see:
+        (Array.iter (fun w ->
+             for k = 0 to lanes - 1 do
+               total.(k mod 2) <- total.(k mod 2) + 1;
+               if Bitslice.lane w k then ones.(k mod 2) <- ones.(k mod 2) + 1
+             done))
+      (Bitslice.deal rng sched ~inputs:values ~ids ~pos:0 ~lanes)
+  done;
+  let rate k = float_of_int ones.(k) /. float_of_int total.(k) in
+  check_bool "opened bits ~uniform (lanes comparing 0, 63)" true (Float.abs (rate 0 -. 0.5) < 0.02);
+  check_bool "opened bits ~uniform (lanes comparing 63, 0)" true (Float.abs (rate 1 -. 0.5) < 0.02);
+  check_bool "distributions agree across inputs" true (Float.abs (rate 0 -. rate 1) < 0.03)
+
 (* ---------- garbled circuits ---------- *)
 
 let test_garbled_matches_plaintext () =
@@ -357,6 +423,12 @@ let () =
             test_gmw_openings_secret_independent;
           Alcotest.test_case "output deterministic across randomness" `Quick
             test_gmw_output_deterministic_across_randomness;
+        ] );
+      ( "bitslice",
+        [
+          Alcotest.test_case "random circuits" `Quick test_bitslice_random_circuits;
+          Alcotest.test_case "openings secret-independent" `Quick
+            test_bitslice_openings_secret_independent;
         ] );
       ( "garbled",
         [

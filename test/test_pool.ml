@@ -156,7 +156,7 @@ let test_create_rejects_zero () =
   Alcotest.check_raises "size 0" (Invalid_argument "Pool.create: size must be >= 1") (fun () ->
       ignore (Pool.create ~size:0 ()))
 
-(* ---------- CountBelow determinism across strategies and pool sizes ---------- *)
+(* ---------- CountBelow determinism across drivers and pool sizes ---------- *)
 
 let make_shares rng ~c ~q ~freqs =
   let n = Array.length freqs in
@@ -173,28 +173,34 @@ let countbelow_result = Alcotest.testable (fun ppf (r : Countbelow.result) ->
     (fun a b ->
       a.common = b.common && a.frequencies = b.frequencies && a.n_common = b.n_common)
 
-let test_countbelow_strategies_agree () =
+let test_countbelow_drivers_agree () =
+  (* 140 identities over a handful of thresholds: groups of more than 63
+     identities span several lane chunks. *)
   let rng = Rng.create 301 in
   let m = 60 in
   let q = Construct.modulus_for m in
-  let n = 40 in
+  let n = 140 in
   let freqs = Array.init n (fun _ -> Rng.int rng (m + 1)) in
-  let thresholds = Array.init n (fun _ -> Rng.int rng (m + 2)) in
+  let levels = [| 3; 20; 41; m + 1 |] in
+  let thresholds = Array.init n (fun _ -> levels.(Rng.int rng (Array.length levels))) in
   let shares = make_shares rng ~c:3 ~q ~freqs in
-  let mono =
-    Countbelow.run ~strategy:`Monolithic (Rng.create 302) ~shares ~q ~thresholds
+  let run ?transport pool =
+    Countbelow.run ?transport ~pool (Rng.create 302) ~shares ~q ~thresholds
   in
-  let seq = Countbelow.run ~strategy:`Sharded (Rng.create 302) ~shares ~q ~thresholds in
-  let par =
-    Pool.with_pool ~size:4 (fun pool ->
-        Countbelow.run ~pool ~strategy:`Sharded (Rng.create 302) ~shares ~q ~thresholds)
-  in
-  Alcotest.check countbelow_result "sharded(1 domain) = monolithic" mono seq;
-  Alcotest.check countbelow_result "sharded(4 domains) = sharded(1 domain)" seq par;
-  (* The sharded accounting must be self-identical across pool sizes. *)
-  check_bool "same aggregated stats" true (seq.circuit_stats = par.circuit_stats);
-  check_bool "same comm accounting" true (seq.comm = par.comm);
-  check_bool "same cost-model time" true (seq.time = par.time)
+  let seq = run Pool.sequential in
+  let par2 = Pool.with_pool ~size:2 run in
+  let par4 = Pool.with_pool ~size:4 run in
+  let emergent = run ~transport:`Simnet Pool.sequential in
+  Alcotest.check countbelow_result "2 domains = 1 domain" seq par2;
+  Alcotest.check countbelow_result "4 domains = 1 domain" seq par4;
+  Alcotest.check countbelow_result "simnet = cost model" seq emergent;
+  (* The cost-model accounting is self-identical across pool sizes. *)
+  List.iter
+    (fun (what, (r : Countbelow.result)) ->
+      check_bool (what ^ ": same aggregated stats") true (seq.circuit_stats = r.circuit_stats);
+      check_bool (what ^ ": same comm accounting") true (seq.comm = r.comm);
+      check_bool (what ^ ": same cost-model time") true (seq.time = r.time))
+    [ ("2 domains", par2); ("4 domains", par4) ]
 
 let test_countbelow_classification_reference () =
   (* Against the plain integer reference: common iff frequency >= threshold. *)
@@ -243,16 +249,18 @@ let test_construct_identical_across_domains () =
   let membership = make_matrix ~m ~freqs in
   let epsilons = Array.init n (fun _ -> Rng.float rng 1.0) in
   let policy = Eppi.Policy.Chernoff 0.9 in
-  let run ?pool ?strategy () =
-    Construct.run ?pool ?strategy (Rng.create 306) ~membership ~epsilons ~policy
+  let run ?transport pool =
+    Construct.run ?transport ~pool (Rng.create 306) ~membership ~epsilons ~policy
   in
-  let mono = run ~strategy:`Monolithic () in
-  let seq = run () in
-  let par2 = Pool.with_pool ~size:2 (fun pool -> run ~pool ()) in
-  let par4 = Pool.with_pool ~size:4 (fun pool -> run ~pool ()) in
-  check_bool "sharded(1) = pre-shard monolithic" true (construct_equal mono seq);
+  let seq = run Pool.sequential in
+  let par2 = Pool.with_pool ~size:2 run in
+  let par4 = Pool.with_pool ~size:4 run in
+  let emergent = run ~transport:`Simnet Pool.sequential in
   check_bool "2 domains = 1 domain" true (construct_equal seq par2);
-  check_bool "4 domains = 1 domain" true (construct_equal seq par4)
+  check_bool "4 domains = 1 domain" true (construct_equal seq par4);
+  check_bool "simnet = cost model" true (construct_equal seq emergent);
+  check_bool "same metrics at every pool size" true
+    (seq.metrics = par2.metrics && seq.metrics = par4.metrics)
 
 let () =
   Alcotest.run "pool"
@@ -271,8 +279,7 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "countbelow strategies agree" `Quick
-            test_countbelow_strategies_agree;
+          Alcotest.test_case "countbelow drivers agree" `Quick test_countbelow_drivers_agree;
           Alcotest.test_case "countbelow matches integer reference" `Quick
             test_countbelow_classification_reference;
           Alcotest.test_case "construct identical across domains" `Quick

@@ -263,53 +263,77 @@ let test_countbelow_classification () =
 
 (* ---------- network-executed GMW ---------- *)
 
+module Bitslice = Eppi_mpc.Bitslice
+module Compile = Eppi_sfdl.Compile
+
+(* Lane chunks of one schedule over [values.(party).(lane)], 63 lanes at a
+   time, each dealt from its own split of [rng]. *)
+let deal_chunks rng sched values =
+  let n = Array.length values.(0) in
+  let ids = Array.init n Fun.id in
+  Array.init
+    ((n + Bitslice.max_lanes - 1) / Bitslice.max_lanes)
+    (fun k ->
+      let pos = k * Bitslice.max_lanes in
+      Bitslice.deal (Rng.split rng) sched ~inputs:values ~ids ~pos
+        ~lanes:(min Bitslice.max_lanes (n - pos)))
+
+(* Lane j's output bits out of per-chunk output words. *)
+let lane_bits outputs j =
+  Array.map
+    (fun w -> Bitslice.lane w (j mod Bitslice.max_lanes))
+    outputs.(j / Bitslice.max_lanes)
+
+let millionaires = Compile.compile_source (Eppi_sfdl.Programs.millionaires ~width:8)
+
+let millionaires_inputs a b = Compile.encode_inputs millionaires [ ("a", Dint a); ("b", Dint b) ]
+
+let comparator ~c ~q t =
+  Compile.compile_source (Eppi_sfdl.Programs.count_below ~c ~q ~thresholds:[| t |])
+
+(* Two identities, frequencies 7 and 3 against thresholds 5 and 9 (c = 3,
+   q = 13): one single-lane chunk per comparator, dealt from [seed]. *)
+let countbelow_chunks seed =
+  let rng = Rng.create seed in
+  let qm = Modarith.modulus 13 in
+  Array.map2
+    (fun f t ->
+      let shares = Eppi_secretshare.Additive.share rng ~q:qm ~c:3 f in
+      let sched = Bitslice.schedule (comparator ~c:3 ~q:13 t).circuit in
+      Bitslice.deal (Rng.split rng) sched
+        ~inputs:(Array.map (fun s -> [| s |]) shares)
+        ~ids:[| 0 |] ~pos:0 ~lanes:1)
+    [| 7; 3 |] [| 5; 9 |]
+
+(* "common" is the comparator's first output. *)
+let classification (r : Mpcnet.result) = Array.map (fun out -> Bitslice.lane out.(0) 0) r.outputs
+
 let test_mpcnet_matches_inprocess () =
-  let compiled =
-    Eppi_sfdl.Compile.compile_source (Eppi_sfdl.Programs.millionaires ~width:8)
-  in
-  List.iter
-    (fun (a, b) ->
-      let inputs =
-        Eppi_sfdl.Compile.encode_inputs compiled
-          [ ("a", Eppi_sfdl.Compile.Dint a); ("b", Eppi_sfdl.Compile.Dint b) ]
-      in
-      let plain = Eppi_circuit.Circuit.eval compiled.circuit ~inputs in
-      let networked = Mpcnet.execute (Rng.create 70) compiled.circuit ~inputs in
-      let inprocess = Eppi_mpc.Gmw.execute (Rng.create 71) compiled.circuit ~inputs in
-      Alcotest.(check (array bool)) "net = plain" plain networked.outputs;
-      Alcotest.(check (array bool)) "net = in-process" inprocess.outputs networked.outputs)
-    [ (5, 9); (9, 5); (200, 200); (0, 255) ]
+  let sched = Bitslice.schedule millionaires.circuit in
+  let pairs = [| (5, 9); (9, 5); (200, 200); (0, 255) |] in
+  let values = [| Array.map fst pairs; Array.map snd pairs |] in
+  let networked = Mpcnet.execute (deal_chunks (Rng.create 70) sched values) in
+  let inprocess = Array.map Bitslice.evaluate (deal_chunks (Rng.create 71) sched values) in
+  Array.iteri
+    (fun j (a, b) ->
+      let inputs = millionaires_inputs a b in
+      let plain = Eppi_circuit.Circuit.eval millionaires.circuit ~inputs in
+      let gmw = Eppi_mpc.Gmw.execute (Rng.create 72) millionaires.circuit ~inputs in
+      let net = lane_bits networked.outputs j in
+      Alcotest.(check (array bool)) "net = plain" plain net;
+      Alcotest.(check (array bool)) "net = in-process" (lane_bits inprocess j) net;
+      Alcotest.(check (array bool)) "net = gate-at-a-time" gmw.outputs net)
+    pairs
 
 let test_mpcnet_countbelow () =
-  let q = 13 in
-  let compiled =
-    Eppi_sfdl.Compile.compile_source
-      (Eppi_sfdl.Programs.count_below ~c:3 ~q ~thresholds:[| 5; 9 |])
-  in
-  let rng = Rng.create 72 in
-  let qm = Modarith.modulus q in
-  let freqs = [| 7; 3 |] in
-  let shares = Array.map (fun v -> Eppi_secretshare.Additive.share rng ~q:qm ~c:3 v) freqs in
-  let inputs =
-    Eppi_sfdl.Compile.encode_inputs compiled
-      (List.init 3 (fun k ->
-           (Printf.sprintf "s%d" k, Eppi_sfdl.Compile.Dints (Array.map (fun s -> s.(k)) shares))))
-  in
-  let r = Mpcnet.execute rng compiled.circuit ~inputs in
-  match Eppi_sfdl.Compile.lookup_output (Eppi_sfdl.Compile.decode_outputs compiled r.outputs) "common" with
-  | Dbools cs -> Alcotest.(check (array bool)) "classification" [| true; false |] cs
-  | _ -> Alcotest.fail "bad shape"
+  Alcotest.(check (array bool))
+    "classification" [| true; false |]
+    (classification (Mpcnet.execute (countbelow_chunks 72)))
 
 let test_mpcnet_round_structure () =
-  let compiled =
-    Eppi_sfdl.Compile.compile_source (Eppi_sfdl.Programs.millionaires ~width:8)
-  in
-  let inputs =
-    Eppi_sfdl.Compile.encode_inputs compiled
-      [ ("a", Eppi_sfdl.Compile.Dint 1); ("b", Eppi_sfdl.Compile.Dint 2) ]
-  in
-  let stats = Eppi_circuit.Circuit.stats compiled.circuit in
-  let r = Mpcnet.execute (Rng.create 73) compiled.circuit ~inputs in
+  let sched = Bitslice.schedule millionaires.circuit in
+  let r = Mpcnet.execute (deal_chunks (Rng.create 73) sched [| [| 1 |]; [| 2 |] |]) in
+  let stats = Bitslice.stats sched in
   check_int "rounds = and depth + output" (stats.and_depth + 1) r.rounds;
   (* Broadcast traffic: p(p-1) messages per round (p = 2 here). *)
   check_int "messages" (r.rounds * 2 * 1) r.net.messages_sent;
@@ -317,25 +341,29 @@ let test_mpcnet_round_structure () =
 
 let test_mpcnet_time_tracks_cost_model () =
   (* The emergent simulated time and the closed-form estimate must agree
-     within an order of magnitude (the model is calibrated, not fitted). *)
-  let compiled =
-    Eppi_sfdl.Compile.compile_source
-      (Eppi_sfdl.Programs.count_below ~c:3 ~q:1031 ~thresholds:(Array.make 4 500))
-  in
+     within an order of magnitude (the model is calibrated, not fitted):
+     four identities, one lane each, of one comparator. *)
+  let compiled = comparator ~c:3 ~q:1031 500 in
   let rng = Rng.create 74 in
   let qm = Modarith.modulus 1031 in
   let shares =
     Array.init 4 (fun _ -> Eppi_secretshare.Additive.share rng ~q:qm ~c:3 (Rng.int rng 1031))
   in
-  let inputs =
-    Eppi_sfdl.Compile.encode_inputs compiled
-      (List.init 3 (fun k ->
-           ( Printf.sprintf "s%d" k,
-             Eppi_sfdl.Compile.Dints (Array.map (fun s -> s.(k)) shares) )))
+  let sched = Bitslice.schedule compiled.circuit in
+  let values = Array.init 3 (fun k -> Array.map (fun s -> s.(k)) shares) in
+  let r = Mpcnet.execute (deal_chunks rng sched values) in
+  let s = Bitslice.stats sched in
+  let stats =
+    {
+      s with
+      size = 4 * s.size;
+      and_gates = 4 * s.and_gates;
+      xor_gates = 4 * s.xor_gates;
+      not_gates = 4 * s.not_gates;
+      inputs = 4 * s.inputs;
+    }
   in
-  let r = Mpcnet.execute rng compiled.circuit ~inputs in
-  let stats = Eppi_circuit.Circuit.stats compiled.circuit in
-  let outputs = Array.length (Eppi_circuit.Circuit.outputs compiled.circuit) in
+  let outputs = 4 * Array.length (Eppi_circuit.Circuit.outputs compiled.circuit) in
   let estimate = Eppi_mpc.Cost.estimate ~network:Eppi_mpc.Cost.lan ~parties:3 ~outputs stats in
   let ratio = estimate /. r.net.completion_time in
   check_bool
@@ -365,6 +393,29 @@ let test_countbelow_simnet_transport () =
   Alcotest.(check (array (option int))) "same released frequencies" model.frequencies
     networked.frequencies;
   check_bool "both times positive" true (model.time > 0.0 && networked.time > 0.0)
+
+(* A run allocates per lane chunk and for its result, not per gate: under
+   25 minor words per identity at the epoch shape (c = 3, q = 1031, 7
+   thresholds) once the comparators are memoised.  A per-gate Gmw.execute
+   of each identity's comparator, with its input encoding and output
+   decoding, allocates about 1,200.  Bytecode boxes more, so the bound
+   holds in native code only. *)
+let test_countbelow_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let rng = Rng.create 90 in
+    let n = 2000 in
+    let q = Construct.modulus_for 1024 in
+    let thresholds = Array.init n (fun j -> 100 + (120 * (j mod 7))) in
+    let shares = Array.init 3 (fun _ -> Array.init n (fun _ -> Rng.int rng (Modarith.to_int q))) in
+    let run () = ignore (Countbelow.run (Rng.create 91) ~shares ~q ~thresholds) in
+    run ();
+    let before = Gc.minor_words () in
+    run ();
+    let per_identity = (Gc.minor_words () -. before) /. float_of_int n in
+    check_bool
+      (Printf.sprintf "%.1f minor words per identity" per_identity)
+      true (per_identity < 25.0)
+  end
 
 (* ---------- Pure MPC baseline ---------- *)
 
@@ -566,17 +617,13 @@ let test_construct_pinned () =
     model.metrics;
   let emergent = run ~transport:`Simnet () in
   Alcotest.(check string) "simnet digest" digest (construct_digest emergent);
+  (* The same per-identity circuits and accounting as the cost model; only
+     the MPC time emerges from the simulated network. *)
   Alcotest.check metrics_testable "simnet metrics"
     {
-      secsumshare_time = 0x1.06fb9cc3f0853p-10;
-      mpc_time = 0x1.1d9e87eaf0794p+0;
-      publication_time = 0x1.01b2b29a4692cp-22;
-      total_time = 0x1.1de04ad8ec3fdp+0;
-      messages = 489;
-      bytes = 3048;
-      circuit_stats =
-        { size = 1868; and_gates = 656; xor_gates = 1015; not_gates = 197; inputs = 144; and_depth = 28 };
-      mpc_comm = { rounds = 30; messages = 462; bytes = 1320 };
+      model.metrics with
+      mpc_time = 0x1.000691ea78af2p+0;
+      total_time = 0x1.004854d87475bp+0;
     }
     emergent.metrics
 
@@ -588,76 +635,49 @@ let test_beta_phase_estimate_monotone () =
 
 (* ---------- Fault tolerance: reliable transport + degradation ---------- *)
 
-let countbelow_fixture seed =
-  (* A small count_below instance shared by the mpcnet reliability tests. *)
-  let q = 13 in
-  let compiled =
-    Eppi_sfdl.Compile.compile_source
-      (Eppi_sfdl.Programs.count_below ~c:3 ~q ~thresholds:[| 5; 9 |])
-  in
-  let rng = Rng.create seed in
-  let qm = Modarith.modulus q in
-  let shares =
-    Array.map (fun v -> Eppi_secretshare.Additive.share rng ~q:qm ~c:3 v) [| 7; 3 |]
-  in
-  let inputs =
-    Eppi_sfdl.Compile.encode_inputs compiled
-      (List.init 3 (fun k ->
-           (Printf.sprintf "s%d" k, Eppi_sfdl.Compile.Dints (Array.map (fun s -> s.(k)) shares))))
-  in
-  (compiled, inputs, rng)
-
 let test_mpcnet_reliable_matches_lossless () =
   (* 10% loss on every link: the run must complete with outputs bit-identical
      to the fault-free run, paid for in retransmissions. *)
-  let compiled, inputs, rng = countbelow_fixture 72 in
-  let lossless = Mpcnet.execute rng compiled.circuit ~inputs in
-  let _, inputs2, rng2 = countbelow_fixture 72 in
-  match Mpcnet.execute ~plan:(drop_plan 0.1) rng2 compiled.circuit ~inputs:inputs2 with
+  let lossless = Mpcnet.execute (countbelow_chunks 72) in
+  match Mpcnet.execute ~plan:(drop_plan 0.1) (countbelow_chunks 72) with
   | exception Link.Stalled r ->
       Alcotest.failf "stalled, blamed %s" (String.concat "," (List.map string_of_int r.suspects))
   | r ->
-      Alcotest.(check (array bool)) "bit-identical outputs" lossless.outputs r.outputs;
+      Alcotest.(check (array (array int))) "bit-identical outputs" lossless.outputs r.outputs;
       check_bool "paid in retransmissions" true (r.link.retransmissions > 0);
       check_bool "some rounds retried" true (r.link.retried_rounds > 0)
 
 let test_mpcnet_reliable_crash_detected () =
-  let compiled, inputs, rng = countbelow_fixture 72 in
   let plan = { Simnet.no_faults with crashes = [ (0.001, 1) ] } in
-  match Mpcnet.execute ~plan rng compiled.circuit ~inputs with
+  match Mpcnet.execute ~plan (countbelow_chunks 72) with
   | _ -> Alcotest.fail "completed despite a crashed party"
   | exception Link.Stalled r -> Alcotest.(check (list int)) "blames exactly party 1" [ 1 ] r.suspects
 
 let test_mpcnet_reliable_duplicates_suppressed () =
-  let compiled, inputs, rng = countbelow_fixture 72 in
-  let lossless = Mpcnet.execute rng compiled.circuit ~inputs in
-  let _, inputs2, rng2 = countbelow_fixture 72 in
+  let lossless = Mpcnet.execute (countbelow_chunks 72) in
   let plan =
     { Simnet.no_faults with
       fault_seed = 5;
       default_link = { Simnet.perfect_link with duplicate = 0.5; reorder = 0.3 };
     }
   in
-  match Mpcnet.execute ~plan rng2 compiled.circuit ~inputs:inputs2 with
+  match Mpcnet.execute ~plan (countbelow_chunks 72) with
   | exception Link.Stalled _ -> Alcotest.fail "duplication must not stall the run"
   | r ->
-      Alcotest.(check (array bool)) "unperturbed" lossless.outputs r.outputs;
+      Alcotest.(check (array (array int))) "unperturbed" lossless.outputs r.outputs;
       check_bool "duplicates suppressed" true (r.link.duplicates > 0)
 
 let test_mpcnet_reliable_deterministic () =
   (* Same fault-plan seed => identical traffic, retransmission schedule and
      outputs, event for event. *)
-  let go () =
-    let compiled, inputs, rng = countbelow_fixture 72 in
-    Mpcnet.execute ~plan:(drop_plan ~seed:9 0.15) rng compiled.circuit ~inputs
-  in
+  let go () = Mpcnet.execute ~plan:(drop_plan ~seed:9 0.15) (countbelow_chunks 72) in
   let a = go () and b = go () in
   check_int "same retransmissions" a.link.retransmissions b.link.retransmissions;
   check_int "same duplicates" a.link.duplicates b.link.duplicates;
   check_int "same messages" a.net.messages_sent b.net.messages_sent;
   check_int "same drops" a.net.messages_dropped b.net.messages_dropped;
   Alcotest.(check (float 0.0)) "same protocol time" a.link.protocol_time b.link.protocol_time;
-  Alcotest.(check (array bool)) "same outputs" a.outputs b.outputs
+  Alcotest.(check (array (array int))) "same outputs" a.outputs b.outputs
 
 let test_secsumshare_ft_complete_under_loss () =
   let rng = Rng.create 31 in
@@ -804,9 +824,98 @@ let test_construct_ft_too_few_survivors_fails () =
         (List.mem 0 rep.excluded && List.mem 2 rep.excluded)
   | _ -> Alcotest.fail "2 of 4 providers dead cannot sustain c = 3"
 
+(* Lane chunks of random count_below comparators: c from 2 to 5, a small
+   prime q, up to three thresholds, 1-130 identities, so a threshold's
+   identities can span several 63-lane chunks.  Chunks are dealt anew from
+   [seed] for each driver. *)
+let bitslice_instance seed =
+  let rng = Rng.create seed in
+  let c = 2 + Rng.int rng 4 in
+  let q = [| 2; 3; 5; 7; 11; 13; 31; 97 |].(Rng.int rng 8) in
+  let n = 1 + Rng.int rng 130 in
+  let levels = Array.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng q) in
+  let thresholds = Array.init n (fun _ -> levels.(Rng.int rng (Array.length levels))) in
+  let values = Array.init c (fun _ -> Array.init n (fun _ -> Rng.int rng q)) in
+  let groups =
+    List.map
+      (fun t ->
+        let ids = List.filter (fun j -> thresholds.(j) = t) (List.init n Fun.id) in
+        (comparator ~c ~q t, Array.of_list ids))
+      (List.sort_uniq compare (Array.to_list levels))
+  in
+  let slices =
+    List.concat_map
+      (fun (cmp, ids) ->
+        List.init
+          ((Array.length ids + Bitslice.max_lanes - 1) / Bitslice.max_lanes)
+          (fun k ->
+            let pos = k * Bitslice.max_lanes in
+            (cmp, ids, pos, min Bitslice.max_lanes (Array.length ids - pos))))
+      groups
+  in
+  let deal () =
+    let rng = Rng.create (seed + 1) in
+    Array.of_list
+      (List.map
+         (fun ((cmp : Compile.compiled), ids, pos, lanes) ->
+           Bitslice.deal (Rng.split rng) (Bitslice.schedule cmp.circuit) ~inputs:values ~ids ~pos
+             ~lanes)
+         slices)
+  in
+  (c, q, thresholds, values, slices, deal)
+
+(* Identity j's comparator inputs: coordinator i's share is values.(i).(j). *)
+let comparator_inputs (cmp : Compile.compiled) ~c values j =
+  Compile.encode_inputs cmp
+    (List.init c (fun i -> (Printf.sprintf "s%d" i, Compile.Dints [| values.(i).(j) |])))
+
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"bit-sliced drivers agree with plaintext and per-gate GMW" ~count:30
+      (int_range 1 1_000_000)
+      (fun seed ->
+        let c, _, _, values, slices, deal = bitslice_instance seed in
+        let local = Array.map Bitslice.evaluate (deal ()) in
+        let net = (Mpcnet.execute (deal ())).outputs in
+        List.for_all Fun.id
+          (List.mapi
+             (fun k ((cmp : Compile.compiled), ids, pos, lanes) ->
+               List.for_all
+                 (fun lane ->
+                   let j = ids.(pos + lane) in
+                   let inputs = comparator_inputs cmp ~c values j in
+                   let plain = Eppi_circuit.Circuit.eval cmp.circuit ~inputs in
+                   let gmw = (Eppi_mpc.Gmw.execute (Rng.create j) cmp.circuit ~inputs).outputs in
+                   let bits words = Array.map (fun w -> Bitslice.lane w lane) words in
+                   plain = gmw && bits local.(k) = plain && bits net.(k) = plain)
+                 (List.init lanes Fun.id))
+             slices));
+    Test.make ~name:"countbelow equals the per-gate reference on random instances" ~count:30
+      (int_range 1 1_000_000)
+      (fun seed ->
+        let c, q, thresholds, values, _, _ = bitslice_instance seed in
+        let expected =
+          Array.mapi
+            (fun j t ->
+              let cmp = comparator ~c ~q t in
+              let inputs = comparator_inputs cmp ~c values j in
+              let gmw = Eppi_mpc.Gmw.execute (Rng.create j) cmp.circuit ~inputs in
+              let outputs = Compile.decode_outputs cmp gmw.outputs in
+              let output = Compile.lookup_output outputs in
+              match (output "common", output "freq") with
+              | Dbools [| common |], Dints [| f |] -> (common, if common then None else Some f)
+              | _ -> Alcotest.fail "bad comparator output shape")
+            thresholds
+        in
+        List.for_all
+          (fun transport ->
+            let r =
+              Countbelow.run ~transport (Rng.create seed) ~shares:values ~q:(Modarith.modulus q)
+                ~thresholds
+            in
+            r.common = Array.map fst expected && r.frequencies = Array.map snd expected)
+          [ `Cost_model; `Simnet ]);
     Test.make ~name:"secure and centralized paths classify identically" ~count:40
       (triple (int_range 1 1000) (int_range 5 25) (int_range 1 8))
       (fun (seed, m, n) ->
@@ -908,6 +1017,7 @@ let () =
           Alcotest.test_case "threshold at eps 0" `Quick test_integer_threshold_eps_zero;
           Alcotest.test_case "classification" `Quick test_countbelow_classification;
           Alcotest.test_case "simnet transport" `Quick test_countbelow_simnet_transport;
+          Alcotest.test_case "allocation per identity" `Quick test_countbelow_allocation;
         ] );
       ( "mpcnet",
         [
