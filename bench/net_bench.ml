@@ -2,16 +2,16 @@
    domain, clients in this one — and measure (1) replay throughput as a
    function of pipeline depth, (2) throughput as a function of the
    daemon's worker-domain count at a fixed depth, and (3) the latency of
-   hot-swap republishes (binary codec vs the legacy CSV payload) while
-   pipelined query load keeps flowing.  Writes BENCH_net.json.
+   binary hot-swap republishes while pipelined query load keeps flowing.
+   Writes BENCH_net.json.
 
    Correctness is asserted along the way: every replay conserves requests
    (served + unknown + shed = requests), the response volume matches the
    ground truth of the generation served, a fixed query slice must come
    back bit-identical (same generation tags, same rows) from every
-   domain count, the binary republish payload must undercut the CSV one
-   by at least 8x on the full-size index, and every republish returns
-   the next generation in sequence.
+   domain count, the binary republish payload must undercut the index's
+   CSV form by at least 8x on the full-size index, and every republish
+   returns the next generation in sequence.
 
    Throughput *scaling* across domain counts is gated only at full size
    and by the "cores" the JSON records: >= 2x from 1 to 4 domains with 6
@@ -89,7 +89,6 @@ let run () =
   in
   let index1 = build 7 (Eppi.Policy.Chernoff 0.9) in
   let index2 = build 8 Eppi.Policy.Basic in
-  let csv1 = Eppi.Index.to_csv index1 and csv2 = Eppi.Index.to_csv index2 in
   let workload = Workload.zipf (Rng.create 11) ~n ~count:queries in
   let truth_len = Array.init n (fun owner -> Eppi.Index.query_count index1 ~owner) in
   let expect_listed =
@@ -119,7 +118,7 @@ let run () =
       (fun () -> f engine)
   in
   let replay_checked ~depth client =
-    let summary = Replay.run ~depth client workload in
+    let summary = Replay.run ~depth (Client.pipeline client) workload in
     if summary.served + summary.unknown + summary.shed <> queries then
       failwith "net: replay lost requests";
     if summary.served <> queries then failwith "net: replay shed or missed requests";
@@ -173,16 +172,15 @@ let run () =
   in
   (* ---- republish payload sizes ---- *)
   let binary2 = Index_codec.encode index2 in
-  let csv_bytes = String.length csv2 and binary_bytes = String.length binary2 in
+  let csv_bytes = String.length (Eppi.Index.to_csv index2) in
+  let binary_bytes = String.length binary2 in
   let payload_ratio = float_of_int csv_bytes /. float_of_int binary_bytes in
   Bench_util.note "republish payload: csv %d bytes, binary %d bytes (%.1fx smaller)" csv_bytes
     binary_bytes payload_ratio;
-  (* ---- hot-swap latency under load: binary codec vs CSV baseline ----
+  (* ---- hot-swap latency under load ----
      One 4-domain daemon, one load domain keeping 32-deep pipelined
      queries in flight, admin connection timing republish round-trips
-     alternating between the two indexes.  CSV parses a full-size index
-     per swap, so its baseline runs fewer iterations. *)
-  let csv_swaps = min swaps 10 in
+     alternating between the two indexes. *)
   let swap_stats =
     with_daemon ~workers:4 (fun engine ->
         let stop = Atomic.make false in
@@ -204,10 +202,10 @@ let run () =
         in
         let admin = Client.connect ~retries:100 addr in
         let expected_generation = ref 1 in
-        let time_swap send =
+        let time_swap index =
           incr expected_generation;
           let t0 = Clock.seconds () in
-          (match send () with
+          (match Client.republish_index admin index with
           | Ok generation when generation = !expected_generation -> ()
           | Ok generation ->
               failwith
@@ -216,39 +214,26 @@ let run () =
           | Error msg -> failwith ("net: republish failed: " ^ msg));
           Clock.seconds () -. t0
         in
-        let csv_seconds =
-          Array.init csv_swaps (fun i ->
-              let csv = if i mod 2 = 0 then csv2 else csv1 in
-              time_swap (fun () -> Client.republish admin ~index_csv:csv))
-        in
-        let binary_seconds =
-          Array.init swaps (fun i ->
-              let index = if i mod 2 = 0 then index2 else index1 in
-              time_swap (fun () -> Client.republish_index admin index))
+        let swap_seconds =
+          Array.init swaps (fun i -> time_swap (if i mod 2 = 0 then index2 else index1))
         in
         Atomic.set stop true;
         let load_replies = Domain.join load in
         let stats = Client.stats_json admin in
         Client.shutdown admin;
         Client.close admin;
-        let csv_p50, csv_p99, csv_worst = sorted_stats csv_seconds in
-        let p50, p99, worst = sorted_stats binary_seconds in
+        let p50, p99, worst = sorted_stats swap_seconds in
         Bench_util.note
-          "hot swap under load (4 domains): binary p50 %.2g s, p99 %.2g s, worst %.2g s over \
-           %d swaps; csv p50 %.2g s, p99 %.2g s over %d swaps (%d concurrent replies)"
-          p50 p99 worst swaps csv_p50 csv_p99 csv_swaps load_replies;
-        let latency count p50 p99 worst =
-          [ ("count", Json.int count); ("p50_s", Json.Num p50); ("p99_s", Num p99);
-            ("worst_s", Num worst) ]
-        in
+          "hot swap under load (4 domains): p50 %.2g s, p99 %.2g s, worst %.2g s over %d swaps \
+           (%d concurrent replies)"
+          p50 p99 worst swaps load_replies;
         ( Json.Obj
-            (latency swaps p50 p99 worst
-            @ [ ("final_generation", Json.int (Serve.generation engine));
-                ("concurrent_replies", Json.int load_replies) ]),
-          Json.Obj (latency csv_swaps csv_p50 csv_p99 csv_worst),
+            [ ("count", Json.int swaps); ("p50_s", Json.Num p50); ("p99_s", Num p99);
+              ("worst_s", Num worst); ("final_generation", Json.int (Serve.generation engine));
+              ("concurrent_replies", Json.int load_replies) ],
           Json.parse_exn stats ))
   in
-  let swap, swap_csv, metrics = swap_stats in
+  let swap, metrics = swap_stats in
   (* ---- replication: availability under replica kill ----
      NET_REPLICAS daemons over [index1] form a static replica set.  A
      cluster republish fans [index2] out (generation 1 -> 2 everywhere,
@@ -446,12 +431,11 @@ let run () =
            Obj
              [ ("csv_bytes", Json.int csv_bytes); ("binary_bytes", Json.int binary_bytes);
                ("ratio", Num payload_ratio) ] );
-         ("swap", swap); ("swap_csv", swap_csv); ("replication", replication);
+         ("swap", swap); ("replication", replication);
          ("metrics", metrics) ])
     ([ ( "carries the headline fields",
          has
-           [ "depth_runs"; "domain_runs"; "payload"; "swap"; "swap_csv"; "cores"; "replication";
-             "metrics" ] );
+           [ "depth_runs"; "domain_runs"; "payload"; "swap"; "cores"; "replication"; "metrics" ] );
        ( "depth sweep populated, every run timed",
          fun v ->
            let rs = items v [ "depth_runs" ] in
@@ -463,8 +447,7 @@ let run () =
        ("binary payload smaller than CSV", fun v -> num v [ "payload"; "ratio" ] > 1.0);
        ( "every republish installed the next generation",
          fun v ->
-           num v [ "swap"; "final_generation" ]
-           = num v [ "swap"; "count" ] +. num v [ "swap_csv"; "count" ] +. 1.0 );
+           num v [ "swap"; "final_generation" ] = num v [ "swap"; "count" ] +. 1.0 );
        ( "swap latencies ordered: 0 < p50 <= p99 <= worst",
          fun v ->
            let l k = num v [ "swap"; k ] in
@@ -496,8 +479,6 @@ let run () =
     if not full_size then []
     else
       [ ("binary payload >= 8x smaller than CSV", fun v -> num v [ "payload"; "ratio" ] >= 8.0);
-        ( "binary swap p99 within 1.5x of the CSV baseline",
-          fun v -> num v [ "swap"; "p99_s" ] <= 1.5 *. num v [ "swap_csv"; "p99_s" ] );
         ( "4 domains over 1: 2x throughput with >= 6 cores, no regression with >= 4",
           fun v ->
             let qps_at d =

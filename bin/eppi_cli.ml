@@ -447,47 +447,43 @@ let query_cmd =
             end;
             print_reply (Eppi_serve.Serve.Providers (Eppi.Index.query index ~owner)))
           owners
-    | None, Some addr when is_cluster addr -> (
-        (* Replica set: same commands, failover-aware transport. *)
-        match replay_log with
-        | Some log ->
-            if owners <> [] then usage_error "--replay-log excludes --owner";
-            let workload = Eppi_net.Replay.load log in
-            let s =
-              with_cluster ~what:"query" addr (fun cluster ->
-                  Eppi_cluster.Client.replay ~depth cluster workload)
-            in
-            print_replay_summary ~requests:s.requests ~wall_seconds:s.wall_seconds
-              [ ("served", s.served); ("unknown", s.unknown); ("shed", s.shed);
-                ("providers_listed", s.providers_listed); ("failovers", s.failovers) ]
-        | None ->
-            if owners = [] then usage_error "--owner required";
-            let requests = List.map (fun owner -> Eppi_net.Wire.Query { owner }) owners in
-            with_cluster ~what:"query" addr (fun cluster ->
-                List.iter
-                  (function
-                    | Eppi_net.Wire.Reply { reply; _ } -> print_reply reply
-                    | other -> Eppi_net.Client.unexpected "query" other)
-                  (Eppi_cluster.Client.pipeline cluster requests)))
-    | None, Some addr -> (
-        match replay_log with
-        | Some log ->
-            if owners <> [] then usage_error "--replay-log excludes --owner";
-            let workload = Eppi_net.Replay.load log in
-            let s = with_client addr (fun client -> Eppi_net.Replay.run ~depth client workload) in
-            print_replay_summary ~requests:s.requests ~wall_seconds:s.wall_seconds
-              [ ("served", s.served); ("unknown", s.unknown); ("shed", s.shed);
-                ("providers_listed", s.providers_listed);
-                ("first_generation", s.first_generation); ("last_generation", s.last_generation) ]
-        | None ->
-            if owners = [] then usage_error "--owner required";
-            let requests = List.map (fun owner -> Eppi_net.Wire.Query { owner }) owners in
-            with_client addr (fun client ->
-                List.iter
-                  (function
-                    | Eppi_net.Wire.Reply { reply; _ } -> print_reply reply
-                    | other -> Eppi_net.Client.unexpected "query" other)
-                  (Eppi_net.Client.pipeline client requests)))
+    | None, Some addr ->
+        let workload =
+          match replay_log with
+          | Some log ->
+              if owners <> [] then usage_error "--replay-log excludes --owner";
+              Some (Eppi_net.Replay.load log)
+          | None ->
+              if owners = [] then usage_error "--owner required";
+              None
+        in
+        (* One pipeline, whichever transport: [extra] names the summary
+           fields only that transport knows. *)
+        let run_on pipeline extra =
+          match workload with
+          | Some workload ->
+              let s = Eppi_net.Replay.run ~depth pipeline workload in
+              print_replay_summary ~requests:s.requests ~wall_seconds:s.wall_seconds
+                ([ ("served", s.served); ("unknown", s.unknown); ("shed", s.shed);
+                   ("providers_listed", s.providers_listed) ]
+                @ extra s)
+          | None ->
+              List.iter
+                (function
+                  | Eppi_net.Wire.Reply { reply; _ } -> print_reply reply
+                  | other -> Eppi_net.Client.unexpected "query" other)
+                (pipeline (List.map (fun owner -> Eppi_net.Wire.Query { owner }) owners))
+        in
+        if is_cluster addr then
+          (* Replica set: same commands, failover-aware transport. *)
+          with_cluster ~what:"query" addr (fun cluster ->
+              run_on (Eppi_cluster.Client.pipeline cluster) (fun _ ->
+                  [ ("failovers", (Eppi_cluster.Client.stats cluster).failovers) ]))
+        else
+          with_client addr (fun client ->
+              run_on (Eppi_net.Client.pipeline client) (fun s ->
+                  [ ("first_generation", s.first_generation);
+                    ("last_generation", s.last_generation) ]))
   in
   let fuzzy =
     let doc =
@@ -689,8 +685,9 @@ let serve_cmd =
       value & opt int 1
       & info [ "domains" ] ~docv:"INT"
           ~doc:
-            "Engine-calling domains: worker domains for the daemon ($(b,--listen)), the \
-             domain-pool size for in-process replay.  1 serves inline on a single domain.")
+            "Engine-calling domains: worker domains for the daemon ($(b,--listen), \
+             $(b,--stdio)), the domain-pool size for in-process replay.  1 serves inline on a \
+             single domain.")
   in
   let cache =
     Arg.(
@@ -736,7 +733,9 @@ let serve_cmd =
   in
   let stdio =
     let doc =
-      "Run the daemon over standard input/output (inetd-style framing) instead of a socket."
+      "Run the daemon over standard input/output (inetd-style framing) instead of a socket: \
+       the same loop as $(b,--listen), with one connection.  It answers every frame read \
+       before end of input, then exits."
     in
     Arg.(value & flag & info [ "stdio" ] ~doc)
   in
@@ -825,7 +824,11 @@ let serve_cmd =
         Printf.eprintf "daemon stopped; final metrics:\n";
         print_endline (Eppi_serve.Metrics.to_json (Eppi_serve.Serve.metrics engine))
     | None, true ->
-        let server = Eppi_net.Server.create engine in
+        (* No idle sweep: a stdio peer may pause as long as it likes. *)
+        let config =
+          { Eppi_net.Server.default_config with workers = max 1 domains; idle_timeout = 0.0 }
+        in
+        let server = Eppi_net.Server.create ~config engine in
         with_trace trace (fun () -> Eppi_net.Server.run_stdio server)
     | None, false ->
         let workload =
@@ -874,13 +877,6 @@ let connect_required_arg =
   Arg.(required & opt (some string) None & info [ "connect" ] ~docv:"ADDR" ~doc)
 
 let republish_cmd =
-  let csv_arg =
-    let doc =
-      "Ship the index as the legacy CSV payload instead of the compact binary codec — for \
-       daemons that predate the binary republish frame.  Single-daemon mode only."
-    in
-    Arg.(value & flag & info [ "csv" ] ~doc)
-  in
   let cluster_arg =
     let doc =
       "Fan the republish out to a comma-separated replica set instead of one daemon: the index \
@@ -901,15 +897,16 @@ let republish_cmd =
     Printf.eprintf "republish: %s\n" msg;
     exit 2
   in
+  let load_index index_path =
+    match Eppi.Index.of_csv (read_file index_path) with
+    | index -> index
+    | exception Failure msg ->
+        Printf.eprintf "republish: bad index: %s\n" msg;
+        exit 1
+  in
   let run_cluster addrs index_path require =
     let set = replica_set_of_string ~what:"republish" addrs in
-    let index =
-      match Eppi.Index.of_csv (read_file index_path) with
-      | index -> index
-      | exception Failure msg ->
-          Printf.eprintf "republish: bad index: %s\n" msg;
-          exit 1
-    in
+    let index = load_index index_path in
     let report = Eppi_cluster.Fanout.republish set index in
     List.iter
       (fun (r : Eppi_cluster.Fanout.replica_result) ->
@@ -934,40 +931,27 @@ let republish_cmd =
     let require = Option.value ~default:(Eppi_cluster.Replica_set.size set) require in
     if report.succeeded < require then exit 1
   in
-  let run connect index_path csv cluster require =
+  let run connect index_path cluster require =
     match (connect, cluster) with
     | Some _, Some _ | None, None -> usage_error "give exactly one of --connect or --cluster"
-    | None, Some addrs ->
-        if csv then usage_error "--csv is single-daemon only (fan-out ships the binary codec)";
-        run_cluster addrs index_path require
+    | None, Some addrs -> run_cluster addrs index_path require
     | Some addr, None -> (
         if require <> None then usage_error "--require needs --cluster";
         if is_cluster addr then usage_error "use --cluster (not --connect) for a replica set";
-        let index_csv = read_file index_path in
-        with_client addr (fun client ->
-            let result =
-              if csv then Eppi_net.Client.republish client ~index_csv
-              else
-                match Eppi.Index.of_csv index_csv with
-                | index -> Eppi_net.Client.republish_index client index
-                | exception Failure msg -> Error msg
-            in
-            match result with
-            | Ok generation -> Printf.printf "generation %d\n" generation
-            | Error msg ->
-                Printf.eprintf "republish rejected: %s\n" msg;
-                exit 1))
+        let index = load_index index_path in
+        match with_client addr (fun client -> Eppi_net.Client.republish_index client index) with
+        | Ok generation -> Printf.printf "generation %d\n" generation
+        | Error msg ->
+            Printf.eprintf "republish rejected: %s\n" msg;
+            exit 1)
   in
-  let term =
-    Term.(const run $ connect_opt_arg $ index_arg $ csv_arg $ cluster_arg $ require_arg)
-  in
+  let term = Term.(const run $ connect_opt_arg $ index_arg $ cluster_arg $ require_arg) in
   Cmd.v
     (Cmd.info "republish"
        ~doc:
          "Hot-swap the index of a running daemon: queries keep flowing, the new generation \
           takes effect atomically, per-shard caches invalidate.  The index travels as the \
-          compact binary codec unless $(b,--csv) asks for the legacy payload.  \
-          $(b,--cluster A,B,C) fans the swap out to a whole replica set")
+          compact binary codec.  $(b,--cluster A,B,C) fans the swap out to a whole replica set")
     term
 
 (* Seconds → a human-sized unit.  Telemetry spans ns..s; a fixed unit

@@ -350,16 +350,6 @@ module Client = struct
     | [ other ] -> Net_client.unexpected "query" other
     | _ -> raise (Net_client.Protocol_error "cluster query: response count mismatch")
 
-  type summary = {
-    requests : int;
-    served : int;
-    unknown : int;
-    shed : int;
-    providers_listed : int;
-    failovers : int;
-    wall_seconds : float;
-  }
-
   type stats = {
     dispatched : int array;
     answered : int array;
@@ -377,40 +367,6 @@ module Client = struct
       failovers = t.failovers;
       failover_seconds = t.failover_seconds;
       max_generation = t.max_generation;
-    }
-
-  let replay ?(depth = 32) (t : t) workload =
-    if depth < 1 then invalid_arg "Cluster.replay: non-positive depth";
-    let t0 = Clock.seconds () in
-    let failovers0 = t.failovers in
-    let requests = Array.length workload in
-    let served = ref 0 and unknown = ref 0 and shed = ref 0 and providers = ref 0 in
-    let pos = ref 0 in
-    while !pos < requests do
-      let window = min depth (requests - !pos) in
-      let batch =
-        List.init window (fun k -> Wire.Query { owner = workload.(!pos + k) })
-      in
-      List.iter
-        (fun response ->
-          match (response : Wire.response) with
-          | Reply { reply = Providers ps; _ } ->
-              incr served;
-              providers := !providers + List.length ps
-          | Reply { reply = Unknown_owner; _ } -> incr unknown
-          | Reply { reply = Shed_rate_limit | Shed_queue_full; _ } -> incr shed
-          | other -> Net_client.unexpected "replay query" other)
-        (pipeline t batch);
-      pos := !pos + window
-    done;
-    {
-      requests;
-      served = !served;
-      unknown = !unknown;
-      shed = !shed;
-      providers_listed = !providers;
-      failovers = t.failovers - failovers0;
-      wall_seconds = Clock.seconds () -. t0;
     }
 
   let close t = Array.iter close_conn t.endpoints

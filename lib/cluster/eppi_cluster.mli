@@ -177,16 +177,6 @@ module Client : sig
       Stale_generation when the answering replica's generation is behind
       the newest observed.  @raise No_replica as {!pipeline}. *)
 
-  type summary = {
-    requests : int;
-    served : int;
-    unknown : int;
-    shed : int;
-    providers_listed : int;
-    failovers : int;  (** Failovers that occurred during the replay. *)
-    wall_seconds : float;
-  }
-
   type stats = {
     dispatched : int array;  (** Per replica, replica-set order. *)
     answered : int array;
@@ -201,13 +191,6 @@ module Client : sig
   }
 
   val stats : t -> stats
-
-  val replay : ?depth:int -> t -> int array -> summary
-  (** Drive a workload ({!Eppi_serve.Workload} array) through the
-      cluster as windows of [depth] (default 32) pipelined queries —
-      {!Eppi_net.Replay.run}, but failover-aware.  Conservation holds:
-      [served + unknown + shed = requests].
-      @raise No_replica when the whole cluster dies mid-replay. *)
 
   val close : t -> unit
   (** Close every underlying connection.  Idempotent. *)

@@ -2,12 +2,11 @@ module Trace = Eppi_obs.Trace
 module Rng = Eppi_prelude.Rng
 
 type t = {
-  mutable fd : Unix.file_descr;
+  mutable fd : Unix.file_descr;  (* nonblocking from connect on *)
   mutable decoder : Wire.Decoder.t;
   readbuf : Bytes.t;
   mutable closed : bool;
   address : Addr.t;
-  max_payload : int option;
   request_timeout : float option;
   reconnect : bool;
   max_reconnects : int;
@@ -46,13 +45,12 @@ let backoff_delay ~base ~attempt ~u =
   let full = Float.min (base *. (2.0 ** float_of_int (attempt - 1))) backoff_cap in
   full *. (0.5 +. (0.5 *. u))
 
-(* Default backoff seeds: distinct per client within a process (the
-   counter) and across processes (the pid), so a fleet of clients that
-   lost the same server never shares a jitter stream. *)
+(* Backoff seeds: distinct per client within a process (the counter) and
+   across processes (the pid), so a fleet of clients that lost the same
+   server never shares a jitter stream. *)
 let client_counter = Atomic.make 0
 
-let default_backoff_seed () =
-  (Unix.getpid () lsl 20) lxor Atomic.fetch_and_add client_counter 1
+let backoff_seed () = (Unix.getpid () lsl 20) lxor Atomic.fetch_and_add client_counter 1
 
 let ignore_sigpipe () =
   (* A server that dies between our write and its read turns the next write
@@ -61,13 +59,17 @@ let ignore_sigpipe () =
      fail with an error, not a signal. *)
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
 
+(* Dial [address]; the connected socket is nonblocking for its whole life,
+   since every exchange runs through [exchange]'s select loop. *)
 let connect_fd ~retries ~retry_delay address =
   let sockaddr = Addr.sockaddr address in
   let domain = Unix.domain_of_sockaddr sockaddr in
   let rec attempt remaining =
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
     match Unix.connect fd sockaddr with
-    | () -> fd
+    | () ->
+        Unix.set_nonblock fd;
+        fd
     | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _) when remaining > 0 ->
         Unix.close fd;
         Unix.sleepf retry_delay;
@@ -78,24 +80,22 @@ let connect_fd ~retries ~retry_delay address =
   in
   attempt retries
 
-let connect ?(retries = 0) ?(retry_delay = 0.05) ?max_payload ?request_timeout
-    ?(reconnect = false) ?(max_reconnects = 5) ?(trace_context = true) ?backoff_seed address =
+let connect ?(retries = 0) ?(retry_delay = 0.05) ?request_timeout ?(reconnect = false)
+    ?(max_reconnects = 5) ?(trace_context = true) address =
   ignore_sigpipe ();
   let fd = connect_fd ~retries ~retry_delay address in
-  let seed = match backoff_seed with Some s -> s | None -> default_backoff_seed () in
   {
     fd;
-    decoder = Wire.Decoder.create ?max_payload ();
+    decoder = Wire.Decoder.create ();
     readbuf = Bytes.create 65536;
     closed = false;
     address;
-    max_payload;
     request_timeout;
     reconnect;
     max_reconnects;
     retry_delay;
     trace_context;
-    rng = Rng.create seed;
+    rng = Rng.create (backoff_seed ());
   }
 
 let close t =
@@ -115,7 +115,7 @@ let reestablish t =
       match connect_fd ~retries:0 ~retry_delay:t.retry_delay t.address with
       | fd ->
           t.fd <- fd;
-          t.decoder <- Wire.Decoder.create ?max_payload:t.max_payload ();
+          t.decoder <- Wire.Decoder.create ();
           true
       | exception Unix.Unix_error _ ->
           Unix.sleepf (backoff_delay ~base:t.retry_delay ~attempt:k ~u:(Rng.float t.rng 1.0));
@@ -123,58 +123,74 @@ let reestablish t =
   in
   attempt 1
 
-let write_all fd bytes off len =
-  let sent = ref off in
-  while !sent < off + len do
-    match Unix.write fd bytes !sent (off + len - !sent) with
-    | n -> sent := !sent + n
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
-        raise (Conn_lost "connection lost mid-request")
-  done
-
-(* Wait for the socket to become readable, or for [deadline] to pass.
-   Returns false only on timeout; EINTR retries. *)
-let rec wait_readable t deadline =
-  let timeout =
-    match deadline with
-    | None -> -1.0
-    | Some d -> Float.max 0.0 (d -. Unix.gettimeofday ())
+(* Send [requests] and collect one response each, in order.  Writes and
+   reads interleave on the nonblocking socket: reading while still writing
+   is what prevents the distributed-buffer deadlock (client blocked in
+   write, server blocked in write, nobody reads).  [request_timeout] is an
+   inactivity bound, reset whenever the socket makes progress.  When the
+   transport dies and [reconnect] is on, the unanswered tail is re-sent on
+   a fresh socket — at-least-once: a request whose response was lost in
+   flight runs again. *)
+let exchange t requests =
+  let reqs = Array.of_list requests in
+  let expected = Array.length reqs in
+  let responses = ref [] and received = ref 0 in
+  let timeout = Option.value t.request_timeout ~default:(-1.0) in
+  let drain () =
+    let continue = ref true in
+    while !continue && !received < expected do
+      match Wire.Decoder.next t.decoder with
+      | Ok (Some (Wire.Response response)) ->
+          responses := response :: !responses;
+          incr received
+      | Ok (Some (Wire.Request _)) -> raise (Protocol_error "server sent a request frame")
+      | Error e -> raise (Protocol_error (Wire.error_to_string e))
+      | Ok None -> continue := false
+    done
   in
-  match Unix.select [ t.fd ] [] [] timeout with
-  | [], _, _ -> false
-  | _ -> true
-  | exception Unix.Unix_error (EINTR, _, _) -> wait_readable t deadline
-
-(* Block until one response frame is decodable, honouring the per-request
-   timeout. *)
-let recv_result t =
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) t.request_timeout in
-  let rec next () =
-    match Wire.Decoder.next t.decoder with
-    | Ok (Some (Wire.Response response)) -> Ok response
-    | Ok (Some (Wire.Request _)) -> raise (Protocol_error "server sent a request frame")
-    | Error e -> raise (Protocol_error (Wire.error_to_string e))
-    | Ok None ->
-        if not (wait_readable t deadline) then Error Timed_out
-        else begin
-          match Unix.read t.fd t.readbuf 0 (Bytes.length t.readbuf) with
-          | 0 -> raise (Conn_lost "connection closed mid-response")
-          | n ->
-              Wire.Decoder.feed t.decoder t.readbuf ~off:0 ~len:n;
-              next ()
-          | exception Unix.Unix_error (EINTR, _, _) -> next ()
-          | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
-              raise (Conn_lost "connection reset")
-        end
+  let rec go reconnects =
+    let b = Buffer.create (64 * (expected - !received)) in
+    for i = !received to expected - 1 do
+      Wire.encode_request b reqs.(i)
+    done;
+    let bytes = Buffer.to_bytes b in
+    let total = Bytes.length bytes and sent = ref 0 in
+    (* Write before [select]: the socket almost always has room, which
+       saves a [select] per exchange. *)
+    let rec step () =
+      drain ();
+      if !received = expected then Ok ()
+      else begin
+        if !sent < total then begin
+          match Unix.write t.fd bytes !sent (total - !sent) with
+          | n -> sent := !sent + n
+          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+          | exception Unix.Unix_error ((EPIPE | ECONNRESET | ECONNREFUSED), _, _) ->
+              raise (Conn_lost "connection lost mid-request")
+        end;
+        let writes = if !sent < total then [ t.fd ] else [] in
+        match Unix.select [ t.fd ] writes [] timeout with
+        | exception Unix.Unix_error (EINTR, _, _) -> step ()
+        | [], [], _ -> Error Timed_out
+        | readable, _, _ ->
+            (if readable <> [] then
+               match Unix.read t.fd t.readbuf 0 (Bytes.length t.readbuf) with
+               | 0 -> raise (Conn_lost "connection closed mid-response")
+               | n -> Wire.Decoder.feed t.decoder t.readbuf ~off:0 ~len:n
+               | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+               | exception Unix.Unix_error ((ECONNRESET | EPIPE | ECONNREFUSED), _, _) ->
+                   raise (Conn_lost "connection reset"));
+            step ()
+      end
+    in
+    match step () with
+    | Ok () -> Ok (List.rev !responses)
+    | Error _ as e -> e
+    | exception Conn_lost msg ->
+        if t.reconnect && reconnects < t.max_reconnects && reestablish t then go (reconnects + 1)
+        else Error (Connection_lost msg)
   in
-  next ()
-
-let send_request t request =
-  let b = Buffer.create 64 in
-  Wire.encode_request b request;
-  let bytes = Buffer.to_bytes b in
-  write_all t.fd bytes 0 (Bytes.length bytes)
+  go 0
 
 let call_result t request =
   (* Trace-context propagation: with tracing on (and the peer known to
@@ -189,23 +205,9 @@ let call_result t request =
         (Wire.Traced { trace_id = id; request }, id)
     | _ -> (request, -1)
   in
-  let rec attempt reconnects_left =
-    match
-      send_request t request;
-      recv_result t
-    with
-    | outcome -> outcome
-    | exception Conn_lost msg ->
-        if t.reconnect && reconnects_left > 0 && reestablish t then
-          attempt (reconnects_left - 1)
-        else Error (Connection_lost msg)
-    | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _) ->
-        Error (Connection_lost "connection refused")
-  in
-  if trace_id >= 0 then
-    Trace.span "client.request" ~args:[ ("trace_id", trace_id) ] (fun () ->
-        attempt t.max_reconnects)
-  else attempt t.max_reconnects
+  let one () = Result.map List.hd (exchange t [ request ]) in
+  if trace_id >= 0 then Trace.span "client.request" ~args:[ ("trace_id", trace_id) ] one
+  else one ()
 
 let call t request =
   match call_result t request with
@@ -214,94 +216,10 @@ let call t request =
   | Error (Connection_lost msg) -> raise (Protocol_error msg)
 
 let pipeline t requests =
-  let expected = List.length requests in
-  if expected = 0 then []
-  else begin
-    let reqs = Array.of_list requests in
-    let responses = ref [] in
-    let received = ref 0 in
-    let reconnects = ref 0 in
-    (* One pass over the not-yet-answered tail.  On connection loss with
-       reconnect enabled, the tail is re-encoded from [!received] and the
-       pass restarts on the fresh socket (requests whose responses were in
-       flight are re-sent — same at-least-once semantics as call_result). *)
-    let rec go () =
-      let b = Buffer.create (64 * (expected - !received)) in
-      for i = !received to expected - 1 do
-        Wire.encode_request b reqs.(i)
-      done;
-      let bytes = Buffer.to_bytes b in
-      let total = Bytes.length bytes in
-      let sent = ref 0 in
-      match
-        Unix.set_nonblock t.fd;
-        Fun.protect
-          ~finally:(fun () -> try Unix.clear_nonblock t.fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            while !received < expected do
-              let drain () =
-                let continue = ref true in
-                while !continue do
-                  match Wire.Decoder.next t.decoder with
-                  | Ok (Some (Wire.Response response)) ->
-                      responses := response :: !responses;
-                      incr received
-                  | Ok (Some (Wire.Request _)) ->
-                      raise (Protocol_error "server sent a request frame")
-                  | Error e -> raise (Protocol_error (Wire.error_to_string e))
-                  | Ok None -> continue := false
-                done
-              in
-              drain ();
-              if !received < expected then begin
-                let writes = if !sent < total then [ t.fd ] else [] in
-                (* Interleave: keep pushing request bytes whenever the socket
-                   accepts them, keep draining responses as they arrive.
-                   Reading while still writing is what prevents the
-                   distributed-buffer deadlock (client blocked in write,
-                   server blocked in write, nobody reads).  The timeout is an
-                   inactivity bound: it resets every time the socket makes
-                   progress. *)
-                let timeout =
-                  match t.request_timeout with None -> -1.0 | Some s -> s
-                in
-                match Unix.select [ t.fd ] writes [] timeout with
-                | exception Unix.Unix_error (EINTR, _, _) -> ()
-                | [], [], _ -> raise (Protocol_error "pipeline timed out")
-                | readable, writable, _ ->
-                    if writable <> [] then begin
-                      match Unix.write t.fd bytes !sent (total - !sent) with
-                      | n -> sent := !sent + n
-                      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _)
-                        ->
-                          ()
-                      | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
-                          raise (Conn_lost "connection lost mid-pipeline")
-                    end;
-                    if readable <> [] then begin
-                      match Unix.read t.fd t.readbuf 0 (Bytes.length t.readbuf) with
-                      | 0 -> raise (Conn_lost "connection closed mid-pipeline")
-                      | n -> Wire.Decoder.feed t.decoder t.readbuf ~off:0 ~len:n
-                      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _)
-                        ->
-                          ()
-                      | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
-                          raise (Conn_lost "connection reset")
-                    end
-              end
-            done)
-      with
-      | () -> ()
-      | exception Conn_lost msg ->
-          if t.reconnect && !reconnects < t.max_reconnects && reestablish t then begin
-            incr reconnects;
-            go ()
-          end
-          else raise (Protocol_error msg)
-    in
-    go ();
-    List.rev !responses
-  end
+  match exchange t requests with
+  | Ok responses -> responses
+  | Error Timed_out -> raise (Protocol_error "pipeline timed out")
+  | Error (Connection_lost msg) -> raise (Protocol_error msg)
 
 (* ---- typed wrappers ---- *)
 
@@ -359,12 +277,6 @@ let cluster_status t =
   match call t Wire.Cluster_status with
   | Cluster_status_reply status -> status
   | other -> unexpected "cluster status" other
-
-let republish t ~index_csv =
-  match call t (Wire.Republish { index_csv }) with
-  | Republished { generation } -> Ok generation
-  | Server_error msg -> Error msg
-  | other -> unexpected "republish" other
 
 let republish_index t index =
   match call t (Wire.Republish_binary { data = Index_codec.encode index }) with

@@ -1,21 +1,25 @@
-(** Blocking client for the locator daemon.
+(** Client for the locator daemon.
 
     One socket, strict request/response ordering (the server's guarantee),
     so {!pipeline} can keep N requests in flight and match replies by
     position — the throughput lever the [bench -- net] depth sweep
-    measures.  Not thread-safe: one [t] per domain.
+    measures.  Every call, single or pipelined, runs the same exchange: a
+    [select] loop on the nonblocking socket that writes requests while it
+    reads replies.  Calls block until their replies arrive or the
+    [request_timeout] passes.  Not thread-safe: one [t] per domain.
 
     Every returned generation is the index generation the server computed
-    the reply from; after a {!republish} returns generation [g], every
-    later reply on any connection carries a generation [>= g]. *)
+    the reply from; after a {!republish_index} returns generation [g],
+    every later reply on any connection carries a generation [>= g]. *)
 
 type t
 
 type error =
   | Timed_out
-      (** No response within [request_timeout].  The connection is kept (the
-          response may still be in flight); the caller decides whether to
-          retry or {!close}.  Never triggers a reconnect. *)
+      (** The socket made no progress for [request_timeout] seconds.  The
+          connection is kept (the response may still be in flight, or the
+          request not yet fully sent); the caller decides whether to retry
+          or {!close}.  Never triggers a reconnect. *)
   | Connection_lost of string
       (** The transport died and — if reconnect was enabled — every
           re-dial attempt failed too. *)
@@ -32,12 +36,10 @@ val unexpected : string -> Wire.response -> 'a
 val connect :
   ?retries:int ->
   ?retry_delay:float ->
-  ?max_payload:int ->
   ?request_timeout:float ->
   ?reconnect:bool ->
   ?max_reconnects:int ->
   ?trace_context:bool ->
-  ?backoff_seed:int ->
   Addr.t ->
   t
 (** Connect, retrying a refused/absent endpoint [retries] times (default 0)
@@ -45,10 +47,11 @@ val connect :
     just-started-daemon race.  SIGPIPE is set to ignore (once, globally) so
     a dead peer surfaces as [EPIPE] rather than killing the process.
 
-    [request_timeout] bounds every subsequent request: a call whose response
-    does not arrive within that many seconds returns {!Timed_out} (for
-    {!pipeline} it is an inactivity bound — reset whenever the socket makes
-    progress).  Default: wait forever.
+    [request_timeout] bounds every subsequent exchange: a call during which
+    the socket makes no progress — no request byte accepted, no reply byte
+    received — for that many seconds returns {!Timed_out} ({!pipeline}
+    raises).  The bound resets whenever the socket makes progress.
+    Default: wait forever.
 
     [reconnect] (default false) makes {!call_result}, {!call} and
     {!pipeline} transparently re-dial the same address when the connection
@@ -56,9 +59,9 @@ val connect :
     {!backoff_delay}) and at most [max_reconnects] (default 5) attempts,
     then re-send the unanswered request(s) on the fresh socket —
     at-least-once semantics: a request whose response was lost in flight is
-    executed again.  [backoff_seed] seeds the jitter stream; the default
-    mixes the pid with a process-global counter so clients that lost the
-    same server never reconnect in lockstep.
+    executed again.  The jitter stream's seed mixes the pid with a
+    process-global counter, so clients that lost the same server never
+    reconnect in lockstep.
 
     [trace_context] (default true): while {!Eppi_obs.Trace} tracing is
     enabled, {!call_result}/{!call} wrap each request in a [Wire.Traced]
@@ -85,9 +88,9 @@ val close : t -> unit
 (** Idempotent. *)
 
 val call_result : t -> Wire.request -> (Wire.response, error) result
-(** Send one request, block for its response; transport failures come back
-    as [Error] instead of an exception.  Framing violations still raise
-    {!Protocol_error}. *)
+(** A one-frame {!pipeline}: send one request, block for its response;
+    transport failures come back as [Error] instead of an exception.
+    Framing violations still raise {!Protocol_error}. *)
 
 val call : t -> Wire.request -> Wire.response
 (** Send one request, block for its response.  @raise Protocol_error on
@@ -98,7 +101,8 @@ val pipeline : t -> Wire.request list -> Wire.response list
 (** Send every request over the socket while concurrently reading replies
     (interleaved with [select], so an arbitrarily long batch cannot
     deadlock against the server's backpressure), returning the responses
-    in request order. *)
+    in request order.  @raise Protocol_error on a timeout ("pipeline timed
+    out") or connection loss, after any configured reconnect attempts. *)
 
 (* Typed wrappers; each raises {!Protocol_error} on a mismatched response. *)
 
@@ -134,16 +138,10 @@ val cluster_status : t -> Wire.cluster_status
     ({!Server.config.peers}).  Works against any daemon; a standalone one
     reports an empty peer list. *)
 
-val republish : t -> index_csv:string -> (int, string) result
-(** Install a new index on the server ({!Eppi.Index.to_csv} payload);
-    [Ok generation] on success, [Error message] when the server rejects
-    the CSV. *)
-
 val republish_index : t -> Eppi.Index.t -> (int, string) result
-(** {!republish} with the compact {!Index_codec} payload — an order of
-    magnitude smaller on the wire than the CSV form, and decoded off the
-    server's I/O loop.  Prefer this unless the peer predates the binary
-    codec. *)
+(** Install a new index on the server as one {!Index_codec} payload;
+    [Ok generation] on success, [Error message] when the server rejects
+    the payload. *)
 
 val ping : t -> unit
 

@@ -25,7 +25,7 @@ let load path =
   in
   if first_printable 0 = '{' then Workload.of_jsonl_log text else Workload.of_csv_log text
 
-let run ?(depth = 32) client workload =
+let run ?(depth = 32) pipeline workload =
   if depth < 1 then invalid_arg "Replay.run: depth must be >= 1";
   let requests = Array.length workload in
   let served = ref 0
@@ -54,7 +54,7 @@ let run ?(depth = 32) client workload =
             | Unknown_owner -> incr unknown
             | Shed_rate_limit | Shed_queue_full -> incr shed)
         | other -> Client.unexpected "replay query" other)
-      (Client.pipeline client frames);
+      (pipeline frames);
     pos := !pos + window
   done;
   {

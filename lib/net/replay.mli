@@ -1,9 +1,10 @@
 (** Trace-driven replay over the real socket path.
 
     Loads a request log ({!Eppi_serve.Workload.of_csv_log} /
-    [of_jsonl_log] formats) and drives it through a {!Client} as pipelined
-    [Query] frames — the workload source the [bench -- net] target and the
-    CLI replay mode share. *)
+    [of_jsonl_log] formats) and drives it through any pipelined transport
+    as windows of [Query] frames — {!Client.pipeline} for one daemon,
+    [Eppi_cluster.Client.pipeline] for a replica set.  The [bench -- net]
+    target and the CLI replay mode share it. *)
 
 type summary = {
   requests : int;
@@ -21,9 +22,11 @@ val load : string -> int array
     the JSONL parser, anything else the CSV parser.
     @raise Sys_error on an unreadable path, [Failure] on a malformed log. *)
 
-val run : ?depth:int -> Client.t -> int array -> summary
-(** Replay the workload as windows of [depth] pipelined queries (default
-    32).  Conservation holds by construction:
-    [served + unknown + shed = requests] — every request is answered.
+val run : ?depth:int -> (Wire.request list -> Wire.response list) -> int array -> summary
+(** [run pipeline workload] replays the workload as windows of [depth]
+    queries (default 32), each window one [pipeline] call.  Conservation
+    holds by construction: [served + unknown + shed = requests] — every
+    request is answered.
     @raise Invalid_argument on a non-positive depth;
-    @raise Client.Protocol_error as {!Client.pipeline} does. *)
+    @raise Client.Protocol_error on a reply that is not a query reply, and
+    whatever [pipeline] raises. *)

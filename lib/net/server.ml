@@ -47,20 +47,6 @@ let engine t = t.engine
 
 (* ---- request handling (transport-independent) ---- *)
 
-let rec request_code = function
-  | Wire.Query _ -> 1
-  | Wire.Batch _ -> 2
-  | Wire.Audit _ -> 3
-  | Wire.Stats -> 4
-  | Wire.Republish _ -> 5
-  | Wire.Ping -> 6
-  | Wire.Shutdown -> 7
-  | Wire.Republish_binary _ -> 8
-  | Wire.Query_fuzzy _ -> 9
-  | Wire.Telemetry -> 10
-  | Wire.Cluster_status -> 11
-  | Wire.Traced { request; _ } -> request_code request
-
 let workers_json t =
   Json.List
     (List.map
@@ -127,10 +113,6 @@ let rec handle_request t (request : Wire.request) : Wire.response =
   | Telemetry -> Telemetry_json (telemetry_json t)
   | Cluster_status -> cluster_status t
   | Traced { request; _ } -> handle_request t request
-  | Republish { index_csv } -> (
-      match Eppi.Index.of_csv index_csv with
-      | index -> Republished { generation = Serve.republish_index t.engine index }
-      | exception Failure msg -> Server_error ("republish: " ^ msg))
   | Republish_binary { data } -> (
       match Index_codec.decode data with
       | Ok index -> Republished { generation = Serve.republish_index t.engine index }
@@ -150,7 +132,7 @@ let rec handle ?(trace_id = -1) t request =
   | _ ->
       if not (Trace.enabled ()) then handle_request t request
       else begin
-        let args = [ ("tag", request_code request) ] in
+        let args = [ ("tag", Wire.request_tag request) ] in
         let args = if trace_id >= 0 then ("trace_id", trace_id) :: args else args in
         Trace.span "net.request" ~args (fun () -> handle_request t request)
       end
@@ -428,13 +410,17 @@ let next_round_robin ws =
 
 (* ---- the select loop ---- *)
 
+(* A connection reads [rfd] and writes [wfd]: one socket for an accepted
+   client, stdin and stdout for [--stdio]. *)
 type conn = {
-  fd : Unix.file_descr;
+  rfd : Unix.file_descr;
+  wfd : Unix.file_descr;
   decoder : Wire.Decoder.t;
   out : Buffer.t;
   mutable out_off : int;
   mutable last_activity : float;
-  mutable closing : bool;  (* no more reads; close once the buffer drains *)
+  mutable closing : bool;  (* framing error: no more reads or decoding *)
+  mutable eof : bool;  (* the peer sent EOF: no more reads; buffered frames still served *)
   id : int;
   mutable next_seq : int;  (* sequence assigned to the next request *)
   mutable next_flush : int;  (* next sequence to append to [out] *)
@@ -455,18 +441,25 @@ let inflight c = c.next_seq - c.next_flush
 let instant_conn name c =
   if Trace.enabled () then Trace.instant name ~args:[ ("conn", c.id) ]
 
-let run t listener =
+(* Serve [streams] (read, write) and, when there is a listener, every
+   client it accepts.  Returns after a [Shutdown] once every reply is
+   flushed, or — without a listener — once the last connection closes. *)
+let loop t ~listener ~streams =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  Unix.set_nonblock listener;
+  Option.iter Unix.set_nonblock listener;
   let ws = if t.config.workers > 1 then Some (start_workers t t.config.workers) else None in
   let conns = ref [] in
   let conn_tbl : (int, conn) Hashtbl.t = Hashtbl.create 64 in
   let next_id = ref 0 in
   let shutting = ref false in
   let readbuf = Bytes.create 65536 in
+  let close_fds c =
+    (try Unix.close c.rfd with Unix.Unix_error _ -> ());
+    if c.wfd <> c.rfd then try Unix.close c.wfd with Unix.Unix_error _ -> ()
+  in
   let close_conn c =
     instant_conn "net.close" c;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    close_fds c;
     Hashtbl.remove conn_tbl c.id;
     conns := List.filter (fun c' -> c'.id <> c.id) !conns
   in
@@ -511,7 +504,7 @@ let run t listener =
     in
     let record =
       if t.config.telemetry then
-        Some (Telemetry.make ~kind:(request_code request) ~trace_id ~t_read ~t_decoded)
+        Some (Telemetry.make ~kind:(Wire.request_tag request) ~trace_id ~t_read ~t_decoded)
       else None
     in
     (* A request the mux answers itself: the record keeps [t_dispatched =
@@ -550,7 +543,7 @@ let run t listener =
                on shard 0, so it must run on shard 0's worker. *)
             dispatched ();
             enqueue ws.pool.(0) (Job { conn_id = c.id; seq; request; trace_id; j_record = record })
-        | Wire.Republish _ | Wire.Republish_binary _ ->
+        | Wire.Republish_binary _ ->
             (* Decode + install off the mux.  Stall this connection until
                the swap lands so a pipelined query behind it cannot answer
                from the old generation after the republish reply. *)
@@ -638,9 +631,18 @@ let run t listener =
       | Error e -> respond_error c (Wire.error_to_string e)
     done
   in
+  (* A connection that reads no more (EOF or a framing error) closes once
+     it owes nothing: every decoded request answered and written.  [drain]
+     runs whenever the inflight cap or a republish stall lifts, so with
+     nothing in flight no complete frame is left in the decoder. *)
+  let close_if_done c =
+    if (c.closing || c.eof) && inflight c = 0 && pending c = 0 then close_conn c
+  in
   let read_from c =
-    match Unix.read c.fd readbuf 0 (Bytes.length readbuf) with
-    | 0 -> close_conn c
+    match Unix.read c.rfd readbuf 0 (Bytes.length readbuf) with
+    | 0 ->
+        c.eof <- true;
+        close_if_done c
     | n ->
         c.last_activity <- Clock.seconds ();
         Wire.Decoder.feed c.decoder readbuf ~off:0 ~len:n;
@@ -650,7 +652,7 @@ let run t listener =
   in
   let write_to c =
     let bytes = Buffer.to_bytes c.out in
-    match Unix.write c.fd bytes c.out_off (Bytes.length bytes - c.out_off) with
+    match Unix.write c.wfd bytes c.out_off (Bytes.length bytes - c.out_off) with
     | n ->
         c.out_off <- c.out_off + n;
         c.written <- c.written + n;
@@ -672,7 +674,7 @@ let run t listener =
         if c.out_off = Bytes.length bytes then begin
           Buffer.clear c.out;
           c.out_off <- 0;
-          if c.closing && inflight c = 0 then close_conn c
+          close_if_done c
         end
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> close_conn c
@@ -709,34 +711,40 @@ let run t listener =
       | exception Unix.Unix_error (EINTR, _, _) -> ()
     done
   in
-  let accept_one () =
+  let open_conn rfd wfd =
+    Unix.set_nonblock rfd;
+    Unix.set_nonblock wfd;
+    incr next_id;
+    let c =
+      {
+        rfd;
+        wfd;
+        decoder = Wire.Decoder.create ~max_payload:t.config.max_payload ();
+        out = Buffer.create 1024;
+        out_off = 0;
+        last_activity = Clock.seconds ();
+        closing = false;
+        eof = false;
+        id = !next_id;
+        next_seq = 0;
+        next_flush = 0;
+        replies = Hashtbl.create 8;
+        stall_seq = -1;
+        appended = 0;
+        written = 0;
+        watch = Queue.create ();
+      }
+    in
+    conns := c :: !conns;
+    Hashtbl.replace conn_tbl c.id c;
+    instant_conn "net.accept" c
+  in
+  let accept_one listener =
     match Unix.accept listener with
-    | fd, _ ->
-        Unix.set_nonblock fd;
-        incr next_id;
-        let c =
-          {
-            fd;
-            decoder = Wire.Decoder.create ~max_payload:t.config.max_payload ();
-            out = Buffer.create 1024;
-            out_off = 0;
-            last_activity = Clock.seconds ();
-            closing = false;
-            id = !next_id;
-            next_seq = 0;
-            next_flush = 0;
-            replies = Hashtbl.create 8;
-            stall_seq = -1;
-            appended = 0;
-            written = 0;
-            watch = Queue.create ();
-          }
-        in
-        conns := c :: !conns;
-        Hashtbl.replace conn_tbl c.id c;
-        instant_conn "net.accept" c
+    | fd, _ -> open_conn fd fd
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR | ECONNABORTED), _, _) -> ()
   in
+  List.iter (fun (rfd, wfd) -> open_conn rfd wfd) streams;
   let stalled c =
     c.stall_seq >= 0 || inflight c >= t.config.max_inflight
     || pending c >= t.config.max_pending_bytes
@@ -752,18 +760,26 @@ let run t listener =
     end
   in
   let finished () =
-    !shutting && List.for_all (fun c -> pending c = 0 && inflight c = 0) !conns
+    (!shutting && List.for_all (fun c -> pending c = 0 && inflight c = 0) !conns)
+    || (listener = None && !conns = [])
   in
   while not (finished ()) do
-    let accepting = (not !shutting) && List.length !conns < t.config.max_connections in
+    let accepting =
+      match listener with
+      | Some l when (not !shutting) && List.length !conns < t.config.max_connections -> Some l
+      | _ -> None
+    in
     let reads =
-      (if accepting then [ listener ] else [])
+      Option.to_list accepting
       @ (match ws with Some ws -> [ ws.wake_r ] | None -> [])
       @ List.filter_map
-          (fun c -> if (not c.closing) && (not !shutting) && not (stalled c) then Some c.fd else None)
+          (fun c ->
+            if (not c.closing) && (not c.eof) && (not !shutting) && not (stalled c) then
+              Some c.rfd
+            else None)
           !conns
     in
-    let writes = List.filter_map (fun c -> if pending c > 0 then Some c.fd else None) !conns in
+    let writes = List.filter_map (fun c -> if pending c > 0 then Some c.wfd else None) !conns in
     (match Unix.select reads writes [] 0.5 with
     | exception Unix.Unix_error (EINTR, _, _) -> ()
     | readable, writable, _ ->
@@ -773,12 +789,14 @@ let run t listener =
             process_completions ws
         | None -> ());
         List.iter
-          (fun c -> if List.memq c.fd writable then write_to c)
+          (fun c -> if List.memq c.wfd writable then write_to c)
           !conns;
         List.iter
-          (fun c -> if List.memq c.fd readable then read_from c)
+          (fun c -> if List.memq c.rfd readable then read_from c)
           !conns;
-        if accepting && List.memq listener readable then accept_one ();
+        (match accepting with
+        | Some l when List.memq l readable -> accept_one l
+        | _ -> ());
         if t.config.idle_timeout > 0.0 && not !shutting then begin
           let now = Clock.seconds () in
           List.iter
@@ -789,11 +807,13 @@ let run t listener =
         end);
     mux_counters ()
   done;
-  List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;
+  List.iter close_fds !conns;
   conns := [];
   Hashtbl.reset conn_tbl;
   (match ws with Some ws -> stop_workers ws | None -> ());
-  try Unix.close listener with Unix.Unix_error _ -> ()
+  Option.iter (fun l -> try Unix.close l with Unix.Unix_error _ -> ()) listener
+
+let run t listener = loop t ~listener:(Some listener) ~streams:[]
 
 let serve t address =
   let listener = listen address in
@@ -804,85 +824,15 @@ let serve t address =
   in
   Fun.protect ~finally:cleanup (fun () -> run t listener)
 
-(* ---- stdio transport ---- *)
-
-let write_all fd bytes =
-  let len = Bytes.length bytes in
-  let sent = ref 0 in
-  while !sent < len do
-    match Unix.write fd bytes !sent (len - !sent) with
-    | n -> sent := !sent + n
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-  done
-
+(* The loop closes the descriptors it serves, so it gets duplicates and
+   the process keeps fds 0 and 1.  They share one open file description
+   with the duplicates, so clearing O_NONBLOCK through them leaves a
+   stream inherited from a shell as it was found. *)
 let run_stdio t =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let decoder = Wire.Decoder.create ~max_payload:t.config.max_payload () in
-  let readbuf = Bytes.create 65536 in
-  let out = Buffer.create 1024 in
-  let running = ref true in
-  (* Stage records for the frames encoded this iteration; with one
-     blocking transport the dispatch/queue/reorder stages are zero and
-     the flush stage closes when [write_all] returns. *)
-  let batch_records = ref [] in
-  while !running do
-    (match Unix.read Unix.stdin readbuf 0 (Bytes.length readbuf) with
-    | 0 -> running := false
-    | n -> Wire.Decoder.feed decoder readbuf ~off:0 ~len:n
-    | exception Unix.Unix_error (EINTR, _, _) -> ());
-    let continue = ref !running in
-    while !continue do
-      let t_read = if t.config.telemetry then Clock.monotonic_ns () else 0 in
-      match Wire.Decoder.next decoder with
-      | Ok None -> continue := false
-      | Ok (Some (Wire.Request request)) ->
-          let record =
-            if t.config.telemetry then begin
-              let t_decoded = Clock.monotonic_ns () in
-              let trace_id, inner =
-                match request with
-                | Wire.Traced { trace_id; request } -> (trace_id, request)
-                | request -> (-1, request)
-              in
-              let r =
-                Telemetry.make ~kind:(request_code inner) ~trace_id ~t_read ~t_decoded
-              in
-              r.Telemetry.t_dispatched <- t_decoded;
-              r.Telemetry.t_started <- t_decoded;
-              Some r
-            end
-            else None
-          in
-          let response = handle t request in
-          Wire.encode_response out response;
-          (match record with
-          | Some r ->
-              let now = Clock.monotonic_ns () in
-              r.Telemetry.t_done <- now;
-              r.Telemetry.t_flushed <- now;
-              batch_records := r :: !batch_records
-          | None -> ());
-          if response = Wire.Shutting_down then begin
-            running := false;
-            continue := false
-          end
-      | Ok (Some (Wire.Response _)) ->
-          Wire.encode_response out (Wire.Server_error "protocol: response frame sent to server");
-          running := false;
-          continue := false
-      | Error e ->
-          Wire.encode_response out (Wire.Server_error (Wire.error_to_string e));
-          running := false;
-          continue := false
-    done;
-    if Buffer.length out > 0 then begin
-      write_all Unix.stdout (Buffer.to_bytes out);
-      Buffer.clear out;
-      match !batch_records with
-      | [] -> ()
-      | records ->
-          let t_written = Clock.monotonic_ns () in
-          List.iter (fun r -> Telemetry.finish t.telemetry r ~t_written) (List.rev records);
-          batch_records := []
-    end
-  done
+  let streams = [ (Unix.dup Unix.stdin, Unix.dup Unix.stdout) ] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.clear_nonblock fd with Unix.Unix_error _ -> ())
+        [ Unix.stdin; Unix.stdout ])
+    (fun () -> loop t ~listener:None ~streams)

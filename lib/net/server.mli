@@ -1,7 +1,9 @@
 (** The locator daemon: a persistent RPC front-end over {!Eppi_serve.Serve}.
 
     One [Unix.select] loop owns the listening socket and every client
-    connection.  With [workers = 1] it is also the sole engine caller —
+    connection — or, for {!run_stdio}, no listener and one connection
+    over stdin and stdout.  With [workers = 1] it is also the sole engine
+    caller —
     the pre-multicore daemon, no extra domains.  With [workers = d > 1]
     the loop becomes a pure I/O mux: it decodes frames, stamps each
     request with a per-connection sequence number, and routes it to one
@@ -9,9 +11,9 @@
     pinned to worker [shard mod d], so every shard keeps exactly one
     writing domain and {!Eppi_serve.Serve.query}'s
     single-writer-per-shard contract holds without locks.  Batch frames
-    split into per-worker parts served in parallel; Republish — CSV or
-    the compact {!Index_codec} form — decodes and installs on a worker,
-    off the I/O loop.  Workers return pre-encoded response frames over a
+    split into per-worker parts served in parallel; a republish
+    ({!Index_codec} payload) decodes and installs on a worker, off the
+    I/O loop.  Workers return pre-encoded response frames over a
     lock-free queue with a self-pipe wakeup, and the mux flushes them in
     sequence order, preserving the wire contract of exactly one response
     per request, in request order, per connection.
@@ -22,10 +24,13 @@
       without bound); one with [max_inflight] unanswered requests stops
       being read until workers catch up;
     - connections idle longer than [idle_timeout] are closed;
+    - EOF from a peer stops reads, not service: frames already received
+      are answered in order, and the connection closes once it owes
+      nothing, so a client may half-close after its last request;
     - a framing error poisons only its connection: the server replies
       [Server_error] and closes after flushing, other clients are
       untouched;
-    - a [Republish]/[Republish_binary] frame hot-swaps the engine's index
+    - a [Republish_binary] frame hot-swaps the engine's index
       generation ({!Eppi_serve.Serve.republish_index}) — queries keep
       flowing, no drain, caches invalidate per shard.  Requests pipelined
       {e behind} a republish on the same connection wait for the swap, so
@@ -36,7 +41,7 @@
       {!run}.
 
     With tracing enabled ({!Eppi_obs.Trace}), every request is a
-    [net.request] span tagged with its frame kind, accepted/closed
+    [net.request] span tagged with its frame tag, accepted/closed
     connections are instant events, each worker domain samples a
     [net.worker-<i>] counter track (queue depth, busy µs, requests
     served), and the mux samples [net.mux] stalled-connection counts.
@@ -114,7 +119,10 @@ val serve : t -> Addr.t -> unit
     on exception) so no stray socket file survives the daemon. *)
 
 val run_stdio : t -> unit
-(** The [--stdio] transport: frames on stdin, responses on stdout, until
-    EOF or a [Shutdown] frame.  Always inline (single-domain), regardless
-    of [workers] — for inetd-style supervision and tests without socket
-    plumbing. *)
+(** The [--stdio] transport: {!run}'s loop with no listener and one
+    connection that reads stdin and writes stdout, honouring [workers]
+    like any other — for inetd-style supervision.  Returns after a
+    [Shutdown] frame once its reply is written, or once the connection
+    closes: after EOF on stdin once every reply owed is written, after a
+    framing error, or when stdout's reader goes away.  Both streams are
+    left in blocking mode. *)

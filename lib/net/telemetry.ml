@@ -21,7 +21,7 @@ module Json = Eppi_prelude.Json
 module Stats = Eppi_prelude.Stats
 
 type record = {
-  mutable kind : int;  (* Server.request_code of the unwrapped request *)
+  mutable kind : int;  (* Wire.request_tag of the unwrapped request *)
   mutable trace_id : int;  (* propagated trace context, -1 = none *)
   mutable t_read : int;  (* decode began (bytes were buffered) *)
   mutable t_decoded : int;  (* frame parsed *)
@@ -47,27 +47,26 @@ let stages = 6
 let stage_names = [| "decode"; "dispatch"; "queue"; "execute"; "reorder"; "flush" |]
 let classes = [| "query"; "batch"; "fuzzy"; "audit"; "republish"; "admin" |]
 
-(* Request-code → window class.  Codes mirror [Server.request_code]. *)
+(* Kinds are wire tags ([Wire.request_tag]). *)
 let class_of_kind = function
-  | 1 -> 0 (* query *)
-  | 2 -> 1 (* batch *)
-  | 9 -> 2 (* fuzzy *)
-  | 3 -> 3 (* audit *)
-  | 5 | 8 -> 4 (* republish, csv or binary *)
-  | _ -> 5 (* stats, ping, shutdown, telemetry *)
+  | 0x01 -> 0 (* query *)
+  | 0x02 -> 1 (* batch *)
+  | 0x09 -> 2 (* fuzzy *)
+  | 0x03 -> 3 (* audit *)
+  | 0x08 -> 4 (* republish *)
+  | _ -> 5 (* stats, ping, shutdown, telemetry, cluster status *)
 
 let kind_name = function
-  | 1 -> "query"
-  | 2 -> "batch"
-  | 3 -> "audit"
-  | 4 -> "stats"
-  | 5 -> "republish"
-  | 6 -> "ping"
-  | 7 -> "shutdown"
-  | 8 -> "republish_binary"
-  | 9 -> "fuzzy"
-  | 10 -> "telemetry"
-  | 11 -> "cluster"
+  | 0x01 -> "query"
+  | 0x02 -> "batch"
+  | 0x03 -> "audit"
+  | 0x04 -> "stats"
+  | 0x06 -> "ping"
+  | 0x07 -> "shutdown"
+  | 0x08 -> "republish_binary"
+  | 0x09 -> "fuzzy"
+  | 0x0B -> "telemetry"
+  | 0x0C -> "cluster"
   | _ -> "other"
 
 type slow = {

@@ -23,7 +23,7 @@
     pair. *)
 
 type record = {
-  mutable kind : int;  (** [Server.request_code] of the unwrapped request. *)
+  mutable kind : int;  (** {!Wire.request_tag} of the unwrapped request. *)
   mutable trace_id : int;  (** Propagated trace context, -1 when absent. *)
   mutable t_read : int;
   mutable t_decoded : int;
@@ -65,7 +65,7 @@ val json : ?extra:(string * Eppi_prelude.Json.t) list -> t -> now_ns:int -> Eppi
     field list with units is in docs/OBSERVABILITY.md. *)
 
 val class_of_kind : int -> int
-(** Request-code → window-class index (see {!classes}). *)
+(** Wire tag → window-class index (see {!classes}). *)
 
 val classes : string array
 val stage_names : string array

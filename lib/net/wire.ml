@@ -12,7 +12,6 @@ type request =
   | Batch of int array
   | Audit of { provider : int }
   | Stats
-  | Republish of { index_csv : string }
   | Ping
   | Shutdown
   | Republish_binary of { data : string }
@@ -71,7 +70,7 @@ let tag_query = 0x01
 let tag_batch = 0x02
 let tag_audit = 0x03
 let tag_stats = 0x04
-let tag_republish = 0x05
+(* 0x05 carried the retired CSV republish; it now decodes as [Unknown_tag]. *)
 let tag_ping = 0x06
 let tag_shutdown = 0x07
 let tag_republish_binary = 0x08
@@ -79,6 +78,7 @@ let tag_query_fuzzy = 0x09
 let tag_traced = 0x0A
 let tag_telemetry = 0x0B
 let tag_cluster_status = 0x0C
+let known_request_tag tag = tag >= tag_query && tag <= tag_cluster_status && tag <> 0x05
 let tag_reply = 0x11
 let tag_batch_reply = 0x12
 let tag_audit_reply = 0x13
@@ -202,43 +202,38 @@ let put_reply b (reply : Eppi_serve.Serve.reply) =
   | Shed_rate_limit -> Buffer.add_char b '\x02'
   | Shed_queue_full -> Buffer.add_char b '\x03'
 
-let rec payload_of_request b = function
-  | Query { owner } ->
-      put_varint b owner;
-      tag_query
-  | Batch owners ->
-      put_varint b (Array.length owners);
-      Array.iter (put_varint b) owners;
-      tag_batch
-  | Audit { provider } ->
-      put_varint b provider;
-      tag_audit
+let request_tag = function
+  | Query _ -> tag_query
+  | Batch _ -> tag_batch
+  | Audit _ -> tag_audit
   | Stats -> tag_stats
-  | Republish { index_csv } ->
-      Buffer.add_string b index_csv;
-      tag_republish
   | Ping -> tag_ping
   | Shutdown -> tag_shutdown
-  | Republish_binary { data } ->
-      Buffer.add_string b data;
-      tag_republish_binary
+  | Republish_binary _ -> tag_republish_binary
+  | Query_fuzzy _ -> tag_query_fuzzy
+  | Traced _ -> tag_traced
+  | Telemetry -> tag_telemetry
+  | Cluster_status -> tag_cluster_status
+
+let rec payload_of_request b = function
+  | Query { owner } -> put_varint b owner
+  | Batch owners ->
+      put_varint b (Array.length owners);
+      Array.iter (put_varint b) owners
+  | Audit { provider } -> put_varint b provider
+  | Stats | Ping | Shutdown | Telemetry | Cluster_status -> ()
+  | Republish_binary { data } -> Buffer.add_string b data
   | Query_fuzzy { probe; k } ->
       put_varint b k;
-      put_probe b probe;
-      tag_query_fuzzy
+      put_probe b probe
   | Traced { trace_id; request } ->
       (match request with
       | Traced _ -> invalid_arg "Wire: Traced frames do not nest"
       | _ -> ());
       if trace_id < 0 then invalid_arg "Wire: trace id must be non-negative";
       put_varint b trace_id;
-      let inner = Buffer.create 32 in
-      let inner_tag = payload_of_request inner request in
-      Buffer.add_char b (Char.chr inner_tag);
-      Buffer.add_buffer b inner;
-      tag_traced
-  | Telemetry -> tag_telemetry
-  | Cluster_status -> tag_cluster_status
+      Buffer.add_char b (Char.chr (request_tag request));
+      payload_of_request b request
 
 let payload_of_response b = function
   | Reply { generation; reply } ->
@@ -316,7 +311,13 @@ let add_frame b payload_of value =
   Buffer.add_char b (Char.chr (len land 0xFF));
   Buffer.add_buffer b body
 
-let encode_request b request = add_frame b payload_of_request request
+let encode_request b request =
+  add_frame b
+    (fun body request ->
+      payload_of_request body request;
+      request_tag request)
+    request
+
 let encode_response b response = add_frame b payload_of_response response
 
 let frame_to_string = function
@@ -393,7 +394,6 @@ let rec parse_payload tag payload =
     end
     else if tag = tag_audit then Request (Audit { provider = get_varint c })
     else if tag = tag_stats then Request Stats
-    else if tag = tag_republish then Request (Republish { index_csv = rest c })
     else if tag = tag_ping then Request Ping
     else if tag = tag_shutdown then Request Shutdown
     else if tag = tag_republish_binary then Request (Republish_binary { data = rest c })
@@ -410,7 +410,7 @@ let rec parse_payload tag payload =
       let inner_tag = Char.code payload.[c.pos] in
       c.pos <- c.pos + 1;
       if inner_tag = tag_traced then raise (Corrupt_payload "nested traced frame");
-      if not (inner_tag >= tag_query && inner_tag <= tag_cluster_status) then
+      if not (known_request_tag inner_tag) then
         raise (Corrupt_payload (Printf.sprintf "traced frame wraps tag 0x%02X" inner_tag));
       match parse_payload inner_tag (rest c) with
       | Request request -> Request (Traced { trace_id; request })
@@ -497,9 +497,7 @@ let rec parse_payload tag payload =
     raise (Corrupt_payload (Printf.sprintf "%d trailing bytes" (String.length payload - c.pos)));
   frame
 
-let known_tag tag =
-  (tag >= tag_query && tag <= tag_cluster_status)
-  || (tag >= tag_reply && tag <= tag_cluster_status_reply)
+let known_tag tag = known_request_tag tag || (tag >= tag_reply && tag <= tag_cluster_status_reply)
 
 (* ---- the incremental decoder ---- *)
 

@@ -25,15 +25,14 @@ type request =
   | Batch of int array  (** QueryPPI for many owners in one frame. *)
   | Audit of { provider : int }  (** Provider-side audit (inverse postings). *)
   | Stats  (** The engine's merged metrics snapshot as JSON. *)
-  | Republish of { index_csv : string }
-      (** Hot-swap: install the index serialized as {!Eppi.Index.to_csv}. *)
   | Ping  (** Liveness probe. *)
   | Shutdown  (** Graceful stop: the server flushes replies and exits. *)
   | Republish_binary of { data : string }
       (** Hot-swap: install the index serialized with {!Index_codec} —
-          the compact bit-packed payload ({!Index_codec.encode}), ~10x
-          smaller than the CSV form on typical ε-PPI indexes.  The
-          payload carries its own codec version byte. *)
+          the compact bit-packed payload ({!Index_codec.encode}), ~8x
+          smaller than {!Eppi.Index.to_csv} on typical ε-PPI indexes.
+          The payload carries its own codec version byte.  Tag 0x05, the
+          retired CSV republish, decodes as {!Unknown_tag}. *)
   | Query_fuzzy of { probe : Eppi_fuzzy.Probe.t; k : int }
       (** Approximate-identity lookup: resolve the probe against the
           published resolver, return at most [k] candidates with their
@@ -81,8 +80,8 @@ type response =
   | Pong
   | Shutting_down
   | Server_error of string
-      (** The request was understood but could not be served (e.g. a
-          republish payload that fails CSV validation). *)
+      (** The request could not be served (e.g. a republish payload the
+          codec rejects), or the frame could not be decoded. *)
   | Fuzzy_reply of { generation : int; result : Eppi_serve.Serve.fuzzy_reply }
       (** Candidate scores travel as basis-point varints (the resolver
           quantizes scores to 1e-4, so the encoding is lossless). *)
@@ -103,8 +102,12 @@ val header_bytes : int
 (** Fixed header size: 7. *)
 
 val default_max_payload : int
-(** Decoder payload bound: 64 MiB — sized for republish frames carrying a
-    full index CSV. *)
+(** Decoder payload bound: 64 MiB — room for the binary republish frame
+    of a large index. *)
+
+val request_tag : request -> int
+(** The frame tag a request travels under — also how the daemon's
+    telemetry and trace spans name request kinds. *)
 
 val encode_request : Buffer.t -> request -> unit
 val encode_response : Buffer.t -> response -> unit

@@ -71,37 +71,19 @@ let of_csv_log text =
       | Some owner -> Some owner
       | None -> if lineno = 1 then None else fail_line lineno (Printf.sprintf "bad owner %S" last))
 
+(* Owner ids travel as JSON numbers, which hold integers exactly up to
+   2^53; anything fractional or beyond is not an id. *)
 let of_jsonl_log text =
-  let find_owner ~lineno line =
-    let key = "\"owner\"" in
-    let klen = String.length key in
-    let len = String.length line in
-    let rec scan i =
-      if i + klen > len then fail_line lineno "no \"owner\" key"
-      else if String.sub line i klen = key then i + klen
-      else scan (i + 1)
-    in
-    let pos = ref (scan 0) in
-    let skip_ws () =
-      while !pos < len && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-        incr pos
-      done
-    in
-    skip_ws ();
-    if !pos >= len || line.[!pos] <> ':' then fail_line lineno "expected ':' after \"owner\"";
-    incr pos;
-    skip_ws ();
-    let start = !pos in
-    if !pos < len && line.[!pos] = '-' then incr pos;
-    while !pos < len && line.[!pos] >= '0' && line.[!pos] <= '9' do
-      incr pos
-    done;
-    if !pos = start then fail_line lineno "\"owner\" is not an integer";
-    int_of_string (String.sub line start (!pos - start))
-  in
   fold_lines text (fun ~lineno line ->
-      if line.[0] <> '{' then fail_line lineno "expected a JSON object"
-      else Some (find_owner ~lineno line))
+      match Json.parse line with
+      | Error e -> fail_line lineno e
+      | Ok (Json.Obj _ as v) -> (
+          match Json.member "owner" v with
+          | Some (Json.Num f) when Float.is_integer f && Float.abs f <= 0x1p53 ->
+              Some (int_of_float f)
+          | Some _ -> fail_line lineno "\"owner\" is not an integer"
+          | None -> fail_line lineno "no \"owner\" key")
+      | Ok _ -> fail_line lineno "expected a JSON object")
 
 let to_csv_log owners =
   let b = Buffer.create (16 + (Array.length owners * 7)) in

@@ -51,8 +51,10 @@ val of_csv_log : string -> int array
 
 val of_jsonl_log : string -> int array
 (** Parse a JSONL request log: one JSON object per line carrying an
-    integer ["owner"] field (other fields are ignored).
-    @raise Failure on a line without one, naming it. *)
+    integer top-level ["owner"] field (other fields, nested ones
+    included, are ignored).  Blank lines and [#] comments are skipped.
+    @raise Failure on a line that is not a JSON object with an integer
+    ["owner"] of magnitude at most 2{^53}, naming it. *)
 
 val to_csv_log : int array -> string
 (** Serialize a workload as a CSV request log ([of_csv_log]'s inverse,

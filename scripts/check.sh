@@ -67,11 +67,11 @@ fi
 rm -f /tmp/eppi_trace_dataset.csv /tmp/eppi_trace_index.csv
 
 # A ~5 s smoke of the network front-end (docs/SERVE.md): start the daemon
-# on a Unix socket with 4 worker domains, drive 100 pipelined queries, a
-# binary hot-swap republish and a CSV compat republish through
-# `eppi query`/`eppi republish`, assert the metrics conserve every request
-# and record the swaps, then shut down gracefully and check that the
-# daemon exits 0 and leaves no socket file behind.
+# on a Unix socket with 4 worker domains, drive 100 pipelined queries and
+# two hot-swap republishes through `eppi query`/`eppi republish`, assert
+# the metrics conserve every request and record the swaps, then shut down
+# gracefully and check that the daemon exits 0 and leaves no socket file
+# behind.
 echo "== net smoke =="
 EPPI=./_build/default/bin/eppi_cli.exe
 NET_DIR=$(mktemp -d /tmp/eppi_net_smoke.XXXXXX)
@@ -84,12 +84,12 @@ trap 'rm -rf "$NET_DIR"' EXIT
   >"$NET_DIR/server.json" 2>"$NET_DIR/server.log" &
 NET_PID=$!
 # 100 queries: two rounds of 50, pipelined over one connection each, with a
-# binary hot-swap republish in between (generation 1 -> 2, queries keep
-# flowing), then a CSV-payload republish (generation 3) for compat.
+# hot-swap republish in between (generation 1 -> 2, queries keep flowing),
+# then a second republish back to index1 (generation 3).
 seq 0 49 | sed 's/^/--owner /' | xargs "$EPPI" query --connect "$NET_SOCK" >"$NET_DIR/replies1.txt"
 "$EPPI" republish --connect "$NET_SOCK" -i "$NET_DIR/index2.csv" | grep -q "generation 2"
 seq 0 49 | sed 's/^/--owner /' | xargs "$EPPI" query --connect "$NET_SOCK" >"$NET_DIR/replies2.txt"
-"$EPPI" republish --connect "$NET_SOCK" --csv -i "$NET_DIR/index1.csv" | grep -q "generation 3"
+"$EPPI" republish --connect "$NET_SOCK" -i "$NET_DIR/index1.csv" | grep -q "generation 3"
 test "$(wc -l < "$NET_DIR/replies1.txt")" -eq 50
 test "$(wc -l < "$NET_DIR/replies2.txt")" -eq 50
 "$EPPI" stats --connect "$NET_SOCK" >"$NET_DIR/stats.json"
@@ -219,9 +219,9 @@ rm -rf "$CLU_DIR"
 trap - EXIT
 
 # A ~5 s smoke of the network bench: tiny index, short replay, two pipeline
-# depths, a 1-vs-2 domain sweep (with its reply-equality check), CSV and
-# binary republishes under load, and the replica-kill scenario; the bench
-# exits non-zero unless every gate on its BENCH_net.json holds.
+# depths, a 1-vs-2 domain sweep (with its reply-equality check), republishes
+# under load, and the replica-kill scenario; the bench exits non-zero
+# unless every gate on its BENCH_net.json holds.
 echo "== net bench smoke =="
 NET_N=120 NET_M=64 NET_QUERIES=3000 NET_DEPTHS=1,8 NET_DOMAINS=1,2 NET_SWAPS=5 \
   dune exec bench/main.exe -- net

@@ -253,7 +253,7 @@ let test_stale_generation () =
       (match
          Fun.protect
            ~finally:(fun () -> Net_client.close nc)
-           (fun () -> Net_client.republish nc ~index_csv:(Eppi.Index.to_csv index2))
+           (fun () -> Net_client.republish_index nc index2)
        with
       | Ok generation -> check_int "fresh replica at generation" 2 generation
       | Error e -> Alcotest.fail e);
@@ -297,14 +297,14 @@ let test_replay_conservation () =
           let workload =
             Array.init 101 (fun i -> if i mod 3 = 0 then n + i else i mod n)
           in
-          let summary = Cluster.replay ~depth:8 c workload in
+          let summary = Eppi_net.Replay.run ~depth:8 (Cluster.pipeline c) workload in
           check_int "every request accounted" summary.requests
             (summary.served + summary.unknown + summary.shed);
           check_int "requests" 101 summary.requests;
           check_int "unknowns counted" 34 summary.unknown;
           check_bool "providers listed" true (summary.providers_listed > 0);
-          check_int "no failovers on a healthy cluster" 0 summary.failovers;
           let stats = Cluster.stats c in
+          check_int "no failovers on a healthy cluster" 0 stats.failovers;
           let total = Array.fold_left ( + ) 0 stats.dispatched in
           check_int "round-robin spread the windows" 101 total;
           check_bool "both replicas served" true

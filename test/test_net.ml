@@ -73,8 +73,6 @@ let sample_frames =
       Batch [| 0; 1; 300; 70_000; max_int |];
       Audit { provider = 12 };
       Stats;
-      Republish { index_csv = "3,4\n0,1,0,1\n" };
-      Republish { index_csv = "" };
       Republish_binary { data = "" };
       Republish_binary { data = "\x01\x02\x03\xFF\x00binary payload" };
       Query_fuzzy { probe = sample_probe; k = 1 };
@@ -137,7 +135,7 @@ let sample_frames =
         Cluster_status_reply { generation = 0; swaps = 0; peers = [ "" ] };
         Pong;
         Shutting_down;
-        Server_error "republish: bad csv";
+        Server_error "republish: truncated payload";
       ]
 
 (* Feed [s] to a fresh decoder in [chunk]-byte pieces, draining frames
@@ -243,6 +241,14 @@ let test_codec_errors () =
   expect_error "request-range hole is unknown" "\xE5\x01\x0D" (function
     | Wire.Unknown_tag 0x0D -> true
     | _ -> false);
+  (* 0x05 carried the retired CSV republish: a frame from a client that
+     still sends it is an unknown tag, bare or inside an envelope. *)
+  expect_error "retired CSV republish tag is unknown" (header ~tag:0x05 ~len:0) (function
+    | Wire.Unknown_tag 0x05 -> true
+    | _ -> false);
+  expect_error "traced frame wrapping the retired tag"
+    (header ~tag:0x0A ~len:2 ^ "\x02\x05")
+    (function Wire.Corrupt msg -> contains msg "wraps tag 0x05" | _ -> false);
   (* Traced (0x0A) envelopes: zigzag varint trace id, one inner tag byte,
      then the inner request's payload — each constraint has a hostile
      probe. *)
@@ -657,7 +663,7 @@ let test_daemon_republish () =
             (reply = Serve.Providers (Eppi.Index.query index1 ~owner:4));
           let _, beyond = Client.query c ~owner:22 in
           check_bool "owner beyond old index" true (beyond = Serve.Unknown_owner);
-          (match Client.republish c ~index_csv:(Eppi.Index.to_csv index2) with
+          (match Client.republish_index c index2 with
           | Ok generation -> check_int "republish returns new generation" 2 generation
           | Error e -> Alcotest.fail e);
           let generation, reply = Client.query c ~owner:4 in
@@ -669,9 +675,12 @@ let test_daemon_republish () =
           check_bool "owner known after swap" true
             (beyond = Serve.Providers (Eppi.Index.query index2 ~owner:22));
           check_int "engine generation" 2 (Serve.generation engine);
-          (match Client.republish c ~index_csv:"definitely,not,an index" with
-          | Ok _ -> Alcotest.fail "bad csv must be rejected"
-          | Error msg -> check_bool "error names republish" true (contains msg "republish"));
+          (* A payload cut one byte short of a valid encoding. *)
+          let valid = Index_codec.encode index1 in
+          let corrupt = String.sub valid 0 (String.length valid - 1) in
+          (match Client.call c (Wire.Republish_binary { data = corrupt }) with
+          | Wire.Server_error msg -> check_bool "error names republish" true (contains msg "republish")
+          | other -> Client.unexpected "corrupt republish" other);
           check_int "failed republish keeps generation" 2 (Serve.generation engine);
           let stats = Json.parse_exn (Client.stats_json c) in
           check_bool "stats carries generation" true
@@ -695,7 +704,7 @@ let test_daemon_cluster_status () =
           check_int "initial generation" 1 status.Wire.generation;
           check_int "no swaps yet" 0 status.Wire.swaps;
           check_bool "peers echoed" true (status.Wire.peers = peers);
-          (match Client.republish c ~index_csv:(Eppi.Index.to_csv index2) with
+          (match Client.republish_index c index2 with
           | Ok generation -> check_int "republish generation" 2 generation
           | Error e -> Alcotest.fail e);
           (* The shard records the swap when it next serves, not at publish. *)
@@ -851,7 +860,7 @@ let test_multicore_republish_ordering () =
 (* The acceptance test from the issue: queries keep flowing while the index
    hot-swaps underneath them; every reply must match the generation it is
    tagged with, none may be dropped. *)
-let daemon_hot_swap_under_load ~workers ~binary () =
+let daemon_hot_swap_under_load ~workers () =
   let n = 40 and m = 11 in
   let index1 = test_index ~n ~m in
   let index2 = test_index_v2 ~n ~m in
@@ -884,11 +893,7 @@ let daemon_hot_swap_under_load ~workers ~binary () =
       in
       let admin = Client.connect addr in
       Unix.sleepf 0.02;
-      let swap =
-        if binary then Client.republish_index admin index2
-        else Client.republish admin ~index_csv:(Eppi.Index.to_csv index2)
-      in
-      (match swap with
+      (match Client.republish_index admin index2 with
       | Ok generation -> check_int "swap generation" 2 generation
       | Error e -> Alcotest.fail e);
       let generation, reply = Client.query admin ~owner:0 in
@@ -1080,7 +1085,7 @@ let test_daemon_replay () =
           Fun.protect
             ~finally:(fun () -> Client.close c)
             (fun () ->
-              let summary = Replay.run ~depth:7 c loaded in
+              let summary = Replay.run ~depth:7 (Client.pipeline c) loaded in
               check_int "requests" 400 summary.requests;
               check_int "conservation" 400 (summary.served + summary.unknown + summary.shed);
               let expected_unknown =
@@ -1139,6 +1144,177 @@ let test_listen_stale_and_occupied () =
       Unix.close fd;
       Alcotest.fail "listening over a regular file must fail");
   Sys.remove path
+
+(* ---------- Raw streams ---------- *)
+
+(* The daemon's loop seen from outside any client: frames written to a
+   descriptor, every response read back up to EOF. *)
+
+let frames_of requests =
+  let b = Buffer.create 1024 in
+  List.iter (Wire.encode_request b) requests;
+  Buffer.contents b
+
+let rec write_all fd s off =
+  if off < String.length s then
+    write_all fd s (off + Unix.write_substring fd s off (String.length s - off))
+
+(* Read responses from [fd] until [count] have arrived or, without a
+   count, until EOF — the daemon closing its end.  Ten seconds without a
+   byte fails instead of hanging the suite. *)
+let read_responses ?count fd =
+  let d = Wire.Decoder.create () in
+  let buf = Bytes.create 65536 in
+  let rec go acc =
+    match Wire.Decoder.next d with
+    | Ok (Some (Wire.Response r)) -> go (r :: acc)
+    | Ok (Some (Wire.Request _)) -> Alcotest.fail "the daemon sent a request frame"
+    | Error e -> Alcotest.fail (Wire.error_to_string e)
+    | Ok None when Some (List.length acc) = count -> List.rev acc
+    | Ok None -> (
+        match Unix.select [ fd ] [] [] 10.0 with
+        | [], _, _ -> Alcotest.fail "no byte for 10 s"
+        | _ -> (
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 ->
+                check_bool "EOF only after whole frames" true (Wire.Decoder.buffered d = 0);
+                List.rev acc
+            | n ->
+                Wire.Decoder.feed d buf ~off:0 ~len:n;
+                go acc))
+  in
+  go []
+
+let with_raw_socket addr f =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Addr.sockaddr addr);
+      f fd)
+
+(* Replies that must answer [owners] in order from generation 1 of [index]. *)
+let count_wrong_replies index owners responses =
+  let n = Eppi.Index.owners index in
+  List.fold_left2
+    (fun wrong owner response ->
+      let expected =
+        if owner < n then Serve.Providers (Eppi.Index.query index ~owner) else Serve.Unknown_owner
+      in
+      match response with
+      | Wire.Reply { generation = 1; reply } when reply = expected -> wrong
+      | _ -> wrong + 1)
+    0 owners responses
+
+(* A client that pipelines its queries and then half-closes its socket
+   is still owed every reply: EOF stops the daemon's reads, not its
+   service.  3,000 queries run past [max_inflight] (1,024), so part of
+   the stream is still buffered in the decoder when EOF arrives.  The
+   client pauses before reading, so the replies to 30,000, which outgrow
+   the socket buffers, still wait in the daemon's write buffer then. *)
+let daemon_half_closed ~workers () =
+  let n = 30 and m = 9 in
+  let index = test_index ~n ~m in
+  with_server ~shards:4 ~workers index (fun addr _engine ->
+      List.iter
+        (fun count ->
+          with_raw_socket addr (fun fd ->
+              let owners = List.init count (fun i -> i mod (n + 3)) in
+              write_all fd (frames_of (List.map (fun owner -> Wire.Query { owner }) owners)) 0;
+              Unix.shutdown fd Unix.SHUTDOWN_SEND;
+              Unix.sleepf 0.1;
+              let responses = read_responses fd in
+              check_int (Printf.sprintf "%d pipelined: every reply" count) count
+                (List.length responses);
+              check_int (Printf.sprintf "%d pipelined: replies in request order" count) 0
+                (count_wrong_replies index owners responses)))
+        [ 100; 3000; 30_000 ])
+
+(* An old client's CSV republish (tag 0x05) is a framing error: the
+   daemon answers [Server_error], closes that connection and keeps its
+   index and its other clients. *)
+let test_daemon_retired_tag () =
+  let index = test_index ~n:8 ~m:5 in
+  with_server index (fun addr engine ->
+      with_raw_socket addr (fun fd ->
+          write_all fd (header ~tag:0x05 ~len:0) 0;
+          match read_responses fd with
+          | [ Wire.Server_error msg ] ->
+              check_bool "error names the tag" true (contains msg "tag 0x05")
+          | responses ->
+              Alcotest.fail (Printf.sprintf "expected one Server_error, got %d frames"
+                               (List.length responses)));
+      check_int "generation untouched" 1 (Serve.generation engine);
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () -> Client.ping c))
+
+(* The CLI built beside this test: [dune runtest] and [dune exec] both
+   run the test from _build/default/test. *)
+let eppi_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/eppi_cli.exe"
+
+(* [eppi serve --stdio] runs the daemon's one loop over stdin and stdout:
+   queries and a batch piped in and answered in order, then a telemetry
+   request that accounts for all of them, then EOF on stdin, and the
+   process exits 0. *)
+let stdio_daemon ~domains () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let n = 20 and m = 9 in
+  let index = test_index ~n ~m in
+  let path = Filename.temp_file "eppi-stdio" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc (Eppi.Index.to_csv index));
+      let in_r, in_w = Unix.pipe ~cloexec:true () in
+      let out_r, out_w = Unix.pipe ~cloexec:true () in
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+      let argv =
+        [| eppi_exe; "serve"; "-i"; path; "--stdio"; "--shards"; "4"; "--domains";
+           string_of_int domains |]
+      in
+      let pid = Unix.create_process eppi_exe argv in_r out_w null in
+      List.iter Unix.close [ in_r; out_w; null ];
+      let owners = List.init 50 (fun i -> i mod (n + 2)) in
+      let batch = [| 0; 3; n + 1; 7 |] in
+      let responses, telemetry =
+        Fun.protect
+          ~finally:(fun () -> Unix.close out_r)
+          (fun () ->
+            write_all in_w
+              (frames_of (List.map (fun owner -> Wire.Query { owner }) owners @ [ Wire.Batch batch ]))
+              0;
+            let responses = read_responses ~count:51 out_r in
+            write_all in_w (frames_of [ Wire.Telemetry ]) 0;
+            Unix.close in_w;
+            (responses, read_responses out_r))
+      in
+      check_bool "exit status 0" true (snd (Unix.waitpid [] pid) = Unix.WEXITED 0);
+      let queries = List.filteri (fun i _ -> i < 50) responses in
+      check_int "query replies in order" 0 (count_wrong_replies index owners queries);
+      (match List.nth responses 50 with
+      | Wire.Batch_reply { generation = 1; replies } ->
+          check_bool "batch reply" true
+            (replies
+            = Array.map
+                (fun owner ->
+                  if owner < n then Serve.Providers (Eppi.Index.query index ~owner)
+                  else Serve.Unknown_owner)
+                batch)
+      | other -> Client.unexpected "stdio batch" other);
+      match telemetry with
+      | [ Wire.Telemetry_json raw ] ->
+          let v = Json.parse_exn raw in
+          check_bool "telemetry accounts for every earlier request" true
+            (Json.find_int v [ "requests" ] = Some 51);
+          check_bool "telemetry conservation is exact" true
+            (Json.find v [ "conservation"; "exact" ] = Some (Json.Bool true)
+            && Json.find_int v [ "conservation"; "stage_sum_ns" ]
+               = Json.find_int v [ "conservation"; "total_ns" ]);
+          check_int "one worker entry per --domains domain"
+            (if domains > 1 then domains else 0)
+            (match Json.find v [ "workers" ] with Some (Json.List ws) -> List.length ws | _ -> -1)
+      | _ -> Alcotest.fail "stdio: expected one telemetry reply before EOF")
 
 (* ---------- Client robustness ---------- *)
 
@@ -1629,7 +1805,6 @@ let qcheck_tests =
         Gen.map (fun l -> Wire.Batch (Array.of_list l)) (Gen.small_list gen_owner);
         Gen.map (fun provider -> Wire.Audit { provider }) Gen.nat;
         Gen.return Wire.Stats;
-        Gen.map (fun s -> Wire.Republish { index_csv = s }) Gen.(small_string ~gen:printable);
         Gen.map (fun s -> Wire.Republish_binary { data = s }) Gen.(small_string ~gen:char);
         Gen.map2 (fun probe k -> Wire.Query_fuzzy { probe; k }) gen_probe (Gen.int_range 1 2000);
         Gen.return Wire.Ping;
@@ -1758,13 +1933,17 @@ let () =
           Alcotest.test_case "pipelined mixed requests" `Quick
             (daemon_pipeline ~shards:1 ~workers:1);
           Alcotest.test_case "hot swap under concurrent load" `Quick
-            (daemon_hot_swap_under_load ~workers:1 ~binary:false);
+            (daemon_hot_swap_under_load ~workers:1);
           Alcotest.test_case "fuzzy lookups end-to-end" `Quick (daemon_fuzzy ~shards:1 ~workers:1);
           Alcotest.test_case "fuzzy without a resolver" `Quick test_daemon_fuzzy_no_resolver;
           Alcotest.test_case "trace-driven replay" `Quick test_daemon_replay;
           Alcotest.test_case "replay loads jsonl" `Quick test_replay_load_jsonl;
           Alcotest.test_case "clean shutdown" `Quick test_daemon_shutdown;
           Alcotest.test_case "listen hygiene" `Quick test_listen_stale_and_occupied;
+          Alcotest.test_case "half-closed client gets every reply" `Quick
+            (daemon_half_closed ~workers:1);
+          Alcotest.test_case "retired CSV republish tag refused" `Quick test_daemon_retired_tag;
+          Alcotest.test_case "stdio serves the same loop" `Quick (stdio_daemon ~domains:1);
         ] );
       ( "multicore daemon",
         [
@@ -1780,11 +1959,15 @@ let () =
           Alcotest.test_case "pipelined republish ordering" `Quick
             test_multicore_republish_ordering;
           Alcotest.test_case "hot swap under concurrent load (4 domains, binary)" `Quick
-            (daemon_hot_swap_under_load ~workers:4 ~binary:true);
+            (daemon_hot_swap_under_load ~workers:4);
           Alcotest.test_case "fuzzy lookups end-to-end (4 domains)" `Quick
             (daemon_fuzzy ~shards:4 ~workers:4);
           Alcotest.test_case "fuzzy hot swap stays generation-consistent" `Quick
             test_daemon_fuzzy_hot_swap;
+          Alcotest.test_case "half-closed client gets every reply (4 domains)" `Quick
+            (daemon_half_closed ~workers:4);
+          Alcotest.test_case "stdio serves the same loop (4 domains)" `Quick
+            (stdio_daemon ~domains:4);
         ] );
       ( "telemetry",
         [

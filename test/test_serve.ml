@@ -520,9 +520,20 @@ let test_workload_request_logs () =
   | _ -> Alcotest.fail "bad csv line must fail");
   let jsonl = "{\"ts\": 10, \"owner\": 3}\n{\"owner\":7}\n" in
   check_bool "jsonl" true (Workload.of_jsonl_log jsonl = [| 3; 7 |]);
-  match Workload.of_jsonl_log "{\"owner\": 1}\n{\"no\": 2}\n" with
-  | exception Failure msg -> check_bool "jsonl error names the line" true (contains msg "line 2")
-  | _ -> Alcotest.fail "jsonl without owner must fail"
+  (* Only the top-level field counts, not one nested in another object. *)
+  check_bool "jsonl reads the top-level owner" true
+    (Workload.of_jsonl_log "{\"m\": {\"owner\": 1}, \"owner\": 2}\n" = [| 2 |]);
+  List.iter
+    (fun (what, line2) ->
+      match Workload.of_jsonl_log ("{\"owner\": 1}\n" ^ line2 ^ "\n") with
+      | exception Failure msg ->
+          check_bool (Printf.sprintf "jsonl %s names the line" what) true (contains msg "line 2")
+      | _ -> Alcotest.fail (Printf.sprintf "jsonl %s must fail" what))
+    [
+      ("without owner", "{\"no\": 2}");
+      ("fractional owner", "{\"owner\": 3.5}");
+      ("truncated line", "{\"owner\": 3");
+    ]
 
 (* Two capture files from different daemons, each timestamped: replaying
    the union means merging rows by timestamp, and the reader's last-field
