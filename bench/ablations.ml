@@ -112,7 +112,12 @@ let ablation_collusion () =
   Bench_util.heading "Ablation: collusion tolerance c (SecSumShare + CountBelow cost)";
   let m = 30 and n = 50 in
   let rng = Rng.create 9 in
-  let inputs = Array.init m (fun _ -> Array.init n (fun _ -> Rng.int rng 2)) in
+  let membership = Bitmatrix.create ~rows:n ~cols:m in
+  for col = 0 to m - 1 do
+    for row = 0 to n - 1 do
+      if Rng.int rng 2 = 1 then Bitmatrix.set membership ~row ~col true
+    done
+  done;
   let q = Eppi_protocol.Construct.modulus_for m in
   let table =
     Table.create
@@ -121,7 +126,7 @@ let ablation_collusion () =
   in
   List.iter
     (fun c ->
-      let sss = Eppi_protocol.Secsumshare.run (Rng.create (c * 7)) ~inputs ~c ~q in
+      let sss = Eppi_protocol.Secsumshare.run (Rng.create (c * 7)) ~membership ~c ~q in
       let thresholds = Array.make n (Modarith.to_int q - 1) in
       let cb =
         Eppi_protocol.Countbelow.run (Rng.create (c * 11)) ~shares:sss.coordinator_shares ~q

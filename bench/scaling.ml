@@ -79,11 +79,9 @@ let run () =
   let policy = Eppi.Policy.Chernoff 0.9 in
   (* CountBelow's inputs, as a construction over this matrix feeds them. *)
   let q = Eppi_protocol.Construct.modulus_for m in
-  let inputs =
-    Array.init m (fun i ->
-        Array.init n (fun j -> if Bitmatrix.get membership ~row:j ~col:i then 1 else 0))
+  let shares =
+    (Eppi_protocol.Secsumshare.run (Rng.create 98) ~membership ~c:3 ~q).coordinator_shares
   in
-  let shares = (Eppi_protocol.Secsumshare.run (Rng.create 98) ~inputs ~c:3 ~q).coordinator_shares in
   let thresholds =
     Array.map (fun epsilon -> Countbelow.integer_threshold ~policy ~epsilon ~m) epsilons
   in

@@ -31,12 +31,20 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let write_output path content =
+(* [write_with path f] hands [f] the output file's channel, or stdout
+   without a path. *)
+let write_with path f =
   match path with
-  | None -> print_string content
+  | None -> f stdout
   | Some path ->
       let oc = open_out_bin path in
-      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc content)
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          f oc;
+          close_out oc)
+
+let write_output path content = write_with path (fun oc -> output_string oc content)
 
 (* ---- common args ---- *)
 
@@ -281,7 +289,7 @@ let construct_cmd =
         r.index
       end
     in
-    write_output output (Eppi.Index.to_csv index)
+    write_with output (fun oc -> Eppi.Index.output_csv oc index)
   in
   let term =
     Term.(

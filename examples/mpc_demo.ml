@@ -15,8 +15,10 @@ let () =
   (* --- 1. SecSumShare: the paper's Figure 3 worked example. --- *)
   print_endline "[1] SecSumShare (5 providers, c = 3, q = 5, one identity)";
   let q5 = Modarith.modulus 5 in
-  let inputs = [| [| 0 |]; [| 1 |]; [| 1 |]; [| 0 |]; [| 0 |] |] in
-  let sss = Eppi_protocol.Secsumshare.run (Rng.create 42) ~inputs ~c:3 ~q:q5 in
+  (* One identity (row) held by providers 1 and 2 of five (columns). *)
+  let membership = Bitmatrix.create ~rows:1 ~cols:5 in
+  List.iter (fun col -> Bitmatrix.set membership ~row:0 ~col true) [ 1; 2 ];
+  let sss = Eppi_protocol.Secsumshare.run (Rng.create 42) ~membership ~c:3 ~q:q5 in
   Array.iteri
     (fun r vec -> Printf.printf "    coordinator %d holds share vector [%d]\n" r vec.(0))
     sss.coordinator_shares;

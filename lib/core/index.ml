@@ -16,16 +16,39 @@ let recall_ok ~membership t ~owner =
   let published_row = Bitmatrix.row t.matrix owner in
   Bitvec.count (Bitvec.diff true_row published_row) = 0
 
-let to_csv t =
-  let buf = Buffer.create 4096 in
+(* The one CSV writer: every provider's ["p\n"] suffix is formatted once,
+   each owner's ["j,"] prefix once per row, so a published cell is two
+   buffer appends.  [flush] sees the buffer after every row. *)
+let write_csv t buf ~flush =
   Buffer.add_string buf
     (Printf.sprintf "# eppi-index owners=%d providers=%d\n" (owners t) (providers t));
+  let suffix = Array.init (providers t) (fun p -> string_of_int p ^ "\n") in
+  let prefix = ref "" in
+  let cell p =
+    Buffer.add_string buf !prefix;
+    Buffer.add_string buf suffix.(p)
+  in
   for j = 0 to owners t - 1 do
-    Bitvec.iter_set
-      (fun p -> Buffer.add_string buf (Printf.sprintf "%d,%d\n" j p))
-      (Bitmatrix.row t.matrix j)
-  done;
+    prefix := string_of_int j ^ ",";
+    Bitvec.iter_set cell (Bitmatrix.row t.matrix j);
+    flush buf
+  done
+
+let to_csv t =
+  let buf = Buffer.create 4096 in
+  write_csv t buf ~flush:ignore;
   Buffer.contents buf
+
+let chunk = 1 lsl 16
+
+let output_csv oc t =
+  let buf = Buffer.create (2 * chunk) in
+  let drain buf =
+    Buffer.output_buffer oc buf;
+    Buffer.clear buf
+  in
+  write_csv t buf ~flush:(fun buf -> if Buffer.length buf >= chunk then drain buf);
+  drain buf
 
 let of_csv text =
   let lines = String.split_on_char '\n' text in

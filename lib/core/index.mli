@@ -33,6 +33,11 @@ val to_csv : t -> string
 (** Persist the published matrix: a dimension header plus one
     [owner,provider] line per published positive. *)
 
+val output_csv : out_channel -> t -> unit
+(** [output_csv oc t] writes {!to_csv}'s bytes to [oc] in 64 KB chunks,
+    without holding the whole file in memory (about 1 GB at 25,000
+    providers x 4,000 owners). *)
+
 val of_csv : string -> t
 (** Inverse of {!to_csv}.  Input is validated: the dimension header must be
     complete and positive, every line must be an in-range [owner,provider]

@@ -15,14 +15,6 @@ let sub q a b = reduce q (reduce q a - reduce q b)
 let mul q a b = reduce q (reduce q a * reduce q b)
 let neg q a = reduce q (-reduce q a)
 
-let add_residues q a b =
-  let s = a + b in
-  if s >= q then s - q else s
-
-let sub_residues q a b =
-  let d = a - b in
-  if d < 0 then d + q else d
-
 let pow q b e =
   if e < 0 then invalid_arg "Modarith.pow: negative exponent";
   let rec go b e acc =

@@ -19,14 +19,6 @@ val sub : modulus -> int -> int -> int
 val mul : modulus -> int -> int -> int
 val neg : modulus -> int -> int
 
-val add_residues : modulus -> int -> int -> int
-(** [add_residues q a b] is [add q a b] for residues [a], [b] already in
-    [0, q): one compare-and-subtract, no division.  Unchecked. *)
-
-val sub_residues : modulus -> int -> int -> int
-(** [sub_residues q a b] is [sub q a b] for residues [a], [b] already in
-    [0, q).  Unchecked. *)
-
 val pow : modulus -> int -> int -> int
 (** [pow q b e] for [e >= 0], by binary exponentiation. *)
 

@@ -42,6 +42,27 @@ let int t bound =
   done;
   !r
 
+(* Lemire's multiply-shift: 31 random bits times the bound is a product below
+   2^62 whose high part [p lsr 31] lies in [0, bound).  Rejecting products
+   whose low 31 bits fall below 2^31 mod bound leaves every value exactly
+   floor(2^31 / bound) preimages, so the draw is exactly uniform; the one
+   division is per call, not per element.  The state stays in a register
+   for the whole fill and is stored back once. *)
+let fill_below t bound dst =
+  if bound <= 0 || bound >= 1 lsl 31 then invalid_arg "Rng.fill_below: bound must be in [1, 2^31)";
+  let threshold = (1 lsl 31) mod bound in
+  let state = ref (Bytes.get_int64_ne t 0) in
+  let i = ref 0 in
+  while !i < Array.length dst do
+    state := Int64.add !state golden_gamma;
+    let p = Int64.to_int (Int64.shift_right_logical (mix !state) 33) * bound in
+    if p land 0x7fff_ffff >= threshold then begin
+      Array.unsafe_set dst !i (p lsr 31);
+      incr i
+    end
+  done;
+  Bytes.set_int64_ne t 0 !state
+
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)

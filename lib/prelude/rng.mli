@@ -6,7 +6,8 @@
     64-bit state advanced by a Weyl constant and finalized with a strong
     avalanche mix.  [split] derives an independent child stream, which lets
     concurrent protocol parties draw without interleaving artefacts.  In
-    native code [bits63], [int], [bool] and [bernoulli] allocate nothing. *)
+    native code [bits63], [int], [fill_below], [bool] and [bernoulli]
+    allocate nothing. *)
 
 type t
 
@@ -30,6 +31,15 @@ val bits63 : t -> int
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).  Unbiased via rejection
     sampling.  @raise Invalid_argument if [bound <= 0]. *)
+
+val fill_below : t -> int -> int array -> unit
+(** [fill_below t bound dst] overwrites every slot of [dst], in index order,
+    with a draw uniform on [0, bound): Lemire's multiply-shift over the top
+    31 bits of one {!bits64} output per candidate, rejecting the
+    [2^31 mod bound] low products that would bias it, so no division per
+    draw.  Each candidate is one output, so filling [a] then [b] draws what
+    one fill of their concatenation would.  Allocates nothing in native
+    code.  @raise Invalid_argument unless [1 <= bound < 2^31]. *)
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] draws uniformly from the inclusive range [lo, hi]. *)

@@ -108,18 +108,12 @@ let attempt ~transport ~pool ~sss_plan ~mpc_plan ~c ~mixing ~tally rng ~membersh
     else None
   in
   Trace.begin_span "phase.beta";
-  (* Providers' private inputs: their own membership column, one bit per
-     identity, scattered from each owner row's set bits. *)
-  let inputs = Array.init m (fun _ -> Array.make n 0) in
-  for j = 0 to n - 1 do
-    Bitvec.iter_set (fun i -> inputs.(i).(j) <- 1) (Bitmatrix.row membership j)
-  done;
   let stalled stage (r : Link.report) =
     tally stage r;
     Trace.end_span "phase.beta" ~args:[ ("excluded", List.length r.suspects) ];
     Error (stage, r.suspects)
   in
-  match Secsumshare.run ?plan:sss_plan rng_sss ~inputs ~c ~q with
+  match Secsumshare.run ?plan:sss_plan rng_sss ~membership ~c ~q with
   | exception Link.Stalled r -> stalled `Secsumshare r
   | sss -> (
       tally `Secsumshare sss.link;
@@ -252,10 +246,12 @@ let run_ft ?sss_plan ?mpc_plan ?(pool = Pool.sequential) ?(c = 3)
         mpc_retrans := !mpc_retrans + r.retransmissions;
         retried_rounds := !retried_rounds + r.retried_rounds
   in
-  let all = List.init m Fun.id in
+  (* alive.(p): original provider p is still in the survivor set.  Both the
+     reports and the retries read it, so neither is quadratic in m. *)
+  let alive = Array.make m true in
   let report ~survivors ~attempts =
     {
-      excluded = List.filter (fun p -> not (List.mem p survivors)) all;
+      excluded = List.filter (fun p -> not alive.(p)) (List.init m Fun.id);
       survivors;
       attempts;
       sss_retransmissions = !sss_retrans;
@@ -307,11 +303,11 @@ let run_ft ?sss_plan ?mpc_plan ?(pool = Pool.sequential) ?(c = 3)
       | Error (_, suspects) ->
           (* Suspects are attempt-local node ids; translate back. *)
           let orig = Array.of_list survivors in
-          let excluded = List.map (fun i -> orig.(i)) suspects in
-          loop (k + 1) (List.filter (fun p -> not (List.mem p excluded)) survivors)
+          List.iter (fun i -> alive.(orig.(i)) <- false) suspects;
+          loop (k + 1) (List.filter (fun p -> alive.(p)) survivors)
     end
   in
-  loop 1 all
+  loop 1 (List.init m Fun.id)
 
 let beta_phase_time_estimate ?(network = Cost.lan) ~m ~identities ~c () =
   if m < c || c < 2 then invalid_arg "beta_phase_time_estimate: need m >= c >= 2";

@@ -2,7 +2,7 @@ open Eppi_prelude
 module Simnet = Eppi_simnet.Simnet
 module Additive = Eppi_secretshare.Additive
 
-type msg = Shares of { k : int; values : int array } | Super of int array
+type msg = Shares of { k : int; values : Additive.vector } | Super of Additive.vector
 
 type result = {
   coordinator_shares : int array array;
@@ -22,35 +22,44 @@ let message_size n = (4 * n) + 16
 (* CPU charge per modular operation in the simulated time model. *)
 let op_cost = 2e-8
 
-let validate_inputs inputs ~c ~q =
-  let m = Array.length inputs in
+let validate membership ~c =
+  let m = Bitmatrix.cols membership and n = Bitmatrix.rows membership in
   if c < 2 then invalid_arg "Secsumshare.run: need c >= 2";
   if m < c then invalid_arg "Secsumshare.run: need at least c providers";
-  let n = Array.length inputs.(0) in
   if n = 0 then invalid_arg "Secsumshare.run: empty input vectors";
-  let qi = Modarith.to_int q in
-  Array.iteri
-    (fun i v ->
-      if Array.length v <> n then invalid_arg "Secsumshare.run: ragged inputs";
-      Array.iter
-        (fun x ->
-          if x < 0 || x >= qi then
-            invalid_arg (Printf.sprintf "Secsumshare.run: provider %d input out of [0, q)" i))
-        v)
-    inputs;
   (m, n)
 
-let run ?plan rng ~inputs ~c ~q =
-  let m, n = validate_inputs inputs ~c ~q in
+(* The providers' private inputs, transposed out of the owner-major matrix:
+   provider i's column as [stride] packed bytes at [i * stride], identity j
+   at bit [j mod 8] of byte [j / 8].  Only set bits are visited. *)
+let columns membership ~m ~n =
+  let stride = (n + 7) / 8 in
+  let cols = Bytes.make (m * stride) '\000' in
+  let j = ref 0 in
+  let set i =
+    let o = (i * stride) + (!j lsr 3) in
+    Bytes.set cols o (Char.unsafe_chr (Char.code (Bytes.get cols o) lor (1 lsl (!j land 7))))
+  in
+  for row = 0 to n - 1 do
+    j := row;
+    Bitvec.iter_set set (Bitmatrix.row membership row)
+  done;
+  (cols, stride)
+
+let run ?plan rng ~membership ~c ~q =
+  let m, n = validate membership ~c in
   let link = Link.create plan timing ~nodes:m in
   let net = Link.net link in
+  let cols, stride = columns membership ~m ~n in
   (* Per-provider accumulator over the shares it holds (own 0-th + received). *)
-  let acc = Array.init m (fun _ -> Array.make n 0) in
+  let acc = Array.init m (fun _ -> Additive.vector ~q n) in
+  (* Scratch for one provider's draws: the time-0 splits run one at a time. *)
+  let draws = Array.make ((c - 1) * n) 0 in
   let received = Array.make m 0 in
   (* got_share.(i).(k): provider i holds its k-th ring predecessor's share. *)
   let got_share = Array.make_matrix m c false in
   let got_super = Array.make m false in
-  let coordinator_shares = Array.init c (fun _ -> Array.make n 0) in
+  let coordinator_sums = Array.init c (fun _ -> Additive.vector ~q n) in
   let coord_expect = Array.make c 0 in
   for i = 0 to m - 1 do
     coord_expect.(i mod c) <- coord_expect.(i mod c) + 1
@@ -79,22 +88,18 @@ let run ?plan rng ~inputs ~c ~q =
         | Super values ->
             got_super.(src) <- true;
             let r = i in
-            Additive.add_into ~q ~acc:coordinator_shares.(r) values;
+            Additive.add_into ~q ~acc:coordinator_sums.(r) values;
             coord_received.(r) <- coord_received.(r) + 1;
             if coord_received.(r) = coord_expect.(r)
                && Array.for_all2 ( = ) coord_received coord_expect
             then Link.finish link);
     Simnet.at net ~delay:0.0 i (fun _ ->
-        (* Steps 1-2: split every private value into c shares; add share 0
+        (* Steps 1-2: split every private bit into c shares; add share 0
            into the local accumulator, send share k to the k-th successor. *)
-        let my_rng = provider_rngs.(i) in
         Simnet.work net i (op_cost *. float_of_int (n * c));
-        let vectors = Array.init c (fun k -> if k = 0 then [||] else Array.make n 0) in
-        let mine = acc.(i) and input = inputs.(i) in
-        for j = 0 to n - 1 do
-          let own = Additive.share_into my_rng ~q input.(j) ~into:vectors j in
-          mine.(j) <- Modarith.add_residues q mine.(j) own
-        done;
+        let vectors = Array.init c (fun k -> if k = 0 then acc.(i) else Additive.vector ~q n) in
+        Additive.share_bits provider_rngs.(i) ~q ~bits:cols ~pos:(i * stride) ~draws
+          ~into:vectors;
         for k = 1 to c - 1 do
           Link.send link ~src:i ~dst:((i + k) mod m) ~size:(message_size n) ~round:0
             (Shares { k; values = vectors.(k) })
@@ -131,7 +136,11 @@ let run ?plan rng ~inputs ~c ~q =
   Array.iteri (fun i missing -> if missing && not stalled.(i) then Link.blame link i) missing_super;
   let report = Link.report link ~stalled:(List.filter (fun i -> stalled.(i)) (List.init m Fun.id)) in
   if not (Link.finished link) then raise (Link.Stalled report);
-  { coordinator_shares; net = Simnet.metrics net; link = report }
+  {
+    coordinator_shares = Array.map (Additive.to_array ~q) coordinator_sums;
+    net = Simnet.metrics net;
+    link = report;
+  }
 
 let reconstruct ~q shares =
   match Array.length shares with

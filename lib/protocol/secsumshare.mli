@@ -1,17 +1,17 @@
 (** The SecSumShare protocol (paper Section IV-B, Figure 3).
 
-    Given m providers each holding a private vector of values in Z_q (the
-    membership bits, one per identity), the protocol produces c share
-    vectors, held by c coordinator providers, whose element-wise sum mod q
-    equals the element-wise sum of all private inputs — without any party
-    learning anything beyond its own inputs (collusion below c reveals
-    nothing; Theorem 4.1).
+    Given m providers each holding a private membership bit per identity,
+    the protocol produces c share vectors, held by c coordinator providers,
+    whose element-wise sum mod q equals the per-identity count of set bits
+    — without any party learning anything beyond its own inputs (collusion
+    below c reveals nothing; Theorem 4.1).
 
     The four steps, run over the simulated network with all identities
     batched into one message per edge:
 
-    + {b Generate}: provider i splits each private value into c additive
-      shares;
+    + {b Generate}: provider i splits each private bit into c additive
+      shares, all n·(c-1) draws in one {!Rng.fill_below} call
+      ({!Eppi_secretshare.Additive.share_bits});
     + {b Distribute}: the k-th share goes to the k-th ring successor
       p_((i+k) mod m); the 0-th stays local;
     + {b Sum}: each provider adds the shares it received into a
@@ -21,6 +21,12 @@
       s(r, ·).
 
     Requires m >= c >= 2.
+
+    Share vectors, accumulators, super-shares and the coordinators' sums are
+    packed residues ({!Eppi_secretshare.Additive.vector}: 2 bytes each when
+    q <= 2^16, else 4), so the per-residue loops run inside {!Additive}
+    without a call per residue.  The simulated wire still charges 4 bytes a
+    residue.
 
     Fault handling is an input, not a second protocol: given a
     {!Eppi_simnet.Simnet.fault_plan}, every message goes through the
@@ -40,12 +46,13 @@ type result = {
 val run :
   ?plan:Eppi_simnet.Simnet.fault_plan ->
   Rng.t ->
-  inputs:int array array ->
+  membership:Bitmatrix.t ->
   c:int ->
   q:Modarith.modulus ->
   result
-(** [inputs.(i).(j)] is provider i's private value for identity j (all
-    providers must supply equally long vectors with values in [0, q)).
+(** [membership] is owner-major: provider i's private input is column i,
+    one bit per identity (row).  The columns are transposed out once, into
+    one packed byte buffer, before the network starts.
 
     Under a [plan], providers check for missing shares 0.25 s into the run
     and coordinators for missing super-shares at 0.5 s.  A provider short
@@ -56,7 +63,7 @@ val run :
     times before blaming the destination.  Protocol randomness is split per
     provider before the network starts, so a completed run returns the
     coordinator shares of the fault-free run.
-    @raise Invalid_argument on shape violations or [m < c] or [c < 2].
+    @raise Invalid_argument if [c < 2], [m < c] or there are no rows.
     @raise Link.Stalled if some coordinator never received every expected
     super-share; the report's [suspects] are the blamed providers. *)
 

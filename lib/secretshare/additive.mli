@@ -7,7 +7,11 @@
     recover v exactly.  The scheme is additively homomorphic: summing the
     share vectors of several secrets share-wise yields a sharing of the sum of
     the secrets, which is what lets providers aggregate locally before any
-    reconstruction. *)
+    reconstruction.
+
+    Scalar sharings are [int array]s; SecSumShare's share vectors are
+    {!vector}s of packed residues, split by {!share_bits} and summed by
+    {!add_into}.  Both draw through {!Rng.fill_below} in the same order. *)
 
 open Eppi_prelude
 
@@ -15,17 +19,11 @@ type share = int
 (** A share is a canonical residue in [0, q). *)
 
 val share : Rng.t -> q:Modarith.modulus -> c:int -> int -> share array
-(** [share rng ~q ~c v] splits [v] (reduced mod q) into [c] shares, with
-    the draws of {!share_into}.
+(** [share rng ~q ~c v] splits [v] (reduced mod q) into [c] shares: shares
+    0 .. c-2 are one {!Rng.fill_below} fill of c-1 residues, share c-1
+    balances the sum.  This is the one draw rule: {!share_bits} draws what
+    one [share] call per secret would, in secret order.
     @raise Invalid_argument if [c < 1]. *)
-
-val share_into : Rng.t -> q:Modarith.modulus -> int -> into:share array array -> int -> share
-(** [share_into rng ~q v ~into j] splits the residue [v] into
-    [c = Array.length into] shares without allocating: share [k >= 1] is
-    written to [into.(k).(j)] and share 0 is returned ([into.(0)] is not
-    touched).  Shares 0 .. c-2 are drawn uniformly in that order, share c-1
-    balances the sum: {!share} draws exactly the same stream.
-    @raise Invalid_argument if [into] is empty or [v] is not in [0, q). *)
 
 val reconstruct : q:Modarith.modulus -> share array -> int
 (** Sum of the shares mod q. *)
@@ -34,12 +32,49 @@ val add : q:Modarith.modulus -> share array -> share array -> share array
 (** Share-wise sum of two share vectors of equal length (the additive
     homomorphism). *)
 
-val add_into : q:Modarith.modulus -> acc:share array -> share array -> unit
-(** In-place accumulating variant of {!add}; both vectors must hold
-    canonical residues (one compare-and-subtract per element). *)
-
 val zero_sharing : Rng.t -> q:Modarith.modulus -> c:int -> share array
 (** A fresh random sharing of 0, usable to re-randomize another sharing. *)
 
 val rerandomize : Rng.t -> q:Modarith.modulus -> share array -> share array
 (** Fresh sharing of the same secret (adds a zero sharing). *)
+
+(** {1 Packed share vectors} *)
+
+type vector
+(** n canonical residues of Z_q in one [Bytes.t], {!width}[ q] bytes each:
+    2 bytes a residue at q = 1,031 where an [int] takes 8. *)
+
+val width : Modarith.modulus -> int
+(** Bytes per packed residue: 2 when [q <= 2^16], else 4. *)
+
+val vector : q:Modarith.modulus -> int -> vector
+(** [vector ~q n] is n zero residues. *)
+
+val to_array : q:Modarith.modulus -> vector -> int array
+val of_array : q:Modarith.modulus -> int array -> vector
+(** @raise Invalid_argument if a value is not in [0, q). *)
+
+val share_bits :
+  Rng.t ->
+  q:Modarith.modulus ->
+  bits:Bytes.t ->
+  pos:int ->
+  draws:int array ->
+  into:vector array ->
+  unit
+(** [share_bits rng ~q ~bits ~pos ~draws ~into] shares n secret bits among
+    [c = Array.length into] vectors of n residues each.  Secret j is bit
+    [j mod 8] of byte [pos + j / 8] of [bits] (the {!Bitvec.blit_bytes}
+    layout).  One {!Rng.fill_below} call overwrites [draws], the (c-1)·n
+    scratch residues, with shares 0 .. c-2 of every secret, secret-major:
+    the draws of n {!share} calls in turn.  Share 0 of secret j is added to
+    residue j of [into.(0)] (the sharer's running sum); share k >= 1 is
+    stored at residue j of [into.(k)].
+    @raise Invalid_argument if [c < 2], if the vectors' lengths differ,
+    or if [draws] does not hold (c-1)·n slots or [bits] lacks n bits from
+    [pos]. *)
+
+val add_into : q:Modarith.modulus -> acc:vector -> vector -> unit
+(** [add_into ~q ~acc b] adds [b] into [acc] residue by residue, one
+    compare-and-subtract each; both must hold canonical residues.
+    @raise Invalid_argument if their lengths differ. *)

@@ -323,19 +323,30 @@ grep -q 'lambda=0\.' "$SEC_DIR/plain.log" || { cat "$SEC_DIR/plain.log"; exit 1;
 cmp "$SEC_DIR/plain.csv" "$SEC_DIR/domains.csv"
 cmp "$SEC_DIR/plain.csv" "$SEC_DIR/drop.csv"
 echo "secure, --domains 2 and --drop 0.05 publish the same index"
+# 65,600 providers put q (65,609) above 2^16, so SecSumShare packs its
+# residues 4 bytes wide instead of 2: the same contract on that path.
+"$EPPI" generate --owners 24 --providers 65600 --epsilon 0.3 --seed 5 \
+  -o "$SEC_DIR/wide.csv" 2>/dev/null
+"$EPPI" construct -d "$SEC_DIR/wide.csv" --secure -o "$SEC_DIR/wide_plain.csv" 2>/dev/null
+"$EPPI" construct -d "$SEC_DIR/wide.csv" --secure --drop 0.05 \
+  -o "$SEC_DIR/wide_drop.csv" 2>/dev/null
+cmp "$SEC_DIR/wide_plain.csv" "$SEC_DIR/wide_drop.csv"
+echo "wide residues: secure and --drop 0.05 publish the same index"
 # Generation, secure construction and fuzzy resolution are seeded end to
 # end, so their outputs are pinned: a change to the RNG stream, to any draw
 # order or to the fuzzy scorer fails here at CLI scale, not only in the
 # unit-test digests.
 for pin in "$SEC_DIR/net.csv 94626dc6949c149c8c4c74789ce876b3" \
   "$SEC_DIR/plain.csv 2c6834eb2b78c776effad638730b8155" \
+  "$SEC_DIR/wide.csv 79122ad3c30f1671362fc04fdfda45a9" \
+  "$SEC_DIR/wide_plain.csv 7bc42e450adf647ac9add36bf7b37dc3" \
   "$PIN_DIR/exact.txt 2c7966e3fa4fb04f8e730c5249ed4ee2" \
   "$PIN_DIR/typo.txt 1da749c6f0d12bab7b88f298598b5958"; do
   set -- $pin
   got=$(md5sum "$1" | cut -d' ' -f1)
   [ "$got" = "$2" ] || { echo "$(basename "$1"): md5 $got, pinned $2"; exit 1; }
 done
-echo "net.csv, plain.csv and the fuzzy replies match their pinned md5s"
+echo "net.csv, plain.csv, wide.csv, wide_plain.csv and the fuzzy replies match their pinned md5s"
 rm -rf "$SEC_DIR" "$PIN_DIR"
 trap - EXIT
 

@@ -355,6 +355,60 @@ let test_index_csv_round_trip () =
   (* The serialization itself is also a fixed point. *)
   Alcotest.(check string) "csv idempotent" (Index.to_csv index) (Index.to_csv reloaded)
 
+(* The index CSV as the original writer built it: one [Printf] line per
+   published cell. *)
+let reference_csv index =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    (Printf.sprintf "# eppi-index owners=%d providers=%d\n" (Index.owners index)
+       (Index.providers index));
+  for j = 0 to Index.owners index - 1 do
+    List.iter
+      (fun p -> Buffer.add_string buf (Printf.sprintf "%d,%d\n" j p))
+      (Index.query index ~owner:j)
+  done;
+  Buffer.contents buf
+
+(* [to_csv] and the streamed [output_csv] write the reference's bytes, on
+   random indexes with empty rows mixed in; the largest crosses the
+   streaming writer's 64 KB chunk several times. *)
+let test_index_csv_writers_agree () =
+  let rng = Rng.create 43 in
+  List.iter
+    (fun (rows, cols, density) ->
+      let matrix = Bitmatrix.create ~rows ~cols in
+      for row = 0 to rows - 1 do
+        if Rng.float rng 1.0 >= 0.3 then
+          for col = 0 to cols - 1 do
+            if Rng.float rng 1.0 < density then Bitmatrix.set matrix ~row ~col true
+          done
+      done;
+      let index = Index.of_matrix matrix in
+      let expected = reference_csv index in
+      let path = Filename.temp_file "eppi_index" ".csv" in
+      let streamed =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Out_channel.with_open_bin path (fun oc -> Index.output_csv oc index);
+            In_channel.with_open_bin path In_channel.input_all)
+      in
+      let check name got =
+        if got <> expected then
+          Alcotest.failf "%dx%d at %.1f: %s wrote %d bytes, the reference %d" rows cols density
+            name (String.length got) (String.length expected)
+      in
+      check "to_csv" (Index.to_csv index);
+      check "output_csv" streamed)
+    [
+      (1, 1, 0.0);
+      (1, 1, 1.0);
+      (5, 3, 0.5);
+      (17, 29, 0.2);
+      (40, 1200, 0.3);
+      (300, 400, 0.6);
+    ]
+
 let test_index_csv_malformed () =
   let reject name text error =
     Alcotest.check_raises name (Failure error) (fun () -> ignore (Index.of_csv text))
@@ -931,6 +985,7 @@ let () =
           Alcotest.test_case "query" `Quick test_index_query;
           Alcotest.test_case "recall" `Quick test_index_recall;
           Alcotest.test_case "csv round trip" `Quick test_index_csv_round_trip;
+          Alcotest.test_case "csv writers agree" `Quick test_index_csv_writers_agree;
           Alcotest.test_case "csv malformed input" `Quick test_index_csv_malformed;
           Alcotest.test_case "fp rate" `Quick test_metrics_fp_rate;
           Alcotest.test_case "empty row" `Quick test_metrics_empty_row;

@@ -182,10 +182,79 @@ let test_rng_stream_pinned () =
   Alcotest.(check (array int)) "shuffle" [| 9; 3; 7; 2; 1; 8; 5; 0; 6; 4 |] a;
   Alcotest.(check (array int))
     "sample_without_replacement" [| 19; 13; 6; 12; 4 |]
-    (Rng.sample_without_replacement (Rng.create 31) ~k:5 ~n:20)
+    (Rng.sample_without_replacement (Rng.create 31) ~k:5 ~n:20);
+  let rng = Rng.create 11 in
+  let fill bound k =
+    let dst = Array.make k 0 in
+    Rng.fill_below rng bound dst;
+    dst
+  in
+  Alcotest.(check (array int))
+    "fill_below 1031" [| 40; 530; 221; 718; 428; 747; 131; 767 |] (fill 1031 8);
+  (* About half the candidates are rejected at 2^30 + 1. *)
+  Alcotest.(check (array int))
+    "fill_below 2^30+1"
+    [| 234098809; 833280344; 1009196406; 871899448; 789549576; 780505480 |]
+    (fill ((1 lsl 30) + 1) 6);
+  Alcotest.(check (array int))
+    "fill_below 2^31-1" [| 934523906; 1199555072; 1049254946; 693901053 |]
+    (fill ((1 lsl 31) - 1) 4)
 
-(* The construction hot path draws one [int] per share, one [bool] per GMW
-   share bit and one [bernoulli] per published cell: none may allocate.
+(* [fill_below] stays in [0, bound) and is uniform: per-bin counts within
+   6 sigma at bounds 11 and 1031, and over 16 equal bins at 2^30 + 1, where
+   about half the candidates are rejected.  Candidates are counted by
+   replaying a copy of the stream up to the generator's next output. *)
+let test_rng_fill_below () =
+  let uniform bound ~bins ~per_bin =
+    let draws = Array.make (bins * per_bin) 0 in
+    Rng.fill_below (Rng.create bound) bound draws;
+    let counts = Array.make bins 0 in
+    Array.iter
+      (fun v ->
+        if v < 0 || v >= bound then Alcotest.failf "bound %d: draw %d out of range" bound v;
+        let b = v * bins / bound in
+        counts.(b) <- counts.(b) + 1)
+      draws;
+    let expected = float_of_int per_bin in
+    Array.iteri
+      (fun b c ->
+        if Float.abs (float_of_int c -. expected) > 6.0 *. sqrt expected then
+          Alcotest.failf "bound %d: bin %d holds %d draws, expected about %d" bound b c per_bin)
+      counts
+  in
+  uniform 11 ~bins:11 ~per_bin:2000;
+  uniform 1031 ~bins:1031 ~per_bin:200;
+  uniform ((1 lsl 30) + 1) ~bins:16 ~per_bin:5000;
+  let candidates_per_draw bound =
+    let draws = 10_000 in
+    let rng = Rng.create 5 in
+    let shadow = Rng.copy rng in
+    Rng.fill_below rng bound (Array.make draws 0);
+    let next = Rng.bits64 rng in
+    let consumed = ref 0 in
+    while Rng.bits64 shadow <> next do
+      incr consumed
+    done;
+    float_of_int !consumed /. float_of_int draws
+  in
+  let half = candidates_per_draw ((1 lsl 30) + 1) in
+  check_bool (Printf.sprintf "2^30+1: %.3f candidates per draw" half) true
+    (half > 1.9 && half < 2.1);
+  Alcotest.(check (float 0.0)) "a power of two rejects nothing" 1.0 (candidates_per_draw 1024);
+  let ones = Array.make 5 7 in
+  Rng.fill_below (Rng.create 1) 1 ones;
+  Alcotest.(check (array int)) "bound 1" [| 0; 0; 0; 0; 0 |] ones;
+  List.iter
+    (fun bound ->
+      Alcotest.check_raises
+        (Printf.sprintf "bound %d rejected" bound)
+        (Invalid_argument "Rng.fill_below: bound must be in [1, 2^31)")
+        (fun () -> Rng.fill_below (Rng.create 1) bound [| 0 |]))
+    [ 0; 1 lsl 31 ]
+
+(* The construction hot path draws its shares with [fill_below], one [bool]
+   per GMW share bit and one [bernoulli] per published cell; [int] serves
+   the samplers: none may allocate.
    Bytecode boxes every int64, so the bound holds in native code only. *)
 let test_rng_draws_allocation_free () =
   if Sys.backend_type = Sys.Native then begin
@@ -213,6 +282,10 @@ let test_rng_draws_allocation_free () =
         for _ = 1 to draws do
           if Rng.bernoulli rng 0.3 then incr sink
         done);
+    let dst = Array.make draws 0 in
+    per_draw "fill_below" (fun () ->
+        Rng.fill_below rng 1031 dst;
+        sink := !sink + dst.(draws - 1));
     check_bool "draws consumed" true (!sink > 0)
   end
 
@@ -775,6 +848,7 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
           Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
           Alcotest.test_case "sample full" `Quick test_sample_full;
+          Alcotest.test_case "fill_below" `Quick test_rng_fill_below;
           Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
           Alcotest.test_case "draws allocation-free" `Quick test_rng_draws_allocation_free;
         ] );

@@ -12,41 +12,52 @@ let check_bool = Alcotest.(check bool)
 
 let q97 = Modarith.modulus 97
 
-let random_inputs rng ~m ~n ~max =
-  Array.init m (fun _ -> Array.init n (fun _ -> Rng.int rng max))
+(* A random owner-major membership matrix: provider i's private input is
+   column i, one fair bit per identity (row). *)
+let random_membership rng ~m ~n =
+  let membership = Bitmatrix.create ~rows:n ~cols:m in
+  for row = 0 to n - 1 do
+    for col = 0 to m - 1 do
+      if Rng.bool rng then Bitmatrix.set membership ~row ~col true
+    done
+  done;
+  membership
+
+(* One identity, held by the providers whose entry is 1. *)
+let one_identity bits =
+  let membership = Bitmatrix.create ~rows:1 ~cols:(Array.length bits) in
+  Array.iteri (fun col b -> if b = 1 then Bitmatrix.set membership ~row:0 ~col true) bits;
+  membership
 
 let drop_plan ?(seed = 21) drop =
   { Simnet.no_faults with fault_seed = seed; default_link = { Simnet.perfect_link with drop } }
-
-let column_sums inputs j = Array.fold_left (fun acc row -> acc + row.(j)) 0 inputs
 
 (* ---------- SecSumShare ---------- *)
 
 let test_secsumshare_sums () =
   let rng = Rng.create 1 in
   let m = 12 and n = 7 in
-  let inputs = random_inputs rng ~m ~n ~max:2 in
-  let r = Secsumshare.run rng ~inputs ~c:3 ~q:q97 in
+  let membership = random_membership rng ~m ~n in
+  let r = Secsumshare.run rng ~membership ~c:3 ~q:q97 in
   check_int "three share vectors" 3 (Array.length r.coordinator_shares);
   let sums = Secsumshare.reconstruct ~q:q97 r.coordinator_shares in
   for j = 0 to n - 1 do
-    let expected = Array.fold_left (fun acc row -> acc + row.(j)) 0 inputs in
-    check_int (Printf.sprintf "identity %d" j) expected sums.(j)
+    check_int (Printf.sprintf "identity %d" j) (Bitmatrix.row_count membership j) sums.(j)
   done
 
 let test_secsumshare_figure3_scale () =
   (* The paper's worked example: 5 providers, c = 3, q = 5, one identity
      with bits 0,1,1,0,0 -> frequency 2. *)
   let rng = Rng.create 2 in
-  let inputs = [| [| 0 |]; [| 1 |]; [| 1 |]; [| 0 |]; [| 0 |] |] in
-  let r = Secsumshare.run rng ~inputs ~c:3 ~q:(Modarith.modulus 5) in
+  let membership = one_identity [| 0; 1; 1; 0; 0 |] in
+  let r = Secsumshare.run rng ~membership ~c:3 ~q:(Modarith.modulus 5) in
   let sums = Secsumshare.reconstruct ~q:(Modarith.modulus 5) r.coordinator_shares in
   check_int "frequency 2" 2 sums.(0)
 
 let test_secsumshare_share_ranges () =
   let rng = Rng.create 3 in
-  let inputs = random_inputs rng ~m:8 ~n:4 ~max:2 in
-  let r = Secsumshare.run rng ~inputs ~c:4 ~q:q97 in
+  let membership = random_membership rng ~m:8 ~n:4 in
+  let r = Secsumshare.run rng ~membership ~c:4 ~q:q97 in
   Array.iter
     (Array.iter (fun s -> check_bool "canonical residue" true (s >= 0 && s < 97)))
     r.coordinator_shares
@@ -55,8 +66,8 @@ let test_secsumshare_message_count () =
   (* Each provider sends c-1 share messages plus one super-share. *)
   let rng = Rng.create 4 in
   let m = 10 and c = 3 in
-  let inputs = random_inputs rng ~m ~n:5 ~max:2 in
-  let r = Secsumshare.run rng ~inputs ~c ~q:q97 in
+  let membership = random_membership rng ~m ~n:5 in
+  let r = Secsumshare.run rng ~membership ~c ~q:q97 in
   check_int "messages = m * c" (m * c) r.net.messages_sent;
   check_bool "nonzero completion time" true (r.net.completion_time > 0.0)
 
@@ -65,8 +76,8 @@ let test_secsumshare_constant_rounds_scaling () =
      runs in constant rounds. *)
   let time m =
     let rng = Rng.create 5 in
-    let inputs = random_inputs rng ~m ~n:3 ~max:2 in
-    (Secsumshare.run rng ~inputs ~c:3 ~q:q97).net.completion_time
+    let membership = random_membership rng ~m ~n:3 in
+    (Secsumshare.run rng ~membership ~c:3 ~q:q97).net.completion_time
   in
   let t10 = time 10 and t100 = time 100 in
   check_bool
@@ -79,12 +90,12 @@ let test_secsumshare_coordinator_shares_look_random () =
      rerunning with different protocol randomness decorrelates them, and
      their empirical distribution is near-uniform over Z_q. *)
   let q = Modarith.modulus 11 in
-  let inputs = [| [| 1 |]; [| 1 |]; [| 1 |]; [| 0 |]; [| 0 |] |] in
+  let membership = one_identity [| 1; 1; 1; 0; 0 |] in
   let counts = Array.make 11 0 in
   let runs = 4000 in
   for seed = 1 to runs do
     let rng = Rng.create seed in
-    let r = Secsumshare.run rng ~inputs ~c:3 ~q in
+    let r = Secsumshare.run rng ~membership ~c:3 ~q in
     counts.(r.coordinator_shares.(0).(0)) <- counts.(r.coordinator_shares.(0).(0)) + 1
   done;
   let expected = float_of_int runs /. 11.0 in
@@ -100,8 +111,8 @@ let test_secsumshare_lossy_fails_fast () =
   (* Loss the reliability layer cannot mask must fail loudly — a stall that
      names suspects — never return a corrupted sum. *)
   let rng = Rng.create 50 in
-  let inputs = random_inputs rng ~m:10 ~n:4 ~max:2 in
-  match Secsumshare.run ~plan:(drop_plan ~seed:5 1.0) rng ~inputs ~c:3 ~q:q97 with
+  let membership = random_membership rng ~m:10 ~n:4 in
+  match Secsumshare.run ~plan:(drop_plan ~seed:5 1.0) rng ~membership ~c:3 ~q:q97 with
   | _ -> Alcotest.fail "expected a stall on a network that drops everything"
   | exception Link.Stalled r -> check_bool "suspects named" true (r.suspects <> [])
 
@@ -109,11 +120,13 @@ let test_secsumshare_reliable_on_lossy_network () =
   (* With acks + retransmission the sums are exact despite 30% loss. *)
   let rng = Rng.create 51 in
   let m = 12 and n = 6 in
-  let inputs = random_inputs rng ~m ~n ~max:2 in
-  let r = Secsumshare.run ~plan:(drop_plan ~seed:7 0.3) rng ~inputs ~c:3 ~q:q97 in
+  let membership = random_membership rng ~m ~n in
+  let r = Secsumshare.run ~plan:(drop_plan ~seed:7 0.3) rng ~membership ~c:3 ~q:q97 in
   let sums = Secsumshare.reconstruct ~q:q97 r.coordinator_shares in
   for j = 0 to n - 1 do
-    check_int (Printf.sprintf "identity %d survives loss" j) (column_sums inputs j) sums.(j)
+    check_int
+      (Printf.sprintf "identity %d survives loss" j)
+      (Bitmatrix.row_count membership j) sums.(j)
   done;
   check_bool "retransmissions happened" true (r.link.retransmissions > 0)
 
@@ -121,32 +134,31 @@ let test_secsumshare_reliable_no_loss_no_retransmit () =
   (* A plan engages the acks; a fault-free plan needs no resend.  Without a
      plan there are no acks at all: m * c messages. *)
   let rng = Rng.create 52 in
-  let inputs = random_inputs rng ~m:9 ~n:3 ~max:2 in
-  let r = Secsumshare.run ~plan:Simnet.no_faults rng ~inputs ~c:3 ~q:q97 in
+  let membership = random_membership rng ~m:9 ~n:3 in
+  let r = Secsumshare.run ~plan:Simnet.no_faults rng ~membership ~c:3 ~q:q97 in
   check_int "no retransmissions on a clean network" 0 r.link.retransmissions;
   check_int "every data message acked" (2 * 9 * 3) r.net.messages_sent;
-  let bare = Secsumshare.run (Rng.create 52) ~inputs ~c:3 ~q:q97 in
+  let bare = Secsumshare.run (Rng.create 52) ~membership ~c:3 ~q:q97 in
   check_int "no acks without a plan" (9 * 3) bare.net.messages_sent
 
 (* SecSumShare's coordinator shares, rebuilt outside the protocol: one
    [Rng.split] per provider in provider order, one [Additive.share] per
    identity from that provider's stream, share k to the k-th ring
    successor, then each provider's held sum to coordinator (i mod c). *)
-let secsumshare_reference rng ~inputs ~c ~q =
-  let m = Array.length inputs and n = Array.length inputs.(0) in
+let secsumshare_reference rng ~membership ~c ~q =
+  let m = Bitmatrix.cols membership and n = Bitmatrix.rows membership in
   let provider_rngs = Array.init m (fun _ -> Rng.split rng) in
   let held = Array.init m (fun _ -> Array.make n 0) in
-  Array.iteri
-    (fun i row ->
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let v = if Bitmatrix.get membership ~row:j ~col:i then 1 else 0 in
       Array.iteri
-        (fun j v ->
-          Array.iteri
-            (fun k s ->
-              let p = (i + k) mod m in
-              held.(p).(j) <- Modarith.add q held.(p).(j) s)
-            (Eppi_secretshare.Additive.share provider_rngs.(i) ~q ~c v))
-        row)
-    inputs;
+        (fun k s ->
+          let p = (i + k) mod m in
+          held.(p).(j) <- Modarith.add q held.(p).(j) s)
+        (Eppi_secretshare.Additive.share provider_rngs.(i) ~q ~c v)
+    done
+  done;
   let coordinators = Array.init c (fun _ -> Array.make n 0) in
   Array.iteri
     (fun p sums ->
@@ -155,6 +167,7 @@ let secsumshare_reference rng ~inputs ~c ~q =
     held;
   coordinators
 
+(* Both residue widths: q <= 2^16 packs 2 bytes a residue, larger q 4. *)
 let test_secsumshare_matches_reference () =
   let inputs_rng = Rng.create 77 in
   List.iter
@@ -163,31 +176,35 @@ let test_secsumshare_matches_reference () =
       for c = 2 to 5 do
         for m = c to 12 do
           for n = 1 to 16 do
-            let inputs = random_inputs inputs_rng ~m ~n ~max:qi in
+            let membership = random_membership inputs_rng ~m ~n in
             let seed = (qi * 1_000_000) + (c * 10_000) + (m * 100) + n in
-            let expected = secsumshare_reference (Rng.create seed) ~inputs ~c ~q in
+            let expected = secsumshare_reference (Rng.create seed) ~membership ~c ~q in
             let shape = Printf.sprintf "q=%d c=%d m=%d n=%d" qi c m n in
-            let bare = Secsumshare.run (Rng.create seed) ~inputs ~c ~q in
+            let bare = Secsumshare.run (Rng.create seed) ~membership ~c ~q in
             if bare.coordinator_shares <> expected then
               Alcotest.failf "%s: shares differ from the reference" shape;
-            let planned = Secsumshare.run ~plan:Simnet.no_faults (Rng.create seed) ~inputs ~c ~q in
+            let planned =
+              Secsumshare.run ~plan:Simnet.no_faults (Rng.create seed) ~membership ~c ~q
+            in
             if planned.coordinator_shares <> expected then
               Alcotest.failf "%s: shares under a fault-free plan differ from the reference" shape
           done
         done
       done)
-    [ 2; 3; 97; 1031 ]
+    [ 2; 3; 97; 1031; 65_537; 1_000_003 ]
 
 let test_secsumshare_reliable_across_seeds () =
   (* Determinized stress: several loss seeds, all must converge exactly. *)
   for seed = 1 to 10 do
     let rng = Rng.create (100 + seed) in
     let m = 8 and n = 3 in
-    let inputs = random_inputs rng ~m ~n ~max:2 in
-    let r = Secsumshare.run ~plan:(drop_plan ~seed 0.25) rng ~inputs ~c:3 ~q:q97 in
+    let membership = random_membership rng ~m ~n in
+    let r = Secsumshare.run ~plan:(drop_plan ~seed 0.25) rng ~membership ~c:3 ~q:q97 in
     let sums = Secsumshare.reconstruct ~q:q97 r.coordinator_shares in
     for j = 0 to n - 1 do
-      check_int (Printf.sprintf "seed %d identity %d" seed j) (column_sums inputs j) sums.(j)
+      check_int
+        (Printf.sprintf "seed %d identity %d" seed j)
+        (Bitmatrix.row_count membership j) sums.(j)
     done
   done
 
@@ -195,19 +212,67 @@ let test_secsumshare_crashed_provider_fails_fast () =
   (* A crashed provider never contributes: the protocol must fail loudly
      rather than deliver a silently-wrong sum, and blame the dead. *)
   let rng = Rng.create 53 in
-  let inputs = random_inputs rng ~m:8 ~n:3 ~max:2 in
+  let membership = random_membership rng ~m:8 ~n:3 in
   let plan = { Simnet.no_faults with crashes = [ (0.0, 5) ] } in
-  match Secsumshare.run ~plan rng ~inputs ~c:3 ~q:q97 with
+  match Secsumshare.run ~plan rng ~membership ~c:3 ~q:q97 with
   | _ -> Alcotest.fail "expected failure"
   | exception Link.Stalled r -> Alcotest.(check (list int)) "blames provider 5" [ 5 ] r.suspects
 
 let test_secsumshare_validation () =
   let rng = Rng.create 6 in
   Alcotest.check_raises "m < c" (Invalid_argument "Secsumshare.run: need at least c providers")
-    (fun () -> ignore (Secsumshare.run rng ~inputs:[| [| 1 |]; [| 0 |] |] ~c:3 ~q:q97));
-  Alcotest.check_raises "value out of range"
-    (Invalid_argument "Secsumshare.run: provider 0 input out of [0, q)") (fun () ->
-      ignore (Secsumshare.run rng ~inputs:[| [| 97 |]; [| 0 |]; [| 0 |] |] ~c:2 ~q:q97))
+    (fun () -> ignore (Secsumshare.run rng ~membership:(one_identity [| 1; 0 |]) ~c:3 ~q:q97));
+  Alcotest.check_raises "n = 0" (Invalid_argument "Secsumshare.run: empty input vectors")
+    (fun () ->
+      ignore (Secsumshare.run rng ~membership:(Bitmatrix.create ~rows:0 ~cols:3) ~c:2 ~q:q97));
+  Alcotest.check_raises "c < 2" (Invalid_argument "Secsumshare.run: need c >= 2") (fun () ->
+      ignore (Secsumshare.run rng ~membership:(one_identity [| 1; 0; 1 |]) ~c:1 ~q:q97))
+
+(* The packed loops read and write without bounds checks, so each checks
+   its vectors' lengths once first. *)
+let test_secsumshare_vector_lengths () =
+  let module A = Eppi_secretshare.Additive in
+  List.iter
+    (fun qi ->
+      let q = Modarith.modulus qi in
+      let raises name message f =
+        Alcotest.check_raises (Printf.sprintf "q=%d %s" qi name) (Invalid_argument message) f
+      in
+      raises "add_into" "Additive.add_into: length mismatch" (fun () ->
+          A.add_into ~q ~acc:(A.vector ~q 4) (A.vector ~q 5));
+      let mismatch name f = raises name "Additive.share_bits: length mismatch" f in
+      let bits = Bytes.make 1 '\255' and draws = Array.make 8 0 in
+      let into n = [| A.vector ~q 4; A.vector ~q 4; A.vector ~q n |] in
+      let share ?(bits = bits) ?(pos = 0) ?(draws = draws) into =
+        A.share_bits (Rng.create 1) ~q ~bits ~pos ~draws ~into
+      in
+      share (into 4);
+      mismatch "short share vector" (fun () -> share (into 3));
+      mismatch "long share vector" (fun () -> share (into 5));
+      mismatch "draws" (fun () -> share ~draws:(Array.make 7 0) (into 4));
+      mismatch "bits" (fun () -> share ~pos:1 (into 4));
+      mismatch "bits before 0" (fun () -> share ~pos:(-1) (into 4)))
+    [ 97; 1_000_003 ]
+
+(* No allocation per residue: the share vectors are major-heap [Bytes], the
+   draws land in one reused scratch array, so a fault-free run allocates per
+   provider and per message only (a few hundred words each) — a boxed
+   [int64] per draw would add about 24,000 per provider at this n.
+   Bytecode boxes more, so the bound holds in native code only. *)
+let test_secsumshare_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let m = 32 and n = 4000 in
+    let membership = random_membership (Rng.create 93) ~m ~n in
+    let q = Construct.modulus_for 1024 in
+    let run () = ignore (Secsumshare.run (Rng.create 94) ~membership ~c:3 ~q) in
+    run ();
+    let before = Gc.minor_words () in
+    run ();
+    let per_provider = (Gc.minor_words () -. before) /. float_of_int m in
+    check_bool
+      (Printf.sprintf "%.0f minor words per provider" per_provider)
+      true (per_provider < 1000.0)
+  end
 
 (* ---------- CountBelow ---------- *)
 
@@ -682,13 +747,13 @@ let test_mpcnet_reliable_deterministic () =
 let test_secsumshare_ft_complete_under_loss () =
   let rng = Rng.create 31 in
   let m = 10 and n = 6 in
-  let inputs = random_inputs rng ~m ~n ~max:2 in
-  match Secsumshare.run ~plan:(drop_plan 0.1) rng ~inputs ~c:3 ~q:q97 with
+  let membership = random_membership rng ~m ~n in
+  match Secsumshare.run ~plan:(drop_plan 0.1) rng ~membership ~c:3 ~q:q97 with
   | exception Link.Stalled _ -> Alcotest.fail "10% loss must be survivable"
   | r ->
       let sums = Secsumshare.reconstruct ~q:q97 r.coordinator_shares in
       for j = 0 to n - 1 do
-        check_int (Printf.sprintf "identity %d" j) (column_sums inputs j) sums.(j)
+        check_int (Printf.sprintf "identity %d" j) (Bitmatrix.row_count membership j) sums.(j)
       done;
       check_bool "retransmitted" true (r.link.retransmissions > 0);
       Alcotest.(check (list int)) "no suspects" [] r.link.suspects
@@ -699,9 +764,9 @@ let test_secsumshare_ft_crash_blames_only_the_dead () =
      must NOT suspect the stalled victims. *)
   let rng = Rng.create 32 in
   let m = 8 and n = 4 in
-  let inputs = random_inputs rng ~m ~n ~max:2 in
+  let membership = random_membership rng ~m ~n in
   let plan = { Simnet.no_faults with crashes = [ (0.0, 4) ] } in
-  match Secsumshare.run ~plan rng ~inputs ~c:3 ~q:q97 with
+  match Secsumshare.run ~plan rng ~membership ~c:3 ~q:q97 with
   | _ -> Alcotest.fail "completed despite a dead provider"
   | exception Link.Stalled r ->
       Alcotest.(check (list int)) "blames exactly provider 4" [ 4 ] r.suspects;
@@ -762,6 +827,7 @@ let test_construct_ft_crash_degrades () =
   | Construct.Failed (reason, _) -> Alcotest.failf "failed: %s" reason
   | Construct.Degraded (r, rep) ->
       Alcotest.(check (list int)) "excludes exactly provider 7" [ 7 ] rep.excluded;
+      Alcotest.(check (list int)) "survivors in order" [ 0; 1; 2; 3; 4; 5; 6; 8; 9 ] rep.survivors;
       check_int "two attempts" 2 rep.attempts;
       check_int "index spans survivors" (m - 1) (Eppi.Index.providers r.index);
       (* The survivor-set classification matches the centralized reference
@@ -1008,6 +1074,8 @@ let () =
           Alcotest.test_case "dead provider fails fast" `Quick
             test_secsumshare_crashed_provider_fails_fast;
           Alcotest.test_case "validation" `Quick test_secsumshare_validation;
+          Alcotest.test_case "share vector lengths" `Quick test_secsumshare_vector_lengths;
+          Alcotest.test_case "allocation per provider" `Quick test_secsumshare_allocation;
           Alcotest.test_case "coordinator shares match the reference" `Quick
             test_secsumshare_matches_reference;
         ] );

@@ -34,31 +34,59 @@ let test_additive_rejects_bad_c () =
   Alcotest.check_raises "c=0" (Invalid_argument "Additive.share: need at least one share")
     (fun () -> ignore (Additive.share rng ~q:q101 ~c:0 5))
 
-(* The draw order every seeded construction replays: shares 0 .. c-2 are
-   consecutive [Rng.int q] draws, the last balances the sum.  [share_into]
-   writes the same shares in place and returns share 0. *)
+(* The draw order every seeded construction replays: shares 0 .. c-2 are one
+   [Rng.fill_below q] fill of c-1 residues, the last balances the sum. *)
 let test_additive_draw_order () =
   for c = 1 to 5 do
     for v = 0 to 100 do
       let seed = (c * 1000) + v in
-      let raw = Rng.create seed in
-      let drawn = Array.init (c - 1) (fun _ -> Rng.int raw 101) in
+      let drawn = Array.make (c - 1) 0 in
+      Rng.fill_below (Rng.create seed) 101 drawn;
       let last = Modarith.sub q101 v (Array.fold_left (Modarith.add q101) 0 drawn) in
       let expected = Array.append drawn [| last |] in
       let shares = Additive.share (Rng.create seed) ~q:q101 ~c v in
-      Alcotest.(check (array int)) (Printf.sprintf "share c=%d v=%d" c v) expected shares;
-      let into = Array.init c (fun _ -> Array.make 3 (-1)) in
-      let own = Additive.share_into (Rng.create seed) ~q:q101 v ~into 1 in
-      let placed = Array.mapi (fun k vector -> if k = 0 then own else vector.(1)) into in
-      Alcotest.(check (array int)) (Printf.sprintf "share_into c=%d v=%d" c v) expected placed;
-      check_bool "writes only slot 1 of vectors 1 .. c-1" true
-        (Array.for_all (fun vector -> vector.(0) = -1 && vector.(2) = -1) into
-        && into.(0).(1) = -1)
+      Alcotest.(check (array int)) (Printf.sprintf "share c=%d v=%d" c v) expected shares
     done
-  done;
-  Alcotest.check_raises "secret out of range"
-    (Invalid_argument "Additive.share_into: secret out of [0, q)") (fun () ->
-      ignore (Additive.share_into (Rng.create 1) ~q:q101 101 ~into:[| [| 0 |]; [| 0 |] |] 0))
+  done
+
+(* [share_bits] draws what one [share] per secret bit would, in secret
+   order: share 0 lands on top of the first vector's running sums, share k
+   in vector k.  2^16 is the widest modulus with 2-byte residues. *)
+let test_additive_share_bits () =
+  List.iter
+    (fun qi ->
+      let q = Modarith.modulus qi in
+      for c = 2 to 5 do
+        let n = 21 and pos = 1 in
+        let rng = Rng.create (qi + c) in
+        let secrets = Array.init n (fun _ -> Rng.int rng 2) in
+        let bits = Bytes.make (pos + 3) '\000' in
+        Array.iteri
+          (fun j b ->
+            let o = pos + (j / 8) in
+            if b = 1 then
+              Bytes.set bits o (Char.chr (Char.code (Bytes.get bits o) lor (1 lsl (j mod 8)))))
+          secrets;
+        let running = Array.init n (fun _ -> Rng.int rng qi) in
+        let into =
+          Array.init c (fun k ->
+              if k = 0 then Additive.of_array ~q running else Additive.vector ~q n)
+        in
+        Additive.share_bits (Rng.create c) ~q ~bits ~pos ~draws:(Array.make ((c - 1) * n) 0)
+          ~into;
+        let one_by_one = Rng.create c in
+        let expected = Array.init c (fun _ -> Array.make n 0) in
+        Array.iteri
+          (fun j v ->
+            Array.iteri (fun k s -> expected.(k).(j) <- s) (Additive.share one_by_one ~q ~c v))
+          secrets;
+        expected.(0) <- Array.map2 (Modarith.add q) running expected.(0);
+        Alcotest.(check (array (array int)))
+          (Printf.sprintf "q=%d c=%d" qi c)
+          expected
+          (Array.map (Additive.to_array ~q) into)
+      done)
+    [ 101; 65_536; 65_537; 1_000_003 ]
 
 let test_additive_homomorphism () =
   let rng = Rng.create 5 in
@@ -70,12 +98,24 @@ let test_additive_homomorphism () =
     check_int "share-wise add = sum" (Modarith.add q101 a b) (Additive.reconstruct ~q:q101 sum)
   done
 
+(* Packed accumulation at both residue widths, wrap-around included. *)
 let test_additive_add_into () =
   let rng = Rng.create 6 in
-  let acc = Additive.share rng ~q:q101 ~c:3 10 in
-  let other = Additive.share rng ~q:q101 ~c:3 20 in
-  Additive.add_into ~q:q101 ~acc other;
-  check_int "in-place accumulate" 30 (Additive.reconstruct ~q:q101 acc)
+  List.iter
+    (fun (qi, width) ->
+      let q = Modarith.modulus qi in
+      check_int (Printf.sprintf "q=%d width" qi) width (Additive.width q);
+      let a = Array.append [| qi - 1; 0 |] (Array.init 50 (fun _ -> Rng.int rng qi)) in
+      let b = Array.append [| qi - 1; qi - 1 |] (Array.init 50 (fun _ -> Rng.int rng qi)) in
+      let acc = Additive.of_array ~q a in
+      Additive.add_into ~q ~acc (Additive.of_array ~q b);
+      Alcotest.(check (array int))
+        (Printf.sprintf "q=%d in-place accumulate" qi)
+        (Array.map2 (Modarith.add q) a b)
+        (Additive.to_array ~q acc))
+    [ (101, 2); (65_536, 2); (65_537, 4); (2_147_483_647, 4) ];
+  Alcotest.check_raises "of_array range" (Invalid_argument "Additive.of_array: residue out of [0, q)")
+    (fun () -> ignore (Additive.of_array ~q:q101 [| 101 |]))
 
 let test_additive_rerandomize () =
   let rng = Rng.create 7 in
@@ -159,6 +199,7 @@ let () =
           Alcotest.test_case "share range" `Quick test_additive_share_range;
           Alcotest.test_case "rejects bad c" `Quick test_additive_rejects_bad_c;
           Alcotest.test_case "draw order" `Quick test_additive_draw_order;
+          Alcotest.test_case "share_bits" `Quick test_additive_share_bits;
           Alcotest.test_case "homomorphism" `Quick test_additive_homomorphism;
           Alcotest.test_case "add_into" `Quick test_additive_add_into;
           Alcotest.test_case "rerandomize" `Quick test_additive_rerandomize;
