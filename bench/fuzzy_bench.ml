@@ -1,7 +1,9 @@
 (* Approximate-identity (fuzzy) serving bench: build the resolver over a
    synthetic roster, replay typo/variant probe workloads at several noise
    rates, and measure recall@k against the planted truth, exact-vs-fuzzy
-   latency, and the candidate-set-size distribution.  Also scans every
+   latency, the candidate-set-size distribution and the scanned-size
+   distribution, gating that every probe scans at least the padding floor
+   min(min_scan, n).  Also scans every
    encoded fuzzy request frame for plaintext demographic bytes — the wire
    invariant docs/FUZZY.md argues for — and re-checks the <2%
    disabled-tracing overhead on the fuzzy path.  Writes BENCH_fuzzy.json
@@ -74,6 +76,15 @@ let run () =
   in
   Bench_util.note "resolver: %d signatures built in %.3f s" (Resolver.entries resolver)
     build_seconds;
+  (* The padding floor, and the scanned-size summaries over sorted scans. *)
+  let floor = min config.min_scan n in
+  let mean sorted =
+    float_of_int (Array.fold_left ( + ) 0 sorted) /. float_of_int (Array.length sorted)
+  in
+  let at_floor sorted =
+    float_of_int (Array.fold_left (fun c s -> if s = floor then c + 1 else c) 0 sorted)
+    /. float_of_int (Array.length sorted)
+  in
   let engine = Serve.create ~resolver index in
   (* Ground truth for candidate rows, untimed. *)
   let truth_rows = Array.init n (fun owner -> Eppi.Index.query index ~owner) in
@@ -108,6 +119,11 @@ let run () =
                 end)
               (plaintexts observed @ plaintexts roster.(truth)))
           probes;
+        (* Signatures scored per probe, gathered outside the timed loop. *)
+        let scanned =
+          Array.map (fun probe -> (Resolver.resolve resolver probe ~k).scanned) probes
+        in
+        Array.sort compare scanned;
         let hits = ref 0 and empty = ref 0 in
         let candidate_sizes = Array.make (Array.length probes) 0 in
         let latencies = Array.make (Array.length probes) 0.0 in
@@ -141,15 +157,18 @@ let run () =
           float_of_int (Array.fold_left ( + ) 0 candidate_sizes) /. float_of_int queries
         in
         Bench_util.note
-          "noise x%.1f: recall@%d %.4f, empty %d, candidates mean %.2f max %d, p50 %.2g s p99 %.2g s"
+          "noise x%.1f: recall@%d %.4f, empty %d, candidates mean %.2f max %d, scanned mean %.1f \
+           max %d (%.1f%% at the floor), p50 %.2g s p99 %.2g s"
           factor k recall !empty mean_size
           sizes_sorted.(Array.length sizes_sorted - 1)
+          (mean scanned) scanned.(Array.length scanned - 1)
+          (100.0 *. at_floor scanned)
           (percentile latencies 0.5) (percentile latencies 0.99);
-        (factor, recall, !empty, mean_size, sizes_sorted, latencies))
+        (factor, recall, !empty, mean_size, sizes_sorted, scanned, latencies))
       [ 0.0; 1.0; 2.0 ]
   in
   let default_recall =
-    List.find_map (fun (f, r, _, _, _, _) -> if f = 1.0 then Some r else None) noise_runs
+    List.find_map (fun (f, r, _, _, _, _, _) -> if f = 1.0 then Some r else None) noise_runs
     |> Option.get
   in
   (* Exact-path latency on the same engine for the side-by-side. *)
@@ -223,17 +242,24 @@ let run () =
          ( "noise_runs",
            List
              (List.map
-                (fun (factor, recall, empty, mean_size, sizes_sorted, latencies) ->
-                  let size q =
-                    Json.int (int_of_float (percentile (Array.map float_of_int sizes_sorted) q))
+                (fun (factor, recall, empty, mean_size, sizes_sorted, scanned, latencies) ->
+                  let at sorted q =
+                    Json.int (int_of_float (percentile (Array.map float_of_int sorted) q))
                   in
+                  let last sorted = Json.int sorted.(Array.length sorted - 1) in
                   Json.Obj
                     [ ("noise_factor", Num factor); ("recall_at_k", Num recall);
                       ("empty", Json.int empty);
                       ( "candidates",
                         Obj
-                          [ ("mean", Num mean_size); ("p50", size 0.5); ("p90", size 0.9);
-                            ("max", Json.int sizes_sorted.(Array.length sizes_sorted - 1)) ] );
+                          [ ("mean", Num mean_size); ("p50", at sizes_sorted 0.5);
+                            ("p90", at sizes_sorted 0.9); ("max", last sizes_sorted) ] );
+                      ( "scanned",
+                        Obj
+                          [ ("mean", Num (mean scanned)); ("p50", at scanned 0.5);
+                            ("p99", at scanned 0.99); ("max", last scanned);
+                            ("min", Json.int scanned.(0)); ("floor", Json.int floor);
+                            ("at_floor_share", Num (at_floor scanned)) ] );
                       ("latency_s", latency latencies) ])
                 noise_runs) );
          ("recall_at_k_default_noise", Num default_recall);
@@ -262,8 +288,14 @@ let run () =
                  let recall = num r [ "recall_at_k" ] in
                  0.0 <= recall && recall <= 1.0
                  && num r [ "latency_s"; "p50" ] <= num r [ "latency_s"; "p99" ]
-                 && num r [ "candidates"; "p50" ] <= num r [ "candidates"; "max" ])
+                 && num r [ "candidates"; "p50" ] <= num r [ "candidates"; "max" ]
+                 && num r [ "scanned"; "p50" ] <= num r [ "scanned"; "max" ])
                runs );
+      ( "every probe scans at least min(min_scan, n) signatures",
+        fun v ->
+          List.for_all
+            (fun r -> num r [ "scanned"; "min" ] >= float_of_int floor)
+            (items v [ "noise_runs" ]) );
       ( "disabled tracing within 2% + 20 ms of the untraced baseline",
         fun v -> flag v [ "trace"; "disabled_overhead_ok" ] );
       ( "fuzzy metrics conserve requests",

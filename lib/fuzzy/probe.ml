@@ -29,28 +29,62 @@ let filter (params : Bloom.params) field =
   if field = "" then Bitvec.create params.bits
   else Bloom.to_bitvec (Bloom.encode params field)
 
-(* Soundex-of-last-name and birth-year buckets, mirroring Linkage's
-   offline blocking; either key alone recovers a candidate, so one
-   corrupted field does not lose the match. *)
-let blocking_keys (params : Bloom.params) (r : Demographic.t) =
-  let keys = ref [] in
+(* A record's blocking fields, each [None] when the record does not state
+   it: the Soundex codes (always four characters) of the first and last
+   names, and the birth year. *)
+let blocking_fields (r : Demographic.t) =
+  let soundex field = if field = "" then None else Some (Text.soundex field) in
   let y, _, _ = r.dob in
-  if y > 0 then keys := keyed_hash params.seed ("y:" ^ string_of_int y) :: !keys;
-  if r.last <> "" then keys := keyed_hash params.seed ("s:" ^ Text.soundex r.last) :: !keys;
-  Array.of_list !keys
+  (soundex r.first, soundex r.last, if y > 0 then Some (string_of_int y) else None)
 
-let of_demographic (params : Bloom.params) (r : Demographic.t) =
+(* The single-field keys: Soundex of the last name, then birth year. *)
+let single_keys seed ~last ~year =
+  let key prefix = Option.map (fun v -> keyed_hash seed (prefix ^ v)) in
+  List.filter_map Fun.id [ key "s:" last; key "y:" year ]
+
+(* The conjunctive keys: one per pair of Soundex(first), Soundex(last) and
+   birth year, then the full date of birth when the year is stated.  One
+   corrupted field leaves every pair without it intact, and the date key
+   survives a typo in both names; each bucket is a small slice of the
+   single-key buckets. *)
+let pair_keys seed (first, last, year) ~date =
+  let pair prefix a b =
+    match (a, b) with
+    | Some a, Some b -> Some (keyed_hash seed (prefix ^ a ^ ":" ^ b))
+    | _ -> None
+  in
+  let date = Option.map (fun _ -> keyed_hash seed ("d:" ^ date)) year in
+  List.filter_map Fun.id
+    [ pair "fl:" first last; pair "fy:" first year; pair "ly:" last year; date ]
+
+(* A probe stating first name, last name and birth year sends the four
+   conjunctive keys; any other probe sends the single keys, exactly as
+   probes did before the conjunctive keys existed. *)
+let blocking_keys seed r ~date =
+  match blocking_fields r with
+  | (Some _, Some _, Some _) as fields -> pair_keys seed fields ~date
+  | _, last, year -> single_keys seed ~last ~year
+
+let filing_keys seed r ~date =
+  let ((_, last, year) as fields) = blocking_fields r in
+  pair_keys seed fields ~date @ single_keys seed ~last ~year
+
+let encode (params : Bloom.params) ~keys (r : Demographic.t) =
   if params.bits <= 0 || params.hashes <= 0 then
     invalid_arg "Probe.of_demographic: bad parameters";
+  let date = dob_string r.dob in
   {
-    keys = blocking_keys params r;
+    keys = Array.of_list (keys params.seed r ~date);
     bits = params.bits;
     hashes = params.hashes;
     first = filter params r.first;
     last = filter params r.last;
-    dob = filter params (dob_string r.dob);
+    dob = filter params date;
     zip = filter params r.zip;
   }
+
+let of_demographic params r = encode params ~keys:blocking_keys r
+let signature params r = encode params ~keys:filing_keys r
 
 let routing_hash t =
   let mix acc v = ((acc * 1_000_003) lxor v) land max_int in

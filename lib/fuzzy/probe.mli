@@ -3,12 +3,16 @@
 
     The probe carries four per-field Bloom filters (bigram encodings of
     first name, last name, date of birth and ZIP) plus keyed blocking
-    hashes derived from the Soundex of the last name and the birth year —
-    the same blocking keys {!Eppi_linkage.Linkage} uses offline.  All
-    hashing is keyed by the linkage secret ([params.seed]); the secret
-    itself never appears in the probe, only the filter geometry
-    ([bits], [hashes]) does, so a wire capture cannot be dictionary-tested
-    without the seed.  See docs/FUZZY.md for the full privacy argument.
+    hashes.  A probe that states a first name, a last name and a birth
+    date with its year carries four conjunctive keys: one for each pair of
+    Soundex(first name), Soundex(last name) and birth year, and one for
+    the full date of birth, so any one corrupted field leaves a key
+    intact.  Any other probe carries the single-field keys, Soundex of
+    the last name and birth year, each when stated.  All hashing is keyed
+    by the linkage secret ([params.seed]); the secret itself never appears
+    in the probe, only the filter geometry ([bits], [hashes]) does, so a
+    wire capture cannot be dictionary-tested without the seed.  See
+    docs/FUZZY.md for the full privacy argument.
 
     Empty fields (an empty name or ZIP, a [(0, 0, 0)] date of birth)
     encode as empty filters and contribute no blocking key; the resolver
@@ -33,9 +37,16 @@ val of_demographic : Eppi_linkage.Bloom.params -> Eppi_linkage.Demographic.t -> 
     help resolution and would leak a protected attribute.
     @raise Invalid_argument on non-positive [bits] or [hashes]. *)
 
+val signature : Eppi_linkage.Bloom.params -> Eppi_linkage.Demographic.t -> t
+(** A roster entry as the resolver files it: the same four filters as
+    {!of_demographic}, with [keys] every blocking key the entry states —
+    the conjunctive keys whose fields it has, then the single-field keys.
+    A probe under either key rule therefore finds the entry.
+    @raise Invalid_argument on non-positive [bits] or [hashes]. *)
+
 val keyed_hash : int -> string -> int
 (** [keyed_hash seed s]: the 32-bit blocking-key hash of [s] under the
-    linkage secret [seed] (exposed for the resolver's bucket builder). *)
+    linkage secret [seed]. *)
 
 val dob_string : int * int * int -> string
 (** ["yyyymmdd"], or [""] for the unknown date [(0, 0, 0)]. *)

@@ -4,10 +4,14 @@
 
     Resolution is a bucket scan: the probe's blocking keys select
     candidate owners (union over keys, so one corrupted field does not
-    lose the match), the candidate set is padded to [min_scan] with
-    deterministic decoys, every candidate signature is Dice-scored
-    against the probe, and the top-[k] candidates at or above
-    [match_threshold] come back in descending score order.
+    lose the match).  Every roster entry is filed under both key rules
+    ({!Probe.signature}), so a full probe's conjunctive keys reach small
+    buckets while partial probes, and probes from clients that predate
+    those keys, still find their entries under the single-field keys.
+    The candidate set is padded to [min_scan] with deterministic decoys,
+    every candidate signature is Dice-scored against the probe, and the
+    top-[k] candidates at or above [match_threshold] come back in
+    descending score order.
 
     The structure is immutable after {!build} and safe to read from any
     domain; the serving engine swaps it atomically with the postings on
@@ -39,7 +43,8 @@ type t
 val build : config -> Demographic.t array -> t
 (** Compile the roster (owner id = array index) into signatures and
     blocking buckets.  @raise Invalid_argument on a threshold outside
-    [0, 1], a negative padding floor, or bad filter parameters. *)
+    [0, 1], a negative padding floor, bad filter parameters, or a roster
+    of 2{^30} entries or more. *)
 
 val config : t -> config
 val entries : t -> int

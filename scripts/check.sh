@@ -291,7 +291,8 @@ trap 'rm -rf "$PIN_DIR"' EXIT
 
 # A ~5 s smoke of the fuzzy bench: small roster, short query stream.  The
 # bench exits non-zero unless recall@10 >= 0.9 at default noise, no
-# generated frame contains a plaintext demographic byte, the
+# generated frame contains a plaintext demographic byte, every probe scans
+# at least min(min_scan, n) signatures (the padding floor), the
 # disabled-tracing overhead stays under the bound and the fuzzy metrics
 # conserve — the gates on its BENCH_fuzzy.json.
 echo "== fuzzy bench smoke =="

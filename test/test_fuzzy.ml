@@ -28,13 +28,41 @@ let roster n = Roster.generate (Rng.create 101) ~n
 
 (* ---- probe ---- *)
 
+(* The single-field keys every probe carried before the conjunctive keys:
+   Soundex of the last name, then birth year, each when stated. *)
+let legacy_keys (r : Demographic.t) =
+  let y, _, _ = r.dob in
+  Array.of_list
+    ((if r.last = "" then [] else [ Probe.keyed_hash seed ("s:" ^ Text.soundex r.last) ])
+    @ if y > 0 then [ Probe.keyed_hash seed ("y:" ^ string_of_int y) ] else [])
+
+(* A probe that lacks a first name, a last name or a birth year keeps the
+   single keys, so it is answered exactly as before. *)
+let test_probe_partial_keys () =
+  let people = roster 20 in
+  Array.iter
+    (fun (r : Demographic.t) ->
+      let full = Probe.of_demographic config.params r in
+      check_bool "full probe leaves the single keys" true
+        (Array.for_all (fun k -> not (Array.mem k (legacy_keys r))) full.keys);
+      List.iter
+        (fun (name, (partial : Demographic.t)) ->
+          let p = Probe.of_demographic config.params partial in
+          check_bool name true (p.keys = legacy_keys partial))
+        [ ("no first name", { r with first = "" });
+          ("no last name", { r with last = "" });
+          ("no birth date", { r with dob = (0, 0, 0) });
+          ("birth year unknown", { r with dob = (let _, m, d = r.dob in (0, m, d)) });
+          ("date only", { r with first = ""; last = ""; zip = "" }) ])
+    people
+
 let test_probe_shape () =
   let r = (roster 4).(0) in
   let p = Probe.of_demographic config.params r in
   check_int "bits" config.params.bits p.bits;
   check_int "hashes" config.params.hashes p.hashes;
-  (* Full record: a birth-year key and a soundex key. *)
-  check_int "blocking keys" 2 (Array.length p.keys);
+  (* Full record: the three pair keys and the date-of-birth key. *)
+  check_int "blocking keys" 4 (Array.length p.keys);
   check_bool "first filter non-empty" true (Bitvec.count p.first > 0);
   check_bool "last filter non-empty" true (Bitvec.count p.last > 0);
   check_bool "dob filter non-empty" true (Bitvec.count p.dob > 0);
@@ -45,6 +73,11 @@ let test_probe_shape () =
   check_int "partial keys (soundex only)" 1 (Array.length pp.keys);
   check_int "empty first filter" 0 (Bitvec.count pp.first);
   check_int "empty dob filter" 0 (Bitvec.count pp.dob);
+  (* A roster entry is filed under both rules: four pair keys, then the
+     two single keys. *)
+  let s = Probe.signature config.params r in
+  check_bool "signature keys" true (s.keys = Array.append p.keys (legacy_keys r));
+  check_bool "signature filters" true ({ s with keys = p.keys } = p);
   (* Same record, same probe — deterministic. *)
   let p2 = Probe.of_demographic config.params r in
   check_bool "deterministic" true (p = p2);
@@ -120,6 +153,30 @@ let test_resolve_corrupted () =
     (Printf.sprintf "recall %d/%d >= 0.9 under default noise" !hits trials)
     true
     (float_of_int !hits /. float_of_int trials >= 0.9)
+
+(* Conjunctive keys keep a typo probe's scan near the padding floor on a
+   roster where the single-key buckets hold hundreds of entries, without
+   giving up recall. *)
+let test_resolve_blocking_scale () =
+  let people = Roster.generate (Rng.create 61) ~n:8192 in
+  let r = Resolver.build config people in
+  let rng = Rng.create 67 in
+  let probes = 2000 in
+  let scanned = ref 0 and hits = ref 0 in
+  for _ = 1 to probes do
+    let truth = Rng.int rng (Array.length people) in
+    let probe = Probe.of_demographic config.params (Demographic.corrupt rng people.(truth)) in
+    let o = Resolver.resolve r probe ~k:10 in
+    scanned := !scanned + o.scanned;
+    if List.exists (fun (c : Resolver.resolved) -> c.owner = truth) o.candidates then incr hits
+  done;
+  let mean = float_of_int !scanned /. float_of_int probes in
+  let recall = float_of_int !hits /. float_of_int probes in
+  check_bool
+    (Printf.sprintf "mean scanned %.1f <= 2 x min_scan" mean)
+    true
+    (mean <= 2.0 *. float_of_int config.min_scan);
+  check_bool (Printf.sprintf "recall@10 %.4f >= 0.99" recall) true (recall >= 0.99)
 
 let test_resolve_padding_floor () =
   let people = roster 300 in
@@ -201,8 +258,9 @@ let test_partial_probe_renormalizes () =
 
 (* The resolver as it was first written: one [Probe.t] per owner, buckets
    as a [Hashtbl] of lists, and Dice through [Bitvec.inter] with both
-   sides recounted on every pair.  The resolver must agree with it on every
-   score, candidate, [scanned] and [buckets_hit]. *)
+   sides recounted on every pair.  Entries are filed under the same keys
+   ([Probe.signature]).  The resolver must agree with it on every score,
+   candidate, [scanned] and [buckets_hit]. *)
 module Reference = struct
   type t = {
     config : Resolver.config;
@@ -211,7 +269,7 @@ module Reference = struct
   }
 
   let build (config : Resolver.config) roster =
-    let signatures = Array.map (Probe.of_demographic config.params) roster in
+    let signatures = Array.map (Probe.signature config.params) roster in
     let buckets = Hashtbl.create (max 16 (2 * Array.length roster)) in
     Array.iteri
       (fun owner (s : Probe.t) ->
@@ -326,6 +384,14 @@ let pinned_roster = lazy (Roster.generate (Rng.create 31) ~n:2000)
 let pinned_probes =
   lazy (Array.map (Probe.of_demographic config.params) (pinned_records (Lazy.force pinned_roster)))
 
+(* The same forty records as clients built them before the conjunctive
+   keys: the single keys only. *)
+let legacy_probes =
+  lazy
+    (Array.map
+       (fun r -> { (Probe.of_demographic config.params r) with keys = legacy_keys r })
+       (pinned_records (Lazy.force pinned_roster)))
+
 let render_outcome b (o : Resolver.outcome) =
   Printf.bprintf b "scanned %d buckets %d:" o.scanned o.buckets_hit;
   List.iter (fun (c : Resolver.resolved) -> Printf.bprintf b " %d=%h" c.owner c.score) o.candidates;
@@ -333,16 +399,21 @@ let render_outcome b (o : Resolver.outcome) =
 
 (* Every pinned probe at the serving defaults (k = 10) and at threshold 0
    (k = 20, so the tail of the candidate order is pinned too). *)
-let outcomes_digest resolve =
+let outcomes_digest probes resolve =
   let b = Buffer.create 4096 in
   Array.iter
     (fun probe ->
       render_outcome b (resolve `Default probe ~k:10);
       render_outcome b (resolve `Loose probe ~k:20))
-    (Lazy.force pinned_probes);
+    (Lazy.force probes);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let pinned_outcomes_digest = "051bc79122cdfdc408dc6c609859dbb2"
+(* Legacy-key probes must keep the digest every probe gave before the
+   conjunctive keys.  Current probes differ only where a record states
+   first name, last name and birth year: those send the conjunctive keys,
+   so their scans, decoys and threshold-0 candidate tails change. *)
+let legacy_outcomes_digest = "051bc79122cdfdc408dc6c609859dbb2"
+let pinned_outcomes_digest = "0cb4782499205274e8d07f3c6e9f2ad9"
 
 let test_resolve_pinned_outcomes () =
   let people = Lazy.force pinned_roster in
@@ -351,16 +422,20 @@ let test_resolve_pinned_outcomes () =
   let flat = Resolver.build config people and flat_loose = Resolver.build loose people in
   let reference = Reference.build config people
   and reference_loose = Reference.build loose people in
-  Alcotest.(check string)
-    "resolver outcomes" pinned_outcomes_digest
-    (outcomes_digest (function
-      | `Default -> Resolver.resolve flat
-      | `Loose -> Resolver.resolve flat_loose));
-  Alcotest.(check string)
-    "reference outcomes" pinned_outcomes_digest
-    (outcomes_digest (function
-      | `Default -> Reference.resolve reference
-      | `Loose -> Reference.resolve reference_loose))
+  List.iter
+    (fun (what, probes, digest) ->
+      Alcotest.(check string)
+        ("resolver outcomes, " ^ what) digest
+        (outcomes_digest probes (function
+          | `Default -> Resolver.resolve flat
+          | `Loose -> Resolver.resolve flat_loose));
+      Alcotest.(check string)
+        ("reference outcomes, " ^ what) digest
+        (outcomes_digest probes (function
+          | `Default -> Reference.resolve reference
+          | `Loose -> Reference.resolve reference_loose)))
+    [ ("current probes", pinned_probes, pinned_outcomes_digest);
+      ("legacy-key probes", legacy_probes, legacy_outcomes_digest) ]
 
 (* The multicore daemon's worker domains share one resolver. *)
 let test_resolve_two_domains () =
@@ -439,7 +514,7 @@ let test_probe_encoding_pinned () =
     (fun s -> Printf.bprintf b "%s=%d\n" s (Probe.keyed_hash seed s))
     [ ""; "y:1943"; "s:S530"; "s:0000"; "\xff\x00"; String.make 40 'z' ];
   Alcotest.(check string)
-    "probe encoding digest" "2708eb9edf4ac70fef0397717ce0081e"
+    "probe encoding digest" "f8f07771a60ee411c31104c71e213c75"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let qcheck_tests =
@@ -587,6 +662,7 @@ let () =
       ( "probe",
         [
           Alcotest.test_case "shape, determinism, keys" `Quick test_probe_shape;
+          Alcotest.test_case "partial probes keep the single keys" `Quick test_probe_partial_keys;
           Alcotest.test_case "encoding pinned" `Quick test_probe_encoding_pinned;
         ] );
       ( "roster",
@@ -599,6 +675,8 @@ let () =
           Alcotest.test_case "exact self-resolution" `Quick test_resolve_exact_self;
           Alcotest.test_case "corrupted variants recall" `Quick test_resolve_corrupted;
           Alcotest.test_case "candidate-set padding floor" `Quick test_resolve_padding_floor;
+          Alcotest.test_case "conjunctive keys shrink the scan" `Quick
+            test_resolve_blocking_scale;
           Alcotest.test_case "threshold and k" `Quick test_resolve_threshold_and_k;
           Alcotest.test_case "determinism and validation" `Quick
             test_resolve_deterministic_and_validation;
