@@ -44,8 +44,7 @@ let wall f =
 
 let engine_config ~shards ~cache ~admission =
   {
-    Serve.default_config with
-    shards;
+    Serve.shards;
     cache_capacity = cache;
     negative_capacity = (if cache = 0 then 0 else 1024);
     admission;

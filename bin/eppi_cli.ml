@@ -1058,7 +1058,7 @@ let render_top v =
     (geti [ "trace"; "dropped" ]);
   Printf.bprintf b "\nwindow (last %.0fs)   count      rate      p50      p99\n"
     (getf [ "window"; "span_s" ]);
-  List.iter
+  Array.iter
     (fun cls ->
       let path k = [ "window"; cls; k ] in
       let count = geti (path "count") in
@@ -1067,9 +1067,9 @@ let render_top v =
           (getf (path "rate"))
           (fmt_duration (getf (path "p50_s")))
           (fmt_duration (getf (path "p99_s"))))
-    [ "query"; "batch"; "fuzzy"; "audit"; "republish"; "admin" ];
+    Eppi_net.Telemetry.classes;
   Printf.bprintf b "\nstage           count       sum      mean      p50      p99\n";
-  List.iter
+  Array.iter
     (fun st ->
       let path k = [ "stages"; st; k ] in
       Printf.bprintf b "  %-11s %7d %9s %9s %8s %8s\n" st (geti (path "count"))
@@ -1077,7 +1077,7 @@ let render_top v =
         (fmt_duration (getf (path "mean_s")))
         (fmt_duration (getf (path "p50_s")))
         (fmt_duration (getf (path "p99_s"))))
-    [ "decode"; "dispatch"; "queue"; "execute"; "reorder"; "flush" ];
+    Eppi_net.Telemetry.stage_names;
   let stage_sum = geti [ "conservation"; "stage_sum_ns" ] in
   let total = geti [ "conservation"; "total_ns" ] in
   Printf.bprintf b "  %-11s %7d %9s%s\n" "= total"

@@ -282,7 +282,6 @@ module Client = struct
     let g =
       match response with
       | Reply { generation; _ }
-      | Batch_reply { generation; _ }
       | Audit_reply { generation; _ }
       | Republished { generation }
       | Fuzzy_reply { generation; _ }

@@ -22,8 +22,29 @@ let keyed_hash seed s =
   done;
   Int64.to_int (Rng.bits64 (Rng.create (Int64.to_int !h))) land 0xFFFF_FFFF
 
+(* [n] in decimal, zero-padded after any sign to [width] characters, as
+   Printf's "%0*d" writes it. *)
+let padded width n =
+  let s = string_of_int n in
+  let len = String.length s in
+  if len >= width then s
+  else if n < 0 then "-" ^ String.make (width - len) '0' ^ String.sub s 1 (len - 1)
+  else String.make (width - len) '0' ^ s
+
+(* A date with a year of at most four digits and two-digit fields, as
+   every roster date is, is the number yyyymmdd written into its 8 bytes;
+   any other triple takes the general path. *)
 let dob_string (y, m, d) =
-  if y = 0 && m = 0 && d = 0 then "" else Printf.sprintf "%04d%02d%02d" y m d
+  if y = 0 && m = 0 && d = 0 then ""
+  else if y >= 0 && y <= 9999 && m >= 0 && m <= 99 && d >= 0 && d <= 99 then begin
+    let b = Bytes.create 8 and v = ref ((y * 10000) + (m * 100) + d) in
+    for i = 7 downto 0 do
+      Bytes.set b i (Char.unsafe_chr (48 + (!v mod 10)));
+      v := !v / 10
+    done;
+    Bytes.unsafe_to_string b
+  end
+  else padded 4 y ^ padded 2 m ^ padded 2 d
 
 let filter (params : Bloom.params) field =
   if field = "" then Bitvec.create params.bits

@@ -46,32 +46,35 @@ let store ~stride filters counts i (p : Probe.t) =
 let owner_bits = 30
 let owner_mask = (1 lsl owner_bits) - 1
 
-(* Stable LSD radix sort of packed filings by key, 16 key bits a pass.
-   Filings are written in owner order, so each bucket's owners come out
-   ascending.  For a 32,768-entry roster (six filings each) this takes
-   about 10 ms on a 2-vCPU Xeon VM, against 90 ms for
+(* Stable LSD radix sort of the first [total] packed filings by key, 16
+   key bits a pass.  Filings are written in owner order, so each bucket's
+   owners come out ascending.  For a 32,768-entry roster (six filings
+   each) this takes about 10 ms on a 2-vCPU Xeon VM, against 90 ms for
    [Array.sort Int.compare]. *)
-let sort_by_key filings =
-  let tmp = Array.make (Array.length filings) 0 and count = Array.make 65537 0 in
+let sort_by_key filings total =
+  let tmp = Array.make total 0 and count = Array.make 65537 0 in
   let pass src dst shift =
     Array.fill count 0 65537 0;
-    Array.iter
-      (fun f ->
-        let d = ((f lsr shift) land 0xFFFF) + 1 in
-        count.(d) <- count.(d) + 1)
-      src;
+    for i = 0 to total - 1 do
+      let d = ((src.(i) lsr shift) land 0xFFFF) + 1 in
+      count.(d) <- count.(d) + 1
+    done;
     for d = 1 to 65536 do
       count.(d) <- count.(d) + count.(d - 1)
     done;
-    Array.iter
-      (fun f ->
-        let d = (f lsr shift) land 0xFFFF in
-        dst.(count.(d)) <- f;
-        count.(d) <- count.(d) + 1)
-      src
+    for i = 0 to total - 1 do
+      let f = src.(i) in
+      let d = (f lsr shift) land 0xFFFF in
+      dst.(count.(d)) <- f;
+      count.(d) <- count.(d) + 1
+    done
   in
   pass filings tmp owner_bits;
   pass tmp filings (owner_bits + 16)
+
+(* An entry files under at most six keys: three pairs and the date, then
+   the last-name and year keys ([Probe.signature]). *)
+let max_filings = 6
 
 let build config roster =
   if config.match_threshold < 0.0 || config.match_threshold > 1.0 then
@@ -84,15 +87,19 @@ let build config roster =
   let stride = 8 * ((config.params.bits + 63) / 64) in
   let filters = Bytes.make (4 * entries * stride) '\000' in
   let counts = Array.make (4 * entries) 0 in
-  let filings =
-    Array.concat
-      (List.init entries (fun owner ->
-           let p = Probe.signature config.params roster.(owner) in
-           store ~stride filters counts owner p;
-           Array.map (fun key -> (key lsl owner_bits) lor owner) p.keys))
-  in
-  sort_by_key filings;
-  let total = Array.length filings in
+  let filings = Array.make (max_filings * entries) 0 and total = ref 0 in
+  for owner = 0 to entries - 1 do
+    let p = Probe.signature config.params roster.(owner) in
+    store ~stride filters counts owner p;
+    Array.iter
+      (fun key ->
+        filings.(!total) <- (key lsl owner_bits) lor owner;
+        incr total)
+      p.keys
+  done;
+  let total = !total in
+  sort_by_key filings total;
+  let filings = if total = Array.length filings then filings else Array.sub filings 0 total in
   let distinct = ref 0 in
   for i = 0 to total - 1 do
     if i = 0 || filings.(i) lsr owner_bits <> filings.(i - 1) lsr owner_bits then incr distinct

@@ -23,28 +23,32 @@ let soundex_digit = function
   | 'r' -> '6'
   | _ -> '0' (* vowels and h/w/y *)
 
+(* One pass over the letters of [raw], writing the code in place; the
+   '0' fill is the padding, and all of it when there is no letter. *)
 let soundex raw =
-  let s = normalize raw in
-  let letters = ref [] in
-  String.iter (fun c -> if c >= 'a' && c <= 'z' then letters := c :: !letters) s;
-  match List.rev !letters with
-  | [] -> "0000"
-  | first :: rest ->
-      let buf = Buffer.create 4 in
-      Buffer.add_char buf (Char.uppercase_ascii first);
-      (* Adjacent duplicate codes collapse; h/w are transparent between
-         consonants of the same code (simplified: treat like vowels). *)
-      let prev = ref (soundex_digit first) in
-      List.iter
-        (fun c ->
-          let d = soundex_digit c in
-          if d <> '0' && d <> !prev && Buffer.length buf < 4 then Buffer.add_char buf d;
-          if c <> 'h' && c <> 'w' then prev := d)
-        rest;
-      while Buffer.length buf < 4 do
-        Buffer.add_char buf '0'
-      done;
-      Buffer.contents buf
+  let code = Bytes.make 4 '0' in
+  let len = ref 0 and prev = ref '0' in
+  for i = 0 to String.length raw - 1 do
+    let c = Char.lowercase_ascii (String.unsafe_get raw i) in
+    if c >= 'a' && c <= 'z' then begin
+      let d = soundex_digit c in
+      if !len = 0 then begin
+        Bytes.set code 0 (Char.uppercase_ascii c);
+        len := 1;
+        prev := d
+      end
+      else begin
+        (* Adjacent duplicate codes collapse; h/w are transparent between
+           consonants of the same code (simplified: treat like vowels). *)
+        if d <> '0' && d <> !prev && !len < 4 then begin
+          Bytes.set code !len d;
+          incr len
+        end;
+        if c <> 'h' && c <> 'w' then prev := d
+      end
+    end
+  done;
+  Bytes.unsafe_to_string code
 
 let levenshtein a b =
   let la = String.length a and lb = String.length b in

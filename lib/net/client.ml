@@ -227,7 +227,6 @@ let unexpected what (response : Wire.response) =
   let kind =
     match response with
     | Reply _ -> "reply"
-    | Batch_reply _ -> "batch reply"
     | Audit_reply _ -> "audit reply"
     | Stats_json _ -> "stats"
     | Republished _ -> "republished"
@@ -244,14 +243,6 @@ let query t ~owner =
   match call t (Wire.Query { owner }) with
   | Reply { generation; reply } -> (generation, reply)
   | other -> unexpected "query" other
-
-let batch t owners =
-  match call t (Wire.Batch owners) with
-  | Batch_reply { generation; replies } ->
-      if Array.length replies <> Array.length owners then
-        raise (Protocol_error "batch reply length mismatch");
-      (generation, replies)
-  | other -> unexpected "batch" other
 
 let query_fuzzy ?(k = 10) t probe =
   match call t (Wire.Query_fuzzy { probe; k }) with

@@ -99,7 +99,7 @@ val call : t -> Wire.request -> Wire.response
 
 val pipeline : t -> Wire.request list -> Wire.response list
 (** Send every request over the socket while concurrently reading replies
-    (interleaved with [select], so an arbitrarily long batch cannot
+    (interleaved with [select], so an arbitrarily long list cannot
     deadlock against the server's backpressure), returning the responses
     in request order.  @raise Protocol_error on a timeout ("pipeline timed
     out") or connection loss, after any configured reconnect attempts. *)
@@ -116,8 +116,6 @@ val query_fuzzy : ?k:int -> t -> Eppi_fuzzy.Probe.t -> int * Eppi_serve.Serve.fu
     with {!Eppi_fuzzy.Probe.of_demographic} under the shared linkage
     seed — only Bloom filters and keyed blocking hashes go on the
     wire. *)
-
-val batch : t -> int array -> int * Eppi_serve.Serve.reply array
 
 val audit : t -> provider:int -> int * int list option
 

@@ -88,31 +88,20 @@ let cluster_status t =
       peers = t.config.peers;
     }
 
-let rec handle_request t (request : Wire.request) : Wire.response =
+let handle_request t (request : Wire.request) : Wire.response =
   match request with
   | Query { owner } ->
       let generation, reply = Serve.query_tagged t.engine ~owner in
       Reply { generation; reply }
-  | Batch owners ->
-      (* One frame, many lookups; the tagged generation is the one the
-         last lookup served from (a republish may land mid-batch). *)
-      let generation = ref (Serve.generation t.engine) in
-      let replies =
-        Array.map
-          (fun owner ->
-            let g, reply = Serve.query_tagged t.engine ~owner in
-            generation := g;
-            reply)
-          owners
-      in
-      Batch_reply { generation = !generation; replies }
   | Audit { provider } ->
       Audit_reply
         { generation = Serve.generation t.engine; owners = Serve.audit t.engine ~provider }
   | Stats -> Stats_json (stats_json t)
   | Telemetry -> Telemetry_json (telemetry_json t)
   | Cluster_status -> cluster_status t
-  | Traced { request; _ } -> handle_request t request
+  | Traced _ ->
+      (* [route] peels the one envelope a frame may carry. *)
+      Server_error "protocol: nested trace envelope"
   | Republish_binary { data } -> (
       match Index_codec.decode data with
       | Ok index -> Republished { generation = Serve.republish_index t.engine index }
@@ -124,18 +113,15 @@ let rec handle_request t (request : Wire.request) : Wire.response =
   | Shutdown -> Shutting_down
 
 (* [trace_id] is the propagated client trace context (from a [Traced]
-   envelope), attached to the server-side span so the client's and the
-   daemon's tracks join in one exported trace. *)
-let rec handle ?(trace_id = -1) t request =
-  match request with
-  | Wire.Traced { trace_id; request } -> handle ~trace_id t request
-  | _ ->
-      if not (Trace.enabled ()) then handle_request t request
-      else begin
-        let args = [ ("tag", Wire.request_tag request) ] in
-        let args = if trace_id >= 0 then ("trace_id", trace_id) :: args else args in
-        Trace.span "net.request" ~args (fun () -> handle_request t request)
-      end
+   envelope, -1 when there was none), attached to the server-side span so
+   the client's and the daemon's tracks join in one exported trace. *)
+let handle ~trace_id t request =
+  if not (Trace.enabled ()) then handle_request t request
+  else begin
+    let args = [ ("tag", Wire.request_tag request) ] in
+    let args = if trace_id >= 0 then ("trace_id", trace_id) :: args else args in
+    Trace.span "net.request" ~args (fun () -> handle_request t request)
+  end
 
 (* ---- listening ---- *)
 
@@ -168,9 +154,8 @@ let listen address =
    single-writer-per-shard contract: shard state is only ever touched
    from the one domain that owns it.  Republish decodes and installs on
    a worker too — the engine's generation slot is atomic, so any domain
-   may CAS it — keeping index parsing off the I/O loop.  Batch frames
-   split into one part per owning worker; the last part to finish
-   assembles the reply.
+   may CAS it — keeping index parsing off the I/O loop.  Every request
+   routed to a worker is one job there, answered by one completion.
 
    Workers push finished, pre-encoded response frames onto a lock-free
    Treiber stack and write one byte down a self-pipe so [select] wakes.
@@ -178,18 +163,6 @@ let listen address =
    reorder buffer, and flushes in sequence order — so the wire keeps the
    strict one-response-per-request-in-order contract no matter how the
    domains interleave. *)
-
-type batch_acc = {
-  b_conn : int;
-  b_seq : int;
-  b_replies : Serve.reply array;
-  b_generation : int Atomic.t;  (* max generation over all parts *)
-  b_remaining : int Atomic.t;  (* parts still running *)
-  b_error : string option Atomic.t;  (* first part failure, if any *)
-  b_trace : int;  (* propagated trace id, -1 = none *)
-  b_record : Telemetry.record option;
-  b_started : int Atomic.t;  (* first part's dequeue stamp (CAS from 0) *)
-}
 
 type job =
   | Job of {
@@ -199,8 +172,6 @@ type job =
       trace_id : int;
       j_record : Telemetry.record option;
     }
-  | Part of { acc : batch_acc; positions : int array; owners : int array }
-      (* [owners.(k)] is the batch entry at index [positions.(k)]. *)
   | Stop
 
 type completion = {
@@ -260,10 +231,6 @@ let encode_frame response =
   Wire.encode_response b response;
   Buffer.contents b
 
-let rec store_max_generation a g =
-  let old = Atomic.get a in
-  if g > old && not (Atomic.compare_and_set a old g) then store_max_generation a g
-
 let worker_counters w =
   if Trace.enabled () then
     Trace.counter w.w_track
@@ -307,57 +274,7 @@ let worker_loop t ws w =
         (match j_record with Some r -> r.Telemetry.t_done <- t1 | None -> ());
         push_completion ws { c_conn = conn_id; c_seq = seq; frame; c_record = j_record };
         Atomic.incr w.w_served;
-        ignore (Atomic.fetch_and_add w.w_busy_ns (t1 - t0))
-    | Part { acc; positions; owners } ->
-        let t0 = Clock.monotonic_ns () in
-        (* The record's queue-wait stage ends at the FIRST part's dequeue;
-           only the winning CAS stamps it. *)
-        (match acc.b_record with
-        | Some _ -> ignore (Atomic.compare_and_set acc.b_started 0 t0)
-        | None -> ());
-        let work () =
-          let generation = ref 0 in
-          Array.iteri
-            (fun k position ->
-              let g, reply = Serve.query_tagged t.engine ~owner:owners.(k) in
-              if g > !generation then generation := g;
-              acc.b_replies.(position) <- reply)
-            positions;
-          store_max_generation acc.b_generation !generation
-        in
-        (try
-           if Trace.enabled () then begin
-             let args = [ ("requests", Array.length owners) ] in
-             let args = if acc.b_trace >= 0 then ("trace_id", acc.b_trace) :: args else args in
-             Trace.span "net.batch_part" ~args work
-           end
-           else work ()
-         with e -> Atomic.set acc.b_error (Some (worker_failed w e)));
-        (* The finisher observes every other part's plain writes to
-           [b_replies]: each part's stores happen before its decrement,
-           and all decrements precede the final fetch-and-add. *)
-        if Atomic.fetch_and_add acc.b_remaining (-1) = 1 then begin
-          (match acc.b_record with
-          | Some r ->
-              r.Telemetry.t_started <- Atomic.get acc.b_started;
-              r.Telemetry.t_done <- Clock.monotonic_ns ()
-          | None -> ());
-          push_completion ws
-            {
-              c_conn = acc.b_conn;
-              c_seq = acc.b_seq;
-              frame =
-                encode_frame
-                  (match Atomic.get acc.b_error with
-                  | Some msg -> Wire.Server_error msg
-                  | None ->
-                      Wire.Batch_reply
-                        { generation = Atomic.get acc.b_generation; replies = acc.b_replies });
-              c_record = acc.b_record;
-            }
-        end;
-        Atomic.incr w.w_served;
-        ignore (Atomic.fetch_and_add w.w_busy_ns (Clock.monotonic_ns () - t0)));
+        ignore (Atomic.fetch_and_add w.w_busy_ns (t1 - t0)));
     worker_counters w
   done
 
@@ -492,8 +409,9 @@ let loop t ~listener ~streams =
   (* Route one decoded request.  Inline (workers = 1): call the engine
      here, exactly the pre-multicore daemon.  Otherwise dispatch to the
      worker that owns the request's shard.  [t_read]/[t_decoded] bound the
-     decode stage (0 when telemetry is off); a [Traced] envelope is peeled
-     here so routing sees the inner request and the record keeps the id. *)
+     decode stage (0 when telemetry is off); the one [Traced] envelope a
+     frame may carry is peeled here, so routing and the handler see the
+     inner request and the record keeps the id. *)
   let route c request ~t_read ~t_decoded =
     let seq = c.next_seq in
     c.next_seq <- seq + 1;
@@ -509,100 +427,46 @@ let loop t ~listener ~streams =
     in
     (* A request the mux answers itself: the record keeps [t_dispatched =
        t_started = t_decoded], so dispatch and queue-wait are zero-width
-       and execute covers the handler (already evaluated into [response])
-       plus the frame encode. *)
-    let inline response =
+       and execute covers the handler plus the frame encode. *)
+    let inline () =
+      let response = handle ~trace_id t request in
       if response = Wire.Shutting_down then shutting := true;
       let frame = encode_frame response in
       (match record with Some r -> r.Telemetry.t_done <- Clock.monotonic_ns () | None -> ());
       complete c seq frame record
     in
-    let dispatched () =
-      match record with
+    let dispatch w =
+      (match record with
       | Some r -> r.Telemetry.t_dispatched <- Clock.monotonic_ns ()
-      | None -> ()
+      | None -> ());
+      enqueue w (Job { conn_id = c.id; seq; request; trace_id; j_record = record })
     in
     match ws with
-    | None -> inline (handle ~trace_id t request)
+    | None -> inline ()
     | Some ws -> (
         match request with
-        | Wire.Query { owner } ->
-            dispatched ();
-            enqueue (worker_for_owner t.engine ws owner)
-              (Job { conn_id = c.id; seq; request; trace_id; j_record = record })
+        | Wire.Query { owner } -> dispatch (worker_for_owner t.engine ws owner)
         | Wire.Query_fuzzy { probe; _ } ->
             (* Fuzzy metrics/admission land on Serve.fuzzy_shard's shard;
                route to that shard's worker so the single-writer contract
                holds for fuzzy exactly as for exact queries. *)
-            let shard = Serve.fuzzy_shard t.engine probe in
-            dispatched ();
-            enqueue ws.pool.(shard mod Array.length ws.pool)
-              (Job { conn_id = c.id; seq; request; trace_id; j_record = record })
+            dispatch ws.pool.(Serve.fuzzy_shard t.engine probe mod Array.length ws.pool)
         | Wire.Audit _ ->
             (* Audit walks every shard's postings but records its metrics
                on shard 0, so it must run on shard 0's worker. *)
-            dispatched ();
-            enqueue ws.pool.(0) (Job { conn_id = c.id; seq; request; trace_id; j_record = record })
+            dispatch ws.pool.(0)
         | Wire.Republish_binary _ ->
             (* Decode + install off the mux.  Stall this connection until
                the swap lands so a pipelined query behind it cannot answer
                from the old generation after the republish reply. *)
             c.stall_seq <- seq;
-            dispatched ();
-            enqueue (next_round_robin ws)
-              (Job { conn_id = c.id; seq; request; trace_id; j_record = record })
-        | Wire.Batch owners when Array.length owners > 0 ->
-            let nworkers = Array.length ws.pool in
-            let counts = Array.make nworkers 0 in
-            Array.iter
-              (fun owner ->
-                let w = worker_for_owner t.engine ws owner in
-                counts.(w.w_id) <- counts.(w.w_id) + 1)
-              owners;
-            let parts = Array.fold_left (fun acc n -> if n > 0 then acc + 1 else acc) 0 counts in
-            let acc =
-              {
-                b_conn = c.id;
-                b_seq = seq;
-                b_replies = Array.make (Array.length owners) Serve.Unknown_owner;
-                b_generation = Atomic.make 0;
-                b_remaining = Atomic.make parts;
-                b_error = Atomic.make None;
-                b_trace = trace_id;
-                b_record = record;
-                b_started = Atomic.make 0;
-              }
-            in
-            let positions = Array.map (fun n -> Array.make (max n 1) 0) counts in
-            let part_owners = Array.map (fun n -> Array.make (max n 1) 0) counts in
-            let fill = Array.make nworkers 0 in
-            Array.iteri
-              (fun position owner ->
-                let w = (worker_for_owner t.engine ws owner).w_id in
-                positions.(w).(fill.(w)) <- position;
-                part_owners.(w).(fill.(w)) <- owner;
-                fill.(w) <- fill.(w) + 1)
-              owners;
-            dispatched ();
-            Array.iteri
-              (fun w n ->
-                if n > 0 then
-                  enqueue ws.pool.(w)
-                    (Part { acc; positions = positions.(w); owners = part_owners.(w) }))
-              counts
-        | Wire.Batch _ ->
-            inline (Wire.Batch_reply { generation = Serve.generation t.engine; replies = [||] })
-        | Wire.Stats ->
-            (* Reads only merged metrics and atomics — safe from the mux. *)
-            inline (Wire.Stats_json (stats_json t))
-        | Wire.Telemetry ->
-            (* The store's single writer is this domain, so the read is
-               consistent by construction. *)
-            inline (Wire.Telemetry_json (telemetry_json t))
-        | Wire.Cluster_status -> inline (cluster_status t)
-        | Wire.Ping -> inline Wire.Pong
-        | Wire.Shutdown -> inline Wire.Shutting_down
-        | Wire.Traced _ -> assert false (* peeled above; envelopes never nest *))
+            dispatch (next_round_robin ws)
+        | Wire.Stats | Wire.Telemetry | Wire.Cluster_status | Wire.Ping | Wire.Shutdown
+        | Wire.Traced _ ->
+            (* Safe on the mux: these read merged metrics, atomics, the
+               published generation and the telemetry store, whose single
+               writer is this domain. *)
+            inline ())
   in
   let respond_error c msg =
     let seq = c.next_seq in

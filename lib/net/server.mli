@@ -10,13 +10,15 @@
     of [d] worker domains.  Shard-affine requests (Query, Audit) are
     pinned to worker [shard mod d], so every shard keeps exactly one
     writing domain and {!Eppi_serve.Serve.query}'s
-    single-writer-per-shard contract holds without locks.  Batch frames
-    split into per-worker parts served in parallel; a republish
+    single-writer-per-shard contract holds without locks.  A republish
     ({!Index_codec} payload) decodes and installs on a worker, off the
-    I/O loop.  Workers return pre-encoded response frames over a
-    lock-free queue with a self-pipe wakeup, and the mux flushes them in
-    sequence order, preserving the wire contract of exactly one response
-    per request, in request order, per connection.
+    I/O loop; the mux answers the admin requests (Stats, Telemetry,
+    Cluster_status, Ping, Shutdown) itself, through the same handler as
+    the inline daemon; any other request is one job on one worker.
+    Workers return pre-encoded response frames over a lock-free queue
+    with a self-pipe wakeup, and the mux flushes them in sequence order,
+    preserving the wire contract of exactly one response per request, in
+    request order, per connection.
 
     Flow control and hygiene:
     - a connection whose write buffer exceeds [max_pending_bytes] stops

@@ -45,20 +45,18 @@ let make ~kind ~trace_id ~t_read ~t_decoded =
 
 let stages = 6
 let stage_names = [| "decode"; "dispatch"; "queue"; "execute"; "reorder"; "flush" |]
-let classes = [| "query"; "batch"; "fuzzy"; "audit"; "republish"; "admin" |]
+let classes = [| "query"; "fuzzy"; "audit"; "republish"; "admin" |]
 
 (* Kinds are wire tags ([Wire.request_tag]). *)
 let class_of_kind = function
   | 0x01 -> 0 (* query *)
-  | 0x02 -> 1 (* batch *)
-  | 0x09 -> 2 (* fuzzy *)
-  | 0x03 -> 3 (* audit *)
-  | 0x08 -> 4 (* republish *)
-  | _ -> 5 (* stats, ping, shutdown, telemetry, cluster status *)
+  | 0x09 -> 1 (* fuzzy *)
+  | 0x03 -> 2 (* audit *)
+  | 0x08 -> 3 (* republish *)
+  | _ -> 4 (* stats, ping, shutdown, telemetry, cluster status *)
 
 let kind_name = function
   | 0x01 -> "query"
-  | 0x02 -> "batch"
   | 0x03 -> "audit"
   | 0x04 -> "stats"
   | 0x06 -> "ping"
@@ -88,7 +86,7 @@ type t = {
   mutable slow_min_ns : int;  (* smallest total among filled slots *)
 }
 
-let create ?(slow_slots = 16) ?(window_slots = 10) ?(window_slot_ns = 1_000_000_000) () =
+let create ?(slow_slots = 16) () =
   if slow_slots < 1 then invalid_arg "Telemetry.create: slow_slots must be >= 1";
   {
     stage_hist = Array.init stages (fun _ -> Stats.Log2_histogram.create ());
@@ -98,7 +96,7 @@ let create ?(slow_slots = 16) ?(window_slots = 10) ?(window_slot_ns = 1_000_000_
     finished = 0;
     windows =
       Array.init (Array.length classes) (fun _ ->
-          Stats.Windowed.create ~slots:window_slots ~slot_ns:window_slot_ns ());
+          Stats.Windowed.create ~slots:10 ~slot_ns:1_000_000_000 ());
     slow = Array.make slow_slots None;
     slow_filled = 0;
     slow_min_ns = max_int;

@@ -13,9 +13,9 @@
     request and therefore over the aggregated sums — the conservation law
     the tests and check.sh assert.  Aggregates are cumulative per-stage
     {!Eppi_prelude.Stats.Log2_histogram}s plus a rolling
-    {!Eppi_prelude.Stats.Windowed} per request class (query, batch, fuzzy,
-    audit, republish, admin) and a bounded worst-N slow-request ring with
-    full stage breakdowns.
+    {!Eppi_prelude.Stats.Windowed} per request class (query, fuzzy, audit,
+    republish, admin) and a bounded worst-N slow-request ring with full
+    stage breakdowns.
 
     Single-writer: the mux domain creates, flushes and finishes records;
     workers stamp [t_started]/[t_done] on records they execute, ordered
@@ -40,9 +40,9 @@ val make : kind:int -> trace_id:int -> t_read:int -> t_decoded:int -> record
 
 type t
 
-val create : ?slow_slots:int -> ?window_slots:int -> ?window_slot_ns:int -> unit -> t
-(** Defaults: a 16-entry slow ring and a 10 x 1 s rolling window.
-    @raise Invalid_argument when [slow_slots < 1]. *)
+val create : ?slow_slots:int -> unit -> t
+(** A [slow_slots]-entry slow ring (default 16) and a 10 x 1 s rolling
+    window per class.  @raise Invalid_argument when [slow_slots < 1]. *)
 
 val finish : t -> record -> t_written:int -> unit
 (** Fold a completed request into every aggregate.  [t_written] is the
@@ -68,5 +68,9 @@ val class_of_kind : int -> int
 (** Wire tag → window-class index (see {!classes}). *)
 
 val classes : string array
+(** The window classes, in reply order. *)
+
 val stage_names : string array
+(** The six stages, in pipeline order. *)
+
 val kind_name : int -> string

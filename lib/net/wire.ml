@@ -9,7 +9,6 @@
 
 type request =
   | Query of { owner : int }
-  | Batch of int array
   | Audit of { provider : int }
   | Stats
   | Ping
@@ -43,7 +42,6 @@ type cluster_status = {
 
 type response =
   | Reply of { generation : int; reply : Eppi_serve.Serve.reply }
-  | Batch_reply of { generation : int; replies : Eppi_serve.Serve.reply array }
   | Audit_reply of { generation : int; owners : int list option }
   | Stats_json of string
   | Republished of { generation : int }
@@ -67,10 +65,8 @@ let header_bytes = 7
 let default_max_payload = 1 lsl 26
 
 let tag_query = 0x01
-let tag_batch = 0x02
 let tag_audit = 0x03
 let tag_stats = 0x04
-(* 0x05 carried the retired CSV republish; it now decodes as [Unknown_tag]. *)
 let tag_ping = 0x06
 let tag_shutdown = 0x07
 let tag_republish_binary = 0x08
@@ -78,9 +74,7 @@ let tag_query_fuzzy = 0x09
 let tag_traced = 0x0A
 let tag_telemetry = 0x0B
 let tag_cluster_status = 0x0C
-let known_request_tag tag = tag >= tag_query && tag <= tag_cluster_status && tag <> 0x05
 let tag_reply = 0x11
-let tag_batch_reply = 0x12
 let tag_audit_reply = 0x13
 let tag_stats_json = 0x14
 let tag_republished = 0x15
@@ -90,6 +84,12 @@ let tag_server_error = 0x18
 let tag_fuzzy_reply = 0x19
 let tag_telemetry_json = 0x1A
 let tag_cluster_status_reply = 0x1B
+
+(* Retired tags decode as [Unknown_tag]: 0x02 and 0x12 carried the Batch
+   request and its reply (pipelined Query frames do that job), 0x05 the
+   CSV republish. *)
+let retired tag = tag = 0x02 || tag = 0x05 || tag = 0x12
+let known_request_tag tag = tag >= tag_query && tag <= tag_cluster_status && not (retired tag)
 
 (* Probe limits: sane ceilings well above anything the CLI or bench
    generates, well below anything that could balloon a decode. *)
@@ -204,7 +204,6 @@ let put_reply b (reply : Eppi_serve.Serve.reply) =
 
 let request_tag = function
   | Query _ -> tag_query
-  | Batch _ -> tag_batch
   | Audit _ -> tag_audit
   | Stats -> tag_stats
   | Ping -> tag_ping
@@ -217,9 +216,6 @@ let request_tag = function
 
 let rec payload_of_request b = function
   | Query { owner } -> put_varint b owner
-  | Batch owners ->
-      put_varint b (Array.length owners);
-      Array.iter (put_varint b) owners
   | Audit { provider } -> put_varint b provider
   | Stats | Ping | Shutdown | Telemetry | Cluster_status -> ()
   | Republish_binary { data } -> Buffer.add_string b data
@@ -240,11 +236,6 @@ let payload_of_response b = function
       put_varint b generation;
       put_reply b reply;
       tag_reply
-  | Batch_reply { generation; replies } ->
-      put_varint b generation;
-      put_varint b (Array.length replies);
-      Array.iter (put_reply b) replies;
-      tag_batch_reply
   | Audit_reply { generation; owners } ->
       put_varint b generation;
       (match owners with
@@ -388,10 +379,6 @@ let rec parse_payload tag payload =
   let c = { payload; pos = 0 } in
   let frame =
     if tag = tag_query then Request (Query { owner = get_varint c })
-    else if tag = tag_batch then begin
-      let count = get_count c ~what:"batch" ~limit:(String.length payload - c.pos) in
-      Request (Batch (Array.init count (fun _ -> get_varint c)))
-    end
     else if tag = tag_audit then Request (Audit { provider = get_varint c })
     else if tag = tag_stats then Request Stats
     else if tag = tag_ping then Request Ping
@@ -441,11 +428,6 @@ let rec parse_payload tag payload =
     else if tag = tag_reply then begin
       let generation = get_varint c in
       Response (Reply { generation; reply = get_reply c })
-    end
-    else if tag = tag_batch_reply then begin
-      let generation = get_varint c in
-      let count = get_count c ~what:"batch reply" ~limit:(String.length payload - c.pos) in
-      Response (Batch_reply { generation; replies = Array.init count (fun _ -> get_reply c) })
     end
     else if tag = tag_audit_reply then begin
       let generation = get_varint c in
@@ -497,7 +479,9 @@ let rec parse_payload tag payload =
     raise (Corrupt_payload (Printf.sprintf "%d trailing bytes" (String.length payload - c.pos)));
   frame
 
-let known_tag tag = known_request_tag tag || (tag >= tag_reply && tag <= tag_cluster_status_reply)
+let known_tag tag =
+  known_request_tag tag
+  || (tag >= tag_reply && tag <= tag_cluster_status_reply && not (retired tag))
 
 (* ---- the incremental decoder ---- *)
 

@@ -21,8 +21,10 @@
     safe continuation after a framing error is closing the connection. *)
 
 type request =
-  | Query of { owner : int }  (** QueryPPI for one owner id. *)
-  | Batch of int array  (** QueryPPI for many owners in one frame. *)
+  | Query of { owner : int }
+      (** QueryPPI for one owner id.  Many lookups travel as pipelined
+          Query frames ({!Client.pipeline}); tags 0x02 and 0x12, the
+          retired Batch request and reply, decode as {!Unknown_tag}. *)
   | Audit of { provider : int }  (** Provider-side audit (inverse postings). *)
   | Stats  (** The engine's merged metrics snapshot as JSON. *)
   | Ping  (** Liveness probe. *)
@@ -72,7 +74,6 @@ type cluster_status = {
 
 type response =
   | Reply of { generation : int; reply : Eppi_serve.Serve.reply }
-  | Batch_reply of { generation : int; replies : Eppi_serve.Serve.reply array }
   | Audit_reply of { generation : int; owners : int list option }
       (** [None]: the provider id is out of range. *)
   | Stats_json of string

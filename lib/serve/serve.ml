@@ -8,7 +8,6 @@ type config = {
   cache_capacity : int;
   negative_capacity : int;
   admission : Admission.config option;
-  latency_sample_every : int;
 }
 
 let default_config =
@@ -17,8 +16,11 @@ let default_config =
     cache_capacity = 4096;
     negative_capacity = 1024;
     admission = None;
-    latency_sample_every = 16;
   }
+
+(* Every 16th query per shard has its latency recorded: sampling keeps
+   the clock calls off the common path. *)
+let sample_every = 16
 
 type reply =
   | Providers of int list
@@ -49,7 +51,6 @@ type published = {
 type t = {
   published : published Atomic.t;
   shard_states : shard array;
-  sample_every : int;
   queue_capacity : int;  (* max_int when admission is off *)
 }
 
@@ -57,8 +58,6 @@ let of_postings ?(config = default_config) ?resolver postings =
   if config.shards < 1 then invalid_arg "Serve: shards must be >= 1";
   if config.cache_capacity < 0 || config.negative_capacity < 0 then
     invalid_arg "Serve: negative cache capacity";
-  if config.latency_sample_every < 1 then
-    invalid_arg "Serve: latency_sample_every must be >= 1";
   let shard_states =
     Array.init config.shards (fun _ ->
         {
@@ -73,7 +72,6 @@ let of_postings ?(config = default_config) ?resolver postings =
   {
     published = Atomic.make { generation = 1; store = postings; resolver };
     shard_states;
-    sample_every = config.latency_sample_every;
     queue_capacity =
       (match config.admission with Some a -> a.queue_capacity | None -> max_int);
   }
@@ -155,7 +153,7 @@ let serve_one t sh ~clock ~now ~owner =
   end
   else begin
     sh.tick <- sh.tick + 1;
-    if sh.tick >= t.sample_every then begin
+    if sh.tick >= sample_every then begin
       sh.tick <- 0;
       let t0 = clock () in
       let reply = lookup pub sh ~owner in

@@ -28,14 +28,12 @@ type config = {
   cache_capacity : int;  (** Result-cache entries per shard; 0 disables. *)
   negative_capacity : int;  (** Negative-cache entries per shard; 0 disables. *)
   admission : Admission.config option;  (** [None]: admit everything. *)
-  latency_sample_every : int;
-      (** Record the latency of every k-th query per shard (1 = all).
-          Sampling keeps the clock calls off the common path. *)
 }
 
 val default_config : config
 (** 1 shard, 4096-entry cache, 1024-entry negative cache, no admission
-    control, latency sampled every 16th query. *)
+    control.  Whatever the config, each shard records the latency of
+    every 16th query. *)
 
 type reply =
   | Providers of int list  (** The QueryPPI answer, ascending provider ids. *)
@@ -49,7 +47,7 @@ val create : ?config:config -> ?resolver:Eppi_fuzzy.Resolver.t -> Eppi.Index.t -
 (** Compile the index into the read-optimized store and set up shard
     state.  [resolver], when given, enables {!query_fuzzy} against the
     roster it was built from.  @raise Invalid_argument on a non-positive
-    shard count, negative capacities or a non-positive sample interval. *)
+    shard count or negative capacities. *)
 
 val of_postings : ?config:config -> ?resolver:Eppi_fuzzy.Resolver.t -> Postings.t -> t
 (** Reuse an already-compiled store (e.g. shared across engines). *)

@@ -18,8 +18,11 @@
 # interquartile range, "unresolved" when that range is wider than the
 # bound, "held" otherwise.  Every run's result object is
 # appended to bench/ledger.jsonl with its rev, workload, seed, nproc and
-# host.  Exits 1 if a metric is worse than its bound or a run is not
-# correct, 2 on a usage or build error.  perfbench/ is only read.
+# host, its role ("base" or "head"), both revs, its pair index and a
+# session id shared by every row of this invocation (docs/PERF.md shows
+# how to select same-session pairs).  Exits 1 if a metric is worse than
+# its bound or a run is not correct, 2 on a usage or build error.
+# perfbench/ is only read.
 set -euo pipefail
 
 usage() {
@@ -58,7 +61,7 @@ done
 
 ROOT=$root WORK=$work BASE=$base HEAD=$head PAIRS=$pairs FIRST_SEED=$first_seed \
   WORKLOAD=$workload python3 - <<'EOF'
-import json, os, socket, statistics, subprocess, sys, time
+import json, os, socket, statistics, subprocess, sys, time, uuid
 
 env = os.environ
 root, work = env["ROOT"], env["WORK"]
@@ -73,9 +76,10 @@ if env["WORKLOAD"]:
 metrics = spec["end_to_end"]
 ledger = os.path.join(root, "bench", "ledger.jsonl")
 nproc, host = os.cpu_count(), socket.gethostname()
+session = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime()) + "-" + uuid.uuid4().hex[:8]
 
 
-def run(rev, workload, seed):
+def run(rev, workload, seed, pair, role):
     cmd = ["bash", "perfbench/run.sh", "--workload", workload, "--seed", str(seed),
            "--seconds", str(spec["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=os.path.join(work, rev), capture_output=True, text=True)
@@ -85,7 +89,9 @@ def run(rev, workload, seed):
         sys.exit(f"abtest: {rev[:12]} {workload} seed {seed}: no result (exit {proc.returncode})")
     result = json.loads(lines[-1])
     row = {"rev": rev, "workload": workload, "seed": seed, "nproc": nproc, "host": host,
-           "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), **result}
+           "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+           "role": role, "base": base, "head": head,
+           "pair": pair, "session": session, **result}
     with open(ledger, "a") as f:
         f.write(json.dumps(row, separators=(",", ":")) + "\n")
     return result
@@ -100,8 +106,9 @@ for workload in workloads:
     results = {base: [], head: []}
     for i in range(pairs):
         seed = first_seed + i
-        for rev in ((base, head) if i % 2 == 0 else (head, base)):
-            r = run(rev, workload, seed)
+        order = (("base", base), ("head", head))
+        for role, rev in (order if i % 2 == 0 else order[::-1]):
+            r = run(rev, workload, seed, i, role)
             results[rev].append(r)
             print(f"abtest: {workload} seed {seed} {rev[:12]}: correct={r['correct']} "
                   f"failed={r['failed']}", file=sys.stderr, flush=True)

@@ -56,6 +56,86 @@ let test_probe_partial_keys () =
           ("date only", { r with first = ""; last = ""; zip = "" }) ])
     people
 
+(* The strings blocking keys and the date filter are built from, pinned
+   byte for byte: real names, strings with no letters (a code of "0000"),
+   non-ASCII and punctuation, and dates beyond the roster's four-digit
+   years, negative fields included. *)
+let test_probe_strings_pinned () =
+  List.iter
+    (fun (name, code) ->
+      Alcotest.(check string) (Printf.sprintf "soundex %S" name) code (Text.soundex name))
+    [
+    ("Robert", "R163");
+    ("Rupert", "R163");
+    ("Rubin", "R150");
+    ("Ashcraft", "A261");
+    ("Tymczak", "T522");
+    ("Pfister", "P236");
+    ("Honeyman", "H555");
+    ("", "0000");
+    ("0000", "0000");
+    ("123", "0000");
+    ("a", "A000");
+    ("Lee", "L000");
+    ("O'Brien", "O165");
+    ("van der Berg", "V536");
+    ("\195\137MILE", "M400");
+    ("  x  ", "X000");
+    ("hhhh", "H000");
+    ("Washington", "W252");
+    ("Jackson", "J250");
+    ("Gutierrez", "G362");
+    ("Lloyd", "L300");
+    ("Schmidt", "S530");
+    ("Bb", "B000");
+    ("wh", "W000");
+    ("AEIOU", "A000");
+    ("b1b", "B000");
+    ("Sh-ha", "S000");
+    ("Zzzzzzzzzz", "Z000");
+    ("Mc Donald", "M235");
+    ("maria", "M600");
+    ("garcia", "G620");
+    ("4ever", "E160");
+    ("x-ray", "X600");
+    ("bhb", "B000");
+    ("bwb", "B000");
+    ("byb", "B100");
+    ("Abcdefghijklmnop", "A123");
+    ("\000\255", "0000");
+    ("Q", "Q000");
+    ("ssss tttt", "S300");
+    ];
+  List.iter
+    (fun (((y, m, d) as date), text) ->
+      Alcotest.(check string)
+        (Printf.sprintf "dob_string (%d, %d, %d)" y m d)
+        text (Probe.dob_string date))
+    [
+    ((0, 0, 0), "");
+    ((1961, 4, 18), "19610418");
+    ((2000, 12, 31), "20001231");
+    ((1, 1, 1), "00010101");
+    ((0, 1, 1), "00000101");
+    ((1961, 0, 0), "19610000");
+    ((0, 0, 5), "00000005");
+    ((9999, 99, 99), "99999999");
+    ((999, 9, 9), "09990909");
+    ((12, 3, 4), "00120304");
+    ((10000, 1, 1), "100000101");
+    ((99999, 10, 10), "999991010");
+    ((123456, 7, 8), "1234560708");
+    ((1961, 100, 200), "1961100200");
+    ((max_int, 1, 1), "46116860184273879030101");
+    ((-5, 1, 1), "-0050101");
+    ((-1234, 5, 6), "-12340506");
+    ((1961, -1, 3), "1961-103");
+    ((1961, 4, -18), "196104-18");
+    ((0, -3, 0), "0000-300");
+    ((-99999, -99, -9), "-99999-99-9");
+    ((min_int, 0, 0), "-46116860184273879040000");
+    ]
+
 let test_probe_shape () =
   let r = (roster 4).(0) in
   let p = Probe.of_demographic config.params r in
@@ -664,6 +744,7 @@ let () =
           Alcotest.test_case "shape, determinism, keys" `Quick test_probe_shape;
           Alcotest.test_case "partial probes keep the single keys" `Quick test_probe_partial_keys;
           Alcotest.test_case "encoding pinned" `Quick test_probe_encoding_pinned;
+          Alcotest.test_case "soundex and date strings pinned" `Quick test_probe_strings_pinned;
         ] );
       ( "roster",
         [

@@ -69,8 +69,6 @@ let sample_frames =
       Query { owner = -5 };
       Query { owner = max_int };
       Query { owner = min_int };
-      Batch [||];
-      Batch [| 0; 1; 300; 70_000; max_int |];
       Audit { provider = 12 };
       Stats;
       Republish_binary { data = "" };
@@ -84,7 +82,7 @@ let sample_frames =
       (* Trace envelopes: ids at both ends of the varint range, wrapping
          payload-free and payload-heavy inner requests alike. *)
       Traced { trace_id = 0; request = Query { owner = 42 } };
-      Traced { trace_id = 0x7FFF_FFFF; request = Batch [| 1; 2; 300 |] };
+      Traced { trace_id = 0x7FFF_FFFF; request = Audit { provider = 300 } };
       Traced { trace_id = 1; request = Query_fuzzy { probe = sample_probe; k = 3 } };
       Traced { trace_id = 9; request = Telemetry };
       Traced { trace_id = 2; request = Cluster_status };
@@ -97,13 +95,6 @@ let sample_frames =
         Reply { generation = 2; reply = Serve.Unknown_owner };
         Reply { generation = 3; reply = Serve.Shed_rate_limit };
         Reply { generation = 4; reply = Serve.Shed_queue_full };
-        Batch_reply { generation = 1; replies = [||] };
-        Batch_reply
-          {
-            generation = 9;
-            replies =
-              [| Serve.Providers [ 1 ]; Serve.Unknown_owner; Serve.Shed_queue_full; Serve.Providers [] |];
-          };
         Audit_reply { generation = 1; owners = None };
         Audit_reply { generation = 2; owners = Some [] };
         Audit_reply { generation = 3; owners = Some [ 0; 5; 6 ] };
@@ -227,12 +218,14 @@ let test_codec_errors () =
   expect_error "trailing bytes"
     (header ~tag:0x01 ~len:2 ^ "\x00\x00")
     (function Wire.Corrupt msg -> contains msg "trailing" | _ -> false);
-  expect_error "negative batch count"
-    (header ~tag:0x02 ~len:1 ^ "\x03")
-    (function Wire.Corrupt msg -> contains msg "count" | _ -> false);
-  expect_error "batch count exceeding payload"
-    (header ~tag:0x02 ~len:1 ^ "\x50")
-    (function Wire.Corrupt msg -> contains msg "count" | _ -> false);
+  (* A reply's provider list: generation 1, kind 0 (providers), then a
+     count of -2, or of 40 with no bytes behind it. *)
+  expect_error "negative provider count"
+    (header ~tag:0x11 ~len:3 ^ "\x02\x00\x03")
+    (function Wire.Corrupt msg -> contains msg "provider count -2" | _ -> false);
+  expect_error "provider count exceeding payload"
+    (header ~tag:0x11 ~len:3 ^ "\x02\x00\x50")
+    (function Wire.Corrupt msg -> contains msg "provider count 40" | _ -> false);
   expect_error "unknown reply kind"
     (header ~tag:0x11 ~len:2 ^ "\x02\x09")
     (function Wire.Corrupt msg -> contains msg "reply kind" | _ -> false);
@@ -249,6 +242,17 @@ let test_codec_errors () =
   expect_error "traced frame wrapping the retired tag"
     (header ~tag:0x0A ~len:2 ^ "\x02\x05")
     (function Wire.Corrupt msg -> contains msg "wraps tag 0x05" | _ -> false);
+  (* 0x02 and 0x12 carried the retired Batch request and reply: an old
+     peer's well-formed batch frame is an unknown tag, bare or wrapped. *)
+  expect_error "retired batch tag is unknown"
+    (header ~tag:0x02 ~len:2 ^ "\x02\x06")
+    (function Wire.Unknown_tag 0x02 -> true | _ -> false);
+  expect_error "retired batch reply tag is unknown"
+    (header ~tag:0x12 ~len:3 ^ "\x02\x02\x01")
+    (function Wire.Unknown_tag 0x12 -> true | _ -> false);
+  expect_error "traced frame wrapping the retired batch tag"
+    (header ~tag:0x0A ~len:4 ^ "\x02\x02\x02\x06")
+    (function Wire.Corrupt msg -> contains msg "wraps tag 0x02" | _ -> false);
   (* Traced (0x0A) envelopes: zigzag varint trace id, one inner tag byte,
      then the inner request's payload — each constraint has a hostile
      probe. *)
@@ -619,12 +623,6 @@ let daemon_basics ~shards ~workers () =
           done;
           let _, unknown = Client.query c ~owner:(n + 5) in
           check_bool "unknown owner" true (unknown = Serve.Unknown_owner);
-          let generation, replies = Client.batch c [| 0; 1; n + 5; 2 |] in
-          check_int "batch generation" 1 generation;
-          check_int "batch size" 4 (Array.length replies);
-          check_bool "batch known" true
-            (replies.(0) = Serve.Providers (Eppi.Index.query index ~owner:0));
-          check_bool "batch unknown" true (replies.(2) = Serve.Unknown_owner);
           let _, owners = Client.audit c ~provider:3 in
           check_bool "audit equals engine audit" true (owners = Serve.audit engine ~provider:3);
           let _, out_of_range = Client.audit c ~provider:(m + 1) in
@@ -632,20 +630,20 @@ let daemon_basics ~shards ~workers () =
           let stats = Json.parse_exn (Client.stats_json c) in
           check_bool "stats is json" true (Json.obj stats <> None);
           check_bool "stats counts queries" true (Json.find_int stats [ "queries" ] <> None);
-          (* A batch wider than the worker pool splits across every
-             domain and must reassemble in order. *)
-          let owners = Array.init 64 (fun i -> i mod (n + 4)) in
-          let generation, replies = Client.batch c owners in
-          check_int "wide batch generation" 1 generation;
-          check_int "wide batch size" 64 (Array.length replies);
-          Array.iteri
-            (fun i owner ->
-              let expected =
+          (* A pipeline wider than the worker pool spreads over every
+             domain and must come back in request order. *)
+          let owners = List.init 64 (fun i -> i mod (n + 4)) in
+          let responses = Client.pipeline c (List.map (fun owner -> Wire.Query { owner }) owners) in
+          check_int "pipeline size" 64 (List.length responses);
+          List.iteri
+            (fun i (owner, response) ->
+              let reply =
                 if owner < n then Serve.Providers (Eppi.Index.query index ~owner)
                 else Serve.Unknown_owner
               in
-              check_bool (Printf.sprintf "wide batch entry %d" i) true (replies.(i) = expected))
-            owners))
+              check_bool (Printf.sprintf "pipelined entry %d" i) true
+                (response = Wire.Reply { generation = 1; reply }))
+            (List.combine owners responses)))
 
 let test_daemon_republish () =
   let n = 20 and m = 9 in
@@ -1230,23 +1228,34 @@ let daemon_half_closed ~workers () =
                 (count_wrong_replies index owners responses)))
         [ 100; 3000; 30_000 ])
 
-(* An old client's CSV republish (tag 0x05) is a framing error: the
-   daemon answers [Server_error], closes that connection and keeps its
-   index and its other clients. *)
-let test_daemon_retired_tag () =
+(* An old client's Batch (tag 0x02) or CSV republish (tag 0x05) is a
+   framing error: the daemon answers [Server_error], closes that
+   connection and keeps its index and its other clients. *)
+let test_daemon_retired_tag ~workers () =
   let index = test_index ~n:8 ~m:5 in
-  with_server index (fun addr engine ->
-      with_raw_socket addr (fun fd ->
-          write_all fd (header ~tag:0x05 ~len:0) 0;
-          match read_responses fd with
-          | [ Wire.Server_error msg ] ->
-              check_bool "error names the tag" true (contains msg "tag 0x05")
-          | responses ->
-              Alcotest.fail (Printf.sprintf "expected one Server_error, got %d frames"
-                               (List.length responses)));
+  with_server ~shards:workers ~workers index (fun addr engine ->
+      List.iter
+        (fun (tag, payload) ->
+          with_raw_socket addr (fun fd ->
+              write_all fd (header ~tag ~len:(String.length payload) ^ payload) 0;
+              match read_responses fd with
+              | [ Wire.Server_error msg ] ->
+                  check_bool "error names the tag" true
+                    (contains msg (Printf.sprintf "tag 0x%02X" tag))
+              | responses ->
+                  Alcotest.fail
+                    (Printf.sprintf "tag 0x%02X: expected one Server_error, got %d frames" tag
+                       (List.length responses))))
+        [ (0x02, "\x04\x06\x08"); (0x05, "") ];
       check_int "generation untouched" 1 (Serve.generation engine);
       let c = Client.connect addr in
-      Fun.protect ~finally:(fun () -> Client.close c) (fun () -> Client.ping c))
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          Client.ping c;
+          let _, reply = Client.query c ~owner:3 in
+          check_bool "other clients still served" true
+            (reply = Serve.Providers (Eppi.Index.query index ~owner:3))))
 
 (* The CLI built beside this test: [dune runtest] and [dune exec] both
    run the test from _build/default/test. *)
@@ -1254,7 +1263,7 @@ let eppi_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/eppi_cli.exe"
 
 (* [eppi serve --stdio] runs the daemon's one loop over stdin and stdout:
-   queries and a batch piped in and answered in order, then a telemetry
+   queries and an audit piped in and answered in order, then a telemetry
    request that accounts for all of them, then EOF on stdin, and the
    process exits 0. *)
 let stdio_daemon ~domains () =
@@ -1276,13 +1285,14 @@ let stdio_daemon ~domains () =
       let pid = Unix.create_process eppi_exe argv in_r out_w null in
       List.iter Unix.close [ in_r; out_w; null ];
       let owners = List.init 50 (fun i -> i mod (n + 2)) in
-      let batch = [| 0; 3; n + 1; 7 |] in
       let responses, telemetry =
         Fun.protect
           ~finally:(fun () -> Unix.close out_r)
           (fun () ->
             write_all in_w
-              (frames_of (List.map (fun owner -> Wire.Query { owner }) owners @ [ Wire.Batch batch ]))
+              (frames_of
+                 (List.map (fun owner -> Wire.Query { owner }) owners
+                 @ [ Wire.Audit { provider = 3 } ]))
               0;
             let responses = read_responses ~count:51 out_r in
             write_all in_w (frames_of [ Wire.Telemetry ]) 0;
@@ -1293,15 +1303,10 @@ let stdio_daemon ~domains () =
       let queries = List.filteri (fun i _ -> i < 50) responses in
       check_int "query replies in order" 0 (count_wrong_replies index owners queries);
       (match List.nth responses 50 with
-      | Wire.Batch_reply { generation = 1; replies } ->
-          check_bool "batch reply" true
-            (replies
-            = Array.map
-                (fun owner ->
-                  if owner < n then Serve.Providers (Eppi.Index.query index ~owner)
-                  else Serve.Unknown_owner)
-                batch)
-      | other -> Client.unexpected "stdio batch" other);
+      | Wire.Audit_reply { generation = 1; owners } ->
+          check_bool "audit reply" true
+            (owners = Serve.audit (Serve.create index) ~provider:3)
+      | other -> Client.unexpected "stdio audit" other);
       match telemetry with
       | [ Wire.Telemetry_json raw ] ->
           let v = Json.parse_exn raw in
@@ -1432,7 +1437,6 @@ let daemon_telemetry ~shards ~workers () =
           for owner = 0 to n - 1 do
             ignore (Client.query c ~owner)
           done;
-          ignore (Client.batch c [| 0; 1; 2; 3; 4; 5; 6; 7 |]);
           ignore (Client.audit c ~provider:2);
           Client.ping c;
           let raw = Client.telemetry_json c in
@@ -1446,20 +1450,20 @@ let daemon_telemetry ~shards ~workers () =
             | Some x -> x
             | None -> Alcotest.fail ("telemetry reply lacks " ^ String.concat "." path)
           in
-          check_bool "requests recorded" true (geti [ "requests" ] >= n + 3);
+          check_bool "requests recorded" true (geti [ "requests" ] >= n + 2);
           check_int "conservation is exact"
             (geti [ "conservation"; "total_ns" ])
             (geti [ "conservation"; "stage_sum_ns" ]);
           check_bool "conservation flagged exact" true
             (Json.find v [ "conservation"; "exact" ] = Some (Json.Bool true));
           check_bool "window saw the queries" true (geti [ "window"; "query"; "count" ] >= n);
-          check_bool "window saw the batch" true (geti [ "window"; "batch"; "count" ] >= 1);
+          check_bool "window saw the audit" true (geti [ "window"; "audit"; "count" ] >= 1);
           check_bool "window query rate positive" true
             (match Json.find_num v [ "window"; "query"; "rate" ] with
             | Some r -> r > 0.0
             | None -> false);
           let finished = geti [ "stages"; "total"; "count" ] in
-          check_bool "stage totals populated" true (finished >= n + 3);
+          check_bool "stage totals populated" true (finished >= n + 2);
           (* Every finished request passes through every stage exactly
              once — the per-stage counts all agree. *)
           List.iter
@@ -1596,7 +1600,7 @@ let fixture_telemetry () =
   feed ~kind:1 ~trace_id:(-1) ~after_ms:0 [ 1_500; 250; 4_000; 12_000; 800; 3_000 ];
   feed ~kind:1 ~trace_id:7 ~after_ms:100 [ 1_200; 300; 2_000; 9_000; 400; 2_500 ];
   feed ~kind:1 ~trace_id:(-1) ~after_ms:300 [ 900; 200; 1_000; 7_000; 300; 2_000 ];
-  feed ~kind:2 ~trace_id:(-1) ~after_ms:500 [ 2_500; 600; 8_000; 40_000; 1_200; 5_000 ];
+  feed ~kind:1 ~trace_id:(-1) ~after_ms:500 [ 2_500; 600; 8_000; 40_000; 1_200; 5_000 ];
   feed ~kind:9 ~trace_id:12 ~after_ms:700 [ 3_000; 400; 6_000; 90_000; 700; 4_000 ];
   feed ~kind:3 ~trace_id:(-1) ~after_ms:900 [ 1_100; 150; 0; 20_000; 0; 2_200 ];
   feed ~kind:8 ~trace_id:(-1) ~after_ms:1_100 [ 50_000; 500; 10_000; 2_000_000; 900; 6_000 ];
@@ -1613,12 +1617,11 @@ let pinned_metrics =
     "p50_s=2.9e-06"; "p95_s=0.00148"; "p99_s=0.00148" ]
 
 let pinned_telemetry =
-  [ "requests=8"; "window.span_s=10"; "window.query.count=3"; "window.query.rate=0.3";
-    "window.query.mean_s=1.61e-05"; "window.query.p50_s=1.16e-05"; "window.query.p99_s=2.32e-05";
-    "window.batch.count=1"; "window.batch.rate=0.1"; "window.batch.mean_s=5.73e-05";
-    "window.batch.p50_s=4.63e-05"; "window.batch.p99_s=4.63e-05"; "window.fuzzy.count=1";
-    "window.fuzzy.rate=0.1"; "window.fuzzy.mean_s=0.000104"; "window.fuzzy.p50_s=9.27e-05";
-    "window.fuzzy.p99_s=9.27e-05"; "window.audit.count=1"; "window.audit.rate=0.1";
+  [ "requests=8"; "window.span_s=10"; "window.query.count=4"; "window.query.rate=0.4";
+    "window.query.mean_s=2.64e-05"; "window.query.p50_s=1.16e-05"; "window.query.p99_s=4.63e-05";
+    "window.fuzzy.count=1"; "window.fuzzy.rate=0.1"; "window.fuzzy.mean_s=0.000104";
+    "window.fuzzy.p50_s=9.27e-05"; "window.fuzzy.p99_s=9.27e-05"; "window.audit.count=1";
+    "window.audit.rate=0.1";
     "window.audit.mean_s=2.35e-05"; "window.audit.p50_s=2.32e-05"; "window.audit.p99_s=2.32e-05";
     "window.republish.count=1"; "window.republish.rate=0.1"; "window.republish.mean_s=0.00207";
     "window.republish.p50_s=0.00148"; "window.republish.p99_s=0.00148"; "window.admin.count=1";
@@ -1696,7 +1699,8 @@ let test_reply_schemas () =
 (* A trace id minted by the client must label spans on BOTH sides of the
    socket: the client's [client.request] span and the daemon's
    [net.request] span (recorded on a different domain, hence a different
-   track) carry the same id, and the Chrome export contains both. *)
+   track) carry the same id, and the Chrome export contains both.  A Ping,
+   which the mux answers itself, gets its [net.request] span too. *)
 let test_trace_propagation () =
   let index = test_index ~n:10 ~m:5 in
   Eppi_obs.Trace.enable ();
@@ -1707,7 +1711,9 @@ let test_trace_propagation () =
           let c = Client.connect addr in
           Fun.protect
             ~finally:(fun () -> Client.close c)
-            (fun () -> ignore (Client.query c ~owner:3)));
+            (fun () ->
+              ignore (Client.query c ~owner:3);
+              Client.ping c));
       Eppi_obs.Trace.disable ();
       let tracks = Eppi_obs.Trace.tracks () in
       let ends_named name =
@@ -1729,6 +1735,15 @@ let test_trace_propagation () =
       check_bool "server recorded a traced span" true (server_spans <> []);
       let _, id = List.hd client_spans in
       check_bool "trace id is non-negative" true (id >= 0);
+      check_bool "the mux-answered ping has its span" true
+        (List.exists
+           (fun tr ->
+             List.exists
+               (fun (e : Eppi_obs.Trace.event) ->
+                 e.kind = Eppi_obs.Trace.Span_end && e.name = "net.request"
+                 && List.assoc_opt "tag" e.args = Some (Wire.request_tag Wire.Ping))
+               tr.Eppi_obs.Trace.track_events)
+           tracks);
       check_bool "same id on a server span" true (List.exists (fun (_, i) -> i = id) server_spans);
       check_bool "client and server spans sit on different tracks" true
         (List.exists
@@ -1802,7 +1817,6 @@ let qcheck_tests =
     Gen.oneof
       [
         Gen.map (fun owner -> Wire.Query { owner }) gen_owner;
-        Gen.map (fun l -> Wire.Batch (Array.of_list l)) (Gen.small_list gen_owner);
         Gen.map (fun provider -> Wire.Audit { provider }) Gen.nat;
         Gen.return Wire.Stats;
         Gen.map (fun s -> Wire.Republish_binary { data = s }) Gen.(small_string ~gen:char);
@@ -1844,9 +1858,6 @@ let qcheck_tests =
     Gen.oneof
       [
         Gen.map2 (fun generation reply -> Wire.Reply { generation; reply }) Gen.nat gen_reply;
-        Gen.map2
-          (fun generation rs -> Wire.Batch_reply { generation; replies = Array.of_list rs })
-          Gen.nat (Gen.small_list gen_reply);
         Gen.map2
           (fun generation owners -> Wire.Audit_reply { generation; owners })
           Gen.nat
@@ -1925,7 +1936,7 @@ let () =
         ] );
       ( "daemon",
         [
-          Alcotest.test_case "query, batch, audit, stats" `Quick
+          Alcotest.test_case "query, pipeline, audit, stats" `Quick
             (daemon_basics ~shards:1 ~workers:1);
           Alcotest.test_case "hot-swap republish" `Quick test_daemon_republish;
           Alcotest.test_case "cluster status over the wire" `Quick
@@ -1942,12 +1953,12 @@ let () =
           Alcotest.test_case "listen hygiene" `Quick test_listen_stale_and_occupied;
           Alcotest.test_case "half-closed client gets every reply" `Quick
             (daemon_half_closed ~workers:1);
-          Alcotest.test_case "retired CSV republish tag refused" `Quick test_daemon_retired_tag;
+          Alcotest.test_case "retired tags refused" `Quick (test_daemon_retired_tag ~workers:1);
           Alcotest.test_case "stdio serves the same loop" `Quick (stdio_daemon ~domains:1);
         ] );
       ( "multicore daemon",
         [
-          Alcotest.test_case "query, batch, audit, stats (4 domains)" `Quick
+          Alcotest.test_case "query, pipeline, audit, stats (4 domains)" `Quick
             (daemon_basics ~shards:4 ~workers:4);
           Alcotest.test_case "pipelined mixed requests (4 domains)" `Quick
             (daemon_pipeline ~shards:4 ~workers:4);
@@ -1968,6 +1979,8 @@ let () =
             (daemon_half_closed ~workers:4);
           Alcotest.test_case "stdio serves the same loop (4 domains)" `Quick
             (stdio_daemon ~domains:4);
+          Alcotest.test_case "retired tags refused (4 domains)" `Quick
+            (test_daemon_retired_tag ~workers:4);
         ] );
       ( "telemetry",
         [

@@ -469,9 +469,8 @@ let test_engine_config_validation () =
   let index = test_index ~n:4 ~m:4 in
   Alcotest.check_raises "shards" (Invalid_argument "Serve: shards must be >= 1") (fun () ->
       ignore (Serve.create ~config:{ Serve.default_config with shards = 0 } index));
-  Alcotest.check_raises "sample" (Invalid_argument "Serve: latency_sample_every must be >= 1")
-    (fun () ->
-      ignore (Serve.create ~config:{ Serve.default_config with latency_sample_every = 0 } index))
+  Alcotest.check_raises "capacity" (Invalid_argument "Serve: negative cache capacity") (fun () ->
+      ignore (Serve.create ~config:{ Serve.default_config with negative_capacity = -1 } index))
 
 (* ---------- Hot swap ---------- *)
 
