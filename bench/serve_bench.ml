@@ -1,7 +1,7 @@
 (* Online serving bench: replay a Zipf workload against the published index
-   three ways — naive Index.query row scans, the compiled postings store
-   (cache off), and the full engine (cache on) — then sweep domain counts
-   and exercise admission control.  Writes BENCH_serve.json and checks
+   two ways — naive Index.query row scans and the serving engine over its
+   compiled postings store — then sweep domain counts and exercise
+   admission control.  Writes BENCH_serve.json and checks
    its gates on that value (Bench_util.publish).
 
    Timed phases consume results as they are produced (Serve.replay and a
@@ -42,20 +42,12 @@ let wall f =
   let result = f () in
   (Clock.seconds () -. t0, result)
 
-let engine_config ~shards ~cache ~admission =
-  {
-    Serve.shards;
-    cache_capacity = cache;
-    negative_capacity = (if cache = 0 then 0 else 1024);
-    admission;
-  }
-
 let run () =
   let n = getenv_int "SERVE_N" 2000 in
   let m = getenv_int "SERVE_M" 4096 in
   let queries = getenv_int "SERVE_QUERIES" 200_000 in
   Bench_util.heading
-    (Printf.sprintf "Online serving: postings + cache + shards (n=%d owners, m=%d providers, %d queries)"
+    (Printf.sprintf "Online serving: postings + shards (n=%d owners, m=%d providers, %d queries)"
        n m queries);
   let rng = Rng.create 2026 in
   let freqs = Array.init n (fun j -> 1 + (j mod 8)) in
@@ -73,18 +65,15 @@ let run () =
   let expect_listed =
     Array.fold_left (fun acc owner -> acc + truth_len.(owner)) 0 workload
   in
-  (* Untimed per-owner sweep over the whole id space: first query misses the
-     cache, the second must hit it; both must equal Index.query exactly. *)
+  (* Untimed per-owner sweep over the whole id space: every reply must
+     equal Index.query exactly. *)
   let check_engine label engine =
     for owner = 0 to n - 1 do
-      for _pass = 0 to 1 do
-        match Serve.query engine ~owner with
-        | Serve.Providers providers ->
-            if providers <> truth.(owner) then
-              failwith
-                (Printf.sprintf "serve: %s diverged from Index.query at owner %d" label owner)
-        | _ -> failwith (Printf.sprintf "serve: %s did not serve owner %d" label owner)
-      done
+      match Serve.query engine ~owner with
+      | Serve.Providers providers ->
+          if providers <> truth.(owner) then
+            failwith (Printf.sprintf "serve: %s diverged from Index.query at owner %d" label owner)
+      | _ -> failwith (Printf.sprintf "serve: %s did not serve owner %d" label owner)
     done;
     (match Serve.query engine ~owner:(n + 1) with
     | Serve.Unknown_owner -> ()
@@ -106,28 +95,16 @@ let run () =
   if naive_listed <> expect_listed then failwith "serve: naive replay volume diverged";
   Bench_util.note "naive Index.query replay: %.3f s (%.0f q/s)" naive_seconds
     (float_of_int queries /. naive_seconds);
-  (* Postings store, cache off: the raw read-path speedup. *)
-  let postings_engine = Serve.create ~config:(engine_config ~shards:1 ~cache:0 ~admission:None) index in
+  (* The engine: one postings-store row decode per request. *)
+  let postings_engine = Serve.create ~config:{ Serve.shards = 1; admission = None } index in
   let postings_seconds, tally = wall (fun () -> Serve.replay postings_engine workload) in
   check_tally "postings" tally;
-  Bench_util.note "postings store (cache off): %.3f s (%.0f q/s, x%.1f vs naive)"
+  let snap = Serve.metrics postings_engine in
+  Bench_util.note "engine (postings store): %.3f s (%.0f q/s, x%.1f vs naive)"
     postings_seconds
     (float_of_int queries /. postings_seconds)
     (naive_seconds /. postings_seconds);
   check_engine "postings" postings_engine;
-  (* Full engine, cache on. *)
-  let cached_engine =
-    Serve.create ~config:(engine_config ~shards:1 ~cache:4096 ~admission:None) index
-  in
-  let cache_seconds, tally = wall (fun () -> Serve.replay cached_engine workload) in
-  check_tally "cached" tally;
-  let snap = Serve.metrics cached_engine in
-  let hit_rate = Metrics.hit_rate snap in
-  check_engine "cached" cached_engine;
-  Bench_util.note "engine (cache on): %.3f s (%.0f q/s, x%.1f vs naive), hit rate %.3f"
-    cache_seconds
-    (float_of_int queries /. cache_seconds)
-    (naive_seconds /. cache_seconds) hit_rate;
   Bench_util.note "latency (sampled): p50 %.2g s, p95 %.2g s, p99 %.2g s (%d samples)"
     snap.p50 snap.p95 snap.p99 snap.latency_count;
   (* Shard the engine across domains. *)
@@ -135,7 +112,7 @@ let run () =
     List.map
       (fun domains ->
         let engine =
-          Serve.create ~config:(engine_config ~shards:domains ~cache:4096 ~admission:None) index
+          Serve.create ~config:{ Serve.shards = domains; admission = None } index
         in
         let _, tally =
           wall (fun () ->
@@ -162,7 +139,7 @@ let run () =
     }
   in
   let shed_engine =
-    Serve.create ~config:(engine_config ~shards:4 ~cache:4096 ~admission:(Some admission)) index
+    Serve.create ~config:{ Serve.shards = 4; admission = Some admission } index
   in
   let shed_report = Serve.run shed_engine workload in
   let shed_snap = Serve.metrics shed_engine in
@@ -188,9 +165,7 @@ let run () =
      stay within 2% plus a 20 ms noise floor; then, unless an outer
      [--trace] already owns the trace session, measure once with tracing
      enabled for reference. *)
-  let trace_engine =
-    Serve.create ~config:(engine_config ~shards:1 ~cache:4096 ~admission:None) index
-  in
+  let trace_engine = Serve.create ~config:{ Serve.shards = 1; admission = None } index in
   let _warm = Serve.replay trace_engine workload in
   let best_of_3 label =
     Gc.compact ();
@@ -241,8 +216,7 @@ let run () =
     in
     let addr = Eppi_net.Addr.Unix_socket path in
     let engine =
-      Serve.create ~config:(engine_config ~shards:telemetry_domains ~cache:4096 ~admission:None)
-        index
+      Serve.create ~config:{ Serve.shards = telemetry_domains; admission = None } index
     in
     let server =
       Eppi_net.Server.create
@@ -306,10 +280,7 @@ let run () =
          ("queries", Json.int queries);
          ("recommended_domain_count", Json.int (Domain.recommended_domain_count ()));
          ("naive_seconds", Num naive_seconds); ("postings_seconds", Num postings_seconds);
-         ("cache_seconds", Num cache_seconds);
          ("speedup_postings_vs_naive", Num (naive_seconds /. postings_seconds));
-         ("speedup_cache_vs_naive", Num (naive_seconds /. cache_seconds));
-         ("cache_hit_rate", Num hit_rate);
          ( "latency_s",
            Obj
              [ ("count", Json.int snap.latency_count); ("mean", Num snap.latency_mean);
@@ -343,16 +314,12 @@ let run () =
          ("metrics", Metrics.json snap) ])
     ([ ( "carries the headline fields",
          has
-           [ "speedup_postings_vs_naive"; "cache_hit_rate"; "latency_s"; "domain_runs";
-             "admission"; "telemetry"; "metrics" ] );
+           [ "speedup_postings_vs_naive"; "latency_s"; "domain_runs"; "admission"; "telemetry";
+             "metrics" ] );
        ( "disabled tracing within 2% + 20 ms of the untraced baseline",
          fun v -> flag v [ "trace"; "disabled_overhead_ok" ] );
        ( "stage telemetry p50 within 2% + 10 us of telemetry off",
          fun v -> flag v [ "telemetry"; "overhead_ok" ] );
-       ( "cache hit rate is a ratio",
-         fun v ->
-           let r = num v [ "cache_hit_rate" ] in
-           0.0 <= r && r <= 1.0 );
        ( "domain sweep populated",
          fun v ->
            List.length (items v [ "domain_runs" ]) >= min 2 (List.length (domain_counts ())) );

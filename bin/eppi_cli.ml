@@ -697,11 +697,6 @@ let serve_cmd =
              $(b,--stdio)), the domain-pool size for in-process replay.  1 serves inline on a \
              single domain.")
   in
-  let cache =
-    Arg.(
-      value & opt int 4096
-      & info [ "cache" ] ~docv:"INT" ~doc:"Result-cache capacity per shard; 0 disables caching.")
-  in
   let zipf_exponent =
     Arg.(
       value & opt float 1.1
@@ -711,7 +706,7 @@ let serve_cmd =
     Arg.(
       value & opt float 0.0
       & info [ "unknown-fraction" ] ~docv:"FLOAT"
-          ~doc:"Fraction of requests targeting unknown owner ids (negative-cache traffic).")
+          ~doc:"Fraction of requests targeting unknown owner ids.")
   in
   let rate =
     Arg.(
@@ -771,16 +766,14 @@ let serve_cmd =
     in
     Arg.(value & opt (some file) None & info [ "roster" ] ~docv:"FILE" ~doc)
   in
-  let run seed index_path queries shards domains cache zipf_exponent unknown_fraction rate burst
+  let run seed index_path queries shards domains zipf_exponent unknown_fraction rate burst
       queue listen stdio peers replay_log roster linkage_seed trace =
     let index = Eppi.Index.of_csv (read_file index_path) in
     let n = Eppi.Index.owners index in
     let admission =
       Option.map (fun rate -> { Eppi_serve.Admission.rate; burst; queue_capacity = queue }) rate
     in
-    let config =
-      { Eppi_serve.Serve.default_config with shards; cache_capacity = cache; admission }
-    in
+    let config = { Eppi_serve.Serve.shards; admission } in
     let resolver =
       match (roster, linkage_seed) with
       | None, _ -> None
@@ -864,7 +857,7 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ seed_arg $ index_arg $ queries $ shards $ domains $ cache $ zipf_exponent
+      const run $ seed_arg $ index_arg $ queries $ shards $ domains $ zipf_exponent
       $ unknown_fraction $ rate $ burst $ queue $ listen $ stdio $ peers $ replay_log $ roster
       $ linkage_seed_arg $ trace_arg)
   in
@@ -958,8 +951,8 @@ let republish_cmd =
     (Cmd.info "republish"
        ~doc:
          "Hot-swap the index of a running daemon: queries keep flowing, the new generation \
-          takes effect atomically, per-shard caches invalidate.  The index travels as the \
-          compact binary codec.  $(b,--cluster A,B,C) fans the swap out to a whole replica set")
+          takes effect atomically.  The index travels as the compact binary codec.  \
+          $(b,--cluster A,B,C) fans the swap out to a whole replica set")
     term
 
 (* Seconds → a human-sized unit.  Telemetry spans ns..s; a fixed unit
@@ -979,9 +972,9 @@ let stats_delta_line ~dt ?prev cur =
   let d k = get cur k - match prev with Some p -> get p k | None -> 0 in
   let rate k = float_of_int (d k) /. dt in
   Printf.sprintf
-    "queries %6d (%8.1f/s)  served %6d  hits %6d  shed %4d  fuzzy %5d  audits %4d  gen %d  \
-     swaps %d  p50 %s  p99 %s"
-    (d "queries") (rate "queries") (d "served") (d "cache_hits")
+    "queries %6d (%8.1f/s)  served %6d  shed %4d  fuzzy %5d  audits %4d  gen %d  swaps %d  \
+     p50 %s  p99 %s"
+    (d "queries") (rate "queries") (d "served")
     (d "shed_rate" + d "shed_queue")
     (d "fuzzy_queries") (d "audits") (get cur "generation") (get cur "swaps")
     (fmt_duration (getf cur "p50_s"))

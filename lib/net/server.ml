@@ -4,10 +4,7 @@ module Clock = Eppi_prelude.Clock
 module Json = Eppi_prelude.Json
 
 type config = {
-  max_connections : int;
   idle_timeout : float;
-  max_payload : int;
-  max_pending_bytes : int;
   workers : int;
   max_inflight : int;
   telemetry : bool;
@@ -15,16 +12,17 @@ type config = {
 }
 
 let default_config =
-  {
-    max_connections = 64;
-    idle_timeout = 300.0;
-    max_payload = Wire.default_max_payload;
-    max_pending_bytes = 8 * 1024 * 1024;
-    workers = 1;
-    max_inflight = 1024;
-    telemetry = true;
-    peers = [];
-  }
+  { idle_timeout = 300.0; workers = 1; max_inflight = 1024; telemetry = true; peers = [] }
+
+(* Connections served at once; later clients wait in the listen backlog
+   until one closes. *)
+let max_connections = 64
+
+(* Per-frame payload bound fed to every connection's decoder. *)
+let max_payload = Wire.default_max_payload
+
+(* Per-connection write-buffer bound before backpressure. *)
+let max_pending_bytes = 8 * 1024 * 1024
 
 type t = {
   engine : Serve.t;
@@ -37,8 +35,6 @@ type t = {
 }
 
 let create ?(config = default_config) engine =
-  if config.max_connections < 1 then invalid_arg "Server: max_connections must be >= 1";
-  if config.max_pending_bytes < 1 then invalid_arg "Server: max_pending_bytes must be >= 1";
   if config.workers < 1 then invalid_arg "Server: workers must be >= 1";
   if config.max_inflight < 1 then invalid_arg "Server: max_inflight must be >= 1";
   { engine; config; telemetry = Telemetry.create (); worker_info = (fun () -> []) }
@@ -81,12 +77,8 @@ let telemetry_json t =
 (* Reads only the published generation, merged metrics and static config —
    safe from any domain, which is why the multicore mux answers it inline. *)
 let cluster_status t =
-  Wire.Cluster_status_reply
-    {
-      generation = Serve.generation t.engine;
-      swaps = (Serve.metrics t.engine).Eppi_serve.Metrics.swaps;
-      peers = t.config.peers;
-    }
+  let m = Serve.metrics t.engine in
+  Wire.Cluster_status_reply { generation = m.generation; swaps = m.swaps; peers = t.config.peers }
 
 let handle_request t (request : Wire.request) : Wire.response =
   match request with
@@ -333,8 +325,9 @@ type conn = {
   rfd : Unix.file_descr;
   wfd : Unix.file_descr;
   decoder : Wire.Decoder.t;
-  out : Buffer.t;
-  mutable out_off : int;
+  mutable out : Bytes.t;
+  mutable out_off : int;  (* [out_off, out_len) of [out] is not yet written *)
+  mutable out_len : int;
   mutable last_activity : float;
   mutable closing : bool;  (* framing error: no more reads or decoding *)
   mutable eof : bool;  (* the peer sent EOF: no more reads; buffered frames still served *)
@@ -352,7 +345,28 @@ type conn = {
          grows. *)
 }
 
-let pending c = Buffer.length c.out - c.out_off
+let pending c = c.out_len - c.out_off
+
+(* Append a frame behind the unwritten bytes.  When it does not fit at the
+   tail, the unwritten bytes slide to the front if that leaves at least
+   half of [out] free, and move into a buffer twice as large otherwise —
+   so each appended byte costs O(1) copies, however the client reads. *)
+let append_out c frame =
+  let len = String.length frame in
+  if c.out_len + len > Bytes.length c.out then begin
+    let unwritten = pending c in
+    let dst =
+      if 2 * (unwritten + len) <= Bytes.length c.out then c.out
+      else Bytes.create (2 * max (unwritten + len) (Bytes.length c.out))
+    in
+    Bytes.blit c.out c.out_off dst 0 unwritten;
+    c.out <- dst;
+    c.out_off <- 0;
+    c.out_len <- unwritten
+  end;
+  Bytes.blit_string frame 0 c.out c.out_len len;
+  c.out_len <- c.out_len + len
+
 let inflight c = c.next_seq - c.next_flush
 
 let instant_conn name c =
@@ -392,7 +406,7 @@ let loop t ~listener ~streams =
       | Some (frame, record) ->
           Hashtbl.remove c.replies c.next_flush;
           c.next_flush <- c.next_flush + 1;
-          Buffer.add_string c.out frame;
+          append_out c frame;
           c.appended <- c.appended + String.length frame;
           (match record with
           | Some r ->
@@ -515,8 +529,7 @@ let loop t ~listener ~streams =
     | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> close_conn c
   in
   let write_to c =
-    let bytes = Buffer.to_bytes c.out in
-    match Unix.write c.wfd bytes c.out_off (Bytes.length bytes - c.out_off) with
+    match Unix.write c.wfd c.out c.out_off (pending c) with
     | n ->
         c.out_off <- c.out_off + n;
         c.written <- c.written + n;
@@ -535,9 +548,9 @@ let loop t ~listener ~streams =
             else continue := false
           done
         end;
-        if c.out_off = Bytes.length bytes then begin
-          Buffer.clear c.out;
+        if c.out_off = c.out_len then begin
           c.out_off <- 0;
+          c.out_len <- 0;
           close_if_done c
         end
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
@@ -583,9 +596,10 @@ let loop t ~listener ~streams =
       {
         rfd;
         wfd;
-        decoder = Wire.Decoder.create ~max_payload:t.config.max_payload ();
-        out = Buffer.create 1024;
+        decoder = Wire.Decoder.create ~max_payload ();
+        out = Bytes.create 1024;
         out_off = 0;
+        out_len = 0;
         last_activity = Clock.seconds ();
         closing = false;
         eof = false;
@@ -611,7 +625,7 @@ let loop t ~listener ~streams =
   List.iter (fun (rfd, wfd) -> open_conn rfd wfd) streams;
   let stalled c =
     c.stall_seq >= 0 || inflight c >= t.config.max_inflight
-    || pending c >= t.config.max_pending_bytes
+    || pending c >= max_pending_bytes
   in
   let last_stalled = ref (-1) in
   let mux_counters () =
@@ -630,7 +644,7 @@ let loop t ~listener ~streams =
   while not (finished ()) do
     let accepting =
       match listener with
-      | Some l when (not !shutting) && List.length !conns < t.config.max_connections -> Some l
+      | Some l when (not !shutting) && List.length !conns < max_connections -> Some l
       | _ -> None
     in
     let reads =

@@ -21,10 +21,10 @@
     request order, per connection.
 
     Flow control and hygiene:
-    - a connection whose write buffer exceeds [max_pending_bytes] stops
-      being read until the client drains it (backpressure, not buffering
-      without bound); one with [max_inflight] unanswered requests stops
-      being read until workers catch up;
+    - a connection with 8 MiB of unwritten replies stops being read
+      until the client drains it (backpressure, not buffering without
+      bound); one with [max_inflight] unanswered requests stops being
+      read until workers catch up;
     - connections idle longer than [idle_timeout] are closed;
     - EOF from a peer stops reads, not service: frames already received
       are answered in order, and the connection closes once it owes
@@ -34,7 +34,7 @@
       untouched;
     - a [Republish_binary] frame hot-swaps the engine's index
       generation ({!Eppi_serve.Serve.republish_index}) — queries keep
-      flowing, no drain, caches invalidate per shard.  Requests pipelined
+      flowing, no drain.  Requests pipelined
       {e behind} a republish on the same connection wait for the swap, so
       a reply that follows a [Republished {generation}] on the wire never
       carries an older generation;
@@ -61,11 +61,7 @@
     engine metrics. *)
 
 type config = {
-  max_connections : int;  (** Accepted clients beyond this are refused. *)
   idle_timeout : float;  (** Seconds; 0 disables the idle sweep. *)
-  max_payload : int;  (** Per-frame payload bound fed to {!Wire.Decoder}. *)
-  max_pending_bytes : int;
-      (** Per-connection write-buffer bound before backpressure. *)
   workers : int;
       (** Engine-calling domains. 1 = serve inline on the I/O loop (no
           domains spawned); d > 1 = mux + d worker domains with shard i
@@ -89,16 +85,18 @@ type config = {
 }
 
 val default_config : config
-(** 64 connections, 300 s idle timeout, {!Wire.default_max_payload},
-    8 MiB pending bound, 1 worker (inline), 1024 in-flight requests,
-    telemetry on, no peers. *)
+(** 300 s idle timeout, 1 worker (inline), 1024 in-flight requests,
+    telemetry on, no peers.  Three bounds are fixed for every daemon: at
+    most 64 connections (later clients wait in the listen backlog until
+    one closes), a {!Wire.default_max_payload} payload bound per frame,
+    and 8 MiB of unwritten replies per connection before backpressure. *)
 
 type t
 
 val create : ?config:config -> Eppi_serve.Serve.t -> t
 (** Wrap an engine.  The server does not own the engine: it can be shared
     with in-process readers (e.g. a metrics poller).
-    @raise Invalid_argument on a non-positive bound in [config]. *)
+    @raise Invalid_argument on a non-positive [workers] or [max_inflight]. *)
 
 val engine : t -> Eppi_serve.Serve.t
 

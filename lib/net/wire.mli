@@ -66,7 +66,7 @@ type request =
 
 type cluster_status = {
   generation : int;  (** The replica's current index generation. *)
-  swaps : int;  (** Republish swaps its shards have observed so far. *)
+  swaps : int;  (** Republishes the daemon has installed: [generation - 1]. *)
   peers : string list;
       (** The replica set the daemon was started with ([serve --peers]),
           verbatim; empty for a standalone daemon. *)

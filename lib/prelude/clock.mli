@@ -1,6 +1,6 @@
 (** Monotonic wall clock, nanosecond resolution.
 
-    Latency histograms need to resolve cache hits (tens of nanoseconds),
+    Latency histograms need to resolve lookups of a few hundred nanoseconds,
     span timestamps must never go backwards, and benchmark walls must not
     jump under NTP; [Unix.gettimeofday] fails all three, so this wraps
     [clock_gettime(CLOCK_MONOTONIC)] directly.  Allocation-free. *)

@@ -3,15 +3,10 @@ open Eppi_prelude
 type t = {
   mutable queries : int;
   mutable served : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable negative_hits : int;
   mutable unknown : int;
   mutable shed_rate : int;
   mutable shed_queue : int;
   mutable audits : int;
-  mutable generation : int;
-  mutable swaps : int;
   mutable fuzzy_queries : int;
   mutable fuzzy_resolved : int;
   mutable fuzzy_empty : int;
@@ -25,15 +20,10 @@ let create () =
   {
     queries = 0;
     served = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    negative_hits = 0;
     unknown = 0;
     shed_rate = 0;
     shed_queue = 0;
     audits = 0;
-    generation = 1;
-    swaps = 0;
     fuzzy_queries = 0;
     fuzzy_resolved = 0;
     fuzzy_empty = 0;
@@ -45,29 +35,21 @@ let create () =
 
 let incr_queries t = t.queries <- t.queries + 1
 let incr_served t = t.served <- t.served + 1
-let incr_cache_hit t = t.cache_hits <- t.cache_hits + 1
-let incr_cache_miss t = t.cache_misses <- t.cache_misses + 1
-let incr_negative_hit t = t.negative_hits <- t.negative_hits + 1
 let incr_unknown t = t.unknown <- t.unknown + 1
 let incr_shed_rate t = t.shed_rate <- t.shed_rate + 1
 let incr_shed_queue t = t.shed_queue <- t.shed_queue + 1
 let incr_audits t = t.audits <- t.audits + 1
-let incr_swaps t = t.swaps <- t.swaps + 1
 let incr_fuzzy t = t.fuzzy_queries <- t.fuzzy_queries + 1
 let incr_fuzzy_resolved t = t.fuzzy_resolved <- t.fuzzy_resolved + 1
 let incr_fuzzy_empty t = t.fuzzy_empty <- t.fuzzy_empty + 1
 let incr_fuzzy_rejected t = t.fuzzy_rejected <- t.fuzzy_rejected + 1
 let incr_fuzzy_shed t = t.fuzzy_shed <- t.fuzzy_shed + 1
 let add_fuzzy_scanned t n = t.fuzzy_scanned <- t.fuzzy_scanned + n
-let set_generation t generation = t.generation <- generation
 let record_latency t seconds = Stats.Log2_histogram.add t.latency seconds
 
 type snapshot = {
   queries : int;
   served : int;
-  cache_hits : int;
-  cache_misses : int;
-  negative_hits : int;
   unknown : int;
   shed_rate : int;
   shed_queue : int;
@@ -87,7 +69,7 @@ type snapshot = {
   p99 : float;
 }
 
-let snapshot shards =
+let snapshot ?(generation = 1) shards =
   let sum f = List.fold_left (fun acc t -> acc + f t) 0 shards in
   let latency =
     match shards with
@@ -100,15 +82,12 @@ let snapshot shards =
   {
     queries = sum (fun t -> t.queries);
     served = sum (fun t -> t.served);
-    cache_hits = sum (fun t -> t.cache_hits);
-    cache_misses = sum (fun t -> t.cache_misses);
-    negative_hits = sum (fun t -> t.negative_hits);
     unknown = sum (fun t -> t.unknown);
     shed_rate = sum (fun t -> t.shed_rate);
     shed_queue = sum (fun t -> t.shed_queue);
     audits = sum (fun t -> t.audits);
-    generation = List.fold_left (fun acc (m : t) -> max acc m.generation) 1 shards;
-    swaps = sum (fun t -> t.swaps);
+    generation;
+    swaps = generation - 1;
     fuzzy_queries = sum (fun t -> t.fuzzy_queries);
     fuzzy_resolved = sum (fun t -> t.fuzzy_resolved);
     fuzzy_empty = sum (fun t -> t.fuzzy_empty);
@@ -130,9 +109,6 @@ let diff (newer : snapshot) (older : snapshot) =
   {
     queries = newer.queries - older.queries;
     served = newer.served - older.served;
-    cache_hits = newer.cache_hits - older.cache_hits;
-    cache_misses = newer.cache_misses - older.cache_misses;
-    negative_hits = newer.negative_hits - older.negative_hits;
     unknown = newer.unknown - older.unknown;
     shed_rate = newer.shed_rate - older.shed_rate;
     shed_queue = newer.shed_queue - older.shed_queue;
@@ -152,23 +128,16 @@ let diff (newer : snapshot) (older : snapshot) =
     p99 = newer.p99;
   }
 
-let hit_rate s =
-  let lookups = s.cache_hits + s.cache_misses in
-  if lookups = 0 then 0.0 else float_of_int s.cache_hits /. float_of_int lookups
-
 let json ?(extra = []) s =
   let ints = List.map (fun (k, v) -> (k, Json.int v)) in
   Json.Obj
-    (ints [ ("queries", s.queries); ("served", s.served); ("cache_hits", s.cache_hits);
-            ("cache_misses", s.cache_misses) ]
-    @ [ ("cache_hit_rate", Json.Num (hit_rate s)) ]
-    @ ints
-        [ ("negative_hits", s.negative_hits); ("unknown", s.unknown); ("shed_rate", s.shed_rate);
-          ("shed_queue", s.shed_queue); ("audits", s.audits); ("generation", s.generation);
-          ("swaps", s.swaps); ("fuzzy_queries", s.fuzzy_queries);
-          ("fuzzy_resolved", s.fuzzy_resolved); ("fuzzy_empty", s.fuzzy_empty);
-          ("fuzzy_rejected", s.fuzzy_rejected); ("fuzzy_shed", s.fuzzy_shed);
-          ("fuzzy_scanned", s.fuzzy_scanned); ("latency_count", s.latency_count) ]
+    (ints
+       [ ("queries", s.queries); ("served", s.served); ("unknown", s.unknown);
+         ("shed_rate", s.shed_rate); ("shed_queue", s.shed_queue); ("audits", s.audits);
+         ("generation", s.generation); ("swaps", s.swaps); ("fuzzy_queries", s.fuzzy_queries);
+         ("fuzzy_resolved", s.fuzzy_resolved); ("fuzzy_empty", s.fuzzy_empty);
+         ("fuzzy_rejected", s.fuzzy_rejected); ("fuzzy_shed", s.fuzzy_shed);
+         ("fuzzy_scanned", s.fuzzy_scanned); ("latency_count", s.latency_count) ]
     @ [ ("latency_mean_s", Json.Num s.latency_mean); ("p50_s", Num s.p50); ("p95_s", Num s.p95);
         ("p99_s", Num s.p99) ]
     @ extra)
@@ -177,9 +146,7 @@ let to_json s = Json.to_string (json s)
 
 let pp ppf s =
   Format.fprintf ppf
-    "queries=%d served=%d hits=%d misses=%d hit_rate=%.3f negative=%d unknown=%d \
-     shed_rate=%d shed_queue=%d audits=%d gen=%d swaps=%d fuzzy=%d/%d p50=%.2gs p95=%.2gs \
-     p99=%.2gs"
-    s.queries s.served s.cache_hits s.cache_misses (hit_rate s) s.negative_hits s.unknown
-    s.shed_rate s.shed_queue s.audits s.generation s.swaps s.fuzzy_queries s.fuzzy_resolved
-    s.p50 s.p95 s.p99
+    "queries=%d served=%d unknown=%d shed_rate=%d shed_queue=%d audits=%d gen=%d swaps=%d \
+     fuzzy=%d/%d p50=%.2gs p95=%.2gs p99=%.2gs"
+    s.queries s.served s.unknown s.shed_rate s.shed_queue s.audits s.generation s.swaps
+    s.fuzzy_queries s.fuzzy_resolved s.p50 s.p95 s.p99

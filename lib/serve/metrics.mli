@@ -12,19 +12,10 @@ val create : unit -> t
 
 val incr_queries : t -> unit
 val incr_served : t -> unit
-val incr_cache_hit : t -> unit
-val incr_cache_miss : t -> unit
-val incr_negative_hit : t -> unit
 val incr_unknown : t -> unit
 val incr_shed_rate : t -> unit
 val incr_shed_queue : t -> unit
 val incr_audits : t -> unit
-
-val incr_swaps : t -> unit
-(** One index hot-swap observed by this shard (its caches were dropped). *)
-
-val set_generation : t -> int -> unit
-(** The index generation this shard last served from (starts at 1). *)
 
 val incr_fuzzy : t -> unit
 (** One fuzzy (approximate-identity) request reached this shard.  The
@@ -54,22 +45,14 @@ val record_latency : t -> float -> unit
 type snapshot = {
   queries : int;  (** Requests that reached the engine (including shed). *)
   served : int;  (** Requests answered with a provider list. *)
-  cache_hits : int;
-  cache_misses : int;
-  negative_hits : int;  (** Unknown owners answered from the negative cache. *)
   unknown : int;  (** Requests for out-of-range owner ids. *)
   shed_rate : int;  (** Shed by the token bucket. *)
   shed_queue : int;  (** Shed by the bounded per-shard queue. *)
   audits : int;  (** Provider-side audit queries. *)
   generation : int;
-      (** Highest index generation any shard has served from (1 until the
-          first republish is observed; {!Serve.metrics} substitutes the
-          engine's authoritative current generation). *)
-  swaps : int;
-      (** Hot-swap observations summed over shards: each shard counts the
-          generation changes it noticed (and invalidated its caches for),
-          so with [k] trafficked shards one republish contributes up to
-          [k]. *)
+      (** The published index generation the snapshot is labelled with
+          ({!Serve.metrics}: the engine's current one). *)
+  swaps : int;  (** Republishes the engine has installed: [generation - 1]. *)
   fuzzy_queries : int;  (** Fuzzy requests that reached the engine. *)
   fuzzy_resolved : int;  (** Fuzzy requests with >= 1 candidate returned. *)
   fuzzy_empty : int;  (** Fuzzy requests resolving nothing above threshold. *)
@@ -83,8 +66,9 @@ type snapshot = {
   p99 : float;  (** Seconds; 0 when no samples were recorded. *)
 }
 
-val snapshot : t list -> snapshot
-(** Merge per-shard metrics into one view. *)
+val snapshot : ?generation:int -> t list -> snapshot
+(** Merge per-shard metrics into one view, labelled with [generation]
+    (default 1). *)
 
 val diff : snapshot -> snapshot -> snapshot
 (** [diff newer older] is the interval view between two snapshots of the
@@ -95,15 +79,11 @@ val diff : snapshot -> snapshot -> snapshot
     their difference has no defined percentiles, and a generation is a
     point-in-time label, not a rate. *)
 
-val hit_rate : snapshot -> float
-(** cache_hits / (cache_hits + cache_misses); 0 when no lookups ran. *)
-
 val json : ?extra:(string * Eppi_prelude.Json.t) list -> snapshot -> Eppi_prelude.Json.t
 (** One JSON object with every snapshot field — counters as integers,
-    [cache_hit_rate] as a ratio, latencies in seconds under [_s] keys
-    ([latency_mean_s], [p50_s], [p95_s], [p99_s]) — followed by the
-    [extra] fields (the daemon's Stats reply appends its worker and
-    trace counters). *)
+    latencies in seconds under [_s] keys ([latency_mean_s], [p50_s],
+    [p95_s], [p99_s]) — followed by the [extra] fields (the daemon's Stats
+    reply appends its worker and trace counters). *)
 
 val to_json : snapshot -> string
 (** [json] without extras, rendered by {!Eppi_prelude.Json.to_string}. *)

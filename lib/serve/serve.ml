@@ -5,18 +5,10 @@ module Resolver = Eppi_fuzzy.Resolver
 
 type config = {
   shards : int;
-  cache_capacity : int;
-  negative_capacity : int;
   admission : Admission.config option;
 }
 
-let default_config =
-  {
-    shards = 1;
-    cache_capacity = 4096;
-    negative_capacity = 1024;
-    admission = None;
-  }
+let default_config = { shards = 1; admission = None }
 
 (* Every 16th query per shard has its latency recorded: sampling keeps
    the clock calls off the common path. *)
@@ -29,12 +21,9 @@ type reply =
   | Shed_queue_full
 
 type shard = {
-  cache : int list Lru.t;
-  negative : unit Lru.t;
   bucket : Admission.t option;
   metrics : Metrics.t;
   mutable tick : int;
-  mutable generation : int;  (* the generation the caches were filled from *)
 }
 
 (* The currently published index: one immutable record behind an atomic,
@@ -56,17 +45,12 @@ type t = {
 
 let of_postings ?(config = default_config) ?resolver postings =
   if config.shards < 1 then invalid_arg "Serve: shards must be >= 1";
-  if config.cache_capacity < 0 || config.negative_capacity < 0 then
-    invalid_arg "Serve: negative cache capacity";
   let shard_states =
     Array.init config.shards (fun _ ->
         {
-          cache = Lru.create ~capacity:config.cache_capacity;
-          negative = Lru.create ~capacity:config.negative_capacity;
           bucket = Option.map Admission.create config.admission;
           metrics = Metrics.create ();
           tick = 0;
-          generation = 1;
         })
   in
   {
@@ -84,10 +68,10 @@ let shards t = Array.length t.shard_states
 
 let republish ?resolver t store =
   (* CAS loop: concurrent republishers each get a distinct generation.
-     Shards pick the new index up lazily, on their next request.  The
-     resolver swaps in the same CAS as the postings — omitted, the
-     currently installed one is carried over, so (postings, resolver)
-     stays a consistent pair either way. *)
+     Every request after the CAS loads the new record.  The resolver
+     swaps in the same CAS as the postings — omitted, the currently
+     installed one is carried over, so (postings, resolver) stays a
+     consistent pair either way. *)
   let rec install () =
     let old = Atomic.get t.published in
     let resolver = match resolver with Some _ -> resolver | None -> old.resolver in
@@ -103,47 +87,23 @@ let shard_of t owner =
   let s = owner mod n in
   if s < 0 then s + n else s
 
-(* The cache/postings lookup, after admission.  [pub] is the published
-   pair the caller fetched for this request. *)
+(* The range check and the row decode, after admission.  [pub] is the
+   published record the caller loaded for this request. *)
 let lookup pub sh ~owner =
   if owner < 0 || owner >= Postings.owners pub.store then begin
     Metrics.incr_unknown sh.metrics;
-    (match Lru.find sh.negative owner with
-    | Some () -> Metrics.incr_negative_hit sh.metrics
-    | None -> Lru.put sh.negative owner ());
     Unknown_owner
   end
-  else
-    match Lru.find sh.cache owner with
-    | Some providers ->
-        Metrics.incr_cache_hit sh.metrics;
-        Metrics.incr_served sh.metrics;
-        Providers providers
-    | None ->
-        let providers = Postings.query pub.store ~owner in
-        Metrics.incr_cache_miss sh.metrics;
-        Metrics.incr_served sh.metrics;
-        Lru.put sh.cache owner providers;
-        Providers providers
-
-(* On a generation change the shard's caches hold answers from the
-   previous index — drop them before serving. *)
-let sync_generation (sh : shard) (pub : published) =
-  if pub.generation <> sh.generation then begin
-    Lru.clear sh.cache;
-    Lru.clear sh.negative;
-    sh.generation <- pub.generation;
-    Metrics.incr_swaps sh.metrics;
-    Metrics.set_generation sh.metrics pub.generation
+  else begin
+    Metrics.incr_served sh.metrics;
+    Providers (Postings.query pub.store ~owner)
   end
 
-let serve_one t sh ~clock ~now ~owner =
+(* [pub] comes from one atomic load per request, which pins the
+   (generation, postings) pair this reply is computed from: a republish
+   between two requests is picked up by the second, never mid-reply. *)
+let serve_one pub sh ~clock ~now ~owner =
   Metrics.incr_queries sh.metrics;
-  (* One atomic load per request pins the (generation, postings) pair this
-     reply is computed from; a republish between two requests is picked up
-     here, never mid-reply. *)
-  let pub = Atomic.get t.published in
-  sync_generation sh pub;
   let admitted =
     match sh.bucket with None -> true | Some b -> Admission.try_admit b ~now
   in
@@ -163,17 +123,13 @@ let serve_one t sh ~clock ~now ~owner =
     else lookup pub sh ~owner
   end
 
-let query ?now t ~owner =
-  let now = match now with Some n -> n | None -> Clock.seconds () in
-  serve_one t t.shard_states.(shard_of t owner) ~clock:Clock.seconds ~now ~owner
-
 let query_tagged ?now t ~owner =
   let now = match now with Some n -> n | None -> Clock.seconds () in
+  let pub = Atomic.get t.published in
   let sh = t.shard_states.(shard_of t owner) in
-  let reply = serve_one t sh ~clock:Clock.seconds ~now ~owner in
-  (* serve_one synced the shard to the generation it served from, and this
-     caller is the shard's only writer, so the field still names it. *)
-  (sh.generation, reply)
+  (pub.generation, serve_one pub sh ~clock:Clock.seconds ~now ~owner)
+
+let query ?now t ~owner = snd (query_tagged ?now t ~owner)
 
 type candidate = {
   owner : int;
@@ -199,7 +155,6 @@ let query_fuzzy ?now ?(k = 10) t probe =
   let sh = t.shard_states.(fuzzy_shard t probe) in
   Metrics.incr_fuzzy sh.metrics;
   let pub = Atomic.get t.published in
-  sync_generation sh pub;
   let admitted =
     match sh.bucket with None -> true | Some b -> Admission.try_admit b ~now
   in
@@ -233,10 +188,8 @@ let query_fuzzy ?now ?(k = 10) t probe =
           end
         in
         Metrics.add_fuzzy_scanned sh.metrics outcome.scanned;
-        (* Candidate row lookups read the pinned postings directly, not
-           through the shard's LRU: the resolved owners rarely belong to
-           this shard, and the immutable postings are safe to read from
-           any domain. *)
+        (* Candidate rows come from the pinned postings, which are
+           immutable and safe to read from any domain. *)
         let owners = Postings.owners pub.store in
         let candidates =
           List.filter_map
@@ -270,36 +223,6 @@ type report = {
   wall_seconds : float;
 }
 
-(* Partition request positions by shard, preserving request order within
-   each shard, then run [work shard positions] for every shard — in
-   parallel when a pool is given.  Each shard's state is touched by exactly
-   one domain, so no locking is needed anywhere. *)
-let dispatch ?pool ~clock t requests work =
-  let nshards = Array.length t.shard_states in
-  let counts = Array.make nshards 0 in
-  Array.iter
-    (fun owner ->
-      let s = shard_of t owner in
-      counts.(s) <- counts.(s) + 1)
-    requests;
-  let buckets = Array.map (fun c -> Array.make c 0) counts in
-  let cursor = Array.make nshards 0 in
-  Array.iteri
-    (fun pos owner ->
-      let s = shard_of t owner in
-      buckets.(s).(cursor.(s)) <- pos;
-      cursor.(s) <- cursor.(s) + 1)
-    requests;
-  let t0 = clock () in
-  (match pool with
-  | Some pool when nshards > 1 ->
-      Pool.parallel_iter pool (fun s -> work s buckets.(s)) (Array.init nshards Fun.id)
-  | _ ->
-      for s = 0 to nshards - 1 do
-        work s buckets.(s)
-      done);
-  clock () -. t0
-
 (* Wrap one shard's batch in a span carrying the shard's metric deltas
    (via {!Metrics.diff}).  One tracing branch per shard batch — never per
    query — so the disabled path costs a single atomic load per batch. *)
@@ -316,32 +239,65 @@ let traced_shard sh ~shard ~requests body =
           ("shard", shard);
           ("requests", requests);
           ("served", d.served);
-          ("cache_hits", d.cache_hits);
           ("unknown", d.unknown);
           ("shed", d.shed_rate + d.shed_queue);
         ]
   end
 
-let run ?pool ?(clock = Clock.seconds) t requests =
-  let replies = Array.make (Array.length requests) Unknown_owner in
-  let work s positions =
-    let sh = t.shard_states.(s) in
+(* The one batch loop behind {!run} and {!replay}.  Partition request
+   positions by shard, preserving request order within each shard, then
+   serve every shard's batch — in parallel when a pool is given — handing
+   each reply to [emit shard position reply].  Each shard's state is
+   touched by exactly one domain, so no locking is needed anywhere.  The
+   batch arrives at once: a shard's queue absorbs at most
+   [queue_capacity] requests, and the overflow is shed, explicitly.
+   Returns the serving wall time. *)
+let dispatch ?pool ~clock t requests emit =
+  let nshards = Array.length t.shard_states in
+  let counts = Array.make nshards 0 in
+  Array.iter
+    (fun owner ->
+      let s = shard_of t owner in
+      counts.(s) <- counts.(s) + 1)
+    requests;
+  let buckets = Array.map (fun c -> Array.make c 0) counts in
+  let cursor = Array.make nshards 0 in
+  Array.iteri
+    (fun pos owner ->
+      let s = shard_of t owner in
+      buckets.(s).(cursor.(s)) <- pos;
+      cursor.(s) <- cursor.(s) + 1)
+    requests;
+  let work s =
+    let sh = t.shard_states.(s) and positions = buckets.(s) in
     let len = Array.length positions in
     traced_shard sh ~shard:s ~requests:len (fun () ->
-        (* The batch arrives at once; the shard's queue absorbs at most
-           [queue_capacity] requests — the overflow is shed, explicitly. *)
         let admitted = min len t.queue_capacity in
         for k = 0 to admitted - 1 do
           let pos = positions.(k) in
-          replies.(pos) <- serve_one t sh ~clock ~now:(clock ()) ~owner:requests.(pos)
+          emit s pos
+            (serve_one (Atomic.get t.published) sh ~clock ~now:(clock ()) ~owner:requests.(pos))
         done;
         for k = admitted to len - 1 do
           Metrics.incr_queries sh.metrics;
           Metrics.incr_shed_queue sh.metrics;
-          replies.(positions.(k)) <- Shed_queue_full
+          emit s positions.(k) Shed_queue_full
         done)
   in
-  let wall_seconds = dispatch ?pool ~clock t requests work in
+  let t0 = clock () in
+  (match pool with
+  | Some pool when nshards > 1 -> Pool.parallel_iter pool work (Array.init nshards Fun.id)
+  | _ ->
+      for s = 0 to nshards - 1 do
+        work s
+      done);
+  clock () -. t0
+
+let run ?pool ?(clock = Clock.seconds) t requests =
+  let replies = Array.make (Array.length requests) Unknown_owner in
+  let wall_seconds =
+    dispatch ?pool ~clock t requests (fun _ pos reply -> replies.(pos) <- reply)
+  in
   { replies; wall_seconds }
 
 type tally = {
@@ -354,33 +310,20 @@ type tally = {
 }
 
 let replay ?pool ?(clock = Clock.seconds) t requests =
-  let nshards = Array.length t.shard_states in
   (* Per-shard counter blocks: served, unknown, shed_rate, shed_queue,
      providers_listed.  Single-writer, summed after the barrier. *)
-  let tallies = Array.init nshards (fun _ -> Array.make 5 0) in
-  let work s positions =
-    let sh = t.shard_states.(s) in
-    let tl = tallies.(s) in
-    let len = Array.length positions in
-    traced_shard sh ~shard:s ~requests:len (fun () ->
-        let admitted = min len t.queue_capacity in
-        for k = 0 to admitted - 1 do
-          let pos = positions.(k) in
-          match serve_one t sh ~clock ~now:(clock ()) ~owner:requests.(pos) with
-          | Providers providers ->
-              tl.(0) <- tl.(0) + 1;
-              tl.(4) <- tl.(4) + List.length providers
-          | Unknown_owner -> tl.(1) <- tl.(1) + 1
-          | Shed_rate_limit -> tl.(2) <- tl.(2) + 1
-          | Shed_queue_full -> tl.(3) <- tl.(3) + 1
-        done;
-        for _ = admitted to len - 1 do
-          Metrics.incr_queries sh.metrics;
-          Metrics.incr_shed_queue sh.metrics;
-          tl.(3) <- tl.(3) + 1
-        done)
+  let tallies = Array.init (Array.length t.shard_states) (fun _ -> Array.make 5 0) in
+  let wall =
+    dispatch ?pool ~clock t requests (fun s _ reply ->
+        let tl = tallies.(s) in
+        match reply with
+        | Providers providers ->
+            tl.(0) <- tl.(0) + 1;
+            tl.(4) <- tl.(4) + List.length providers
+        | Unknown_owner -> tl.(1) <- tl.(1) + 1
+        | Shed_rate_limit -> tl.(2) <- tl.(2) + 1
+        | Shed_queue_full -> tl.(3) <- tl.(3) + 1)
   in
-  let wall = dispatch ?pool ~clock t requests work in
   let sum i = Array.fold_left (fun acc tl -> acc + tl.(i)) 0 tallies in
   {
     served = sum 0;
@@ -392,9 +335,5 @@ let replay ?pool ?(clock = Clock.seconds) t requests =
   }
 
 let metrics t =
-  (* Shards learn about a republish lazily, so the merged generation can
-     lag the engine's; report the authoritative current one. *)
-  {
-    (Metrics.snapshot (Array.to_list (Array.map (fun sh -> sh.metrics) t.shard_states))) with
-    generation = (Atomic.get t.published).generation;
-  }
+  Metrics.snapshot ~generation:(generation t)
+    (Array.to_list (Array.map (fun sh -> sh.metrics) t.shard_states))

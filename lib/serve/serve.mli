@@ -1,39 +1,37 @@
 (** The online locator query engine — QueryPPI as a service.
 
-    Layered on a published {!Eppi.Index}: requests are routed by owner id to
-    one of [shards] independent shard states, each holding its own result
-    cache (LRU of materialized posting lists), negative cache of unknown
-    owner ids, token bucket and metrics.  All shared data (the compiled
-    {!Postings} store) is read-only, and each shard's mutable state has a
-    single writer, so batch replay across an {!Eppi_prelude.Pool} of
-    domains runs without locks or contention.
+    Layered on a published {!Eppi.Index}: an exact lookup is a range
+    check plus {!Postings.query}, which decodes only the owner's packed
+    row.  Requests are routed by owner id to one of [shards] independent
+    shard states, each holding its own token bucket and metrics.  All
+    shared data (the compiled {!Postings} store) is read-only, and each
+    shard's mutable state has a single writer, so batch replay across an
+    {!Eppi_prelude.Pool} of domains runs without locks or contention.
 
     The published store sits behind a generation-tagged atomic slot:
     {!republish} installs a freshly constructed index while the shards keep
-    serving (no drain), and each shard invalidates its caches the first
-    time it observes the new generation.  An optional
-    {!Eppi_fuzzy.Resolver} rides in the same slot, so approximate-identity
-    lookups ({!query_fuzzy}) always score against signatures of the same
-    vintage as the postings they fan out into.
+    serving (no drain); every request loads the slot once and is answered
+    from that one generation.  An optional {!Eppi_fuzzy.Resolver} rides in
+    the same slot, so approximate-identity lookups ({!query_fuzzy}) always
+    score against signatures of the same vintage as the postings they fan
+    out into.
 
-    Correctness contract: for every in-range owner, the engine's reply
-    (cached or not) is exactly [Eppi.Index.query index ~owner]; every
-    request is answered with an explicit {!reply} — shed requests are
-    reported, never silently dropped. *)
+    Correctness contract: for every in-range owner, the engine's reply is
+    exactly [Eppi.Index.query index ~owner] for the index of the
+    generation it is tagged with; every request is answered with an
+    explicit {!reply} — shed requests are reported, never silently
+    dropped. *)
 
 open Eppi_prelude
 
 type config = {
   shards : int;  (** Independent shard states (>= 1). *)
-  cache_capacity : int;  (** Result-cache entries per shard; 0 disables. *)
-  negative_capacity : int;  (** Negative-cache entries per shard; 0 disables. *)
   admission : Admission.config option;  (** [None]: admit everything. *)
 }
 
 val default_config : config
-(** 1 shard, 4096-entry cache, 1024-entry negative cache, no admission
-    control.  Whatever the config, each shard records the latency of
-    every 16th query. *)
+(** 1 shard, no admission control.  Whatever the config, each shard
+    records the latency of every 16th query. *)
 
 type reply =
   | Providers of int list  (** The QueryPPI answer, ascending provider ids. *)
@@ -47,7 +45,7 @@ val create : ?config:config -> ?resolver:Eppi_fuzzy.Resolver.t -> Eppi.Index.t -
 (** Compile the index into the read-optimized store and set up shard
     state.  [resolver], when given, enables {!query_fuzzy} against the
     roster it was built from.  @raise Invalid_argument on a non-positive
-    shard count or negative capacities. *)
+    shard count. *)
 
 val of_postings : ?config:config -> ?resolver:Eppi_fuzzy.Resolver.t -> Postings.t -> t
 (** Reuse an already-compiled store (e.g. shared across engines). *)
@@ -65,11 +63,10 @@ val generation : t -> int
 
 val republish : ?resolver:Eppi_fuzzy.Resolver.t -> t -> Postings.t -> int
 (** Atomically install a new published store without draining the shards
-    and return its generation.  Requests already past their generation
-    check complete against the index they started on; every later request
-    (on any shard) serves from the new one.  Each shard drops its result
-    and negative caches the first time it sees the new generation
-    (counted in {!Metrics} as [swaps]).  The resolver swaps in the same
+    and return its generation.  Requests that already loaded the slot
+    complete against the index they started on; every later request (on
+    any shard) serves from the new one.  {!Metrics} reports the installed
+    republishes as [swaps] (generation − 1).  The resolver swaps in the same
     atomic store as the postings; omitted, the currently installed one is
     carried over — either way readers see a consistent
     (postings, resolver) pair.  Safe to call from any domain while
@@ -84,9 +81,9 @@ val query : ?now:float -> t -> owner:int -> reply
     a shard; use {!run} for parallel replay. *)
 
 val query_tagged : ?now:float -> t -> owner:int -> int * reply
-(** Like {!query}, also naming the index generation the reply was computed
-    from — the tag the RPC server stamps on every response so clients can
-    tell pre- from post-swap answers. *)
+(** Like {!query}, also naming the generation of the published index the
+    reply was computed from — the tag the RPC server stamps on every
+    response so clients can tell pre- from post-swap answers. *)
 
 type candidate = {
   owner : int;  (** Resolved owner id, valid in the reply's generation. *)
@@ -151,5 +148,6 @@ val replay : ?pool:Pool.t -> ?clock:(unit -> float) -> t -> int array -> tally
     the engine's work. *)
 
 val metrics : t -> Metrics.snapshot
-(** Merged view over all shards.  Reading while {!run} executes on other
-    domains yields a consistent-enough approximation (plain int reads). *)
+(** Merged view over all shards, labelled with the current {!generation}.
+    Reading while {!run} executes on other domains yields a
+    consistent-enough approximation (plain int reads). *)

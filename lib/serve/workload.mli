@@ -13,12 +13,12 @@ val zipf :
 (** [zipf rng ~n ~count] draws [count] owner ids Zipf-distributed over
     [0, n) with [exponent] (default 1.1).  A fraction [unknown_fraction]
     (default 0) of requests instead target ids in [n, 2n) — unknown owners,
-    exercising the negative cache.
+    answered [Unknown_owner] by the range check.
     @raise Invalid_argument on non-positive [n] or [count], a non-positive
     exponent, or an unknown fraction outside [0, 1]. *)
 
 val uniform : ?unknown_fraction:float -> Rng.t -> n:int -> count:int -> int array
-(** The unskewed control workload (worst case for caching). *)
+(** The unskewed control workload: every owner equally likely. *)
 
 val fuzzy :
   ?noise:Eppi_linkage.Demographic.noise ->

@@ -1,8 +1,8 @@
 (* Tests for the online serving engine (lib/serve): the bit-packed postings
-   store against Index.query, the slot-array LRU, the token-bucket admission
-   control under a manual clock, the log2 latency histogram, workload
-   generation, and the engine's end-to-end contract — every reply equals
-   Index.query, every shed request is reported. *)
+   store against Index.query, the token-bucket admission control under a
+   manual clock, the log2 latency histogram, workload generation, and the
+   engine's end-to-end contract — every reply equals Index.query, every
+   shed request is reported. *)
 
 open Eppi_prelude
 open Eppi_serve
@@ -103,74 +103,6 @@ let test_postings_empty_and_full_rows () =
   check_list "untouched provider audits empty owner set" [ 1 ]
     (Postings.owners_of postings ~provider:69)
 
-(* ---------- Lru ---------- *)
-
-let test_lru_basic () =
-  let lru = Lru.create ~capacity:2 in
-  check_int "empty" 0 (Lru.length lru);
-  Lru.put lru 1 "a";
-  Lru.put lru 2 "b";
-  Alcotest.(check (option string)) "find 1" (Some "a") (Lru.find lru 1);
-  (* 1 was promoted, so inserting 3 evicts 2. *)
-  Lru.put lru 3 "c";
-  Alcotest.(check (option string)) "2 evicted" None (Lru.find lru 2);
-  Alcotest.(check (option string)) "1 kept" (Some "a") (Lru.find lru 1);
-  Alcotest.(check (option string)) "3 kept" (Some "c") (Lru.find lru 3);
-  check_int "one eviction" 1 (Lru.evictions lru);
-  check_int "length capped" 2 (Lru.length lru)
-
-let test_lru_replace_and_mem () =
-  let lru = Lru.create ~capacity:2 in
-  Lru.put lru 5 10;
-  Lru.put lru 5 20;
-  check_int "replace keeps one entry" 1 (Lru.length lru);
-  Alcotest.(check (option int)) "replaced value" (Some 20) (Lru.find lru 5);
-  check_bool "mem does not promote" true (Lru.mem lru 5);
-  Lru.put lru 6 30;
-  Lru.put lru 7 40;
-  (* mem 5 above must not have promoted it past 6. *)
-  check_bool "5 evicted" false (Lru.mem lru 5);
-  check_int "no spurious evictions" 1 (Lru.evictions lru)
-
-let test_lru_zero_capacity () =
-  let lru = Lru.create ~capacity:0 in
-  Lru.put lru 1 "x";
-  Alcotest.(check (option string)) "always miss" None (Lru.find lru 1);
-  check_int "never grows" 0 (Lru.length lru);
-  Alcotest.check_raises "negative capacity" (Invalid_argument "Lru.create: negative capacity")
-    (fun () -> ignore (Lru.create ~capacity:(-1) : unit Lru.t))
-
-let test_lru_churn_against_model () =
-  (* Drive an LRU against a naive list model under random ops. *)
-  let capacity = 8 in
-  let lru = Lru.create ~capacity in
-  let model = ref [] in (* most-recent first, (key, value) *)
-  let model_find k =
-    match List.assoc_opt k !model with
-    | None -> None
-    | Some v ->
-        model := (k, v) :: List.remove_assoc k !model;
-        Some v
-  in
-  let model_put k v =
-    model := (k, v) :: List.remove_assoc k !model;
-    if List.length !model > capacity then
-      model := List.filteri (fun i _ -> i < capacity) !model
-  in
-  let rng = Rng.create 99 in
-  for step = 0 to 2000 do
-    let k = Rng.int rng 20 in
-    if Rng.float rng 1.0 < 0.5 then begin
-      let expected = model_find k in
-      Alcotest.(check (option int)) (Printf.sprintf "find at %d" step) expected (Lru.find lru k)
-    end
-    else begin
-      model_put k step;
-      Lru.put lru k step
-    end
-  done;
-  check_int "final length" (List.length !model) (Lru.length lru)
-
 (* ---------- Admission ---------- *)
 
 let test_admission_bucket () =
@@ -262,7 +194,6 @@ let test_metrics_snapshot_merges_shards () =
   Metrics.incr_queries a;
   Metrics.incr_queries a;
   Metrics.incr_served a;
-  Metrics.incr_cache_hit a;
   Metrics.record_latency a 1e-6;
   Metrics.incr_queries b;
   Metrics.incr_shed_rate b;
@@ -273,7 +204,6 @@ let test_metrics_snapshot_merges_shards () =
   check_int "shed_rate" 1 snap.shed_rate;
   check_int "latency samples" 2 snap.latency_count;
   check_bool "p95 sees the slow shard" true (snap.p95 > 1e-4);
-  check_close "hit rate counts hits only" 1.0 (Metrics.hit_rate snap);
   (* to_json parses back to the snapshot's values. *)
   let json = Json.parse_exn (Metrics.to_json snap) in
   List.iter
@@ -282,9 +212,8 @@ let test_metrics_snapshot_merges_shards () =
     [
       ("queries", 3.0);
       ("served", 1.0);
-      ("cache_hits", 1.0);
+      ("shed_rate", 1.0);
       ("shed_queue", 0.0);
-      ("cache_hit_rate", 1.0);
       ("p99_s", snap.p99);
     ]
 
@@ -292,13 +221,11 @@ let test_metrics_diff () =
   let m = Metrics.create () in
   Metrics.incr_queries m;
   Metrics.incr_served m;
-  Metrics.incr_cache_miss m;
   Metrics.record_latency m 1e-6;
   let older = Metrics.snapshot [ m ] in
   Metrics.incr_queries m;
   Metrics.incr_queries m;
   Metrics.incr_served m;
-  Metrics.incr_cache_hit m;
   Metrics.incr_unknown m;
   Metrics.incr_shed_queue m;
   Metrics.record_latency m 1e-3;
@@ -307,8 +234,6 @@ let test_metrics_diff () =
   (* Counters are the interval's increments... *)
   check_int "queries" 2 d.queries;
   check_int "served" 1 d.served;
-  check_int "cache_hits" 1 d.cache_hits;
-  check_int "cache_misses" 0 d.cache_misses;
   check_int "unknown" 1 d.unknown;
   check_int "shed_queue" 1 d.shed_queue;
   check_int "latency_count" 1 d.latency_count;
@@ -349,38 +274,31 @@ let test_engine_matches_index () =
   let rng = Rng.create 21 in
   let index = random_index rng ~n:64 ~m:48 ~density:0.1 in
   List.iter
-    (fun (shards, cache) ->
-      let config = { Serve.default_config with shards; cache_capacity = cache } in
-      let engine = Serve.create ~config index in
+    (fun shards ->
+      let engine = Serve.create ~config:{ Serve.default_config with shards } index in
       for owner = 0 to 63 do
-        for _pass = 0 to 1 do
-          match Serve.query engine ~owner with
-          | Serve.Providers providers ->
-              check_list
-                (Printf.sprintf "shards %d cache %d owner %d" shards cache owner)
-                (Eppi.Index.query index ~owner)
-                providers
-          | _ -> Alcotest.fail "in-range owner not served"
-        done
+        match Serve.query engine ~owner with
+        | Serve.Providers providers ->
+            check_list
+              (Printf.sprintf "shards %d owner %d" shards owner)
+              (Eppi.Index.query index ~owner)
+              providers
+        | _ -> Alcotest.fail "in-range owner not served"
       done)
-    [ (1, 0); (1, 16); (3, 0); (3, 4096) ]
+    [ 1; 3; 4 ]
 
-let test_engine_unknown_and_negative_cache () =
+let test_engine_unknown_owners () =
   let index = test_index ~n:10 ~m:8 in
-  let engine = Serve.create ~config:{ Serve.default_config with negative_capacity = 4 } index in
-  (match Serve.query engine ~owner:10 with
-  | Serve.Unknown_owner -> ()
-  | _ -> Alcotest.fail "out-of-range owner must be Unknown_owner");
-  (match Serve.query engine ~owner:10 with
-  | Serve.Unknown_owner -> ()
-  | _ -> Alcotest.fail "second miss still Unknown_owner");
-  (match Serve.query engine ~owner:(-3) with
-  | Serve.Unknown_owner -> ()
-  | _ -> Alcotest.fail "negative owner must be Unknown_owner");
+  let engine = Serve.create ~config:{ Serve.default_config with shards = 3 } index in
+  List.iter
+    (fun owner ->
+      check_bool (Printf.sprintf "owner %d is unknown" owner) true
+        (Serve.query engine ~owner = Serve.Unknown_owner))
+    [ 10; 10; -3; max_int; min_int ];
   let snap = Serve.metrics engine in
-  check_int "unknown counted" 3 snap.unknown;
-  check_int "second lookup hit the negative cache" 1 snap.negative_hits;
-  check_int "nothing served" 0 snap.served
+  check_int "unknown counted" 5 snap.unknown;
+  check_int "nothing served" 0 snap.served;
+  check_int "every request accounted" 5 snap.queries
 
 let test_engine_run_replay_agree () =
   let index = test_index ~n:40 ~m:32 in
@@ -423,7 +341,7 @@ let test_engine_queue_shedding_accounted () =
   let index = test_index ~n:20 ~m:16 in
   let queries = 1_000 in
   let admission = Some { Admission.rate = 1e9; burst = 1_000_000; queue_capacity = 100 } in
-  let config = { Serve.default_config with shards = 2; admission } in
+  let config = { Serve.shards = 2; admission } in
   let engine = Serve.create ~config index in
   let workload = Workload.uniform (Rng.create 10) ~n:20 ~count:queries in
   let report = Serve.run engine workload in
@@ -468,45 +386,36 @@ let test_engine_audit () =
 let test_engine_config_validation () =
   let index = test_index ~n:4 ~m:4 in
   Alcotest.check_raises "shards" (Invalid_argument "Serve: shards must be >= 1") (fun () ->
-      ignore (Serve.create ~config:{ Serve.default_config with shards = 0 } index));
-  Alcotest.check_raises "capacity" (Invalid_argument "Serve: negative cache capacity") (fun () ->
-      ignore (Serve.create ~config:{ Serve.default_config with negative_capacity = -1 } index))
+      ignore (Serve.create ~config:{ Serve.default_config with shards = 0 } index))
 
 (* ---------- Hot swap ---------- *)
 
-let test_lru_clear () =
-  let lru = Lru.create ~capacity:3 in
-  Lru.put lru 1 "a";
-  Lru.put lru 2 "b";
-  Lru.put lru 3 "c";
-  Lru.put lru 4 "d";
-  Lru.clear lru;
-  check_int "empty after clear" 0 (Lru.length lru);
-  check_int "capacity preserved" 3 (Lru.capacity lru);
-  check_bool "entries gone" true (Lru.find lru 2 = None && Lru.find lru 4 = None);
-  check_int "evictions stay cumulative" 1 (Lru.evictions lru);
-  Lru.put lru 7 "e";
-  Alcotest.(check (option string)) "usable after clear" (Some "e") (Lru.find lru 7);
-  check_int "length after reuse" 1 (Lru.length lru)
-
+(* [swaps] is the number of republishes the engine installed: the
+   generation minus one, whether or not any shard served since. *)
 let test_metrics_generation_and_swaps () =
-  let a = Metrics.create () and b = Metrics.create () in
-  let base = Metrics.snapshot [ a; b ] in
-  check_int "initial generation" 1 base.generation;
-  check_int "initial swaps" 0 base.swaps;
-  Metrics.incr_swaps a;
-  Metrics.set_generation a 2;
-  let snap = Metrics.snapshot [ a; b ] in
-  check_int "generation is the max over shards" 2 snap.generation;
-  check_int "swaps sum over shards" 1 snap.swaps;
-  Metrics.incr_swaps b;
-  Metrics.set_generation b 2;
-  let newer = Metrics.snapshot [ a; b ] in
-  let d = Metrics.diff newer snap in
-  check_int "diff swaps" 1 d.swaps;
-  check_int "diff generation from newer" 2 d.generation;
+  let base = Metrics.snapshot [ Metrics.create () ] in
+  check_int "unlabelled generation" 1 base.generation;
+  check_int "unlabelled swaps" 0 base.swaps;
+  let config = { Serve.default_config with shards = 4 } in
+  let engine = Serve.create ~config (test_index ~n:8 ~m:6) in
+  let before = Serve.metrics engine in
+  check_int "initial generation" 1 before.generation;
+  check_int "initial swaps" 0 before.swaps;
+  ignore (Serve.republish_index engine (test_index ~n:9 ~m:6));
+  ignore (Serve.republish_index engine (test_index ~n:10 ~m:6));
+  let snap = Serve.metrics engine in
+  check_int "generation after two republishes" 3 snap.generation;
+  check_int "one swap per republish, before any query" 2 snap.swaps;
+  for owner = 0 to 7 do
+    ignore (Serve.query engine ~owner)
+  done;
+  let newer = Serve.metrics engine in
+  check_int "queries on every shard add no swap" 2 newer.swaps;
+  let d = Metrics.diff newer before in
+  check_int "diff swaps" 2 d.swaps;
+  check_int "diff generation from newer" 3 d.generation;
   let json = Json.parse_exn (Metrics.to_json newer) in
-  check_bool "json carries generation" true (Json.find_int json [ "generation" ] = Some 2);
+  check_bool "json carries generation" true (Json.find_int json [ "generation" ] = Some 3);
   check_bool "json carries swaps" true (Json.find_int json [ "swaps" ] = Some 2)
 
 let test_workload_request_logs () =
@@ -575,23 +484,19 @@ let test_engine_republish () =
   (match Serve.query_tagged engine ~owner:5 with
   | 1, Serve.Providers p -> check_list "pre-swap reply" (Eppi.Index.query index1 ~owner:5) p
   | _ -> Alcotest.fail "pre-swap query");
-  ignore (Serve.query engine ~owner:5);
-  check_bool "second query hit the cache" true ((Serve.metrics engine).cache_hits >= 1);
   check_bool "owner 22 unknown before swap" true (Serve.query engine ~owner:22 = Serve.Unknown_owner);
   let generation = Serve.republish_index engine index2 in
   check_int "republish bumps the generation" 2 generation;
   check_int "engine generation" 2 (Serve.generation engine);
   (match Serve.query_tagged engine ~owner:5 with
   | 2, Serve.Providers p ->
-      (* The generation check runs before the cache lookup, so the stale
-         cached answer for owner 5 can never leak across the swap. *)
       check_list "post-swap reply from the new index" (Eppi.Index.query index2 ~owner:5) p
   | _ -> Alcotest.fail "post-swap query");
-  check_bool "negative cache invalidated too" true
+  check_bool "owner beyond the old index served after the swap" true
     (Serve.query engine ~owner:22 = Serve.Providers (Eppi.Index.query index2 ~owner:22));
   let snap = Serve.metrics engine in
   check_int "snapshot generation" 2 snap.generation;
-  check_bool "swap observation counted" true (snap.swaps >= 1)
+  check_int "one republish, one swap" 1 snap.swaps
 
 let test_engine_hot_swap_concurrent () =
   let n = 32 and m = 12 in
@@ -610,8 +515,7 @@ let test_engine_hot_swap_concurrent () =
   let report = Pool.with_pool ~size:4 (fun pool -> Serve.run ~pool engine workload) in
   check_int "swap installed generation 2" 2 (Domain.join swapper);
   (* Every reply must be the truth of one of the two generations — a swap
-     mid-run may answer from either, but never from a mixture or a stale
-     cache entry. *)
+     mid-run may answer from either, but never from a mixture. *)
   Array.iteri
     (fun i reply ->
       let owner = workload.(i) in
@@ -655,18 +559,26 @@ let qcheck_tests =
                 (fun owner -> List.mem provider (Postings.query postings ~owner))
                 (List.init n Fun.id))
           (List.init m Fun.id));
-    Test.make ~name:"engine replies equal Index.query under any shard/cache config" ~count:40
-      (quad small_int (int_range 1 30) (int_range 1 6) (int_range 0 64))
-      (fun (seed, n, shards, cache) ->
+    (* Before and after a republish, every reply is its tagged generation's
+       Index.query row. *)
+    Test.make ~name:"engine replies equal Index.query under any shard count" ~count:40
+      (triple small_int (int_range 1 30) (int_range 1 6))
+      (fun (seed, n, shards) ->
         let rng = Rng.create seed in
         let index = random_index rng ~n ~m:20 ~density:0.2 in
-        let config = { Serve.default_config with shards; cache_capacity = cache } in
-        let engine = Serve.create ~config index in
+        let index2 = random_index rng ~n ~m:20 ~density:0.2 in
+        let engine = Serve.create ~config:{ Serve.default_config with shards } index in
         let workload = Workload.zipf (Rng.create (seed + 1)) ~n ~count:300 in
         let report = Serve.run engine workload in
+        ignore (Serve.republish_index engine index2);
         Array.for_all2
           (fun owner reply -> reply = Serve.Providers (Eppi.Index.query index ~owner))
-          workload report.replies);
+          workload report.replies
+        && Array.for_all
+             (fun owner ->
+               Serve.query_tagged engine ~owner
+               = (2, Serve.Providers (Eppi.Index.query index2 ~owner)))
+             workload);
   ]
 
 let () =
@@ -678,14 +590,6 @@ let () =
           Alcotest.test_case "inverse postings" `Quick test_postings_inverse;
           Alcotest.test_case "iter and bounds" `Quick test_postings_iter_and_bounds;
           Alcotest.test_case "empty and full rows" `Quick test_postings_empty_and_full_rows;
-        ] );
-      ( "lru",
-        [
-          Alcotest.test_case "basic eviction order" `Quick test_lru_basic;
-          Alcotest.test_case "replace and mem" `Quick test_lru_replace_and_mem;
-          Alcotest.test_case "zero capacity" `Quick test_lru_zero_capacity;
-          Alcotest.test_case "churn against model" `Quick test_lru_churn_against_model;
-          Alcotest.test_case "clear" `Quick test_lru_clear;
         ] );
       ( "admission",
         [
@@ -711,8 +615,7 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "matches index" `Quick test_engine_matches_index;
-          Alcotest.test_case "unknown + negative cache" `Quick
-            test_engine_unknown_and_negative_cache;
+          Alcotest.test_case "unknown owners" `Quick test_engine_unknown_owners;
           Alcotest.test_case "run and replay agree" `Quick test_engine_run_replay_agree;
           Alcotest.test_case "pool equals sequential" `Quick test_engine_pool_equals_sequential;
           Alcotest.test_case "queue shedding accounted" `Quick
