@@ -56,17 +56,24 @@ let backends () =
     Table.create
       ~header:[ "identities"; "and gates"; "gmw bytes"; "gmw rounds"; "garbled bytes"; "rounds" ]
   in
+  let compiled = Eppi_sfdl.Compile.compile_source (Eppi_sfdl.Programs.count_below ~c:2 ~q:1031) in
+  let one = Eppi_circuit.Circuit.stats compiled.circuit in
   List.iter
     (fun n ->
-      let thresholds = Array.make n 500 in
-      let compiled =
-        Eppi_sfdl.Compile.compile_source
-          (Eppi_sfdl.Programs.count_below ~c:2 ~q:1031 ~thresholds)
+      (* n identities: n comparators side by side, opened layer by layer. *)
+      let stats : Eppi_circuit.Circuit.stats =
+        {
+          size = n * one.size;
+          and_gates = n * one.and_gates;
+          xor_gates = n * one.xor_gates;
+          not_gates = n * one.not_gates;
+          inputs = n * one.inputs;
+          and_depth = one.and_depth;
+        }
       in
-      let stats = Eppi_circuit.Circuit.stats compiled.circuit in
-      let outputs = Array.length (Eppi_circuit.Circuit.outputs compiled.circuit) in
+      let outputs = n * Array.length (Eppi_circuit.Circuit.outputs compiled.circuit) in
       let gmw = Eppi_mpc.Gmw.comm_estimate ~parties:2 stats ~outputs in
-      let evaluator_inputs = Eppi_circuit.Circuit.input_width compiled.circuit 1 in
+      let evaluator_inputs = n * Eppi_circuit.Circuit.input_width compiled.circuit 1 in
       let garbled = Eppi_mpc.Garbled.comm_estimate stats ~evaluator_inputs in
       Table.add_row table
         [

@@ -56,12 +56,10 @@ let fig6a () =
   Bench_util.note
     "(the emergent column runs the MPC round-by-round over the simulated LAN)"
 
-let eppi_circuit_size ~m ~identities =
+(* The comparator CountBelow runs once per identity. *)
+let eppi_circuit_size ~m =
   let q = Modarith.to_int (Eppi_protocol.Construct.modulus_for m) in
-  let thresholds = Array.make identities ((q - 1) / 2) in
-  let compiled =
-    Eppi_sfdl.Compile.compile_source (Eppi_sfdl.Programs.count_below ~c ~q ~thresholds)
-  in
+  let compiled = Eppi_sfdl.Compile.compile_source (Eppi_sfdl.Programs.count_below ~c ~q) in
   (Eppi_circuit.Circuit.stats compiled.circuit).size
 
 let fig6b () =
@@ -69,7 +67,7 @@ let fig6b () =
   let table = Table.create ~header:[ "parties"; "e-PPI gates"; "Pure-MPC gates" ] in
   List.iter
     (fun m ->
-      let eppi = eppi_circuit_size ~m ~identities:1 in
+      let eppi = eppi_circuit_size ~m in
       let pure = (Eppi_protocol.Purempc.stats_for ~m ~identities:1 ~epsilon ~gamma).size in
       Table.add_row table [ Table.cell_int m; Table.cell_int eppi; Table.cell_int pure ])
     [ 3; 11; 21; 31; 41; 51; 61 ];
@@ -82,9 +80,7 @@ let fig6c () =
   let table = Table.create ~header:[ "identities"; "e-PPI (s)"; "Pure-MPC (s)" ] in
   List.iter
     (fun identities ->
-      let eppi =
-        Eppi_protocol.Construct.beta_phase_time_estimate ~m:3 ~identities ~c ()
-      in
+      let eppi = eppi_time ~m:3 ~identities () in
       let pure = Eppi_protocol.Purempc.estimate_time ~m:3 ~identities ~epsilon ~gamma () in
       Table.add_row table
         [ Table.cell_int identities; Table.cell_float eppi; Table.cell_float pure ])

@@ -32,25 +32,20 @@ let binomial_test =
     (Staged.stage (fun () -> ignore (Sampling.binomial rng ~n:10_000 ~p:0.1)))
 
 let circuit_eval_test =
-  let compiled =
-    Eppi_sfdl.Compile.compile_source
-      (Eppi_sfdl.Programs.count_below ~c:3 ~q:1031 ~thresholds:(Array.make 8 500))
-  in
+  let compiled = Eppi_sfdl.Compile.compile_source (Eppi_sfdl.Programs.count_below ~c:3 ~q:1031) in
   let rng = Rng.create 4 in
   let q = Modarith.modulus 1031 in
-  let shares =
-    Array.init 8 (fun _ -> Eppi_secretshare.Additive.share rng ~q ~c:3 (Rng.int rng 1031))
-  in
-  let svec k = Array.map (fun sh -> sh.(k)) shares in
+  let shares = Eppi_secretshare.Additive.share rng ~q ~c:3 (Rng.int rng 1031) in
   let inputs =
     Eppi_sfdl.Compile.encode_inputs compiled
       [
-        ("s0", Eppi_sfdl.Compile.Dints (svec 0));
-        ("s1", Eppi_sfdl.Compile.Dints (svec 1));
-        ("s2", Eppi_sfdl.Compile.Dints (svec 2));
+        ("s0", Eppi_sfdl.Compile.Dint shares.(0));
+        ("s1", Eppi_sfdl.Compile.Dint shares.(1));
+        ("s2", Eppi_sfdl.Compile.Dint shares.(2));
+        ("t", Eppi_sfdl.Compile.Dint 500);
       ]
   in
-  Test.make ~name:"count_below circuit eval (8 identities)"
+  Test.make ~name:"count_below comparator eval"
     (Staged.stage (fun () -> ignore (Eppi_circuit.Circuit.eval compiled.circuit ~inputs)))
 
 let gmw_test =

@@ -297,13 +297,10 @@ let run () =
         in
         Bench_util.note "replication: %d/%d replicas at generation 2 in %.3f s (converged: %b)"
           initial.succeeded replicas initial.wall_seconds initial_converged;
-        (* Offered-load traffic with a mid-run kill.  Least-inflight with
-           sequential windows concentrates traffic on replica 0 — which
-           guarantees the kill hits the replica actually serving. *)
-        let cluster =
-          Eppi_cluster.Client.create ~policy:Eppi_cluster.Client.Least_inflight ~cooldown:0.5
-            ~seed:31 repl_set
-        in
+        (* Offered-load traffic with a mid-run kill.  Round-robin sends
+           every replica its share of the windows, so the killed replica 0
+           is one actually serving. *)
+        let cluster = Eppi_cluster.Client.create ~cooldown:0.5 ~seed:31 repl_set in
         let windows = max 1 (repl_queries / repl_depth) in
         let kill_at = windows / 2 in
         let window_gap = float_of_int repl_depth /. repl_qps in

@@ -9,7 +9,7 @@
    trajectory.  Its gates are checked on every run, at every domain count:
    the construction's betas and common flags equal the first run's, and
    CountBelow over the same coordinator shares gives every identity the
-   common bit and frequency of a per-gate Gmw.execute of its comparator.
+   common bit and frequency of a per-gate Gmw.execute of the comparator.
 
    Environment knobs: SCALING_N (identities, default 2000), SCALING_M
    (providers, default 8), SCALING_DOMAINS (comma list, default 1,2,4,8). *)
@@ -37,32 +37,22 @@ let wall f =
   (Clock.seconds () -. t0, result)
 
 (* Each identity's (common, frequency) from a gate-at-a-time Gmw.execute of
-   its own comparator; the frequency is withheld (None) when common. *)
+   the comparator; the frequency is withheld (None) when common. *)
 let per_gate_reference ~shares ~q ~thresholds =
   let c = Array.length shares in
-  let compiled = Hashtbl.create 8 in
+  let cmp = Compile.compile_source (Eppi_sfdl.Programs.count_below ~c ~q) in
   Array.mapi
     (fun j t ->
-      let t = max 0 (min t (q - 1)) in
-      let cmp =
-        match Hashtbl.find_opt compiled t with
-        | Some cmp -> cmp
-        | None ->
-            let cmp =
-              Compile.compile_source (Eppi_sfdl.Programs.count_below ~c ~q ~thresholds:[| t |])
-            in
-            Hashtbl.add compiled t cmp;
-            cmp
-      in
       let inputs =
         Compile.encode_inputs cmp
-          (List.init c (fun i -> (Printf.sprintf "s%d" i, Compile.Dints [| shares.(i).(j) |])))
+          (("t", Compile.Dint (max 0 (min t (q - 1))))
+          :: List.init c (fun i -> (Printf.sprintf "s%d" i, Compile.Dint shares.(i).(j))))
       in
       let outputs =
         Compile.decode_outputs cmp (Eppi_mpc.Gmw.execute (Rng.create j) cmp.circuit ~inputs).outputs
       in
       match (Compile.lookup_output outputs "common", Compile.lookup_output outputs "freq") with
-      | Dbools [| common |], Dints [| f |] -> (common, if common then None else Some f)
+      | Dbool common, Dint f -> (common, if common then None else Some f)
       | _ -> failwith "scaling: bad comparator output shape")
     thresholds
 

@@ -1128,16 +1128,9 @@ let render_cluster_top set =
   let probes =
     List.map (fun addr -> (addr, probe_replica addr)) (Eppi_cluster.Replica_set.addrs set)
   in
-  let generations =
-    List.map
-      (function
-        | _, Ok ((s : Eppi_net.Wire.cluster_status), _) -> Some s.generation | _, Error _ -> None)
-      probes
-  in
   let converged =
-    match generations with
-    | Some g :: rest when List.for_all (Option.equal Int.equal (Some g)) rest -> Some g
-    | _ -> None
+    Eppi_cluster.Fanout.converged
+      (List.map (fun (addr, probe) -> (addr, Result.map fst probe)) probes)
   in
   let b = Buffer.create 512 in
   Printf.bprintf b "eppi top — cluster of %d  %s\n\n" (List.length probes)

@@ -29,39 +29,42 @@ let () =
 
   (* --- 2. CountBelow in SFDL, compiled to a circuit, run under GMW. --- *)
   print_endline "[2] CountBelow: SFDL source -> Boolean circuit -> GMW MPC";
-  let src = Eppi_sfdl.Programs.count_below ~c:3 ~q:11 ~thresholds:[| 5; 2; 9 |] in
+  let src = Eppi_sfdl.Programs.count_below ~c:3 ~q:11 in
   print_string (String.concat "\n" (List.map (fun l -> "    | " ^ l)
     (String.split_on_char '\n' (String.trim src))));
   print_newline ();
   let compiled = Eppi_sfdl.Compile.compile_source src in
   let stats = Eppi_circuit.Circuit.stats compiled.circuit in
-  Format.printf "    compiled: %a@." Eppi_circuit.Circuit.pp_stats stats;
-  (* Share three secret frequencies among the coordinators and evaluate. *)
+  Format.printf "    compiled (one identity): %a@." Eppi_circuit.Circuit.pp_stats stats;
+  (* Share three secret frequencies among the coordinators and classify
+     each against its public threshold, which coordinator 0 feeds. *)
   let rng = Rng.create 7 in
   let q11 = Modarith.modulus 11 in
-  let freqs = [| 7; 1; 9 |] in
-  let shares = Array.map (fun v -> Eppi_secretshare.Additive.share rng ~q:q11 ~c:3 v) freqs in
-  let svec k = Array.map (fun sh -> sh.(k)) shares in
-  let mpc_inputs =
-    Eppi_sfdl.Compile.encode_inputs compiled
-      [
-        ("s0", Eppi_sfdl.Compile.Dints (svec 0));
-        ("s1", Eppi_sfdl.Compile.Dints (svec 1));
-        ("s2", Eppi_sfdl.Compile.Dints (svec 2));
-      ]
-  in
-  let mpc = Eppi_mpc.Gmw.execute rng compiled.circuit ~inputs:mpc_inputs in
-  Printf.printf "    GMW: %d rounds, %d messages, %d bytes\n" mpc.comm.rounds mpc.comm.messages
-    mpc.comm.bytes;
-  (match Eppi_sfdl.Compile.decode_outputs compiled mpc.outputs with
-  | [ ("common", Dbools cs); ("freq", Dints fs); ("count", Dint k) ] ->
-      Array.iteri
-        (fun j c ->
-          Printf.printf "    identity %d: true freq %d, threshold %d -> common=%b, released=%d\n"
-            j freqs.(j) [| 5; 2; 9 |].(j) c fs.(j))
-        cs;
-      Printf.printf "    common count (drives lambda): %d\n\n" k
-  | _ -> print_endline "    unexpected output shape");
+  let freqs = [| 7; 1; 9 |] and thresholds = [| 5; 2; 9 |] in
+  let n_common = ref 0 in
+  Array.iteri
+    (fun j f ->
+      let sh = Eppi_secretshare.Additive.share rng ~q:q11 ~c:3 f in
+      let mpc_inputs =
+        Eppi_sfdl.Compile.encode_inputs compiled
+          [
+            ("s0", Eppi_sfdl.Compile.Dint sh.(0));
+            ("s1", Eppi_sfdl.Compile.Dint sh.(1));
+            ("s2", Eppi_sfdl.Compile.Dint sh.(2));
+            ("t", Eppi_sfdl.Compile.Dint thresholds.(j));
+          ]
+      in
+      let mpc = Eppi_mpc.Gmw.execute rng compiled.circuit ~inputs:mpc_inputs in
+      match Eppi_sfdl.Compile.decode_outputs compiled mpc.outputs with
+      | [ ("common", Dbool c); ("freq", Dint released) ] ->
+          if c then incr n_common;
+          Printf.printf
+            "    identity %d: true freq %d, threshold %d -> common=%b, released=%d \
+             (GMW: %d rounds, %d bytes)\n"
+            j f thresholds.(j) c released mpc.comm.rounds mpc.comm.bytes
+      | _ -> print_endline "    unexpected output shape")
+    freqs;
+  Printf.printf "    common count (drives lambda): %d\n\n" !n_common;
 
   (* --- 3. Full distributed construction over the simulated network. --- *)
   print_endline "[3] full distributed e-PPI construction (20 providers, 12 identities)";
@@ -96,6 +99,14 @@ let () =
     (Eppi_protocol.Purempc.reference_beta ~m:9 ~count:3 ~epsilon:0.5 ~gamma:0.9);
   Printf.printf "    per-identity circuit: %d gates (%d AND) vs CountBelow's %d (%d AND)\n"
     pure.circuit_stats.size pure.circuit_stats.and_gates stats.size stats.and_gates;
+  (* e-PPI's beta phase over the same 9 providers, run end to end. *)
+  let one = Bitmatrix.create ~rows:1 ~cols:9 in
+  Array.iteri (fun i b -> if b then Bitmatrix.set one ~row:0 ~col:i true) bits;
+  let eppi =
+    (Eppi_protocol.Construct.run (Rng.create 23) ~membership:one ~epsilons:[| 0.5 |]
+       ~policy:(Eppi.Policy.Chernoff 0.9))
+      .metrics
+  in
   Printf.printf "    estimated time at 9 parties: %.2fs vs e-PPI's %.2fs\n"
     (Eppi_protocol.Purempc.estimate_time ~m:9 ~identities:1 ~epsilon:0.5 ~gamma:0.9 ())
-    (Eppi_protocol.Construct.beta_phase_time_estimate ~m:9 ~identities:1 ~c:3 ())
+    (eppi.secsumshare_time +. eppi.mpc_time)

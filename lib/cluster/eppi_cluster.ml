@@ -166,8 +166,6 @@ module Fanout = struct
 end
 
 module Client = struct
-  type policy = Round_robin | Least_inflight
-
   exception No_replica of string
   exception Stale_generation of { newest : int; got : int }
 
@@ -183,7 +181,6 @@ module Client = struct
 
   type t = {
     endpoints : endpoint array;
-    policy : policy;
     request_timeout : float;
     cooldown : float;
     rng : Rng.t;
@@ -194,8 +191,7 @@ module Client = struct
     mutable fail_start : float option;  (* set at outage detection, cleared at first success *)
   }
 
-  let create ?(policy = Round_robin) ?(request_timeout = 30.0) ?(cooldown = 1.0) ?(seed = 0xc1)
-      set =
+  let create ?(request_timeout = 30.0) ?(cooldown = 1.0) ?(seed = 0xc1) set =
     if cooldown < 0.0 then invalid_arg "Cluster.Client: negative cooldown";
     let endpoints =
       Replica_set.addrs set
@@ -213,7 +209,6 @@ module Client = struct
     in
     {
       endpoints;
-      policy;
       request_timeout;
       cooldown;
       rng = Rng.create seed;
@@ -224,31 +219,16 @@ module Client = struct
       fail_start = None;
     }
 
-  let select policy ~rr slots =
+  let select ~rr slots =
     let n = Array.length slots in
-    if n = 0 then None
-    else
-      match policy with
-      | Round_robin ->
-          let rec go k =
-            if k >= n then None
-            else
-              let i = (((rr mod n) + n) mod n + k) mod n in
-              if fst slots.(i) then Some i else go (k + 1)
-          in
-          go 0
-      | Least_inflight ->
-          let best = ref None in
-          Array.iteri
-            (fun i (ok, inflight) ->
-              if ok then
-                match !best with
-                | None -> best := Some i
-                | Some j -> if inflight < snd slots.(j) then best := Some i)
-            slots;
-          !best
+    let rec go k =
+      if k >= n then None
+      else
+        let i = (((rr mod n) + n) mod n + k) mod n in
+        if slots.(i) then Some i else go (k + 1)
+    in
+    go 0
 
-  let inflight e = e.dispatched - e.answered
   let selectable e now = e.healthy || now >= e.down_until
 
   let close_conn e =
@@ -262,7 +242,7 @@ module Client = struct
     e.healthy <- false;
     e.failures <- e.failures + 1;
     (* The dead socket's unanswered requests are being re-issued elsewhere;
-       they no longer count against this endpoint's load. *)
+       they no longer count as this endpoint's. *)
     e.answered <- e.dispatched;
     e.down_until <- now +. (t.cooldown *. (0.5 +. (0.5 *. Rng.float t.rng 1.0)));
     if t.fail_start = None then t.fail_start <- Some now
@@ -299,11 +279,9 @@ module Client = struct
     let rec try_next excluded =
       let now = Clock.seconds () in
       let slots =
-        Array.map
-          (fun e -> ((not (List.memq e excluded)) && selectable e now, inflight e))
-          t.endpoints
+        Array.map (fun e -> (not (List.memq e excluded)) && selectable e now) t.endpoints
       in
-      match select t.policy ~rr:t.rr slots with
+      match select ~rr:t.rr slots with
       | None -> raise (No_replica "every replica is down or cooling down")
       | Some i -> (
           t.rr <- i + 1;

@@ -13,8 +13,8 @@
       observationally: after a fan-out round, every reachable replica's
       [Cluster_status] reports the same generation.
     - {b client side} ({!Client}): a thin wrapper over N
-      {!Eppi_net.Client}s with per-endpoint health, a pluggable pick
-      policy, and transparent failover — a window of pipelined queries
+      {!Eppi_net.Client}s with per-endpoint health, round-robin picks,
+      and transparent failover — a window of pipelined queries
       whose replica dies mid-flight is re-issued in full on another
       replica (at-least-once, like single-client reconnect).
 
@@ -121,12 +121,6 @@ end
 (** {1 Client-side failover} *)
 
 module Client : sig
-  type policy =
-    | Round_robin  (** Rotate through healthy replicas per window. *)
-    | Least_inflight
-        (** Pick the healthy replica with the fewest unanswered
-            requests; ties break to the lowest index. *)
-
   exception No_replica of string
   (** Every replica is down or cooling down — the cluster-level analogue
       of {!Eppi_net.Client.Connection_lost}. *)
@@ -141,29 +135,27 @@ module Client : sig
   type t
 
   val create :
-    ?policy:policy ->
     ?request_timeout:float ->
     ?cooldown:float ->
     ?seed:int ->
     Replica_set.t ->
     t
   (** Build a cluster client; connections are dialed lazily, per replica,
-      on first use.  [policy] defaults to [Round_robin].
-      [request_timeout] (default 30 s) bounds each request on the
+      on first use.  Windows rotate round-robin through the selectable
+      replicas (see {!select}).  [request_timeout] (default 30 s) bounds each request on the
       underlying clients.  A replica marked down is not retried until a
       jittered [cooldown] (default 1 s) elapses; [seed] makes the jitter
       deterministic. *)
 
-  val select : policy -> rr:int -> (bool * int) array -> int option
-  (** The pick function, exposed pure for table-driven tests:
-      [slots.(i) = (selectable, inflight)].  [Round_robin] returns the
-      first selectable index at or after [rr] (mod length);
-      [Least_inflight] the selectable index with minimal inflight,
-      lowest index on ties.  [None] when nothing is selectable. *)
+  val select : rr:int -> bool array -> int option
+  (** The round-robin pick, exposed pure for table-driven tests:
+      [slots.(i)] is whether replica i is selectable.  Returns the first
+      selectable index at or after [rr] (mod length), [None] when nothing
+      is selectable.  The client moves [rr] past each pick. *)
 
   val pipeline : t -> Wire.request list -> Wire.response list
-  (** Issue one window of pipelined requests on a replica chosen by the
-      policy.  If the replica fails mid-window (connection loss, framing
+  (** Issue one window of pipelined requests on the next selectable
+      replica.  If the replica fails mid-window (connection loss, framing
       error), it is marked down and the {e whole window} is re-issued on
       another replica — at-least-once semantics, same contract as
       single-client reconnect.  Observes generations in the replies to

@@ -100,7 +100,7 @@ let eval_local c level =
       | Input _ | And _ -> assert false)
     c.sched.local.(level)
 
-let deal rng s ~inputs ~ids ~pos ~lanes =
+let deal rng s ~inputs ~pos ~lanes =
   if lanes < 1 || lanes > max_lanes then invalid_arg "Bitslice.deal: lanes outside [1, 63]";
   let p = s.parties in
   let shares = Array.make (Array.length s.gates * p) 0 in
@@ -111,7 +111,7 @@ let deal rng s ~inputs ~ids ~pos ~lanes =
           if party >= Array.length inputs then invalid_arg "Bitslice.deal: missing party input";
           let v = ref 0 in
           for k = 0 to lanes - 1 do
-            v := !v lor (((inputs.(party).(ids.(pos + k)) lsr index) land 1) lsl k)
+            v := !v lor (((inputs.(party).(pos + k) lsr index) land 1) lsl k)
           done;
           share_word rng shares ~base:(w * p) ~stride:1 ~p !v
       | _ -> ())

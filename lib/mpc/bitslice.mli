@@ -1,5 +1,5 @@
 (** Bit-sliced GMW: one circuit evaluated for up to 63 instances (lanes)
-    at once, by And layer (docs/PERF.md §4).
+    at once, by And layer (docs/PERF.md §3).
 
     Every wire holds, per party, one [int] whose bit k is that party's XOR
     share in lane k, so Not, Xor and Const are word operations.  An And
@@ -28,10 +28,10 @@ val stats : schedule -> Circuit.stats
 type chunk
 (** One evaluation of a schedule over 1 to 63 lanes. *)
 
-val deal :
-  Rng.t -> schedule -> inputs:int array array -> ids:int array -> pos:int -> lanes:int -> chunk
+val deal : Rng.t -> schedule -> inputs:int array array -> pos:int -> lanes:int -> chunk
 (** Share the inputs and deal the triples.  Party p's input bit b in lane k
-    is bit b of [inputs.(p).(ids.(pos + k))].  Draws, all {!Rng.bits63}:
+    is bit b of [inputs.(p).(pos + k)]: a chunk's lanes are the consecutive
+    instances [pos … pos + lanes − 1].  Draws, all {!Rng.bits63}:
     p − 1 words per input wire in gate order, then per And gate in layer
     order a, b and p − 1 words each of the shares of a, b and a ∧ b.
     @raise Invalid_argument if [lanes] is outside [1, 63] or a party has no

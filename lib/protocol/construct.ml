@@ -1,7 +1,6 @@
 open Eppi_prelude
 module Simnet = Eppi_simnet.Simnet
 module Circuit = Eppi_circuit.Circuit
-module Cost = Eppi_mpc.Cost
 module Gmw = Eppi_mpc.Gmw
 module Trace = Eppi_obs.Trace
 
@@ -308,23 +307,3 @@ let run_ft ?sss_plan ?mpc_plan ?(pool = Pool.sequential) ?(c = 3)
     end
   in
   loop 1 (List.init m Fun.id)
-
-let beta_phase_time_estimate ?(network = Cost.lan) ~m ~identities ~c () =
-  if m < c || c < 2 then invalid_arg "beta_phase_time_estimate: need m >= c >= 2";
-  (* SecSumShare: constant rounds; each provider sends c-1 share messages
-     plus one super-share, so the per-provider latency path is short and the
-     dominant term is serialization of the n-residue vectors. *)
-  let message_bytes = float_of_int ((4 * identities) + 16) in
-  let per_provider_traffic = float_of_int c *. message_bytes in
-  let sss_time =
-    (3.0 *. network.latency)
-    +. (per_provider_traffic /. network.bandwidth)
-    +. (2e-8 *. float_of_int (identities * c) *. 2.0)
-  in
-  (* CountBelow among c parties, circuit scaled per identity. *)
-  let q = Modarith.to_int (modulus_for m) in
-  let thresholds = Array.make identities ((q - 1) / 2) in
-  let compiled = Eppi_sfdl.Compile.compile_source (Eppi_sfdl.Programs.count_below ~c ~q ~thresholds) in
-  let stats = Circuit.stats compiled.circuit in
-  let outputs = Array.length (Circuit.outputs compiled.circuit) in
-  sss_time +. Cost.estimate ~network ~parties:c ~outputs stats

@@ -123,9 +123,3 @@ val run_ft :
     {!run}'s index bit for bit, and the outcome is a pure function of (rng
     seed, fault plans, inputs).  At most 3 attempts are made.
     @raise Invalid_argument on dimension mismatches or [c < 2]. *)
-
-val beta_phase_time_estimate :
-  ?network:Eppi_mpc.Cost.network -> m:int -> identities:int -> c:int -> unit -> float
-(** Closed-form estimate of the β-calculation time (SecSumShare analytic
-    cost + CountBelow cost model) used by the Fig. 6 sweeps at scales where
-    running the full simulation per point would dominate the harness. *)

@@ -38,43 +38,50 @@ let integer_threshold ~policy ~epsilon ~m =
     end
   end
 
-(* The single-identity comparator for one (c, q, threshold): its And-layer
-   schedule and where its outputs sit.  The generated source is a pure
-   function of the key, so a process-wide memo compiles each comparator
-   once across constructions. *)
+(* The single-identity comparator for one (c, q): its And-layer schedule,
+   where coordinator 0's threshold bits start, and where its outputs sit.
+   The generated source is a pure function of (c, q), so a process-wide
+   memo compiles each comparator once across constructions. *)
 type comparator = {
   sched : Bitslice.schedule;
+  t_bit : int;  (* coordinator 0's input index of the threshold's least significant bit *)
   out_bits : int;
   common_bit : int;
   freq_bit : int;  (* output index of the frequency's least significant bit *)
   freq_width : int;
 }
 
-let comparators : (int * int * int, comparator) Hashtbl.t = Hashtbl.create 16
+let comparators : (int * int, comparator) Hashtbl.t = Hashtbl.create 4
 let comparators_lock = Mutex.create ()
 
-let comparator ~c ~q t =
+let comparator ~c ~q =
   Mutex.protect comparators_lock (fun () ->
-      match Hashtbl.find_opt comparators (c, q, t) with
+      match Hashtbl.find_opt comparators (c, q) with
       | Some cmp -> cmp
       | None ->
-          let compiled = Compile.compile_source (Programs.count_below ~c ~q ~thresholds:[| t |]) in
+          let compiled = Compile.compile_source (Programs.count_below ~c ~q) in
           let rec offset name pos = function
-            | [] -> failwith ("Countbelow: comparator has no output " ^ name)
+            | [] -> failwith ("Countbelow: comparator has no port " ^ name)
             | (o, shape) :: rest ->
                 if o = name then pos else offset name (pos + Compile.shape_bits shape) rest
+          in
+          let party0 =
+            List.filter_map
+              (fun (name, party, shape) -> if party = 0 then Some (name, shape) else None)
+              compiled.input_layout
           in
           let layout = compiled.output_layout in
           let cmp =
             {
               sched = Bitslice.schedule compiled.circuit;
+              t_bit = offset "t" 0 party0;
               out_bits = Array.length (Circuit.outputs compiled.circuit);
               common_bit = offset "common" 0 layout;
               freq_bit = offset "freq" 0 layout;
               freq_width = Compile.shape_bits (List.assoc "freq" layout);
             }
           in
-          Hashtbl.add comparators (c, q, t) cmp;
+          Hashtbl.add comparators (c, q) cmp;
           cmp)
 
 let run ?(transport = `Cost_model) ?(pool = Pool.sequential) ?plan rng ~shares ~q ~thresholds =
@@ -87,58 +94,38 @@ let run ?(transport = `Cost_model) ?(pool = Pool.sequential) ?plan rng ~shares ~
   if Array.length thresholds <> n then invalid_arg "Countbelow.run: thresholds length mismatch";
   if n = 0 then invalid_arg "Countbelow.run: no identities";
   let qi = Modarith.to_int q in
-  (* Identities grouped by clamped threshold, groups in order of first
-     appearance, identities ascending within a group. *)
-  let members = Hashtbl.create 8 and keys = ref [] in
-  Array.iteri
-    (fun j t ->
-      let t = max 0 (min t (qi - 1)) in
-      match Hashtbl.find members t with
-      | ids -> ids := j :: !ids
-      | exception Not_found ->
-          Hashtbl.add members t (ref [ j ]);
-          keys := t :: !keys)
-    thresholds;
-  let groups =
-    Trace.span "countbelow.compile" (fun () ->
-        List.rev_map
-          (fun t -> (comparator ~c ~q:qi t, Array.of_list (List.rev !(Hashtbl.find members t))))
-          !keys)
-  in
-  (* Lane chunks: each group's identities, 63 at a time, each with an rng
-     split in chunk order before either transport runs, so the draws depend
+  let cmp = Trace.span "countbelow.compile" (fun () -> comparator ~c ~q:qi) in
+  (* Coordinator 0 feeds its share and the identity's clamped threshold as
+     one input word. *)
+  let inputs = Array.copy shares in
+  inputs.(0) <-
+    Array.mapi (fun j s0 -> s0 lor (max 0 (min thresholds.(j) (qi - 1)) lsl cmp.t_bit)) shares.(0);
+  (* Lane chunks: identities 0 … n − 1, 63 at a time, each with an rng split
+     in chunk order before either transport runs, so the draws depend
      neither on the transport nor on the pool or fault plan. *)
   let chunks =
-    Array.of_list
-      (List.concat_map
-         (fun (cmp, ids) ->
-           List.init
-             ((Array.length ids + Bitslice.max_lanes - 1) / Bitslice.max_lanes)
-             (fun k ->
-               let pos = k * Bitslice.max_lanes in
-               (cmp, ids, pos, min Bitslice.max_lanes (Array.length ids - pos), Rng.split rng)))
-         groups)
+    Array.init
+      ((n + Bitslice.max_lanes - 1) / Bitslice.max_lanes)
+      (fun k ->
+        let pos = k * Bitslice.max_lanes in
+        (pos, min Bitslice.max_lanes (n - pos), Rng.split rng))
   in
-  let deal (cmp, ids, pos, lanes, rng) =
-    Bitslice.deal rng cmp.sched ~inputs:shares ~ids ~pos ~lanes
-  in
-  (* Accounting per identity: gates, inputs and outputs sum over the
-     identities, the depth is the largest — the coordinators open every
-     comparator's layer l in one round. *)
-  let sum f = List.fold_left (fun acc (cmp, ids) -> acc + (Array.length ids * f cmp)) 0 groups in
-  let stat f = sum (fun cmp -> f (Bitslice.stats cmp.sched)) in
+  let deal (pos, lanes, rng) = Bitslice.deal rng cmp.sched ~inputs ~pos ~lanes in
+  (* Accounting per identity: gates, inputs and outputs are n times the
+     comparator's, the depth is the comparator's — the coordinators open
+     every chunk's layer l in one round. *)
+  let s = Bitslice.stats cmp.sched in
   let stats : Circuit.stats =
     {
-      size = stat (fun s -> s.size);
-      and_gates = stat (fun s -> s.and_gates);
-      xor_gates = stat (fun s -> s.xor_gates);
-      not_gates = stat (fun s -> s.not_gates);
-      inputs = stat (fun s -> s.inputs);
-      and_depth =
-        List.fold_left (fun d (cmp, _) -> max d (Bitslice.stats cmp.sched).and_depth) 0 groups;
+      size = n * s.size;
+      and_gates = n * s.and_gates;
+      xor_gates = n * s.xor_gates;
+      not_gates = n * s.not_gates;
+      inputs = n * s.inputs;
+      and_depth = s.and_depth;
     }
   in
-  let out_bits = sum (fun cmp -> cmp.out_bits) in
+  let out_bits = n * cmp.out_bits in
   let comm = Gmw.comm_estimate ~parties:c stats ~outputs:out_bits in
   let outputs, time, link =
     Trace.span "gmw.execute"
@@ -166,10 +153,10 @@ let run ?(transport = `Cost_model) ?(pool = Pool.sequential) ?plan rng ~shares ~
   let common = Array.make n false and frequencies = Array.make n None in
   let n_common = ref 0 in
   Array.iteri
-    (fun k (cmp, ids, pos, lanes, _) ->
+    (fun k (pos, lanes, _) ->
       let out = outputs.(k) in
       for lane = 0 to lanes - 1 do
-        let j = ids.(pos + lane) in
+        let j = pos + lane in
         if Bitslice.lane out.(cmp.common_bit) lane then begin
           common.(j) <- true;
           incr n_common

@@ -1,13 +1,14 @@
 (** The CountBelow stage: generic MPC among the c coordinators
     (paper Algorithm 2 and Section IV-B.2).
 
-    The coordinators feed their SecSumShare output vectors into the compiled
-    {!Eppi_sfdl.Programs.count_below} circuit, which reconstructs each
-    identity's frequency {i inside the circuit}, compares it against a
-    public per-identity threshold, and reveals only: the common bit, the
-    frequency of non-common identities (deemed non-sensitive by the paper's
-    threat model — high frequency is what makes an identity attackable), and
-    the count of common identities for the λ computation.
+    For every identity, the coordinators feed their SecSumShare outputs,
+    and coordinator 0 the identity's public threshold, into one compiled
+    {!Eppi_sfdl.Programs.count_below} comparator, which reconstructs the
+    frequency {i inside the circuit}, compares it against the threshold,
+    and reveals only: the common bit and the frequency of non-common
+    identities (deemed non-sensitive by the paper's threat model — high
+    frequency is what makes an identity attackable).  The count of common
+    identities for the λ computation is counted from the revealed bits.
 
     The integer thresholds are derived from the β policy so that
     "frequency >= threshold" is {i exactly} "β* >= 1": the protocol and the
@@ -55,15 +56,17 @@ val run :
     above [q - 1] are clamped to [q - 1], which is unreachable by any sum of
     memberships since q > m).
 
-    Identities sharing a clamped threshold share one memoised
-    single-identity comparator and are evaluated 63 to a
-    {!Eppi_mpc.Bitslice} chunk, on [pool] (default {!Pool.sequential}) under
-    [`Cost_model].  A fault [plan] implies [`Simnet], with {!Mpcnet}'s
-    reliability layer on.  Each chunk draws from its own {!Rng.split} of
-    [rng], so outputs and draws are the same for every transport, pool and
-    plan the run completes under.  [circuit_stats] and [comm] sum the
-    identities' comparators, with the largest And depth as the depth.  A
-    [gmw.execute] trace span wraps the evaluation.
+    One comparator per (c, q), compiled once per process, classifies every
+    identity: identities 0 … n − 1 are cut into consecutive 63-lane
+    {!Eppi_mpc.Bitslice} chunks, coordinator 0's input word for identity j
+    being its share with the threshold above it.  The chunks run on [pool]
+    (default {!Pool.sequential}) under [`Cost_model].  A fault [plan]
+    implies [`Simnet], with {!Mpcnet}'s reliability layer on.  Each chunk
+    draws from its own {!Rng.split} of [rng], so outputs and draws are the
+    same for every transport, pool and plan the run completes under.
+    [circuit_stats] and [comm] count n comparators, with the comparator's
+    And depth as the depth.  A [countbelow.compile] trace span wraps the
+    comparator lookup and a [gmw.execute] span the evaluation.
     @raise Invalid_argument on shape violations or zero identities.
     @raise Link.Stalled if the plan stalled the MPC; the report's
     [suspects] are the blamed coordinators. *)

@@ -1,4 +1,4 @@
-(** The {!Eppi_mpc.Bitslice} engine's network driver (docs/PERF.md §4).
+(** The {!Eppi_mpc.Bitslice} engine's network driver (docs/PERF.md §3).
     Each party is a {!Eppi_simnet.Simnet} node.  Round l is one broadcast
     per party of its masked words for layer l of every chunk; a last round
     opens the outputs at party 0.  A round charges every party

@@ -16,8 +16,9 @@ let timing = { Link.rto = 0.01; backoff = 2.0; max_rto = 0.08; max_retries = 25 
    [deadline], coordinators for missing super-shares at twice that. *)
 let deadline = 0.25
 
-(* Rough wire size: 4 bytes per residue plus a small envelope. *)
-let message_size n = (4 * n) + 16
+(* Wire size of an n-residue vector: its packed residues plus a small
+   envelope. *)
+let message_size ~q n = (Additive.width q * n) + 16
 
 (* CPU charge per modular operation in the simulated time model. *)
 let op_cost = 2e-8
@@ -73,7 +74,7 @@ let run ?plan rng ~membership ~c ~q =
       (* Step 3-4: the accumulated vector is the super-share; ship it to the
          coordinator responsible for this provider. *)
       Simnet.work net i (op_cost *. float_of_int n);
-      Link.send link ~src:i ~dst:(i mod c) ~size:(message_size n) ~round:1 (Super acc.(i))
+      Link.send link ~src:i ~dst:(i mod c) ~size:(message_size ~q n) ~round:1 (Super acc.(i))
     end
   in
   for i = 0 to m - 1 do
@@ -101,7 +102,7 @@ let run ?plan rng ~membership ~c ~q =
         Additive.share_bits provider_rngs.(i) ~q ~bits:cols ~pos:(i * stride) ~draws
           ~into:vectors;
         for k = 1 to c - 1 do
-          Link.send link ~src:i ~dst:((i + k) mod m) ~size:(message_size n) ~round:0
+          Link.send link ~src:i ~dst:((i + k) mod m) ~size:(message_size ~q n) ~round:0
             (Shares { k; values = vectors.(k) })
         done;
         finish_if_complete i)

@@ -25,8 +25,9 @@
     Share vectors, accumulators, super-shares and the coordinators' sums are
     packed residues ({!Eppi_secretshare.Additive.vector}: 2 bytes each when
     q <= 2^16, else 4), so the per-residue loops run inside {!Additive}
-    without a call per residue.  The simulated wire still charges 4 bytes a
-    residue.
+    without a call per residue.  The simulated wire charges a message what
+    its vector holds: {!Eppi_secretshare.Additive.width} bytes a residue
+    plus a 16-byte envelope.
 
     Fault handling is an input, not a second protocol: given a
     {!Eppi_simnet.Simnet.fault_plan}, every message goes through the

@@ -1,51 +1,37 @@
 let bits_for = Eppi_circuit.Word.bits_for
 
-let count_below ~c ~q ~thresholds =
+let count_below ~c ~q =
   if c < 2 then invalid_arg "Programs.count_below: need at least 2 coordinators";
   if q < 2 then invalid_arg "Programs.count_below: modulus too small";
-  let n = Array.length thresholds in
-  if n = 0 then invalid_arg "Programs.count_below: no identities";
-  Array.iter
-    (fun t ->
-      if t < 0 || t >= q then invalid_arg "Programs.count_below: threshold out of [0, q)")
-    thresholds;
   let w = bits_for (q - 1) in
-  let cw = bits_for n in
   (* Sum of c residues needs bits_for (c * (q-1)) bits. *)
   let tw = bits_for (c * (q - 1)) in
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "program count_below;";
-  line "const N = %d;" n;
   line "const Q = %d;" q;
-  line "const T = [%s];" (String.concat ", " (Array.to_list (Array.map string_of_int thresholds)));
   for i = 0 to c - 1 do
     line "party coord%d;" i
   done;
   for i = 0 to c - 1 do
-    line "input s%d : uint<%d>[N] of coord%d;" i w i
+    line "input s%d : uint<%d> of coord%d;" i w i
   done;
-  line "output common : bool[N];";
-  line "output freq : uint<%d>[N];" w;
-  line "output count : uint<%d>;" cw;
+  line "input t : uint<%d> of coord0;" w;
+  line "output common : bool;";
+  line "output freq : uint<%d>;" w;
   line "var total : uint<%d>;" tw;
   line "main {";
-  line "  count = 0;";
-  line "  for j in 0 .. N - 1 {";
-  let sum_expr = String.concat " + " (List.init c (fun i -> Printf.sprintf "s%d[j]" i)) in
-  line "    total = %s;" sum_expr;
+  line "  total = %s;" (String.concat " + " (List.init c (Printf.sprintf "s%d")));
   (* A sum of c canonical residues is below c*Q: c-1 conditional subtracts
      reduce it fully. *)
   for _ = 1 to c - 1 do
-    line "    if (total >= Q) { total = total - Q; }"
+    line "  if (total >= Q) { total = total - Q; }"
   done;
-  line "    common[j] = total >= T[j];";
-  line "    if (common[j]) {";
-  line "      count = count + 1;";
-  line "      freq[j] = 0;";
-  line "    } else {";
-  line "      freq[j] = total;";
-  line "    }";
+  line "  common = total >= t;";
+  line "  if (common) {";
+  line "    freq = 0;";
+  line "  } else {";
+  line "    freq = total;";
   line "  }";
   line "}";
   Buffer.contents buf

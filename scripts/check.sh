@@ -14,7 +14,7 @@ dune runtest
 # domain pool, the bit-sliced CountBelow, the comparator memo, and the
 # bench's own gates (it exits non-zero if the construction differs across
 # domain counts or any identity's CountBelow output differs from a per-gate
-# Gmw.execute of its comparator).
+# Gmw.execute of the comparator).
 echo "== scaling smoke =="
 SCALING_N=200 SCALING_M=6 SCALING_DOMAINS=1,2 dune exec bench/main.exe -- scaling
 rm -f BENCH_construct.json
@@ -333,6 +333,15 @@ echo "secure, --domains 2 and --drop 0.05 publish the same index"
   -o "$SEC_DIR/wide_drop.csv" 2>/dev/null
 cmp "$SEC_DIR/wide_plain.csv" "$SEC_DIR/wide_drop.csv"
 echo "wide residues: secure and --drop 0.05 publish the same index"
+# Without --epsilon every owner draws its own epsilon, so these 200 owners
+# carry 35 distinct CountBelow thresholds, all classified by one comparator
+# over consecutive lanes: the same contract across many thresholds.
+"$EPPI" generate --owners 200 --providers 40 --seed 5 -o "$SEC_DIR/many.csv" 2>/dev/null
+"$EPPI" construct -d "$SEC_DIR/many.csv" --secure -o "$SEC_DIR/many_plain.csv" 2>/dev/null
+"$EPPI" construct -d "$SEC_DIR/many.csv" --secure --drop 0.05 \
+  -o "$SEC_DIR/many_drop.csv" 2>/dev/null
+cmp "$SEC_DIR/many_plain.csv" "$SEC_DIR/many_drop.csv"
+echo "many thresholds: secure and --drop 0.05 publish the same index"
 # Generation, secure construction and fuzzy resolution are seeded end to
 # end, so their outputs are pinned: a change to the RNG stream, to any draw
 # order or to the fuzzy scorer fails here at CLI scale, not only in the
@@ -341,13 +350,16 @@ for pin in "$SEC_DIR/net.csv 94626dc6949c149c8c4c74789ce876b3" \
   "$SEC_DIR/plain.csv 2c6834eb2b78c776effad638730b8155" \
   "$SEC_DIR/wide.csv 79122ad3c30f1671362fc04fdfda45a9" \
   "$SEC_DIR/wide_plain.csv 7bc42e450adf647ac9add36bf7b37dc3" \
+  "$SEC_DIR/many.csv 8b1c4a8422ea748b459ce04a3ba8dd1d" \
+  "$SEC_DIR/many_plain.csv 4bca114bb3713724ebb0993803da3018" \
   "$PIN_DIR/exact.txt 2c7966e3fa4fb04f8e730c5249ed4ee2" \
   "$PIN_DIR/typo.txt 1da749c6f0d12bab7b88f298598b5958"; do
   set -- $pin
   got=$(md5sum "$1" | cut -d' ' -f1)
   [ "$got" = "$2" ] || { echo "$(basename "$1"): md5 $got, pinned $2"; exit 1; }
 done
-echo "net.csv, plain.csv, wide.csv, wide_plain.csv and the fuzzy replies match their pinned md5s"
+echo "net.csv, plain.csv, wide.csv, wide_plain.csv, many.csv, many_plain.csv and the fuzzy" \
+  "replies match their pinned md5s"
 rm -rf "$SEC_DIR" "$PIN_DIR"
 trap - EXIT
 

@@ -1,5 +1,5 @@
 (* Tests for the replication layer (lib/cluster): replica-set parsing,
-   the pure pick policies, coordinator fan-out against a partially dead
+   the pure round-robin pick, coordinator fan-out against a partially dead
    replica set with the convergence check, and the cluster client —
    transparent failover when a replica dies mid-run, the typed
    stale-generation guard, and replay conservation. *)
@@ -84,33 +84,16 @@ let test_replica_set () =
     Alcotest.fail "of_string must raise on rejection"
   with Invalid_argument _ -> ()
 
-(* ---------- Pick policies, pure ---------- *)
+(* ---------- Round-robin pick, pure ---------- *)
 
 let test_select () =
-  let rr = Cluster.Round_robin and li = Cluster.Least_inflight in
-  let case name policy ~rr:cursor slots expect =
-    check_bool name true (Cluster.select policy ~rr:cursor slots = expect)
-  in
-  case "rr empty" rr ~rr:0 [||] None;
-  case "rr picks at cursor" rr ~rr:1 [| (true, 0); (true, 0); (true, 0) |] (Some 1);
-  case "rr wraps modulo" rr ~rr:5 [| (true, 0); (true, 0); (true, 0) |] (Some 2);
-  case "rr negative cursor normalized" rr ~rr:(-1)
-    [| (true, 0); (true, 0); (true, 0) |]
-    (Some 2);
-  case "rr skips unselectable" rr ~rr:1 [| (true, 0); (false, 0); (false, 0) |] (Some 0);
-  case "rr all down" rr ~rr:0 [| (false, 0); (false, 0) |] None;
-  case "li empty" li ~rr:0 [||] None;
-  case "li picks minimal inflight" li ~rr:0
-    [| (true, 3); (true, 1); (true, 2) |]
-    (Some 1);
-  case "li tie breaks to lowest index" li ~rr:0
-    [| (true, 2); (false, 0); (true, 2) |]
-    (Some 0);
-  case "li ignores cursor" li ~rr:7 [| (true, 0); (true, 0) |] (Some 0);
-  case "li only selectable wins despite load" li ~rr:0
-    [| (false, 0); (true, 99) |]
-    (Some 1);
-  case "li all down" li ~rr:0 [| (false, 1); (false, 2) |] None
+  let case name ~rr slots expect = check_bool name true (Cluster.select ~rr slots = expect) in
+  case "rr empty" ~rr:0 [||] None;
+  case "rr picks at cursor" ~rr:1 [| true; true; true |] (Some 1);
+  case "rr wraps modulo" ~rr:5 [| true; true; true |] (Some 2);
+  case "rr negative cursor normalized" ~rr:(-1) [| true; true; true |] (Some 2);
+  case "rr skips unselectable" ~rr:1 [| true; false; false |] (Some 0);
+  case "rr all down" ~rr:0 [| false; false |] None
 
 (* ---------- Convergence check, pure ---------- *)
 
@@ -207,12 +190,9 @@ let test_client_failover () =
   let index = test_index ~n ~m:9 in
   with_daemons 2 index (fun daemons ->
       let set = Replica_set.of_addrs (List.map (fun d -> d.d_addr) daemons) in
-      (* Least_inflight with sequential windows always picks the first
-         replica — killing it guarantees the failover path runs. *)
-      let c =
-        Cluster.create ~policy:Least_inflight ~request_timeout:5.0 ~cooldown:30.0
-          ~seed:11 set
-      in
+      (* Round-robin alternates the two replicas, so the first query
+         after the kill lands on the dead one and the failover path runs. *)
+      let c = Cluster.create ~request_timeout:5.0 ~cooldown:30.0 ~seed:11 set in
       Fun.protect
         ~finally:(fun () -> Cluster.close c)
         (fun () ->
@@ -258,10 +238,7 @@ let test_stale_generation () =
       | Ok generation -> check_int "fresh replica at generation" 2 generation
       | Error e -> Alcotest.fail e);
       let set = Replica_set.of_addrs (List.map (fun d -> d.d_addr) daemons) in
-      let c =
-        Cluster.create ~policy:Round_robin ~request_timeout:5.0 ~cooldown:30.0 ~seed:3
-          set
-      in
+      let c = Cluster.create ~request_timeout:5.0 ~cooldown:30.0 ~seed:3 set in
       Fun.protect
         ~finally:(fun () -> Cluster.close c)
         (fun () ->

@@ -198,8 +198,7 @@ let test_bitslice_random_circuits () =
     let lanes = Bitslice.max_lanes in
     let values = Array.init parties (fun _ -> Array.init lanes (fun _ -> Rng.int rng 8)) in
     let chunk =
-      Bitslice.deal rng (Bitslice.schedule circuit) ~inputs:values ~ids:(Array.init lanes Fun.id)
-        ~pos:0 ~lanes
+      Bitslice.deal rng (Bitslice.schedule circuit) ~inputs:values ~pos:0 ~lanes
     in
     let out = Bitslice.evaluate chunk in
     for k = 0 to lanes - 1 do
@@ -222,7 +221,6 @@ let test_bitslice_openings_secret_independent () =
   let lanes = Bitslice.max_lanes in
   let a = Array.init lanes (fun k -> if k mod 2 = 0 then 0 else 63) in
   let values = [| a; Array.map (fun v -> 63 - v) a |] in
-  let ids = Array.init lanes Fun.id in
   let ones = Array.make 2 0 and total = Array.make 2 0 in
   let rng = Rng.create 777 in
   for _ = 1 to 40 do
@@ -233,7 +231,7 @@ let test_bitslice_openings_secret_independent () =
                total.(k mod 2) <- total.(k mod 2) + 1;
                if Bitslice.lane w k then ones.(k mod 2) <- ones.(k mod 2) + 1
              done))
-      (Bitslice.deal rng sched ~inputs:values ~ids ~pos:0 ~lanes)
+      (Bitslice.deal rng sched ~inputs:values ~pos:0 ~lanes)
   done;
   let rate k = float_of_int ones.(k) /. float_of_int total.(k) in
   check_bool "opened bits ~uniform (lanes comparing 0, 63)" true (Float.abs (rate 0 -. 0.5) < 0.02);
@@ -258,20 +256,17 @@ let test_garbled_matches_plaintext () =
 
 let test_garbled_matches_gmw () =
   (* The two MPC backends must compute the same function. *)
-  let compiled =
-    Eppi_sfdl.Compile.compile_source
-      (Eppi_sfdl.Programs.count_below ~c:2 ~q:13 ~thresholds:[| 5; 9; 1 |])
-  in
+  let compiled = Eppi_sfdl.Compile.compile_source (Eppi_sfdl.Programs.count_below ~c:2 ~q:13) in
   let rng = Rng.create 62 in
   let q = Eppi_prelude.Modarith.modulus 13 in
-  for _ = 1 to 20 do
-    let freqs = Array.init 3 (fun _ -> Rng.int rng 13) in
-    let shares = Array.map (fun v -> Eppi_secretshare.Additive.share rng ~q ~c:2 v) freqs in
+  for _ = 1 to 60 do
+    let shares = Eppi_secretshare.Additive.share rng ~q ~c:2 (Rng.int rng 13) in
     let inputs =
       Eppi_sfdl.Compile.encode_inputs compiled
         [
-          ("s0", Eppi_sfdl.Compile.Dints (Array.map (fun s -> s.(0)) shares));
-          ("s1", Eppi_sfdl.Compile.Dints (Array.map (fun s -> s.(1)) shares));
+          ("s0", Eppi_sfdl.Compile.Dint shares.(0));
+          ("s1", Eppi_sfdl.Compile.Dint shares.(1));
+          ("t", Eppi_sfdl.Compile.Dint (Rng.int rng 13));
         ]
     in
     let garbled = Garbled.execute rng compiled.circuit ~inputs in
@@ -360,30 +355,28 @@ let test_garbled_deterministic_function () =
 
 (* ---------- cost model ---------- *)
 
-let count_below_stats ~c ~n =
-  let thresholds = Array.make n 5 in
-  let compiled =
-    Eppi_sfdl.Compile.compile_source (Eppi_sfdl.Programs.count_below ~c ~q:11 ~thresholds)
-  in
-  ( Circuit.stats compiled.circuit,
-    Array.length (Circuit.outputs compiled.circuit) )
+let count_below_stats ~c ~q =
+  let compiled = Eppi_sfdl.Compile.compile_source (Eppi_sfdl.Programs.count_below ~c ~q) in
+  (Circuit.stats compiled.circuit, Array.length (Circuit.outputs compiled.circuit))
 
 let test_cost_monotone_in_parties () =
-  let stats, outputs = count_below_stats ~c:3 ~n:4 in
+  let stats, outputs = count_below_stats ~c:3 ~q:11 in
   let t3 = Cost.estimate ~network:Cost.lan ~parties:3 ~outputs stats in
   let t9 = Cost.estimate ~network:Cost.lan ~parties:9 ~outputs stats in
   check_bool "positive" true (t3 > 0.0);
   check_bool "monotone in parties" true (t9 > t3)
 
 let test_cost_monotone_in_circuit () =
-  let s1, o1 = count_below_stats ~c:3 ~n:2 in
-  let s2, o2 = count_below_stats ~c:3 ~n:40 in
+  (* A wider modulus compiles a wider comparator. *)
+  let s1, o1 = count_below_stats ~c:3 ~q:11 in
+  let s2, o2 = count_below_stats ~c:3 ~q:1031 in
+  check_bool "wider comparator, more gates" true (s2.and_gates > s1.and_gates);
   let t1 = Cost.estimate ~network:Cost.lan ~parties:3 ~outputs:o1 s1 in
   let t2 = Cost.estimate ~network:Cost.lan ~parties:3 ~outputs:o2 s2 in
   check_bool "bigger circuit costs more" true (t2 > t1)
 
 let test_cost_network_sensitivity () =
-  let stats, outputs = count_below_stats ~c:3 ~n:4 in
+  let stats, outputs = count_below_stats ~c:3 ~q:11 in
   let lan = Cost.estimate ~network:Cost.lan ~parties:3 ~outputs stats in
   let wan =
     Cost.estimate ~network:{ latency = 0.05; bandwidth = 1_000_000.0 } ~parties:3 ~outputs stats

@@ -174,8 +174,8 @@ let countbelow_result = Alcotest.testable (fun ppf (r : Countbelow.result) ->
       a.common = b.common && a.frequencies = b.frequencies && a.n_common = b.n_common)
 
 let test_countbelow_drivers_agree () =
-  (* 140 identities over a handful of thresholds: groups of more than 63
-     identities span several lane chunks. *)
+  (* 140 identities over a handful of thresholds span three lane chunks,
+     the last partial. *)
   let rng = Rng.create 301 in
   let m = 60 in
   let q = Construct.modulus_for m in

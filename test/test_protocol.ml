@@ -324,7 +324,19 @@ let test_countbelow_classification () =
     [| Some 0; Some 10; None; None; Some 50 |]
     r.frequencies;
   check_bool "positive simulated time" true (r.time > 0.0);
-  check_bool "nonzero circuit" true (r.circuit_stats.size > 0)
+  (* Five identities are five comparators, opened layer by layer together. *)
+  let one =
+    Eppi_circuit.Circuit.stats
+      (Eppi_sfdl.Compile.compile_source
+         (Eppi_sfdl.Programs.count_below ~c:3 ~q:(Modarith.to_int q)))
+        .circuit
+  in
+  Alcotest.(check (list int))
+    "circuit stats = 5 comparators"
+    [ 5 * one.size; 5 * one.and_gates; 5 * one.xor_gates; 5 * one.not_gates; 5 * one.inputs;
+      one.and_depth ]
+    (let s = r.circuit_stats in
+     [ s.size; s.and_gates; s.xor_gates; s.not_gates; s.inputs; s.and_depth ])
 
 (* ---------- network-executed GMW ---------- *)
 
@@ -335,12 +347,11 @@ module Compile = Eppi_sfdl.Compile
    time, each dealt from its own split of [rng]. *)
 let deal_chunks rng sched values =
   let n = Array.length values.(0) in
-  let ids = Array.init n Fun.id in
   Array.init
     ((n + Bitslice.max_lanes - 1) / Bitslice.max_lanes)
     (fun k ->
       let pos = k * Bitslice.max_lanes in
-      Bitslice.deal (Rng.split rng) sched ~inputs:values ~ids ~pos
+      Bitslice.deal (Rng.split rng) sched ~inputs:values ~pos
         ~lanes:(min Bitslice.max_lanes (n - pos)))
 
 (* Lane j's output bits out of per-chunk output words. *)
@@ -353,25 +364,29 @@ let millionaires = Compile.compile_source (Eppi_sfdl.Programs.millionaires ~widt
 
 let millionaires_inputs a b = Compile.encode_inputs millionaires [ ("a", Dint a); ("b", Dint b) ]
 
-let comparator ~c ~q t =
-  Compile.compile_source (Eppi_sfdl.Programs.count_below ~c ~q ~thresholds:[| t |])
+let comparator ~c ~q = Compile.compile_source (Eppi_sfdl.Programs.count_below ~c ~q)
+
+(* The comparator's input words for identities 0 … n − 1: coordinator i's
+   shares, with each identity's threshold above coordinator 0's share. *)
+let comparator_words ~q values thresholds =
+  let w = Eppi_circuit.Word.bits_for (q - 1) in
+  Array.mapi
+    (fun i v -> if i > 0 then v else Array.mapi (fun j s -> s lor (thresholds.(j) lsl w)) v)
+    values
 
 (* Two identities, frequencies 7 and 3 against thresholds 5 and 9 (c = 3,
-   q = 13): one single-lane chunk per comparator, dealt from [seed]. *)
+   q = 13): one two-lane chunk of the comparator, dealt from [seed]. *)
 let countbelow_chunks seed =
   let rng = Rng.create seed in
   let qm = Modarith.modulus 13 in
-  Array.map2
-    (fun f t ->
-      let shares = Eppi_secretshare.Additive.share rng ~q:qm ~c:3 f in
-      let sched = Bitslice.schedule (comparator ~c:3 ~q:13 t).circuit in
-      Bitslice.deal (Rng.split rng) sched
-        ~inputs:(Array.map (fun s -> [| s |]) shares)
-        ~ids:[| 0 |] ~pos:0 ~lanes:1)
-    [| 7; 3 |] [| 5; 9 |]
+  let shares = Array.map (Eppi_secretshare.Additive.share rng ~q:qm ~c:3) [| 7; 3 |] in
+  let values = Array.init 3 (fun i -> Array.map (fun s -> s.(i)) shares) in
+  deal_chunks rng
+    (Bitslice.schedule (comparator ~c:3 ~q:13).circuit)
+    (comparator_words ~q:13 values [| 5; 9 |])
 
 (* "common" is the comparator's first output. *)
-let classification (r : Mpcnet.result) = Array.map (fun out -> Bitslice.lane out.(0) 0) r.outputs
+let classification (r : Mpcnet.result) = Array.init 2 (fun j -> (lane_bits r.outputs j).(0))
 
 let test_mpcnet_matches_inprocess () =
   let sched = Bitslice.schedule millionaires.circuit in
@@ -407,8 +422,8 @@ let test_mpcnet_round_structure () =
 let test_mpcnet_time_tracks_cost_model () =
   (* The emergent simulated time and the closed-form estimate must agree
      within an order of magnitude (the model is calibrated, not fitted):
-     four identities, one lane each, of one comparator. *)
-  let compiled = comparator ~c:3 ~q:1031 500 in
+     four identities, four lanes of one comparator. *)
+  let compiled = comparator ~c:3 ~q:1031 in
   let rng = Rng.create 74 in
   let qm = Modarith.modulus 1031 in
   let shares =
@@ -416,7 +431,8 @@ let test_mpcnet_time_tracks_cost_model () =
   in
   let sched = Bitslice.schedule compiled.circuit in
   let values = Array.init 3 (fun k -> Array.map (fun s -> s.(k)) shares) in
-  let r = Mpcnet.execute (deal_chunks rng sched values) in
+  let words = comparator_words ~q:1031 values (Array.make 4 500) in
+  let r = Mpcnet.execute (deal_chunks rng sched words) in
   let s = Bitslice.stats sched in
   let stats =
     {
@@ -461,7 +477,7 @@ let test_countbelow_simnet_transport () =
 
 (* A run allocates per lane chunk and for its result, not per gate: under
    25 minor words per identity at the epoch shape (c = 3, q = 1031, 7
-   thresholds) once the comparators are memoised.  A per-gate Gmw.execute
+   thresholds) once the comparator is memoised.  A per-gate Gmw.execute
    of each identity's comparator, with its input encoding and output
    decoding, allocates about 1,200.  Bytecode boxes more, so the bound
    holds in native code only. *)
@@ -518,10 +534,7 @@ let test_purempc_much_bigger_than_countbelow () =
   (* The whole point of the paper's design: the per-identity pure-MPC
      circuit dwarfs the CountBelow circuit. *)
   let pure = Purempc.stats_for ~m:9 ~identities:1 ~epsilon:0.5 ~gamma:0.9 in
-  let thresholds = [| 5 |] in
-  let compiled =
-    Eppi_sfdl.Compile.compile_source (Eppi_sfdl.Programs.count_below ~c:3 ~q:11 ~thresholds)
-  in
+  let compiled = Eppi_sfdl.Compile.compile_source (Eppi_sfdl.Programs.count_below ~c:3 ~q:11) in
   let reduced = Eppi_circuit.Circuit.stats compiled.circuit in
   check_bool
     (Printf.sprintf "pure %d >> reduced %d" pure.and_gates reduced.and_gates)
@@ -669,15 +682,15 @@ let test_construct_pinned () =
   Alcotest.(check (float 0.0)) "lambda strictly between 0 and 1" 0x1.999999999999ap-3 model.lambda;
   Alcotest.check metrics_testable "cost-model metrics"
     {
-      secsumshare_time = 0x1.06fb9cc3f0853p-10;
-      mpc_time = 0x1.e05ff3db84759p+1;
+      secsumshare_time = 0x1.06db666d9d3c7p-10;
+      mpc_time = 0x1.ffe37cbc941a8p+1;
       publication_time = 0x1.01b2b29a4692cp-22;
-      total_time = 0x1.e080d5528258dp+1;
-      messages = 417;
-      bytes = 2952;
+      total_time = 0x1.00022d166399bp+2;
+      messages = 519;
+      bytes = 2466;
       circuit_stats =
-        { size = 1686; and_gates = 588; xor_gates = 912; not_gates = 186; inputs = 144; and_depth = 16 };
-      mpc_comm = { rounds = 18; messages = 390; bytes = 1224 };
+        { size = 1836; and_gates = 636; xor_gates = 984; not_gates = 216; inputs = 192; and_depth = 17 };
+      mpc_comm = { rounds = 19; messages = 492; bytes = 1386 };
     }
     model.metrics;
   let emergent = run ~transport:`Simnet () in
@@ -687,14 +700,22 @@ let test_construct_pinned () =
   Alcotest.check metrics_testable "simnet metrics"
     {
       model.metrics with
-      mpc_time = 0x1.000691ea78af2p+0;
-      total_time = 0x1.004854d87475bp+0;
+      mpc_time = 0x1.14ea4e92e016ep+0;
+      total_time = 0x1.152c09734648ap+0;
     }
     emergent.metrics
 
 let test_beta_phase_estimate_monotone () =
-  let t_small = Construct.beta_phase_time_estimate ~m:10 ~identities:5 ~c:3 () in
-  let t_many_ids = Construct.beta_phase_time_estimate ~m:10 ~identities:50 ~c:3 () in
+  (* The simulated construction time Fig. 6 reads grows with the
+     identities: 5 and 50 identities over 10 providers. *)
+  let total_time n =
+    let membership = make_matrix ~m:10 ~freqs:(Array.init n (fun j -> 1 + (j mod 10))) in
+    (Construct.run (Rng.create 16) ~membership ~epsilons:(Array.make n 0.5)
+       ~policy:(Eppi.Policy.Chernoff 0.9))
+      .metrics
+      .total_time
+  in
+  let t_small = total_time 5 and t_many_ids = total_time 50 in
   check_bool "identities increase cost" true (t_many_ids > t_small);
   check_bool "positive" true (t_small > 0.0)
 
@@ -890,98 +911,97 @@ let test_construct_ft_too_few_survivors_fails () =
         (List.mem 0 rep.excluded && List.mem 2 rep.excluded)
   | _ -> Alcotest.fail "2 of 4 providers dead cannot sustain c = 3"
 
-(* Lane chunks of random count_below comparators: c from 2 to 5, a small
-   prime q, up to three thresholds, 1-130 identities, so a threshold's
-   identities can span several 63-lane chunks.  Chunks are dealt anew from
-   [seed] for each driver. *)
-let bitslice_instance seed =
+(* The lane counts at the edges of 63-lane chunks. *)
+let chunk_edges = [| 62; 63; 64; 126; 127 |]
+
+(* Random CountBelow instances: c from 2 to 5, a small prime q, and n
+   identities (unless given: half the time a chunk edge, else 1-130), each
+   with a threshold in [0, q + 2] (CountBelow clamps those at or above q to
+   q - 1).  The comparator's lane chunks over consecutive identities are
+   dealt anew from [seed] for each driver. *)
+let bitslice_instance ?n seed =
   let rng = Rng.create seed in
   let c = 2 + Rng.int rng 4 in
   let q = [| 2; 3; 5; 7; 11; 13; 31; 97 |].(Rng.int rng 8) in
-  let n = 1 + Rng.int rng 130 in
-  let levels = Array.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng q) in
-  let thresholds = Array.init n (fun _ -> levels.(Rng.int rng (Array.length levels))) in
+  let n =
+    match n with
+    | Some n -> n
+    | None -> if Rng.bool rng then chunk_edges.(Rng.int rng 5) else 1 + Rng.int rng 130
+  in
+  let thresholds = Array.init n (fun _ -> Rng.int rng (q + 3)) in
   let values = Array.init c (fun _ -> Array.init n (fun _ -> Rng.int rng q)) in
-  let groups =
-    List.map
-      (fun t ->
-        let ids = List.filter (fun j -> thresholds.(j) = t) (List.init n Fun.id) in
-        (comparator ~c ~q t, Array.of_list ids))
-      (List.sort_uniq compare (Array.to_list levels))
-  in
-  let slices =
-    List.concat_map
-      (fun (cmp, ids) ->
-        List.init
-          ((Array.length ids + Bitslice.max_lanes - 1) / Bitslice.max_lanes)
-          (fun k ->
-            let pos = k * Bitslice.max_lanes in
-            (cmp, ids, pos, min Bitslice.max_lanes (Array.length ids - pos))))
-      groups
-  in
+  let cmp = comparator ~c ~q in
+  let clamped = Array.map (fun t -> min t (q - 1)) thresholds in
   let deal () =
-    let rng = Rng.create (seed + 1) in
-    Array.of_list
-      (List.map
-         (fun ((cmp : Compile.compiled), ids, pos, lanes) ->
-           Bitslice.deal (Rng.split rng) (Bitslice.schedule cmp.circuit) ~inputs:values ~ids ~pos
-             ~lanes)
-         slices)
+    deal_chunks (Rng.create (seed + 1)) (Bitslice.schedule cmp.circuit)
+      (comparator_words ~q values clamped)
   in
-  (c, q, thresholds, values, slices, deal)
+  (c, q, cmp, thresholds, clamped, values, deal)
 
-(* Identity j's comparator inputs: coordinator i's share is values.(i).(j). *)
-let comparator_inputs (cmp : Compile.compiled) ~c values j =
+(* Identity j's comparator inputs: coordinator i's share is values.(i).(j),
+   and coordinator 0 also feeds the threshold. *)
+let comparator_inputs (cmp : Compile.compiled) ~c values t j =
   Compile.encode_inputs cmp
-    (List.init c (fun i -> (Printf.sprintf "s%d" i, Compile.Dints [| values.(i).(j) |])))
+    (("t", Compile.Dint t)
+    :: List.init c (fun i -> (Printf.sprintf "s%d" i, Compile.Dint values.(i).(j))))
+
+(* Both bit-sliced drivers, lane by lane, against plaintext evaluation and
+   a per-gate Gmw.execute of the comparator. *)
+let drivers_agree ?n seed =
+  let c, _, cmp, _, clamped, values, deal = bitslice_instance ?n seed in
+  let local = Array.map Bitslice.evaluate (deal ()) in
+  let net = (Mpcnet.execute (deal ())).outputs in
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun j t ->
+         let inputs = comparator_inputs cmp ~c values t j in
+         let plain = Eppi_circuit.Circuit.eval cmp.circuit ~inputs in
+         let gmw = (Eppi_mpc.Gmw.execute (Rng.create j) cmp.circuit ~inputs).outputs in
+         plain = gmw && lane_bits local j = plain && lane_bits net j = plain)
+       clamped)
+
+(* Countbelow.run on both transports, given the unclamped thresholds,
+   against each identity's decoded per-gate Gmw.execute. *)
+let countbelow_matches_reference ?n seed =
+  let c, q, cmp, thresholds, clamped, values, _ = bitslice_instance ?n seed in
+  let expected =
+    Array.mapi
+      (fun j t ->
+        let inputs = comparator_inputs cmp ~c values t j in
+        let gmw = Eppi_mpc.Gmw.execute (Rng.create j) cmp.circuit ~inputs in
+        let outputs = Compile.decode_outputs cmp gmw.outputs in
+        let output = Compile.lookup_output outputs in
+        match (output "common", output "freq") with
+        | Dbool common, Dint f -> (common, if common then None else Some f)
+        | _ -> Alcotest.fail "bad comparator output shape")
+      clamped
+  in
+  List.for_all
+    (fun transport ->
+      let r =
+        Countbelow.run ~transport (Rng.create seed) ~shares:values ~q:(Modarith.modulus q)
+          ~thresholds
+      in
+      r.common = Array.map fst expected && r.frequencies = Array.map snd expected)
+    [ `Cost_model; `Simnet ]
+
+let test_countbelow_chunk_edges () =
+  Array.iteri
+    (fun k n ->
+      check_bool (Printf.sprintf "drivers agree, %d lanes" n) true (drivers_agree ~n (k + 1));
+      check_bool
+        (Printf.sprintf "countbelow equals the reference, %d identities" n)
+        true
+        (countbelow_matches_reference ~n (k + 1)))
+    chunk_edges
 
 let qcheck_tests =
   let open QCheck in
   [
     Test.make ~name:"bit-sliced drivers agree with plaintext and per-gate GMW" ~count:30
-      (int_range 1 1_000_000)
-      (fun seed ->
-        let c, _, _, values, slices, deal = bitslice_instance seed in
-        let local = Array.map Bitslice.evaluate (deal ()) in
-        let net = (Mpcnet.execute (deal ())).outputs in
-        List.for_all Fun.id
-          (List.mapi
-             (fun k ((cmp : Compile.compiled), ids, pos, lanes) ->
-               List.for_all
-                 (fun lane ->
-                   let j = ids.(pos + lane) in
-                   let inputs = comparator_inputs cmp ~c values j in
-                   let plain = Eppi_circuit.Circuit.eval cmp.circuit ~inputs in
-                   let gmw = (Eppi_mpc.Gmw.execute (Rng.create j) cmp.circuit ~inputs).outputs in
-                   let bits words = Array.map (fun w -> Bitslice.lane w lane) words in
-                   plain = gmw && bits local.(k) = plain && bits net.(k) = plain)
-                 (List.init lanes Fun.id))
-             slices));
+      (int_range 1 1_000_000) drivers_agree;
     Test.make ~name:"countbelow equals the per-gate reference on random instances" ~count:30
-      (int_range 1 1_000_000)
-      (fun seed ->
-        let c, q, thresholds, values, _, _ = bitslice_instance seed in
-        let expected =
-          Array.mapi
-            (fun j t ->
-              let cmp = comparator ~c ~q t in
-              let inputs = comparator_inputs cmp ~c values j in
-              let gmw = Eppi_mpc.Gmw.execute (Rng.create j) cmp.circuit ~inputs in
-              let outputs = Compile.decode_outputs cmp gmw.outputs in
-              let output = Compile.lookup_output outputs in
-              match (output "common", output "freq") with
-              | Dbools [| common |], Dints [| f |] -> (common, if common then None else Some f)
-              | _ -> Alcotest.fail "bad comparator output shape")
-            thresholds
-        in
-        List.for_all
-          (fun transport ->
-            let r =
-              Countbelow.run ~transport (Rng.create seed) ~shares:values ~q:(Modarith.modulus q)
-                ~thresholds
-            in
-            r.common = Array.map fst expected && r.frequencies = Array.map snd expected)
-          [ `Cost_model; `Simnet ]);
+      (int_range 1 1_000_000) countbelow_matches_reference;
     Test.make ~name:"secure and centralized paths classify identically" ~count:40
       (triple (int_range 1 1000) (int_range 5 25) (int_range 1 8))
       (fun (seed, m, n) ->
@@ -1086,6 +1106,7 @@ let () =
           Alcotest.test_case "classification" `Quick test_countbelow_classification;
           Alcotest.test_case "simnet transport" `Quick test_countbelow_simnet_transport;
           Alcotest.test_case "allocation per identity" `Quick test_countbelow_allocation;
+          Alcotest.test_case "chunk edges" `Quick test_countbelow_chunk_edges;
         ] );
       ( "mpcnet",
         [

@@ -24,11 +24,6 @@ let get_bool outputs name =
   | Compile.Dbool v -> v
   | _ -> Alcotest.fail (name ^ " is not a bool output")
 
-let get_ints outputs name =
-  match Compile.lookup_output outputs name with
-  | Compile.Dints v -> v
-  | _ -> Alcotest.fail (name ^ " is not an int-array output")
-
 (* ---------- lexer ---------- *)
 
 let test_lexer_tokens () =
@@ -438,7 +433,8 @@ let test_vickrey_program () =
   check_int "second price" 70 (get_int outputs "price")
 
 let test_count_below_program () =
-  (* Full semantic check against a plaintext reference on random shares. *)
+  (* Full semantic check against a plaintext reference on random shares:
+     one comparator run per identity, threshold fed by coordinator 0. *)
   let open Eppi_prelude in
   let q = 37 in
   let c = 3 in
@@ -446,39 +442,28 @@ let test_count_below_program () =
   let freqs = [| 0; 5; 36; 18; 18 |] in
   let thresholds = [| 1; 6; 30; 18; 19 |] in
   let qm = Modarith.modulus q in
-  let shares = Array.map (fun v -> Eppi_secretshare.Additive.share rng ~q:qm ~c v) freqs in
-  let svec k = Array.map (fun sh -> sh.(k)) shares in
-  let outputs =
-    run_program
-      (Programs.count_below ~c ~q ~thresholds)
-      (List.init c (fun k -> (Printf.sprintf "s%d" k, Compile.Dints (svec k))))
-  in
-  (match Compile.lookup_output outputs "common" with
-  | Compile.Dbools commons ->
-      Array.iteri
-        (fun j expected ->
-          check_bool (Printf.sprintf "common[%d]" j) expected commons.(j))
-        (Array.mapi (fun j f -> f >= thresholds.(j)) freqs)
-  | _ -> Alcotest.fail "bad common shape");
-  let expected_count =
-    Array.to_list (Array.mapi (fun j f -> f >= thresholds.(j)) freqs)
-    |> List.filter Fun.id |> List.length
-  in
-  check_int "count" expected_count (get_int outputs "count");
-  let freq_out = get_ints outputs "freq" in
+  let src = Programs.count_below ~c ~q in
   Array.iteri
     (fun j f ->
-      if f >= thresholds.(j) then check_int (Printf.sprintf "freq[%d] masked" j) 0 freq_out.(j)
-      else check_int (Printf.sprintf "freq[%d] revealed" j) f freq_out.(j))
+      let shares = Eppi_secretshare.Additive.share rng ~q:qm ~c f in
+      let outputs =
+        run_program src
+          (("t", Compile.Dint thresholds.(j))
+          :: List.init c (fun k -> (Printf.sprintf "s%d" k, Compile.Dint shares.(k))))
+      in
+      let common = f >= thresholds.(j) in
+      check_bool (Printf.sprintf "common[%d]" j) common (get_bool outputs "common");
+      if common then check_int (Printf.sprintf "freq[%d] masked" j) 0 (get_int outputs "freq")
+      else check_int (Printf.sprintf "freq[%d] revealed" j) f (get_int outputs "freq"))
     freqs
 
 let test_count_below_validation () =
   Alcotest.check_raises "c too small"
     (Invalid_argument "Programs.count_below: need at least 2 coordinators") (fun () ->
-      ignore (Programs.count_below ~c:1 ~q:11 ~thresholds:[| 1 |]));
-  Alcotest.check_raises "threshold out of range"
-    (Invalid_argument "Programs.count_below: threshold out of [0, q)") (fun () ->
-      ignore (Programs.count_below ~c:3 ~q:11 ~thresholds:[| 11 |]))
+      ignore (Programs.count_below ~c:1 ~q:11));
+  Alcotest.check_raises "modulus too small"
+    (Invalid_argument "Programs.count_below: modulus too small") (fun () ->
+      ignore (Programs.count_below ~c:3 ~q:1))
 
 (* ---------- differential testing: interpreter vs compiled circuit ---------- *)
 
@@ -509,13 +494,14 @@ let test_interp_matches_compile_canned () =
   diff_check
     (Programs.vickrey_auction ~width:8 ~bidders:3)
     [ ("bid0", Compile.Dint 17); ("bid1", Compile.Dint 90); ("bid2", Compile.Dint 44) ];
-  diff_check
-    (Programs.count_below ~c:3 ~q:11 ~thresholds:[| 5; 2 |])
-    [
-      ("s0", Compile.Dints [| 3; 10 |]);
-      ("s1", Compile.Dints [| 4; 0 |]);
-      ("s2", Compile.Dints [| 9; 2 |]);
-    ]
+  List.iter
+    (fun (s0, s1, s2, t) ->
+      diff_check (Programs.count_below ~c:3 ~q:11)
+        [
+          ("s0", Compile.Dint s0); ("s1", Compile.Dint s1); ("s2", Compile.Dint s2);
+          ("t", Compile.Dint t);
+        ])
+    [ (3, 4, 9, 5); (10, 0, 2, 2); (10, 10, 10, 10); (0, 0, 0, 0) ]
 
 let test_interp_edge_semantics () =
   (* Division/modulo by a secret zero: the hardware convention, on both
