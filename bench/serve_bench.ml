@@ -1,24 +1,26 @@
 (* Online serving bench: replay a Zipf workload against the published index
    two ways — naive Index.query row scans and the serving engine over its
-   compiled postings store — then sweep domain counts and exercise
-   admission control.  Writes BENCH_serve.json and checks
-   its gates on that value (Bench_util.publish).
+   compiled postings store, one Serve.query call per request — then
+   account rate-limit shedding under a manual clock and gate the
+   always-on stage telemetry's overhead through two real daemons.  Writes
+   BENCH_serve.json and checks its gates on that value
+   (Bench_util.publish).  Multi-domain serving is measured through the
+   daemon's worker domains by the net bench.
 
-   Timed phases consume results as they are produced (Serve.replay and a
-   consuming naive loop) rather than retaining 200k posting lists: holding
-   every result live charges the *caller's* retention to whichever phase
-   runs next, which once made the postings store read slower than the row
-   scan it beats 8x.  Each phase is preceded by Gc.compact so no phase
-   pays for a predecessor's garbage.  Correctness is re-checked untimed:
-   a per-owner sweep against Index.query over the whole id space, plus an
-   aggregate response-volume identity per timed phase.
+   Timed phases consume each result as it is produced rather than
+   retaining 200k posting lists: holding every result live charges the
+   *caller's* retention to whichever phase runs next, which once made the
+   postings store read slower than the row scan it beats 8x.  Each phase
+   is preceded by Gc.compact so no phase pays for a predecessor's
+   garbage.  Correctness is re-checked untimed: a per-owner sweep against
+   Index.query over the whole id space, plus an aggregate response-volume
+   identity per timed phase.
 
    Environment knobs: SERVE_N (owners, default 2000), SERVE_M (providers,
-   default 4096), SERVE_QUERIES (default 200000), SERVE_DOMAINS (comma
-   list, default 1,2,4), SERVE_TELEMETRY_QUERIES (sizes the
-   telemetry-overhead gate: 30 alternating rounds of a tenth of this many
-   queries per daemon; default 20000), SERVE_TELEMETRY_DOMAINS (its
-   worker-domain count, default 4). *)
+   default 4096), SERVE_QUERIES (default 200000), SERVE_TELEMETRY_QUERIES
+   (sizes the telemetry-overhead gate: 30 alternating rounds of a tenth of
+   this many queries per daemon; default 20000), SERVE_TELEMETRY_DOMAINS
+   (its worker-domain count, default 4). *)
 
 open Eppi_prelude
 open Eppi_serve
@@ -27,14 +29,6 @@ let getenv_int name default =
   match Sys.getenv_opt name with
   | Some s -> ( try int_of_string (String.trim s) with _ -> default)
   | None -> default
-
-let domain_counts () =
-  match Sys.getenv_opt "SERVE_DOMAINS" with
-  | None -> [ 1; 2; 4 ]
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun tok -> int_of_string_opt (String.trim tok))
-      |> List.filter (fun d -> d >= 1)
 
 let wall f =
   Gc.compact ();
@@ -67,23 +61,17 @@ let run () =
   in
   (* Untimed per-owner sweep over the whole id space: every reply must
      equal Index.query exactly. *)
-  let check_engine label engine =
+  let check_engine engine =
     for owner = 0 to n - 1 do
       match Serve.query engine ~owner with
       | Serve.Providers providers ->
           if providers <> truth.(owner) then
-            failwith (Printf.sprintf "serve: %s diverged from Index.query at owner %d" label owner)
-      | _ -> failwith (Printf.sprintf "serve: %s did not serve owner %d" label owner)
+            failwith (Printf.sprintf "serve: engine diverged from Index.query at owner %d" owner)
+      | _ -> failwith (Printf.sprintf "serve: engine did not serve owner %d" owner)
     done;
-    (match Serve.query engine ~owner:(n + 1) with
+    match Serve.query engine ~owner:(n + 1) with
     | Serve.Unknown_owner -> ()
-    | _ -> failwith (Printf.sprintf "serve: %s served an out-of-range owner" label))
-  in
-  let check_tally label (tally : Serve.tally) =
-    if tally.served <> queries then
-      failwith (Printf.sprintf "serve: %s served %d of %d" label tally.served queries);
-    if tally.providers_listed <> expect_listed then
-      failwith (Printf.sprintf "serve: %s response volume diverged from Index.query" label)
+    | _ -> failwith "serve: engine served an out-of-range owner"
   in
   (* Naive replay: one Index.query row scan per request, result consumed. *)
   let naive_seconds, naive_listed =
@@ -95,106 +83,54 @@ let run () =
   if naive_listed <> expect_listed then failwith "serve: naive replay volume diverged";
   Bench_util.note "naive Index.query replay: %.3f s (%.0f q/s)" naive_seconds
     (float_of_int queries /. naive_seconds);
-  (* The engine: one postings-store row decode per request. *)
+  (* The engine: one Serve.query call, one postings-store row decode, per
+     request. *)
   let postings_engine = Serve.create ~config:{ Serve.shards = 1; admission = None } index in
-  let postings_seconds, tally = wall (fun () -> Serve.replay postings_engine workload) in
-  check_tally "postings" tally;
+  let postings_seconds, postings_listed =
+    wall (fun () ->
+        Array.fold_left
+          (fun acc owner ->
+            match Serve.query postings_engine ~owner with
+            | Serve.Providers providers -> acc + List.length providers
+            | _ -> acc)
+          0 workload)
+  in
   let snap = Serve.metrics postings_engine in
+  if snap.served <> queries then
+    failwith (Printf.sprintf "serve: engine served %d of %d" snap.served queries);
+  if postings_listed <> expect_listed then
+    failwith "serve: engine response volume diverged from Index.query";
   Bench_util.note "engine (postings store): %.3f s (%.0f q/s, x%.1f vs naive)"
     postings_seconds
     (float_of_int queries /. postings_seconds)
     (naive_seconds /. postings_seconds);
-  check_engine "postings" postings_engine;
+  check_engine postings_engine;
   Bench_util.note "latency (sampled): p50 %.2g s, p95 %.2g s, p99 %.2g s (%d samples)"
     snap.p50 snap.p95 snap.p99 snap.latency_count;
-  (* Shard the engine across domains. *)
-  let domain_runs =
-    List.map
-      (fun domains ->
-        let engine =
-          Serve.create ~config:{ Serve.shards = domains; admission = None } index
-        in
-        let _, tally =
-          wall (fun () ->
-              if domains = 1 then Serve.replay engine workload
-              else Pool.with_pool ~size:domains (fun pool -> Serve.replay ~pool engine workload))
-        in
-        check_tally (Printf.sprintf "%d-domain" domains) tally;
-        (* The engine's own dispatch time — excludes domain spawn cost. *)
-        let seconds = tally.tally_wall_seconds in
-        let qps = float_of_int queries /. seconds in
-        Bench_util.note "%d domain%s: %.3f s (%.0f q/s)" domains
-          (if domains = 1 then " " else "s")
-          seconds qps;
-        (domains, seconds, qps))
-      (domain_counts ())
-  in
-  (* Admission control: a token bucket that cannot keep up and a queue
-     shorter than the per-shard batch; every shed must be reported. *)
-  let admission =
-    {
-      Admission.rate = 100_000.0;
-      burst = max 1 (queries / 40);
-      queue_capacity = max 1 (queries / 8);
-    }
-  in
+  (* Admission control under a manual clock: the workload arrives at one
+     request per simulated microsecond across 4 shards whose buckets
+     refill 100k tokens/s each, so once the bursts drain a shard sheds
+     what its bucket cannot cover — deterministically, whatever the host's
+     speed.  Every request must be answered once, as a reply the metrics
+     count. *)
+  let admission = { Admission.rate = 100_000.0; burst = max 1 (queries / 40) } in
   let shed_engine =
     Serve.create ~config:{ Serve.shards = 4; admission = Some admission } index
   in
-  let shed_report = Serve.run shed_engine workload in
+  let served_replies = ref 0 and shed_replies = ref 0 in
+  Array.iteri
+    (fun i owner ->
+      match Serve.query ~now:(float_of_int i *. 1e-6) shed_engine ~owner with
+      | Serve.Providers _ -> incr served_replies
+      | Serve.Shed_rate_limit -> incr shed_replies
+      | _ -> failwith "serve: admission answered an in-range owner unknown or queue-shed")
+    workload;
   let shed_snap = Serve.metrics shed_engine in
-  let served_replies =
-    Array.fold_left
-      (fun acc reply -> match reply with Serve.Providers _ -> acc + 1 | _ -> acc)
-      0 shed_report.replies
-  in
   if shed_snap.queries <> queries then failwith "serve: admission lost requests";
-  if
-    shed_snap.served + shed_snap.unknown + shed_snap.shed_rate + shed_snap.shed_queue
-    <> queries
-  then failwith "serve: shed accounting does not add up";
-  if served_replies <> shed_snap.served then
-    failwith "serve: reply array disagrees with metrics";
-  if shed_snap.shed_queue = 0 then failwith "serve: expected queue shedding";
-  Bench_util.note "admission: served %d, shed %d by rate limit, %d by queue bound"
-    shed_snap.served shed_snap.shed_rate shed_snap.shed_queue;
-  (* Trace overhead: serving is instrumented (lib/obs spans per shard
-     batch), and the disabled path must stay free — one atomic load per
-     batch, no allocation.  Measure a warm best-of-3 replay twice with
-     tracing off (baseline, then again) and require the re-measurement to
-     stay within 2% plus a 20 ms noise floor; then, unless an outer
-     [--trace] already owns the trace session, measure once with tracing
-     enabled for reference. *)
-  let trace_engine = Serve.create ~config:{ Serve.shards = 1; admission = None } index in
-  let _warm = Serve.replay trace_engine workload in
-  let best_of_3 label =
-    Gc.compact ();
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let tally = Serve.replay trace_engine workload in
-      check_tally label tally;
-      if tally.tally_wall_seconds < !best then best := tally.tally_wall_seconds
-    done;
-    !best
-  in
-  let no_trace_baseline = best_of_3 "trace-baseline" in
-  let disabled_seconds = best_of_3 "trace-disabled" in
-  let enabled_seconds =
-    if Eppi_obs.Trace.enabled () then None
-    else begin
-      Eppi_obs.Trace.enable ();
-      let s = best_of_3 "trace-enabled" in
-      Eppi_obs.Trace.disable ();
-      Eppi_obs.Trace.reset ();
-      Some s
-    end
-  in
-  Bench_util.note "trace overhead: baseline %.3f s, disabled %.3f s (+%.2f%%), enabled %s"
-    no_trace_baseline disabled_seconds
-    (100.0 *. ((disabled_seconds /. no_trace_baseline) -. 1.0))
-    (match enabled_seconds with
-    | Some s -> Printf.sprintf "%.3f s" s
-    | None -> "outer --trace active, skipped");
+  if !served_replies <> shed_snap.served || !shed_replies <> shed_snap.shed_rate then
+    failwith "serve: replies disagree with metrics";
+  Bench_util.note "admission: served %d, shed %d by rate limit" shed_snap.served
+    shed_snap.shed_rate;
   (* Always-on stage telemetry must be invisible at the client: run two
      real multicore daemons side by side — telemetry off and on (the
      config knob exists for exactly this measurement) — and compare the
@@ -266,10 +202,6 @@ let run () =
     (telemetry_off_p50 *. 1e6) (telemetry_on_p50 *. 1e6)
     (100.0 *. ((telemetry_on_p50 /. telemetry_off_p50) -. 1.0))
     telemetry_domains;
-  let seconds_at d =
-    List.find_map (fun (d', s, _) -> if d' = d then Some s else None) domain_runs
-  in
-  let speedup = function Some a, Some b when b > 0.0 -> a /. b | _ -> Float.nan in
   let open Bench_util in
   (* Speed comparisons are gated at full size only (CI runs n=500,
      m=512, 50k queries); smoke sizes are too small to time. *)
@@ -285,26 +217,12 @@ let run () =
            Obj
              [ ("count", Json.int snap.latency_count); ("mean", Num snap.latency_mean);
                ("p50", Num snap.p50); ("p95", Num snap.p95); ("p99", Num snap.p99) ] );
-         ( "domain_runs",
-           List
-             (List.map
-                (fun (d, s, qps) ->
-                  Json.Obj
-                    [ ("domains", Json.int d); ("seconds", Num s); ("qps", Num (Float.round qps)) ])
-                domain_runs) );
-         ("speedup_4_domains_vs_1_domain", Num (speedup (seconds_at 1, seconds_at 4)));
          ( "admission",
            Obj
              [ ("queries", Json.int shed_snap.queries); ("served", Json.int shed_snap.served);
+               ("unknown", Json.int shed_snap.unknown);
                ("shed_rate", Json.int shed_snap.shed_rate);
                ("shed_queue", Json.int shed_snap.shed_queue) ] );
-         ( "trace",
-           Obj
-             [ ("no_trace_baseline_seconds", Num no_trace_baseline);
-               ("disabled_seconds", Num disabled_seconds);
-               ("enabled_seconds", Num (Option.value ~default:Float.nan enabled_seconds));
-               ( "disabled_overhead_ok",
-                 Bool (disabled_seconds <= (1.02 *. no_trace_baseline) +. 0.02) ) ] );
          ( "telemetry",
            Obj
              [ ("domains", Json.int telemetry_domains); ("queries", Json.int telemetry_queries);
@@ -313,20 +231,14 @@ let run () =
                  Bool (telemetry_on_p50 <= (1.02 *. telemetry_off_p50) +. 0.000_010) ) ] );
          ("metrics", Metrics.json snap) ])
     ([ ( "carries the headline fields",
-         has
-           [ "speedup_postings_vs_naive"; "latency_s"; "domain_runs"; "admission"; "telemetry";
-             "metrics" ] );
-       ( "disabled tracing within 2% + 20 ms of the untraced baseline",
-         fun v -> flag v [ "trace"; "disabled_overhead_ok" ] );
+         has [ "speedup_postings_vs_naive"; "latency_s"; "admission"; "telemetry"; "metrics" ] );
        ( "stage telemetry p50 within 2% + 10 us of telemetry off",
          fun v -> flag v [ "telemetry"; "overhead_ok" ] );
-       ( "domain sweep populated",
-         fun v ->
-           List.length (items v [ "domain_runs" ]) >= min 2 (List.length (domain_counts ())) );
-       ( "admission never answers more than it admitted",
+       ( "admission answers every request once and sheds by rate",
          fun v ->
            let a k = num v [ "admission"; k ] in
-           a "served" +. a "shed_rate" +. a "shed_queue" <= a "queries" ) ]
+           a "served" +. a "unknown" +. a "shed_rate" +. a "shed_queue" = a "queries"
+           && a "shed_queue" = 0.0 && a "shed_rate" > 0.0 ) ]
     @
     if full_size then
       [ ("postings beat the naive row scan", fun v -> num v [ "speedup_postings_vs_naive" ] > 1.0) ]

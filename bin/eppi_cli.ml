@@ -4,7 +4,7 @@
      generate   synthesize an information-network dataset (CSV)
      construct  build an e-PPI over a dataset (centralized or secure path)
      query      look up owners in a local index file or a running daemon
-     serve      replay a workload in-process, or run the persistent daemon
+     serve      run the persistent daemon (--listen or --stdio)
      republish  hot-swap a running daemon's index
      stats      metrics snapshot of a running daemon (JSON, --watch for deltas)
      top        live request-stage telemetry of a running daemon
@@ -682,9 +682,6 @@ let link_cmd =
 (* ---- serve ---- *)
 
 let serve_cmd =
-  let queries =
-    Arg.(value & opt int 100_000 & info [ "queries" ] ~docv:"INT" ~doc:"Workload size to replay.")
-  in
   let shards =
     Arg.(value & opt int 4 & info [ "shards" ] ~docv:"INT" ~doc:"Independent shard states.")
   in
@@ -692,21 +689,7 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "domains" ] ~docv:"INT"
-          ~doc:
-            "Engine-calling domains: worker domains for the daemon ($(b,--listen), \
-             $(b,--stdio)), the domain-pool size for in-process replay.  1 serves inline on a \
-             single domain.")
-  in
-  let zipf_exponent =
-    Arg.(
-      value & opt float 1.1
-      & info [ "zipf" ] ~docv:"FLOAT" ~doc:"Zipf exponent of the synthetic workload.")
-  in
-  let unknown_fraction =
-    Arg.(
-      value & opt float 0.0
-      & info [ "unknown-fraction" ] ~docv:"FLOAT"
-          ~doc:"Fraction of requests targeting unknown owner ids.")
+          ~doc:"Worker domains that call the engine.  1 serves inline on a single domain.")
   in
   let rate =
     Arg.(
@@ -721,16 +704,11 @@ let serve_cmd =
       value & opt int 1000
       & info [ "burst" ] ~docv:"INT" ~doc:"Token-bucket burst capacity (with $(b,--rate)).")
   in
-  let queue =
-    Arg.(
-      value & opt int 100_000
-      & info [ "queue" ] ~docv:"INT" ~doc:"Bounded per-shard queue (with $(b,--rate)).")
-  in
   let listen =
     let doc =
-      "Run as a persistent daemon on $(docv) (a Unix-socket path or $(i,HOST:PORT)) instead of \
-       replaying a synthetic workload.  Serves until an $(b,eppi shutdown) frame arrives; \
-       $(b,eppi republish) hot-swaps the index without a restart."
+      "Run as a persistent daemon on $(docv) (a Unix-socket path or $(i,HOST:PORT)).  Serves \
+       until an $(b,eppi shutdown) frame arrives; $(b,eppi republish) hot-swaps the index \
+       without a restart."
     in
     Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"ADDR" ~doc)
   in
@@ -751,13 +729,6 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "peers" ] ~docv:"ADDRS" ~doc)
   in
-  let replay_log =
-    let doc =
-      "Replay this request log (CSV or JSONL, see docs/SERVE.md) instead of the synthetic Zipf \
-       workload (in-process replay mode only)."
-    in
-    Arg.(value & opt (some file) None & info [ "replay-log" ] ~docv:"FILE" ~doc)
-  in
   let roster =
     let doc =
       "Roster CSV ($(b,eppi generate --roster)) naming each owner id's demographics.  Builds \
@@ -766,29 +737,35 @@ let serve_cmd =
     in
     Arg.(value & opt (some file) None & info [ "roster" ] ~docv:"FILE" ~doc)
   in
-  let run seed index_path queries shards domains zipf_exponent unknown_fraction rate burst
-      queue listen stdio peers replay_log roster linkage_seed trace =
+  let usage_error msg =
+    Printf.eprintf "serve: %s\n" msg;
+    exit 2
+  in
+  let run index_path shards domains rate burst listen stdio peers roster linkage_seed trace =
+    (match (listen, stdio) with
+    | Some _, true -> usage_error "--listen and --stdio are mutually exclusive"
+    | None, false ->
+        usage_error
+          "give --listen ADDR or --stdio (to replay a request log against a daemon, use \
+           `eppi query --connect ADDR --replay-log FILE`)"
+    | _ -> ());
     let index = Eppi.Index.of_csv (read_file index_path) in
     let n = Eppi.Index.owners index in
-    let admission =
-      Option.map (fun rate -> { Eppi_serve.Admission.rate; burst; queue_capacity = queue }) rate
-    in
+    let admission = Option.map (fun rate -> { Eppi_serve.Admission.rate; burst }) rate in
     let config = { Eppi_serve.Serve.shards; admission } in
     let resolver =
       match (roster, linkage_seed) with
       | None, _ -> None
       | Some _, None ->
-          Printf.eprintf
-            "serve: --roster requires --linkage-seed (the shared linkage secret; never a \
-             built-in default on a network path)\n";
-          exit 2
+          usage_error
+            "--roster requires --linkage-seed (the shared linkage secret; never a built-in \
+             default on a network path)"
       | Some path, Some seed ->
           let people = Eppi_fuzzy.Roster.of_csv (read_file path) in
-          if Array.length people <> n then begin
-            Printf.eprintf "serve: roster names %d identities but the index has %d owners\n"
-              (Array.length people) n;
-            exit 2
-          end;
+          if Array.length people <> n then
+            usage_error
+              (Printf.sprintf "roster names %d identities but the index has %d owners"
+                 (Array.length people) n);
           Printf.eprintf "roster: %d identities, fuzzy resolver enabled\n" (Array.length people);
           Some (Eppi_fuzzy.Resolver.build (Eppi_fuzzy.Resolver.default_config ~seed) people)
     in
@@ -797,11 +774,8 @@ let serve_cmd =
     Printf.eprintf "index: %d owners, %d providers; postings store %d bytes\n" n
       (Eppi.Index.providers index)
       (Eppi_serve.Postings.memory_bytes postings);
-    match (listen, stdio) with
-    | Some _, true ->
-        Printf.eprintf "serve: --listen and --stdio are mutually exclusive\n";
-        exit 2
-    | Some addr, false ->
+    match listen with
+    | Some addr ->
         let peer_list =
           match peers with
           | None -> []
@@ -824,49 +798,24 @@ let serve_cmd =
         with_trace trace (fun () -> Eppi_net.Server.serve server (Eppi_net.Addr.of_string addr));
         Printf.eprintf "daemon stopped; final metrics:\n";
         print_endline (Eppi_serve.Metrics.to_json (Eppi_serve.Serve.metrics engine))
-    | None, true ->
+    | None ->
         (* No idle sweep: a stdio peer may pause as long as it likes. *)
         let config =
           { Eppi_net.Server.default_config with workers = max 1 domains; idle_timeout = 0.0 }
         in
         let server = Eppi_net.Server.create ~config engine in
         with_trace trace (fun () -> Eppi_net.Server.run_stdio server)
-    | None, false ->
-        let workload =
-          match replay_log with
-          | Some log -> Eppi_net.Replay.load log
-          | None ->
-              Eppi_serve.Workload.zipf ~exponent:zipf_exponent ~unknown_fraction
-                (Rng.create seed) ~n ~count:queries
-        in
-        let queries = Array.length workload in
-        let tally =
-          with_trace trace @@ fun () ->
-          if domains > 1 then
-            Eppi_prelude.Pool.with_pool ~size:domains (fun pool ->
-                Eppi_serve.Serve.replay ~pool engine workload)
-          else Eppi_serve.Serve.replay engine workload
-        in
-        Printf.eprintf
-          "replayed %d queries in %.4f s (%.0f q/s): %d served, %d unknown, %d shed (rate), %d \
-           shed (queue)\n"
-          queries tally.tally_wall_seconds
-          (float_of_int queries /. tally.tally_wall_seconds)
-          tally.served tally.unknown tally.shed_rate tally.shed_queue;
-        print_endline (Eppi_serve.Metrics.to_json (Eppi_serve.Serve.metrics engine))
   in
   let term =
     Term.(
-      const run $ seed_arg $ index_arg $ queries $ shards $ domains $ zipf_exponent
-      $ unknown_fraction $ rate $ burst $ queue $ listen $ stdio $ peers $ replay_log $ roster
+      const run $ index_arg $ shards $ domains $ rate $ burst $ listen $ stdio $ peers $ roster
       $ linkage_seed_arg $ trace_arg)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Compile a published index into the read-optimized serving engine and either replay a \
-          workload in-process (default) or serve it as a persistent daemon ($(b,--listen), \
-          $(b,--stdio))")
+         "Compile a published index into the read-optimized serving engine and serve it as a \
+          persistent daemon ($(b,--listen) or $(b,--stdio))")
     term
 
 (* ---- republish / stats / shutdown: daemon administration ---- *)

@@ -5,8 +5,6 @@ type t = {
   frac_bits : int;
 }
 
-let of_word word ~frac_bits = { word; frac_bits }
-
 let constant b ~width ~frac_bits v =
   if v < 0.0 then invalid_arg "Fixedpoint.constant: negative value";
   let scaled = Float.round (v *. float_of_int (1 lsl frac_bits)) in

@@ -14,8 +14,6 @@ type t = {
   frac_bits : int;
 }
 
-val of_word : Word.word -> frac_bits:int -> t
-
 val constant : Circuit.Builder.t -> width:int -> frac_bits:int -> float -> t
 (** Encode a non-negative float (rounded to the nearest representable
     value; saturates at the width). *)

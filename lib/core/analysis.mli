@@ -10,11 +10,6 @@
 
 open Eppi_prelude
 
-val trial_success : Rng.t -> beta:float -> frequency:int -> epsilon:float -> m:int -> bool
-(** One publication trial: draw the false positives among [m - frequency]
-    negatives at rate [beta] and test fp >= ε.  β >= 1 publishes everywhere
-    (fp = 1 - σ). *)
-
 val empirical_success :
   Rng.t -> policy:Policy.t -> frequency:int -> epsilon:float -> m:int -> trials:int -> float
 (** Fraction of successful trials with the policy's β (the paper's

@@ -22,11 +22,9 @@ let default_params =
     crypto_per_and = 0.0017;
   }
 
-let estimate_comm ~parties ~outputs stats = Gmw.comm_estimate ~parties stats ~outputs
-
 let estimate ?(params = default_params) ~network ~parties ~outputs (stats : Circuit.stats) =
   let p = float_of_int parties in
-  let comm = estimate_comm ~parties ~outputs stats in
+  let comm = Gmw.comm_estimate ~parties stats ~outputs in
   params.setup_per_party *. p
   +. (params.setup_per_pair *. p *. p)
   +. (params.cpu_per_gate *. float_of_int stats.size *. p)

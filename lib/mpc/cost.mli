@@ -35,7 +35,3 @@ val estimate :
   ?params:params -> network:network -> parties:int -> outputs:int -> Circuit.stats -> float
 (** Simulated wall-clock seconds for one execution of a circuit with the
     given shape among [parties] parties. *)
-
-val estimate_comm :
-  parties:int -> outputs:int -> Circuit.stats -> Gmw.comm_stats
-(** Re-exported communication accounting (see {!Gmw.comm_estimate}). *)

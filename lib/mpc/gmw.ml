@@ -18,11 +18,12 @@ type result = {
 let comm_estimate ~parties (stats : Circuit.stats) ~outputs =
   let p = parties in
   let pairs = p * (p - 1) in
-  (* Input sharing: each input bit's owner sends one share to every other
-     party.  And layer: every party broadcasts 2 masked bits per gate in the
+  (* Input sharing: one message per ordered party pair, the input bits'
+     shares packed 8 to a byte (nothing for a circuit without inputs).
+     And layer: every party broadcasts 2 masked bits per gate in the
      layer.  Output: every party broadcasts its output shares. *)
-  let input_messages = stats.inputs * (p - 1) in
-  let input_bytes = stats.inputs * (p - 1) in
+  let input_messages = if stats.inputs > 0 then pairs else 0 in
+  let input_bytes = ((stats.inputs * (p - 1)) + 7) / 8 in
   let and_messages = stats.and_depth * pairs in
   let and_bits = 2 * stats.and_gates * pairs in
   let output_messages = pairs in

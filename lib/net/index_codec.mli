@@ -42,9 +42,6 @@
     {!error}, never an exception — the daemon feeds this decoder bytes
     that arrived off the network. *)
 
-val codec_version : int
-(** The version byte leading every encoded index (currently 1). *)
-
 type error =
   | Unsupported_version of int  (** First byte is not a known version. *)
   | Truncated of string  (** Input ended inside the named field. *)

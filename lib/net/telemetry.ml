@@ -159,8 +159,6 @@ let finish t r ~t_written =
   note_slow t r ~total_ns ~stage_ns
 
 let stage_sum_ns t = Array.fold_left ( + ) 0 t.stage_sum_ns
-let total_sum_ns t = t.total_sum_ns
-let finished t = t.finished
 
 (* ---- JSON rendering ---- *)
 

@@ -49,14 +49,6 @@ val finish : t -> record -> t_written:int -> unit
     monotonic stamp at which the last byte of the response reached the
     socket; it also drives window rotation. *)
 
-val finished : t -> int
-(** Requests folded in so far. *)
-
-val stage_sum_ns : t -> int
-(** Sum over all six per-stage sums — equals {!total_sum_ns} exactly. *)
-
-val total_sum_ns : t -> int
-
 val json : ?extra:(string * Eppi_prelude.Json.t) list -> t -> now_ns:int -> Eppi_prelude.Json.t
 (** The snapshot carried by the [Telemetry] wire reply: window summaries
     per class, per-stage histograms with integer sums, the conservation
@@ -64,13 +56,8 @@ val json : ?extra:(string * Eppi_prelude.Json.t) list -> t -> now_ns:int -> Eppi
     fields (the server adds worker, generation and trace info).  The
     field list with units is in docs/OBSERVABILITY.md. *)
 
-val class_of_kind : int -> int
-(** Wire tag → window-class index (see {!classes}). *)
-
 val classes : string array
 (** The window classes, in reply order. *)
 
 val stage_names : string array
 (** The six stages, in pipeline order. *)
-
-val kind_name : int -> string

@@ -122,8 +122,6 @@ let error_to_string = function
       Printf.sprintf "payload of %d bytes exceeds the %d-byte bound" length limit
   | Corrupt msg -> Printf.sprintf "corrupt payload: %s" msg
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 (* ---- varints: zigzag LEB128 over OCaml's 63-bit ints ---- *)
 
 (* Zigzag maps the int's bit pattern so small magnitudes of either sign

@@ -99,9 +99,6 @@ type frame =
 val version : int
 (** Protocol version carried in every header (currently 1). *)
 
-val header_bytes : int
-(** Fixed header size: 7. *)
-
 val default_max_payload : int
 (** Decoder payload bound: 64 MiB — room for the binary republish frame
     of a large index. *)
@@ -127,7 +124,6 @@ type error =
           count, trailing bytes, …). *)
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 module Decoder : sig
   type t

@@ -209,25 +209,3 @@ module Windowed = struct
       span_s = span;
     }
 end
-
-module Histogram = struct
-  type t = { lo : float; hi : float; counts : int array }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 then invalid_arg "Histogram.create: bins must be positive";
-    if hi <= lo then invalid_arg "Histogram.create: hi must exceed lo";
-    { lo; hi; counts = Array.make bins 0 }
-
-  let bin_of t x =
-    let bins = Array.length t.counts in
-    let raw = (x -. t.lo) /. (t.hi -. t.lo) *. float_of_int bins in
-    let i = int_of_float (Float.floor raw) in
-    if i < 0 then 0 else if i >= bins then bins - 1 else i
-
-  let add t x =
-    let i = bin_of t x in
-    t.counts.(i) <- t.counts.(i) + 1
-
-  let counts t = Array.copy t.counts
-  let total t = Array.fold_left ( + ) 0 t.counts
-end

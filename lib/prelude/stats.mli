@@ -16,8 +16,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance (n-1 denominator); 0 for singletons. *)
 
-val stddev : float array -> float
-
 val quantile : float array -> float -> float
 (** [quantile xs q] for [q] in [0,1], linear interpolation between order
     statistics.  Does not mutate its argument. *)
@@ -104,18 +102,3 @@ module Windowed : sig
   (** The window's full span in seconds (slots x slot width). *)
 end
 
-(** Fixed-bin histogram over a closed interval. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-
-  val add : t -> float -> unit
-  (** Out-of-range values are clamped into the edge bins. *)
-
-  val counts : t -> int array
-  val total : t -> int
-
-  val bin_of : t -> float -> int
-  (** Index of the bin a value falls into. *)
-end

@@ -32,9 +32,6 @@ val add : q:Modarith.modulus -> share array -> share array -> share array
 (** Share-wise sum of two share vectors of equal length (the additive
     homomorphism). *)
 
-val zero_sharing : Rng.t -> q:Modarith.modulus -> c:int -> share array
-(** A fresh random sharing of 0, usable to re-randomize another sharing. *)
-
 val rerandomize : Rng.t -> q:Modarith.modulus -> share array -> share array
 (** Fresh sharing of the same secret (adds a zero sharing). *)
 

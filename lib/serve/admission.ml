@@ -1,10 +1,7 @@
 type config = {
   rate : float;
   burst : int;
-  queue_capacity : int;
 }
-
-let default_config = { rate = 50_000.0; burst = 1_000; queue_capacity = 100_000 }
 
 type t = {
   cfg : config;
@@ -15,10 +12,7 @@ type t = {
 let create cfg =
   if cfg.rate <= 0.0 then invalid_arg "Admission.create: rate must be positive";
   if cfg.burst < 1 then invalid_arg "Admission.create: burst must be >= 1";
-  if cfg.queue_capacity < 1 then invalid_arg "Admission.create: queue_capacity must be >= 1";
   { cfg; available = float_of_int cfg.burst; last = Float.nan }
-
-let config t = t.cfg
 
 let try_admit t ~now =
   if not (Float.is_nan t.last) then begin

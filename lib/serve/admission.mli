@@ -2,27 +2,18 @@
 
     Each shard owns one bucket; a request either takes a token and proceeds
     or is shed with an explicit outcome (the engine reports every shed —
-    nothing is silently dropped).  [queue_capacity] bounds the per-shard
-    request queue in batch replay: requests beyond it are shed as queue
-    overflow before they reach the bucket. *)
+    nothing is silently dropped). *)
 
 type config = {
   rate : float;  (** Token refill rate per second (> 0). *)
   burst : int;  (** Bucket capacity — the largest admissible burst (>= 1). *)
-  queue_capacity : int;  (** Per-shard queue bound in batch replay (>= 1). *)
 }
-
-val default_config : config
-(** 50k requests/s, burst 1000, queue 100k — permissive defaults sized for
-    the bench workloads. *)
 
 type t
 
 val create : config -> t
-(** A full bucket.  @raise Invalid_argument on a non-positive rate, burst or
-    queue capacity. *)
-
-val config : t -> config
+(** A full bucket.  @raise Invalid_argument on a non-positive rate or
+    burst. *)
 
 val try_admit : t -> now:float -> bool
 (** Refill from the elapsed time since the previous call (clamped at

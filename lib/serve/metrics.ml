@@ -5,7 +5,6 @@ type t = {
   mutable served : int;
   mutable unknown : int;
   mutable shed_rate : int;
-  mutable shed_queue : int;
   mutable audits : int;
   mutable fuzzy_queries : int;
   mutable fuzzy_resolved : int;
@@ -22,7 +21,6 @@ let create () =
     served = 0;
     unknown = 0;
     shed_rate = 0;
-    shed_queue = 0;
     audits = 0;
     fuzzy_queries = 0;
     fuzzy_resolved = 0;
@@ -37,7 +35,6 @@ let incr_queries t = t.queries <- t.queries + 1
 let incr_served t = t.served <- t.served + 1
 let incr_unknown t = t.unknown <- t.unknown + 1
 let incr_shed_rate t = t.shed_rate <- t.shed_rate + 1
-let incr_shed_queue t = t.shed_queue <- t.shed_queue + 1
 let incr_audits t = t.audits <- t.audits + 1
 let incr_fuzzy t = t.fuzzy_queries <- t.fuzzy_queries + 1
 let incr_fuzzy_resolved t = t.fuzzy_resolved <- t.fuzzy_resolved + 1
@@ -84,7 +81,7 @@ let snapshot ?(generation = 1) shards =
     served = sum (fun t -> t.served);
     unknown = sum (fun t -> t.unknown);
     shed_rate = sum (fun t -> t.shed_rate);
-    shed_queue = sum (fun t -> t.shed_queue);
+    shed_queue = 0;
     audits = sum (fun t -> t.audits);
     generation;
     swaps = generation - 1;

@@ -1,8 +1,9 @@
 (** Observability surface of the serving engine.
 
-    Each shard owns one [t] and is its only writer (the engine routes a
-    shard to exactly one domain), so the hot path is plain-int increments
-    with no cross-core contention; a snapshot merges all shards.  Latencies
+    Each shard owns one [t] and is its only writer (the daemon pins a
+    shard to exactly one worker domain), so the hot path is plain-int
+    increments with no cross-core contention; a snapshot merges all
+    shards.  Latencies
     go into a log2-scaled histogram ({!Eppi_prelude.Stats.Log2_histogram}),
     so p50/p95/p99 come out of a 64-int array, not a sample buffer. *)
 
@@ -14,7 +15,6 @@ val incr_queries : t -> unit
 val incr_served : t -> unit
 val incr_unknown : t -> unit
 val incr_shed_rate : t -> unit
-val incr_shed_queue : t -> unit
 val incr_audits : t -> unit
 
 val incr_fuzzy : t -> unit
@@ -47,7 +47,10 @@ type snapshot = {
   served : int;  (** Requests answered with a provider list. *)
   unknown : int;  (** Requests for out-of-range owner ids. *)
   shed_rate : int;  (** Shed by the token bucket. *)
-  shed_queue : int;  (** Shed by the bounded per-shard queue. *)
+  shed_queue : int;
+      (** Always 0: the engine has no request queue.  Kept because the
+          Stats reply's [shed_queue] key is read by the lifecycle
+          benchmark's conservation check. *)
   audits : int;  (** Provider-side audit queries. *)
   generation : int;
       (** The published index generation the snapshot is labelled with

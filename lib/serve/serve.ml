@@ -18,7 +18,7 @@ type reply =
   | Providers of int list
   | Unknown_owner
   | Shed_rate_limit
-  | Shed_queue_full
+  | Shed_queue_full  (* never produced by the engine; see serve.mli *)
 
 type shard = {
   bucket : Admission.t option;
@@ -40,10 +40,9 @@ type published = {
 type t = {
   published : published Atomic.t;
   shard_states : shard array;
-  queue_capacity : int;  (* max_int when admission is off *)
 }
 
-let of_postings ?(config = default_config) ?resolver postings =
+let create ?(config = default_config) ?resolver index =
   if config.shards < 1 then invalid_arg "Serve: shards must be >= 1";
   let shard_states =
     Array.init config.shards (fun _ ->
@@ -53,14 +52,9 @@ let of_postings ?(config = default_config) ?resolver postings =
           tick = 0;
         })
   in
-  {
-    published = Atomic.make { generation = 1; store = postings; resolver };
-    shard_states;
-    queue_capacity =
-      (match config.admission with Some a -> a.queue_capacity | None -> max_int);
-  }
+  let store = Postings.of_index index in
+  { published = Atomic.make { generation = 1; store; resolver }; shard_states }
 
-let create ?config ?resolver index = of_postings ?config ?resolver (Postings.of_index index)
 let postings t = (Atomic.get t.published).store
 let generation t = (Atomic.get t.published).generation
 let resolver t = (Atomic.get t.published).resolver
@@ -102,32 +96,32 @@ let lookup pub sh ~owner =
 (* [pub] comes from one atomic load per request, which pins the
    (generation, postings) pair this reply is computed from: a republish
    between two requests is picked up by the second, never mid-reply. *)
-let serve_one pub sh ~clock ~now ~owner =
-  Metrics.incr_queries sh.metrics;
-  let admitted =
-    match sh.bucket with None -> true | Some b -> Admission.try_admit b ~now
-  in
-  if not admitted then begin
-    Metrics.incr_shed_rate sh.metrics;
-    Shed_rate_limit
-  end
-  else begin
-    sh.tick <- sh.tick + 1;
-    if sh.tick >= sample_every then begin
-      sh.tick <- 0;
-      let t0 = clock () in
-      let reply = lookup pub sh ~owner in
-      Metrics.record_latency sh.metrics (clock () -. t0);
-      reply
-    end
-    else lookup pub sh ~owner
-  end
-
 let query_tagged ?now t ~owner =
   let now = match now with Some n -> n | None -> Clock.seconds () in
   let pub = Atomic.get t.published in
   let sh = t.shard_states.(shard_of t owner) in
-  (pub.generation, serve_one pub sh ~clock:Clock.seconds ~now ~owner)
+  Metrics.incr_queries sh.metrics;
+  let admitted =
+    match sh.bucket with None -> true | Some b -> Admission.try_admit b ~now
+  in
+  let reply =
+    if not admitted then begin
+      Metrics.incr_shed_rate sh.metrics;
+      Shed_rate_limit
+    end
+    else begin
+      sh.tick <- sh.tick + 1;
+      if sh.tick >= sample_every then begin
+        sh.tick <- 0;
+        let t0 = Clock.seconds () in
+        let reply = lookup pub sh ~owner in
+        Metrics.record_latency sh.metrics (Clock.seconds () -. t0);
+        reply
+      end
+      else lookup pub sh ~owner
+    end
+  in
+  (pub.generation, reply)
 
 let query ?now t ~owner = snd (query_tagged ?now t ~owner)
 
@@ -217,122 +211,6 @@ let audit t ~provider =
     Metrics.incr_audits t.shard_states.(0).metrics;
     Some (Postings.owners_of store ~provider)
   end
-
-type report = {
-  replies : reply array;
-  wall_seconds : float;
-}
-
-(* Wrap one shard's batch in a span carrying the shard's metric deltas
-   (via {!Metrics.diff}).  One tracing branch per shard batch — never per
-   query — so the disabled path costs a single atomic load per batch. *)
-let traced_shard sh ~shard ~requests body =
-  if not (Trace.enabled ()) then body ()
-  else begin
-    let before = Metrics.snapshot [ sh.metrics ] in
-    Trace.begin_span "serve.shard";
-    body ();
-    let d = Metrics.diff (Metrics.snapshot [ sh.metrics ]) before in
-    Trace.end_span "serve.shard"
-      ~args:
-        [
-          ("shard", shard);
-          ("requests", requests);
-          ("served", d.served);
-          ("unknown", d.unknown);
-          ("shed", d.shed_rate + d.shed_queue);
-        ]
-  end
-
-(* The one batch loop behind {!run} and {!replay}.  Partition request
-   positions by shard, preserving request order within each shard, then
-   serve every shard's batch — in parallel when a pool is given — handing
-   each reply to [emit shard position reply].  Each shard's state is
-   touched by exactly one domain, so no locking is needed anywhere.  The
-   batch arrives at once: a shard's queue absorbs at most
-   [queue_capacity] requests, and the overflow is shed, explicitly.
-   Returns the serving wall time. *)
-let dispatch ?pool ~clock t requests emit =
-  let nshards = Array.length t.shard_states in
-  let counts = Array.make nshards 0 in
-  Array.iter
-    (fun owner ->
-      let s = shard_of t owner in
-      counts.(s) <- counts.(s) + 1)
-    requests;
-  let buckets = Array.map (fun c -> Array.make c 0) counts in
-  let cursor = Array.make nshards 0 in
-  Array.iteri
-    (fun pos owner ->
-      let s = shard_of t owner in
-      buckets.(s).(cursor.(s)) <- pos;
-      cursor.(s) <- cursor.(s) + 1)
-    requests;
-  let work s =
-    let sh = t.shard_states.(s) and positions = buckets.(s) in
-    let len = Array.length positions in
-    traced_shard sh ~shard:s ~requests:len (fun () ->
-        let admitted = min len t.queue_capacity in
-        for k = 0 to admitted - 1 do
-          let pos = positions.(k) in
-          emit s pos
-            (serve_one (Atomic.get t.published) sh ~clock ~now:(clock ()) ~owner:requests.(pos))
-        done;
-        for k = admitted to len - 1 do
-          Metrics.incr_queries sh.metrics;
-          Metrics.incr_shed_queue sh.metrics;
-          emit s positions.(k) Shed_queue_full
-        done)
-  in
-  let t0 = clock () in
-  (match pool with
-  | Some pool when nshards > 1 -> Pool.parallel_iter pool work (Array.init nshards Fun.id)
-  | _ ->
-      for s = 0 to nshards - 1 do
-        work s
-      done);
-  clock () -. t0
-
-let run ?pool ?(clock = Clock.seconds) t requests =
-  let replies = Array.make (Array.length requests) Unknown_owner in
-  let wall_seconds =
-    dispatch ?pool ~clock t requests (fun _ pos reply -> replies.(pos) <- reply)
-  in
-  { replies; wall_seconds }
-
-type tally = {
-  served : int;
-  unknown : int;
-  shed_rate : int;
-  shed_queue : int;
-  providers_listed : int;
-  tally_wall_seconds : float;
-}
-
-let replay ?pool ?(clock = Clock.seconds) t requests =
-  (* Per-shard counter blocks: served, unknown, shed_rate, shed_queue,
-     providers_listed.  Single-writer, summed after the barrier. *)
-  let tallies = Array.init (Array.length t.shard_states) (fun _ -> Array.make 5 0) in
-  let wall =
-    dispatch ?pool ~clock t requests (fun s _ reply ->
-        let tl = tallies.(s) in
-        match reply with
-        | Providers providers ->
-            tl.(0) <- tl.(0) + 1;
-            tl.(4) <- tl.(4) + List.length providers
-        | Unknown_owner -> tl.(1) <- tl.(1) + 1
-        | Shed_rate_limit -> tl.(2) <- tl.(2) + 1
-        | Shed_queue_full -> tl.(3) <- tl.(3) + 1)
-  in
-  let sum i = Array.fold_left (fun acc tl -> acc + tl.(i)) 0 tallies in
-  {
-    served = sum 0;
-    unknown = sum 1;
-    shed_rate = sum 2;
-    shed_queue = sum 3;
-    providers_listed = sum 4;
-    tally_wall_seconds = wall;
-  }
 
 let metrics t =
   Metrics.snapshot ~generation:(generation t)

@@ -2,11 +2,13 @@
 
     Layered on a published {!Eppi.Index}: an exact lookup is a range
     check plus {!Postings.query}, which decodes only the owner's packed
-    row.  Requests are routed by owner id to one of [shards] independent
-    shard states, each holding its own token bucket and metrics.  All
-    shared data (the compiled {!Postings} store) is read-only, and each
-    shard's mutable state has a single writer, so batch replay across an
-    {!Eppi_prelude.Pool} of domains runs without locks or contention.
+    row.  The engine answers one request per call ({!query},
+    {!query_fuzzy}).  Requests are routed by owner id to one of [shards]
+    independent shard states, each holding its own token bucket and
+    metrics.  All shared data (the compiled {!Postings} store) is
+    read-only, and each shard's mutable state has a single writer: the
+    daemon ([Eppi_net.Server]) pins every shard to one worker domain, so
+    its domains serve in parallel without locks or contention.
 
     The published store sits behind a generation-tagged atomic slot:
     {!republish} installs a freshly constructed index while the shards keep
@@ -22,8 +24,6 @@
     explicit {!reply} — shed requests are reported, never silently
     dropped. *)
 
-open Eppi_prelude
-
 type config = {
   shards : int;  (** Independent shard states (>= 1). *)
   admission : Admission.config option;  (** [None]: admit everything. *)
@@ -37,7 +37,11 @@ type reply =
   | Providers of int list  (** The QueryPPI answer, ascending provider ids. *)
   | Unknown_owner  (** The owner id is outside the published index. *)
   | Shed_rate_limit  (** Rejected by the shard's token bucket. *)
-  | Shed_queue_full  (** Rejected by the bounded per-shard queue (batch). *)
+  | Shed_queue_full
+      (** Never produced by the engine, which has no request queue.  Kept
+          because it is the wire's reply kind 3 ([Eppi_net.Wire]), which
+          decoders and the lifecycle benchmark's reply checks still
+          match. *)
 
 type t
 
@@ -46,9 +50,6 @@ val create : ?config:config -> ?resolver:Eppi_fuzzy.Resolver.t -> Eppi.Index.t -
     state.  [resolver], when given, enables {!query_fuzzy} against the
     roster it was built from.  @raise Invalid_argument on a non-positive
     shard count. *)
-
-val of_postings : ?config:config -> ?resolver:Eppi_fuzzy.Resolver.t -> Postings.t -> t
-(** Reuse an already-compiled store (e.g. shared across engines). *)
 
 val postings : t -> Postings.t
 (** The currently published store (the latest generation's). *)
@@ -70,15 +71,17 @@ val republish : ?resolver:Eppi_fuzzy.Resolver.t -> t -> Postings.t -> int
     atomic store as the postings; omitted, the currently installed one is
     carried over — either way readers see a consistent
     (postings, resolver) pair.  Safe to call from any domain while
-    {!query}/{!run}/{!replay} execute. *)
+    other domains run {!query}. *)
 
 val republish_index : ?resolver:Eppi_fuzzy.Resolver.t -> t -> Eppi.Index.t -> int
 (** {!republish} after compiling the index ({!Postings.of_index}). *)
 
 val query : ?now:float -> t -> owner:int -> reply
-(** Serve one request.  [now] (seconds, default {!Clock.seconds}) drives the
-    token bucket and latency measurement.  Concurrent callers must not share
-    a shard; use {!run} for parallel replay. *)
+(** Serve one request.  [now] (seconds, default
+    {!Eppi_prelude.Clock.seconds}) drives the token bucket.  Concurrent
+    callers must not share a shard: domains that serve in parallel each
+    own a disjoint set of shards ([owner mod shards]), as the daemon's
+    workers do. *)
 
 val query_tagged : ?now:float -> t -> owner:int -> int * reply
 (** Like {!query}, also naming the generation of the published index the
@@ -118,36 +121,7 @@ val audit : t -> provider:int -> int list option
 (** Provider-side audit: the owners the published index lists at
     [provider]; [None] when the provider id is out of range. *)
 
-type report = {
-  replies : reply array;  (** One per request, in request order. *)
-  wall_seconds : float;
-}
-
-val run : ?pool:Pool.t -> ?clock:(unit -> float) -> t -> int array -> report
-(** Replay a workload (owner id per request).  Requests are partitioned by
-    shard, preserving request order within each shard, and shards execute in
-    parallel across the pool's domains; replies land at their request's
-    position.  With admission control configured, each shard queues at most
-    [queue_capacity] requests per batch — the overflow is answered
-    [Shed_queue_full] — and its token bucket is consulted per request. *)
-
-type tally = {
-  served : int;
-  unknown : int;
-  shed_rate : int;
-  shed_queue : int;
-  providers_listed : int;  (** Sum of reply list lengths (response volume). *)
-  tally_wall_seconds : float;
-}
-
-val replay : ?pool:Pool.t -> ?clock:(unit -> float) -> t -> int array -> tally
-(** Like {!run}, but replies are consumed (counted) as they are produced
-    instead of being retained — the streaming-server shape.  Use this for
-    throughput measurement: {!run} keeps every materialized posting list
-    live, which charges the measurement with the caller's retention, not
-    the engine's work. *)
-
 val metrics : t -> Metrics.snapshot
 (** Merged view over all shards, labelled with the current {!generation}.
-    Reading while {!run} executes on other domains yields a
-    consistent-enough approximation (plain int reads). *)
+    Reading while other domains serve yields a consistent-enough
+    approximation (plain int reads). *)

@@ -220,11 +220,6 @@ let crash t node =
   check_node t node;
   t.crashed.(node) <- true
 
-let crash_at t ~time node =
-  check_node t node;
-  if time < 0.0 then invalid_arg "Simnet.crash_at: negative time";
-  Heap.push t.queue ~key:time (Crash node)
-
 let is_crashed t node =
   check_node t node;
   t.crashed.(node)

@@ -105,10 +105,6 @@ val crash : 'msg t -> node_id -> unit
 (** Fail-stop the node now: it silently drops everything addressed to it,
     its pending timers are cancelled, and further {!work} is not charged. *)
 
-val crash_at : 'msg t -> time:float -> node_id -> unit
-(** Schedule a fail-stop at an absolute sim time (what
-    {!fault_plan.crashes} uses internally). *)
-
 val is_crashed : 'msg t -> node_id -> bool
 
 val run : 'msg t -> unit

@@ -19,12 +19,13 @@ echo "== scaling smoke =="
 SCALING_N=200 SCALING_M=6 SCALING_DOMAINS=1,2 dune exec bench/main.exe -- scaling
 rm -f BENCH_construct.json
 
-# A ~5 s smoke of the serving bench: tiny index, short replay, 1 and 2
-# domains. Exercises the postings compiler, admission control and
-# the bench's reply-equality + shed-conservation assertions; the bench
-# exits non-zero unless every gate on its BENCH_serve.json holds.
+# A ~5 s smoke of the serving bench: tiny index, short replay, one
+# Serve.query call per request. Exercises the postings compiler, admission
+# control under a manual clock, the telemetry-overhead daemons and the
+# bench's reply-equality + shed-conservation assertions; the bench exits
+# non-zero unless every gate on its BENCH_serve.json holds.
 echo "== serve smoke =="
-SERVE_N=120 SERVE_M=64 SERVE_QUERIES=4000 SERVE_DOMAINS=1,2 \
+SERVE_N=120 SERVE_M=64 SERVE_QUERIES=4000 \
   SERVE_TELEMETRY_QUERIES=2000 SERVE_TELEMETRY_DOMAINS=2 \
   dune exec bench/main.exe -- serve
 rm -f BENCH_serve.json

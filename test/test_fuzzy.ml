@@ -702,7 +702,7 @@ let test_engine_fuzzy_admission () =
   let n = 20 in
   let people = roster n in
   let resolver = Resolver.build config people in
-  let admission = Some { Eppi_serve.Admission.rate = 1.0; burst = 2; queue_capacity = 10 } in
+  let admission = Some { Eppi_serve.Admission.rate = 1.0; burst = 2 } in
   let c = { Serve.default_config with admission } in
   let engine = Serve.create ~config:c ~resolver (test_index n 8) in
   let probe = Probe.of_demographic config.params people.(0) in

@@ -116,6 +116,35 @@ let test_gmw_comm_scales_with_parties () =
   check_bool "more parties, more messages" true (c8.messages > c2.messages);
   check_bool "more parties, more bytes" true (c8.bytes > c2.bytes)
 
+(* Input sharing costs one message per ordered party pair, like every
+   And layer and the output round, so a circuit with inputs sends
+   p(p-1) messages per round; its bits travel packed 8 to a byte.  A
+   circuit without inputs has no input round to pay for. *)
+let test_gmw_comm_messages_per_round () =
+  let stats = Circuit.stats (millionaires_compiled 8).circuit in
+  List.iter
+    (fun p ->
+      let c = Gmw.comm_estimate ~parties:p stats ~outputs:1 in
+      check_int
+        (Printf.sprintf "%d parties: p(p-1) messages a round" p)
+        (p * (p - 1) * (stats.and_depth + 2))
+        c.messages;
+      check_int
+        (Printf.sprintf "%d parties: packed bytes" p)
+        (((stats.inputs * (p - 1)) + 7) / 8
+        + (((2 * stats.and_gates * p * (p - 1)) + 7) / 8)
+        + (p * (p - 1)))
+        c.bytes)
+    [ 2; 3; 5 ];
+  let constant =
+    Circuit.stats
+      (let b = B.create ~n_parties:3 () in
+       B.output b (B.and_ b (B.const b true) (B.const b false));
+       B.finish b)
+  in
+  let c = Gmw.comm_estimate ~parties:3 constant ~outputs:1 in
+  check_int "no inputs, no input messages" (6 * (constant.and_depth + 1)) c.messages
+
 let test_gmw_views_shapes () =
   let compiled = millionaires_compiled 4 in
   let rng = Rng.create 6 in
@@ -411,6 +440,7 @@ let () =
           Alcotest.test_case "missing input rejected" `Quick test_gmw_missing_input_rejected;
           Alcotest.test_case "comm accounting" `Quick test_gmw_comm_accounting;
           Alcotest.test_case "comm scales with parties" `Quick test_gmw_comm_scales_with_parties;
+          Alcotest.test_case "comm messages per round" `Quick test_gmw_comm_messages_per_round;
           Alcotest.test_case "views shapes" `Quick test_gmw_views_shapes;
           Alcotest.test_case "openings secret-independent" `Quick
             test_gmw_openings_secret_independent;

@@ -583,11 +583,11 @@ let sock_path () =
 
 (* Start a daemon over [index] in its own domain, run [f addr engine]
    against it, then shut it down (if [f] has not already) and join. *)
-let with_server ?(shards = 1) ?(workers = 1)
+let with_server ?(shards = 1) ?(workers = 1) ?admission
     ?(max_inflight = Server.default_config.max_inflight) ?(peers = []) ?resolver index f =
   let path = sock_path () in
   let addr = Addr.Unix_socket path in
-  let engine = Serve.create ~config:{ Serve.default_config with shards } ?resolver index in
+  let engine = Serve.create ~config:{ Serve.shards; admission } ?resolver index in
   let server =
     Server.create ~config:{ Server.default_config with workers; max_inflight; peers } engine
   in
@@ -644,6 +644,43 @@ let daemon_basics ~shards ~workers () =
               check_bool (Printf.sprintf "pipelined entry %d" i) true
                 (response = Wire.Reply { generation = 1; reply }))
             (List.combine owners responses)))
+
+(* A rate-limited daemon: the buckets refill 1e-3 tokens/s, so in a test's
+   lifetime each shard admits exactly its burst.  One pipeline carries
+   three rounds over every owner; each shard must answer its first [burst]
+   queries with providers and shed the rest, and the Stats reply must
+   conserve every request, none of them shed by a queue. *)
+let daemon_admission ~workers () =
+  let n = 20 and shards = 4 and burst = 3 in
+  let index = test_index ~n ~m:9 in
+  let admission = { Eppi_serve.Admission.rate = 1e-3; burst } in
+  with_server ~shards ~workers ~admission index (fun addr _engine ->
+      let c = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let owners = List.init (3 * n) (fun i -> i mod n) in
+          let responses = Client.pipeline c (List.map (fun owner -> Wire.Query { owner }) owners) in
+          let seen = Array.make shards 0 in
+          List.iteri
+            (fun i (owner, response) ->
+              let s = owner mod shards in
+              let reply =
+                if seen.(s) < burst then Serve.Providers (Eppi.Index.query index ~owner)
+                else Serve.Shed_rate_limit
+              in
+              seen.(s) <- seen.(s) + 1;
+              check_bool (Printf.sprintf "request %d (owner %d)" i owner) true
+                (response = Wire.Reply { generation = 1; reply }))
+            (List.combine owners responses);
+          let stats = Json.parse_exn (Client.stats_json c) in
+          let get k = Option.value ~default:(-1) (Json.find_int stats [ k ]) in
+          check_int "queries" (3 * n) (get "queries");
+          check_int "served" (shards * burst) (get "served");
+          check_int "shed_rate" ((3 * n) - (shards * burst)) (get "shed_rate");
+          check_int "shed_queue" 0 (get "shed_queue");
+          check_int "conservation" (get "queries")
+            (get "served" + get "unknown" + get "shed_rate" + get "shed_queue")))
 
 let test_daemon_republish () =
   let n = 20 and m = 9 in
@@ -1642,7 +1679,6 @@ let fixture_metrics () =
   Metrics.incr_unknown a;
   Metrics.incr_queries b;
   Metrics.incr_shed_rate b;
-  Metrics.incr_shed_queue b;
   Metrics.incr_audits b;
   times 5 (fun () -> Metrics.incr_fuzzy a);
   times 2 (fun () -> Metrics.incr_fuzzy_resolved a);
@@ -1682,7 +1718,7 @@ let fixture_telemetry () =
 (* The fixture's replies, pinned: every key path, in order, and every
    integer.  A change to how the replies are rendered must keep them. *)
 let pinned_metrics =
-  [ "queries=8"; "served=4"; "unknown=1"; "shed_rate=1"; "shed_queue=1"; "audits=1";
+  [ "queries=8"; "served=4"; "unknown=1"; "shed_rate=1"; "shed_queue=0"; "audits=1";
     "generation=3"; "swaps=2"; "fuzzy_queries=5"; "fuzzy_resolved=2"; "fuzzy_empty=1";
     "fuzzy_rejected=1"; "fuzzy_shed=1"; "fuzzy_scanned=40"; "latency_count=3";
     "latency_mean_s=0.000502"; "p50_s=2.9e-06"; "p95_s=0.00148"; "p99_s=0.00148" ]
@@ -2009,6 +2045,7 @@ let () =
         [
           Alcotest.test_case "query, pipeline, audit, stats" `Quick
             (daemon_basics ~shards:1 ~workers:1);
+          Alcotest.test_case "rate limit sheds per shard" `Quick (daemon_admission ~workers:1);
           Alcotest.test_case "hot-swap republish" `Quick test_daemon_republish;
           Alcotest.test_case "cluster status over the wire" `Quick
             test_daemon_cluster_status;
@@ -2035,6 +2072,8 @@ let () =
         [
           Alcotest.test_case "query, pipeline, audit, stats (4 domains)" `Quick
             (daemon_basics ~shards:4 ~workers:4);
+          Alcotest.test_case "rate limit sheds per shard (4 domains)" `Quick
+            (daemon_admission ~workers:4);
           Alcotest.test_case "pipelined mixed requests (4 domains)" `Quick
             (daemon_pipeline ~shards:4 ~workers:4);
           Alcotest.test_case "more shards than workers" `Quick

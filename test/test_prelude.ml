@@ -400,19 +400,6 @@ let test_stats_summary () =
   check_float "min" 1.0 s.min;
   check_float "max" 3.0 s.max
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  Stats.Histogram.add h 0.5;
-  Stats.Histogram.add h 9.9;
-  Stats.Histogram.add h (-4.0);
-  (* clamped low *)
-  Stats.Histogram.add h 42.0;
-  (* clamped high *)
-  check_int "total" 4 (Stats.Histogram.total h);
-  let counts = Stats.Histogram.counts h in
-  check_int "low bin" 2 counts.(0);
-  check_int "high bin" 2 counts.(4)
-
 let test_log2_histogram_sum_and_clear () =
   let h = Stats.Log2_histogram.create () in
   List.iter (Stats.Log2_histogram.add h) [ 0.5; 1.5; 2.0 ];
@@ -870,7 +857,6 @@ let () =
           Alcotest.test_case "mean and variance" `Quick test_stats_mean_var;
           Alcotest.test_case "quantiles" `Quick test_stats_quantiles;
           Alcotest.test_case "summary" `Quick test_stats_summary;
-          Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "log2 histogram sum and clear" `Quick
             test_log2_histogram_sum_and_clear;
           Alcotest.test_case "windowed empty" `Quick test_windowed_empty;

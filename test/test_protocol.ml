@@ -683,14 +683,14 @@ let test_construct_pinned () =
   Alcotest.check metrics_testable "cost-model metrics"
     {
       secsumshare_time = 0x1.06db666d9d3c7p-10;
-      mpc_time = 0x1.ffe37cbc941a8p+1;
+      mpc_time = 0x1.ffe3608d0891ap+1;
       publication_time = 0x1.01b2b29a4692cp-22;
-      total_time = 0x1.00022d166399bp+2;
-      messages = 519;
-      bytes = 2466;
+      total_time = 0x1.00021efe9dd54p+2;
+      messages = 141;
+      bytes = 2130;
       circuit_stats =
         { size = 1836; and_gates = 636; xor_gates = 984; not_gates = 216; inputs = 192; and_depth = 17 };
-      mpc_comm = { rounds = 19; messages = 492; bytes = 1386 };
+      mpc_comm = { rounds = 19; messages = 114; bytes = 1050 };
     }
     model.metrics;
   let emergent = run ~transport:`Simnet () in

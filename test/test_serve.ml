@@ -1,7 +1,7 @@
 (* Tests for the online serving engine (lib/serve): the bit-packed postings
    store against Index.query, the token-bucket admission control under a
    manual clock, the log2 latency histogram, workload generation, and the
-   engine's end-to-end contract — every reply equals Index.query, every
+   engine's per-request contract — every reply equals Index.query, every
    shed request is reported. *)
 
 open Eppi_prelude
@@ -106,7 +106,7 @@ let test_postings_empty_and_full_rows () =
 (* ---------- Admission ---------- *)
 
 let test_admission_bucket () =
-  let bucket = Admission.create { rate = 10.0; burst = 3; queue_capacity = 5 } in
+  let bucket = Admission.create { rate = 10.0; burst = 3 } in
   check_close "starts full" 3.0 (Admission.tokens bucket);
   (* Burst drains the bucket; the 4th request at the same instant is shed. *)
   check_bool "1" true (Admission.try_admit bucket ~now:100.0);
@@ -123,15 +123,15 @@ let test_admission_bucket () =
   check_bool "d capped at burst" false (Admission.try_admit bucket ~now:200.0)
 
 let test_admission_clock_skew_and_validation () =
-  let bucket = Admission.create { rate = 1000.0; burst = 1; queue_capacity = 1 } in
+  let bucket = Admission.create { rate = 1000.0; burst = 1 } in
   check_bool "first" true (Admission.try_admit bucket ~now:50.0);
   (* Time going backwards must refill nothing, not explode. *)
   check_bool "backwards no refill" false (Admission.try_admit bucket ~now:49.0);
   check_bool "forward refills" true (Admission.try_admit bucket ~now:50.1);
   Alcotest.check_raises "bad rate" (Invalid_argument "Admission.create: rate must be positive")
-    (fun () -> ignore (Admission.create { rate = 0.0; burst = 1; queue_capacity = 1 }));
+    (fun () -> ignore (Admission.create { rate = 0.0; burst = 1 }));
   Alcotest.check_raises "bad burst" (Invalid_argument "Admission.create: burst must be >= 1")
-    (fun () -> ignore (Admission.create { rate = 1.0; burst = 0; queue_capacity = 1 }))
+    (fun () -> ignore (Admission.create { rate = 1.0; burst = 0 }))
 
 (* ---------- Histogram + metrics ---------- *)
 
@@ -227,7 +227,7 @@ let test_metrics_diff () =
   Metrics.incr_queries m;
   Metrics.incr_served m;
   Metrics.incr_unknown m;
-  Metrics.incr_shed_queue m;
+  Metrics.incr_shed_rate m;
   Metrics.record_latency m 1e-3;
   let newer = Metrics.snapshot [ m ] in
   let d = Metrics.diff newer older in
@@ -235,7 +235,7 @@ let test_metrics_diff () =
   check_int "queries" 2 d.queries;
   check_int "served" 1 d.served;
   check_int "unknown" 1 d.unknown;
-  check_int "shed_queue" 1 d.shed_queue;
+  check_int "shed_rate" 1 d.shed_rate;
   check_int "latency_count" 1 d.latency_count;
   (* ...while the distribution fields come from the newer snapshot (the
      cumulative histogram's difference has no defined percentiles). *)
@@ -300,22 +300,33 @@ let test_engine_unknown_owners () =
   check_int "nothing served" 0 snap.served;
   check_int "every request accounted" 5 snap.queries
 
-let test_engine_run_replay_agree () =
+(* Answer [workload] with one Serve.query_tagged call per request, the
+   requests of shard s (owner mod shards) in order on one pool task: the
+   shards run on the pool's domains, each the single writer of its shard
+   state, as the daemon's workers are. *)
+let serve_by_shard pool engine workload =
+  let shards = Serve.shards engine in
+  let replies = Array.make (Array.length workload) (0, Serve.Unknown_owner) in
+  Pool.parallel_iter pool
+    (fun s ->
+      Array.iteri
+        (fun i owner ->
+          if owner mod shards = s then replies.(i) <- Serve.query_tagged engine ~owner)
+        workload)
+    (Array.init shards Fun.id);
+  replies
+
+let test_engine_workload_replies () =
   let index = test_index ~n:40 ~m:32 in
   let workload = Workload.zipf ~unknown_fraction:0.1 (Rng.create 8) ~n:40 ~count:5_000 in
-  let make () = Serve.create ~config:{ Serve.default_config with shards = 4 } index in
-  let report = Serve.run (make ()) workload in
-  let tally = Serve.replay (make ()) workload in
-  let count f = Array.fold_left (fun acc r -> if f r then acc + 1 else acc) 0 report.replies in
-  check_int "served agree" (count (function Serve.Providers _ -> true | _ -> false)) tally.served;
-  check_int "unknown agree" (count (( = ) Serve.Unknown_owner)) tally.unknown;
-  let volume =
-    Array.fold_left
-      (fun acc r -> match r with Serve.Providers ps -> acc + List.length ps | _ -> acc)
-      0 report.replies
-  in
-  check_int "volume agree" volume tally.providers_listed;
-  (* And both must agree with the index itself, position by position. *)
+  let engine = Serve.create ~config:{ Serve.default_config with shards = 4 } index in
+  let replies = Array.map (fun owner -> Serve.query engine ~owner) workload in
+  let count f = Array.fold_left (fun acc r -> if f r then acc + 1 else acc) 0 replies in
+  let snap = Serve.metrics engine in
+  check_int "every request accounted" 5_000 snap.queries;
+  check_int "served agree" (count (function Serve.Providers _ -> true | _ -> false)) snap.served;
+  check_int "unknown agree" (count (( = ) Serve.Unknown_owner)) snap.unknown;
+  (* Every reply agrees with the index itself, request by request. *)
   Array.iteri
     (fun i reply ->
       let owner = workload.(i) in
@@ -325,53 +336,32 @@ let test_engine_run_replay_agree () =
           check_list (Printf.sprintf "request %d" i) (Eppi.Index.query index ~owner) providers
       | Serve.Unknown_owner -> check_bool "really unknown" true (owner >= 40)
       | _ -> Alcotest.fail "no admission control configured, nothing may be shed")
-    report.replies
+    replies
 
 let test_engine_pool_equals_sequential () =
   let index = test_index ~n:30 ~m:24 in
   let workload = Workload.zipf (Rng.create 9) ~n:30 ~count:3_000 in
   let config = { Serve.default_config with shards = 3 } in
-  let seq = Serve.run (Serve.create ~config index) workload in
-  let par =
-    Pool.with_pool ~size:2 (fun pool -> Serve.run ~pool (Serve.create ~config index) workload)
-  in
-  check_bool "parallel replies equal sequential" true (par.replies = seq.replies)
-
-let test_engine_queue_shedding_accounted () =
-  let index = test_index ~n:20 ~m:16 in
-  let queries = 1_000 in
-  let admission = Some { Admission.rate = 1e9; burst = 1_000_000; queue_capacity = 100 } in
-  let config = { Serve.shards = 2; admission } in
   let engine = Serve.create ~config index in
-  let workload = Workload.uniform (Rng.create 10) ~n:20 ~count:queries in
-  let report = Serve.run engine workload in
-  let snap = Serve.metrics engine in
-  check_int "every request accounted" queries snap.queries;
-  check_int "conservation" queries (snap.served + snap.unknown + snap.shed_rate + snap.shed_queue);
-  (* 2 shards x 100 queue slots, generous bucket: exactly queries - 200 shed. *)
-  check_int "queue bound enforced" (queries - 200) snap.shed_queue;
-  let shed_replies =
-    Array.fold_left
-      (fun acc r -> if r = Serve.Shed_queue_full then acc + 1 else acc)
-      0 report.replies
+  let seq = Array.map (fun owner -> Serve.query_tagged engine ~owner) workload in
+  let par =
+    Pool.with_pool ~size:2 (fun pool -> serve_by_shard pool (Serve.create ~config index) workload)
   in
-  check_int "shed visible in replies" snap.shed_queue shed_replies
+  check_bool "parallel replies equal sequential" true (par = seq)
 
 let test_engine_rate_shedding_with_manual_clock () =
   let index = test_index ~n:20 ~m:16 in
-  let admission = Some { Admission.rate = 1.0; burst = 10; queue_capacity = 1_000_000 } in
+  let admission = Some { Admission.rate = 1.0; burst = 10 } in
   let config = { Serve.default_config with admission } in
   let engine = Serve.create ~config index in
   let workload = Workload.uniform (Rng.create 11) ~n:20 ~count:100 in
   (* A frozen clock: no refill ever happens, so exactly burst are admitted. *)
-  let report = Serve.run ~clock:(fun () -> 1000.0) engine workload in
+  let replies = Array.map (fun owner -> Serve.query ~now:1000.0 engine ~owner) workload in
   let snap = Serve.metrics engine in
   check_int "burst admitted" 10 snap.served;
   check_int "rest shed by rate" 90 snap.shed_rate;
   check_int "replies agree" 90
-    (Array.fold_left
-       (fun acc r -> if r = Serve.Shed_rate_limit then acc + 1 else acc)
-       0 report.replies)
+    (Array.fold_left (fun acc r -> if r = Serve.Shed_rate_limit then acc + 1 else acc) 0 replies)
 
 let test_engine_audit () =
   let index = test_index ~n:12 ~m:9 in
@@ -512,18 +502,24 @@ let test_engine_hot_swap_concurrent () =
         Unix.sleepf 0.002;
         Serve.republish_index engine index2)
   in
-  let report = Pool.with_pool ~size:4 (fun pool -> Serve.run ~pool engine workload) in
+  let replies = Pool.with_pool ~size:4 (fun pool -> serve_by_shard pool engine workload) in
   check_int "swap installed generation 2" 2 (Domain.join swapper);
-  (* Every reply must be the truth of one of the two generations — a swap
-     mid-run may answer from either, but never from a mixture. *)
+  (* Every reply is its tagged generation's row — a swap mid-run may
+     answer from either generation, but never from a mixture — and no
+     shard's replies regress to an older generation. *)
+  let latest = Array.make (Serve.shards engine) 1 in
   Array.iteri
-    (fun i reply ->
+    (fun i (generation, reply) ->
       let owner = workload.(i) in
+      let truth = if generation = 1 then truth1 else truth2 in
       check_bool
-        (Printf.sprintf "request %d owner %d matches a generation" i owner)
+        (Printf.sprintf "request %d owner %d matches generation %d" i owner generation)
         true
-        (reply = Serve.Providers truth1.(owner) || reply = Serve.Providers truth2.(owner)))
-    report.replies;
+        (reply = Serve.Providers truth.(owner));
+      let s = owner mod Serve.shards engine in
+      check_bool "generation never regresses on a shard" true (generation >= latest.(s));
+      latest.(s) <- generation)
+    replies;
   for owner = 0 to n - 1 do
     check_bool "post-swap queries serve the new index" true
       (Serve.query engine ~owner = Serve.Providers truth2.(owner))
@@ -569,11 +565,11 @@ let qcheck_tests =
         let index2 = random_index rng ~n ~m:20 ~density:0.2 in
         let engine = Serve.create ~config:{ Serve.default_config with shards } index in
         let workload = Workload.zipf (Rng.create (seed + 1)) ~n ~count:300 in
-        let report = Serve.run engine workload in
+        let replies = Array.map (fun owner -> Serve.query engine ~owner) workload in
         ignore (Serve.republish_index engine index2);
         Array.for_all2
           (fun owner reply -> reply = Serve.Providers (Eppi.Index.query index ~owner))
-          workload report.replies
+          workload replies
         && Array.for_all
              (fun owner ->
                Serve.query_tagged engine ~owner
@@ -616,10 +612,8 @@ let () =
         [
           Alcotest.test_case "matches index" `Quick test_engine_matches_index;
           Alcotest.test_case "unknown owners" `Quick test_engine_unknown_owners;
-          Alcotest.test_case "run and replay agree" `Quick test_engine_run_replay_agree;
+          Alcotest.test_case "workload replies match index" `Quick test_engine_workload_replies;
           Alcotest.test_case "pool equals sequential" `Quick test_engine_pool_equals_sequential;
-          Alcotest.test_case "queue shedding accounted" `Quick
-            test_engine_queue_shedding_accounted;
           Alcotest.test_case "rate shedding, manual clock" `Quick
             test_engine_rate_shedding_with_manual_clock;
           Alcotest.test_case "audit" `Quick test_engine_audit;
