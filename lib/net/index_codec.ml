@@ -55,19 +55,17 @@ let put_uvarint b n =
     else Buffer.add_char b (Char.chr (byte lor 0x80))
   done
 
-let uvarint_bytes n =
-  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
-  go n 1
-
 exception Fail of error
 
 type cursor = { payload : string; mutable pos : int }
 
-let get_uvarint c ~what =
+(* [what arg] names the field in an error; it is built only when one is
+   raised, so reading n row counts formats no string. *)
+let get_uvarint c what arg =
   let u = ref 0 and shift = ref 0 and value = ref (-1) in
   while !value < 0 do
-    if c.pos >= String.length c.payload then raise (Fail (Truncated what));
-    if !shift > 56 then raise (Fail (Malformed (what ^ ": varint longer than 9 bytes")));
+    if c.pos >= String.length c.payload then raise (Fail (Truncated (what arg)));
+    if !shift > 56 then raise (Fail (Malformed (what arg ^ ": varint longer than 9 bytes")));
     let byte = Char.code c.payload.[c.pos] in
     c.pos <- c.pos + 1;
     u := !u lor ((byte land 0x7F) lsl !shift);
@@ -83,23 +81,25 @@ let get_uvarint c ~what =
    stream; only the final byte is padded (with zero bits), so per-row
    alignment costs nothing. *)
 
+(* The writer holds fewer than 8 pending bits in [acc] between calls, so
+   appending up to [max_put] bits never overflows an int; whole bytes go
+   to the buffer as soon as they are complete. *)
 type bitwriter = { buf : Buffer.t; mutable acc : int; mutable nbits : int }
+
+let max_put = 55
 
 let writer buf = { buf; acc = 0; nbits = 0 }
 
-let put_bit w bit =
-  if bit then w.acc <- w.acc lor (1 lsl w.nbits);
-  w.nbits <- w.nbits + 1;
-  if w.nbits = 8 then begin
-    Buffer.add_char w.buf (Char.chr w.acc);
-    w.acc <- 0;
-    w.nbits <- 0
-  end
-
+(* Append the [n <= max_put] low bits of [v] (higher bits zero). *)
 let put_bits w v n =
-  for i = 0 to n - 1 do
-    put_bit w ((v lsr i) land 1 = 1)
-  done
+  let acc = ref (w.acc lor (v lsl w.nbits)) and nbits = ref (w.nbits + n) in
+  while !nbits >= 8 do
+    Buffer.add_char w.buf (Char.unsafe_chr (!acc land 0xFF));
+    acc := !acc lsr 8;
+    nbits := !nbits - 8
+  done;
+  w.acc <- !acc;
+  w.nbits <- !nbits
 
 let flush_writer w =
   if w.nbits > 0 then begin
@@ -108,98 +108,145 @@ let flush_writer w =
     w.nbits <- 0
   end
 
-type bitreader = { c : cursor; base : int; mutable bitpos : int }
+(* The reader keeps a window of up to 56 unread stream bits in an int,
+   [win]'s bit 0 first, and refills it a byte at a time.  Only a refill
+   can find the payload exhausted, so truncation is checked once per
+   refill rather than once per bit. *)
+type bitreader = {
+  c : cursor;
+  mutable next : int;  (** First payload byte not yet in the window. *)
+  mutable win : int;
+  mutable avail : int;  (** Valid bits in [win], at most 56. *)
+}
 
-let reader c = { c; base = c.pos; bitpos = 0 }
+let reader c = { c; next = c.pos; win = 0; avail = 0 }
 
-let get_bit r ~what =
-  let byte = r.base + (r.bitpos lsr 3) in
-  if byte >= String.length r.c.payload then raise (Fail (Truncated what));
-  let bit = (Char.code r.c.payload.[byte] lsr (r.bitpos land 7)) land 1 in
-  r.bitpos <- r.bitpos + 1;
-  bit = 1
+let refill r =
+  let payload = r.c.payload in
+  while r.avail <= 48 && r.next < String.length payload do
+    r.win <- r.win lor (Char.code (String.unsafe_get payload r.next) lsl r.avail);
+    r.avail <- r.avail + 8;
+    r.next <- r.next + 1
+  done
 
-let get_bits r n ~what =
-  let v = ref 0 in
-  for i = 0 to n - 1 do
-    if get_bit r ~what then v := !v lor (1 lsl i)
-  done;
-  !v
+let[@inline] skip r n =
+  r.win <- r.win lsr n;
+  r.avail <- r.avail - n
 
-(* Close the body stream: zero pad bits to the byte boundary, exact length. *)
+(* Close the body stream: zero pad bits to the byte boundary, exact length.
+   The window always ends on a byte boundary, so the unread bits of the
+   current byte are its low [avail mod 8] bits. *)
 let finish_reader r =
-  while r.bitpos land 7 <> 0 do
-    if get_bit r ~what:"final padding" then raise (Fail (Malformed "nonzero padding bits"))
-  done;
-  r.c.pos <- r.base + (r.bitpos lsr 3)
+  if r.win land ((1 lsl (r.avail land 7)) - 1) <> 0 then
+    raise (Fail (Malformed "nonzero padding bits"));
+  r.c.pos <- r.next - (r.avail lsr 3)
 
 (* ---- row bodies ---- *)
 
 (* Gaps: g_0 = p_0 and g_i = p_i - p_{i-1} - 1, so strictly ascending rows
    are exactly the rows with all gaps >= 0 — ordering is free by
    construction on both sides.  Each gap is Rice-coded: quotient
-   [g lsr k] in unary (that many 1-bits, then a 0), then the k low bits. *)
+   [g lsr k] in unary (that many 1-bits, then a 0), then the k low bits.
+   A gap is one [put_bits] when it fits; a longer unary run goes out in
+   [max_put]-bit runs of ones first. *)
+let put_gap w g ~k =
+  let q = g lsr k and low = g land ((1 lsl k) - 1) in
+  if q + 1 + k <= max_put then put_bits w (((1 lsl q) - 1) lor (low lsl (q + 1))) (q + 1 + k)
+  else begin
+    let q = ref q in
+    while !q > max_put do
+      put_bits w ((1 lsl max_put) - 1) max_put;
+      q := !q - max_put
+    done;
+    put_bits w ((1 lsl !q) - 1) !q;
+    put_bits w (low lsl 1) (k + 1)
+  end
 
-let rice_row_bits row ~c ~m =
-  let k = rice_k ~c ~m in
-  let bits = ref 0 and prev = ref (-1) in
-  Bitvec.iter_set
-    (fun p ->
-      let g = p - !prev - 1 in
-      prev := p;
-      bits := !bits + (g lsr k) + 1 + k)
-    row;
-  !bits
-
-let row_bits row ~c ~m = if row_is_bitmap ~m c then m else rice_row_bits row ~c ~m
-
-let put_row w row ~c ~m =
-  if row_is_bitmap ~m c then
-    for p = 0 to m - 1 do
-      put_bit w (Bitvec.get row p)
-    done
+(* Bitmap rows are copied out of the row's packed bytes 8 bits at a time;
+   [scratch] holds at least (m + 7) / 8 bytes and the bits past m in the
+   last byte are zero. *)
+let put_row w ~scratch row ~c ~m =
+  if row_is_bitmap ~m c then begin
+    Bitvec.blit_bytes row scratch 0;
+    let full = m lsr 3 in
+    for b = 0 to full - 1 do
+      put_bits w (Char.code (Bytes.unsafe_get scratch b)) 8
+    done;
+    if m land 7 <> 0 then put_bits w (Char.code (Bytes.unsafe_get scratch full)) (m land 7)
+  end
   else begin
     let k = rice_k ~c ~m in
     let prev = ref (-1) in
     Bitvec.iter_set
       (fun p ->
-        let g = p - !prev - 1 in
-        prev := p;
-        for _ = 1 to g lsr k do
-          put_bit w true
-        done;
-        put_bit w false;
-        put_bits w g k)
+        put_gap w (p - !prev - 1) ~k;
+        prev := p)
       row
   end
 
+let row_what j = Printf.sprintf "row %d" j
+
+(* A row fails with exactly the error a bit-at-a-time reader gives on the
+   same input (the test suite keeps one as its reference): a bitmap is
+   truncated unless all m bits are there; a unary run is malformed at its
+   first 1-bit past the largest quotient a gap below m allows, even if
+   the input ends later in the run; a gap's k low bits are truncated
+   unless all are there.  Bitmaps are taken 48 bits at a time, which a
+   refill always provides while bytes remain. *)
 let get_row r matrix ~j ~c ~m =
-  let what = Printf.sprintf "row %d" j in
   if row_is_bitmap ~m c then begin
-    let set = ref 0 in
-    for p = 0 to m - 1 do
-      if get_bit r ~what then begin
+    let set = ref 0 and p = ref 0 in
+    while !p < m do
+      let n = min 48 (m - !p) in
+      if r.avail < n then refill r;
+      if r.avail < n then raise (Fail (Truncated (row_what j)));
+      let bits = ref (r.win land ((1 lsl n) - 1)) in
+      skip r n;
+      while !bits <> 0 do
+        Bitmatrix.set matrix ~row:j ~col:(!p + Bitvec.lowest_bit !bits) true;
         incr set;
-        Bitmatrix.set matrix ~row:j ~col:p true
-      end
+        bits := !bits land (!bits - 1)
+      done;
+      p := !p + n
     done;
     if !set <> c then
-      raise (Fail (Malformed (Printf.sprintf "%s: bitmap population %d, declared count %d" what !set c)))
+      raise
+        (Fail
+           (Malformed (Printf.sprintf "%s: bitmap population %d, declared count %d" (row_what j) !set c)))
   end
   else begin
     let k = rice_k ~c ~m in
+    (* A valid gap never exceeds m, so neither does its quotient. *)
+    let max_q = m lsr k in
     let prev = ref (-1) in
     for _ = 1 to c do
-      let q = ref 0 in
-      while get_bit r ~what do
-        incr q;
-        (* A valid gap never exceeds m, so neither does its quotient. *)
-        if !q lsl k > m then raise (Fail (Malformed (what ^ ": gap exceeds provider count")))
+      let q = ref 0 and run = ref true in
+      while !run do
+        if r.avail = 0 then refill r;
+        if r.avail = 0 then raise (Fail (Truncated (row_what j)));
+        (* Trailing ones of the window, the index of its lowest zero bit:
+           [avail] when every unread bit is a one (bits past [avail] are
+           zero). *)
+        let ones = Bitvec.lowest_bit (lnot r.win) in
+        if !q + ones > max_q then
+          raise (Fail (Malformed (row_what j ^ ": gap exceeds provider count")));
+        if ones < r.avail then begin
+          q := !q + ones;
+          skip r (ones + 1);
+          run := false
+        end
+        else begin
+          q := !q + r.avail;
+          skip r r.avail
+        end
       done;
-      let g = (!q lsl k) lor get_bits r k ~what in
+      if r.avail < k then refill r;
+      if r.avail < k then raise (Fail (Truncated (row_what j)));
+      let g = (!q lsl k) lor (r.win land ((1 lsl k) - 1)) in
+      skip r k;
       let p = !prev + 1 + g in
       if p >= m then
-        raise (Fail (Malformed (Printf.sprintf "%s: provider %d >= %d" what p m)));
+        raise (Fail (Malformed (Printf.sprintf "%s: provider %d >= %d" (row_what j) p m)));
       prev := p;
       Bitmatrix.set matrix ~row:j ~col:p true
     done
@@ -207,37 +254,43 @@ let get_row r matrix ~j ~c ~m =
 
 (* ---- encoding ---- *)
 
-let row_counts matrix =
-  Array.init (Bitmatrix.rows matrix) (fun j -> Bitmatrix.row_count matrix j)
+let uvarint_bytes n =
+  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
+  go n 1
 
-let encoded_bytes index =
-  let matrix = Eppi.Index.matrix index in
-  let n = Bitmatrix.rows matrix and m = Bitmatrix.cols matrix in
-  let counts = row_counts matrix in
-  let header =
-    Array.fold_left
-      (fun acc c -> acc + uvarint_bytes c)
-      (1 + uvarint_bytes n + uvarint_bytes m)
-      counts
-  in
-  let body_bits = ref 0 in
-  for j = 0 to n - 1 do
-    body_bits := !body_bits + row_bits (Bitmatrix.row matrix j) ~c:counts.(j) ~m
-  done;
-  header + ((!body_bits + 7) / 8)
+(* An upper bound on the payload's size from the row counts alone, so the
+   buffer is allocated once without a sizing pass over the rows.  A Rice
+   row's gaps sum to at most m - c, so its unary quotients sum to at most
+   (m - c) lsr k. *)
+let size_bound ~m counts =
+  let header = ref (1 + uvarint_bytes (Array.length counts) + uvarint_bytes m) in
+  let bits = ref 0 in
+  Array.iter
+    (fun c ->
+      header := !header + uvarint_bytes c;
+      if c > 0 then
+        bits :=
+          !bits
+          +
+          if row_is_bitmap ~m c then m
+          else
+            let k = rice_k ~c ~m in
+            (c * (k + 1)) + ((m - c) lsr k))
+    counts;
+  !header + ((!bits + 7) / 8)
 
 let encode index =
   let matrix = Eppi.Index.matrix index in
   let n = Bitmatrix.rows matrix and m = Bitmatrix.cols matrix in
-  let counts = row_counts matrix in
-  let b = Buffer.create (encoded_bytes index) in
+  let counts = Array.init n (Bitmatrix.row_count matrix) in
+  let b = Buffer.create (size_bound ~m counts) in
   Buffer.add_char b (Char.chr codec_version);
   put_uvarint b n;
   put_uvarint b m;
   Array.iter (put_uvarint b) counts;
-  let w = writer b in
+  let w = writer b and scratch = Bytes.create ((m + 7) / 8) in
   for j = 0 to n - 1 do
-    put_row w (Bitmatrix.row matrix j) ~c:counts.(j) ~m
+    put_row w ~scratch (Bitmatrix.row matrix j) ~c:counts.(j) ~m
   done;
   flush_writer w;
   Buffer.contents b
@@ -254,14 +307,16 @@ let dims_limit = 1 lsl 30
    below an allocation that would take the process down. *)
 let cells_limit = 1 lsl 33
 
+let count_what j = Printf.sprintf "count of row %d" j
+
 let decode_exn payload =
   let c = { payload; pos = 0 } in
   if String.length payload = 0 then raise (Fail (Truncated "version byte"));
   let v = Char.code payload.[0] in
   c.pos <- 1;
   if v <> codec_version then raise (Fail (Unsupported_version v));
-  let n = get_uvarint c ~what:"owner count" in
-  let m = get_uvarint c ~what:"provider count" in
+  let n = get_uvarint c Fun.id "owner count" in
+  let m = get_uvarint c Fun.id "provider count" in
   if n < 1 || n > dims_limit then raise (Fail (Malformed (Printf.sprintf "owner count %d" n)));
   if m < 1 || m > dims_limit then
     raise (Fail (Malformed (Printf.sprintf "provider count %d" m)));
@@ -273,7 +328,7 @@ let decode_exn payload =
   if n > String.length payload - c.pos then raise (Fail (Truncated "row counts"));
   let counts =
     Array.init n (fun j ->
-        let cnt = get_uvarint c ~what:(Printf.sprintf "count of row %d" j) in
+        let cnt = get_uvarint c count_what j in
         if cnt > m then
           raise (Fail (Malformed (Printf.sprintf "row %d count %d exceeds %d providers" j cnt m)));
         cnt)

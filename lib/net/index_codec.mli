@@ -34,6 +34,13 @@
     makes strict ascent structural: any decoded row is sorted by
     construction.
 
+    Both directions move whole words, not single bits: the encoder keeps
+    pending bits in an int and appends a Rice gap (or 8 bitmap bits) per
+    call, emitting whole bytes; the decoder reads from a window of up to
+    56 bits refilled a byte at a time, taking a unary run (its trailing
+    ones) or a k-bit field per step.  The encoder sizes its buffer from
+    the row counts alone (an upper bound), so it reads each row once.
+
     Decoding validates everything it reads: version, dimensions, counts,
     bit-population, ordering, range, padding, and exact payload length.
     Dimensions are bounded {e before} anything is allocated from them
@@ -57,6 +64,3 @@ val encode : Eppi.Index.t -> string
 val decode : string -> (Eppi.Index.t, error) result
 (** Inverse of {!encode}.  Total: any input returns [Ok] or a typed
     [Error]; [decode (encode i)] is an index with the same matrix. *)
-
-val encoded_bytes : Eppi.Index.t -> int
-(** Size of {!encode}'s output without materializing it (exact). *)

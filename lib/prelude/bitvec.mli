@@ -16,7 +16,7 @@ val set : t -> int -> unit
 val clear : t -> int -> unit
 val assign : t -> int -> bool -> unit
 val count : t -> int
-(** Number of set bits. *)
+(** Number of set bits, by a popcount per 64-bit word. *)
 
 val copy : t -> t
 val equal : t -> t -> bool
@@ -38,9 +38,21 @@ val blit_bytes : t -> Bytes.t -> int -> unit
     @raise Invalid_argument if they do not fit. *)
 
 val iter_set : (int -> unit) -> t -> unit
-(** Iterate the indexes of set bits in increasing order. *)
+(** Iterate the indexes of set bits in increasing order.  The scan reads
+    a 64-bit word at a time, skips zero words, and finds each set bit
+    with {!lowest_bit}: one load per 64 bits plus one step per set bit. *)
 
 val to_index_list : t -> int list
+(** The indexes of set bits, ascending (a {!fold_set}). *)
+
 val of_index_list : int -> int list -> t
 val fold_set : ('a -> int -> 'a) -> 'a -> t -> 'a
+(** Fold over the indexes of set bits in increasing order ({!iter_set}). *)
+
+val lowest_bit : int -> int
+(** [lowest_bit x] is the index (0 to 62) of the least significant set
+    bit of a nonzero [x], negative [x] included: a count of trailing
+    zeros by one multiply and a de Bruijn table lookup.  Unspecified for
+    [x = 0]. *)
+
 val pp : Format.formatter -> t -> unit

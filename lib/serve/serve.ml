@@ -93,17 +93,22 @@ let lookup pub sh ~owner =
     Providers (Postings.query pub.store ~owner)
   end
 
+(* Only an engine with admission control reads the clock. *)
+let admit ?now sh =
+  match sh.bucket with
+  | None -> true
+  | Some b ->
+      let now = match now with Some n -> n | None -> Clock.seconds () in
+      Admission.try_admit b ~now
+
 (* [pub] comes from one atomic load per request, which pins the
    (generation, postings) pair this reply is computed from: a republish
    between two requests is picked up by the second, never mid-reply. *)
 let query_tagged ?now t ~owner =
-  let now = match now with Some n -> n | None -> Clock.seconds () in
   let pub = Atomic.get t.published in
   let sh = t.shard_states.(shard_of t owner) in
   Metrics.incr_queries sh.metrics;
-  let admitted =
-    match sh.bucket with None -> true | Some b -> Admission.try_admit b ~now
-  in
+  let admitted = admit ?now sh in
   let reply =
     if not admitted then begin
       Metrics.incr_shed_rate sh.metrics;
@@ -145,13 +150,10 @@ let fuzzy_shard t probe = Probe.routing_hash probe mod Array.length t.shard_stat
 
 let query_fuzzy ?now ?(k = 10) t probe =
   if k <= 0 then invalid_arg "Serve.query_fuzzy: k must be positive";
-  let now = match now with Some n -> n | None -> Clock.seconds () in
   let sh = t.shard_states.(fuzzy_shard t probe) in
   Metrics.incr_fuzzy sh.metrics;
   let pub = Atomic.get t.published in
-  let admitted =
-    match sh.bucket with None -> true | Some b -> Admission.try_admit b ~now
-  in
+  let admitted = admit ?now sh in
   if not admitted then begin
     Metrics.incr_fuzzy_shed sh.metrics;
     (pub.generation, Fuzzy_shed)

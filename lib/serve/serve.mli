@@ -78,7 +78,8 @@ val republish_index : ?resolver:Eppi_fuzzy.Resolver.t -> t -> Eppi.Index.t -> in
 
 val query : ?now:float -> t -> owner:int -> reply
 (** Serve one request.  [now] (seconds, default
-    {!Eppi_prelude.Clock.seconds}) drives the token bucket.  Concurrent
+    {!Eppi_prelude.Clock.seconds}) drives the token bucket; an engine
+    without admission control never reads the clock.  Concurrent
     callers must not share a shard: domains that serve in parallel each
     own a disjoint set of shards ([owner mod shards]), as the daemon's
     workers do. *)

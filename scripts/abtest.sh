@@ -20,7 +20,10 @@
 # appended to bench/ledger.jsonl with its rev, workload, seed, nproc and
 # host, its role ("base" or "head"), both revs, its pair index and a
 # session id shared by every row of this invocation (docs/PERF.md shows
-# how to select same-session pairs).  Exits 1 if a metric is worse than
+# how to select same-session pairs), and the number of construction
+# epochs the run fit, parsed from perfbench's "W: N epochs:" stderr line
+# (epoch_peak_mb grows with it); the summary prints both sides' median
+# epoch count.  Exits 1 if a metric is worse than
 # its bound or a run is not correct, 2 on a usage or build error.
 # perfbench/ is only read.
 set -euo pipefail
@@ -61,7 +64,7 @@ done
 
 ROOT=$root WORK=$work BASE=$base HEAD=$head PAIRS=$pairs FIRST_SEED=$first_seed \
   WORKLOAD=$workload python3 - <<'EOF'
-import json, os, socket, statistics, subprocess, sys, time, uuid
+import json, os, re, socket, statistics, subprocess, sys, time, uuid
 
 env = os.environ
 root, work = env["ROOT"], env["WORK"]
@@ -88,13 +91,15 @@ def run(rev, workload, seed, pair, role):
         sys.stderr.write(proc.stderr[-2000:])
         sys.exit(f"abtest: {rev[:12]} {workload} seed {seed}: no result (exit {proc.returncode})")
     result = json.loads(lines[-1])
+    found = re.search(rf"^perfbench: {re.escape(workload)}: (\d+) epochs:", proc.stderr, re.M)
+    epochs = int(found.group(1)) if found else None
     row = {"rev": rev, "workload": workload, "seed": seed, "nproc": nproc, "host": host,
            "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
            "role": role, "base": base, "head": head,
-           "pair": pair, "session": session, **result}
+           "pair": pair, "session": session, "epochs": epochs, **result}
     with open(ledger, "a") as f:
         f.write(json.dumps(row, separators=(",", ":")) + "\n")
-    return result
+    return result, epochs
 
 
 def quartiles(vs):
@@ -104,16 +109,22 @@ def quartiles(vs):
 bad = False
 for workload in workloads:
     results = {base: [], head: []}
+    epochs = {base: [], head: []}
     for i in range(pairs):
         seed = first_seed + i
         order = (("base", base), ("head", head))
         for role, rev in (order if i % 2 == 0 else order[::-1]):
-            r = run(rev, workload, seed, i, role)
+            r, n = run(rev, workload, seed, i, role)
             results[rev].append(r)
+            if n is not None:
+                epochs[rev].append(n)
             print(f"abtest: {workload} seed {seed} {rev[:12]}: correct={r['correct']} "
-                  f"failed={r['failed']}", file=sys.stderr, flush=True)
+                  f"failed={r['failed']} epochs={n}", file=sys.stderr, flush=True)
     print(f"\n{workload}: {pairs} pairs, seeds {first_seed}-{first_seed + pairs - 1}, "
           f"base {base[:12]}, head {head[:12]}, nproc {nproc}, host {host}")
+    print("  median epochs per run: " + ", ".join(
+        f"{role} {statistics.median(epochs[rev]) if epochs[rev] else 'n/a'}"
+        for role, rev in (("base", base), ("head", head))))
     for rev in (base, head):
         incorrect = [r for r in results[rev] if not r["correct"] or r["failed"]]
         if incorrect:

@@ -446,10 +446,6 @@ let test_index_codec_roundtrip () =
     (fun (n, m) ->
       let index = test_index ~n ~m in
       let encoded = Index_codec.encode index in
-      check_int
-        (Printf.sprintf "encoded_bytes exact for %dx%d" n m)
-        (String.length encoded)
-        (Index_codec.encoded_bytes index);
       check_bool
         (Printf.sprintf "encode deterministic for %dx%d" n m)
         true
@@ -571,6 +567,308 @@ let test_index_codec_mutation_fuzz () =
         decode_total (Printf.sprintf "byte %d xor %d" i delta) (Bytes.to_string b))
       [ 0x01; 0x80; 0xFF ]
   done
+
+(* The original bit-at-a-time codec, kept as the reference the word-wide
+   one must match byte for byte on encode and result for result (error
+   messages included) on decode. *)
+module Reference = struct
+  exception Fail of Index_codec.error
+
+  let ilog2 x =
+    let k = ref 0 and v = ref x in
+    while !v > 1 do
+      incr k;
+      v := !v lsr 1
+    done;
+    !k
+
+  let rice_k ~c ~m =
+    let mu_scaled = 693 * (m - c) / (1000 * (c + 1)) in
+    if mu_scaled <= 1 then 0
+    else
+      let k = ilog2 mu_scaled in
+      if 2 * mu_scaled > 3 * (1 lsl k) then k + 1 else k
+
+  let row_is_bitmap ~m count = 3 * count >= m
+
+  let put_uvarint b n =
+    let u = ref n in
+    let continue = ref true in
+    while !continue do
+      let byte = !u land 0x7F in
+      u := !u lsr 7;
+      if !u = 0 then begin
+        Buffer.add_char b (Char.chr byte);
+        continue := false
+      end
+      else Buffer.add_char b (Char.chr (byte lor 0x80))
+    done
+
+  type cursor = { payload : string; mutable pos : int }
+
+  let get_uvarint c ~what =
+    let u = ref 0 and shift = ref 0 and value = ref (-1) in
+    while !value < 0 do
+      if c.pos >= String.length c.payload then raise (Fail (Truncated what));
+      if !shift > 56 then raise (Fail (Malformed (what ^ ": varint longer than 9 bytes")));
+      let byte = Char.code c.payload.[c.pos] in
+      c.pos <- c.pos + 1;
+      u := !u lor ((byte land 0x7F) lsl !shift);
+      shift := !shift + 7;
+      if byte land 0x80 = 0 then value := !u
+    done;
+    !value
+
+  type bitwriter = { buf : Buffer.t; mutable acc : int; mutable nbits : int }
+
+  let put_bit w bit =
+    if bit then w.acc <- w.acc lor (1 lsl w.nbits);
+    w.nbits <- w.nbits + 1;
+    if w.nbits = 8 then begin
+      Buffer.add_char w.buf (Char.chr w.acc);
+      w.acc <- 0;
+      w.nbits <- 0
+    end
+
+  let put_bits w v n =
+    for i = 0 to n - 1 do
+      put_bit w ((v lsr i) land 1 = 1)
+    done
+
+  type bitreader = { c : cursor; base : int; mutable bitpos : int }
+
+  let get_bit r ~what =
+    let byte = r.base + (r.bitpos lsr 3) in
+    if byte >= String.length r.c.payload then raise (Fail (Truncated what));
+    let bit = (Char.code r.c.payload.[byte] lsr (r.bitpos land 7)) land 1 in
+    r.bitpos <- r.bitpos + 1;
+    bit = 1
+
+  let get_bits r n ~what =
+    let v = ref 0 in
+    for i = 0 to n - 1 do
+      if get_bit r ~what then v := !v lor (1 lsl i)
+    done;
+    !v
+
+  let put_row w row ~c ~m =
+    if row_is_bitmap ~m c then
+      for p = 0 to m - 1 do
+        put_bit w (Bitvec.get row p)
+      done
+    else begin
+      let k = rice_k ~c ~m in
+      let prev = ref (-1) in
+      for p = 0 to m - 1 do
+        if Bitvec.get row p then begin
+          let g = p - !prev - 1 in
+          prev := p;
+          for _ = 1 to g lsr k do
+            put_bit w true
+          done;
+          put_bit w false;
+          put_bits w g k
+        end
+      done
+    end
+
+  let get_row r matrix ~j ~c ~m =
+    let what = Printf.sprintf "row %d" j in
+    if row_is_bitmap ~m c then begin
+      let set = ref 0 in
+      for p = 0 to m - 1 do
+        if get_bit r ~what then begin
+          incr set;
+          Bitmatrix.set matrix ~row:j ~col:p true
+        end
+      done;
+      if !set <> c then
+        raise
+          (Fail (Malformed (Printf.sprintf "%s: bitmap population %d, declared count %d" what !set c)))
+    end
+    else begin
+      let k = rice_k ~c ~m in
+      let prev = ref (-1) in
+      for _ = 1 to c do
+        let q = ref 0 in
+        while get_bit r ~what do
+          incr q;
+          if !q lsl k > m then raise (Fail (Malformed (what ^ ": gap exceeds provider count")))
+        done;
+        let g = (!q lsl k) lor get_bits r k ~what in
+        let p = !prev + 1 + g in
+        if p >= m then raise (Fail (Malformed (Printf.sprintf "%s: provider %d >= %d" what p m)));
+        prev := p;
+        Bitmatrix.set matrix ~row:j ~col:p true
+      done
+    end
+
+  let encode index =
+    let matrix = Eppi.Index.matrix index in
+    let n = Bitmatrix.rows matrix and m = Bitmatrix.cols matrix in
+    let counts =
+      Array.init n (fun j ->
+          let c = ref 0 in
+          for p = 0 to m - 1 do
+            if Bitmatrix.get matrix ~row:j ~col:p then incr c
+          done;
+          !c)
+    in
+    let b = Buffer.create 64 in
+    Buffer.add_char b '\x01';
+    put_uvarint b n;
+    put_uvarint b m;
+    Array.iter (put_uvarint b) counts;
+    let w = { buf = b; acc = 0; nbits = 0 } in
+    for j = 0 to n - 1 do
+      put_row w (Bitmatrix.row matrix j) ~c:counts.(j) ~m
+    done;
+    if w.nbits > 0 then Buffer.add_char b (Char.chr w.acc);
+    Buffer.contents b
+
+  let decode_exn payload =
+    let c = { payload; pos = 0 } in
+    if String.length payload = 0 then raise (Fail (Truncated "version byte"));
+    let v = Char.code payload.[0] in
+    c.pos <- 1;
+    if v <> 1 then raise (Fail (Unsupported_version v));
+    let n = get_uvarint c ~what:"owner count" in
+    let m = get_uvarint c ~what:"provider count" in
+    if n < 1 || n > 1 lsl 30 then raise (Fail (Malformed (Printf.sprintf "owner count %d" n)));
+    if m < 1 || m > 1 lsl 30 then raise (Fail (Malformed (Printf.sprintf "provider count %d" m)));
+    if n * m > 1 lsl 33 then
+      raise (Fail (Malformed (Printf.sprintf "matrix %dx%d exceeds %d cells" n m (1 lsl 33))));
+    if n > String.length payload - c.pos then raise (Fail (Truncated "row counts"));
+    let counts =
+      Array.init n (fun j ->
+          let cnt = get_uvarint c ~what:(Printf.sprintf "count of row %d" j) in
+          if cnt > m then
+            raise (Fail (Malformed (Printf.sprintf "row %d count %d exceeds %d providers" j cnt m)));
+          cnt)
+    in
+    let matrix = Bitmatrix.create ~rows:n ~cols:m in
+    let r = { c; base = c.pos; bitpos = 0 } in
+    for j = 0 to n - 1 do
+      get_row r matrix ~j ~c:counts.(j) ~m
+    done;
+    while r.bitpos land 7 <> 0 do
+      if get_bit r ~what:"final padding" then raise (Fail (Malformed "nonzero padding bits"))
+    done;
+    c.pos <- r.base + (r.bitpos lsr 3);
+    if c.pos <> String.length payload then
+      raise (Fail (Malformed (Printf.sprintf "%d trailing bytes" (String.length payload - c.pos))));
+    Eppi.Index.of_matrix matrix
+
+  let decode payload =
+    match decode_exn payload with
+    | index -> Ok index
+    | exception Fail e -> Error e
+    | exception Out_of_memory -> Error (Index_codec.Malformed "index too large to materialize")
+    | exception Invalid_argument msg -> Error (Malformed msg)
+end
+
+(* Decode results compared across the two codecs: the same matrix, or the
+   same error down to its message. *)
+let same_decode a b =
+  match (a, b) with
+  | Ok x, Ok y -> matrices_equal x y
+  | Error x, Error y -> x = y
+  | _ -> false
+
+let index_of_rows ~m rows =
+  let matrix = Bitmatrix.create ~rows:(List.length rows) ~cols:m in
+  List.iteri
+    (fun j cols -> Array.iter (fun p -> Bitmatrix.set matrix ~row:j ~col:p true) cols)
+    rows;
+  Eppi.Index.of_matrix matrix
+
+(* (a) The reference construction over a lookup-churn-shaped membership,
+   an eighth of its rows: frequencies cycle 1..8 over 1,024 providers. *)
+let pin_index_a () =
+  let n = 4096 and m = 1024 in
+  let r = Rng.create 0x5EEDA in
+  let membership = Bitmatrix.create ~rows:n ~cols:m in
+  for j = 0 to n - 1 do
+    Array.iter
+      (fun p -> Bitmatrix.set membership ~row:j ~col:p true)
+      (Rng.sample_without_replacement r ~k:(1 + (j mod 8)) ~n:m)
+  done;
+  let epsilons = Array.init n (fun j -> 0.2 +. (0.6 *. float_of_int (j mod 7) /. 6.0)) in
+  (Eppi.Construct.run (Rng.create 0xA) ~membership ~epsilons ~policy:(Eppi.Policy.Chernoff 0.9))
+    .index
+
+(* (b) Rows on both sides of the bitmap rule 3c >= m (m = 96: c <= 31 is
+   Rice-coded, c >= 32 a bitmap). *)
+let pin_index_b () =
+  let m = 96 and r = Rng.create 0x5EEDB in
+  index_of_rows ~m
+    (List.map
+       (fun k -> Rng.sample_without_replacement r ~k ~n:m)
+       [ 31; 32; 33; 0; 1; 30; 96; 95; 5; 64; 31; 32; 12; 48 ])
+
+(* (c) Widths around the byte and word boundaries, each with empty, full
+   and single-bit rows. *)
+let pin_indexes_c () =
+  let r = Rng.create 0x5EEDC in
+  List.map
+    (fun m ->
+      index_of_rows ~m
+        [
+          [||];
+          Array.init m Fun.id;
+          [| 0 |];
+          [| m - 1 |];
+          [| m / 2 |];
+          Rng.sample_without_replacement r ~k:((m + 2) / 3) ~n:m;
+          Rng.sample_without_replacement r ~k:(m / 10) ~n:m;
+          [||];
+        ])
+    [ 1; 7; 63; 64; 65; 200 ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* Every forward and inverse posting list, one line each. *)
+let postings_digest index =
+  let p = Eppi_serve.Postings.of_index index in
+  let b = Buffer.create (1 lsl 16) in
+  let add l =
+    List.iter
+      (fun i ->
+        Buffer.add_string b (string_of_int i);
+        Buffer.add_char b ',')
+      l;
+    Buffer.add_char b '\n'
+  in
+  for j = 0 to Eppi_serve.Postings.owners p - 1 do
+    add (Eppi_serve.Postings.query p ~owner:j)
+  done;
+  for i = 0 to Eppi_serve.Postings.providers p - 1 do
+    add (Eppi_serve.Postings.owners_of p ~provider:i)
+  done;
+  md5 (Buffer.contents b)
+
+(* Payload bytes and compiled postings are pinned: the codec's format and
+   the postings layout must not drift. *)
+let test_index_codec_pinned () =
+  let a = pin_index_a () in
+  let pa = Index_codec.encode a in
+  check_int "payload (a) length" 71204 (String.length pa);
+  Alcotest.(check string) "payload (a) md5" "0867dc3b41bf45f7f3c29a0419c4dc23" (md5 pa);
+  Alcotest.(check string) "postings (a) digest" "0a30f5f313d34e8fd60f4e512070e5a7"
+    (postings_digest a);
+  let pb = Index_codec.encode (pin_index_b ()) in
+  check_int "payload (b) length" 147 (String.length pb);
+  Alcotest.(check string) "payload (b) md5" "35caf3a9a7ac8cd86c97f56a6f3dccba" (md5 pb);
+  let pcs = List.map Index_codec.encode (pin_indexes_c ()) in
+  Alcotest.(check (list int)) "payload (c) lengths" [ 12; 14; 33; 34; 34; 79 ]
+    (List.map String.length pcs);
+  Alcotest.(check string) "payload (c) md5" "9d6de85a767c6f70f383846b979d442c"
+    (md5 (String.concat "" pcs));
+  List.iter
+    (fun (name, payload) ->
+      check_bool (name ^ " decodes like the reference") true
+        (same_decode (Index_codec.decode payload) (Reference.decode payload)))
+    (("(a)", pa) :: ("(b)", pb) :: List.map (fun p -> ("(c)", p)) pcs)
 
 (* ---------- Live daemon ---------- *)
 
@@ -1989,6 +2287,30 @@ let qcheck_tests =
     Gen.oneof
       [ Gen.map (fun r -> Wire.Request r) gen_request; Gen.map (fun r -> Wire.Response r) gen_response ]
   in
+  (* Matrices for the codec's reference properties: each row is empty,
+     2% dense, 30% dense (past the bitmap rule at 3c >= m) or of a
+     uniformly drawn density. *)
+  let gen_codec_matrix =
+    let build (n, m, seed) =
+      let rng = Rng.create seed in
+      let matrix = Bitmatrix.create ~rows:n ~cols:m in
+      for j = 0 to n - 1 do
+        let density =
+          match Rng.int rng 4 with 0 -> 0.0 | 1 -> 0.02 | 2 -> 0.3 | _ -> Rng.float rng 1.0
+        in
+        for p = 0 to m - 1 do
+          if Rng.float rng 1.0 < density then Bitmatrix.set matrix ~row:j ~col:p true
+        done
+      done;
+      Eppi.Index.of_matrix matrix
+    in
+    make
+      ~print:(fun index ->
+        let mx = Eppi.Index.matrix index in
+        Printf.sprintf "%dx%d %S" (Bitmatrix.rows mx) (Bitmatrix.cols mx)
+          (Reference.encode index))
+      Gen.(map build (triple (int_range 1 40) (int_range 1 300) (int_range 0 1_000_000)))
+  in
   [
     Test.make ~name:"any frame stream round-trips under any chunking" ~count:200
       (make Gen.(pair (list_size (int_range 0 5) gen_frame) (int_range 1 17)))
@@ -2009,6 +2331,40 @@ let qcheck_tests =
         match Index_codec.decode (Index_codec.encode index) with
         | Ok decoded -> matrices_equal index decoded
         | Error _ -> false);
+    Test.make ~name:"index codec encodes like the reference" ~count:300 gen_codec_matrix
+      (fun index ->
+        let payload = Index_codec.encode index in
+        String.equal payload (Reference.encode index)
+        && same_decode (Index_codec.decode payload) (Ok index));
+    Test.make ~name:"index codec prefixes decode like the reference" ~count:100 gen_codec_matrix
+      (fun index ->
+        let payload = Index_codec.encode index in
+        let ok = ref true in
+        for len = 0 to String.length payload - 1 do
+          let prefix = String.sub payload 0 len in
+          if not (same_decode (Index_codec.decode prefix) (Reference.decode prefix)) then
+            ok := false
+        done;
+        !ok);
+    (* At every byte: each single-bit flip, the complement and one XOR
+       drawn per case, so runs together cover every byte mutation. *)
+    Test.make ~name:"index codec mutations decode like the reference" ~count:20
+      (pair gen_codec_matrix (int_range 1 255))
+      (fun (index, drawn) ->
+        let payload = Index_codec.encode index in
+        let b = Bytes.of_string payload in
+        let ok = ref true in
+        for i = 0 to String.length payload - 1 do
+          List.iter
+            (fun delta ->
+              Bytes.set b i (Char.chr (Char.code payload.[i] lxor delta));
+              let mutated = Bytes.to_string b in
+              if not (same_decode (Index_codec.decode mutated) (Reference.decode mutated)) then
+                ok := false)
+            [ 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0xFF; drawn ];
+          Bytes.set b i payload.[i]
+        done;
+        !ok);
     Test.make ~name:"index codec decode is total on junk" ~count:500
       (make Gen.(small_string ~gen:char))
       (fun junk ->
@@ -2040,6 +2396,7 @@ let () =
             test_index_codec_hostile_dims;
           Alcotest.test_case "single-byte mutations never crash" `Quick
             test_index_codec_mutation_fuzz;
+          Alcotest.test_case "payloads and postings pinned" `Quick test_index_codec_pinned;
         ] );
       ( "daemon",
         [

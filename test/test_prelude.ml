@@ -552,7 +552,11 @@ let test_bitvec_basics () =
   check_bool "get 6" false (Bitvec.get v 6);
   Bitvec.clear v 7;
   check_bool "cleared" false (Bitvec.get v 7);
-  check_int "count after clear" 3 (Bitvec.count v)
+  check_int "count after clear" 3 (Bitvec.count v);
+  for i = 0 to 62 do
+    check_int "lowest_bit of 2^i" i (Bitvec.lowest_bit (1 lsl i));
+    check_int "lowest_bit with bit 62 set" i (Bitvec.lowest_bit ((1 lsl i) lor min_int))
+  done
 
 let test_bitvec_bounds () =
   let v = Bitvec.create 8 in
@@ -708,6 +712,38 @@ let json_value =
                       (list_size (int_bound 4) (pair string (self (n / 3)))) );
                 ])))
 
+(* Bit vectors for the word-scan property: lengths 0–300 with the word
+   edges (len mod 64 in {0, 1, 63}) drawn often, holding random bits of a
+   random density, all ones, or a set operation's result. *)
+let bitvec_case =
+  let open QCheck.Gen in
+  let len =
+    oneof [ int_range 0 300; oneofl [ 0; 1; 7; 8; 9; 63; 64; 65; 127; 128; 129; 191; 192; 193; 256 ] ]
+  in
+  let random len seed =
+    let rng = Rng.create seed in
+    let density = Rng.float rng 1.0 in
+    let v = Bitvec.create len in
+    for i = 0 to len - 1 do
+      if Rng.float rng 1.0 < density then Bitvec.set v i
+    done;
+    v
+  in
+  let build (len, kind, seed) =
+    let a = random len seed and b = random len (seed + 1) in
+    match kind with
+    | 0 -> a
+    | 1 ->
+        Bitvec.fill a true;
+        a
+    | 2 -> Bitvec.union a b
+    | 3 -> Bitvec.inter a b
+    | _ -> Bitvec.diff a b
+  in
+  QCheck.make
+    ~print:(fun v -> Format.asprintf "%d:%a" (Bitvec.length v) Bitvec.pp v)
+    (map build (triple len (int_range 0 4) (int_range 0 1_000_000)))
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -731,6 +767,15 @@ let qcheck_tests =
         let uniq = List.sort_uniq compare idxs in
         let v = Bitvec.of_index_list 100 uniq in
         Bitvec.to_index_list v = uniq && Bitvec.count v = List.length uniq);
+    Test.make ~name:"bitvec word scans match a per-bit scan" ~count:500 bitvec_case
+      (fun v ->
+        let expect = List.filter (Bitvec.get v) (List.init (Bitvec.length v) Fun.id) in
+        let seen = ref [] in
+        Bitvec.iter_set (fun i -> seen := i :: !seen) v;
+        List.rev !seen = expect
+        && Bitvec.fold_set (fun acc i -> i :: acc) [] v = List.rev expect
+        && Bitvec.to_index_list v = expect
+        && Bitvec.count v = List.length expect);
     Test.make ~name:"modarith add/sub inverse" ~count:500
       (triple (int_range 2 10_000) int int)
       (fun (q, a, b) ->
