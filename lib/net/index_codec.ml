@@ -1,4 +1,5 @@
 open Eppi_prelude
+module Postings = Eppi_serve.Postings
 
 let codec_version = 1
 
@@ -109,9 +110,9 @@ let flush_writer w =
   end
 
 (* The reader keeps a window of up to 56 unread stream bits in an int,
-   [win]'s bit 0 first, and refills it a byte at a time.  Only a refill
-   can find the payload exhausted, so truncation is checked once per
-   refill rather than once per bit. *)
+   [win]'s bit 0 first, and refills it with whole bytes until it holds
+   more than 48 bits.  Only a refill can find the payload exhausted, so
+   truncation is checked once per refill rather than once per bit. *)
 type bitreader = {
   c : cursor;
   mutable next : int;  (** First payload byte not yet in the window. *)
@@ -121,13 +122,24 @@ type bitreader = {
 
 let reader c = { c; next = c.pos; win = 0; avail = 0 }
 
+(* While 8 payload bytes remain, one 64-bit load supplies the bytes the
+   window lacks; the last few are taken one at a time.  Either way the
+   window ends holding the same bits. *)
 let refill r =
   let payload = r.c.payload in
-  while r.avail <= 48 && r.next < String.length payload do
-    r.win <- r.win lor (Char.code (String.unsafe_get payload r.next) lsl r.avail);
-    r.avail <- r.avail + 8;
-    r.next <- r.next + 1
-  done
+  if r.next + 8 <= String.length payload then begin
+    let bytes = (56 - r.avail) lsr 3 in
+    let w = Int64.to_int (String.get_int64_le payload r.next) land ((1 lsl (bytes lsl 3)) - 1) in
+    r.win <- r.win lor (w lsl r.avail);
+    r.avail <- r.avail + (bytes lsl 3);
+    r.next <- r.next + bytes
+  end
+  else
+    while r.avail <= 48 && r.next < String.length payload do
+      r.win <- r.win lor (Char.code (String.unsafe_get payload r.next) lsl r.avail);
+      r.avail <- r.avail + 8;
+      r.next <- r.next + 1
+    done
 
 let[@inline] skip r n =
   r.win <- r.win lsr n;
@@ -192,8 +204,13 @@ let row_what j = Printf.sprintf "row %d" j
    first 1-bit past the largest quotient a gap below m allows, even if
    the input ends later in the run; a gap's k low bits are truncated
    unless all are there.  Bitmaps are taken 48 bits at a time, which a
-   refill always provides while bytes remain. *)
-let get_row r matrix ~j ~c ~m =
+   refill always provides while bytes remain.
+
+   Each published cell (j, p) goes to [cell ~row:j p], in ascending order,
+   and never more than [c] of them per row: a bitmap's population is
+   checked only once its m bits are read, and a builder sized from the
+   counts must not be handed a cell past them. *)
+let get_row r ~cell ~j ~c ~m =
   if row_is_bitmap ~m c then begin
     let set = ref 0 and p = ref 0 in
     while !p < m do
@@ -203,7 +220,7 @@ let get_row r matrix ~j ~c ~m =
       let bits = ref (r.win land ((1 lsl n) - 1)) in
       skip r n;
       while !bits <> 0 do
-        Bitmatrix.set matrix ~row:j ~col:(!p + Bitvec.lowest_bit !bits) true;
+        if !set < c then cell ~row:j (!p + Bitvec.lowest_bit !bits);
         incr set;
         bits := !bits land (!bits - 1)
       done;
@@ -248,7 +265,7 @@ let get_row r matrix ~j ~c ~m =
       if p >= m then
         raise (Fail (Malformed (Printf.sprintf "%s: provider %d >= %d" (row_what j) p m)));
       prev := p;
-      Bitmatrix.set matrix ~row:j ~col:p true
+      cell ~row:j p
     done
   end
 
@@ -299,18 +316,28 @@ let encode index =
 
 let dims_limit = 1 lsl 30
 
-(* The matrix materializes n*m bits no matter how sparse the payload is,
-   so the header alone could demand an arbitrarily large allocation —
-   attacker-controlled n and m must be bounded BEFORE anything is sized
-   from them, not after.  [cells_limit] caps the product (2^33 bits =
-   1 GiB of backing), far above any index this daemon serves but far
-   below an allocation that would take the process down. *)
+(* The header alone could demand an arbitrarily large allocation, so
+   everything a decoder sizes from it is bounded here, BEFORE anything is
+   allocated, by the same rules for both decoders:
+   - [cells_limit] caps the matrix [decode] materializes, n*m bits no
+     matter how sparse the payload is (2^33 bits = 1 GiB of backing), far
+     above any index this daemon serves but far below an allocation that
+     would take the process down;
+   - [table_words_limit] caps, by the same 1 GiB, the tables indexed by
+     owner or provider: the n row counts here, and [decode_postings]'s
+     n + 1 forward and m + 1 inverse offsets;
+   - the published cells are bounded by the body's bit length, since
+     every cell costs at least one bit (a Rice gap its terminating 0, a
+     bitmap row m >= c bits), so the packed postings grow with the
+     payload, not with its header. *)
 let cells_limit = 1 lsl 33
+let table_words_limit = 1 lsl 27
 
 let count_what j = Printf.sprintf "count of row %d" j
 
-let decode_exn payload =
-  let c = { payload; pos = 0 } in
+(* Version, dimensions and row counts; the cursor is left at the body. *)
+let read_header c =
+  let payload = c.payload in
   if String.length payload = 0 then raise (Fail (Truncated "version byte"));
   let v = Char.code payload.[0] in
   c.pos <- 1;
@@ -322,31 +349,42 @@ let decode_exn payload =
     raise (Fail (Malformed (Printf.sprintf "provider count %d" m)));
   if n * m > cells_limit then
     raise (Fail (Malformed (Printf.sprintf "matrix %dx%d exceeds %d cells" n m cells_limit)));
+  if (2 * n) + m + 2 > table_words_limit then
+    raise
+      (Fail
+         (Malformed
+            (Printf.sprintf "tables for %d owners and %d providers exceed %d words" n m
+               table_words_limit)));
   (* Every row count costs at least one byte, so a payload with fewer
      remaining bytes than rows is guaranteed truncated — reject before
      the counts array (n words) is allocated. *)
   if n > String.length payload - c.pos then raise (Fail (Truncated "row counts"));
+  let cells = ref 0 in
   let counts =
     Array.init n (fun j ->
         let cnt = get_uvarint c count_what j in
         if cnt > m then
           raise (Fail (Malformed (Printf.sprintf "row %d count %d exceeds %d providers" j cnt m)));
+        cells := !cells + cnt;
         cnt)
   in
-  let matrix = Bitmatrix.create ~rows:n ~cols:m in
-  let r = reader c in
-  for j = 0 to n - 1 do
-    get_row r matrix ~j ~c:counts.(j) ~m
-  done;
-  finish_reader r;
-  if c.pos <> String.length payload then
-    raise
-      (Fail (Malformed (Printf.sprintf "%d trailing bytes" (String.length payload - c.pos))));
-  Eppi.Index.of_matrix matrix
+  if !cells > 8 * (String.length payload - c.pos) then raise (Fail (Truncated "row bodies"));
+  (m, counts)
 
-let decode payload =
-  match decode_exn payload with
-  | index -> Ok index
+let read_rows c ~m counts ~cell =
+  let r = reader c in
+  Array.iteri (fun j cnt -> get_row r ~cell ~j ~c:cnt ~m) counts;
+  finish_reader r;
+  if c.pos <> String.length c.payload then
+    raise
+      (Fail (Malformed (Printf.sprintf "%d trailing bytes" (String.length c.payload - c.pos))))
+
+(* Both decoders run [read_header] then [read_rows], so they accept the
+   same payloads and fail with the same errors; they differ only in what
+   a cell is written to. *)
+let decoding build payload =
+  match build { payload; pos = 0 } with
+  | v -> Ok v
   | exception Fail e -> Error e
   (* Defense in depth behind the dimension caps: the total Ok/Error
      contract must hold even if an allocation still fails — this decoder
@@ -354,3 +392,17 @@ let decode payload =
      Out_of_memory would kill a worker (inline, the whole daemon). *)
   | exception Out_of_memory -> Error (Malformed "index too large to materialize")
   | exception Invalid_argument msg -> Error (Malformed msg)
+
+let decode =
+  decoding (fun c ->
+      let m, counts = read_header c in
+      let matrix = Bitmatrix.create ~rows:(Array.length counts) ~cols:m in
+      read_rows c ~m counts ~cell:(fun ~row p -> Bitmatrix.set matrix ~row ~col:p true);
+      Eppi.Index.of_matrix matrix)
+
+let decode_postings =
+  decoding (fun c ->
+      let m, counts = read_header c in
+      let b = Postings.builder ~providers:m counts in
+      read_rows c ~m counts ~cell:(fun ~row p -> Postings.add b ~owner:row p);
+      Postings.finish b)

@@ -37,17 +37,27 @@
     Both directions move whole words, not single bits: the encoder keeps
     pending bits in an int and appends a Rice gap (or 8 bitmap bits) per
     call, emitting whole bytes; the decoder reads from a window of up to
-    56 bits refilled a byte at a time, taking a unary run (its trailing
-    ones) or a k-bit field per step.  The encoder sizes its buffer from
+    56 bits, refilled by one 64-bit load while 8 payload bytes remain,
+    taking a unary run (its trailing ones) or a k-bit field per step.  The encoder sizes its buffer from
     the row counts alone (an upper bound), so it reads each row once.
 
     Decoding validates everything it reads: version, dimensions, counts,
     bit-population, ordering, range, padding, and exact payload length.
-    Dimensions are bounded {e before} anything is allocated from them
-    (the row-count array and the n x m matrix), so a small hostile
-    header cannot demand a huge allocation.  Malformed input is a typed
-    {!error}, never an exception — the daemon feeds this decoder bytes
-    that arrived off the network. *)
+    Malformed input is a typed {!error}, never an exception — the daemon
+    feeds these decoders bytes that arrived off the network.  Both
+    decoders read the header and every row through the same code, so they
+    accept the same payloads and fail with the same errors.
+
+    Allocation bound.  The header is checked {e before} anything is
+    allocated from it, so a small hostile header cannot demand a huge
+    allocation.  A decoder allocates at most:
+    - the n row counts, n <= the payload's length in bytes;
+    - for {!decode}, the n x m matrix: n*m <= 2^33 bits (1 GiB);
+    - for {!decode_postings}, n + 1 forward and m + 1 inverse offsets,
+      with the row counts 2n + m + 2 <= 2^27 words (1 GiB), and two packed
+      entry buffers of at most 30 bits per published cell each.  The
+      header's row counts sum to at most the body's length in bits (every
+      cell costs at least one), so the buffers grow with the payload. *)
 
 type error =
   | Unsupported_version of int  (** First byte is not a known version. *)
@@ -64,3 +74,9 @@ val encode : Eppi.Index.t -> string
 val decode : string -> (Eppi.Index.t, error) result
 (** Inverse of {!encode}.  Total: any input returns [Ok] or a typed
     [Error]; [decode (encode i)] is an index with the same matrix. *)
+
+val decode_postings : string -> (Eppi_serve.Postings.t, error) result
+(** The payload compiled straight into serving postings, in one pass with
+    no matrix in between: [Ok] exactly when {!decode} is [Ok], with the
+    store [Postings.of_index] builds from its index, and otherwise
+    {!decode}'s [Error]. *)

@@ -95,8 +95,15 @@ let handle_request t (request : Wire.request) : Wire.response =
       (* [route] peels the one envelope a frame may carry. *)
       Server_error "protocol: nested trace envelope"
   | Republish_binary { data } -> (
-      match Index_codec.decode data with
-      | Ok index -> Republished { generation = Serve.republish_index t.engine index }
+      match Index_codec.decode_postings data with
+      | Ok store ->
+          let generation = Serve.republish t.engine store in
+          (* Decoding allocates almost nothing but the new store's large
+             blocks, so few minor collections follow a republish to drive
+             the major slices that free the old generations: finish a
+             cycle once per install, so they do not pile up. *)
+          Gc.major ();
+          Republished { generation }
       | Error e -> Server_error ("republish: " ^ Index_codec.error_to_string e))
   | Query_fuzzy { probe; k } ->
       let generation, result = Serve.query_fuzzy ~k t.engine probe in

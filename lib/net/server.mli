@@ -33,8 +33,10 @@
       [Server_error] and closes after flushing, other clients are
       untouched;
     - a [Republish_binary] frame hot-swaps the engine's index
-      generation ({!Eppi_serve.Serve.republish_index}) — queries keep
-      flowing, no drain.  Requests pipelined
+      generation: the payload is decoded straight into postings
+      ({!Index_codec.decode_postings}), installed with
+      {!Eppi_serve.Serve.republish}, and one major GC cycle follows the
+      install — queries keep flowing, no drain.  Requests pipelined
       {e behind} a republish on the same connection wait for the swap, so
       a reply that follows a [Republished {generation}] on the wire never
       carries an older generation;

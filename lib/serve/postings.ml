@@ -22,15 +22,7 @@ let width_for bound =
   let rec go w = if 1 lsl w >= bound then w else go (w + 1) in
   max 1 (go 1)
 
-let make_side ~width counts =
-  let n = Array.length counts in
-  let offsets = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    offsets.(i + 1) <- offsets.(i) + counts.(i)
-  done;
-  let entries = offsets.(n) in
-  let data = Bytes.make (((entries * width) + 7) / 8 + 8) '\000' in
-  { offsets; data; width }
+let packed_data ~width entries = Bytes.make ((((entries * width) + 7) / 8) + 8) '\000'
 
 let write_entry side ~slot v =
   let bitpos = slot * side.width in
@@ -44,31 +36,86 @@ let read_entry side e =
   Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le side.data byte) shift)
   land ((1 lsl side.width) - 1)
 
-let of_matrix matrix =
-  let owners = Bitmatrix.rows matrix and providers = Bitmatrix.cols matrix in
-  let row_counts = Array.make owners 0 in
-  let col_counts = Array.make providers 0 in
+(* The forward side is written as entries arrive, into slots laid out from
+   the declared row counts; [slot] runs through them in owner order, so a
+   row may start only where the rows before it ended.  [col_counts] tallies
+   each provider's entries and becomes the inverse offsets in [finish]. *)
+type builder = {
+  b_fwd : side;
+  col_counts : int array;
+  b_owners : int;
+  b_providers : int;
+  mutable row : int;
+  mutable slot : int;
+  mutable limit : int;  (** One past the current row's last slot. *)
+}
+
+let builder ~providers row_counts =
+  let owners = Array.length row_counts in
+  let offsets = Array.make (owners + 1) 0 in
   for j = 0 to owners - 1 do
-    Bitvec.iter_set
-      (fun p ->
-        row_counts.(j) <- row_counts.(j) + 1;
-        col_counts.(p) <- col_counts.(p) + 1)
-      (Bitmatrix.row matrix j)
+    offsets.(j + 1) <- offsets.(j) + row_counts.(j)
   done;
-  let fwd = make_side ~width:(width_for providers) row_counts in
-  let inv = make_side ~width:(width_for owners) col_counts in
-  let inv_cursor = Array.sub inv.offsets 0 providers in
-  for j = 0 to owners - 1 do
-    let slot = ref fwd.offsets.(j) in
-    Bitvec.iter_set
-      (fun p ->
-        write_entry fwd ~slot:!slot p;
-        incr slot;
-        write_entry inv ~slot:inv_cursor.(p) j;
-        inv_cursor.(p) <- inv_cursor.(p) + 1)
-      (Bitmatrix.row matrix j)
+  let width = width_for providers in
+  {
+    b_fwd = { offsets; data = packed_data ~width offsets.(owners); width };
+    col_counts = Array.make (providers + 1) 0;
+    b_owners = owners;
+    b_providers = providers;
+    row = -1;
+    slot = 0;
+    limit = 0;
+  }
+
+let add b ~owner p =
+  if owner <> b.row then begin
+    if owner < 0 || owner >= b.b_owners || b.slot <> b.b_fwd.offsets.(owner) then
+      invalid_arg "Postings.add: owners out of order or a row left short";
+    b.row <- owner;
+    b.limit <- b.b_fwd.offsets.(owner + 1)
+  end;
+  if b.slot >= b.limit then invalid_arg "Postings.add: row past its declared count";
+  if p < 0 || p >= b.b_providers then invalid_arg "Postings.add: provider out of range";
+  write_entry b.b_fwd ~slot:b.slot p;
+  b.slot <- b.slot + 1;
+  b.col_counts.(p) <- b.col_counts.(p) + 1
+
+(* One counting pass: [col_counts] becomes each provider's end offset, and
+   walking the forward entries backwards moves each one down to its slot,
+   so every inverse list comes out ascending and the table ends as the
+   start offsets. *)
+let finish b =
+  let fwd = b.b_fwd and owners = b.b_owners and providers = b.b_providers in
+  let entries = fwd.offsets.(owners) in
+  if b.slot <> entries then invalid_arg "Postings.finish: a row left short";
+  let offsets = b.col_counts in
+  let sum = ref 0 in
+  for p = 0 to providers - 1 do
+    sum := !sum + offsets.(p);
+    offsets.(p) <- !sum
+  done;
+  offsets.(providers) <- entries;
+  let width = width_for owners in
+  let inv = { offsets; data = packed_data ~width entries; width } in
+  for j = owners - 1 downto 0 do
+    for e = fwd.offsets.(j + 1) - 1 downto fwd.offsets.(j) do
+      let p = read_entry fwd e in
+      let slot = offsets.(p) - 1 in
+      offsets.(p) <- slot;
+      write_entry inv ~slot j
+    done
   done;
   { fwd; inv; owners; providers }
+
+let of_matrix matrix =
+  let owners = Bitmatrix.rows matrix in
+  let b =
+    builder ~providers:(Bitmatrix.cols matrix) (Array.init owners (Bitmatrix.row_count matrix))
+  in
+  for j = 0 to owners - 1 do
+    Bitvec.iter_set (fun p -> add b ~owner:j p) (Bitmatrix.row matrix j)
+  done;
+  finish b
 
 let of_index index = of_matrix (Eppi.Index.matrix index)
 let owners t = t.owners

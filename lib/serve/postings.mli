@@ -17,9 +17,40 @@
 
 type t
 
-val of_index : Eppi.Index.t -> t
+(** {2 Compiling}
+
+    One compiler serves every source.  A {!builder} is fed each owner's
+    ascending provider ids in owner order; it writes the forward side as
+    entries arrive, into slots laid out from the declared row counts, and
+    tallies each provider's entries.  {!finish} then fills the inverse side
+    in one counting pass over the forward entries.  Nothing is allocated
+    per entry: the store is the whole cost. *)
+
+type builder
+
+val builder : providers:int -> int array -> builder
+(** [builder ~providers counts] compiles [Array.length counts] owners whose
+    rows will hold [counts.(j)] ids each, out of [providers].  It allocates
+    the forward offsets and packed entries at once, and one table of
+    [providers + 1] words. *)
+
+val add : builder -> owner:int -> int -> unit
+(** Append a provider id to the owner's row.  Owners come in ascending
+    order; a row lists its ids in the order given, so callers pass them
+    ascending.  Never writes past a row's declared count.
+    @raise Invalid_argument on an id out of range, a row past its count,
+    or an owner that starts before the rows ahead of it are full. *)
+
+val finish : builder -> t
+(** The compiled store.  @raise Invalid_argument if a row holds fewer ids
+    than declared. *)
+
 val of_matrix : Eppi_prelude.Bitmatrix.t -> t
 (** Rows are owners, columns providers, as everywhere in the repo. *)
+
+val of_index : Eppi.Index.t -> t
+
+(** {2 Reading} *)
 
 val owners : t -> int
 val providers : t -> int

@@ -74,8 +74,6 @@ let republish ?resolver t store =
   in
   install ()
 
-let republish_index ?resolver t index = republish ?resolver t (Postings.of_index index)
-
 let shard_of t owner =
   let n = Array.length t.shard_states in
   let s = owner mod n in

@@ -73,9 +73,6 @@ val republish : ?resolver:Eppi_fuzzy.Resolver.t -> t -> Postings.t -> int
     (postings, resolver) pair.  Safe to call from any domain while
     other domains run {!query}. *)
 
-val republish_index : ?resolver:Eppi_fuzzy.Resolver.t -> t -> Eppi.Index.t -> int
-(** {!republish} after compiling the index ({!Postings.of_index}). *)
-
 val query : ?now:float -> t -> owner:int -> reply
 (** Serve one request.  [now] (seconds, default
     {!Eppi_prelude.Clock.seconds}) drives the token bucket; an engine

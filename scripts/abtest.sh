@@ -19,9 +19,10 @@
 # bound, "held" otherwise.  Every run's result object is
 # appended to bench/ledger.jsonl with its rev, workload, seed, nproc and
 # host, its role ("base" or "head"), both revs, its pair index and a
-# session id shared by every row of this invocation (docs/PERF.md shows
-# how to select same-session pairs), and the number of construction
-# epochs the run fit, parsed from perfbench's "W: N epochs:" stderr line
+# session id shared by every row of this invocation
+# (scripts/ledger_ratios.py prints each session's paired ratios), and
+# the number of construction epochs the run fit, parsed from
+# perfbench's "W: N epochs:" stderr line
 # (epoch_peak_mb grows with it); the summary prints both sides' median
 # epoch count.  Exits 1 if a metric is worse than
 # its bound or a run is not correct, 2 on a usage or build error.

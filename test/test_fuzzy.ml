@@ -12,6 +12,7 @@ module Probe = Eppi_fuzzy.Probe
 module Resolver = Eppi_fuzzy.Resolver
 module Roster = Eppi_fuzzy.Roster
 module Serve = Eppi_serve.Serve
+module Postings = Eppi_serve.Postings
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -676,7 +677,7 @@ let test_engine_fuzzy_republish () =
   let probe = Probe.of_demographic config.params people.(2) in
   (* Republish without a resolver: the old one is carried over and keeps
      answering, now against the new postings. *)
-  let gen2 = Serve.republish_index engine index2 in
+  let gen2 = Serve.republish engine (Postings.of_index index2) in
   check_int "generation bumped" 2 gen2;
   check_bool "resolver carried over" true (Serve.resolver engine <> None);
   let generation, reply = Serve.query_fuzzy engine probe in
@@ -689,7 +690,7 @@ let test_engine_fuzzy_republish () =
      swaps together. *)
   let people3 = Roster.generate (Rng.create 999) ~n in
   let resolver3 = Resolver.build config people3 in
-  let gen3 = Serve.republish_index ~resolver:resolver3 engine (test_index n 16) in
+  let gen3 = Serve.republish ~resolver:resolver3 engine (Postings.of_index (test_index n 16)) in
   check_int "generation 3" 3 gen3;
   let probe3 = Probe.of_demographic config.params people3.(9) in
   let g, r = Serve.query_fuzzy engine probe3 in

@@ -529,6 +529,9 @@ let test_index_codec_malformed () =
   let valid = Index_codec.encode (test_index ~n:3 ~m:5) in
   reject "trailing bytes" (valid ^ "\x00") "trailing"
 
+(* Version 1, one owner, m = 2^30 providers, row count 0. *)
+let hostile_header = "\x01\x01\x80\x80\x80\x80\x04\x00"
+
 (* A header may declare dimensions far larger than anything the payload
    could back; decode must reject them before sizing any allocation from
    them.  (A ~20-byte payload once forced a multi-GiB matrix attempt —
@@ -547,10 +550,33 @@ let test_index_codec_hostile_dims () =
      rows, so it is truncated before the counts array is allocated. *)
   let payload = "\x01\x80\x80\x40\x05" in
   decode_total "overdeclared rows" payload;
-  match Index_codec.decode payload with
+  (match Index_codec.decode payload with
   | Error (Index_codec.Truncated _) -> ()
   | Error e -> Alcotest.fail ("wrong error: " ^ Index_codec.error_to_string e)
-  | Ok _ -> Alcotest.fail "overdeclared rows must be rejected"
+  | Ok _ -> Alcotest.fail "overdeclared rows must be rejected");
+  (* One empty row of m=2^30 providers is within the cells cap, but its
+     inverse offsets alone would be 8 GiB: both decoders reject the header
+     having allocated next to nothing. *)
+  let reject name decode =
+    let before = Gc.allocated_bytes () in
+    let result = decode hostile_header in
+    let allocated = Gc.allocated_bytes () -. before in
+    check_bool (Printf.sprintf "%s allocated %.0f bytes" name allocated) true (allocated < 65536.);
+    match result with
+    | Error (Index_codec.Malformed msg) ->
+        check_bool (name ^ " names the tables") true (contains msg "tables")
+    | Error e -> Alcotest.fail (name ^ ": wrong error: " ^ Index_codec.error_to_string e)
+    | Ok _ -> Alcotest.fail (name ^ ": a 2^30-provider header must be rejected")
+  in
+  reject "decode" (fun p -> Result.map ignore (Index_codec.decode p));
+  reject "decode_postings" (fun p -> Result.map ignore (Index_codec.decode_postings p));
+  (* Six rows of 40 cells each declared over a 3-byte body: more cells
+     than body bits, rejected before any entry buffer is sized. *)
+  let payload = "\x01\x06\x28\x28\x28\x28\x28\x28\x28\xff\xff\xff" in
+  match Index_codec.decode_postings payload with
+  | Error (Index_codec.Truncated "row bodies") -> ()
+  | Error e -> Alcotest.fail ("wrong error: " ^ Index_codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "more cells than body bits must be rejected"
 
 let test_index_codec_mutation_fuzz () =
   (* Every single-byte corruption of a valid payload must decode to a
@@ -570,7 +596,9 @@ let test_index_codec_mutation_fuzz () =
 
 (* The original bit-at-a-time codec, kept as the reference the word-wide
    one must match byte for byte on encode and result for result (error
-   messages included) on decode. *)
+   messages included) on decode.  Its header carries the two checks that
+   came with the postings decoder: the tables indexed by owner or provider
+   fit in 2^27 words, and the row counts sum to at most the body's bits. *)
 module Reference = struct
   exception Fail of Index_codec.error
 
@@ -738,6 +766,12 @@ module Reference = struct
     if m < 1 || m > 1 lsl 30 then raise (Fail (Malformed (Printf.sprintf "provider count %d" m)));
     if n * m > 1 lsl 33 then
       raise (Fail (Malformed (Printf.sprintf "matrix %dx%d exceeds %d cells" n m (1 lsl 33))));
+    if (2 * n) + m + 2 > 1 lsl 27 then
+      raise
+        (Fail
+           (Malformed
+              (Printf.sprintf "tables for %d owners and %d providers exceed %d words" n m
+                 (1 lsl 27))));
     if n > String.length payload - c.pos then raise (Fail (Truncated "row counts"));
     let counts =
       Array.init n (fun j ->
@@ -746,6 +780,8 @@ module Reference = struct
             raise (Fail (Malformed (Printf.sprintf "row %d count %d exceeds %d providers" j cnt m)));
           cnt)
     in
+    if Array.fold_left ( + ) 0 counts > 8 * (String.length payload - c.pos) then
+      raise (Fail (Truncated "row bodies"));
     let matrix = Bitmatrix.create ~rows:n ~cols:m in
     let r = { c; base = c.pos; bitpos = 0 } in
     for j = 0 to n - 1 do
@@ -772,6 +808,28 @@ end
 let same_decode a b =
   match (a, b) with
   | Ok x, Ok y -> matrices_equal x y
+  | Error x, Error y -> x = y
+  | _ -> false
+
+(* Two stores are the same when every list, width and byte count is. *)
+let same_postings p q =
+  let module P = Eppi_serve.Postings in
+  P.owners p = P.owners q
+  && P.providers p = P.providers q
+  && P.entry_bits p = P.entry_bits q
+  && P.memory_bytes p = P.memory_bytes q
+  && List.for_all
+       (fun owner -> P.query p ~owner = P.query q ~owner)
+       (List.init (P.owners p) Fun.id)
+  && List.for_all
+       (fun provider -> P.owners_of p ~provider = P.owners_of q ~provider)
+       (List.init (P.providers p) Fun.id)
+
+(* [decode_postings] against [decode] on one payload: exactly the same
+   error, or the store [Postings.of_index] compiles from the index. *)
+let postings_decode_agrees payload =
+  match (Index_codec.decode_postings payload, Index_codec.decode payload) with
+  | Ok store, Ok index -> same_postings store (Eppi_serve.Postings.of_index index)
   | Error x, Error y -> x = y
   | _ -> false
 
@@ -828,8 +886,7 @@ let pin_indexes_c () =
 let md5 s = Digest.to_hex (Digest.string s)
 
 (* Every forward and inverse posting list, one line each. *)
-let postings_digest index =
-  let p = Eppi_serve.Postings.of_index index in
+let postings_digest p =
   let b = Buffer.create (1 lsl 16) in
   let add l =
     List.iter
@@ -855,7 +912,12 @@ let test_index_codec_pinned () =
   check_int "payload (a) length" 71204 (String.length pa);
   Alcotest.(check string) "payload (a) md5" "0867dc3b41bf45f7f3c29a0419c4dc23" (md5 pa);
   Alcotest.(check string) "postings (a) digest" "0a30f5f313d34e8fd60f4e512070e5a7"
-    (postings_digest a);
+    (postings_digest (Eppi_serve.Postings.of_index a));
+  (match Index_codec.decode_postings pa with
+  | Ok store ->
+      Alcotest.(check string) "decoded postings (a) digest" "0a30f5f313d34e8fd60f4e512070e5a7"
+        (postings_digest store)
+  | Error e -> Alcotest.fail (Index_codec.error_to_string e));
   let pb = Index_codec.encode (pin_index_b ()) in
   check_int "payload (b) length" 147 (String.length pb);
   Alcotest.(check string) "payload (b) md5" "35caf3a9a7ac8cd86c97f56a6f3dccba" (md5 pb);
@@ -1014,6 +1076,9 @@ let test_daemon_republish () =
           (match Client.call c (Wire.Republish_binary { data = corrupt }) with
           | Wire.Server_error msg -> check_bool "error names republish" true (contains msg "republish")
           | other -> Client.unexpected "corrupt republish" other);
+          (match Client.call c (Wire.Republish_binary { data = hostile_header }) with
+          | Wire.Server_error msg -> check_bool "hostile header refused" true (contains msg "tables")
+          | other -> Client.unexpected "hostile republish" other);
           check_int "failed republish keeps generation" 2 (Serve.generation engine);
           let stats = Json.parse_exn (Client.stats_json c) in
           check_bool "stats carries generation" true
@@ -1158,7 +1223,13 @@ let test_daemon_republish_binary () =
           (match Client.call c (Wire.Republish_binary { data = "" }) with
           | Wire.Server_error _ -> ()
           | other -> Client.unexpected "empty binary republish" other);
-          check_int "failed republish keeps generation" 2 (Serve.generation engine)))
+          (match Client.call c (Wire.Republish_binary { data = hostile_header }) with
+          | Wire.Server_error msg -> check_bool "hostile header refused" true (contains msg "tables")
+          | other -> Client.unexpected "hostile binary republish" other);
+          check_int "failed republish keeps generation" 2 (Serve.generation engine);
+          let generation, reply = Client.query c ~owner:22 in
+          check_bool "still serving after the refusals" true
+            (generation = 2 && reply = Serve.Providers (Eppi.Index.query index2 ~owner:22))))
 
 (* Requests pipelined behind a republish on one connection must answer
    from the new generation: the mux stalls the connection until the swap
@@ -2365,12 +2436,37 @@ let qcheck_tests =
           Bytes.set b i payload.[i]
         done;
         !ok);
+    Test.make ~name:"postings decoder agrees with decode on every prefix" ~count:100
+      gen_codec_matrix (fun index ->
+        let payload = Index_codec.encode index in
+        let ok = ref (postings_decode_agrees payload) in
+        for len = 0 to String.length payload - 1 do
+          if not (postings_decode_agrees (String.sub payload 0 len)) then ok := false
+        done;
+        !ok);
+    Test.make ~name:"postings decoder agrees with decode on byte mutations" ~count:20
+      (pair gen_codec_matrix (int_range 1 255))
+      (fun (index, drawn) ->
+        let payload = Index_codec.encode index in
+        let b = Bytes.of_string payload in
+        let ok = ref true in
+        for i = 0 to String.length payload - 1 do
+          List.iter
+            (fun delta ->
+              Bytes.set b i (Char.chr (Char.code payload.[i] lxor delta));
+              if not (postings_decode_agrees (Bytes.to_string b)) then ok := false)
+            [ 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0xFF; drawn ];
+          Bytes.set b i payload.[i]
+        done;
+        !ok);
     Test.make ~name:"index codec decode is total on junk" ~count:500
       (make Gen.(small_string ~gen:char))
       (fun junk ->
         (* Version-byte prefix steers the fuzz past the cheapest reject. *)
         List.for_all
-          (fun payload -> match Index_codec.decode payload with Ok _ | Error _ -> true)
+          (fun payload ->
+            (match Index_codec.decode payload with Ok _ | Error _ -> true)
+            && postings_decode_agrees payload)
           [ junk; "\x01" ^ junk ]);
   ]
 

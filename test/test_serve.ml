@@ -103,6 +103,114 @@ let test_postings_empty_and_full_rows () =
   check_list "untouched provider audits empty owner set" [ 1 ]
     (Postings.owners_of postings ~provider:69)
 
+(* A row past its declared count is refused before anything is written,
+   and so is a row left short or started out of order: the builder lays
+   its slots out from the counts, so neither could be stored correctly. *)
+let test_postings_builder_guards () =
+  let b = Postings.builder ~providers:70 [| 1; 0; 2 |] in
+  Postings.add b ~owner:0 5;
+  Alcotest.check_raises "row past its count"
+    (Invalid_argument "Postings.add: row past its declared count") (fun () ->
+      Postings.add b ~owner:0 6);
+  Alcotest.check_raises "provider out of range"
+    (Invalid_argument "Postings.add: provider out of range") (fun () -> Postings.add b ~owner:2 70);
+  Postings.add b ~owner:2 3;
+  Alcotest.check_raises "a row left short" (Invalid_argument "Postings.finish: a row left short")
+    (fun () -> ignore (Postings.finish b));
+  Postings.add b ~owner:2 69;
+  let p = Postings.finish b in
+  check_list "owner 0" [ 5 ] (Postings.query p ~owner:0);
+  check_list "owner 2" [ 3; 69 ] (Postings.query p ~owner:2);
+  check_list "provider 69" [ 2 ] (Postings.owners_of p ~provider:69);
+  let b = Postings.builder ~providers:4 [| 1; 1 |] in
+  Alcotest.check_raises "owner 1 before owner 0 is full"
+    (Invalid_argument "Postings.add: owners out of order or a row left short") (fun () ->
+      Postings.add b ~owner:1 0)
+
+(* The two-pass compiler the builder replaced, kept as the reference it
+   must match: a first pass counts every row and column, a second writes
+   each cell to both sides through per-provider cursors. *)
+module Reference = struct
+  type side = { offsets : int array; data : Bytes.t; width : int }
+  type t = { fwd : side; inv : side }
+
+  let width_for bound =
+    let rec go w = if 1 lsl w >= bound then w else go (w + 1) in
+    max 1 (go 1)
+
+  let make_side ~width counts =
+    let n = Array.length counts in
+    let offsets = Array.make (n + 1) 0 in
+    for i = 0 to n - 1 do
+      offsets.(i + 1) <- offsets.(i) + counts.(i)
+    done;
+    let data = Bytes.make ((((offsets.(n) * width) + 7) / 8) + 8) '\000' in
+    { offsets; data; width }
+
+  let write_entry side ~slot v =
+    let bitpos = slot * side.width in
+    let byte = bitpos lsr 3 and shift = bitpos land 7 in
+    let cur = Bytes.get_int64_le side.data byte in
+    Bytes.set_int64_le side.data byte (Int64.logor cur (Int64.shift_left (Int64.of_int v) shift))
+
+  let read_entry side e =
+    let bitpos = e * side.width in
+    let byte = bitpos lsr 3 and shift = bitpos land 7 in
+    Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le side.data byte) shift)
+    land ((1 lsl side.width) - 1)
+
+  let of_matrix matrix =
+    let owners = Bitmatrix.rows matrix and providers = Bitmatrix.cols matrix in
+    let row_counts = Array.make owners 0 and col_counts = Array.make providers 0 in
+    for j = 0 to owners - 1 do
+      Bitvec.iter_set
+        (fun p ->
+          row_counts.(j) <- row_counts.(j) + 1;
+          col_counts.(p) <- col_counts.(p) + 1)
+        (Bitmatrix.row matrix j)
+    done;
+    let fwd = make_side ~width:(width_for providers) row_counts in
+    let inv = make_side ~width:(width_for owners) col_counts in
+    let inv_cursor = Array.sub inv.offsets 0 providers in
+    for j = 0 to owners - 1 do
+      let slot = ref fwd.offsets.(j) in
+      Bitvec.iter_set
+        (fun p ->
+          write_entry fwd ~slot:!slot p;
+          incr slot;
+          write_entry inv ~slot:inv_cursor.(p) j;
+          inv_cursor.(p) <- inv_cursor.(p) + 1)
+        (Bitmatrix.row matrix j)
+    done;
+    { fwd; inv }
+
+  let list side i =
+    List.init (side.offsets.(i + 1) - side.offsets.(i)) (fun k -> read_entry side (side.offsets.(i) + k))
+
+  let memory_bytes t =
+    let side s = Bytes.length s.data + (8 * Array.length s.offsets) in
+    side t.fwd + side t.inv
+end
+
+(* Every list, count, width and byte of the two compilers' stores. *)
+let same_as_reference matrix =
+  let p = Postings.of_matrix matrix and r = Reference.of_matrix matrix in
+  let owners = Bitmatrix.rows matrix and providers = Bitmatrix.cols matrix in
+  Postings.owners p = owners
+  && Postings.providers p = providers
+  && Postings.entry_bits p = (r.fwd.width, r.inv.width)
+  && Postings.memory_bytes p = Reference.memory_bytes r
+  && List.for_all
+       (fun owner ->
+         let l = Reference.list r.fwd owner in
+         Postings.query p ~owner = l && Postings.query_count p ~owner = List.length l)
+       (List.init owners Fun.id)
+  && List.for_all
+       (fun provider ->
+         let l = Reference.list r.inv provider in
+         Postings.owners_of p ~provider = l && Postings.audit_count p ~provider = List.length l)
+       (List.init providers Fun.id)
+
 (* ---------- Admission ---------- *)
 
 let test_admission_bucket () =
@@ -391,8 +499,8 @@ let test_metrics_generation_and_swaps () =
   let before = Serve.metrics engine in
   check_int "initial generation" 1 before.generation;
   check_int "initial swaps" 0 before.swaps;
-  ignore (Serve.republish_index engine (test_index ~n:9 ~m:6));
-  ignore (Serve.republish_index engine (test_index ~n:10 ~m:6));
+  ignore (Serve.republish engine (Postings.of_index (test_index ~n:9 ~m:6)));
+  ignore (Serve.republish engine (Postings.of_index (test_index ~n:10 ~m:6)));
   let snap = Serve.metrics engine in
   check_int "generation after two republishes" 3 snap.generation;
   check_int "one swap per republish, before any query" 2 snap.swaps;
@@ -475,7 +583,7 @@ let test_engine_republish () =
   | 1, Serve.Providers p -> check_list "pre-swap reply" (Eppi.Index.query index1 ~owner:5) p
   | _ -> Alcotest.fail "pre-swap query");
   check_bool "owner 22 unknown before swap" true (Serve.query engine ~owner:22 = Serve.Unknown_owner);
-  let generation = Serve.republish_index engine index2 in
+  let generation = Serve.republish engine (Postings.of_index index2) in
   check_int "republish bumps the generation" 2 generation;
   check_int "engine generation" 2 (Serve.generation engine);
   (match Serve.query_tagged engine ~owner:5 with
@@ -500,7 +608,7 @@ let test_engine_hot_swap_concurrent () =
   let swapper =
     Domain.spawn (fun () ->
         Unix.sleepf 0.002;
-        Serve.republish_index engine index2)
+        Serve.republish engine (Postings.of_index index2))
   in
   let replies = Pool.with_pool ~size:4 (fun pool -> serve_by_shard pool engine workload) in
   check_int "swap installed generation 2" 2 (Domain.join swapper);
@@ -532,7 +640,30 @@ let test_engine_hot_swap_concurrent () =
 
 let qcheck_tests =
   let open QCheck in
+  (* Rows empty, full, half or of a drawn density, over widths on both
+     sides of a word and a drawn one. *)
+  let gen_matrix =
+    let build (n, width, seed) =
+      let rng = Rng.create seed in
+      let m = match width with 0 -> 1 | 1 -> 63 | 2 -> 64 | 3 -> 65 | _ -> 1 + Rng.int rng 300 in
+      let matrix = Bitmatrix.create ~rows:n ~cols:m in
+      for j = 0 to n - 1 do
+        let density =
+          match Rng.int rng 4 with 0 -> 0.0 | 1 -> 1.0 | 2 -> 0.5 | _ -> Rng.float rng 1.0
+        in
+        for p = 0 to m - 1 do
+          if Rng.float rng 1.0 < density then Bitmatrix.set matrix ~row:j ~col:p true
+        done
+      done;
+      matrix
+    in
+    make
+      ~print:(fun mx -> Printf.sprintf "%dx%d" (Bitmatrix.rows mx) (Bitmatrix.cols mx))
+      Gen.(map build (triple (int_range 1 40) (int_range 0 4) (int_range 0 1_000_000)))
+  in
   [
+    Test.make ~name:"builder compiles what the two-pass reference compiles" ~count:300 gen_matrix
+      same_as_reference;
     Test.make ~name:"postings query equals Index.query for every owner" ~count:60
       (triple small_int (int_range 1 40) (int_range 1 40))
       (fun (seed, n, m) ->
@@ -566,7 +697,7 @@ let qcheck_tests =
         let engine = Serve.create ~config:{ Serve.default_config with shards } index in
         let workload = Workload.zipf (Rng.create (seed + 1)) ~n ~count:300 in
         let replies = Array.map (fun owner -> Serve.query engine ~owner) workload in
-        ignore (Serve.republish_index engine index2);
+        ignore (Serve.republish engine (Postings.of_index index2));
         Array.for_all2
           (fun owner reply -> reply = Serve.Providers (Eppi.Index.query index ~owner))
           workload replies
@@ -586,6 +717,7 @@ let () =
           Alcotest.test_case "inverse postings" `Quick test_postings_inverse;
           Alcotest.test_case "iter and bounds" `Quick test_postings_iter_and_bounds;
           Alcotest.test_case "empty and full rows" `Quick test_postings_empty_and_full_rows;
+          Alcotest.test_case "builder guards its slots" `Quick test_postings_builder_guards;
         ] );
       ( "admission",
         [
