@@ -1,25 +1,18 @@
 (* Network front-end bench: drive the real socket path — daemon in one
    domain, clients in this one — and measure (1) replay throughput as a
-   function of pipeline depth, (2) throughput as a function of the
-   daemon's worker-domain count at a fixed depth, and (3) the latency of
-   binary hot-swap republishes while pipelined query load keeps flowing.
-   Writes BENCH_net.json.
+   function of pipeline depth and (2) the latency of binary hot-swap
+   republishes while pipelined query load keeps flowing.  Writes
+   BENCH_net.json.
 
    Correctness is asserted along the way: every replay conserves requests
    (served + unknown + shed = requests), the response volume matches the
-   ground truth of the generation served, a fixed query slice must come
-   back bit-identical (same generation tags, same rows) from every
-   domain count, the binary republish payload must undercut the index's
-   CSV form by at least 8x on the full-size index, and every republish
-   returns the next generation in sequence.
+   ground truth of the generation served, the binary republish payload
+   must undercut the index's CSV form by at least 8x on the full-size
+   index, and every republish returns the next generation in sequence.
+   Every assertion on the result is a gate checked on BENCH_net.json as
+   written (Bench_util.publish).
 
-   Throughput *scaling* across domain counts is gated only at full size
-   and by the "cores" the JSON records: >= 2x from 1 to 4 domains with 6
-   or more cores, no regression with 4 or 5, nothing below (a single-core
-   box cannot exhibit parallel speedup).  Every assertion on the result
-   is a gate checked on BENCH_net.json as written (Bench_util.publish).
-
-   A replication scenario follows the single-daemon sweeps: NET_REPLICAS
+   A replication scenario follows the single-daemon runs: NET_REPLICAS
    daemons serve the same index as a replica set, a cluster republish
    fans the second index out to all of them (asserted converged within
    the round), then Zipf traffic at a fixed offered load runs against
@@ -32,11 +25,10 @@
 
    Environment knobs: NET_N (owners, default 2000), NET_M (providers,
    default 1024), NET_QUERIES (replay size, default 50000), NET_DEPTHS
-   (comma list, default 1,4,16,64), NET_DOMAINS (comma list, default
-   1,2,4,8), NET_SWAPS (republish count under load, default 30),
-   NET_REPLICAS (replica count, default 3, min 2), NET_REPL_QUERIES
-   (replication-scenario traffic, default min(NET_QUERIES, 6000)),
-   NET_REPL_QPS (offered load, default 2000). *)
+   (comma list, default 1,4,16,64), NET_SWAPS (republish count under
+   load, default 30), NET_REPLICAS (replica count, default 3, min 2),
+   NET_REPL_QUERIES (replication-scenario traffic, default
+   min(NET_QUERIES, 6000)), NET_REPL_QPS (offered load, default 2000). *)
 
 open Eppi_prelude
 open Eppi_net
@@ -57,7 +49,6 @@ let getenv_int_list name default =
       |> List.filter (fun d -> d >= 1)
 
 let depths () = getenv_int_list "NET_DEPTHS" [ 1; 4; 16; 64 ]
-let domain_counts () = getenv_int_list "NET_DOMAINS" [ 1; 2; 4; 8 ]
 
 (* Nearest-rank percentile over a sorted array of seconds. *)
 let percentile sorted q =
@@ -77,8 +68,8 @@ let run () =
   let cores = Domain.recommended_domain_count () in
   Bench_util.heading
     (Printf.sprintf
-       "Network front-end: pipeline/domain sweeps + hot-swap latency (n=%d owners, m=%d \
-        providers, %d queries, %d cores)"
+       "Network front-end: pipeline sweep + hot-swap latency (n=%d owners, m=%d providers, %d \
+        queries, %d cores)"
        n m queries cores);
   let rng = Rng.create 2026 in
   let freqs = Array.init n (fun j -> 1 + (j mod 8)) in
@@ -94,16 +85,12 @@ let run () =
   let expect_listed =
     Array.fold_left (fun acc owner -> acc + truth_len.(owner)) 0 workload
   in
-  (* A fixed slice of owners whose (generation, reply) pairs must come
-     back identical from every daemon configuration. *)
-  let identity_slice = Array.init (min n 200) (fun i -> i * 37 mod n) in
   let path = Printf.sprintf "/tmp/eppi-net-bench-%d.sock" (Unix.getpid ()) in
   let addr = Addr.Unix_socket path in
-  (* Start a daemon over [index1] with [workers] domains, run [f], then
-     shut it down and join. *)
-  let with_daemon ~workers f =
-    let engine = Serve.create ~config:{ Serve.default_config with shards = 4 } index1 in
-    let server = Server.create ~config:{ Server.default_config with workers } engine in
+  (* Start a daemon over [index1], run [f], then shut it down and join. *)
+  let with_daemon f =
+    let engine = Serve.create index1 in
+    let server = Server.create engine in
     let listener = Server.listen addr in
     let daemon = Domain.spawn (fun () -> Server.run server listener) in
     Fun.protect
@@ -128,9 +115,9 @@ let run () =
       failwith "net: unexpected generation during a sweep";
     summary
   in
-  (* ---- pipeline depth sweep (single-domain daemon, the PR 4 shape) ---- *)
+  (* ---- pipeline depth sweep ---- *)
   let depth_runs =
-    with_daemon ~workers:1 (fun _engine ->
+    with_daemon (fun _engine ->
         List.map
           (fun depth ->
             let client = Client.connect ~retries:100 addr in
@@ -144,32 +131,6 @@ let run () =
             (depth, summary.wall_seconds, qps))
           (depths ()))
   in
-  (* ---- worker-domain sweep at fixed depth 16 ---- *)
-  let reference_slice = ref None in
-  let domain_runs =
-    List.map
-      (fun workers ->
-        with_daemon ~workers (fun _engine ->
-            let client = Client.connect ~retries:100 addr in
-            Fun.protect
-              ~finally:(fun () -> Client.close client)
-              (fun () ->
-                let summary = replay_checked ~depth:16 client in
-                let slice =
-                  Array.map (fun owner -> Client.query client ~owner) identity_slice
-                in
-                (match !reference_slice with
-                | None -> reference_slice := Some slice
-                | Some reference ->
-                    if slice <> reference then
-                      failwith
-                        (Printf.sprintf
-                           "net: replies at %d domains diverge from the 1-domain run" workers));
-                let qps = float_of_int queries /. summary.wall_seconds in
-                Bench_util.note "domains %2d: %.3f s (%.0f q/s)" workers summary.wall_seconds qps;
-                (workers, summary.wall_seconds, qps))))
-      (domain_counts ())
-  in
   (* ---- republish payload sizes ---- *)
   let binary2 = Index_codec.encode index2 in
   let csv_bytes = String.length (Eppi.Index.to_csv index2) in
@@ -178,11 +139,11 @@ let run () =
   Bench_util.note "republish payload: csv %d bytes, binary %d bytes (%.1fx smaller)" csv_bytes
     binary_bytes payload_ratio;
   (* ---- hot-swap latency under load ----
-     One 4-domain daemon, one load domain keeping 32-deep pipelined
-     queries in flight, admin connection timing republish round-trips
-     alternating between the two indexes. *)
+     One daemon, one load domain keeping 32-deep pipelined queries in
+     flight, admin connection timing republish round-trips alternating
+     between the two indexes. *)
   let swap_stats =
-    with_daemon ~workers:4 (fun engine ->
+    with_daemon (fun engine ->
         let stop = Atomic.make false in
         let load =
           Domain.spawn (fun () ->
@@ -224,8 +185,8 @@ let run () =
         Client.close admin;
         let p50, p99, worst = sorted_stats swap_seconds in
         Bench_util.note
-          "hot swap under load (4 domains): p50 %.2g s, p99 %.2g s, worst %.2g s over %d swaps \
-           (%d concurrent replies)"
+          "hot swap under load: p50 %.2g s, p99 %.2g s, worst %.2g s over %d swaps (%d \
+           concurrent replies)"
           p50 p99 worst swaps load_replies;
         ( Json.Obj
             [ ("count", Json.int swaps); ("p50_s", Json.Num p50); ("p99_s", Num p99);
@@ -261,11 +222,10 @@ let run () =
   let repl_daemons =
     List.map
       (fun addr ->
-        let engine = Serve.create ~config:{ Serve.default_config with shards = 4 } index1 in
         let server =
           Server.create
-            ~config:{ Server.default_config with workers = 1; peers = peer_strings }
-            engine
+            ~config:{ Server.default_config with peers = peer_strings }
+            (Serve.create index1)
         in
         let listener = Server.listen addr in
         Domain.spawn (fun () -> Server.run server listener))
@@ -423,7 +383,7 @@ let run () =
     (Obj
        [ ("bench", Str "net"); ("n_owners", Json.int n); ("m_providers", Json.int m);
          ("queries", Json.int queries); ("cores", Json.int cores);
-         ("depth_runs", runs "depth" depth_runs); ("domain_runs", runs "domains" domain_runs);
+         ("depth_runs", runs "depth" depth_runs);
          ( "payload",
            Obj
              [ ("csv_bytes", Json.int csv_bytes); ("binary_bytes", Json.int binary_bytes);
@@ -431,16 +391,12 @@ let run () =
          ("swap", swap); ("replication", replication);
          ("metrics", metrics) ])
     ([ ( "carries the headline fields",
-         has
-           [ "depth_runs"; "domain_runs"; "payload"; "swap"; "cores"; "replication"; "metrics" ] );
+         has [ "depth_runs"; "payload"; "swap"; "cores"; "replication"; "metrics" ] );
        ( "depth sweep populated, every run timed",
          fun v ->
            let rs = items v [ "depth_runs" ] in
            List.length rs >= min 2 (List.length (depths ()))
            && List.for_all (fun r -> num r [ "qps" ] > 0.0 && num r [ "seconds" ] > 0.0) rs );
-       ( "domain sweep populated",
-         fun v ->
-           List.length (items v [ "domain_runs" ]) >= min 2 (List.length (domain_counts ())) );
        ("binary payload smaller than CSV", fun v -> num v [ "payload"; "ratio" ] > 1.0);
        ( "every republish installed the next generation",
          fun v ->
@@ -475,17 +431,4 @@ let run () =
     @
     if not full_size then []
     else
-      [ ("binary payload >= 8x smaller than CSV", fun v -> num v [ "payload"; "ratio" ] >= 8.0);
-        ( "4 domains over 1: 2x throughput with >= 6 cores, no regression with >= 4",
-          fun v ->
-            let qps_at d =
-              List.find_map
-                (fun r ->
-                  if num r [ "domains" ] = float_of_int d then Some (num r [ "qps" ]) else None)
-                (items v [ "domain_runs" ])
-            in
-            match (qps_at 1, qps_at 4) with
-            | Some q1, Some q4 ->
-                let cores = num v [ "cores" ] in
-                if cores >= 6.0 then q4 >= 2.0 *. q1 else cores < 4.0 || q4 >= q1
-            | _ -> true ) ])
+      [ ("binary payload >= 8x smaller than CSV", fun v -> num v [ "payload"; "ratio" ] >= 8.0) ])

@@ -4,8 +4,7 @@
    account rate-limit shedding under a manual clock and gate the
    always-on stage telemetry's overhead through two real daemons.  Writes
    BENCH_serve.json and checks its gates on that value
-   (Bench_util.publish).  Multi-domain serving is measured through the
-   daemon's worker domains by the net bench.
+   (Bench_util.publish).
 
    Timed phases consume each result as it is produced rather than
    retaining 200k posting lists: holding every result live charges the
@@ -19,8 +18,7 @@
    Environment knobs: SERVE_N (owners, default 2000), SERVE_M (providers,
    default 4096), SERVE_QUERIES (default 200000), SERVE_TELEMETRY_QUERIES
    (sizes the telemetry-overhead gate: 30 alternating rounds of a tenth of
-   this many queries per daemon; default 20000), SERVE_TELEMETRY_DOMAINS
-   (its worker-domain count, default 4). *)
+   this many queries per daemon; default 20000). *)
 
 open Eppi_prelude
 open Eppi_serve
@@ -41,8 +39,8 @@ let run () =
   let m = getenv_int "SERVE_M" 4096 in
   let queries = getenv_int "SERVE_QUERIES" 200_000 in
   Bench_util.heading
-    (Printf.sprintf "Online serving: postings + shards (n=%d owners, m=%d providers, %d queries)"
-       n m queries);
+    (Printf.sprintf "Online serving: postings engine (n=%d owners, m=%d providers, %d queries)" n
+       m queries);
   let rng = Rng.create 2026 in
   let freqs = Array.init n (fun j -> 1 + (j mod 8)) in
   let membership = Bench_util.matrix_of_frequencies rng ~m ~freqs in
@@ -85,7 +83,7 @@ let run () =
     (float_of_int queries /. naive_seconds);
   (* The engine: one Serve.query call, one postings-store row decode, per
      request. *)
-  let postings_engine = Serve.create ~config:{ Serve.shards = 1; admission = None } index in
+  let postings_engine = Serve.create index in
   let postings_seconds, postings_listed =
     wall (fun () ->
         Array.fold_left
@@ -108,15 +106,12 @@ let run () =
   Bench_util.note "latency (sampled): p50 %.2g s, p95 %.2g s, p99 %.2g s (%d samples)"
     snap.p50 snap.p95 snap.p99 snap.latency_count;
   (* Admission control under a manual clock: the workload arrives at one
-     request per simulated microsecond across 4 shards whose buckets
-     refill 100k tokens/s each, so once the bursts drain a shard sheds
-     what its bucket cannot cover — deterministically, whatever the host's
-     speed.  Every request must be answered once, as a reply the metrics
-     count. *)
+     request per simulated microsecond into a bucket that refills 100k
+     tokens/s, so once the burst drains the engine sheds what the bucket
+     cannot cover — deterministically, whatever the host's speed.  Every
+     request must be answered once, as a reply the metrics count. *)
   let admission = { Admission.rate = 100_000.0; burst = max 1 (queries / 40) } in
-  let shed_engine =
-    Serve.create ~config:{ Serve.shards = 4; admission = Some admission } index
-  in
+  let shed_engine = Serve.create ~config:{ Serve.admission = Some admission } index in
   let served_replies = ref 0 and shed_replies = ref 0 in
   Array.iteri
     (fun i owner ->
@@ -132,15 +127,14 @@ let run () =
   Bench_util.note "admission: served %d, shed %d by rate limit" shed_snap.served
     shed_snap.shed_rate;
   (* Always-on stage telemetry must be invisible at the client: run two
-     real multicore daemons side by side — telemetry off and on (the
-     config knob exists for exactly this measurement) — and compare the
+     real daemons side by side — telemetry off and on (the config knob
+     exists for exactly this measurement) — and compare the
      client-observed per-request p50 over a Unix socket.  Short rounds
      alternate (off, on, off, on, ...) so host drift lands on both sides
      alike; each side's p50 is over all of its samples.  The gate allows
      2% plus a 10 µs floor (a socket RTT's p50 sits in the tens of µs,
      where scheduler noise dwarfs percentages). *)
   let telemetry_queries = getenv_int "SERVE_TELEMETRY_QUERIES" 20_000 in
-  let telemetry_domains = getenv_int "SERVE_TELEMETRY_DOMAINS" 4 in
   let rounds = 30 in
   let per_round = max 1 (telemetry_queries / 10) in
   (* [f] gets [round samples ~off], which times [per_round] sequential
@@ -151,14 +145,10 @@ let run () =
         (Printf.sprintf "eppi-serve-bench-%d-%b.sock" (Unix.getpid ()) telemetry)
     in
     let addr = Eppi_net.Addr.Unix_socket path in
-    let engine =
-      Serve.create ~config:{ Serve.shards = telemetry_domains; admission = None } index
-    in
     let server =
       Eppi_net.Server.create
-        ~config:
-          { Eppi_net.Server.default_config with workers = telemetry_domains; telemetry }
-        engine
+        ~config:{ Eppi_net.Server.default_config with telemetry }
+        (Serve.create index)
     in
     let listener = Eppi_net.Server.listen addr in
     let daemon = Domain.spawn (fun () -> Eppi_net.Server.run server listener) in
@@ -198,10 +188,9 @@ let run () =
           done));
   let telemetry_off_p50 = Stats.quantile samples_off 0.5 in
   let telemetry_on_p50 = Stats.quantile samples_on 0.5 in
-  Bench_util.note "telemetry overhead: p50 %.1f us off, %.1f us on (%+.2f%%) at %d domains"
+  Bench_util.note "telemetry overhead: p50 %.1f us off, %.1f us on (%+.2f%%)"
     (telemetry_off_p50 *. 1e6) (telemetry_on_p50 *. 1e6)
-    (100.0 *. ((telemetry_on_p50 /. telemetry_off_p50) -. 1.0))
-    telemetry_domains;
+    (100.0 *. ((telemetry_on_p50 /. telemetry_off_p50) -. 1.0));
   let open Bench_util in
   (* Speed comparisons are gated at full size only (CI runs n=500,
      m=512, 50k queries); smoke sizes are too small to time. *)
@@ -225,7 +214,7 @@ let run () =
                ("shed_queue", Json.int shed_snap.shed_queue) ] );
          ( "telemetry",
            Obj
-             [ ("domains", Json.int telemetry_domains); ("queries", Json.int telemetry_queries);
+             [ ("queries", Json.int telemetry_queries);
                ("off_p50_s", Num telemetry_off_p50); ("on_p50_s", Num telemetry_on_p50);
                ( "overhead_ok",
                  Bool (telemetry_on_p50 <= (1.02 *. telemetry_off_p50) +. 0.000_010) ) ] );

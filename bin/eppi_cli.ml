@@ -682,22 +682,13 @@ let link_cmd =
 (* ---- serve ---- *)
 
 let serve_cmd =
-  let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"INT" ~doc:"Independent shard states.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"INT"
-          ~doc:"Worker domains that call the engine.  1 serves inline on a single domain.")
-  in
   let rate =
     Arg.(
       value & opt (some float) None
       & info [ "rate" ] ~docv:"FLOAT"
           ~doc:
-            "Enable admission control: token-bucket refill rate per shard (requests/s).  \
-             Off by default.")
+            "Enable admission control: the refill rate (requests/s) of the daemon's one token \
+             bucket, which exact and fuzzy queries share.  Off by default.")
   in
   let burst =
     Arg.(
@@ -741,7 +732,7 @@ let serve_cmd =
     Printf.eprintf "serve: %s\n" msg;
     exit 2
   in
-  let run index_path shards domains rate burst listen stdio peers roster linkage_seed trace =
+  let run index_path rate burst listen stdio peers roster linkage_seed trace =
     (match (listen, stdio) with
     | Some _, true -> usage_error "--listen and --stdio are mutually exclusive"
     | None, false ->
@@ -752,7 +743,7 @@ let serve_cmd =
     let index = Eppi.Index.of_csv (read_file index_path) in
     let n = Eppi.Index.owners index in
     let admission = Option.map (fun rate -> { Eppi_serve.Admission.rate; burst }) rate in
-    let config = { Eppi_serve.Serve.shards; admission } in
+    let config = { Eppi_serve.Serve.admission } in
     let resolver =
       match (roster, linkage_seed) with
       | None, _ -> None
@@ -786,12 +777,9 @@ let serve_cmd =
               ignore (replica_set_of_string ~what:"serve" addrs);
               String.split_on_char ',' addrs |> List.map String.trim
         in
-        let config =
-          { Eppi_net.Server.default_config with workers = max 1 domains; peers = peer_list }
-        in
+        let config = { Eppi_net.Server.default_config with peers = peer_list } in
         let server = Eppi_net.Server.create ~config engine in
-        Printf.eprintf "listening on %s (%d shards, %d worker domains, generation %d%s)\n" addr
-          shards config.workers
+        Printf.eprintf "listening on %s (generation %d%s)\n" addr
           (Eppi_serve.Serve.generation engine)
           (if peer_list = [] then ""
            else Printf.sprintf ", replica set of %d" (List.length peer_list));
@@ -800,15 +788,13 @@ let serve_cmd =
         print_endline (Eppi_serve.Metrics.to_json (Eppi_serve.Serve.metrics engine))
     | None ->
         (* No idle sweep: a stdio peer may pause as long as it likes. *)
-        let config =
-          { Eppi_net.Server.default_config with workers = max 1 domains; idle_timeout = 0.0 }
-        in
+        let config = { Eppi_net.Server.default_config with idle_timeout = 0.0 } in
         let server = Eppi_net.Server.create ~config engine in
         with_trace trace (fun () -> Eppi_net.Server.run_stdio server)
   in
   let term =
     Term.(
-      const run $ index_arg $ shards $ domains $ rate $ burst $ listen $ stdio $ peers $ roster
+      const run $ index_arg $ rate $ burst $ listen $ stdio $ peers $ roster
       $ linkage_seed_arg $ trace_arg)
   in
   Cmd.v
@@ -984,9 +970,9 @@ let stats_cmd =
 (* ---- top: live request-stage telemetry ---- *)
 
 (* Render one Telemetry reply ({!Eppi_net.Telemetry.json}) as the
-   `eppi top` screen: window rates per request class, the six-stage
-   latency decomposition with its conservation check, worker counters,
-   and the slow-request ring. *)
+   `eppi top` screen: window rates per request class, the stage latency
+   decomposition with its conservation check, and the slow-request ring.
+   Both tables take their stages from [Telemetry.stage_names]. *)
 let render_top v =
   let b = Buffer.create 1024 in
   let geti path = Option.value ~default:0 (Json.find_int v path) in
@@ -1027,30 +1013,24 @@ let render_top v =
     (fmt_duration (float_of_int total /. 1e9))
     (if getb [ "conservation"; "exact" ] then "  (conservation: exact)"
      else Printf.sprintf "  (conservation: off by %dns)" (total - stage_sum));
-  (match Json.find v [ "workers" ] with
-  | Some (Json.List (_ :: _ as ws)) ->
-      Buffer.add_string b "\nworker   queue      busy    served\n";
-      List.iter
-        (fun w ->
-          let g k = Option.value ~default:0 (Json.find_int w [ k ]) in
-          Printf.bprintf b "  %-6d %5d %9s %9d\n" (g "id") (g "queue_depth")
-            (fmt_duration (float_of_int (g "busy_us") /. 1e6))
-            (g "served"))
-        ws
-  | _ -> ());
   (match Json.find v [ "slow" ] with
   | Some (Json.List (_ :: _ as ss)) ->
-      Buffer.add_string b
-        "\nslowest       total   decode dispatch    queue  execute  reorder    flush\n";
+      Printf.bprintf b "\n%-11s %7s" "slowest" "total";
+      Array.iter (Printf.bprintf b " %8s") Eppi_net.Telemetry.stage_names;
+      Buffer.add_char b '\n';
       List.iteri
         (fun i w ->
           if i < 8 then begin
-            let g k = Option.value ~default:0 (Json.find_int w [ k ]) in
-            let f k = fmt_duration (float_of_int (g k) /. 1e9) in
-            Printf.bprintf b "  %-9s %7s %8s %8s %8s %8s %8s %8s\n"
+            let f k =
+              fmt_duration (float_of_int (Option.value ~default:0 (Json.find_int w [ k ])) /. 1e9)
+            in
+            Printf.bprintf b "  %-9s %7s"
               (Option.value ~default:"?" (Json.find_str w [ "kind" ]))
-              (f "total_ns") (f "decode_ns") (f "dispatch_ns") (f "queue_ns") (f "execute_ns")
-              (f "reorder_ns") (f "flush_ns")
+              (f "total_ns");
+            Array.iter
+              (fun st -> Printf.bprintf b " %8s" (f (st ^ "_ns")))
+              Eppi_net.Telemetry.stage_names;
+            Buffer.add_char b '\n'
           end)
         ss
   | _ -> ());
@@ -1177,10 +1157,10 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:
          "Watch a running daemon's live telemetry: rolling-window p50/p99/throughput per \
-          request class, the decode/dispatch/queue/execute/reorder/flush stage decomposition \
-          with its conservation check, per-worker queue depth and busy time, and the \
-          slowest-request ring.  $(b,--json) dumps the raw snapshot for scripting.  With a \
-          comma-separated replica set ($(b,--connect A,B,C)): one row per replica — \
+          request class, the decode/execute/flush stage decomposition with its conservation \
+          check, and the slowest-request ring.  $(b,--json) dumps the raw snapshot for \
+          scripting.  With a comma-separated replica set ($(b,--connect A,B,C)): one row per \
+          replica — \
           generation, swaps, query count, p50, p99 — plus a convergence verdict")
     term
 

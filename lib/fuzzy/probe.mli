@@ -52,7 +52,7 @@ val dob_string : int * int * int -> string
 (** ["yyyymmdd"], or [""] for the unknown date [(0, 0, 0)]. *)
 
 val routing_hash : t -> int
-(** Deterministic non-negative hash of the probe used to pick the shard
-    (and hence worker domain) a fuzzy request is pinned to.  A pure
-    function of the probe's keys and filters, so the client, the daemon
-    mux and the engine all agree. *)
+(** Deterministic non-negative hash of the probe: the resolver seeds its
+    candidate-set padding draws from it, so the same probe always scans
+    the same decoys.  A pure function of the probe's keys and filters,
+    so the client and the daemon agree on it. *)

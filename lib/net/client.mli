@@ -120,9 +120,8 @@ val query_fuzzy : ?k:int -> t -> Eppi_fuzzy.Probe.t -> int * Eppi_serve.Serve.fu
 val audit : t -> provider:int -> int * int list option
 
 val stats_json : t -> string
-(** The engine's merged {!Eppi_serve.Metrics} snapshot as JSON, followed
-    by the server's per-worker counters ([workers]) and trace-drop count
-    ([trace_dropped]). *)
+(** The engine's {!Eppi_serve.Metrics} snapshot as JSON, followed by the
+    server's trace-drop count ([trace_dropped]). *)
 
 val telemetry_json : t -> string
 (** The daemon's live telemetry snapshot as JSON ({!Telemetry.json}):

@@ -1,50 +1,32 @@
 (* Always-on request-stage telemetry for the daemon.
 
-   Every request the mux decodes gets one {!record}; timestamps are
-   stamped at each pipeline hand-off and the record is finished when the
-   last byte of its response hits the socket.  The six stages telescope —
-   each stage is the difference of adjacent stamps — so per request
+   Every request the loop decodes gets one {!record}, stamped when its
+   decode began, when it was decoded and when its reply frame entered the
+   connection's write buffer; it is finished when the last byte of that
+   reply hits the socket.  The three stages telescope — each stage is the
+   difference of adjacent stamps — so per request
 
-     decode + dispatch + queue + execute + reorder + flush = total
+     decode + execute + flush = total
 
    holds {e exactly} in integer nanoseconds, and therefore the aggregated
    sums satisfy the same conservation law.  That law is the telemetry's
    self-check: a stage the accounting misses would show up as a gap.
 
-   Ownership: the store has a single writer, the mux domain — records are
-   created, flushed and finished there.  Workers stamp [t_started]/[t_done]
-   on the record itself; those plain writes are ordered before the mux's
-   reads by the completion stack's CAS (release) / exchange (acquire) pair,
-   the same discipline the reply frames already rely on. *)
+   The store has a single writer, the daemon's loop. *)
 
 module Json = Eppi_prelude.Json
 module Stats = Eppi_prelude.Stats
 
 type record = {
-  mutable kind : int;  (* Wire.request_tag of the unwrapped request *)
-  mutable trace_id : int;  (* propagated trace context, -1 = none *)
-  mutable t_read : int;  (* decode began (bytes were buffered) *)
-  mutable t_decoded : int;  (* frame parsed *)
-  mutable t_dispatched : int;  (* enqueued to a worker / inline start *)
-  mutable t_started : int;  (* worker dequeued it (worker writes this) *)
-  mutable t_done : int;  (* response encoded (worker writes this) *)
-  mutable t_flushed : int;  (* appended to the connection's write buffer *)
+  kind : int;  (* Wire.request_tag of the unwrapped request *)
+  trace_id : int;  (* propagated trace context, -1 = none *)
+  t_read : int;  (* decode began (bytes were buffered) *)
+  t_decoded : int;  (* frame parsed *)
+  t_executed : int;  (* reply frame appended to the connection's write buffer *)
 }
 
-let make ~kind ~trace_id ~t_read ~t_decoded =
-  {
-    kind;
-    trace_id;
-    t_read;
-    t_decoded;
-    t_dispatched = t_decoded;
-    t_started = t_decoded;
-    t_done = t_decoded;
-    t_flushed = t_decoded;
-  }
-
-let stages = 6
-let stage_names = [| "decode"; "dispatch"; "queue"; "execute"; "reorder"; "flush" |]
+let stages = 3
+let stage_names = [| "decode"; "execute"; "flush" |]
 let classes = [| "query"; "fuzzy"; "audit"; "republish"; "admin" |]
 
 (* Kinds are wire tags ([Wire.request_tag]). *)
@@ -137,16 +119,7 @@ let note_slow t r ~total_ns ~stage_ns =
   end
 
 let finish t r ~t_written =
-  let stage_ns =
-    [|
-      r.t_decoded - r.t_read;
-      r.t_dispatched - r.t_decoded;
-      r.t_started - r.t_dispatched;
-      r.t_done - r.t_started;
-      r.t_flushed - r.t_done;
-      t_written - r.t_flushed;
-    |]
-  in
+  let stage_ns = [| r.t_decoded - r.t_read; r.t_executed - r.t_decoded; t_written - r.t_executed |] in
   let total_ns = t_written - r.t_read in
   for i = 0 to stages - 1 do
     Stats.Log2_histogram.add t.stage_hist.(i) (ns_to_s stage_ns.(i));

@@ -1,42 +1,32 @@
 (** Always-on request-stage telemetry for the daemon.
 
-    One {!record} per decoded request, stamped at each pipeline hand-off:
+    One {!record} per decoded request, stamped at each step of the
+    daemon's single loop:
 
     {v
-    read ── decode ──► decoded ── dispatch ──► enqueued ── queue ──►
-    worker start ── execute ──► done ── reorder ──► flushed ── flush ──►
-    written
+    read ── decode ──► decoded ── execute ──► executed ── flush ──► written
     v}
 
-    The stages telescope, so [decode + dispatch + queue + execute +
-    reorder + flush = total] holds exactly in integer nanoseconds, per
-    request and therefore over the aggregated sums — the conservation law
-    the tests and check.sh assert.  Aggregates are cumulative per-stage
-    {!Eppi_prelude.Stats.Log2_histogram}s plus a rolling
-    {!Eppi_prelude.Stats.Windowed} per request class (query, fuzzy, audit,
-    republish, admin) and a bounded worst-N slow-request ring with full
-    stage breakdowns.
+    [execute] covers the handler, the reply's encoding and its append to
+    the connection's write buffer; [flush] is the wait until the reply's
+    last byte reaches the socket.  The stages telescope, so
+    [decode + execute + flush = total] holds exactly in integer
+    nanoseconds, per request and therefore over the aggregated sums — the
+    conservation law the tests and check.sh assert.  Aggregates are
+    cumulative per-stage {!Eppi_prelude.Stats.Log2_histogram}s plus a
+    rolling {!Eppi_prelude.Stats.Windowed} per request class (query,
+    fuzzy, audit, republish, admin) and a bounded worst-N slow-request
+    ring with full stage breakdowns.
 
-    Single-writer: the mux domain creates, flushes and finishes records;
-    workers stamp [t_started]/[t_done] on records they execute, ordered
-    before the mux's reads by the completion stack's release/acquire
-    pair. *)
+    Single-writer: the daemon's loop creates and finishes every record. *)
 
 type record = {
-  mutable kind : int;  (** {!Wire.request_tag} of the unwrapped request. *)
-  mutable trace_id : int;  (** Propagated trace context, -1 when absent. *)
-  mutable t_read : int;
-  mutable t_decoded : int;
-  mutable t_dispatched : int;
-  mutable t_started : int;
-  mutable t_done : int;
-  mutable t_flushed : int;
+  kind : int;  (** {!Wire.request_tag} of the unwrapped request. *)
+  trace_id : int;  (** Propagated trace context, -1 when absent. *)
+  t_read : int;  (** Monotonic ns: decode began. *)
+  t_decoded : int;  (** The frame was parsed. *)
+  t_executed : int;  (** The reply frame was appended to the write buffer. *)
 }
-
-val make : kind:int -> trace_id:int -> t_read:int -> t_decoded:int -> record
-(** A fresh record with every later stamp defaulted to [t_decoded], so an
-    inline (no-worker) request that never crosses a queue reports zero
-    queue/execute time until those stamps are set. *)
 
 type t
 
@@ -53,11 +43,12 @@ val json : ?extra:(string * Eppi_prelude.Json.t) list -> t -> now_ns:int -> Eppi
 (** The snapshot carried by the [Telemetry] wire reply: window summaries
     per class, per-stage histograms with integer sums, the conservation
     check, and the slow ring (slowest first), followed by the [extra]
-    fields (the server adds worker, generation and trace info).  The
+    fields (the server adds generation, swaps and trace info).  The
     field list with units is in docs/OBSERVABILITY.md. *)
 
 val classes : string array
 (** The window classes, in reply order. *)
 
 val stage_names : string array
-(** The six stages, in pipeline order. *)
+(** The three stages, in order: [decode], [execute], [flush].  Every
+    reader of the stage list ([eppi top], the tests) takes it from here. *)

@@ -70,8 +70,8 @@ let reset () =
 
 (* The recording domain's buffer: cached in DLS, re-created (and
    re-registered) when the session moved on since it was cached.  Each
-   buffer has exactly one writer — the domain that owns it — which is the
-   same no-lock single-writer discipline the serve shards use. *)
+   buffer has exactly one writer — the domain that owns it — so it needs
+   no lock. *)
 let buffer_for_domain () =
   let slot = Domain.DLS.get dls_key in
   let current = Atomic.get session in
@@ -170,8 +170,8 @@ let dropped_events () =
   let buffers = !registry in
   Mutex.unlock registry_lock;
   (* [dropped] is a plain field owned by the recording domain; a live read
-     here is a monitoring-grade approximation, same as the serve shard
-     counters. *)
+     here is a monitoring-grade approximation, as the engine's counters
+     are. *)
   List.fold_left (fun acc b -> acc + b.dropped) 0 buffers
 
 let tracks () =

@@ -2,14 +2,14 @@
 
     Every subsystem of the pipeline records into this layer — construction
     phases, per-shard MPC circuit evaluations, GMW interpreter runs, the
-    simulated network's event loop, pool workers and serve shards — and
+    simulated network's event loop, pool workers and the daemon — and
     the result exports as one Chrome trace-event file ({!Chrome}) or an
     aggregate table ({!Summary}).
 
     Discipline: each domain records into its own ring buffer held in
-    domain-local storage (the same single-writer/no-lock scheme as the
-    serve shards), so recording never contends across cores; in the
-    exported trace each domain becomes its own track.  Tracing is globally
+    domain-local storage (a single writer and no lock per buffer), so
+    recording never contends across cores; in the exported trace each
+    domain becomes its own track.  Tracing is globally
     off by default and every recording call starts with a single atomic
     load — the only cost hot loops pay when tracing is disabled.  Buffers
     are bounded: once a domain's buffer is full, further events are

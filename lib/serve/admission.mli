@@ -1,6 +1,6 @@
 (** Admission control for the serving engine: a token-bucket rate limiter.
 
-    Each shard owns one bucket; a request either takes a token and proceeds
+    The engine owns one bucket; a request either takes a token and proceeds
     or is shed with an explicit outcome (the engine reports every shed —
     nothing is silently dropped). *)
 

@@ -66,10 +66,10 @@ type snapshot = {
   p99 : float;
 }
 
-let snapshot ?(generation = 1) shards =
-  let sum f = List.fold_left (fun acc t -> acc + f t) 0 shards in
+let snapshot ?(generation = 1) ts =
+  let sum f = List.fold_left (fun acc t -> acc + f t) 0 ts in
   let latency =
-    match shards with
+    match ts with
     | [] -> Stats.Log2_histogram.create ()
     | first :: rest ->
         List.fold_left

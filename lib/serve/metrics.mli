@@ -1,11 +1,10 @@
 (** Observability surface of the serving engine.
 
-    Each shard owns one [t] and is its only writer (the daemon pins a
-    shard to exactly one worker domain), so the hot path is plain-int
-    increments with no cross-core contention; a snapshot merges all
-    shards.  Latencies
-    go into a log2-scaled histogram ({!Eppi_prelude.Stats.Log2_histogram}),
-    so p50/p95/p99 come out of a 64-int array, not a sample buffer. *)
+    The engine owns one [t] and its serving domain is the only writer, so
+    the hot path is plain-int increments; a snapshot merges a list of
+    them.  Latencies go into a log2-scaled histogram
+    ({!Eppi_prelude.Stats.Log2_histogram}), so p50/p95/p99 come out of a
+    64-int array, not a sample buffer. *)
 
 type t
 
@@ -18,7 +17,7 @@ val incr_shed_rate : t -> unit
 val incr_audits : t -> unit
 
 val incr_fuzzy : t -> unit
-(** One fuzzy (approximate-identity) request reached this shard.  The
+(** One fuzzy (approximate-identity) request reached the engine.  The
     fuzzy counters obey their own conservation law:
     [fuzzy_queries = fuzzy_resolved + fuzzy_empty + fuzzy_rejected +
     fuzzy_shed]. *)
@@ -34,7 +33,7 @@ val incr_fuzzy_rejected : t -> unit
     the probe's filter geometry differs from the resolver's. *)
 
 val incr_fuzzy_shed : t -> unit
-(** A fuzzy request shed by the shard's token bucket. *)
+(** A fuzzy request shed by the token bucket. *)
 
 val add_fuzzy_scanned : t -> int -> unit
 (** Candidate signatures scored for one resolve (padding included). *)
@@ -70,8 +69,7 @@ type snapshot = {
 }
 
 val snapshot : ?generation:int -> t list -> snapshot
-(** Merge per-shard metrics into one view, labelled with [generation]
-    (default 1). *)
+(** Merge metrics into one view, labelled with [generation] (default 1). *)
 
 val diff : snapshot -> snapshot -> snapshot
 (** [diff newer older] is the interval view between two snapshots of the
@@ -86,7 +84,7 @@ val json : ?extra:(string * Eppi_prelude.Json.t) list -> snapshot -> Eppi_prelud
 (** One JSON object with every snapshot field — counters as integers,
     latencies in seconds under [_s] keys ([latency_mean_s], [p50_s],
     [p95_s], [p99_s]) — followed by the [extra] fields (the daemon's Stats
-    reply appends its worker and trace counters). *)
+    reply appends its trace-drop count). *)
 
 val to_json : snapshot -> string
 (** [json] without extras, rendered by {!Eppi_prelude.Json.to_string}. *)

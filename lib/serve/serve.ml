@@ -1,17 +1,13 @@
 open Eppi_prelude
 module Trace = Eppi_obs.Trace
-module Probe = Eppi_fuzzy.Probe
 module Resolver = Eppi_fuzzy.Resolver
 
-type config = {
-  shards : int;
-  admission : Admission.config option;
-}
+type config = { admission : Admission.config option }
 
-let default_config = { shards = 1; admission = None }
+let default_config = { admission = None }
 
-(* Every 16th query per shard has its latency recorded: sampling keeps
-   the clock calls off the common path. *)
+(* Every 16th query has its latency recorded: sampling keeps the clock
+   calls off the common path. *)
 let sample_every = 16
 
 type reply =
@@ -19,12 +15,6 @@ type reply =
   | Unknown_owner
   | Shed_rate_limit
   | Shed_queue_full  (* never produced by the engine; see serve.mli *)
-
-type shard = {
-  bucket : Admission.t option;
-  metrics : Metrics.t;
-  mutable tick : int;
-}
 
 (* The currently published index: one immutable record behind an atomic,
    so a republish is a single pointer swap — readers always see a
@@ -39,26 +29,24 @@ type published = {
 
 type t = {
   published : published Atomic.t;
-  shard_states : shard array;
+  bucket : Admission.t option;
+  metrics : Metrics.t;
+  mutable tick : int;
 }
 
 let create ?(config = default_config) ?resolver index =
-  if config.shards < 1 then invalid_arg "Serve: shards must be >= 1";
-  let shard_states =
-    Array.init config.shards (fun _ ->
-        {
-          bucket = Option.map Admission.create config.admission;
-          metrics = Metrics.create ();
-          tick = 0;
-        })
-  in
+  let bucket = Option.map Admission.create config.admission in
   let store = Postings.of_index index in
-  { published = Atomic.make { generation = 1; store; resolver }; shard_states }
+  {
+    published = Atomic.make { generation = 1; store; resolver };
+    bucket;
+    metrics = Metrics.create ();
+    tick = 0;
+  }
 
 let postings t = (Atomic.get t.published).store
 let generation t = (Atomic.get t.published).generation
 let resolver t = (Atomic.get t.published).resolver
-let shards t = Array.length t.shard_states
 
 let republish ?resolver t store =
   (* CAS loop: concurrent republishers each get a distinct generation.
@@ -74,26 +62,21 @@ let republish ?resolver t store =
   in
   install ()
 
-let shard_of t owner =
-  let n = Array.length t.shard_states in
-  let s = owner mod n in
-  if s < 0 then s + n else s
-
 (* The range check and the row decode, after admission.  [pub] is the
    published record the caller loaded for this request. *)
-let lookup pub sh ~owner =
+let lookup pub t ~owner =
   if owner < 0 || owner >= Postings.owners pub.store then begin
-    Metrics.incr_unknown sh.metrics;
+    Metrics.incr_unknown t.metrics;
     Unknown_owner
   end
   else begin
-    Metrics.incr_served sh.metrics;
+    Metrics.incr_served t.metrics;
     Providers (Postings.query pub.store ~owner)
   end
 
 (* Only an engine with admission control reads the clock. *)
-let admit ?now sh =
-  match sh.bucket with
+let admit ?now t =
+  match t.bucket with
   | None -> true
   | Some b ->
       let now = match now with Some n -> n | None -> Clock.seconds () in
@@ -104,24 +87,22 @@ let admit ?now sh =
    between two requests is picked up by the second, never mid-reply. *)
 let query_tagged ?now t ~owner =
   let pub = Atomic.get t.published in
-  let sh = t.shard_states.(shard_of t owner) in
-  Metrics.incr_queries sh.metrics;
-  let admitted = admit ?now sh in
+  Metrics.incr_queries t.metrics;
   let reply =
-    if not admitted then begin
-      Metrics.incr_shed_rate sh.metrics;
+    if not (admit ?now t) then begin
+      Metrics.incr_shed_rate t.metrics;
       Shed_rate_limit
     end
     else begin
-      sh.tick <- sh.tick + 1;
-      if sh.tick >= sample_every then begin
-        sh.tick <- 0;
+      t.tick <- t.tick + 1;
+      if t.tick >= sample_every then begin
+        t.tick <- 0;
         let t0 = Clock.seconds () in
-        let reply = lookup pub sh ~owner in
-        Metrics.record_latency sh.metrics (Clock.seconds () -. t0);
+        let reply = lookup pub t ~owner in
+        Metrics.record_latency t.metrics (Clock.seconds () -. t0);
         reply
       end
-      else lookup pub sh ~owner
+      else lookup pub t ~owner
     end
   in
   (pub.generation, reply)
@@ -140,29 +121,21 @@ type fuzzy_reply =
   | Probe_mismatch
   | Fuzzy_shed
 
-(* Fuzzy requests have no owner yet, so route on the probe content: the
-   same probe always lands on the same shard (its metrics, its token
-   bucket), and load spreads across shards.  [routing_hash] is
-   non-negative by construction. *)
-let fuzzy_shard t probe = Probe.routing_hash probe mod Array.length t.shard_states
-
 let query_fuzzy ?now ?(k = 10) t probe =
   if k <= 0 then invalid_arg "Serve.query_fuzzy: k must be positive";
-  let sh = t.shard_states.(fuzzy_shard t probe) in
-  Metrics.incr_fuzzy sh.metrics;
+  Metrics.incr_fuzzy t.metrics;
   let pub = Atomic.get t.published in
-  let admitted = admit ?now sh in
-  if not admitted then begin
-    Metrics.incr_fuzzy_shed sh.metrics;
+  if not (admit ?now t) then begin
+    Metrics.incr_fuzzy_shed t.metrics;
     (pub.generation, Fuzzy_shed)
   end
   else
     match pub.resolver with
     | None ->
-        Metrics.incr_fuzzy_rejected sh.metrics;
+        Metrics.incr_fuzzy_rejected t.metrics;
         (pub.generation, No_resolver)
     | Some r when not (Resolver.compatible r probe) ->
-        Metrics.incr_fuzzy_rejected sh.metrics;
+        Metrics.incr_fuzzy_rejected t.metrics;
         (pub.generation, Probe_mismatch)
     | Some r ->
         let resolve () = Resolver.resolve r probe ~k in
@@ -181,9 +154,8 @@ let query_fuzzy ?now ?(k = 10) t probe =
             o
           end
         in
-        Metrics.add_fuzzy_scanned sh.metrics outcome.scanned;
-        (* Candidate rows come from the pinned postings, which are
-           immutable and safe to read from any domain. *)
+        Metrics.add_fuzzy_scanned t.metrics outcome.scanned;
+        (* Candidate rows come from the pinned postings. *)
         let owners = Postings.owners pub.store in
         let candidates =
           List.filter_map
@@ -199,19 +171,16 @@ let query_fuzzy ?now ?(k = 10) t probe =
             outcome.candidates
         in
         (match candidates with
-        | [] -> Metrics.incr_fuzzy_empty sh.metrics
-        | _ :: _ -> Metrics.incr_fuzzy_resolved sh.metrics);
+        | [] -> Metrics.incr_fuzzy_empty t.metrics
+        | _ :: _ -> Metrics.incr_fuzzy_resolved t.metrics);
         (pub.generation, Candidates candidates)
 
 let audit t ~provider =
   let store = (Atomic.get t.published).store in
   if provider < 0 || provider >= Postings.providers store then None
   else begin
-    (* Audits are rare administrative reads; account them on shard 0. *)
-    Metrics.incr_audits t.shard_states.(0).metrics;
+    Metrics.incr_audits t.metrics;
     Some (Postings.owners_of store ~provider)
   end
 
-let metrics t =
-  Metrics.snapshot ~generation:(generation t)
-    (Array.to_list (Array.map (fun sh -> sh.metrics) t.shard_states))
+let metrics t = Metrics.snapshot ~generation:(generation t) [ t.metrics ]

@@ -25,8 +25,7 @@ rm -f BENCH_construct.json
 # bench's reply-equality + shed-conservation assertions; the bench exits
 # non-zero unless every gate on its BENCH_serve.json holds.
 echo "== serve smoke =="
-SERVE_N=120 SERVE_M=64 SERVE_QUERIES=4000 \
-  SERVE_TELEMETRY_QUERIES=2000 SERVE_TELEMETRY_DOMAINS=2 \
+SERVE_N=120 SERVE_M=64 SERVE_QUERIES=4000 SERVE_TELEMETRY_QUERIES=2000 \
   dune exec bench/main.exe -- serve
 rm -f BENCH_serve.json
 
@@ -68,7 +67,7 @@ fi
 rm -f /tmp/eppi_trace_dataset.csv /tmp/eppi_trace_index.csv
 
 # A ~5 s smoke of the network front-end (docs/SERVE.md): start the daemon
-# on a Unix socket with 4 worker domains, drive 100 pipelined queries and
+# on a Unix socket, drive 100 pipelined queries and
 # two hot-swap republishes through `eppi query`/`eppi republish`, assert
 # the metrics conserve every request and record the swaps, then shut down
 # gracefully and check that the daemon exits 0 and leaves no socket file
@@ -81,7 +80,14 @@ trap 'rm -rf "$NET_DIR"' EXIT
 "$EPPI" generate --owners 80 --providers 24 --seed 5 -o "$NET_DIR/net.csv" >/dev/null
 "$EPPI" construct -d "$NET_DIR/net.csv" -o "$NET_DIR/index1.csv" 2>/dev/null
 "$EPPI" construct -d "$NET_DIR/net.csv" --seed 9 --policy basic -o "$NET_DIR/index2.csv" 2>/dev/null
-"$EPPI" serve -i "$NET_DIR/index1.csv" --listen "$NET_SOCK" --shards 2 --domains 4 \
+# The daemon has one domain and no worker flags: an old invocation with
+# --domains fails loudly (over --stdio with no input, so a daemon that
+# accepted the flag would exit 0 at once instead of hanging the check).
+if "$EPPI" serve -i "$NET_DIR/index1.csv" --stdio --domains 2 </dev/null >/dev/null 2>&1; then
+  echo "net smoke: eppi serve --domains must be refused" >&2
+  exit 1
+fi
+"$EPPI" serve -i "$NET_DIR/index1.csv" --listen "$NET_SOCK" \
   >"$NET_DIR/server.json" 2>"$NET_DIR/server.log" &
 NET_PID=$!
 # 100 queries: two rounds of 50, pipelined over one connection each, with a
@@ -94,10 +100,10 @@ seq 0 49 | sed 's/^/--owner /' | xargs "$EPPI" query --connect "$NET_SOCK" >"$NE
 test "$(wc -l < "$NET_DIR/replies1.txt")" -eq 50
 test "$(wc -l < "$NET_DIR/replies2.txt")" -eq 50
 "$EPPI" stats --connect "$NET_SOCK" >"$NET_DIR/stats.json"
-# Live telemetry (docs/OBSERVABILITY.md): the stage decomposition's
-# conservation law must hold as an exact integer identity, the Stats
-# reply must carry the per-worker counters, and both watch modes must
-# produce bounded output.
+# Live telemetry (docs/OBSERVABILITY.md): the reply must list exactly the
+# decode, execute and flush stages, their conservation law must hold as
+# an exact integer identity, neither reply may carry a workers key, and
+# both watch modes must produce bounded output.
 "$EPPI" top --connect "$NET_SOCK" --json >"$NET_DIR/telemetry.json"
 "$EPPI" stats --connect "$NET_SOCK" --watch 0.2 --iterations 2 >"$NET_DIR/watch.txt"
 test "$(wc -l < "$NET_DIR/watch.txt")" -eq 2
@@ -117,8 +123,8 @@ if m["generation"] != 3:
     raise SystemExit(f"net: expected generation 3 after republishes, got {m['generation']}")
 if m["swaps"] != m["generation"] - 1:
     raise SystemExit(f"net: swaps should count the {m['generation'] - 1} republishes: {m}")
-if len(m.get("workers", [])) != 4:
-    raise SystemExit(f"net: stats should list 4 worker domains: {m.get('workers')}")
+if "workers" in m:
+    raise SystemExit(f"net: stats should have no workers key: {m['workers']}")
 if "trace_dropped" not in m:
     raise SystemExit("net: stats reply lacks trace_dropped")
 with open(os.environ["NET_TELEMETRY"]) as f:
@@ -128,8 +134,11 @@ if not c["exact"] or c["stage_sum_ns"] != c["total_ns"]:
     raise SystemExit(f"net: telemetry stage conservation violated: {c}")
 if t["requests"] < 100:
     raise SystemExit(f"net: telemetry saw {t['requests']} requests, expected >= 100")
-if len(t["workers"]) != 4:
-    raise SystemExit(f"net: telemetry should list 4 worker domains: {t['workers']}")
+if "workers" in t:
+    raise SystemExit(f"net: telemetry should have no workers key: {t['workers']}")
+stages = [k for k in t["stages"] if k not in ("total", "sum_ns")]
+if stages != ["decode", "execute", "flush"]:
+    raise SystemExit(f"net: telemetry should list decode, execute, flush: {stages}")
 if t["stages"]["decode"]["count"] != t["stages"]["flush"]["count"]:
     raise SystemExit(f"net: stage counts disagree: {t['stages']}")
 if not t["slow"]:
@@ -161,7 +170,7 @@ trap 'rm -rf "$CLU_DIR"' EXIT
 "$EPPI" construct -d "$CLU_DIR/net.csv" --seed 9 --policy basic -o "$CLU_DIR/index2.csv" 2>/dev/null
 CLU_PEERS="$CLU_DIR/a.sock,$CLU_DIR/b.sock,$CLU_DIR/c.sock"
 for r in a b c; do
-  "$EPPI" serve -i "$CLU_DIR/index1.csv" --listen "$CLU_DIR/$r.sock" --shards 2 --domains 2 \
+  "$EPPI" serve -i "$CLU_DIR/index1.csv" --listen "$CLU_DIR/$r.sock" \
     --peers "$CLU_PEERS" >"$CLU_DIR/$r.json" 2>"$CLU_DIR/$r.log" &
 done
 for r in a b c; do
@@ -220,11 +229,10 @@ rm -rf "$CLU_DIR"
 trap - EXIT
 
 # A ~5 s smoke of the network bench: tiny index, short replay, two pipeline
-# depths, a 1-vs-2 domain sweep (with its reply-equality check), republishes
-# under load, and the replica-kill scenario; the bench exits non-zero
-# unless every gate on its BENCH_net.json holds.
+# depths, republishes under load, and the replica-kill scenario; the bench
+# exits non-zero unless every gate on its BENCH_net.json holds.
 echo "== net bench smoke =="
-NET_N=120 NET_M=64 NET_QUERIES=3000 NET_DEPTHS=1,8 NET_DOMAINS=1,2 NET_SWAPS=5 \
+NET_N=120 NET_M=64 NET_QUERIES=3000 NET_DEPTHS=1,8 NET_SWAPS=5 \
   dune exec bench/main.exe -- net
 rm -f BENCH_net.json
 
@@ -243,7 +251,7 @@ trap 'rm -rf "$FUZ_DIR" "$PIN_DIR"' EXIT
 "$EPPI" generate --owners 80 --providers 24 --seed 5 -o "$FUZ_DIR/net.csv" \
   --roster "$FUZ_DIR/roster.csv" >/dev/null
 "$EPPI" construct -d "$FUZ_DIR/net.csv" -o "$FUZ_DIR/index.csv" 2>/dev/null
-"$EPPI" serve -i "$FUZ_DIR/index.csv" --listen "$FUZ_SOCK" --shards 2 --domains 2 \
+"$EPPI" serve -i "$FUZ_DIR/index.csv" --listen "$FUZ_SOCK" \
   --roster "$FUZ_DIR/roster.csv" --linkage-seed 4242 \
   >"$FUZ_DIR/server.json" 2>"$FUZ_DIR/server.log" &
 FUZ_PID=$!

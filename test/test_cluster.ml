@@ -126,8 +126,7 @@ type daemon = {
 let start_daemon index =
   let path = sock_path () in
   let addr = Addr.Unix_socket path in
-  let engine = Serve.create ~config:{ Serve.default_config with shards = 1 } index in
-  let server = Server.create ~config:{ Server.default_config with workers = 1 } engine in
+  let server = Server.create (Serve.create index) in
   let listener = Server.listen addr in
   let domain = Domain.spawn (fun () -> Server.run server listener) in
   { d_addr = addr; d_path = path; d_domain = domain; d_alive = true }

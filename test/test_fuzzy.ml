@@ -704,7 +704,7 @@ let test_engine_fuzzy_admission () =
   let people = roster n in
   let resolver = Resolver.build config people in
   let admission = Some { Eppi_serve.Admission.rate = 1.0; burst = 2 } in
-  let c = { Serve.default_config with admission } in
+  let c = { Serve.admission } in
   let engine = Serve.create ~config:c ~resolver (test_index n 8) in
   let probe = Probe.of_demographic config.params people.(0) in
   (* Burst 2 at a frozen clock: two admitted, the third shed. *)

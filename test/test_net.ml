@@ -943,14 +943,11 @@ let sock_path () =
 
 (* Start a daemon over [index] in its own domain, run [f addr engine]
    against it, then shut it down (if [f] has not already) and join. *)
-let with_server ?(shards = 1) ?(workers = 1) ?admission
-    ?(max_inflight = Server.default_config.max_inflight) ?(peers = []) ?resolver index f =
+let with_server ?admission ?(peers = []) ?resolver index f =
   let path = sock_path () in
   let addr = Addr.Unix_socket path in
-  let engine = Serve.create ~config:{ Serve.shards; admission } ?resolver index in
-  let server =
-    Server.create ~config:{ Server.default_config with workers; max_inflight; peers } engine
-  in
+  let engine = Serve.create ~config:{ Serve.admission } ?resolver index in
+  let server = Server.create ~config:{ Server.default_config with peers } engine in
   let listener = Server.listen addr in
   let daemon = Domain.spawn (fun () -> Server.run server listener) in
   let stop () =
@@ -964,10 +961,10 @@ let with_server ?(shards = 1) ?(workers = 1) ?admission
   in
   Fun.protect ~finally:stop (fun () -> f addr engine)
 
-let daemon_basics ~shards ~workers () =
+let test_daemon_basics () =
   let n = 20 and m = 9 in
   let index = test_index ~n ~m in
-  with_server ~shards ~workers index (fun addr engine ->
+  with_server index (fun addr engine ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -990,8 +987,7 @@ let daemon_basics ~shards ~workers () =
           let stats = Json.parse_exn (Client.stats_json c) in
           check_bool "stats is json" true (Json.obj stats <> None);
           check_bool "stats counts queries" true (Json.find_int stats [ "queries" ] <> None);
-          (* A pipeline wider than the worker pool spreads over every
-             domain and must come back in request order. *)
+          (* A 64-deep pipeline comes back in request order. *)
           let owners = List.init 64 (fun i -> i mod (n + 4)) in
           let responses = Client.pipeline c (List.map (fun owner -> Wire.Query { owner }) owners) in
           check_int "pipeline size" 64 (List.length responses);
@@ -1005,39 +1001,36 @@ let daemon_basics ~shards ~workers () =
                 (response = Wire.Reply { generation = 1; reply }))
             (List.combine owners responses)))
 
-(* A rate-limited daemon: the buckets refill 1e-3 tokens/s, so in a test's
-   lifetime each shard admits exactly its burst.  One pipeline carries
-   three rounds over every owner; each shard must answer its first [burst]
-   queries with providers and shed the rest, and the Stats reply must
-   conserve every request, none of them shed by a queue. *)
-let daemon_admission ~workers () =
-  let n = 20 and shards = 4 and burst = 3 in
+(* A rate-limited daemon: its one bucket refills 1e-3 tokens/s, so in a
+   test's lifetime it admits exactly its burst.  One pipeline carries
+   three rounds over every owner; the daemon must answer the first
+   [burst] queries with providers and shed the rest, and the Stats reply
+   must conserve every request, none of them shed by a queue. *)
+let test_daemon_admission () =
+  let n = 20 and burst = 3 in
   let index = test_index ~n ~m:9 in
   let admission = { Eppi_serve.Admission.rate = 1e-3; burst } in
-  with_server ~shards ~workers ~admission index (fun addr _engine ->
+  with_server ~admission index (fun addr _engine ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
           let owners = List.init (3 * n) (fun i -> i mod n) in
           let responses = Client.pipeline c (List.map (fun owner -> Wire.Query { owner }) owners) in
-          let seen = Array.make shards 0 in
           List.iteri
             (fun i (owner, response) ->
-              let s = owner mod shards in
               let reply =
-                if seen.(s) < burst then Serve.Providers (Eppi.Index.query index ~owner)
+                if i < burst then Serve.Providers (Eppi.Index.query index ~owner)
                 else Serve.Shed_rate_limit
               in
-              seen.(s) <- seen.(s) + 1;
               check_bool (Printf.sprintf "request %d (owner %d)" i owner) true
                 (response = Wire.Reply { generation = 1; reply }))
             (List.combine owners responses);
           let stats = Json.parse_exn (Client.stats_json c) in
           let get k = Option.value ~default:(-1) (Json.find_int stats [ k ]) in
           check_int "queries" (3 * n) (get "queries");
-          check_int "served" (shards * burst) (get "served");
-          check_int "shed_rate" ((3 * n) - (shards * burst)) (get "shed_rate");
+          check_int "served" burst (get "served");
+          check_int "shed_rate" ((3 * n) - burst) (get "shed_rate");
           check_int "shed_queue" 0 (get "shed_queue");
           check_int "conservation" (get "queries")
             (get "served" + get "unknown" + get "shed_rate" + get "shed_queue")))
@@ -1086,10 +1079,9 @@ let test_daemon_republish () =
           check_bool "stats counts the one installed swap" true
             (Json.find_int stats [ "swaps" ] = Some 1)))
 
-(* Cluster_status is answered inline by the mux: generation tracks the
-   number of applied republishes, swaps counts them from the moment they
-   are installed, and peers echoes the daemon's configured replica set
-   verbatim. *)
+(* Cluster_status: generation tracks the number of applied republishes,
+   swaps counts them from the moment they are installed, and peers echoes
+   the daemon's configured replica set verbatim. *)
 let test_daemon_cluster_status () =
   let n = 20 and m = 9 in
   let index1 = test_index ~n ~m in
@@ -1112,13 +1104,13 @@ let test_daemon_cluster_status () =
           check_int "one swap recorded" 1 status.Wire.swaps;
           check_bool "peers stable across swap" true (status.Wire.peers = peers)))
 
-(* One republish is one swap, however many shards serve afterwards: a
-   4-shard daemon republished once and then queried on every shard
-   reports [swaps = 1] in Stats, Telemetry and Cluster_status alike. *)
-let daemon_swaps_per_republish ~workers () =
+(* One republish is one swap, however many queries follow: a daemon
+   republished once and then queried reports [swaps = 1] in Stats,
+   Telemetry and Cluster_status alike. *)
+let test_daemon_swaps_per_republish () =
   let n = 20 and m = 9 in
   let index2 = test_index_v2 ~n ~m in
-  with_server ~shards:4 ~workers (test_index ~n ~m) (fun addr _engine ->
+  with_server (test_index ~n ~m) (fun addr _engine ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -1128,7 +1120,7 @@ let daemon_swaps_per_republish ~workers () =
           | Error e -> Alcotest.fail e);
           for owner = 0 to 3 do
             check_bool
-              (Printf.sprintf "shard %d serves the new index" owner)
+              (Printf.sprintf "owner %d served from the new index" owner)
               true
               (Client.query c ~owner = (2, Serve.Providers (Eppi.Index.query index2 ~owner)))
           done;
@@ -1137,10 +1129,10 @@ let daemon_swaps_per_republish ~workers () =
           check_bool "telemetry swaps" true (swaps (Client.telemetry_json c) = Some 1);
           check_int "cluster status swaps" 1 (Client.cluster_status c).Wire.swaps))
 
-let daemon_pipeline ~shards ~workers () =
+let test_daemon_pipeline () =
   let n = 30 and m = 9 in
   let index = test_index ~n ~m in
-  with_server ~shards ~workers index (fun addr _engine ->
+  with_server index (fun addr _engine ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -1172,38 +1164,11 @@ let daemon_pipeline ~shards ~workers () =
               | _, other -> Client.unexpected "pipelined response" other)
             requests responses))
 
-(* Regression: a client that pipelines more requests than [max_inflight]
-   and then waits for replies must still get every one.  The mux pauses
-   decoding at the cap with the surplus frames buffered in the decoder;
-   each completion must resume the drain — [select] alone never would,
-   it only fires when the client sends MORE bytes. *)
-let daemon_pipeline_past_inflight_cap ~workers () =
-  let n = 30 and m = 9 in
-  let index = test_index ~n ~m in
-  with_server ~shards:4 ~workers ~max_inflight:8 index (fun addr _engine ->
-      let c = Client.connect addr in
-      Fun.protect
-        ~finally:(fun () -> Client.close c)
-        (fun () ->
-          let requests = List.init 100 (fun i -> Wire.Query { owner = i mod n }) in
-          let responses = Client.pipeline c requests in
-          check_int "every request answered" 100 (List.length responses);
-          List.iter2
-            (fun request response ->
-              match (request, response) with
-              | Wire.Query { owner }, Wire.Reply { reply; _ } ->
-                  check_bool
-                    (Printf.sprintf "capped pipeline owner %d" owner)
-                    true
-                    (reply = Serve.Providers (Eppi.Index.query index ~owner))
-              | _, other -> Client.unexpected "capped pipeline" other)
-            requests responses))
-
 let test_daemon_republish_binary () =
   let n = 20 and m = 9 in
   let index1 = test_index ~n ~m in
   let index2 = test_index_v2 ~n:25 ~m in
-  with_server ~shards:4 ~workers:4 index1 (fun addr engine ->
+  with_server index1 (fun addr engine ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -1231,15 +1196,16 @@ let test_daemon_republish_binary () =
           check_bool "still serving after the refusals" true
             (generation = 2 && reply = Serve.Providers (Eppi.Index.query index2 ~owner:22))))
 
-(* Requests pipelined behind a republish on one connection must answer
-   from the new generation: the mux stalls the connection until the swap
-   lands, so the wire never shows [Republished {g}] followed by a reply
-   from a generation < g. *)
-let test_multicore_republish_ordering () =
+(* Requests pipelined around a republish on one connection answer from
+   the generation in place when they are decoded: the loop installs the
+   swap before it decodes the next frame, so the wire never shows
+   [Republished {g}] followed by a reply from a generation < g, nor a
+   reply from g ahead of it. *)
+let test_republish_ordering () =
   let n = 20 and m = 9 in
   let index1 = test_index ~n ~m in
   let index2 = test_index_v2 ~n ~m in
-  with_server ~shards:4 ~workers:4 index1 (fun addr _engine ->
+  with_server index1 (fun addr _engine ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -1257,17 +1223,16 @@ let test_multicore_republish_ordering () =
           in
           match Client.pipeline c requests with
           | [ a; b; Wire.Republished { generation = 2 }; d; e; Wire.Pong; g ] ->
-              (* Replies routed before the republish may land either side
-                 of the swap; their generation tag says which index. *)
+              (* Replies ahead of the republish are the old index, exactly. *)
               List.iter
                 (fun (owner, response) ->
                   match response with
                   | Wire.Reply { generation; reply } ->
-                      let index = if generation = 1 then index1 else index2 in
+                      check_int (Printf.sprintf "pre-swap owner %d generation" owner) 1 generation;
                       check_bool
-                        (Printf.sprintf "pre-swap owner %d consistent" owner)
+                        (Printf.sprintf "pre-swap owner %d reply" owner)
                         true
-                        (generation <= 2 && reply = Serve.Providers (Eppi.Index.query index ~owner))
+                        (reply = Serve.Providers (Eppi.Index.query index1 ~owner))
                   | other -> Client.unexpected "pre-swap reply" other)
                 [ (0, a); (1, b) ];
               (* Replies behind the republish must be the new index, exactly. *)
@@ -1289,13 +1254,13 @@ let test_multicore_republish_ordering () =
 (* The acceptance test from the issue: queries keep flowing while the index
    hot-swaps underneath them; every reply must match the generation it is
    tagged with, none may be dropped. *)
-let daemon_hot_swap_under_load ~workers () =
+let test_daemon_hot_swap_under_load () =
   let n = 40 and m = 11 in
   let index1 = test_index ~n ~m in
   let index2 = test_index_v2 ~n ~m in
   let truth1 = Array.init n (fun owner -> Eppi.Index.query index1 ~owner) in
   let truth2 = Array.init n (fun owner -> Eppi.Index.query index2 ~owner) in
-  with_server ~shards:4 ~workers index1 (fun addr engine ->
+  with_server index1 (fun addr engine ->
       let worker =
         Domain.spawn (fun () ->
             let c = Client.connect ~retries:20 addr in
@@ -1355,13 +1320,13 @@ let daemon_hot_swap_under_load ~workers () =
    Bloom-probe queries end-to-end — candidates resolve to the planted
    owner and fan out to that owner's postings row — and a probe under the
    wrong filter geometry comes back as a typed mismatch. *)
-let daemon_fuzzy ~shards ~workers () =
+let test_daemon_fuzzy () =
   let n = 30 and m = 9 in
   let index = test_index ~n ~m in
   let config = Resolver.default_config ~seed:0x5EED in
   let roster = Roster.generate (Rng.create 5) ~n in
   let resolver = Resolver.build config roster in
-  with_server ~shards ~workers ~resolver index (fun addr engine ->
+  with_server ~resolver index (fun addr engine ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -1433,7 +1398,7 @@ let test_daemon_fuzzy_hot_swap () =
   let roster = Roster.generate (Rng.create 41) ~n in
   let resolver = Resolver.build config roster in
   let probes = Array.map (Probe.of_demographic config.Resolver.params) roster in
-  with_server ~shards:4 ~workers:4 ~resolver index1 (fun addr engine ->
+  with_server ~resolver index1 (fun addr engine ->
       let worker =
         Domain.spawn (fun () ->
             let c = Client.connect ~retries:20 addr in
@@ -1637,14 +1602,13 @@ let count_wrong_replies index owners responses =
 
 (* A client that pipelines its queries and then half-closes its socket
    is still owed every reply: EOF stops the daemon's reads, not its
-   service.  3,000 queries run past [max_inflight] (1,024), so part of
-   the stream is still buffered in the decoder when EOF arrives.  The
-   client pauses before reading, so the replies to 30,000, which outgrow
-   the socket buffers, still wait in the daemon's write buffer then. *)
-let daemon_half_closed ~workers () =
+   service.  The client pauses before reading, so the replies to 3,000
+   and 30,000 queries, which outgrow the socket buffers, still wait in the
+   daemon's write buffer when EOF arrives. *)
+let test_daemon_half_closed () =
   let n = 30 and m = 9 in
   let index = test_index ~n ~m in
-  with_server ~shards:4 ~workers index (fun addr _engine ->
+  with_server index (fun addr _engine ->
       List.iter
         (fun count ->
           with_raw_socket addr (fun fd ->
@@ -1666,7 +1630,7 @@ let daemon_half_closed ~workers () =
    of queries is sent once a quarter of the previous burst's replies has
    arrived, so new replies are appended behind bytes not yet written.
    Every reply must arrive intact and in request order. *)
-let daemon_slow_reader ~workers () =
+let test_daemon_slow_reader () =
   let n = 64 and m = 512 in
   let matrix = Bitmatrix.create ~rows:n ~cols:m in
   for j = 0 to n - 1 do
@@ -1679,7 +1643,7 @@ let daemon_slow_reader ~workers () =
   let bursts =
     List.init 4 (fun k -> List.init burst (fun i -> ((k * burst) + i) * 7 mod (n + 2)))
   in
-  with_server ~shards:4 ~workers index (fun addr _engine ->
+  with_server index (fun addr _engine ->
       with_raw_socket addr (fun fd ->
           let decoder = Wire.Decoder.create () and buf = Bytes.create 1024 in
           let received = ref [] and got = ref 0 in
@@ -1714,9 +1678,9 @@ let daemon_slow_reader ~workers () =
 (* An old client's Batch (tag 0x02) or CSV republish (tag 0x05) is a
    framing error: the daemon answers [Server_error], closes that
    connection and keeps its index and its other clients. *)
-let test_daemon_retired_tag ~workers () =
+let test_daemon_retired_tag () =
   let index = test_index ~n:8 ~m:5 in
-  with_server ~shards:workers ~workers index (fun addr engine ->
+  with_server index (fun addr engine ->
       List.iter
         (fun (tag, payload) ->
           with_raw_socket addr (fun fd ->
@@ -1749,7 +1713,7 @@ let eppi_exe =
    queries and an audit piped in and answered in order, then a telemetry
    request that accounts for all of them, then EOF on stdin, and the
    process exits 0. *)
-let stdio_daemon ~domains () =
+let test_stdio_daemon () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let n = 20 and m = 9 in
   let index = test_index ~n ~m in
@@ -1761,10 +1725,7 @@ let stdio_daemon ~domains () =
       let in_r, in_w = Unix.pipe ~cloexec:true () in
       let out_r, out_w = Unix.pipe ~cloexec:true () in
       let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
-      let argv =
-        [| eppi_exe; "serve"; "-i"; path; "--stdio"; "--shards"; "4"; "--domains";
-           string_of_int domains |]
-      in
+      let argv = [| eppi_exe; "serve"; "-i"; path; "--stdio" |] in
       let pid = Unix.create_process eppi_exe argv in_r out_w null in
       List.iter Unix.close [ in_r; out_w; null ];
       let owners = List.init 50 (fun i -> i mod (n + 2)) in
@@ -1798,10 +1759,7 @@ let stdio_daemon ~domains () =
           check_bool "telemetry conservation is exact" true
             (Json.find v [ "conservation"; "exact" ] = Some (Json.Bool true)
             && Json.find_int v [ "conservation"; "stage_sum_ns" ]
-               = Json.find_int v [ "conservation"; "total_ns" ]);
-          check_int "one worker entry per --domains domain"
-            (if domains > 1 then domains else 0)
-            (match Json.find v [ "workers" ] with Some (Json.List ws) -> List.length ws | _ -> -1)
+               = Json.find_int v [ "conservation"; "total_ns" ])
       | _ -> Alcotest.fail "stdio: expected one telemetry reply before EOF")
 
 (* ---------- Client robustness ---------- *)
@@ -1905,14 +1863,14 @@ let test_client_connection_lost_when_gone_for_good () =
 (* ---- live telemetry ---- *)
 
 (* Drive a mixed load through the daemon, then take it apart via the
-   Telemetry wire command: the stage decomposition must conserve exactly
+   Telemetry wire command: the three stages must conserve exactly
    (stages are telescoping differences of one clock, so the integer sums
    are equal, not merely close), the rolling window must have seen the
-   load, and both ops replies must carry the per-worker counters. *)
-let daemon_telemetry ~shards ~workers () =
+   load, and neither ops reply may carry a [workers] key. *)
+let test_daemon_telemetry () =
   let n = 20 and m = 9 in
   let index = test_index ~n ~m in
-  with_server ~shards ~workers index (fun addr _engine ->
+  with_server index (fun addr _engine ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -1947,39 +1905,33 @@ let daemon_telemetry ~shards ~workers () =
             | None -> false);
           let finished = geti [ "stages"; "total"; "count" ] in
           check_bool "stage totals populated" true (finished >= n + 2);
+          check_bool "three stages" true (Telemetry.stage_names = [| "decode"; "execute"; "flush" |]);
+          (match Json.find v [ "stages" ] with
+          | Some (Json.Obj fields) ->
+              check_bool "the reply lists exactly those stages" true
+                (List.map fst fields = [ "decode"; "execute"; "flush"; "total"; "sum_ns" ])
+          | _ -> Alcotest.fail "telemetry reply lacks stages");
           (* Every finished request passes through every stage exactly
              once — the per-stage counts all agree. *)
-          List.iter
+          Array.iter
             (fun st ->
               check_int (st ^ " counts every request") finished (geti [ "stages"; st; "count" ]))
-            [ "decode"; "dispatch"; "queue"; "execute"; "reorder"; "flush" ];
-          (* An inline daemon runs the handler on the mux: no dispatch, no
-             queue, so all handler time lands in execute. *)
-          if workers = 1 then
-            List.iter
-              (fun st ->
-                check_int (st ^ " is zero-width inline") 0 (geti [ "stages"; st; "sum_ns" ]))
-              [ "dispatch"; "queue" ];
-          (match Json.find v [ "workers" ] with
-          | Some (Json.List ws) ->
-              check_int "one entry per worker domain" (if workers > 1 then workers else 0)
-                (List.length ws)
-          | _ -> Alcotest.fail "telemetry reply lacks workers");
+            Telemetry.stage_names;
+          check_bool "telemetry has no workers" true (Json.find v [ "workers" ] = None);
           (match Json.find v [ "slow" ] with
           | Some (Json.List (s :: _)) ->
               check_bool "slow entry conserves too" true
                 (match Json.find_int s [ "total_ns" ] with
                 | Some total ->
                     total
-                    = List.fold_left
+                    = Array.fold_left
                         (fun acc k ->
                           acc + Option.value ~default:0 (Json.find_int s [ k ^ "_ns" ]))
-                        0
-                        [ "decode"; "dispatch"; "queue"; "execute"; "reorder"; "flush" ]
+                        0 Telemetry.stage_names
                 | None -> false)
           | _ -> Alcotest.fail "slow ring is empty after load");
-          (* The Stats reply carries the worker counters and the trace
-             session's drop count on top of the engine metrics. *)
+          (* The Stats reply carries the trace session's drop count on
+             top of the engine metrics. *)
           let stats =
             match Json.parse (Client.stats_json c) with
             | Ok v -> v
@@ -1989,17 +1941,7 @@ let daemon_telemetry ~shards ~workers () =
             (Json.find_int stats [ "queries" ] <> None);
           check_bool "stats carries trace_dropped" true
             (Json.find_int stats [ "trace_dropped" ] = Some 0);
-          match Json.find stats [ "workers" ] with
-          | Some (Json.List ws) ->
-              check_int "stats workers match pool" (if workers > 1 then workers else 0)
-                (List.length ws);
-              if workers > 1 then
-                check_bool "workers served the load" true
-                  (List.fold_left
-                     (fun acc w -> acc + Option.value ~default:0 (Json.find_int w [ "served" ]))
-                     0 ws
-                  > 0)
-          | _ -> Alcotest.fail "stats reply lacks workers"))
+          check_bool "stats has no workers" true (Json.find stats [ "workers" ] = None)))
 
 (* ---------- reply schemas ---------- *)
 
@@ -2036,7 +1978,7 @@ let shape lines =
   in
   List.fold_left (fun acc p -> if List.mem p acc then acc else acc @ [ p ]) [] (List.map path lines)
 
-(* A fixed engine state: two shards' metrics and a telemetry store fed
+(* A fixed engine state: two merged metrics and a telemetry store fed
    eight hand-stamped requests (one per class, three queries), its slow
    ring cut to two entries. *)
 let fixture_metrics () =
@@ -2064,24 +2006,21 @@ let fixture_base_ns = 1_000_000_000_000
 
 let fixture_telemetry () =
   let t = Telemetry.create ~slow_slots:2 () in
-  let feed ~kind ~trace_id ~after_ms stages =
-    let stage i = List.nth stages i in
-    let at = fixture_base_ns + (after_ms * 1_000_000) in
-    let r = Telemetry.make ~kind ~trace_id ~t_read:at ~t_decoded:(at + stage 0) in
-    r.t_dispatched <- r.t_decoded + stage 1;
-    r.t_started <- r.t_dispatched + stage 2;
-    r.t_done <- r.t_started + stage 3;
-    r.t_flushed <- r.t_done + stage 4;
-    Telemetry.finish t r ~t_written:(r.t_flushed + stage 5)
+  let feed ~kind ~trace_id ~after_ms (decode, execute, flush) =
+    let t_read = fixture_base_ns + (after_ms * 1_000_000) in
+    let t_decoded = t_read + decode in
+    let t_executed = t_decoded + execute in
+    Telemetry.finish t { Telemetry.kind; trace_id; t_read; t_decoded; t_executed }
+      ~t_written:(t_executed + flush)
   in
-  feed ~kind:1 ~trace_id:(-1) ~after_ms:0 [ 1_500; 250; 4_000; 12_000; 800; 3_000 ];
-  feed ~kind:1 ~trace_id:7 ~after_ms:100 [ 1_200; 300; 2_000; 9_000; 400; 2_500 ];
-  feed ~kind:1 ~trace_id:(-1) ~after_ms:300 [ 900; 200; 1_000; 7_000; 300; 2_000 ];
-  feed ~kind:1 ~trace_id:(-1) ~after_ms:500 [ 2_500; 600; 8_000; 40_000; 1_200; 5_000 ];
-  feed ~kind:9 ~trace_id:12 ~after_ms:700 [ 3_000; 400; 6_000; 90_000; 700; 4_000 ];
-  feed ~kind:3 ~trace_id:(-1) ~after_ms:900 [ 1_100; 150; 0; 20_000; 0; 2_200 ];
-  feed ~kind:8 ~trace_id:(-1) ~after_ms:1_100 [ 50_000; 500; 10_000; 2_000_000; 900; 6_000 ];
-  feed ~kind:4 ~trace_id:(-1) ~after_ms:1_500 [ 800; 0; 0; 30_000; 0; 1_800 ];
+  feed ~kind:1 ~trace_id:(-1) ~after_ms:0 (1_500, 16_250, 3_800);
+  feed ~kind:1 ~trace_id:7 ~after_ms:100 (1_200, 11_300, 2_900);
+  feed ~kind:1 ~trace_id:(-1) ~after_ms:300 (900, 8_200, 2_300);
+  feed ~kind:1 ~trace_id:(-1) ~after_ms:500 (2_500, 48_600, 6_200);
+  feed ~kind:9 ~trace_id:12 ~after_ms:700 (3_000, 96_400, 4_700);
+  feed ~kind:3 ~trace_id:(-1) ~after_ms:900 (1_100, 20_150, 2_200);
+  feed ~kind:8 ~trace_id:(-1) ~after_ms:1_100 (50_000, 2_010_500, 6_900);
+  feed ~kind:4 ~trace_id:(-1) ~after_ms:1_500 (800, 30_000, 1_800);
   t
 
 (* The fixture's replies, pinned: every key path, in order, and every
@@ -2104,30 +2043,22 @@ let pinned_telemetry =
     "window.admin.rate=0.1"; "window.admin.mean_s=3.26e-05"; "window.admin.p50_s=2.32e-05";
     "window.admin.p99_s=2.32e-05"; "stages.decode.count=8"; "stages.decode.sum_ns=61000";
     "stages.decode.mean_s=7.62e-06"; "stages.decode.p50_s=1.45e-06";
-    "stages.decode.p99_s=4.63e-05"; "stages.dispatch.count=8"; "stages.dispatch.sum_ns=2400";
-    "stages.dispatch.mean_s=3e-07"; "stages.dispatch.p50_s=1.81e-07";
-    "stages.dispatch.p99_s=7.24e-07"; "stages.queue.count=8"; "stages.queue.sum_ns=31000";
-    "stages.queue.mean_s=3.88e-06"; "stages.queue.p50_s=1.45e-06"; "stages.queue.p99_s=1.16e-05";
-    "stages.execute.count=8"; "stages.execute.sum_ns=2208000"; "stages.execute.mean_s=0.000276";
-    "stages.execute.p50_s=2.32e-05"; "stages.execute.p99_s=0.00148"; "stages.reorder.count=8";
-    "stages.reorder.sum_ns=4300"; "stages.reorder.mean_s=5.38e-07";
-    "stages.reorder.p50_s=3.62e-07"; "stages.reorder.p99_s=1.45e-06"; "stages.flush.count=8";
-    "stages.flush.sum_ns=26500"; "stages.flush.mean_s=3.31e-06"; "stages.flush.p50_s=2.9e-06";
-    "stages.flush.p99_s=5.79e-06"; "stages.total.count=8"; "stages.total.mean_s=0.000292";
+    "stages.decode.p99_s=4.63e-05"; "stages.execute.count=8"; "stages.execute.sum_ns=2241400";
+    "stages.execute.mean_s=0.00028"; "stages.execute.p50_s=2.32e-05";
+    "stages.execute.p99_s=0.00148"; "stages.flush.count=8"; "stages.flush.sum_ns=30800";
+    "stages.flush.mean_s=3.85e-06"; "stages.flush.p50_s=2.9e-06"; "stages.flush.p99_s=5.79e-06";
+    "stages.total.count=8"; "stages.total.mean_s=0.000292";
     "stages.total.p50_s=2.32e-05"; "stages.total.p99_s=0.00148"; "stages.sum_ns=2333200";
     "conservation.stage_sum_ns=2333200"; "conservation.total_ns=2333200";
     "conservation.exact=true"; "slow.0.kind=\"republish_binary\""; "slow.0.trace_id=-1";
-    "slow.0.total_ns=2067400"; "slow.0.decode_ns=50000"; "slow.0.dispatch_ns=500";
-    "slow.0.queue_ns=10000"; "slow.0.execute_ns=2000000"; "slow.0.reorder_ns=900";
-    "slow.0.flush_ns=6000"; "slow.1.kind=\"fuzzy\""; "slow.1.trace_id=12";
-    "slow.1.total_ns=104100"; "slow.1.decode_ns=3000"; "slow.1.dispatch_ns=400";
-    "slow.1.queue_ns=6000"; "slow.1.execute_ns=90000"; "slow.1.reorder_ns=700";
-    "slow.1.flush_ns=4000" ]
+    "slow.0.total_ns=2067400"; "slow.0.decode_ns=50000"; "slow.0.execute_ns=2010500";
+    "slow.0.flush_ns=6900"; "slow.1.kind=\"fuzzy\""; "slow.1.trace_id=12";
+    "slow.1.total_ns=104100"; "slow.1.decode_ns=3000"; "slow.1.execute_ns=96400";
+    "slow.1.flush_ns=4700" ]
 
 (* The pinned fixture renders field for field; the live replies of a
-   2-worker daemon carry the same fields followed by the server's own,
-   with the server's values fixed for an untraced, never-republished
-   daemon. *)
+   daemon carry the same fields followed by the server's own, with the
+   server's values fixed for an untraced, never-republished daemon. *)
 let test_reply_schemas () =
   let check = Alcotest.(check (list string)) in
   check "stats fields" pinned_metrics
@@ -2137,11 +2068,8 @@ let test_reply_schemas () =
        (Json.parse_exn
           (Json.to_string
              (Telemetry.json (fixture_telemetry ()) ~now_ns:(fixture_base_ns + 2_000_000_000)))));
-  let workers =
-    [ "workers.*.id"; "workers.*.queue_depth"; "workers.*.busy_us"; "workers.*.served" ]
-  in
   let n = 20 in
-  with_server ~shards:2 ~workers:2 (test_index ~n ~m:9) (fun addr _engine ->
+  with_server (test_index ~n ~m:9) (fun addr _engine ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -2151,17 +2079,13 @@ let test_reply_schemas () =
           done;
           let stats = leaves (Json.parse_exn (Client.stats_json c)) in
           let telemetry = leaves (Json.parse_exn (Client.telemetry_json c)) in
-          check "stats reply shape"
-            (shape pinned_metrics @ workers @ [ "trace_dropped" ])
-            (shape stats);
+          check "stats reply shape" (shape pinned_metrics @ [ "trace_dropped" ]) (shape stats);
           check "telemetry reply shape"
-            (shape pinned_telemetry @ workers
+            (shape pinned_telemetry
             @ [ "generation"; "swaps"; "trace.enabled"; "trace.dropped"; "telemetry_enabled" ])
             (shape telemetry);
           let has line reply = check_bool line true (List.mem line reply) in
-          List.iter
-            (fun l -> has l stats)
-            [ "workers.0.id=0"; "workers.1.id=1"; "trace_dropped=0" ];
+          has "trace_dropped=0" stats;
           List.iter
             (fun l -> has l telemetry)
             [
@@ -2175,15 +2099,15 @@ let test_reply_schemas () =
 (* A trace id minted by the client must label spans on BOTH sides of the
    socket: the client's [client.request] span and the daemon's
    [net.request] span (recorded on a different domain, hence a different
-   track) carry the same id, and the Chrome export contains both.  A Ping,
-   which the mux answers itself, gets its [net.request] span too. *)
+   track) carry the same id, and the Chrome export contains both.  A Ping
+   gets its [net.request] span too. *)
 let test_trace_propagation () =
   let index = test_index ~n:10 ~m:5 in
   Eppi_obs.Trace.enable ();
   Fun.protect
     ~finally:(fun () -> Eppi_obs.Trace.reset ())
     (fun () ->
-      with_server ~shards:2 ~workers:2 index (fun addr _engine ->
+      with_server index (fun addr _engine ->
           let c = Client.connect addr in
           Fun.protect
             ~finally:(fun () -> Client.close c)
@@ -2211,7 +2135,7 @@ let test_trace_propagation () =
       check_bool "server recorded a traced span" true (server_spans <> []);
       let _, id = List.hd client_spans in
       check_bool "trace id is non-negative" true (id >= 0);
-      check_bool "the mux-answered ping has its span" true
+      check_bool "the ping has its span" true
         (List.exists
            (fun tr ->
              List.exists
@@ -2249,6 +2173,126 @@ let test_trace_propagation () =
                else count (i + 1) acc
              in
              count 0 0 >= 2)))
+
+(* Random pipelines over one connection to a one-domain daemon.  The
+   daemon answers every frame before it decodes the next, so its replies
+   follow a sequential model: generation g serves [indexes.((g - 1) mod 2)],
+   and each accepted republish installs the other index as g + 1.  Every
+   third republish or so sends a payload cut one byte short, which must
+   answer [Server_error] and leave the generation alone.  The client
+   half-closes after its last frame and reads to EOF, so an extra or a
+   missing reply fails too. *)
+type pipeline_op =
+  | Op_query of int
+  | Op_audit of int
+  | Op_fuzzy of int
+  | Op_stats
+  | Op_ping
+  | Op_republish of { short : bool }
+
+let daemon_pipeline_property =
+  let open QCheck in
+  let n = 20 and m = 9 in
+  let indexes = [| test_index ~n ~m; test_index_v2 ~n ~m |] in
+  let index_at g = indexes.((g - 1) mod 2) in
+  let payloads = Array.map Index_codec.encode indexes in
+  let config = Resolver.default_config ~seed:0x5EED in
+  let roster = Roster.generate (Rng.create 5) ~n in
+  let resolver = Resolver.build config roster in
+  let probes = Array.map (Probe.of_demographic config.Resolver.params) roster in
+  let gen_op =
+    Gen.frequency
+      [
+        (6, Gen.map (fun o -> Op_query o) (Gen.int_range (-3) (n + 4)));
+        (2, Gen.map (fun p -> Op_audit p) (Gen.int_range (-1) (m + 1)));
+        (2, Gen.map (fun o -> Op_fuzzy o) (Gen.int_range 0 (n - 1)));
+        (1, Gen.return Op_stats);
+        (1, Gen.return Op_ping);
+        (2, Gen.map (fun k -> Op_republish { short = k = 0 }) (Gen.int_range 0 2));
+      ]
+  in
+  let print_op = function
+    | Op_query o -> Printf.sprintf "query %d" o
+    | Op_audit p -> Printf.sprintf "audit %d" p
+    | Op_fuzzy o -> Printf.sprintf "fuzzy %d" o
+    | Op_stats -> "stats"
+    | Op_ping -> "ping"
+    | Op_republish { short } -> if short then "republish (short)" else "republish"
+  in
+  let arb =
+    make
+      ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+      Gen.(list_size (int_range 1 40) gen_op)
+  in
+  (* The frames, each republish carrying the index of the generation it
+     would install. *)
+  let requests ops =
+    List.rev
+      (fst
+         (List.fold_left
+            (fun (acc, g) op ->
+              match op with
+              | Op_query owner -> (Wire.Query { owner } :: acc, g)
+              | Op_audit provider -> (Wire.Audit { provider } :: acc, g)
+              | Op_fuzzy o -> (Wire.Query_fuzzy { probe = probes.(o); k = 3 } :: acc, g)
+              | Op_stats -> (Wire.Stats :: acc, g)
+              | Op_ping -> (Wire.Ping :: acc, g)
+              | Op_republish { short } ->
+                  let full = payloads.(g mod 2) in
+                  let data = if short then String.sub full 0 (String.length full - 1) else full in
+                  (Wire.Republish_binary { data } :: acc, if short then g else g + 1))
+            ([], 1) ops))
+  in
+  let row g owner =
+    if owner >= 0 && owner < n then Serve.Providers (Eppi.Index.query (index_at g) ~owner)
+    else Serve.Unknown_owner
+  in
+  let audit g provider =
+    if provider < 0 || provider >= m then None
+    else
+      Some
+        (List.filter
+           (fun owner -> List.mem provider (Eppi.Index.query (index_at g) ~owner))
+           (List.init n Fun.id))
+  in
+  (* [Some g'] when [response] is the model's answer to [op] at
+     generation [g], [g'] being the generation after it. *)
+  let step g op (response : Wire.response) =
+    match (op, response) with
+    | Op_query owner, Reply { generation; reply } when generation = g && reply = row g owner ->
+        Some g
+    | Op_audit provider, Audit_reply { generation; owners }
+      when generation = g && owners = audit g provider ->
+        Some g
+    | Op_fuzzy o, Fuzzy_reply { generation; result = Serve.Candidates (top :: _ as cs) }
+      when generation = g && top.Serve.owner = o
+           && List.for_all
+                (fun (c : Serve.candidate) -> Serve.Providers c.providers = row g c.owner)
+                cs ->
+        Some g
+    | Op_stats, Stats_json _ | Op_ping, Pong -> Some g
+    | Op_republish { short = false }, Republished { generation } when generation = g + 1 ->
+        Some (g + 1)
+    | Op_republish { short = true }, Server_error msg when contains msg "republish" -> Some g
+    | _ -> None
+  in
+  Test.make ~name:"daemon answers random pipelines in order, per generation" ~count:25 arb
+    (fun ops ->
+      with_server ~resolver indexes.(0) (fun addr engine ->
+          let responses =
+            with_raw_socket addr (fun fd ->
+                write_all fd (frames_of (requests ops)) 0;
+                Unix.shutdown fd Unix.SHUTDOWN_SEND;
+                read_responses fd)
+          in
+          List.length responses = List.length ops
+          &&
+          let final =
+            List.fold_left2
+              (fun g op response -> Option.bind g (fun g -> step g op response))
+              (Some 1) ops responses
+          in
+          final = Some (Serve.generation engine)))
 
 let qcheck_tests =
   let open QCheck in
@@ -2468,6 +2512,7 @@ let qcheck_tests =
             (match Index_codec.decode payload with Ok _ | Error _ -> true)
             && postings_decode_agrees payload)
           [ junk; "\x01" ^ junk ]);
+    daemon_pipeline_property;
   ]
 
 let () =
@@ -2496,69 +2541,33 @@ let () =
         ] );
       ( "daemon",
         [
-          Alcotest.test_case "query, pipeline, audit, stats" `Quick
-            (daemon_basics ~shards:1 ~workers:1);
-          Alcotest.test_case "rate limit sheds per shard" `Quick (daemon_admission ~workers:1);
+          Alcotest.test_case "query, pipeline, audit, stats" `Quick test_daemon_basics;
+          Alcotest.test_case "rate limit admits one burst" `Quick test_daemon_admission;
           Alcotest.test_case "hot-swap republish" `Quick test_daemon_republish;
-          Alcotest.test_case "cluster status over the wire" `Quick
-            test_daemon_cluster_status;
-          Alcotest.test_case "one swap per republish" `Quick
-            (daemon_swaps_per_republish ~workers:1);
-          Alcotest.test_case "pipelined mixed requests" `Quick
-            (daemon_pipeline ~shards:1 ~workers:1);
+          Alcotest.test_case "binary republish" `Quick test_daemon_republish_binary;
+          Alcotest.test_case "pipelined republish ordering" `Quick test_republish_ordering;
+          Alcotest.test_case "cluster status over the wire" `Quick test_daemon_cluster_status;
+          Alcotest.test_case "one swap per republish" `Quick test_daemon_swaps_per_republish;
+          Alcotest.test_case "pipelined mixed requests" `Quick test_daemon_pipeline;
           Alcotest.test_case "hot swap under concurrent load" `Quick
-            (daemon_hot_swap_under_load ~workers:1);
-          Alcotest.test_case "fuzzy lookups end-to-end" `Quick (daemon_fuzzy ~shards:1 ~workers:1);
+            test_daemon_hot_swap_under_load;
+          Alcotest.test_case "fuzzy lookups end-to-end" `Quick test_daemon_fuzzy;
           Alcotest.test_case "fuzzy without a resolver" `Quick test_daemon_fuzzy_no_resolver;
+          Alcotest.test_case "fuzzy hot swap stays generation-consistent" `Quick
+            test_daemon_fuzzy_hot_swap;
           Alcotest.test_case "trace-driven replay" `Quick test_daemon_replay;
           Alcotest.test_case "replay loads jsonl" `Quick test_replay_load_jsonl;
           Alcotest.test_case "clean shutdown" `Quick test_daemon_shutdown;
           Alcotest.test_case "listen hygiene" `Quick test_listen_stale_and_occupied;
           Alcotest.test_case "half-closed client gets every reply" `Quick
-            (daemon_half_closed ~workers:1);
-          Alcotest.test_case "slow reader gets every reply" `Quick
-            (daemon_slow_reader ~workers:1);
-          Alcotest.test_case "retired tags refused" `Quick (test_daemon_retired_tag ~workers:1);
-          Alcotest.test_case "stdio serves the same loop" `Quick (stdio_daemon ~domains:1);
-        ] );
-      ( "multicore daemon",
-        [
-          Alcotest.test_case "query, pipeline, audit, stats (4 domains)" `Quick
-            (daemon_basics ~shards:4 ~workers:4);
-          Alcotest.test_case "rate limit sheds per shard (4 domains)" `Quick
-            (daemon_admission ~workers:4);
-          Alcotest.test_case "pipelined mixed requests (4 domains)" `Quick
-            (daemon_pipeline ~shards:4 ~workers:4);
-          Alcotest.test_case "more shards than workers" `Quick
-            (daemon_basics ~shards:8 ~workers:3);
-          Alcotest.test_case "pipeline past the inflight cap (4 domains)" `Quick
-            (daemon_pipeline_past_inflight_cap ~workers:4);
-          Alcotest.test_case "binary republish" `Quick test_daemon_republish_binary;
-          Alcotest.test_case "pipelined republish ordering" `Quick
-            test_multicore_republish_ordering;
-          Alcotest.test_case "hot swap under concurrent load (4 domains, binary)" `Quick
-            (daemon_hot_swap_under_load ~workers:4);
-          Alcotest.test_case "fuzzy lookups end-to-end (4 domains)" `Quick
-            (daemon_fuzzy ~shards:4 ~workers:4);
-          Alcotest.test_case "fuzzy hot swap stays generation-consistent" `Quick
-            test_daemon_fuzzy_hot_swap;
-          Alcotest.test_case "half-closed client gets every reply (4 domains)" `Quick
-            (daemon_half_closed ~workers:4);
-          Alcotest.test_case "slow reader gets every reply (4 domains)" `Quick
-            (daemon_slow_reader ~workers:4);
-          Alcotest.test_case "one swap per republish (4 domains)" `Quick
-            (daemon_swaps_per_republish ~workers:4);
-          Alcotest.test_case "stdio serves the same loop (4 domains)" `Quick
-            (stdio_daemon ~domains:4);
-          Alcotest.test_case "retired tags refused (4 domains)" `Quick
-            (test_daemon_retired_tag ~workers:4);
+            test_daemon_half_closed;
+          Alcotest.test_case "slow reader gets every reply" `Quick test_daemon_slow_reader;
+          Alcotest.test_case "retired tags refused" `Quick test_daemon_retired_tag;
+          Alcotest.test_case "stdio serves the same loop" `Quick test_stdio_daemon;
         ] );
       ( "telemetry",
         [
-          Alcotest.test_case "stage conservation, inline daemon" `Quick
-            (daemon_telemetry ~shards:1 ~workers:1);
-          Alcotest.test_case "stage conservation (4 domains)" `Quick
-            (daemon_telemetry ~shards:4 ~workers:4);
+          Alcotest.test_case "stage conservation, inline daemon" `Quick test_daemon_telemetry;
           Alcotest.test_case "trace id joins client and server tracks" `Quick
             test_trace_propagation;
           Alcotest.test_case "stats and telemetry schemas pinned" `Quick test_reply_schemas;

@@ -311,7 +311,7 @@ let test_metrics_snapshot_merges_shards () =
   check_int "served" 1 snap.served;
   check_int "shed_rate" 1 snap.shed_rate;
   check_int "latency samples" 2 snap.latency_count;
-  check_bool "p95 sees the slow shard" true (snap.p95 > 1e-4);
+  check_bool "p95 sees the slow sample" true (snap.p95 > 1e-4);
   (* to_json parses back to the snapshot's values. *)
   let json = Json.parse_exn (Metrics.to_json snap) in
   List.iter
@@ -381,23 +381,17 @@ let test_workload_unknowns () =
 let test_engine_matches_index () =
   let rng = Rng.create 21 in
   let index = random_index rng ~n:64 ~m:48 ~density:0.1 in
-  List.iter
-    (fun shards ->
-      let engine = Serve.create ~config:{ Serve.default_config with shards } index in
-      for owner = 0 to 63 do
-        match Serve.query engine ~owner with
-        | Serve.Providers providers ->
-            check_list
-              (Printf.sprintf "shards %d owner %d" shards owner)
-              (Eppi.Index.query index ~owner)
-              providers
-        | _ -> Alcotest.fail "in-range owner not served"
-      done)
-    [ 1; 3; 4 ]
+  let engine = Serve.create index in
+  for owner = 0 to 63 do
+    match Serve.query engine ~owner with
+    | Serve.Providers providers ->
+        check_list (Printf.sprintf "owner %d" owner) (Eppi.Index.query index ~owner) providers
+    | _ -> Alcotest.fail "in-range owner not served"
+  done
 
 let test_engine_unknown_owners () =
   let index = test_index ~n:10 ~m:8 in
-  let engine = Serve.create ~config:{ Serve.default_config with shards = 3 } index in
+  let engine = Serve.create index in
   List.iter
     (fun owner ->
       check_bool (Printf.sprintf "owner %d is unknown" owner) true
@@ -408,26 +402,10 @@ let test_engine_unknown_owners () =
   check_int "nothing served" 0 snap.served;
   check_int "every request accounted" 5 snap.queries
 
-(* Answer [workload] with one Serve.query_tagged call per request, the
-   requests of shard s (owner mod shards) in order on one pool task: the
-   shards run on the pool's domains, each the single writer of its shard
-   state, as the daemon's workers are. *)
-let serve_by_shard pool engine workload =
-  let shards = Serve.shards engine in
-  let replies = Array.make (Array.length workload) (0, Serve.Unknown_owner) in
-  Pool.parallel_iter pool
-    (fun s ->
-      Array.iteri
-        (fun i owner ->
-          if owner mod shards = s then replies.(i) <- Serve.query_tagged engine ~owner)
-        workload)
-    (Array.init shards Fun.id);
-  replies
-
 let test_engine_workload_replies () =
   let index = test_index ~n:40 ~m:32 in
   let workload = Workload.zipf ~unknown_fraction:0.1 (Rng.create 8) ~n:40 ~count:5_000 in
-  let engine = Serve.create ~config:{ Serve.default_config with shards = 4 } index in
+  let engine = Serve.create index in
   let replies = Array.map (fun owner -> Serve.query engine ~owner) workload in
   let count f = Array.fold_left (fun acc r -> if f r then acc + 1 else acc) 0 replies in
   let snap = Serve.metrics engine in
@@ -446,21 +424,10 @@ let test_engine_workload_replies () =
       | _ -> Alcotest.fail "no admission control configured, nothing may be shed")
     replies
 
-let test_engine_pool_equals_sequential () =
-  let index = test_index ~n:30 ~m:24 in
-  let workload = Workload.zipf (Rng.create 9) ~n:30 ~count:3_000 in
-  let config = { Serve.default_config with shards = 3 } in
-  let engine = Serve.create ~config index in
-  let seq = Array.map (fun owner -> Serve.query_tagged engine ~owner) workload in
-  let par =
-    Pool.with_pool ~size:2 (fun pool -> serve_by_shard pool (Serve.create ~config index) workload)
-  in
-  check_bool "parallel replies equal sequential" true (par = seq)
-
 let test_engine_rate_shedding_with_manual_clock () =
   let index = test_index ~n:20 ~m:16 in
   let admission = Some { Admission.rate = 1.0; burst = 10 } in
-  let config = { Serve.default_config with admission } in
+  let config = { Serve.admission } in
   let engine = Serve.create ~config index in
   let workload = Workload.uniform (Rng.create 11) ~n:20 ~count:100 in
   (* A frozen clock: no refill ever happens, so exactly burst are admitted. *)
@@ -481,21 +448,25 @@ let test_engine_audit () =
   check_bool "out of range audit" true (Serve.audit engine ~provider:9 = None);
   check_int "audits counted" 1 (Serve.metrics engine).audits
 
+(* The engine's one config field is its token bucket: a bucket
+   [Admission.create] refuses is refused at [Serve.create]. *)
 let test_engine_config_validation () =
   let index = test_index ~n:4 ~m:4 in
-  Alcotest.check_raises "shards" (Invalid_argument "Serve: shards must be >= 1") (fun () ->
-      ignore (Serve.create ~config:{ Serve.default_config with shards = 0 } index))
+  let create admission = ignore (Serve.create ~config:{ Serve.admission = Some admission } index) in
+  Alcotest.check_raises "rate" (Invalid_argument "Admission.create: rate must be positive")
+    (fun () -> create { Admission.rate = 0.0; burst = 1 });
+  Alcotest.check_raises "burst" (Invalid_argument "Admission.create: burst must be >= 1")
+    (fun () -> create { Admission.rate = 1.0; burst = 0 })
 
 (* ---------- Hot swap ---------- *)
 
 (* [swaps] is the number of republishes the engine installed: the
-   generation minus one, whether or not any shard served since. *)
+   generation minus one, whether or not the engine served since. *)
 let test_metrics_generation_and_swaps () =
   let base = Metrics.snapshot [ Metrics.create () ] in
   check_int "unlabelled generation" 1 base.generation;
   check_int "unlabelled swaps" 0 base.swaps;
-  let config = { Serve.default_config with shards = 4 } in
-  let engine = Serve.create ~config (test_index ~n:8 ~m:6) in
+  let engine = Serve.create (test_index ~n:8 ~m:6) in
   let before = Serve.metrics engine in
   check_int "initial generation" 1 before.generation;
   check_int "initial swaps" 0 before.swaps;
@@ -508,7 +479,7 @@ let test_metrics_generation_and_swaps () =
     ignore (Serve.query engine ~owner)
   done;
   let newer = Serve.metrics engine in
-  check_int "queries on every shard add no swap" 2 newer.swaps;
+  check_int "queries add no swap" 2 newer.swaps;
   let d = Metrics.diff newer before in
   check_int "diff swaps" 2 d.swaps;
   check_int "diff generation from newer" 3 d.generation;
@@ -602,20 +573,20 @@ let test_engine_hot_swap_concurrent () =
   let index2 = random_index (Rng.create 99) ~n ~m ~density:0.3 in
   let truth1 = Array.init n (fun owner -> Eppi.Index.query index1 ~owner) in
   let truth2 = Array.init n (fun owner -> Eppi.Index.query index2 ~owner) in
-  let config = { Serve.default_config with shards = 4 } in
-  let engine = Serve.create ~config index1 in
+  let engine = Serve.create index1 in
   let workload = Workload.uniform (Rng.create 3) ~n ~count:200_000 in
+  (* This domain serves while another installs the second index. *)
   let swapper =
     Domain.spawn (fun () ->
         Unix.sleepf 0.002;
         Serve.republish engine (Postings.of_index index2))
   in
-  let replies = Pool.with_pool ~size:4 (fun pool -> serve_by_shard pool engine workload) in
+  let replies = Array.map (fun owner -> Serve.query_tagged engine ~owner) workload in
   check_int "swap installed generation 2" 2 (Domain.join swapper);
   (* Every reply is its tagged generation's row — a swap mid-run may
-     answer from either generation, but never from a mixture — and no
-     shard's replies regress to an older generation. *)
-  let latest = Array.make (Serve.shards engine) 1 in
+     answer from either generation, but never from a mixture — and the
+     replies never regress to an older generation. *)
+  let latest = ref 1 in
   Array.iteri
     (fun i (generation, reply) ->
       let owner = workload.(i) in
@@ -624,9 +595,8 @@ let test_engine_hot_swap_concurrent () =
         (Printf.sprintf "request %d owner %d matches generation %d" i owner generation)
         true
         (reply = Serve.Providers truth.(owner));
-      let s = owner mod Serve.shards engine in
-      check_bool "generation never regresses on a shard" true (generation >= latest.(s));
-      latest.(s) <- generation)
+      check_bool "generation never regresses" true (generation >= !latest);
+      latest := generation)
     replies;
   for owner = 0 to n - 1 do
     check_bool "post-swap queries serve the new index" true
@@ -688,13 +658,13 @@ let qcheck_tests =
           (List.init m Fun.id));
     (* Before and after a republish, every reply is its tagged generation's
        Index.query row. *)
-    Test.make ~name:"engine replies equal Index.query under any shard count" ~count:40
-      (triple small_int (int_range 1 30) (int_range 1 6))
-      (fun (seed, n, shards) ->
+    Test.make ~name:"engine replies equal Index.query under a republish" ~count:40
+      (pair small_int (int_range 1 30))
+      (fun (seed, n) ->
         let rng = Rng.create seed in
         let index = random_index rng ~n ~m:20 ~density:0.2 in
         let index2 = random_index rng ~n ~m:20 ~density:0.2 in
-        let engine = Serve.create ~config:{ Serve.default_config with shards } index in
+        let engine = Serve.create index in
         let workload = Workload.zipf (Rng.create (seed + 1)) ~n ~count:300 in
         let replies = Array.map (fun owner -> Serve.query engine ~owner) workload in
         ignore (Serve.republish engine (Postings.of_index index2));
@@ -745,7 +715,6 @@ let () =
           Alcotest.test_case "matches index" `Quick test_engine_matches_index;
           Alcotest.test_case "unknown owners" `Quick test_engine_unknown_owners;
           Alcotest.test_case "workload replies match index" `Quick test_engine_workload_replies;
-          Alcotest.test_case "pool equals sequential" `Quick test_engine_pool_equals_sequential;
           Alcotest.test_case "rate shedding, manual clock" `Quick
             test_engine_rate_shedding_with_manual_clock;
           Alcotest.test_case "audit" `Quick test_engine_audit;
