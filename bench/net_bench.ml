@@ -120,7 +120,7 @@ let run () =
     with_daemon (fun _engine ->
         List.map
           (fun depth ->
-            let client = Client.connect ~retries:100 addr in
+            let client = Client.connect addr in
             let summary =
               Fun.protect
                 ~finally:(fun () -> Client.close client)
@@ -147,7 +147,7 @@ let run () =
         let stop = Atomic.make false in
         let load =
           Domain.spawn (fun () ->
-              let client = Client.connect ~retries:100 addr in
+              let client = Client.connect addr in
               let rng = Rng.create 5 in
               let replies = ref 0 in
               while not (Atomic.get stop) do
@@ -161,7 +161,7 @@ let run () =
               Client.close client;
               !replies)
         in
-        let admin = Client.connect ~retries:100 addr in
+        let admin = Client.connect addr in
         let expected_generation = ref 1 in
         let time_swap index =
           incr expected_generation;

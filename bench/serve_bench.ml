@@ -162,7 +162,7 @@ let run () =
         Domain.join daemon;
         try Sys.remove path with Sys_error _ -> ())
       (fun () ->
-        let c = Eppi_net.Client.connect ~trace_context:false addr in
+        let c = Eppi_net.Client.connect addr in
         Fun.protect
           ~finally:(fun () -> Eppi_net.Client.close c)
           (fun () ->

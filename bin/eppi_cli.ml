@@ -3,20 +3,25 @@
    Subcommands:
      generate   synthesize an information-network dataset (CSV)
      construct  build an e-PPI over a dataset (centralized or secure path)
-     query      look up owners in a local index file or a running daemon
+     query      look up owners in a local index file or a replica set of daemons
      serve      run the persistent daemon (--listen or --stdio)
-     republish  hot-swap a running daemon's index
-     stats      metrics snapshot of a running daemon (JSON, --watch for deltas)
-     top        live request-stage telemetry of a running daemon
-     shutdown   gracefully stop a running daemon
+     republish  hot-swap the index of every daemon in a replica set
+     stats      metrics snapshot of one daemon (JSON, --watch for deltas)
+     top        live request-stage telemetry of one daemon, or a replica set's rows
+     shutdown   gracefully stop one daemon
      evaluate   success ratio and attack confidences of an index
      inspect    dataset statistics
+
+   query and republish --connect a replica set through Eppi_cluster (one
+   address is a set of one); stats and shutdown take one address.  A
+   command that cannot reach its target prints one line and exits 1.
 
    Example session:
      eppi generate --providers 2000 --owners 500 -o net.csv
      eppi construct -d net.csv --policy chernoff --gamma 0.9 -o index.csv
      eppi query -i index.csv --owner 42
      eppi serve -i index.csv --listen /tmp/eppi.sock &
+     while [ ! -S /tmp/eppi.sock ]; do sleep 0.1; done
      eppi query --connect /tmp/eppi.sock --owner 42 --owner 7
      eppi republish --connect /tmp/eppi.sock -i index2.csv
      eppi shutdown --connect /tmp/eppi.sock
@@ -300,27 +305,15 @@ let construct_cmd =
 
 (* ---- query ---- *)
 
-let connect_opt_arg =
+let connect_info =
   let doc =
-    "Address of a running $(b,eppi serve --listen) daemon: a Unix-socket path or $(i,HOST:PORT).  \
-     A comma-separated list ($(i,A,B,C)) addresses a replica set: queries fail over to another \
-     replica when one dies."
+    "Replica set: one or more comma-separated addresses of running $(b,eppi serve --listen) \
+     daemons, each a Unix-socket path or $(i,HOST:PORT); one address is a set of one."
   in
-  Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"ADDR" ~doc)
+  Arg.info [ "connect" ] ~docv:"ADDRS" ~doc
 
-(* Connect (tolerating a daemon that is still starting up), run [f], close.
-   Reconnects transparently if the daemon restarts mid-session; a request
-   that gets no answer for 30 s is reported instead of hanging forever. *)
-let with_client addr f =
-  let client =
-    Eppi_net.Client.connect ~retries:100 ~reconnect:true ~request_timeout:30.0
-      (Eppi_net.Addr.of_string addr)
-  in
-  Fun.protect ~finally:(fun () -> Eppi_net.Client.close client) (fun () -> f client)
-
-(* A comma in an address argument selects the cluster path: A,B,C is a
-   replica set, a single address keeps the plain client. *)
-let is_cluster addr = String.contains addr ','
+let connect_arg = Arg.(value & opt (some string) None & connect_info)
+let connect_set_arg = Arg.(required & opt (some string) None & connect_info)
 
 let replica_set_of_string ~what addrs =
   match Eppi_cluster.Replica_set.parse addrs with
@@ -329,13 +322,25 @@ let replica_set_of_string ~what addrs =
       Printf.eprintf "%s: bad replica set %S: %s\n" what addrs msg;
       exit 2
 
+(* A command that cannot reach its target, or whose target answers out
+   of protocol, prints one line and exits 1. *)
+let fail ~what msg =
+  Printf.eprintf "%s: %s\n" what msg;
+  exit 1
+
+(* Run [f] on a cluster client over the replica set [addrs]: the one
+   data-plane transport, whatever the set's size.  A request that gets no
+   answer for 30 s counts as a failure instead of hanging forever. *)
 let with_cluster ~what addrs f =
   let set = replica_set_of_string ~what addrs in
   let client = Eppi_cluster.Client.create ~request_timeout:30.0 set in
-  Fun.protect ~finally:(fun () -> Eppi_cluster.Client.close client) (fun () -> f client)
+  match Fun.protect ~finally:(fun () -> Eppi_cluster.Client.close client) (fun () -> f client) with
+  | result -> result
+  | exception Eppi_cluster.Client.No_replica msg -> fail ~what ("no replica answered: " ^ msg)
+  | exception Eppi_net.Client.Protocol_error msg -> fail ~what msg
 
 (* The one-line JSON summary of a `query --replay-log` run: [requests],
-   the per-transport counters, then wall time and throughput. *)
+   the reply counters, then wall time and throughput. *)
 let print_replay_summary ~requests ~wall_seconds counters =
   let qps = float_of_int requests /. Float.max 1e-9 wall_seconds in
   print_endline
@@ -408,7 +413,13 @@ let query_cmd =
     (* Encoding happens here, client-side: only the Bloom filters and
        keyed blocking hashes leave this process. *)
     let probe = Eppi_fuzzy.Probe.of_demographic config.params record in
-    let _generation, result = with_client addr (fun c -> Eppi_net.Client.query_fuzzy ~k c probe) in
+    let result =
+      with_cluster ~what:"query" addr (fun cluster ->
+          match Eppi_cluster.Client.pipeline cluster [ Eppi_net.Wire.Query_fuzzy { probe; k } ] with
+          | [ Eppi_net.Wire.Fuzzy_reply { result; _ } ] -> result
+          | [ other ] -> Eppi_net.Client.unexpected "fuzzy query" other
+          | _ -> raise (Eppi_net.Client.Protocol_error "fuzzy query: response count mismatch"))
+    in
     match (result : Eppi_serve.Serve.fuzzy_reply) with
     | Candidates [] ->
         Printf.eprintf "no match above threshold\n";
@@ -465,33 +476,23 @@ let query_cmd =
               if owners = [] then usage_error "--owner required";
               None
         in
-        (* One pipeline, whichever transport: [extra] names the summary
-           fields only that transport knows. *)
-        let run_on pipeline extra =
-          match workload with
-          | Some workload ->
-              let s = Eppi_net.Replay.run ~depth pipeline workload in
-              print_replay_summary ~requests:s.requests ~wall_seconds:s.wall_seconds
-                ([ ("served", s.served); ("unknown", s.unknown); ("shed", s.shed);
-                   ("providers_listed", s.providers_listed) ]
-                @ extra s)
-          | None ->
-              List.iter
-                (function
-                  | Eppi_net.Wire.Reply { reply; _ } -> print_reply reply
-                  | other -> Eppi_net.Client.unexpected "query" other)
-                (pipeline (List.map (fun owner -> Eppi_net.Wire.Query { owner }) owners))
-        in
-        if is_cluster addr then
-          (* Replica set: same commands, failover-aware transport. *)
-          with_cluster ~what:"query" addr (fun cluster ->
-              run_on (Eppi_cluster.Client.pipeline cluster) (fun _ ->
-                  [ ("failovers", (Eppi_cluster.Client.stats cluster).failovers) ]))
-        else
-          with_client addr (fun client ->
-              run_on (Eppi_net.Client.pipeline client) (fun s ->
-                  [ ("first_generation", s.first_generation);
-                    ("last_generation", s.last_generation) ]))
+        with_cluster ~what:"query" addr (fun cluster ->
+            let pipeline = Eppi_cluster.Client.pipeline cluster in
+            match workload with
+            | Some workload ->
+                let s = Eppi_net.Replay.run ~depth pipeline workload in
+                print_replay_summary ~requests:s.requests ~wall_seconds:s.wall_seconds
+                  [ ("served", s.served); ("unknown", s.unknown); ("shed", s.shed);
+                    ("providers_listed", s.providers_listed);
+                    ("first_generation", s.first_generation);
+                    ("last_generation", s.last_generation);
+                    ("failovers", (Eppi_cluster.Client.stats cluster).failovers) ]
+            | None ->
+                List.iter
+                  (function
+                    | Eppi_net.Wire.Reply { reply; _ } -> print_reply reply
+                    | other -> Eppi_net.Client.unexpected "query" other)
+                  (pipeline (List.map (fun owner -> Eppi_net.Wire.Query { owner }) owners)))
   in
   let fuzzy =
     let doc =
@@ -522,14 +523,14 @@ let query_cmd =
   in
   let term =
     Term.(
-      const run $ index_path $ connect_opt_arg $ owners $ replay_log $ depth $ fuzzy $ first
+      const run $ index_path $ connect_arg $ owners $ replay_log $ depth $ fuzzy $ first
       $ last $ dob $ zip $ k $ linkage_seed_arg)
   in
   Cmd.v
     (Cmd.info "query"
        ~doc:
-         "QueryPPI: list candidate providers for an owner, from a local index file or a running \
-          daemon")
+         "QueryPPI: list candidate providers for an owner, from a local index file or a replica \
+          set of running daemons")
     term
 
 (* ---- evaluate ---- *)
@@ -804,45 +805,55 @@ let serve_cmd =
           persistent daemon ($(b,--listen) or $(b,--stdio))")
     term
 
-(* ---- republish / stats / shutdown: daemon administration ---- *)
+(* ---- republish / stats / top / shutdown: daemon administration ---- *)
 
-let connect_required_arg =
-  let doc =
-    "Address of a running $(b,eppi serve --listen) daemon: a Unix-socket path or $(i,HOST:PORT)."
-  in
-  Arg.(required & opt (some string) None & info [ "connect" ] ~docv:"ADDR" ~doc)
+(* The daemon a one-daemon command talks to: [--connect] parses as a
+   replica set, and a set of more than one is refused. *)
+let one_daemon ~what addrs =
+  match Eppi_cluster.Replica_set.addrs (replica_set_of_string ~what addrs) with
+  | [ addr ] -> addr
+  | _ ->
+      Printf.eprintf "%s: talks to one daemon; give one address, not %S\n" what addrs;
+      exit 2
+
+(* [Eppi_cluster.ask], with the address in front of the reason. *)
+let on_daemon addr f =
+  Result.map_error (Printf.sprintf "%s: %s" (Eppi_net.Addr.to_string addr))
+    (Eppi_cluster.ask addr f)
+
+let with_daemon ~what addr f =
+  match on_daemon addr f with Ok result -> result | Error msg -> fail ~what msg
+
+(* Run [refresh] every [interval] seconds ([iterations] times, 0 = until
+   interrupted).  Each refresh dials anew, so a daemon restarted between
+   refreshes reappears.  A first refresh that cannot reach its target
+   fails like any one-shot command; a later one prints its line and the
+   watch goes on. *)
+let watch ~what ~interval ~iterations refresh =
+  Eppi_prelude.Clock.periodic ~sleep:Unix.sleepf ~interval
+    ?iterations:(if iterations <= 0 then None else Some iterations)
+    (fun tick ->
+      (match refresh () with
+      | Ok () -> ()
+      | Error msg -> if tick = 1 then fail ~what msg else Printf.eprintf "%s: %s\n%!" what msg);
+      flush stdout;
+      true)
 
 let republish_cmd =
-  let cluster_arg =
-    let doc =
-      "Fan the republish out to a comma-separated replica set instead of one daemon: the index \
-       is encoded once and pushed to every replica concurrently, transient failures retry with \
-       jittered backoff, and the per-replica outcome is reported — a dead replica never blocks \
-       the others."
-    in
-    Arg.(value & opt (some string) None & info [ "cluster" ] ~docv:"ADDRS" ~doc)
-  in
   let require_arg =
     let doc =
-      "With $(b,--cluster): exit non-zero unless at least $(docv) replicas installed the index \
-       (default: all of them)."
+      "Exit non-zero unless at least $(docv) replicas installed the index (default: all of \
+       them)."
     in
     Arg.(value & opt (some int) None & info [ "require" ] ~docv:"K" ~doc)
   in
-  let usage_error msg =
-    Printf.eprintf "republish: %s\n" msg;
-    exit 2
-  in
-  let load_index index_path =
-    match Eppi.Index.of_csv (read_file index_path) with
-    | index -> index
-    | exception Failure msg ->
-        Printf.eprintf "republish: bad index: %s\n" msg;
-        exit 1
-  in
-  let run_cluster addrs index_path require =
+  let run addrs index_path require =
     let set = replica_set_of_string ~what:"republish" addrs in
-    let index = load_index index_path in
+    let index =
+      match Eppi.Index.of_csv (read_file index_path) with
+      | index -> index
+      | exception Failure msg -> fail ~what:"republish" ("bad index: " ^ msg)
+    in
     let report = Eppi_cluster.Fanout.republish set index in
     List.iter
       (fun (r : Eppi_cluster.Fanout.replica_result) ->
@@ -858,36 +869,26 @@ let republish_cmd =
               (if r.attempts = 1 then "" else "s")
               msg)
       report.results;
-    Printf.printf "republished %d/%d replicas%s in %.3fs\n" report.succeeded
-      (Eppi_cluster.Replica_set.size set)
+    let size = Eppi_cluster.Replica_set.size set in
+    Printf.printf "republished %d/%d replicas%s in %.3fs\n%!" report.succeeded size
       (match report.generation with
       | Some g -> Printf.sprintf " at generation %d" g
       | None -> "")
       report.wall_seconds;
-    let require = Option.value ~default:(Eppi_cluster.Replica_set.size set) require in
-    if report.succeeded < require then exit 1
+    let require = Option.value ~default:size require in
+    if report.succeeded < require then
+      fail ~what:"republish"
+        (Printf.sprintf "%d of %d replicas installed the index, %d required" report.succeeded
+           size require)
   in
-  let run connect index_path cluster require =
-    match (connect, cluster) with
-    | Some _, Some _ | None, None -> usage_error "give exactly one of --connect or --cluster"
-    | None, Some addrs -> run_cluster addrs index_path require
-    | Some addr, None -> (
-        if require <> None then usage_error "--require needs --cluster";
-        if is_cluster addr then usage_error "use --cluster (not --connect) for a replica set";
-        let index = load_index index_path in
-        match with_client addr (fun client -> Eppi_net.Client.republish_index client index) with
-        | Ok generation -> Printf.printf "generation %d\n" generation
-        | Error msg ->
-            Printf.eprintf "republish rejected: %s\n" msg;
-            exit 1)
-  in
-  let term = Term.(const run $ connect_opt_arg $ index_arg $ cluster_arg $ require_arg) in
+  let term = Term.(const run $ connect_set_arg $ index_arg $ require_arg) in
   Cmd.v
     (Cmd.info "republish"
        ~doc:
-         "Hot-swap the index of a running daemon: queries keep flowing, the new generation \
-          takes effect atomically.  The index travels as the compact binary codec.  \
-          $(b,--cluster A,B,C) fans the swap out to a whole replica set")
+         "Hot-swap the index of every daemon in a replica set: queries keep flowing, the new \
+          generation takes effect atomically.  The index is encoded once, as the compact binary \
+          codec, and pushed to every replica concurrently; transient failures retry with \
+          jittered backoff, and a dead replica never blocks the others")
     term
 
 (* Seconds → a human-sized unit.  Telemetry spans ns..s; a fixed unit
@@ -935,19 +936,20 @@ let stats_cmd =
     let doc = "With $(b,--watch): stop after $(docv) refreshes (0 = run until interrupted)." in
     Arg.(value & opt int 0 & info [ "iterations" ] ~docv:"N" ~doc)
   in
-  let run addr watch json iterations =
-    with_client addr (fun client ->
-        match watch with
-        | None -> print_endline (Eppi_net.Client.stats_json client)
-        | Some interval ->
-            let interval = if interval <= 0.0 then 1.0 else interval in
-            let prev = ref None in
-            (* Absolute-deadline cadence: the time spent fetching and
-               printing no longer drifts the schedule. *)
-            Eppi_prelude.Clock.periodic ~sleep:Unix.sleepf ~interval
-              ?iterations:(if iterations <= 0 then None else Some iterations)
-              (fun _tick ->
-                let raw = Eppi_net.Client.stats_json client in
+  let run addrs interval json iterations =
+    let addr = one_daemon ~what:"stats" addrs in
+    match interval with
+    | None -> print_endline (with_daemon ~what:"stats" addr Eppi_net.Client.stats_json)
+    | Some interval ->
+        let interval = if interval <= 0.0 then 1.0 else interval in
+        let prev = ref None in
+        watch ~what:"stats" ~interval ~iterations (fun () ->
+            match on_daemon addr Eppi_net.Client.stats_json with
+            | Error _ as e ->
+                (* A restarted daemon counts from zero again. *)
+                prev := None;
+                e
+            | Ok raw ->
                 (if json then print_endline raw
                  else
                    match Json.parse raw with
@@ -955,10 +957,9 @@ let stats_cmd =
                    | Ok cur ->
                        print_endline (stats_delta_line ~dt:interval ?prev:!prev cur);
                        prev := Some cur);
-                flush stdout;
-                true))
+                Ok ())
   in
-  let term = Term.(const run $ connect_required_arg $ watch_arg $ json_arg $ iterations_arg) in
+  let term = Term.(const run $ connect_set_arg $ watch_arg $ json_arg $ iterations_arg) in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
@@ -1041,17 +1042,8 @@ let render_top v =
    snapshot, on one short-lived connection.  A dead replica is a row, not
    an error. *)
 let probe_replica addr =
-  match Eppi_net.Client.connect ~retries:0 ~request_timeout:5.0 addr with
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | client -> (
-      match
-        Fun.protect
-          ~finally:(fun () -> Eppi_net.Client.close client)
-          (fun () -> (Eppi_net.Client.cluster_status client, Eppi_net.Client.stats_json client))
-      with
-      | probe -> Ok probe
-      | exception Eppi_net.Client.Protocol_error msg -> Error msg
-      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+  Eppi_cluster.ask ~request_timeout:5.0 addr (fun client ->
+      (Eppi_net.Client.cluster_status client, Eppi_net.Client.stats_json client))
 
 let render_cluster_top set =
   let probes =
@@ -1112,46 +1104,38 @@ let top_cmd =
     let doc = "Stop after $(docv) refreshes (0 = run until interrupted)." in
     Arg.(value & opt int 0 & info [ "iterations" ] ~docv:"N" ~doc)
   in
-  let watch ~interval ~iterations one =
-    (* Clear + home per refresh: a live top-style screen without a TUI
-       dep.  Absolute-deadline cadence — probe time does not drift it. *)
-    Eppi_prelude.Clock.periodic ~sleep:Unix.sleepf ~interval
-      ?iterations:(if iterations <= 0 then None else Some iterations)
-      (fun _tick ->
-        print_string "\027[2J\027[H";
-        one ();
-        flush stdout;
-        true)
-  in
-  let run addr interval once json iterations =
+  let run addrs interval once json iterations =
     let interval = if interval <= 0.0 then 1.0 else interval in
-    if is_cluster addr then begin
-      (* Replica set: one aggregated row per replica, probed per refresh
-         over short-lived connections so a dead replica shows as "down"
-         instead of wedging the screen. *)
-      let set = replica_set_of_string ~what:"top" addr in
-      let one () =
-        if json then print_endline (cluster_top_json set)
-        else print_string (render_cluster_top set)
-      in
-      if once || json then one () else watch ~interval ~iterations one
-    end
+    let set = replica_set_of_string ~what:"top" addrs in
+    let one =
+      match Eppi_cluster.Replica_set.addrs set with
+      | [ addr ] ->
+          fun () ->
+            Result.bind (on_daemon addr Eppi_net.Client.telemetry_json) (fun raw ->
+                if json then Ok (print_endline raw)
+                else
+                  match Json.parse raw with
+                  | Error e -> Error ("unparseable reply: " ^ e)
+                  | Ok v -> Ok (print_string (render_top v)))
+      | _ ->
+          (* Replica set: one aggregated row per replica, probed per
+             refresh over short-lived connections, so a dead replica shows
+             as "down" instead of wedging the screen. *)
+          fun () ->
+            Ok
+              (if json then print_endline (cluster_top_json set)
+               else print_string (render_cluster_top set))
+    in
+    if once || json then Result.iter_error (fail ~what:"top") (one ())
     else
-      with_client addr (fun client ->
-          let one () =
-            let raw = Eppi_net.Client.telemetry_json client in
-            if json then print_endline raw
-            else
-              match Json.parse raw with
-              | Error e ->
-                  Printf.eprintf "top: unparseable reply: %s\n" e;
-                  exit 1
-              | Ok v -> print_string (render_top v)
-          in
-          if once || json then one () else watch ~interval ~iterations one)
+      (* Clear + home per refresh: a live top-style screen without a TUI
+         dep. *)
+      watch ~what:"top" ~interval ~iterations (fun () ->
+          print_string "\027[2J\027[H";
+          one ())
   in
   let term =
-    Term.(const run $ connect_required_arg $ interval_arg $ once_arg $ json_arg $ iterations_arg)
+    Term.(const run $ connect_set_arg $ interval_arg $ once_arg $ json_arg $ iterations_arg)
   in
   Cmd.v
     (Cmd.info "top"
@@ -1165,11 +1149,11 @@ let top_cmd =
     term
 
 let shutdown_cmd =
-  let run addr =
-    with_client addr (fun client -> Eppi_net.Client.shutdown client);
+  let run addrs =
+    with_daemon ~what:"shutdown" (one_daemon ~what:"shutdown" addrs) Eppi_net.Client.shutdown;
     Printf.eprintf "daemon stopped\n"
   in
-  let term = Term.(const run $ connect_required_arg) in
+  let term = Term.(const run $ connect_set_arg) in
   Cmd.v (Cmd.info "shutdown" ~doc:"Gracefully stop a running daemon") term
 
 (* ---- inspect ---- *)

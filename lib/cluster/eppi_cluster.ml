@@ -44,6 +44,28 @@ module Replica_set = struct
   let to_string t = String.concat "," (List.map Addr.to_string t.members)
 end
 
+let ask ?(request_timeout = 30.0) addr f =
+  match Net_client.connect ~request_timeout addr with
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  | exception Failure msg -> Error msg
+  | client -> (
+      match Fun.protect ~finally:(fun () -> Net_client.close client) (fun () -> f client) with
+      | result -> Ok result
+      | exception Net_client.Protocol_error msg -> Error msg
+      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+
+let backoff_cap = 2.0
+
+(* Full jitter would be [u] alone; the half-floor keeps the schedule's
+   back-off property (a run of zeros cannot hammer a recovering server)
+   while still spreading N coordinators across half the window instead of
+   a lockstep thundering herd. *)
+let backoff_delay ~base ~attempt ~u =
+  if attempt < 1 then invalid_arg "Eppi_cluster.backoff_delay: attempt must be >= 1";
+  if not (u >= 0.0 && u < 1.0) then invalid_arg "Eppi_cluster.backoff_delay: u outside [0, 1)";
+  let full = Float.min (base *. (2.0 ** float_of_int (attempt - 1))) backoff_cap in
+  full *. (0.5 +. (0.5 *. u))
+
 module Fanout = struct
   type replica_result = {
     addr : Addr.t;
@@ -60,25 +82,16 @@ module Fanout = struct
     wall_seconds : float;
   }
 
-  (* One republish attempt against one replica: connect fresh (no
-     reconnect — retry policy lives here, where it can distinguish
-     transient from fatal), push the shared payload, classify. *)
+  (* One republish attempt against one replica on a fresh connection
+     (retry policy lives here, where it can distinguish transient from
+     fatal): a replica that cannot be reached or answered is transient, a
+     rejected payload is fatal. *)
   let attempt_once ~request_timeout addr data =
-    match Net_client.connect ~retries:0 ~reconnect:false ~request_timeout addr with
-    | exception Unix.Unix_error (e, _, _) -> Error (`Transient (Unix.error_message e))
-    | client -> (
-        match
-          Fun.protect
-            ~finally:(fun () -> Net_client.close client)
-            (fun () -> Net_client.call_result client (Wire.Republish_binary { data }))
-        with
-        | Ok (Wire.Republished { generation }) -> Ok generation
-        | Ok (Wire.Server_error msg) -> Error (`Fatal ("server rejected republish: " ^ msg))
-        | Ok _ -> Error (`Fatal "unexpected reply to republish")
-        | Error Net_client.Timed_out -> Error (`Transient "request timed out")
-        | Error (Net_client.Connection_lost msg) -> Error (`Transient ("connection lost: " ^ msg))
-        | exception Net_client.Protocol_error msg -> Error (`Transient msg)
-        | exception Unix.Unix_error (e, _, _) -> Error (`Transient (Unix.error_message e)))
+    match ask ~request_timeout addr (fun c -> Net_client.call c (Wire.Republish_binary { data })) with
+    | Ok (Wire.Republished { generation }) -> Ok generation
+    | Ok (Wire.Server_error msg) -> Error (`Fatal ("server rejected republish: " ^ msg))
+    | Ok _ -> Error (`Fatal "unexpected reply to republish")
+    | Error msg -> Error (`Transient msg)
 
   let push_replica ~retries ~retry_delay ~request_timeout ~rng addr data =
     let t0 = Clock.seconds () in
@@ -93,7 +106,7 @@ module Fanout = struct
           if k > retries then finish (Error msg) k
           else begin
             Unix.sleepf
-              (Net_client.backoff_delay ~base:retry_delay ~attempt:k ~u:(Rng.float rng 1.0));
+              (backoff_delay ~base:retry_delay ~attempt:k ~u:(Rng.float rng 1.0));
             go (k + 1)
           end
     in
@@ -133,21 +146,7 @@ module Fanout = struct
 
   let status ?(request_timeout = 30.0) set =
     List.map
-      (fun addr ->
-        let probe () =
-          match Net_client.connect ~retries:0 ~reconnect:false ~request_timeout addr with
-          | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-          | client -> (
-              match
-                Fun.protect
-                  ~finally:(fun () -> Net_client.close client)
-                  (fun () -> Net_client.cluster_status client)
-              with
-              | status -> Ok status
-              | exception Net_client.Protocol_error msg -> Error msg
-              | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
-        in
-        (addr, probe ()))
+      (fun addr -> (addr, ask ~request_timeout addr Net_client.cluster_status))
       (Replica_set.addrs set)
 
   let converged statuses =
@@ -174,6 +173,7 @@ module Client = struct
     mutable conn : Net_client.t option;
     mutable healthy : bool;
     mutable down_until : float;  (* monotonic seconds; cooldown gate when unhealthy *)
+    mutable last_failure : string;  (* why it was last put down; "" before that *)
     mutable dispatched : int;
     mutable answered : int;
     mutable failures : int;
@@ -201,6 +201,7 @@ module Client = struct
                conn = None;
                healthy = true;
                down_until = 0.0;
+               last_failure = "";
                dispatched = 0;
                answered = 0;
                failures = 0;
@@ -237,26 +238,34 @@ module Client = struct
     | None -> ());
     e.conn <- None
 
-  let mark_down t e now =
-    close_conn e;
+  let cool_down t e ~reason now =
     e.healthy <- false;
+    e.last_failure <- reason;
+    e.down_until <- now +. (t.cooldown *. (0.5 +. (0.5 *. Rng.float t.rng 1.0)))
+
+  let mark_down t e ~reason now =
+    close_conn e;
+    cool_down t e ~reason now;
     e.failures <- e.failures + 1;
     (* The dead socket's unanswered requests are being re-issued elsewhere;
        they no longer count as this endpoint's. *)
     e.answered <- e.dispatched;
-    e.down_until <- now +. (t.cooldown *. (0.5 +. (0.5 *. Rng.float t.rng 1.0)));
     if t.fail_start = None then t.fail_start <- Some now
 
+  (* The client's one dial point: a replica's connection is opened here,
+     on first use and again after each time it is marked down. *)
   let ensure_conn t e =
     match e.conn with
     | Some c -> c
     | None ->
-        let c =
-          Net_client.connect ~retries:0 ~reconnect:false ~request_timeout:t.request_timeout
-            e.e_addr
-        in
+        let c = Net_client.connect ~request_timeout:t.request_timeout e.e_addr in
         e.conn <- Some c;
         c
+
+  (* Every replica with the reason it was last put down, in set order. *)
+  let no_replica t =
+    let reason e = Printf.sprintf "%s: %s" (Addr.to_string e.e_addr) e.last_failure in
+    No_replica (String.concat "; " (List.map reason (Array.to_list t.endpoints)))
 
   let observe_generation t (response : Wire.response) =
     let g =
@@ -282,7 +291,7 @@ module Client = struct
         Array.map (fun e -> (not (List.memq e excluded)) && selectable e now) t.endpoints
       in
       match select ~rr:t.rr slots with
-      | None -> raise (No_replica "every replica is down or cooling down")
+      | None -> raise (no_replica t)
       | Some i -> (
           t.rr <- i + 1;
           let e = t.endpoints.(i) in
@@ -303,8 +312,12 @@ module Client = struct
               | None -> ());
               List.iter (observe_generation t) responses;
               (i, responses)
-          | exception (Net_client.Protocol_error _ | Unix.Unix_error _) ->
-              mark_down t e (Clock.seconds ());
+          | exception (Net_client.Protocol_error reason | Failure reason) ->
+              (* [Failure]: a host name that does not resolve. *)
+              mark_down t e ~reason (Clock.seconds ());
+              try_next (e :: excluded)
+          | exception Unix.Unix_error (err, _, _) ->
+              mark_down t e ~reason:(Unix.error_message err) (Clock.seconds ());
               try_next (e :: excluded))
     in
     try_next []
@@ -318,9 +331,9 @@ module Client = struct
         if generation < t.max_generation then begin
           (* Penalize the laggard: cool it down (connection kept — the
              replica is alive, just behind) so the retry lands fresher. *)
-          let e = t.endpoints.(i) in
-          e.healthy <- false;
-          e.down_until <- Clock.seconds () +. (t.cooldown *. (0.5 +. (0.5 *. Rng.float t.rng 1.0)));
+          cool_down t t.endpoints.(i)
+            ~reason:(Printf.sprintf "generation %d is behind %d" generation t.max_generation)
+            (Clock.seconds ());
           raise (Stale_generation { newest = t.max_generation; got = generation })
         end;
         (generation, reply)

@@ -16,7 +16,10 @@
       {!Eppi_net.Client}s with per-endpoint health, round-robin picks,
       and transparent failover — a window of pipelined queries
       whose replica dies mid-flight is re-issued in full on another
-      replica (at-least-once, like single-client reconnect).
+      replica (at-least-once).  {!Eppi_net.Client} is one connection
+      that never re-dials, so retrying, failover and waiting for a
+      replica to come back all live here: the client dials in one
+      place, and one-shot requests go through {!ask}.
 
     Consistency caveat, stated rather than hidden: a replica's generation
     is a {e republish counter}, incremented once per applied swap — not a
@@ -60,7 +63,29 @@ module Replica_set : sig
       whitespace and loopback spelling). *)
 end
 
+(** {1 One-shot requests} *)
+
+val ask :
+  ?request_timeout:float -> Addr.t -> (Eppi_net.Client.t -> 'a) -> ('a, string) result
+(** [ask addr f] dials [addr] once, runs [f] on the connection and
+    closes it: [Error reason] when the dial fails ([Unix.error_message],
+    or a host name that does not resolve) or [f] raises
+    {!Eppi_net.Client.Protocol_error} or [Unix.Unix_error].
+    [request_timeout] (default 30 s) bounds each request.  {!Fanout}'s
+    attempts and probes and the CLI's one-daemon commands use it. *)
+
 (** {1 Coordinator-side republish fan-out} *)
+
+val backoff_delay : base:float -> attempt:int -> u:float -> float
+(** {!Fanout}'s retry schedule, exposed pure so its bound is testable:
+    attempt [k] (1-based) sleeps [min (base * 2^(k-1)) 2.0] scaled by
+    [0.5 + u/2] with [u] uniform in [0, 1) — always within
+    [[full/2, full)] of the capped exponential [full], so coordinators
+    that lost the same replica spread over half the window instead of
+    retrying in lockstep, while a run of small draws can never collapse
+    the delay to zero and hammer a recovering server.
+    @raise Invalid_argument when [attempt < 1] or [u] is outside
+    [[0, 1)]. *)
 
 module Fanout : sig
   type replica_result = {
@@ -98,7 +123,7 @@ module Fanout : sig
       and shared.  Per replica: transient failures — connect refusal,
       timeout, connection loss — retry up to [retries] (default 3) more
       times with jittered exponential backoff starting at [retry_delay]
-      (default 0.05 s, see {!Eppi_net.Client.backoff_delay}); a
+      (default 0.05 s, see {!backoff_delay}); a
       [Server_error] or a mis-typed reply is fatal immediately (retrying
       a rejected payload cannot help).  [request_timeout] (default 30 s)
       bounds each attempt.  [seed] makes the backoff jitter
@@ -123,7 +148,11 @@ end
 module Client : sig
   exception No_replica of string
   (** Every replica is down or cooling down — the cluster-level analogue
-      of {!Eppi_net.Client.Connection_lost}. *)
+      of {!Eppi_net.Client.Connection_lost}.  The message names each
+      replica, in set order, with the reason it was last put down
+      ([addr: reason; ...]): the dial's [Unix.error_message] (for
+      example [No such file or directory]), the lost connection, or the
+      stale generation that cooled it down. *)
 
   exception Stale_generation of { newest : int; got : int }
   (** Read-consistency guard: {!query} answered from a replica whose
@@ -141,11 +170,15 @@ module Client : sig
     Replica_set.t ->
     t
   (** Build a cluster client; connections are dialed lazily, per replica,
-      on first use.  Windows rotate round-robin through the selectable
-      replicas (see {!select}).  [request_timeout] (default 30 s) bounds each request on the
-      underlying clients.  A replica marked down is not retried until a
-      jittered [cooldown] (default 1 s) elapses; [seed] makes the jitter
-      deterministic. *)
+      on first use and again after the replica was marked down — the
+      client's one dial point.  Windows rotate round-robin through the
+      selectable replicas (see {!select}).  [request_timeout] (default
+      30 s) bounds each request on the underlying clients.  A replica
+      marked down is not retried until a jittered [cooldown] (default
+      1 s) elapses; [seed] makes the jitter deterministic.  A set of one
+      is a client for one daemon: a window that finds it down raises
+      {!No_replica}, and the first window after the cooldown dials
+      again, so a daemon restarted on the same address reappears. *)
 
   val select : rr:int -> bool array -> int option
   (** The round-robin pick, exposed pure for table-driven tests:
@@ -157,10 +190,11 @@ module Client : sig
   (** Issue one window of pipelined requests on the next selectable
       replica.  If the replica fails mid-window (connection loss, framing
       error), it is marked down and the {e whole window} is re-issued on
-      another replica — at-least-once semantics, same contract as
-      single-client reconnect.  Observes generations in the replies to
-      advance the staleness floor, but never raises {!Stale_generation}
-      itself (raw windows may legitimately mix replicas across calls).
+      another replica — at-least-once semantics: a request whose reply
+      was lost in flight runs again.  Observes generations in the replies
+      to advance the staleness floor, but never raises
+      {!Stale_generation} itself (raw windows may legitimately mix
+      replicas across calls).
       @raise No_replica when every replica has been tried and marked
       down. *)
 

@@ -19,10 +19,11 @@ type error =
       (** The socket made no progress for [request_timeout] seconds.  The
           connection is kept (the response may still be in flight, or the
           request not yet fully sent); the caller decides whether to retry
-          or {!close}.  Never triggers a reconnect. *)
+          or {!close}. *)
   | Connection_lost of string
-      (** The transport died and — if reconnect was enabled — every
-          re-dial attempt failed too. *)
+      (** The transport died.  The client never re-dials: retrying,
+          failover and waiting for a replica live in
+          [Eppi_cluster.Client]. *)
 
 exception Protocol_error of string
 (** The server broke the framing or answered with the wrong frame kind —
@@ -33,19 +34,9 @@ val unexpected : string -> Wire.response -> 'a
     kind [what] got instead of what it wanted — for callers matching raw
     {!pipeline} responses. *)
 
-val connect :
-  ?retries:int ->
-  ?retry_delay:float ->
-  ?request_timeout:float ->
-  ?reconnect:bool ->
-  ?max_reconnects:int ->
-  ?trace_context:bool ->
-  Addr.t ->
-  t
-(** Connect, retrying a refused/absent endpoint [retries] times (default 0)
-    with [retry_delay] seconds between attempts (default 0.05) — the
-    just-started-daemon race.  SIGPIPE is set to ignore (once, globally) so
-    a dead peer surfaces as [EPIPE] rather than killing the process.
+val connect : ?request_timeout:float -> Addr.t -> t
+(** Dial [addr] once.  SIGPIPE is set to ignore (once, globally) so a
+    dead peer surfaces as [EPIPE] rather than killing the process.
 
     [request_timeout] bounds every subsequent exchange: a call during which
     the socket makes no progress — no request byte accepted, no reply byte
@@ -53,36 +44,13 @@ val connect :
     raises).  The bound resets whenever the socket makes progress.
     Default: wait forever.
 
-    [reconnect] (default false) makes {!call_result}, {!call} and
-    {!pipeline} transparently re-dial the same address when the connection
-    drops mid-exchange, with jittered capped exponential backoff (see
-    {!backoff_delay}) and at most [max_reconnects] (default 5) attempts,
-    then re-send the unanswered request(s) on the fresh socket —
-    at-least-once semantics: a request whose response was lost in flight is
-    executed again.  The jitter stream's seed mixes the pid with a
-    process-global counter, so clients that lost the same server never
-    reconnect in lockstep.
-
-    [trace_context] (default true): while {!Eppi_obs.Trace} tracing is
-    enabled, {!call_result}/{!call} wrap each request in a [Wire.Traced]
-    envelope carrying a fresh trace id and mirror that id on a
-    [client.request] span, so the client's and the daemon's tracks join in
-    one exported trace.  Set it to false when talking to a daemon that
-    predates the envelope tag (it would reject the frame as an unknown
-    tag); with tracing disabled the wire is byte-identical either way.
-    {!pipeline} never wraps.  @raise Unix.Unix_error once connect retries
-    are exhausted. *)
-
-val backoff_delay : base:float -> attempt:int -> u:float -> float
-(** The reconnect schedule, exposed pure so its bound is testable:
-    attempt [k] (1-based) sleeps [min (base * 2^(k-1)) 2.0] scaled by
-    [0.5 + u/2] with [u] uniform in [0, 1) — always within
-    [[full/2, full)] of the capped exponential [full], so a fleet of
-    clients spreads over half the window instead of reconnecting in
-    lockstep, while a run of small draws can never collapse the delay to
-    zero and hammer a recovering server.
-    @raise Invalid_argument when [attempt < 1] or [u] is outside
-    [[0, 1)]. *)
+    While {!Eppi_obs.Trace} tracing is enabled, {!call_result}/{!call}
+    wrap each request in a [Wire.Traced] envelope carrying a fresh trace
+    id and mirror that id on a [client.request] span, so the client's and
+    the daemon's tracks join in one exported trace; with tracing disabled
+    nothing is wrapped.  {!pipeline} never wraps.
+    @raise Unix.Unix_error when the dial fails (for example [ENOENT] or
+    [ECONNREFUSED] before a daemon is listening). *)
 
 val close : t -> unit
 (** Idempotent. *)
@@ -94,15 +62,14 @@ val call_result : t -> Wire.request -> (Wire.response, error) result
 
 val call : t -> Wire.request -> Wire.response
 (** Send one request, block for its response.  @raise Protocol_error on
-    timeout ("request timed out") or connection loss, after any configured
-    reconnect attempts. *)
+    timeout ("request timed out") or connection loss. *)
 
 val pipeline : t -> Wire.request list -> Wire.response list
 (** Send every request over the socket while concurrently reading replies
     (interleaved with [select], so an arbitrarily long list cannot
     deadlock against the server's backpressure), returning the responses
     in request order.  @raise Protocol_error on a timeout ("pipeline timed
-    out") or connection loss, after any configured reconnect attempts. *)
+    out") or connection loss. *)
 
 (* Typed wrappers; each raises {!Protocol_error} on a mismatched response. *)
 
@@ -126,8 +93,8 @@ val stats_json : t -> string
 val telemetry_json : t -> string
 (** The daemon's live telemetry snapshot as JSON ({!Telemetry.json}):
     rolling-window p50/p99/throughput per request class, per-stage
-    histograms with their conservation check, the slow-request ring,
-    per-worker counters and generation/trace info. *)
+    histograms with their conservation check, the slow-request ring and
+    generation/trace info. *)
 
 val cluster_status : t -> Wire.cluster_status
 (** The daemon's replication observables: current index generation,

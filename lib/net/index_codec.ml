@@ -388,8 +388,9 @@ let decoding build payload =
   | exception Fail e -> Error e
   (* Defense in depth behind the dimension caps: the total Ok/Error
      contract must hold even if an allocation still fails — this decoder
-     runs on daemon domains fed bytes off the network, and an escaped
-     Out_of_memory would kill a worker (inline, the whole daemon). *)
+     runs in the daemon's loop fed bytes off the network, and an escaped
+     Out_of_memory would reach the handler's barrier as an untyped
+     failure instead of a decode error. *)
   | exception Out_of_memory -> Error (Malformed "index too large to materialize")
   | exception Invalid_argument msg -> Error (Malformed msg)
 

@@ -2,9 +2,10 @@
 
     Loads a request log ({!Eppi_serve.Workload.of_csv_log} /
     [of_jsonl_log] formats) and drives it through any pipelined transport
-    as windows of [Query] frames — {!Client.pipeline} for one daemon,
-    [Eppi_cluster.Client.pipeline] for a replica set.  The [bench -- net]
-    target and the CLI replay mode share it. *)
+    as windows of [Query] frames — {!Client.pipeline} on one connection,
+    [Eppi_cluster.Client.pipeline] over a replica set (the CLI's replay
+    mode, whatever the set's size).  The [bench -- net] target and the
+    CLI share it. *)
 
 type summary = {
   requests : int;

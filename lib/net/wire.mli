@@ -50,13 +50,13 @@ type request =
           tracks join in one exported Chrome/Perfetto trace.  Additive
           within protocol version 1: a daemon that predates the tag
           rejects it as {!Unknown_tag}, so clients only wrap when tracing
-          is enabled (see {!Client.connect}'s [trace_context]).  Envelopes
+          is enabled (see {!Client.connect}).  Envelopes
           never nest, and the inner frame must be a request. *)
   | Telemetry
       (** The daemon's live telemetry snapshot as JSON: rolling-window
           p50/p99/throughput per request class, per-stage pipeline
           histograms with their conservation check, slow-request ring,
-          per-worker counters, generation/swap and trace-drop info. *)
+          generation/swap and trace-drop info. *)
   | Cluster_status
       (** Replication introspection: the daemon's current index
           generation, applied-swap count and configured replica set

@@ -90,13 +90,20 @@ fi
 "$EPPI" serve -i "$NET_DIR/index1.csv" --listen "$NET_SOCK" \
   >"$NET_DIR/server.json" 2>"$NET_DIR/server.log" &
 NET_PID=$!
+# The daemon creates its socket once the index is loaded, and a client
+# dials once: wait for the socket before the first command.
+i=0
+while [ ! -S "$NET_SOCK" ] && [ "$i" -lt 50 ]; do sleep 0.1; i=$((i + 1)); done
+test -S "$NET_SOCK"
 # 100 queries: two rounds of 50, pipelined over one connection each, with a
 # hot-swap republish in between (generation 1 -> 2, queries keep flowing),
 # then a second republish back to index1 (generation 3).
 seq 0 49 | sed 's/^/--owner /' | xargs "$EPPI" query --connect "$NET_SOCK" >"$NET_DIR/replies1.txt"
-"$EPPI" republish --connect "$NET_SOCK" -i "$NET_DIR/index2.csv" | grep -q "generation 2"
+"$EPPI" republish --connect "$NET_SOCK" -i "$NET_DIR/index2.csv" \
+  | grep -q "republished 1/1 replicas at generation 2"
 seq 0 49 | sed 's/^/--owner /' | xargs "$EPPI" query --connect "$NET_SOCK" >"$NET_DIR/replies2.txt"
-"$EPPI" republish --connect "$NET_SOCK" -i "$NET_DIR/index1.csv" | grep -q "generation 3"
+"$EPPI" republish --connect "$NET_SOCK" -i "$NET_DIR/index1.csv" \
+  | grep -q "republished 1/1 replicas at generation 3"
 test "$(wc -l < "$NET_DIR/replies1.txt")" -eq 50
 test "$(wc -l < "$NET_DIR/replies2.txt")" -eq 50
 "$EPPI" stats --connect "$NET_SOCK" >"$NET_DIR/stats.json"
@@ -178,7 +185,13 @@ for r in a b c; do
   while [ ! -S "$CLU_DIR/$r.sock" ] && [ "$i" -lt 50 ]; do sleep 0.1; i=$((i + 1)); done
   test -S "$CLU_DIR/$r.sock"
 done
-"$EPPI" republish --cluster "$CLU_PEERS" -i "$CLU_DIR/index2.csv" >"$CLU_DIR/repub1.txt"
+# A republish names its replica set with --connect; the retired --cluster
+# flag fails loudly instead of being ignored by an old script.
+if "$EPPI" republish --cluster "$CLU_PEERS" -i "$CLU_DIR/index2.csv" >/dev/null 2>&1; then
+  echo "cluster smoke: eppi republish --cluster must be refused" >&2
+  exit 1
+fi
+"$EPPI" republish --connect "$CLU_PEERS" -i "$CLU_DIR/index2.csv" >"$CLU_DIR/repub1.txt"
 grep -q "republished 3/3 replicas at generation 2" "$CLU_DIR/repub1.txt"
 seq 0 49 | sed 's/^/--owner /' | xargs "$EPPI" query --connect "$CLU_PEERS" >"$CLU_DIR/replies1.txt"
 test "$(wc -l < "$CLU_DIR/replies1.txt")" -eq 50
@@ -187,7 +200,7 @@ test "$(wc -l < "$CLU_DIR/replies1.txt")" -eq 50
 # transparently and the fan-out must report honest partial success.
 seq 0 49 | sed 's/^/--owner /' | xargs "$EPPI" query --connect "$CLU_PEERS" >"$CLU_DIR/replies2.txt"
 test "$(wc -l < "$CLU_DIR/replies2.txt")" -eq 50
-"$EPPI" republish --cluster "$CLU_PEERS" --require 2 -i "$CLU_DIR/index1.csv" >"$CLU_DIR/repub2.txt"
+"$EPPI" republish --connect "$CLU_PEERS" --require 2 -i "$CLU_DIR/index1.csv" >"$CLU_DIR/repub2.txt"
 grep -q "republished 2/3 replicas at generation 3" "$CLU_DIR/repub2.txt"
 "$EPPI" top --connect "$CLU_PEERS" --json >"$CLU_DIR/top.json"
 # The table view shows a measured p50 and p99 for a survivor that served
@@ -255,6 +268,9 @@ trap 'rm -rf "$FUZ_DIR" "$PIN_DIR"' EXIT
   --roster "$FUZ_DIR/roster.csv" --linkage-seed 4242 \
   >"$FUZ_DIR/server.json" 2>"$FUZ_DIR/server.log" &
 FUZ_PID=$!
+i=0
+while [ ! -S "$FUZ_SOCK" ] && [ "$i" -lt 50 ]; do sleep 0.1; i=$((i + 1)); done
+test -S "$FUZ_SOCK"
 # Owner 0's roster row (line 1 is the header): query it back verbatim,
 # then with a corrupted first name — both must resolve to owner 0.
 ROW=$(sed -n '2p' "$FUZ_DIR/roster.csv")

@@ -1,8 +1,9 @@
 (* Tests for the replication layer (lib/cluster): replica-set parsing,
-   the pure round-robin pick, coordinator fan-out against a partially dead
-   replica set with the convergence check, and the cluster client —
-   transparent failover when a replica dies mid-run, the typed
-   stale-generation guard, and replay conservation. *)
+   the pure round-robin pick and backoff schedule, coordinator fan-out
+   against a partially dead replica set with the convergence check, and
+   the cluster client — transparent failover when a replica dies mid-run,
+   the typed stale-generation guard, replay conservation, and a set of
+   one as the client for a single daemon, restarts included. *)
 
 open Eppi_prelude
 module Serve = Eppi_serve.Serve
@@ -13,6 +14,9 @@ module Addr = Eppi_net.Addr
 module Replica_set = Eppi_cluster.Replica_set
 module Fanout = Eppi_cluster.Fanout
 module Cluster = Eppi_cluster.Client
+module Probe = Eppi_fuzzy.Probe
+module Resolver = Eppi_fuzzy.Resolver
+module Roster = Eppi_fuzzy.Roster
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -95,6 +99,44 @@ let test_select () =
   case "rr skips unselectable" ~rr:1 [| true; false; false |] (Some 0);
   case "rr all down" ~rr:0 [| false; false |] None
 
+(* ---------- Backoff schedule, pure ---------- *)
+
+(* Fan-out's retry schedule: jitter must stay inside [full/2, full) of the
+   capped exponential, and the delay is capped at 2 s however deep the
+   attempt count goes. *)
+let test_backoff_delay () =
+  let cap = 2.0 in
+  let full ~base ~attempt = Float.min (base *. (2.0 ** float_of_int (attempt - 1))) cap in
+  List.iter
+    (fun (base, attempt, u) ->
+      let d = Eppi_cluster.backoff_delay ~base ~attempt ~u in
+      let f = full ~base ~attempt in
+      check_bool
+        (Printf.sprintf "base %g attempt %d u %g in [full/2, full)" base attempt u)
+        true
+        (d >= (f /. 2.0) -. 1e-12 && d < f))
+    [
+      (0.05, 1, 0.0);
+      (0.05, 1, 0.999);
+      (0.05, 3, 0.5);
+      (0.05, 10, 0.0);
+      (0.05, 10, 0.999);
+      (1.5, 2, 0.25);
+      (0.001, 7, 0.75);
+    ];
+  (* Deterministic endpoints: u = 0 is exactly half the full delay. *)
+  check_bool "u=0 is half" true (Eppi_cluster.backoff_delay ~base:0.1 ~attempt:1 ~u:0.0 = 0.05);
+  (* Deep attempts saturate at the cap: delay lives in [1, 2). *)
+  let deep = Eppi_cluster.backoff_delay ~base:0.05 ~attempt:60 ~u:0.999 in
+  check_bool "deep attempt capped below 2 s" true (deep < cap);
+  check_bool "deep attempt at least cap/2" true (deep >= cap /. 2.0);
+  (match Eppi_cluster.backoff_delay ~base:0.05 ~attempt:0 ~u:0.5 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "attempt 0 must be rejected");
+  match Eppi_cluster.backoff_delay ~base:0.05 ~attempt:1 ~u:1.0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "u = 1 must be rejected"
+
 (* ---------- Convergence check, pure ---------- *)
 
 let test_converged () =
@@ -123,10 +165,9 @@ type daemon = {
   mutable d_alive : bool;
 }
 
-let start_daemon index =
-  let path = sock_path () in
+let start_daemon ?resolver ?(path = sock_path ()) index =
   let addr = Addr.Unix_socket path in
-  let server = Server.create (Serve.create index) in
+  let server = Server.create (Serve.create ?resolver index) in
   let listener = Server.listen addr in
   let domain = Domain.spawn (fun () -> Server.run server listener) in
   { d_addr = addr; d_path = path; d_domain = domain; d_alive = true }
@@ -135,7 +176,7 @@ let kill_daemon d =
   if d.d_alive then begin
     d.d_alive <- false;
     (try
-       let c = Net_client.connect ~retries:0 ~reconnect:false d.d_addr in
+       let c = Net_client.connect d.d_addr in
        (try Net_client.shutdown c with _ -> ());
        Net_client.close c
      with _ -> ());
@@ -228,7 +269,7 @@ let test_stale_generation () =
   let index2 = test_index_v2 ~n:25 ~m:9 in
   with_daemons 2 index1 (fun daemons ->
       let fresh = List.hd daemons in
-      let nc = Net_client.connect ~retries:0 ~reconnect:false fresh.d_addr in
+      let nc = Net_client.connect fresh.d_addr in
       (match
          Fun.protect
            ~finally:(fun () -> Net_client.close nc)
@@ -287,16 +328,93 @@ let test_replay_conservation () =
             (stats.dispatched.(0) > 0 && stats.dispatched.(1) > 0)))
 
 (* Every replica down: the typed cluster-level error, not a hang or a
-   raw Unix error. *)
+   raw Unix error, naming each replica with why its dial failed. *)
 let test_no_replica () =
-  let dead = Replica_set.of_string (sock_path () ^ "," ^ sock_path ()) in
+  let a = sock_path () and b = sock_path () in
+  let dead = Replica_set.of_string (a ^ "," ^ b) in
   let c = Cluster.create ~request_timeout:5.0 ~cooldown:30.0 ~seed:5 dead in
   Fun.protect
     ~finally:(fun () -> Cluster.close c)
     (fun () ->
       match Cluster.query c ~owner:0 with
-      | exception Cluster.No_replica _ -> ()
+      | exception Cluster.No_replica msg ->
+          let absent = Unix.error_message Unix.ENOENT in
+          check_bool "names both replicas with the reason" true
+            (contains msg (a ^ ": " ^ absent ^ "; " ^ b ^ ": " ^ absent))
       | _ -> Alcotest.fail "dead cluster must raise No_replica")
+
+(* A set of one is the client for a single daemon: exact queries, a
+   replay and a fuzzy window all go through [Cluster.pipeline]. *)
+let test_set_of_one () =
+  let n = 30 in
+  let index = test_index ~n ~m:9 in
+  let config = Resolver.default_config ~seed:0x5EED in
+  let roster = Roster.generate (Rng.create 5) ~n in
+  let resolver = Resolver.build config roster in
+  let d = start_daemon ~resolver index in
+  Fun.protect
+    ~finally:(fun () -> kill_daemon d)
+    (fun () ->
+      let c = Cluster.create ~request_timeout:5.0 ~seed:23 (Replica_set.of_addrs [ d.d_addr ]) in
+      Fun.protect
+        ~finally:(fun () -> Cluster.close c)
+        (fun () ->
+          (match Cluster.pipeline c [ Wire.Query { owner = 4 }; Wire.Query { owner = n + 1 } ] with
+          | [ Wire.Reply { generation = 1; reply }; Wire.Reply { generation = 1; reply = unknown } ]
+            ->
+              check_bool "exact reply" true
+                (reply = Serve.Providers (Eppi.Index.query index ~owner:4));
+              check_bool "unknown owner" true (unknown = Serve.Unknown_owner)
+          | _ -> Alcotest.fail "two query replies at generation 1 expected");
+          let workload = Array.init 50 (fun i -> i mod (n + 5)) in
+          let summary = Eppi_net.Replay.run ~depth:8 (Cluster.pipeline c) workload in
+          check_int "replay served" 45 summary.served;
+          check_int "replay unknown" 5 summary.unknown;
+          check_int "replay generations" 1 summary.last_generation;
+          let probe = Probe.of_demographic config.Resolver.params roster.(7) in
+          (match Cluster.pipeline c [ Wire.Query_fuzzy { probe; k = 3 } ] with
+          | [ Wire.Fuzzy_reply { generation = 1; result = Serve.Candidates (top :: _) } ] ->
+              check_int "fuzzy probe resolves its owner" 7 top.Serve.owner;
+              check_bool "fuzzy providers are the postings row" true
+                (top.Serve.providers = Eppi.Index.query index ~owner:7)
+          | _ -> Alcotest.fail "fuzzy window did not resolve");
+          check_int "no failovers" 0 (Cluster.stats c).failovers))
+
+(* A set of one whose daemon restarts on the same path: the window that
+   hits the dead socket raises [No_replica] (the client never re-dials
+   inside a window), and once the cooldown has passed the next window
+   dials again and is answered by the new daemon at generation 1. *)
+let test_set_of_one_restart () =
+  let index = test_index ~n:8 ~m:5 in
+  let d = start_daemon index in
+  let c =
+    Cluster.create ~request_timeout:5.0 ~cooldown:0.05 ~seed:29 (Replica_set.of_addrs [ d.d_addr ])
+  in
+  let restarted = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Cluster.close c;
+      kill_daemon d;
+      Option.iter kill_daemon !restarted)
+    (fun () ->
+      let query () = Cluster.pipeline c [ Wire.Query { owner = 3 } ] in
+      check_bool "first window answered" true
+        (match query () with [ Wire.Reply { generation = 1; _ } ] -> true | _ -> false);
+      kill_daemon d;
+      let fresh = start_daemon ~path:d.d_path index in
+      restarted := Some fresh;
+      (match query () with
+      | exception Cluster.No_replica msg ->
+          check_bool "names the replica" true (contains msg d.d_path)
+      | _ -> Alcotest.fail "the window on the dead socket must raise No_replica");
+      Unix.sleepf 0.1;
+      (match query () with
+      | [ Wire.Reply { generation; reply } ] ->
+          check_int "answered by the restarted daemon" 1 generation;
+          check_bool "reply intact" true
+            (reply = Serve.Providers (Eppi.Index.query index ~owner:3))
+      | _ -> Alcotest.fail "one reply expected after the cooldown");
+      check_int "one failure recorded" 1 (Cluster.stats c).failures.(0))
 
 let () =
   Alcotest.run "cluster"
@@ -306,6 +424,7 @@ let () =
       ( "policies",
         [
           Alcotest.test_case "pick table" `Quick test_select;
+          Alcotest.test_case "backoff jitter stays in bound" `Quick test_backoff_delay;
           Alcotest.test_case "convergence check" `Quick test_converged;
         ] );
       ( "fanout",
@@ -317,5 +436,7 @@ let () =
           Alcotest.test_case "stale generation guard" `Quick test_stale_generation;
           Alcotest.test_case "replay conservation" `Quick test_replay_conservation;
           Alcotest.test_case "no replica left" `Quick test_no_replica;
+          Alcotest.test_case "set of one answers every window" `Quick test_set_of_one;
+          Alcotest.test_case "set of one across a restart" `Quick test_set_of_one_restart;
         ] );
     ]

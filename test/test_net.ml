@@ -392,43 +392,6 @@ let test_addr () =
   | exception Invalid_argument msg -> check_bool "raise names empty" true (contains msg "empty")
   | _ -> Alcotest.fail "empty address must be rejected"
 
-(* The reconnect schedule (exposed pure): jitter must stay inside
-   [full/2, full) of the capped exponential, monotone in [u], and capped
-   at 2 s however deep the attempt count goes. *)
-let test_backoff_delay () =
-  let cap = 2.0 in
-  let full ~base ~attempt = Float.min (base *. (2.0 ** float_of_int (attempt - 1))) cap in
-  List.iter
-    (fun (base, attempt, u) ->
-      let d = Client.backoff_delay ~base ~attempt ~u in
-      let f = full ~base ~attempt in
-      check_bool
-        (Printf.sprintf "base %g attempt %d u %g in [full/2, full)" base attempt u)
-        true
-        (d >= (f /. 2.0) -. 1e-12 && d < f))
-    [
-      (0.05, 1, 0.0);
-      (0.05, 1, 0.999);
-      (0.05, 3, 0.5);
-      (0.05, 10, 0.0);
-      (0.05, 10, 0.999);
-      (1.5, 2, 0.25);
-      (0.001, 7, 0.75);
-    ];
-  (* Deterministic endpoints: u = 0 is exactly half the full delay. *)
-  check_bool "u=0 is half" true (Client.backoff_delay ~base:0.1 ~attempt:1 ~u:0.0 = 0.05);
-  (* Deep attempts saturate at the cap: delay lives in [1, 2). *)
-  let deep = Client.backoff_delay ~base:0.05 ~attempt:60 ~u:0.999 in
-  check_bool "deep attempt capped below 2 s" true (deep < cap);
-  check_bool "deep attempt at least cap/2" true (deep >= cap /. 2.0);
-  (match Client.backoff_delay ~base:0.05 ~attempt:0 ~u:0.5 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "attempt 0 must be rejected");
-  match Client.backoff_delay ~base:0.05 ~attempt:1 ~u:1.0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "u = 1 must be rejected"
-
-
 (* ---------- Index codec ---------- *)
 
 (* Decode must be total: typed errors on any input, never an exception. *)
@@ -1263,7 +1226,7 @@ let test_daemon_hot_swap_under_load () =
   with_server index1 (fun addr engine ->
       let worker =
         Domain.spawn (fun () ->
-            let c = Client.connect ~retries:20 addr in
+            let c = Client.connect addr in
             let rng = Rng.create 7 in
             let results = ref [] in
             let rounds = ref 0 and rounds_after_swap = ref 0 in
@@ -1401,7 +1364,7 @@ let test_daemon_fuzzy_hot_swap () =
   with_server ~resolver index1 (fun addr engine ->
       let worker =
         Domain.spawn (fun () ->
-            let c = Client.connect ~retries:20 addr in
+            let c = Client.connect addr in
             let rng = Rng.create 7 in
             let results = ref [] in
             let rounds = ref 0 and rounds_after_swap = ref 0 in
@@ -1791,51 +1754,9 @@ let test_client_request_timeout () =
               check_bool "call surfaces the timeout" true (contains msg "timed out")
           | _ -> Alcotest.fail "call must also time out"))
 
-let test_client_reconnects_across_restart () =
-  (* Kill the daemon under an established client, start a fresh one on the
-     same socket path: with [reconnect] the next call must transparently
-     land on the new server. *)
-  let index = test_index ~n:8 ~m:5 in
-  let path = sock_path () in
-  let addr = Addr.Unix_socket path in
-  let start () =
-    let engine = Serve.create index in
-    let server = Server.create engine in
-    let listener = Server.listen addr in
-    Domain.spawn (fun () -> Server.run server listener)
-  in
-  let stop daemon =
-    (try
-       let c = Client.connect addr in
-       (try Client.shutdown c with _ -> ());
-       Client.close c
-     with _ -> ());
-    Domain.join daemon
-  in
-  let daemon1 = start () in
-  let c = Client.connect ~reconnect:true ~max_reconnects:40 ~retry_delay:0.02 addr in
-  Fun.protect
-    ~finally:(fun () ->
-      Client.close c;
-      try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Client.ping c;
-      stop daemon1;
-      let daemon2 = start () in
-      Fun.protect
-        ~finally:(fun () -> stop daemon2)
-        (fun () ->
-          (* The old socket is dead; the client must notice mid-call and
-             re-dial. *)
-          Client.ping c;
-          let generation, reply = Client.query c ~owner:3 in
-          check_int "served by the restarted daemon" 1 generation;
-          check_bool "reply intact after reconnect" true
-            (reply = Serve.Providers (Eppi.Index.query index ~owner:3))))
-
-let test_client_connection_lost_when_gone_for_good () =
-  (* Server dies and never comes back: reconnect attempts must exhaust and
-     surface a typed Connection_lost, not spin forever. *)
+let test_client_connection_lost_at_once () =
+  (* The client never re-dials: once its daemon is gone, the next call
+     comes back as a typed Connection_lost at once. *)
   let index = test_index ~n:8 ~m:5 in
   let path = sock_path () in
   let addr = Addr.Unix_socket path in
@@ -1843,7 +1764,7 @@ let test_client_connection_lost_when_gone_for_good () =
   let server = Server.create engine in
   let listener = Server.listen addr in
   let daemon = Domain.spawn (fun () -> Server.run server listener) in
-  let c = Client.connect ~reconnect:true ~max_reconnects:2 ~retry_delay:0.01 addr in
+  let c = Client.connect addr in
   Fun.protect
     ~finally:(fun () ->
       Client.close c;
@@ -1853,10 +1774,45 @@ let test_client_connection_lost_when_gone_for_good () =
       Client.shutdown c;
       Domain.join daemon;
       (try Sys.remove path with Sys_error _ -> ());
-      match Client.call_result c Wire.Ping with
+      let t0 = Unix.gettimeofday () in
+      (match Client.call_result c Wire.Ping with
       | Error (Client.Connection_lost _) -> ()
       | Ok _ -> Alcotest.fail "dead server must not answer"
-      | Error Client.Timed_out -> Alcotest.fail "expected connection loss, got timeout")
+      | Error Client.Timed_out -> Alcotest.fail "expected connection loss, got timeout");
+      check_bool "lost within 0.5 s" true (Unix.gettimeofday () -. t0 < 0.5))
+
+(* Run the built CLI with [args]: its exit status, its stderr lines and
+   the wall time it took. *)
+let run_cli args =
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+  let t0 = Unix.gettimeofday () in
+  let pid = Unix.create_process eppi_exe (Array.of_list (eppi_exe :: args)) null_in null_out err_w in
+  List.iter Unix.close [ err_w; null_in; null_out ];
+  let ic = Unix.in_channel_of_descr err_r in
+  let err = Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> In_channel.input_all ic) in
+  let _, status = Unix.waitpid [] pid in
+  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' err) in
+  (status, lines, Unix.gettimeofday () -. t0)
+
+(* A CLI command that cannot reach its replica set fails at once with one
+   line naming the address, never an uncaught exception (exit 125); a
+   malformed address is a usage error; and the retired
+   [republish --cluster] flag is refused when the command line is
+   parsed (cmdliner's exit 124). *)
+let test_cli_unreachable () =
+  let absent = sock_path () in
+  let status, lines, seconds = run_cli [ "query"; "--connect"; absent; "--owner"; "1" ] in
+  check_bool "query exits 1" true (status = Unix.WEXITED 1);
+  check_bool "within 1 s" true (seconds < 1.0);
+  (match lines with
+  | [ line ] -> check_bool "the line names the address" true (contains line absent)
+  | _ -> Alcotest.fail (Printf.sprintf "expected one stderr line, got %d" (List.length lines)));
+  let status, _, _ = run_cli [ "query"; "--connect"; "host:"; "--owner"; "1" ] in
+  check_bool "malformed address exits 2" true (status = Unix.WEXITED 2);
+  let status, _, _ = run_cli [ "republish"; "--cluster"; absent; "-i"; Sys.executable_name ] in
+  check_bool "republish --cluster refused" true (status = Unix.WEXITED 124)
 
 (* ---------- Properties ---------- *)
 
@@ -2574,12 +2530,10 @@ let () =
         ] );
       ( "client robustness",
         [
-          Alcotest.test_case "backoff jitter stays in bound" `Quick test_backoff_delay;
           Alcotest.test_case "request timeout" `Quick test_client_request_timeout;
-          Alcotest.test_case "transparent reconnect across restart" `Quick
-            test_client_reconnects_across_restart;
-          Alcotest.test_case "connection lost after retries" `Quick
-            test_client_connection_lost_when_gone_for_good;
+          Alcotest.test_case "connection lost at once" `Quick
+            test_client_connection_lost_at_once;
+          Alcotest.test_case "unreachable CLI exits 1" `Quick test_cli_unreachable;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
