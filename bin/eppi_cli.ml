@@ -30,11 +30,29 @@
 open Cmdliner
 open Eppi_prelude
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* A command that cannot use its input or reach its target, or whose
+   target answers out of protocol, prints one line and exits 1. *)
+let fail ~what msg =
+  Printf.eprintf "%s: %s\n" what msg;
+  exit 1
+
+(* [read ()] loads the input file [path]: one that cannot be opened or
+   parsed, or whose header declares more than can be allocated, fails the
+   command. *)
+let guard ~what path read =
+  match read () with
+  | v -> v
+  | exception Sys_error msg -> fail ~what msg
+  | exception Failure msg -> fail ~what (Printf.sprintf "%s: %s" path msg)
+  | exception (Invalid_argument _ | Out_of_memory as e) ->
+      fail ~what (Printf.sprintf "%s: %s" path (Printexc.to_string e))
+
+(* Read an input file through [parse], which takes its channel. *)
+let load ~what parse path = guard ~what path (fun () -> In_channel.with_open_bin path parse)
+
+let load_index ~what = load ~what Eppi.Index.input_csv
+let load_dataset ~what =
+  load ~what (fun ic -> Eppi_dataset.Dataset.of_csv (In_channel.input_all ic))
 
 (* [write_with path f] hands [f] the output file's channel, or stdout
    without a path. *)
@@ -230,7 +248,7 @@ let construct_cmd =
              provider and recomputing every guarantee over the survivors.")
   in
   let run seed dataset_path policy secure c domains drop crashes trace output =
-    let dataset = Eppi_dataset.Dataset.of_csv (read_file dataset_path) in
+    let dataset = load_dataset ~what:"construct" dataset_path in
     let rng = Rng.create seed in
     let faulty = drop > 0.0 || crashes <> [] in
     if faulty && not secure then begin
@@ -321,12 +339,6 @@ let replica_set_of_string ~what addrs =
   | Error msg ->
       Printf.eprintf "%s: bad replica set %S: %s\n" what addrs msg;
       exit 2
-
-(* A command that cannot reach its target, or whose target answers out
-   of protocol, prints one line and exits 1. *)
-let fail ~what msg =
-  Printf.eprintf "%s: %s\n" what msg;
-  exit 1
 
 (* Run [f] on a cluster client over the replica set [addrs]: the one
    data-plane transport, whatever the set's size.  A request that gets no
@@ -457,7 +469,7 @@ let query_cmd =
     | Some path, None ->
         if replay_log <> None then usage_error "--replay-log needs --connect";
         if owners = [] then usage_error "--owner required";
-        let index = Eppi.Index.of_csv (read_file path) in
+        let index = load_index ~what:"query" path in
         List.iter
           (fun owner ->
             if owner < 0 || owner >= Eppi.Index.owners index then begin
@@ -471,7 +483,7 @@ let query_cmd =
           match replay_log with
           | Some log ->
               if owners <> [] then usage_error "--replay-log excludes --owner";
-              Some (Eppi_net.Replay.load log)
+              Some (guard ~what:"query" log (fun () -> Eppi_net.Replay.load log))
           | None ->
               if owners = [] then usage_error "--owner required";
               None
@@ -537,8 +549,8 @@ let query_cmd =
 
 let evaluate_cmd =
   let run seed dataset_path index_path =
-    let dataset = Eppi_dataset.Dataset.of_csv (read_file dataset_path) in
-    let index = Eppi.Index.of_csv (read_file index_path) in
+    let dataset = load_dataset ~what:"evaluate" dataset_path in
+    let index = load_index ~what:"evaluate" index_path in
     let membership = dataset.membership in
     let published = Eppi.Index.matrix index in
     let ratio =
@@ -589,8 +601,8 @@ let attack_cmd =
           ~doc:"Frequency fraction above which an identity counts as common.")
   in
   let run seed dataset_path index_path colluders sigma_threshold =
-    let dataset = Eppi_dataset.Dataset.of_csv (read_file dataset_path) in
-    let index = Eppi.Index.of_csv (read_file index_path) in
+    let dataset = load_dataset ~what:"attack" dataset_path in
+    let index = load_index ~what:"attack" index_path in
     let membership = dataset.membership in
     let published = Eppi.Index.matrix index in
     let rng = Rng.create seed in
@@ -734,14 +746,22 @@ let serve_cmd =
     exit 2
   in
   let run index_path rate burst listen stdio peers roster linkage_seed trace =
-    (match (listen, stdio) with
-    | Some _, true -> usage_error "--listen and --stdio are mutually exclusive"
-    | None, false ->
-        usage_error
-          "give --listen ADDR or --stdio (to replay a request log against a daemon, use \
-           `eppi query --connect ADDR --replay-log FILE`)"
-    | _ -> ());
-    let index = Eppi.Index.of_csv (read_file index_path) in
+    let address =
+      match (listen, stdio) with
+      | Some _, true -> usage_error "--listen and --stdio are mutually exclusive"
+      | None, false ->
+          usage_error
+            "give --listen ADDR or --stdio (to replay a request log against a daemon, use \
+             `eppi query --connect ADDR --replay-log FILE`)"
+      | None, true -> None
+      | Some addr, false -> (
+          match Eppi_net.Addr.parse addr with
+          | Ok address -> Some address
+          | Error e ->
+              usage_error
+                (Printf.sprintf "bad --listen %S: %s" addr (Eppi_net.Addr.parse_error_to_string e)))
+    in
+    let index = load_index ~what:"serve" index_path in
     let n = Eppi.Index.owners index in
     let admission = Option.map (fun rate -> { Eppi_serve.Admission.rate; burst }) rate in
     let config = { Eppi_serve.Serve.admission } in
@@ -753,21 +773,24 @@ let serve_cmd =
             "--roster requires --linkage-seed (the shared linkage secret; never a built-in \
              default on a network path)"
       | Some path, Some seed ->
-          let people = Eppi_fuzzy.Roster.of_csv (read_file path) in
+          let people = load ~what:"serve" Eppi_fuzzy.Roster.input_csv path in
           if Array.length people <> n then
             usage_error
               (Printf.sprintf "roster names %d identities but the index has %d owners"
                  (Array.length people) n);
-          Printf.eprintf "roster: %d identities, fuzzy resolver enabled\n" (Array.length people);
           Some (Eppi_fuzzy.Resolver.build (Eppi_fuzzy.Resolver.default_config ~seed) people)
     in
     let engine = Eppi_serve.Serve.create ~config ?resolver index in
-    let postings = Eppi_serve.Serve.postings engine in
-    Printf.eprintf "index: %d owners, %d providers; postings store %d bytes\n" n
-      (Eppi.Index.providers index)
-      (Eppi_serve.Postings.memory_bytes postings);
-    match listen with
-    | Some addr ->
+    (* What the daemon serves, told once it can serve it: a listen address
+       that fails leaves its one error line alone on stderr. *)
+    let announce () =
+      if resolver <> None then Printf.eprintf "roster: %d identities, fuzzy resolver enabled\n" n;
+      Printf.eprintf "index: %d owners, %d providers; postings store %d bytes\n" n
+        (Eppi_serve.Postings.providers (Eppi_serve.Serve.postings engine))
+        (Eppi_serve.Postings.memory_bytes (Eppi_serve.Serve.postings engine))
+    in
+    match address with
+    | Some address ->
         let peer_list =
           match peers with
           | None -> []
@@ -780,17 +803,29 @@ let serve_cmd =
         in
         let config = { Eppi_net.Server.default_config with peers = peer_list } in
         let server = Eppi_net.Server.create ~config engine in
-        Printf.eprintf "listening on %s (generation %d%s)\n" addr
-          (Eppi_serve.Serve.generation engine)
-          (if peer_list = [] then ""
-           else Printf.sprintf ", replica set of %d" (List.length peer_list));
-        with_trace trace (fun () -> Eppi_net.Server.serve server (Eppi_net.Addr.of_string addr));
+        (* Announced only once bound: a path another daemon serves, or
+           one that is not a socket, fails before any "listening" line. *)
+        let ready () =
+          announce ();
+          Printf.eprintf "listening on %s (generation %d%s)\n%!"
+            (Eppi_net.Addr.to_string address)
+            (Eppi_serve.Serve.generation engine)
+            (if peer_list = [] then ""
+             else Printf.sprintf ", replica set of %d" (List.length peer_list))
+        in
+        (match with_trace trace (fun () -> Eppi_net.Server.serve ~ready server address) with
+        | () -> ()
+        | exception Failure msg -> fail ~what:"serve" msg
+        | exception Unix.Unix_error (e, _, _) ->
+            fail ~what:"serve"
+              (Printf.sprintf "%s: %s" (Eppi_net.Addr.to_string address) (Unix.error_message e)));
         Printf.eprintf "daemon stopped; final metrics:\n";
         print_endline (Eppi_serve.Metrics.to_json (Eppi_serve.Serve.metrics engine))
     | None ->
         (* No idle sweep: a stdio peer may pause as long as it likes. *)
         let config = { Eppi_net.Server.default_config with idle_timeout = 0.0 } in
         let server = Eppi_net.Server.create ~config engine in
+        announce ();
         with_trace trace (fun () -> Eppi_net.Server.run_stdio server)
   in
   let term =
@@ -849,11 +884,13 @@ let republish_cmd =
   in
   let run addrs index_path require =
     let set = replica_set_of_string ~what:"republish" addrs in
-    let index =
-      match Eppi.Index.of_csv (read_file index_path) with
-      | index -> index
-      | exception Failure msg -> fail ~what:"republish" ("bad index: " ^ msg)
-    in
+    let size = Eppi_cluster.Replica_set.size set in
+    let require = Option.value ~default:size require in
+    if require < 1 || require > size then begin
+      Printf.eprintf "republish: --require %d outside 1..%d, the replica set's size\n" require size;
+      exit 2
+    end;
+    let index = load_index ~what:"republish" index_path in
     let report = Eppi_cluster.Fanout.republish set index in
     List.iter
       (fun (r : Eppi_cluster.Fanout.replica_result) ->
@@ -869,13 +906,11 @@ let republish_cmd =
               (if r.attempts = 1 then "" else "s")
               msg)
       report.results;
-    let size = Eppi_cluster.Replica_set.size set in
     Printf.printf "republished %d/%d replicas%s in %.3fs\n%!" report.succeeded size
       (match report.generation with
       | Some g -> Printf.sprintf " at generation %d" g
       | None -> "")
       report.wall_seconds;
-    let require = Option.value ~default:size require in
     if report.succeeded < require then
       fail ~what:"republish"
         (Printf.sprintf "%d of %d replicas installed the index, %d required" report.succeeded
@@ -1160,7 +1195,7 @@ let shutdown_cmd =
 
 let inspect_cmd =
   let run dataset_path =
-    let dataset = Eppi_dataset.Dataset.of_csv (read_file dataset_path) in
+    let dataset = load_dataset ~what:"inspect" dataset_path in
     print_endline (Eppi_dataset.Dataset.stats_summary dataset)
   in
   let term = Term.(const run $ dataset_arg) in

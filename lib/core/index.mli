@@ -41,5 +41,14 @@ val output_csv : out_channel -> t -> unit
 val of_csv : string -> t
 (** Inverse of {!to_csv}.  Input is validated: the dimension header must be
     complete and positive, every line must be an in-range [owner,provider]
-    pair, and duplicate cells are rejected.
+    pair, and duplicate cells are rejected.  Blank lines are skipped but
+    counted.  Lines are parsed one at a time, without a list of them.
+    @raise Failure on malformed input, naming the offending line. *)
+
+val input_csv : in_channel -> t
+(** [input_csv ic] reads {!of_csv}'s format from [ic] a line at a time,
+    the mirror of {!output_csv}: it holds the matrix and one line, never
+    the file.  It accepts exactly the input {!of_csv} accepts and fails
+    with the same messages (empty input included:
+    ["Index.of_csv: bad header"]).
     @raise Failure on malformed input, naming the offending line. *)

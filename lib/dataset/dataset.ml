@@ -111,13 +111,23 @@ let of_csv text =
   if !providers <= 0 || !owners <= 0 then failwith "Dataset.of_csv: bad dimensions";
   let membership = Bitmatrix.create ~rows:!owners ~cols:!providers in
   let epsilons = Array.make !owners 0.5 in
+  let owner j =
+    match int_of_string_opt j with Some j when j >= 0 && j < !owners -> Some j | _ -> None
+  in
   List.iteri
     (fun lineno line ->
       if lineno > 0 && line <> "" then
+        let bad () = failwith (Printf.sprintf "Dataset.of_csv: bad line %d" (lineno + 1)) in
         match String.split_on_char ',' line with
-        | [ "eps"; j; e ] -> epsilons.(int_of_string j) <- float_of_string e
-        | [ "m"; j; p ] ->
-            Bitmatrix.set membership ~row:(int_of_string j) ~col:(int_of_string p) true
-        | _ -> failwith (Printf.sprintf "Dataset.of_csv: bad line %d" (lineno + 1)))
+        | [ "eps"; j; e ] -> (
+            match (owner j, float_of_string_opt e) with
+            | Some j, Some e -> epsilons.(j) <- e
+            | _ -> bad ())
+        | [ "m"; j; p ] -> (
+            match (owner j, int_of_string_opt p) with
+            | Some row, Some col when col >= 0 && col < !providers ->
+                Bitmatrix.set membership ~row ~col true
+            | _ -> bad ())
+        | _ -> bad ())
     lines;
   { providers = !providers; owners = !owners; membership; epsilons }

@@ -70,4 +70,7 @@ val to_csv : t -> string
     dimensions and epsilons. *)
 
 val of_csv : string -> t
-(** Inverse of {!to_csv}. @raise Failure on malformed input. *)
+(** Inverse of {!to_csv}.
+    @raise Failure on malformed input: a bad header or dimensions, or a
+    line that is not an [eps] or [m] record with in-range ids and
+    numeric fields (["Dataset.of_csv: bad line N"]). *)

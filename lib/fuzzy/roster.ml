@@ -46,31 +46,61 @@ let parse_gender lineno = function
   | "o" -> Demographic.Other
   | g -> fail lineno (Printf.sprintf "unknown gender code %S" g)
 
+(* The reader runs one parser per line, over a channel or a string, and
+   collects persons in a doubling array: neither the file nor a list of
+   its lines or rows is ever live.  Line numbers count every line. *)
+type rows = { mutable people : Demographic.t array; mutable count : int }
+
+let add_line rows lineno raw =
+  let line = String.trim raw in
+  if line <> "" && line <> header then
+    match String.split_on_char ',' line with
+    | [ owner; first; last; dob; zip; gender ] ->
+        (match int_of_string_opt (String.trim owner) with
+        | Some o when o = rows.count -> ()
+        | Some o -> fail lineno (Printf.sprintf "owner %d, expected %d" o rows.count)
+        | None -> fail lineno (Printf.sprintf "bad owner id %S" owner));
+        let person =
+          {
+            Demographic.first = String.trim first;
+            last = String.trim last;
+            dob = parse_dob lineno (String.trim dob);
+            zip = String.trim zip;
+            gender = parse_gender lineno (String.trim gender);
+          }
+        in
+        if rows.count = Array.length rows.people then begin
+          let grown = Array.make (max 64 (2 * rows.count)) person in
+          Array.blit rows.people 0 grown 0 rows.count;
+          rows.people <- grown
+        end;
+        rows.people.(rows.count) <- person;
+        rows.count <- rows.count + 1
+    | fields -> fail lineno (Printf.sprintf "%d fields, expected 6" (List.length fields))
+
+let read next_line =
+  let rows = { people = [||]; count = 0 } in
+  let rec go lineno =
+    match next_line () with
+    | None -> ()
+    | Some raw ->
+        add_line rows lineno raw;
+        go (lineno + 1)
+  in
+  go 1;
+  Array.sub rows.people 0 rows.count
+
 let of_csv text =
-  let rows = ref [] in
-  let expected = ref 0 in
-  let lineno = ref 0 in
-  String.split_on_char '\n' text
-  |> List.iter (fun raw ->
-         incr lineno;
-         let line = String.trim raw in
-         if line <> "" && line <> header then
-           match String.split_on_char ',' line with
-           | [ owner; first; last; dob; zip; gender ] ->
-               (match int_of_string_opt (String.trim owner) with
-               | Some o when o = !expected -> ()
-               | Some o -> fail !lineno (Printf.sprintf "owner %d, expected %d" o !expected)
-               | None -> fail !lineno (Printf.sprintf "bad owner id %S" owner));
-               incr expected;
-               rows :=
-                 {
-                   Demographic.first = String.trim first;
-                   last = String.trim last;
-                   dob = parse_dob !lineno (String.trim dob);
-                   zip = String.trim zip;
-                   gender = parse_gender !lineno (String.trim gender);
-                 }
-                 :: !rows
-           | fields ->
-               fail !lineno (Printf.sprintf "%d fields, expected 6" (List.length fields)));
-  Array.of_list (List.rev !rows)
+  let pos = ref 0 in
+  read (fun () ->
+      if !pos > String.length text then None
+      else begin
+        let stop =
+          Option.value ~default:(String.length text) (String.index_from_opt text !pos '\n')
+        in
+        let line = String.sub text !pos (stop - !pos) in
+        pos := stop + 1;
+        Some line
+      end)
+
+let input_csv ic = read (fun () -> In_channel.input_line ic)

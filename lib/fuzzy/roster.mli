@@ -18,5 +18,11 @@ val generate : Eppi_prelude.Rng.t -> n:int -> Demographic.t array
 val to_csv : Demographic.t array -> string
 
 val of_csv : string -> Demographic.t array
-(** @raise Failure on malformed input: wrong field count, non-sequential
+(** Blank lines and the header line are skipped (and counted in line
+    numbers); lines are parsed one at a time, without a list of them.
+    @raise Failure on malformed input: wrong field count, non-sequential
     owner ids, an unparsable date of birth, or an unknown gender code. *)
+
+val input_csv : in_channel -> Demographic.t array
+(** {!of_csv} reading a line at a time from a channel: it accepts the same
+    input and fails with the same messages, and never holds the file. *)

@@ -100,10 +100,25 @@ let handle ~trace_id t request =
 
 (* ---- listening ---- *)
 
+(* A live daemon's socket accepts a connection (or, with a full backlog,
+   would make a blocking one wait); a dead one's leftover refuses it. *)
+let socket_in_use path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.set_nonblock fd;
+      match Unix.connect fd (Unix.ADDR_UNIX path) with
+      | () -> true
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINPROGRESS), _, _) -> true
+      | exception Unix.Unix_error _ -> false)
+
 let listen address =
   (match address with
   | Addr.Unix_socket path when Sys.file_exists path -> (
       match (Unix.stat path).st_kind with
+      | Unix.S_SOCK when socket_in_use path ->
+          failwith (Printf.sprintf "Server.listen: %s is in use by a running daemon" path)
       | Unix.S_SOCK -> Unix.unlink path (* a dead server's leftover *)
       | _ -> failwith (Printf.sprintf "Server.listen: %s exists and is not a socket" path))
   | _ -> ());
@@ -385,14 +400,16 @@ let loop t ~listener ~streams =
 
 let run t listener = loop t ~listener:(Some listener) ~streams:[]
 
-let serve t address =
+let serve ~ready t address =
   let listener = listen address in
   let cleanup () =
     match address with
     | Addr.Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | Addr.Tcp _ -> ()
   in
-  Fun.protect ~finally:cleanup (fun () -> run t listener)
+  Fun.protect ~finally:cleanup (fun () ->
+      ready ();
+      run t listener)
 
 (* The loop closes the descriptors it serves, so it gets duplicates and
    the process keeps fds 0 and 1.  They share one open file description

@@ -84,21 +84,26 @@ val create : ?config:config -> Eppi_serve.Serve.t -> t
 val engine : t -> Eppi_serve.Serve.t
 
 val listen : Addr.t -> Unix.file_descr
-(** Bind and listen.  A stale Unix-socket file left by a dead server is
-    removed first; a path occupied by a non-socket file is an error.
+(** Bind and listen.  An existing Unix-socket file is probed with a
+    connect first: a refused one is a dead server's leftover and is
+    removed, an accepted one belongs to a running daemon and is left
+    alone.  A path occupied by a non-socket file is an error too.
     The returned descriptor is ready for {!run} — clients may already
     connect (the backlog holds them), which is how tests and the CLI avoid
     start-up races.
     @raise Unix.Unix_error as [bind]/[listen] do;
-    @raise Failure when a Unix-socket path exists and is not a socket. *)
+    @raise Failure when a Unix-socket path is a running daemon's socket
+    or exists and is not a socket. *)
 
 val run : t -> Unix.file_descr -> unit
 (** Serve until a [Shutdown] frame arrives, then flush and return.  Closes
     the listener and every connection; does not unlink socket files. *)
 
-val serve : t -> Addr.t -> unit
+val serve : ready:(unit -> unit) -> t -> Addr.t -> unit
 (** {!listen} + {!run}, unlinking a Unix-socket path on the way out (also
-    on exception) so no stray socket file survives the daemon. *)
+    on exception) so no stray socket file survives the daemon.  [ready]
+    runs once the address is bound, before the loop starts: the place to
+    announce the daemon, since {!listen}'s exceptions come before it. *)
 
 val run_stdio : t -> unit
 (** The [--stdio] transport: {!run}'s loop with no listener and one

@@ -368,8 +368,12 @@ let get_probe c : Eppi_fuzzy.Probe.t =
   let zip = get_bitvec c ~bits in
   { keys; bits; hashes; first; last; dob; zip }
 
+(* The payload from the cursor on: the payload itself when that is all of
+   it, so a republish payload is not copied again. *)
 let rest c =
-  let s = String.sub c.payload c.pos (String.length c.payload - c.pos) in
+  let s =
+    if c.pos = 0 then c.payload else String.sub c.payload c.pos (String.length c.payload - c.pos)
+  in
   c.pos <- String.length c.payload;
   s
 
@@ -484,23 +488,59 @@ let known_tag tag =
 (* ---- the incremental decoder ---- *)
 
 module Decoder = struct
+  (* Bytes fed but not yet consumed wait in [buf]: whole frames and the
+     start of the next.  A frame too large for [buf] leaves it once its
+     header reaches the front: its payload is received into a buffer of
+     its own, which [next] hands out as the frame's string when it is
+     full, with no further copy. *)
+  type large = { tag : int; length : int; mutable payload : Bytes.t; mutable fill : int }
+
   type t = {
     mutable buf : Bytes.t;
     mutable off : int;  (* consumed prefix *)
     mutable len : int;  (* valid bytes (off <= len) *)
     max_payload : int;
     mutable poison : error option;
+    mutable large : large option;  (* a frame too large for [buf], received so far *)
   }
 
   let create ?(max_payload = default_max_payload) () =
     if max_payload <= 0 then invalid_arg "Wire.Decoder.create: non-positive payload bound";
-    { buf = Bytes.create 4096; off = 0; len = 0; max_payload; poison = None }
+    { buf = Bytes.create 4096; off = 0; len = 0; max_payload; poison = None; large = None }
 
-  let buffered t = t.len - t.off
+  let buffered t =
+    t.len - t.off + match t.large with Some l -> header_bytes + l.fill | None -> 0
+
+  (* The smallest of [length], [length / 2], [length / 4], ... that holds
+     both [need] bytes and 4 KB.  It is under twice the larger of the two,
+     so a peer reserves about twice what it has sent, whatever its header
+     announces; and a buffer grown through these sizes allocates at most
+     twice [length] in all, ending at exactly [length]. *)
+  let capacity ~length need =
+    let c = ref length in
+    while !c / 2 >= max need 4096 do
+      c := !c / 2
+    done;
+    !c
 
   let feed t bytes ~off ~len =
     if off < 0 || len < 0 || off + len > Bytes.length bytes then
       invalid_arg "Wire.Decoder.feed: slice out of bounds";
+    let taken =
+      match t.large with
+      | None -> 0
+      | Some l ->
+          let n = min len (l.length - l.fill) in
+          if l.fill + n > Bytes.length l.payload then begin
+            let grown = Bytes.create (capacity ~length:l.length (l.fill + n)) in
+            Bytes.blit l.payload 0 grown 0 l.fill;
+            l.payload <- grown
+          end;
+          Bytes.blit bytes off l.payload l.fill n;
+          l.fill <- l.fill + n;
+          n
+    in
+    let off = off + taken and len = len - taken in
     (* Reclaim the consumed prefix, then grow if the tail still lacks room. *)
     if t.off > 0 && t.len + len > Bytes.length t.buf then begin
       Bytes.blit t.buf t.off t.buf 0 (t.len - t.off);
@@ -527,11 +567,23 @@ module Decoder = struct
     t.poison <- Some e;
     Error e
 
+  let parse t tag payload =
+    match parse_payload tag payload with
+    | frame -> Ok (Some frame)
+    | exception Corrupt_payload msg -> fail t (Corrupt msg)
+
   let next t =
-    match t.poison with
-    | Some e -> Error e
-    | None ->
-        let available = buffered t in
+    match (t.poison, t.large) with
+    | Some e, _ -> Error e
+    | None, Some l ->
+        if l.fill < l.length then Ok None
+        else begin
+          (* Full, so exactly [length] bytes long; nothing writes it again. *)
+          t.large <- None;
+          parse t l.tag (Bytes.unsafe_to_string l.payload)
+        end
+    | None, None ->
+        let available = t.len - t.off in
         (* Validate the header prefix byte-by-byte so garbage is rejected
            as soon as it arrives, not once 7 bytes accumulate. *)
         if available >= 1 && byte t 0 <> magic then fail t (Bad_magic (byte t 0))
@@ -541,6 +593,17 @@ module Decoder = struct
         else begin
           let length = (byte t 3 lsl 24) lor (byte t 4 lsl 16) lor (byte t 5 lsl 8) lor byte t 6 in
           if length > t.max_payload then fail t (Oversized { length; limit = t.max_payload })
+          else if header_bytes + length > Bytes.length t.buf then begin
+            (* Every byte buffered behind the header is this frame's, and
+               some of it has yet to arrive. *)
+            let fill = available - header_bytes in
+            let payload = Bytes.create (capacity ~length fill) in
+            Bytes.blit t.buf (t.off + header_bytes) payload 0 fill;
+            t.large <- Some { tag = byte t 2; length; payload; fill };
+            t.off <- 0;
+            t.len <- 0;
+            Ok None
+          end
           else if available < header_bytes + length then Ok None
           else begin
             let payload = Bytes.sub_string t.buf (t.off + header_bytes) length in
@@ -550,9 +613,7 @@ module Decoder = struct
               t.off <- 0;
               t.len <- 0
             end;
-            match parse_payload tag payload with
-            | frame -> Ok (Some frame)
-            | exception Corrupt_payload msg -> fail t (Corrupt msg)
+            parse t tag payload
           end
         end
 end

@@ -14,7 +14,12 @@
 
     Decoding is incremental ({!Decoder}): feed whatever bytes the socket
     produced, get back complete frames; partial headers and split payloads
-    reassemble across feeds.  Every malformed input is a typed {!error} —
+    reassemble across feeds.  A frame too large for the decoder's buffer
+    is received into a buffer of its own, handed out as the frame's
+    payload without another copy.  That buffer grows with the bytes that
+    arrive, through the sizes length / 2{^k}, ..., length / 2, length for
+    the length its header announces, so it never holds much more than
+    twice what the peer has sent.  Every malformed input is a typed {!error} —
     wrong magic, unknown version or tag, a payload longer than the
     configured bound, or a payload whose body does not parse.  A decoder
     that has reported an error is poisoned and keeps reporting it: the only

@@ -11,9 +11,15 @@ type side = {
   width : int;
 }
 
+(* The inverse side holds one list per provider, at its id, when its
+   table costs at most a word per entry or 32 KB.  Otherwise it holds one
+   per provider that occurs, at its rank in [columns] (ascending), so a
+   provider count that no entry pays for sizes no table: a payload that
+   declares 2^24 providers and no cells compiles in kilobytes. *)
 type t = {
   fwd : side;
   inv : side;
+  columns : int array option;
   owners : int;
   providers : int;
 }
@@ -36,10 +42,29 @@ let read_entry side e =
   Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le side.data byte) shift)
   land ((1 lsl side.width) - 1)
 
+let dense ~providers ~entries = providers <= max entries 4096
+
+(* The inverse list of provider [p]: [p] itself on a dense side, else its
+   rank in the ascending [cols], or -1 when no entry names it. *)
+let inverse_list columns p =
+  match columns with
+  | None -> p
+  | Some cols ->
+      let rec search lo hi =
+        if lo >= hi then -1
+        else
+          let mid = (lo + hi) lsr 1 in
+          let c = cols.(mid) in
+          if c = p then mid else if c < p then search (mid + 1) hi else search lo mid
+      in
+      search 0 (Array.length cols)
+
 (* The forward side is written as entries arrive, into slots laid out from
    the declared row counts; [slot] runs through them in owner order, so a
-   row may start only where the rows before it ended.  [col_counts] tallies
-   each provider's entries and becomes the inverse offsets in [finish]. *)
+   row may start only where the rows before it ended.  On a dense inverse
+   side [col_counts] tallies each provider's entries and becomes the
+   inverse offsets in [finish]; a sparse one tallies there instead, and
+   [col_counts] is empty. *)
 type builder = {
   b_fwd : side;
   col_counts : int array;
@@ -59,7 +84,8 @@ let builder ~providers row_counts =
   let width = width_for providers in
   {
     b_fwd = { offsets; data = packed_data ~width offsets.(owners); width };
-    col_counts = Array.make (providers + 1) 0;
+    col_counts =
+      (if dense ~providers ~entries:offsets.(owners) then Array.make (providers + 1) 0 else [||]);
     b_owners = owners;
     b_providers = providers;
     row = -1;
@@ -78,9 +104,23 @@ let add b ~owner p =
   if p < 0 || p >= b.b_providers then invalid_arg "Postings.add: provider out of range";
   write_entry b.b_fwd ~slot:b.slot p;
   b.slot <- b.slot + 1;
-  b.col_counts.(p) <- b.col_counts.(p) + 1
+  if Array.length b.col_counts > 0 then b.col_counts.(p) <- b.col_counts.(p) + 1
 
-(* One counting pass: [col_counts] becomes each provider's end offset, and
+(* The providers that occur in the forward entries, ascending. *)
+let occurring fwd entries =
+  let ids = Array.init entries (read_entry fwd) in
+  Array.sort Int.compare ids;
+  let distinct = ref 0 in
+  Array.iteri
+    (fun i p ->
+      if i = 0 || p <> ids.(i - 1) then begin
+        ids.(!distinct) <- p;
+        incr distinct
+      end)
+    ids;
+  Array.sub ids 0 !distinct
+
+(* One counting pass: the tallies become each list's end offset, and
    walking the forward entries backwards moves each one down to its slot,
    so every inverse list comes out ascending and the table ends as the
    start offsets. *)
@@ -88,24 +128,36 @@ let finish b =
   let fwd = b.b_fwd and owners = b.b_owners and providers = b.b_providers in
   let entries = fwd.offsets.(owners) in
   if b.slot <> entries then invalid_arg "Postings.finish: a row left short";
-  let offsets = b.col_counts in
+  let columns = if Array.length b.col_counts > 0 then None else Some (occurring fwd entries) in
+  let offsets =
+    match columns with
+    | None -> b.col_counts
+    | Some cols ->
+        let counts = Array.make (Array.length cols + 1) 0 in
+        for e = 0 to entries - 1 do
+          let c = inverse_list columns (read_entry fwd e) in
+          counts.(c) <- counts.(c) + 1
+        done;
+        counts
+  in
+  let lists = Array.length offsets - 1 in
   let sum = ref 0 in
-  for p = 0 to providers - 1 do
-    sum := !sum + offsets.(p);
-    offsets.(p) <- !sum
+  for c = 0 to lists - 1 do
+    sum := !sum + offsets.(c);
+    offsets.(c) <- !sum
   done;
-  offsets.(providers) <- entries;
+  offsets.(lists) <- entries;
   let width = width_for owners in
   let inv = { offsets; data = packed_data ~width entries; width } in
   for j = owners - 1 downto 0 do
     for e = fwd.offsets.(j + 1) - 1 downto fwd.offsets.(j) do
-      let p = read_entry fwd e in
-      let slot = offsets.(p) - 1 in
-      offsets.(p) <- slot;
+      let c = inverse_list columns (read_entry fwd e) in
+      let slot = offsets.(c) - 1 in
+      offsets.(c) <- slot;
       write_entry inv ~slot j
     done
   done;
-  { fwd; inv; owners; providers }
+  { fwd; inv; columns; owners; providers }
 
 let of_matrix matrix =
   let owners = Bitmatrix.rows matrix in
@@ -145,14 +197,16 @@ let iter_query t ~owner f =
 
 let owners_of t ~provider =
   check_range "owners_of" provider t.providers;
-  side_list t.inv provider
+  match inverse_list t.columns provider with -1 -> [] | c -> side_list t.inv c
 
 let audit_count t ~provider =
   check_range "audit_count" provider t.providers;
-  t.inv.offsets.(provider + 1) - t.inv.offsets.(provider)
+  match inverse_list t.columns provider with
+  | -1 -> 0
+  | c -> t.inv.offsets.(c + 1) - t.inv.offsets.(c)
 
 let entry_bits t = (t.fwd.width, t.inv.width)
 
 let memory_bytes t =
   let side s = Bytes.length s.data + (8 * Array.length s.offsets) in
-  side t.fwd + side t.inv
+  side t.fwd + side t.inv + match t.columns with None -> 0 | Some cols -> 8 * Array.length cols

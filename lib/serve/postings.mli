@@ -32,7 +32,9 @@ val builder : providers:int -> int array -> builder
 (** [builder ~providers counts] compiles [Array.length counts] owners whose
     rows will hold [counts.(j)] ids each, out of [providers].  It allocates
     the forward offsets and packed entries at once, and one table of
-    [providers + 1] words. *)
+    [providers + 1] words when that costs at most a word per entry or
+    32 KB.  Otherwise {!finish} gives the inverse side lists only for the
+    providers that occur, so a provider count alone sizes no table. *)
 
 val add : builder -> owner:int -> int -> unit
 (** Append a provider id to the owner's row.  Owners come in ascending

@@ -162,6 +162,35 @@ test ! -e "$NET_SOCK"
 rm -rf "$NET_DIR"
 trap - EXIT
 
+# A ~10 s smoke of the daemon's start-up peak (docs/PERF.md, "The
+# daemon's start-up peak"): the reference index of 5,000 providers x
+# 4,000 owners is a 190 MB CSV of 20 M cells, and a daemon that reads it
+# a line at a time comes up and answers under a 1 GiB address-space cap
+# (one that read the file into a list of its lines aborted there).  The
+# reply must be owner 7's row of the file.
+echo "== start-up peak smoke =="
+BIG_DIR=$(mktemp -d /tmp/eppi_startup_smoke.XXXXXX)
+BIG_SOCK="$BIG_DIR/eppi.sock"
+trap 'rm -rf "$BIG_DIR"' EXIT
+"$EPPI" generate --providers 5000 --owners 4000 --seed 5 -o "$BIG_DIR/net.csv" 2>/dev/null
+"$EPPI" construct -d "$BIG_DIR/net.csv" -o "$BIG_DIR/index.csv" 2>/dev/null
+(ulimit -v 1048576 && exec "$EPPI" serve -i "$BIG_DIR/index.csv" --listen "$BIG_SOCK") \
+  >/dev/null 2>"$BIG_DIR/server.log" &
+BIG_PID=$!
+i=0
+while [ ! -S "$BIG_SOCK" ] && kill -0 "$BIG_PID" 2>/dev/null && [ "$i" -lt 300 ]; do
+  sleep 0.1
+  i=$((i + 1))
+done
+test -S "$BIG_SOCK" || { cat "$BIG_DIR/server.log" >&2; exit 1; }
+"$EPPI" query --connect "$BIG_SOCK" --owner 7 >"$BIG_DIR/reply.txt"
+grep '^7,' "$BIG_DIR/index.csv" | cut -d, -f2 | paste -sd, - | cmp - "$BIG_DIR/reply.txt"
+"$EPPI" shutdown --connect "$BIG_SOCK" 2>/dev/null
+wait "$BIG_PID"
+echo "a 190 MB index served under a 1 GiB address-space cap"
+rm -rf "$BIG_DIR"
+trap - EXIT
+
 # A ~5 s smoke of the replication layer (docs/SERVE.md, "Replication"):
 # three daemons sharing a --peers list form a replica set; a cluster
 # republish fans the binary payload to all three, cluster-addressed

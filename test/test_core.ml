@@ -355,6 +355,15 @@ let test_index_csv_round_trip () =
   (* The serialization itself is also a fixed point. *)
   Alcotest.(check string) "csv idempotent" (Index.to_csv index) (Index.to_csv reloaded)
 
+(* [text] through a channel, as the CLI reads an index file. *)
+let via_channel read text =
+  let path = Filename.temp_file "eppi_index" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      In_channel.with_open_bin path read)
+
 (* The index CSV as the original writer built it: one [Printf] line per
    published cell. *)
 let reference_csv index =
@@ -411,7 +420,9 @@ let test_index_csv_writers_agree () =
 
 let test_index_csv_malformed () =
   let reject name text error =
-    Alcotest.check_raises name (Failure error) (fun () -> ignore (Index.of_csv text))
+    Alcotest.check_raises name (Failure error) (fun () -> ignore (Index.of_csv text));
+    Alcotest.check_raises (name ^ " (channel)") (Failure error) (fun () ->
+        ignore (via_channel Index.input_csv text))
   in
   reject "empty input" "" "Index.of_csv: bad header";
   reject "alien header" "not an index\n0,0\n" "Index.of_csv: bad header";
@@ -433,6 +444,163 @@ let test_index_csv_malformed () =
   (* Blank lines are tolerated (to_csv ends with a newline). *)
   let index = Index.of_csv "# eppi-index owners=2 providers=3\n\n1,2\n\n" in
   Alcotest.(check (list int)) "parsed around blanks" [ 2 ] (Index.query index ~owner:1)
+
+(* The index reader as first written: the whole file split into a list of
+   lines, then each line into a list of fields.  [Index.of_csv] and
+   [Index.input_csv] must accept exactly what it accepts, build the same
+   matrix and fail with the same message. *)
+module Reference = struct
+  let of_csv text =
+    let lines = String.split_on_char '\n' text in
+    match lines with
+    | header :: rest ->
+        let owners, providers =
+          try
+            Scanf.sscanf header "# eppi-index owners=%d providers=%d%!" (fun o p -> (o, p))
+          with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+            failwith "Index.of_csv: bad header"
+        in
+        if owners <= 0 || providers <= 0 then failwith "Index.of_csv: bad dimensions";
+        let matrix = Bitmatrix.create ~rows:owners ~cols:providers in
+        List.iteri
+          (fun lineno line ->
+            if line <> "" then
+              match String.split_on_char ',' line with
+              | [ j; p ] -> (
+                  match (int_of_string_opt j, int_of_string_opt p) with
+                  | Some row, Some col ->
+                      if row < 0 || row >= owners || col < 0 || col >= providers then
+                        failwith
+                          (Printf.sprintf "Index.of_csv: cell out of range at line %d"
+                             (lineno + 2));
+                      if Bitmatrix.get matrix ~row ~col then
+                        failwith
+                          (Printf.sprintf "Index.of_csv: duplicate cell at line %d" (lineno + 2));
+                      Bitmatrix.set matrix ~row ~col true
+                  | _ -> failwith (Printf.sprintf "Index.of_csv: bad line %d" (lineno + 2)))
+              | _ -> failwith (Printf.sprintf "Index.of_csv: bad line %d" (lineno + 2)))
+          rest;
+        Index.of_matrix matrix
+    | [] -> failwith "Index.of_csv: empty input"
+end
+
+(* A loader's outcome: the matrix, or the message it failed with. *)
+let load_outcome load text =
+  match load text with
+  | index -> Ok (Index.matrix index)
+  | exception Failure msg -> Error msg
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> Bitmatrix.equal x y
+  | Error x, Error y -> x = y
+  | _ -> false
+
+(* Index CSV files: a header (sometimes truncated, zero or carrying junk),
+   then cells mostly in range, some duplicated, some out of range, each
+   integer in decimal or in one of the other spellings [int_of_string]
+   takes, with blank, non-numeric and wrong-width lines mixed in; lines
+   may end in CR, and the final newline may be missing.  An empty file
+   is one draw in twenty. *)
+let gen_index_csv =
+  let open QCheck.Gen in
+  let spell n =
+    if n < 0 then return (string_of_int n)
+    else
+      oneof
+        [ return (string_of_int n); return (Printf.sprintf "0x%x" n);
+          return ("+" ^ string_of_int n); return ("0" ^ string_of_int n);
+          return (Printf.sprintf "%d_0" n); return (if n = 0 then "0b0" else "0b1") ]
+  in
+  let header owners providers =
+    frequency
+      [ (24, return (Printf.sprintf "# eppi-index owners=%d providers=%d" owners providers));
+        (1, return (Printf.sprintf "# eppi-index owners=%d" owners));
+        (1, return (Printf.sprintf "# eppi-index owners=%d providers=%d x" owners providers));
+        (1, return (Printf.sprintf "# eppi-index owners=0 providers=%d" providers));
+        (1, return "not an index") ]
+  in
+  let line owners providers =
+    frequency
+      [ ( 60,
+          int_range 0 (owners - 1) >>= fun j ->
+          int_range 0 (providers - 1) >>= fun p ->
+          frequency [ (40, return (j, p)); (1, return (j, providers)); (1, return (-1, p)) ]
+          >>= fun (j, p) ->
+          frequency
+            [ (5, return (string_of_int j, string_of_int p)); (1, pair (spell j) (spell p)) ]
+          >|= fun (j, p) -> j ^ "," ^ p );
+        (6, return "");
+        (1, return "a,b");
+        (1, int_range 0 (owners - 1) >|= string_of_int);
+        (1, return "1,2,3") ]
+  in
+  let file =
+    int_range 1 6 >>= fun owners ->
+    int_range 1 9 >>= fun providers ->
+    header owners providers >>= fun header ->
+    list_size (int_range 0 12) (line owners providers) >>= fun lines ->
+    list_repeat (List.length lines + 1) (frequency [ (30, return "\n"); (1, return "\r\n") ])
+    >>= fun ends ->
+    bool >|= fun final_newline ->
+    let body = List.map2 ( ^ ) (header :: lines) ends |> String.concat "" in
+    if final_newline then body else String.sub body 0 (String.length body - 1)
+  in
+  frequency [ (19, file); (1, return "") ]
+
+let index_loader_props =
+  let open QCheck in
+  [
+    Test.make ~name:"index loaders agree with the reference reader" ~count:1000
+      (make ~print:String.escaped gen_index_csv)
+      (fun text ->
+        let reference = load_outcome Reference.of_csv text in
+        same_outcome reference (load_outcome Index.of_csv text)
+        && same_outcome reference (load_outcome (via_channel Index.input_csv) text));
+    Test.make ~name:"index loaders read what both writers write" ~count:100
+      (triple (int_range 1 30) (int_range 1 80) small_int)
+      (fun (rows, cols, seed) ->
+        let rng = Rng.create seed in
+        let matrix = Bitmatrix.create ~rows ~cols in
+        for row = 0 to rows - 1 do
+          for col = 0 to cols - 1 do
+            if Rng.float rng 1.0 < 0.3 then Bitmatrix.set matrix ~row ~col true
+          done
+        done;
+        let csv = Index.to_csv (Index.of_matrix matrix) in
+        Bitmatrix.equal matrix (Index.matrix (Index.of_csv csv))
+        && Bitmatrix.equal matrix (Index.matrix (via_channel Index.input_csv csv)));
+  ]
+
+(* Words [f] promotes from the minor heap while it runs. *)
+let promoted_words f =
+  Gc.full_major ();
+  let _, before, _ = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let _, after, _ = Gc.counters () in
+  after -. before
+
+(* The list-based reader keeps every line alive until the last is parsed,
+   so the minor heap promotes all of them; the line-at-a-time readers
+   keep one line, and promote next to nothing over 200,000 cells. *)
+let test_index_csv_promotes_little () =
+  let rng = Rng.create 47 in
+  let matrix = Bitmatrix.create ~rows:1000 ~cols:1000 in
+  for row = 0 to 999 do
+    for col = 0 to 999 do
+      if Rng.float rng 1.0 < 0.2 then Bitmatrix.set matrix ~row ~col true
+    done
+  done;
+  let text = Index.to_csv (Index.of_matrix matrix) in
+  let cells = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) (-1) text in
+  check_bool "about 200,000 cells" true (cells > 195_000 && cells < 205_000);
+  let reference = promoted_words (fun () -> Reference.of_csv text) in
+  let check name words =
+    if words *. 10.0 >= reference then
+      Alcotest.failf "%s promoted %.0f words, the reference %.0f" name words reference
+  in
+  check "of_csv" (promoted_words (fun () -> Index.of_csv text));
+  check "input_csv" (promoted_words (fun () -> via_channel Index.input_csv text))
 
 let test_metrics_fp_rate () =
   let membership, published = tiny_scenario () in
@@ -987,6 +1155,7 @@ let () =
           Alcotest.test_case "csv round trip" `Quick test_index_csv_round_trip;
           Alcotest.test_case "csv writers agree" `Quick test_index_csv_writers_agree;
           Alcotest.test_case "csv malformed input" `Quick test_index_csv_malformed;
+          Alcotest.test_case "csv readers promote little" `Quick test_index_csv_promotes_little;
           Alcotest.test_case "fp rate" `Quick test_metrics_fp_rate;
           Alcotest.test_case "empty row" `Quick test_metrics_empty_row;
           Alcotest.test_case "success ratio" `Quick test_metrics_success_ratio;
@@ -1032,5 +1201,5 @@ let () =
           Alcotest.test_case "exact edges" `Quick test_analysis_exact_edges;
           Alcotest.test_case "expected values" `Quick test_analysis_expected_values;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("properties", List.map QCheck_alcotest.to_alcotest (qcheck_tests @ index_loader_props));
     ]

@@ -195,6 +195,131 @@ let test_roster_malformed () =
   expect_failure "bad dob" "0,a,b,1950-13-41,12345,f\n";
   expect_failure "bad gender" "0,a,b,1950-01-01,12345,x\n"
 
+(* The roster reader as first written: the whole file split into a list
+   of lines, persons collected in a list.  [Roster.of_csv] and
+   [Roster.input_csv] must accept exactly what it accepts and fail with
+   the same message. *)
+module Roster_reference = struct
+  let header = "owner,first,last,dob,zip,gender"
+  let fail lineno what = failwith (Printf.sprintf "Roster: line %d: %s" lineno what)
+
+  let parse_dob lineno s =
+    match String.split_on_char '-' s with
+    | [ y; m; d ] -> (
+        match (int_of_string_opt y, int_of_string_opt m, int_of_string_opt d) with
+        | Some y, Some m, Some d
+          when y >= 0 && y <= 9999 && m >= 0 && m <= 12 && d >= 0 && d <= 31 ->
+            (y, m, d)
+        | _ -> fail lineno (Printf.sprintf "bad date of birth %S" s))
+    | _ -> fail lineno (Printf.sprintf "bad date of birth %S" s)
+
+  let parse_gender lineno = function
+    | "f" -> Demographic.Female
+    | "m" -> Demographic.Male
+    | "o" -> Demographic.Other
+    | g -> fail lineno (Printf.sprintf "unknown gender code %S" g)
+
+  let of_csv text =
+    let rows = ref [] in
+    let expected = ref 0 in
+    let lineno = ref 0 in
+    String.split_on_char '\n' text
+    |> List.iter (fun raw ->
+           incr lineno;
+           let line = String.trim raw in
+           if line <> "" && line <> header then
+             match String.split_on_char ',' line with
+             | [ owner; first; last; dob; zip; gender ] ->
+                 (match int_of_string_opt (String.trim owner) with
+                 | Some o when o = !expected -> ()
+                 | Some o -> fail !lineno (Printf.sprintf "owner %d, expected %d" o !expected)
+                 | None -> fail !lineno (Printf.sprintf "bad owner id %S" owner));
+                 incr expected;
+                 rows :=
+                   {
+                     Demographic.first = String.trim first;
+                     last = String.trim last;
+                     dob = parse_dob !lineno (String.trim dob);
+                     zip = String.trim zip;
+                     gender = parse_gender !lineno (String.trim gender);
+                   }
+                   :: !rows
+             | fields ->
+                 fail !lineno (Printf.sprintf "%d fields, expected 6" (List.length fields)));
+    Array.of_list (List.rev !rows)
+end
+
+let roster_outcome read text =
+  match read text with people -> Ok people | exception Failure msg -> Error msg
+
+let roster_via_channel text =
+  let path = Filename.temp_file "eppi_roster" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      In_channel.with_open_bin path Roster.input_csv)
+
+(* Roster files: a generated roster's lines, each kept, dropped, doubled
+   or mutated (owner ids in the other spellings [int_of_string] takes,
+   padded fields, a field cut off, a bad date or gender code, a
+   truncated header), with blank lines mixed in; lines may end in CR, and
+   the final newline may be missing.  An empty file is one draw in
+   twenty. *)
+let gen_roster_csv =
+  let open QCheck.Gen in
+  let mutate line =
+    match String.split_on_char ',' line with
+    | [ owner; first; last; dob; zip; gender ] as fields ->
+        let join = String.concat "," in
+        let o = int_of_string_opt owner in
+        frequency
+          [ (12, return [ line ]);
+            (1, return []);
+            (1, return [ line; line ]);
+            (1, return [ ""; line ]);
+            ( 1,
+              oneofl
+                (match o with
+                | Some o ->
+                    [ Printf.sprintf "0x%x" o; "+" ^ owner; "0" ^ owner; owner ^ "_0"; " " ^ owner ]
+                | None -> [ owner ])
+              >|= fun owner -> [ join [ owner; first; last; dob; zip; gender ] ] );
+            (1, return [ join [ owner; " " ^ first ^ " "; last; dob; zip; gender ^ "\t" ] ]);
+            (1, return [ join (List.filteri (fun i _ -> i < 5) fields) ]);
+            (1, oneofl [ "1950-13-01"; "19x0-01-01"; "1950-01"; "" ] >|= fun dob ->
+                [ join [ owner; first; last; dob; zip; gender ] ]);
+            (1, oneofl [ "x"; "F"; "" ] >|= fun gender ->
+                [ join [ owner; first; last; dob; zip; gender ] ]) ]
+    | _ ->
+        (* The header, or the empty tail after the last newline. *)
+        frequency
+          [ (8, return [ line ]); (1, return [ "owner,first,last" ]); (1, return [ line; "" ]) ]
+  in
+  let file =
+    pair (int_range 0 8) int >>= fun (n, seed) ->
+    let lines = String.split_on_char '\n' (Roster.to_csv (Roster.generate (Rng.create seed) ~n)) in
+    flatten_l (List.map mutate lines) >>= fun lines ->
+    let lines = List.concat lines in
+    list_repeat (List.length lines) (frequency [ (8, return "\n"); (1, return "\r\n") ])
+    >>= fun ends ->
+    bool >|= fun final_newline ->
+    let text = String.concat "" (List.map2 ( ^ ) lines ends) in
+    if final_newline || text = "" then text else String.sub text 0 (String.length text - 1)
+  in
+  frequency [ (19, file); (1, return "") ]
+
+let roster_loader_props =
+  let open QCheck in
+  [
+    Test.make ~name:"roster loaders agree with the reference reader" ~count:1000
+      (make ~print:String.escaped gen_roster_csv)
+      (fun text ->
+        let reference = roster_outcome Roster_reference.of_csv text in
+        reference = roster_outcome Roster.of_csv text
+        && reference = roster_outcome roster_via_channel text);
+  ]
+
 (* ---- resolver ---- *)
 
 (* An identity no generated roster contains. *)
@@ -774,5 +899,5 @@ let () =
           Alcotest.test_case "admission sheds" `Quick test_engine_fuzzy_admission;
           Alcotest.test_case "typo workload" `Quick test_workload_fuzzy;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("properties", List.map QCheck_alcotest.to_alcotest (qcheck_tests @ roster_loader_props));
     ]

@@ -184,6 +184,56 @@ let test_codec_partial_frame () =
     (Wire.Decoder.next d = Ok (Some (Wire.Request (Wire.Query { owner = 12345 }))));
   check_int "nothing buffered" 0 (Wire.Decoder.buffered d)
 
+(* Frames too large for the decoder's buffer, alone or pipelined between
+   small ones, reassemble at every chunk size; and a 4 MB republish frame
+   fed in 64 KB reads costs the decoder under two copies of its payload
+   (doubling a buffer up to it, cutting the payload out and cutting the
+   republish data out of that cost six). *)
+let test_codec_large_frames () =
+  let big n =
+    let data = String.init n (fun i -> Char.chr ((i * 7) land 0xFF)) in
+    Wire.Request (Wire.Republish_binary { data })
+  in
+  let frames =
+    [ Wire.Request Wire.Ping; big 100_000; Wire.Request (Wire.Query { owner = 5 }); big 70_000;
+      big 5_000; Wire.Response Wire.Pong ]
+  in
+  let stream = String.concat "" (List.map Wire.frame_to_string frames) in
+  List.iter
+    (fun chunk ->
+      check_bool
+        (Printf.sprintf "chunk size %d reassembles" chunk)
+        true
+        (decode_chunked ~chunk stream = Ok (frames, 0)))
+    [ 1; 7; 4093; 65536; String.length stream ];
+  let payload = 4 lsl 20 in
+  let frame = big payload in
+  let s = Wire.frame_to_string frame in
+  let d = Wire.Decoder.create () in
+  let read = Bytes.create 65536 in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  let got = ref [] and pos = ref 0 in
+  while !pos < String.length s do
+    let len = min (Bytes.length read) (String.length s - !pos) in
+    Bytes.blit_string s !pos read 0 len;
+    Wire.Decoder.feed d read ~off:0 ~len;
+    pos := !pos + len;
+    match Wire.Decoder.next d with
+    | Ok (Some f) -> got := f :: !got
+    | Ok None -> ()
+    | Error e -> Alcotest.fail (Wire.error_to_string e)
+  done;
+  let bytes = 8.0 *. (allocated () -. before) in
+  check_bool "the frame decodes" true (!got = [ frame ]);
+  check_bool
+    (Printf.sprintf "%.0f bytes allocated for a %d-byte payload" bytes payload)
+    true
+    (bytes < 2.1 *. float_of_int payload)
+
 (* Hand-rolled frame header: magic, version, tag, 32-bit BE length. *)
 let header ~tag ~len =
   let b = Buffer.create 7 in
@@ -192,6 +242,31 @@ let header ~tag ~len =
   Buffer.add_char b (Char.chr tag);
   List.iter (fun sh -> Buffer.add_char b (Char.chr ((len lsr sh) land 0xFF))) [ 24; 16; 8; 0 ];
   Buffer.contents b
+
+(* A header announcing the largest payload the decoder accepts reserves
+   kilobytes, and what its payload holds stays within about twice the
+   bytes that have arrived. *)
+let test_codec_header_reserves_little () =
+  let d = Wire.Decoder.create () in
+  let length = Wire.default_max_payload in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    8.0 *. (minor +. major -. promoted)
+  in
+  let before = allocated () in
+  Wire.Decoder.feed_string d (header ~tag:0x08 ~len:length);
+  check_bool "a lone header is a prefix" true (Wire.Decoder.next d = Ok None);
+  let bytes = allocated () -. before in
+  check_bool (Printf.sprintf "%.0f bytes allocated for the header" bytes) true (bytes < 16_384.0);
+  let chunk = Bytes.make 1000 'x' in
+  for _ = 1 to 300 do
+    Wire.Decoder.feed d chunk ~off:0 ~len:(Bytes.length chunk);
+    if Wire.Decoder.next d <> Ok None then Alcotest.fail "a payload prefix decoded";
+    let fed = Wire.Decoder.buffered d in
+    let held = Sys.word_size / 8 * Obj.reachable_words (Obj.repr d) in
+    if held > (2 * fed) + 16_384 then Alcotest.failf "%d bytes held after %d fed" held fed
+  done;
+  check_int "all buffered" (7 + 300_000) (Wire.Decoder.buffered d)
 
 let expect_error name ?(max_payload = 64) s matches =
   let d = Wire.Decoder.create ~max_payload () in
@@ -1814,6 +1889,191 @@ let test_cli_unreachable () =
   let status, _, _ = run_cli [ "republish"; "--cluster"; absent; "-i"; Sys.executable_name ] in
   check_bool "republish --cluster refused" true (status = Unix.WEXITED 124)
 
+(* [eppi serve -i INDEX --listen SOCK] as a process: [f ~csv pid addr]
+   runs once the daemon answers a ping, then the daemon is shut down and
+   reaped.  The socket file appears at [bind], a moment before [listen],
+   so a connect that follows it at once may still be refused. *)
+let with_cli_daemon index f =
+  let csv = Filename.temp_file "eppi-daemon" ".csv" in
+  let path = sock_path () in
+  let addr = Addr.Unix_socket path in
+  Out_channel.with_open_bin csv (fun oc -> Eppi.Index.output_csv oc index);
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let pid =
+    Unix.create_process eppi_exe [| eppi_exe; "serve"; "-i"; csv; "--listen"; path |] null null
+      null
+  in
+  Unix.close null;
+  let reap () =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    let rec wait () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () < deadline ->
+          Unix.sleepf 0.01;
+          wait ()
+      | 0, _ ->
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid)
+      | _ -> ()
+    in
+    wait ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         let c = Client.connect addr in
+         (try Client.shutdown c with _ -> ());
+         Client.close c
+       with _ -> ());
+      reap ();
+      Sys.remove csv;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec await () =
+        if Unix.gettimeofday () > deadline || fst (Unix.waitpid [ Unix.WNOHANG ] pid) <> 0 then
+          Alcotest.fail "daemon did not come up";
+        match Client.connect addr with
+        | c -> Fun.protect ~finally:(fun () -> Client.close c) (fun () -> Client.ping c)
+        | exception Unix.Unix_error ((ENOENT | ECONNREFUSED), _, _) ->
+            Unix.sleepf 0.01;
+            await ()
+      in
+      await ();
+      f ~csv pid addr)
+
+(* The process's peak resident set, in kB. *)
+let vm_hwm_kb pid =
+  In_channel.with_open_bin (Printf.sprintf "/proc/%d/status" pid) In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.find_map (fun line ->
+         if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
+           Scanf.sscanf line "VmHWM: %d kB" Option.some
+         else None)
+  |> Option.get
+
+(* Seven bytes: codec version, one owner, 2^24 providers, an empty row.
+   A table of every provider made a replica that compiled it grow by
+   128 MB; the inverse side now keeps lists only for providers that
+   occur, and every in-range audit still answers with no owners. *)
+let sparse_payload = "\x01\x01\x80\x80\x80\x08\x00"
+
+let test_sparse_payload_costs_kilobytes () =
+  let providers = 1 lsl 24 in
+  let minor0, promoted0, major0 = Gc.counters () in
+  let store = Index_codec.decode_postings sparse_payload in
+  let minor1, promoted1, major1 = Gc.counters () in
+  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  (match store with
+  | Error e -> Alcotest.fail (Index_codec.error_to_string e)
+  | Ok store ->
+      let module P = Eppi_serve.Postings in
+      check_bool (Printf.sprintf "decode allocates kilobytes (%.0f words)" words) true
+        (words < 16_384.0);
+      check_int "providers" providers (P.providers store);
+      check_bool "memory in kilobytes" true (P.memory_bytes store < 65_536);
+      List.iter
+        (fun provider ->
+          check_bool "no owners" true (P.owners_of store ~provider = []);
+          check_int "audit count" 0 (P.audit_count store ~provider))
+        [ 0; 1; providers / 2; providers - 1 ]);
+  with_cli_daemon (test_index ~n:20 ~m:9) (fun ~csv:_ pid addr ->
+      let c = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          Client.ping c;
+          let before = vm_hwm_kb pid in
+          (match Client.call c (Wire.Republish_binary { data = sparse_payload }) with
+          | Wire.Republished { generation } -> check_int "installed" 2 generation
+          | other -> Client.unexpected "sparse republish" other);
+          let growth = vm_hwm_kb pid - before in
+          check_bool (Printf.sprintf "replica grew %d kB" growth) true (growth < 16_384);
+          List.iter
+            (fun provider ->
+              check_bool "in-range audit answers no owners" true
+                (Client.audit c ~provider = (2, Some [])))
+            [ 0; providers - 1 ];
+          check_bool "out-of-range audit" true (Client.audit c ~provider:providers = (2, None));
+          check_bool "the row is empty" true
+            (Client.query c ~owner:0 = (2, Serve.Providers []))))
+
+(* A second [eppi serve] on a path a daemon serves exits 1 with one line,
+   and the first daemon keeps the path and answers. *)
+let test_cli_listen_in_use () =
+  let index = test_index ~n:20 ~m:9 in
+  with_cli_daemon index (fun ~csv _pid addr ->
+      let path = Addr.to_string addr in
+      let status, lines, _ = run_cli [ "serve"; "-i"; csv; "--listen"; path ] in
+      check_bool "second daemon exits 1" true (status = Unix.WEXITED 1);
+      (match lines with
+      | [ line ] -> check_bool "the line names the path" true (contains line path)
+      | _ -> Alcotest.failf "expected one stderr line, got %d" (List.length lines));
+      let c = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          check_bool "first daemon still answers" true
+            (Client.query c ~owner:3 = (1, Serve.Providers (Eppi.Index.query index ~owner:3)))))
+
+(* Every input file or listen address the CLI cannot use fails with one
+   stderr line and exit 1, never an uncaught exception (125); a
+   [republish --require K] outside 1..N is a usage error (2) that
+   installs nothing. *)
+let test_cli_startup_failures () =
+  let dir = Filename.temp_file "eppi-cli" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let file name contents =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    path
+  in
+  let expect_one_line ~code args needle =
+    let status, lines, _ = run_cli args in
+    check_bool
+      (Printf.sprintf "%s exits %d" (String.concat " " args) code)
+      true
+      (status = Unix.WEXITED code);
+    match lines with
+    | [ line ] -> check_bool (Printf.sprintf "%S names %S" line needle) true (contains line needle)
+    | _ -> Alcotest.failf "%s: expected one stderr line, got %d" (List.hd args) (List.length lines)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let good = file "good.csv" (Eppi.Index.to_csv (test_index ~n:20 ~m:9)) in
+      let bad = file "bad.csv" "# eppi-index owners=3 providers=4\n3,0\n" in
+      let sock = Filename.concat dir "s.sock" in
+      expect_one_line ~code:1
+        [ "serve"; "-i"; bad; "--listen"; sock ]
+        "Index.of_csv: cell out of range at line 2";
+      let roster = file "roster.csv" "0,a,b,1950-13-41,12345,f\n" in
+      expect_one_line ~code:1
+        [ "serve"; "-i"; good; "--listen"; sock; "--roster"; roster; "--linkage-seed"; "1" ]
+        "bad date of birth";
+      let regular = file "not-a-socket" "" in
+      expect_one_line ~code:1 [ "serve"; "-i"; good; "--listen"; regular ] "not a socket";
+      expect_one_line ~code:1 [ "query"; "-i"; bad; "--owner"; "1" ] "cell out of range";
+      let dataset = file "net.csv" "# providers=4 owners=3\nm,3,0\n" in
+      expect_one_line ~code:1
+        [ "construct"; "-d"; dataset; "-o"; Filename.concat dir "out.csv" ]
+        "Dataset.of_csv: bad line 2";
+      with_cli_daemon (test_index ~n:20 ~m:9) (fun ~csv _pid addr ->
+          let target = Addr.to_string addr in
+          List.iter
+            (fun k ->
+              expect_one_line ~code:2
+                [ "republish"; "--connect"; target; "--require"; k; "-i"; csv ]
+                "--require")
+            [ "0"; "2" ];
+          let c = Client.connect addr in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () -> check_int "nothing installed" 1 (fst (Client.query c ~owner:1)))))
+
 (* ---------- Properties ---------- *)
 
 (* ---- live telemetry ---- *)
@@ -2479,6 +2739,10 @@ let () =
           Alcotest.test_case "round-trips every frame type" `Quick test_codec_roundtrip;
           Alcotest.test_case "split-read reassembly" `Quick test_codec_split_reads;
           Alcotest.test_case "partial frame wants more bytes" `Quick test_codec_partial_frame;
+          Alcotest.test_case "large frames reassemble, copied under twice" `Quick
+            test_codec_large_frames;
+          Alcotest.test_case "a header reserves what arrives" `Quick
+            test_codec_header_reserves_little;
           Alcotest.test_case "typed decode errors" `Quick test_codec_errors;
           Alcotest.test_case "poisoned decoder stays poisoned" `Quick test_codec_poisoned_decoder;
         ] );
@@ -2520,6 +2784,10 @@ let () =
           Alcotest.test_case "slow reader gets every reply" `Quick test_daemon_slow_reader;
           Alcotest.test_case "retired tags refused" `Quick test_daemon_retired_tag;
           Alcotest.test_case "stdio serves the same loop" `Quick test_stdio_daemon;
+          Alcotest.test_case "sparse provider count costs kilobytes" `Quick
+            test_sparse_payload_costs_kilobytes;
+          Alcotest.test_case "second daemon refused on a served path" `Quick
+            test_cli_listen_in_use;
         ] );
       ( "telemetry",
         [
@@ -2534,6 +2802,7 @@ let () =
           Alcotest.test_case "connection lost at once" `Quick
             test_client_connection_lost_at_once;
           Alcotest.test_case "unreachable CLI exits 1" `Quick test_cli_unreachable;
+          Alcotest.test_case "start-up failures exit 1" `Quick test_cli_startup_failures;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -192,14 +192,10 @@ module Reference = struct
     side t.fwd + side t.inv
 end
 
-(* Every list, count, width and byte of the two compilers' stores. *)
-let same_as_reference matrix =
-  let p = Postings.of_matrix matrix and r = Reference.of_matrix matrix in
-  let owners = Bitmatrix.rows matrix and providers = Bitmatrix.cols matrix in
+(* Every list and count of the two compilers' stores. *)
+let same_lists p (r : Reference.t) ~owners ~providers =
   Postings.owners p = owners
   && Postings.providers p = providers
-  && Postings.entry_bits p = (r.fwd.width, r.inv.width)
-  && Postings.memory_bytes p = Reference.memory_bytes r
   && List.for_all
        (fun owner ->
          let l = Reference.list r.fwd owner in
@@ -210,6 +206,22 @@ let same_as_reference matrix =
          let l = Reference.list r.inv provider in
          Postings.owners_of p ~provider = l && Postings.audit_count p ~provider = List.length l)
        (List.init providers Fun.id)
+
+(* ... and every width and byte too. *)
+let same_as_reference matrix =
+  let p = Postings.of_matrix matrix and r = Reference.of_matrix matrix in
+  same_lists p r ~owners:(Bitmatrix.rows matrix) ~providers:(Bitmatrix.cols matrix)
+  && Postings.entry_bits p = (r.fwd.width, r.inv.width)
+  && Postings.memory_bytes p = Reference.memory_bytes r
+
+(* Over more providers than entries (and 4,096), the inverse side keeps
+   lists only for the providers that occur: the same answers, in less
+   memory than the reference's table of every provider. *)
+let sparse_same_as_reference matrix =
+  let p = Postings.of_matrix matrix and r = Reference.of_matrix matrix in
+  same_lists p r ~owners:(Bitmatrix.rows matrix) ~providers:(Bitmatrix.cols matrix)
+  && Postings.entry_bits p = (r.fwd.width, r.inv.width)
+  && Postings.memory_bytes p < Reference.memory_bytes r
 
 (* ---------- Admission ---------- *)
 
@@ -634,6 +646,17 @@ let qcheck_tests =
   [
     Test.make ~name:"builder compiles what the two-pass reference compiles" ~count:300 gen_matrix
       same_as_reference;
+    Test.make ~name:"sparse inverse side answers what the reference answers" ~count:100
+      (triple (int_range 1 8) (int_range 4097 9000) small_int)
+      (fun (n, m, seed) ->
+        let rng = Rng.create seed in
+        let matrix = Bitmatrix.create ~rows:n ~cols:m in
+        for j = 0 to n - 1 do
+          for _ = 1 to Rng.int rng 6 do
+            Bitmatrix.set matrix ~row:j ~col:(Rng.int rng (if Rng.bool rng then 8 else m)) true
+          done
+        done;
+        sparse_same_as_reference matrix);
     Test.make ~name:"postings query equals Index.query for every owner" ~count:60
       (triple small_int (int_range 1 40) (int_range 1 40))
       (fun (seed, n, m) ->
