@@ -727,8 +727,8 @@ let serve_cmd =
   let peers =
     let doc =
       "Comma-separated replica set this daemon belongs to (with $(b,--listen)).  Descriptive, \
-       not connective: the daemon never dials its peers, it only echoes the set in \
-       cluster-status replies so clients and $(b,eppi top) can discover the other replicas \
+       not connective: the daemon never dials its peers, it only echoes the set in its \
+       $(b,eppi stats) document so clients and $(b,eppi top) can discover the other replicas \
        from any one member."
     in
     Arg.(value & opt (some string) None & info [ "peers" ] ~docv:"ADDRS" ~doc)
@@ -796,7 +796,7 @@ let serve_cmd =
           | None -> []
           | Some addrs ->
               (* Validate eagerly — a typo should fail startup, not every
-                 later Cluster_status consumer — but store the strings
+                 later reader of the peer list — but store the strings
                  verbatim, as the operator wrote them. *)
               ignore (replica_set_of_string ~what:"serve" addrs);
               String.split_on_char ',' addrs |> List.map String.trim
@@ -820,7 +820,7 @@ let serve_cmd =
             fail ~what:"serve"
               (Printf.sprintf "%s: %s" (Eppi_net.Addr.to_string address) (Unix.error_message e)));
         Printf.eprintf "daemon stopped; final metrics:\n";
-        print_endline (Eppi_serve.Metrics.to_json (Eppi_serve.Serve.metrics engine))
+        print_endline (Eppi_net.Server.stats_json server)
     | None ->
         (* No idle sweep: a stdio peer may pause as long as it likes. *)
         let config = { Eppi_net.Server.default_config with idle_timeout = 0.0 } in
@@ -935,11 +935,16 @@ let fmt_duration s =
   else if s < 1.0 then Printf.sprintf "%.2fms" (s *. 1e3)
   else Printf.sprintf "%.2fs" s
 
+(* The query class's rolling-window percentile [key] ([p50_s], [p99_s])
+   of a Stats document, formatted: what `stats --watch` and both `top`
+   views print. *)
+let query_latency doc key =
+  fmt_duration (Option.value ~default:0.0 (Json.find_num doc [ "window"; "query"; key ]))
+
 (* One `stats --watch` line: per-interval counter deltas with rates, plus
    the point-in-time fields that don't diff (generation, percentiles). *)
 let stats_delta_line ~dt ?prev cur =
   let get v k = Option.value ~default:0 (Json.find_int v [ k ]) in
-  let getf v k = Option.value ~default:0.0 (Json.find_num v [ k ]) in
   let d k = get cur k - match prev with Some p -> get p k | None -> 0 in
   let rate k = float_of_int (d k) /. dt in
   Printf.sprintf
@@ -948,8 +953,7 @@ let stats_delta_line ~dt ?prev cur =
     (d "queries") (rate "queries") (d "served")
     (d "shed_rate" + d "shed_queue")
     (d "fuzzy_queries") (d "audits") (get cur "generation") (get cur "swaps")
-    (fmt_duration (getf cur "p50_s"))
-    (fmt_duration (getf cur "p99_s"))
+    (query_latency cur "p50_s") (query_latency cur "p99_s")
 
 let stats_cmd =
   let watch_arg =
@@ -962,7 +966,7 @@ let stats_cmd =
   in
   let json_arg =
     let doc =
-      "Print the raw JSON snapshot on every refresh instead of the delta line — for scripting.  \
+      "Print the raw JSON document on every refresh instead of the delta line — for scripting.  \
        Without $(b,--watch) this is already the default output."
     in
     Arg.(value & flag & info [ "json" ] ~doc)
@@ -998,14 +1002,16 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Print a running daemon's metrics snapshot (JSON, one line), or watch it live: \
-          $(b,--watch SECS) prints per-interval counter deltas, $(b,--json) keeps the raw \
-          snapshot for scripting")
+         "Print a running daemon's status document (JSON, one line): the engine's counters, \
+          the request-stage telemetry, generation, swaps, peers and trace state.  Or watch it \
+          live: $(b,--watch SECS) prints per-interval counter deltas and the query class's \
+          rolling-window p50/p99 (the times $(b,eppi top) shows), $(b,--json) keeps the raw \
+          document for scripting")
     term
 
 (* ---- top: live request-stage telemetry ---- *)
 
-(* Render one Telemetry reply ({!Eppi_net.Telemetry.json}) as the
+(* Render one Stats document ({!Eppi_net.Server.stats_json}) as the
    `eppi top` screen: window rates per request class, the stage latency
    decomposition with its conservation check, and the slow-request ring.
    Both tables take their stages from [Telemetry.stage_names]. *)
@@ -1072,18 +1078,17 @@ let render_top v =
   | _ -> ());
   Buffer.contents b
 
-(* Probe one replica for the cluster top view: generation/swaps from
-   Cluster_status plus lifetime query count and p99 from the stats
-   snapshot, on one short-lived connection.  A dead replica is a row, not
-   an error. *)
+(* Probe one replica for the cluster top view: one Stats request on a
+   short-lived connection, parsed once.  A dead replica is a row, not an
+   error. *)
 let probe_replica addr =
-  Eppi_cluster.ask ~request_timeout:5.0 addr (fun client ->
-      (Eppi_net.Client.cluster_status client, Eppi_net.Client.stats_json client))
+  let ( let* ) = Result.bind in
+  let* raw = Eppi_cluster.ask ~request_timeout:5.0 addr Eppi_net.Client.stats_json in
+  let* doc = Result.map_error (( ^ ) "unparseable reply: ") (Json.parse raw) in
+  let* status = Eppi_cluster.cluster_status_of_stats doc in
+  Ok (status, doc)
 
-let render_cluster_top set =
-  let probes =
-    List.map (fun addr -> (addr, probe_replica addr)) (Eppi_cluster.Replica_set.addrs set)
-  in
+let render_cluster_top probes =
   let converged =
     Eppi_cluster.Fanout.converged
       (List.map (fun (addr, probe) -> (addr, Result.map fst probe)) probes)
@@ -1099,28 +1104,26 @@ let render_cluster_top set =
       let name = Eppi_net.Addr.to_string addr in
       match probe with
       | Error msg -> Printf.bprintf b "  %-30s down: %s\n" name msg
-      | Ok ((s : Eppi_net.Wire.cluster_status), stats_raw) ->
-          let stats = Result.value ~default:Json.Null (Json.parse stats_raw) in
-          let latency k = fmt_duration (Option.value ~default:0.0 (Json.find_num stats [ k ])) in
+      | Ok ((s : Eppi_cluster.cluster_status), doc) ->
           Printf.bprintf b "  %-30s %4d %6d %9d %8s %8s\n" name s.generation s.swaps
-            (Option.value ~default:0 (Json.find_int stats [ "queries" ]))
-            (latency "p50_s") (latency "p99_s"))
+            (Option.value ~default:0 (Json.find_int doc [ "queries" ]))
+            (query_latency doc "p50_s") (query_latency doc "p99_s"))
     probes;
   Buffer.contents b
 
-let cluster_top_json set =
+let cluster_top_json probes =
   Json.to_string
     (List
        (List.map
-          (fun addr ->
+          (fun (addr, probe) ->
             let addr_field = ("addr", Json.Str (Eppi_net.Addr.to_string addr)) in
-            match probe_replica addr with
+            match probe with
             | Error msg -> Json.Obj [ addr_field; ("up", Bool false); ("error", Str msg) ]
-            | Ok ((s : Eppi_net.Wire.cluster_status), _) ->
+            | Ok ((s : Eppi_cluster.cluster_status), _) ->
                 Obj
                   [ addr_field; ("up", Bool true); ("generation", Json.int s.generation);
                     ("swaps", Json.int s.swaps); ("peers", Json.int (List.length s.peers)) ])
-          (Eppi_cluster.Replica_set.addrs set)))
+          probes))
 
 let top_cmd =
   let interval_arg =
@@ -1132,7 +1135,10 @@ let top_cmd =
     Arg.(value & flag & info [ "once" ] ~doc)
   in
   let json_arg =
-    let doc = "Print the raw telemetry JSON once and exit — for scripting (implies $(b,--once))." in
+    let doc =
+      "Print the raw status document once and exit — for scripting (implies $(b,--once)).  \
+       With a replica set: one object per replica."
+    in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let iterations_arg =
@@ -1146,20 +1152,23 @@ let top_cmd =
       match Eppi_cluster.Replica_set.addrs set with
       | [ addr ] ->
           fun () ->
-            Result.bind (on_daemon addr Eppi_net.Client.telemetry_json) (fun raw ->
+            Result.bind (on_daemon addr Eppi_net.Client.stats_json) (fun raw ->
                 if json then Ok (print_endline raw)
                 else
                   match Json.parse raw with
                   | Error e -> Error ("unparseable reply: " ^ e)
                   | Ok v -> Ok (print_string (render_top v)))
       | _ ->
-          (* Replica set: one aggregated row per replica, probed per
-             refresh over short-lived connections, so a dead replica shows
-             as "down" instead of wedging the screen. *)
+          (* Replica set: one row per replica, each probed with one
+             request per refresh over a short-lived connection, so a dead
+             replica shows as "down" instead of wedging the screen. *)
           fun () ->
+            let probes =
+              List.map (fun addr -> (addr, probe_replica addr)) (Eppi_cluster.Replica_set.addrs set)
+            in
             Ok
-              (if json then print_endline (cluster_top_json set)
-               else print_string (render_cluster_top set))
+              (if json then print_endline (cluster_top_json probes)
+               else print_string (render_cluster_top probes))
     in
     if once || json then Result.iter_error (fail ~what:"top") (one ())
     else
@@ -1175,12 +1184,13 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Watch a running daemon's live telemetry: rolling-window p50/p99/throughput per \
-          request class, the decode/execute/flush stage decomposition with its conservation \
-          check, and the slowest-request ring.  $(b,--json) dumps the raw snapshot for \
-          scripting.  With a comma-separated replica set ($(b,--connect A,B,C)): one row per \
-          replica — \
-          generation, swaps, query count, p50, p99 — plus a convergence verdict")
+         "Watch a running daemon's live telemetry, read from its $(b,eppi stats) document: \
+          rolling-window p50/p99/throughput per request class (each time measured from the \
+          request's read to its reply's flush), the decode/execute/flush stage decomposition \
+          with its conservation check, and the slowest-request ring.  $(b,--json) dumps the raw \
+          document for scripting.  With a comma-separated replica set ($(b,--connect A,B,C)): \
+          one row per replica — generation, swaps, query count, the query class's p50 and \
+          p99 — plus a convergence verdict")
     term
 
 let shutdown_cmd =

@@ -4,6 +4,7 @@ module Net_client = Eppi_net.Client
 module Index_codec = Eppi_net.Index_codec
 module Rng = Eppi_prelude.Rng
 module Clock = Eppi_prelude.Clock
+module Json = Eppi_prelude.Json
 
 module Replica_set = struct
   type t = { members : Addr.t list }
@@ -53,6 +54,19 @@ let ask ?(request_timeout = 30.0) addr f =
       | result -> Ok result
       | exception Net_client.Protocol_error msg -> Error msg
       | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+
+type cluster_status = {
+  generation : int;
+  swaps : int;
+  peers : string list;
+}
+
+let cluster_status_of_stats doc =
+  let int key = Json.find_int doc [ key ] in
+  match (int "generation", int "swaps", Option.bind (Json.find doc [ "peers" ]) Json.list) with
+  | Some generation, Some swaps, Some items when List.for_all (fun p -> Json.str p <> None) items ->
+      Ok { generation; swaps; peers = List.filter_map Json.str items }
+  | _ -> Error "stats reply lacks generation, swaps or peers"
 
 let backoff_cap = 2.0
 
@@ -146,7 +160,12 @@ module Fanout = struct
 
   let status ?(request_timeout = 30.0) set =
     List.map
-      (fun addr -> (addr, ask ~request_timeout addr Net_client.cluster_status))
+      (fun addr ->
+        let status =
+          Result.bind (ask ~request_timeout addr Net_client.stats_json) (fun raw ->
+              Result.bind (Json.parse raw) cluster_status_of_stats)
+        in
+        (addr, status))
       (Replica_set.addrs set)
 
   let converged statuses =
@@ -156,7 +175,7 @@ module Fanout = struct
         match
           List.map
             (function
-              | _, Ok (s : Wire.cluster_status) -> Some s.generation
+              | _, Ok (s : cluster_status) -> Some s.generation
               | _, Error _ -> None)
             statuses
         with
@@ -273,10 +292,9 @@ module Client = struct
       | Reply { generation; _ }
       | Audit_reply { generation; _ }
       | Republished { generation }
-      | Fuzzy_reply { generation; _ }
-      | Cluster_status_reply { generation; _ } ->
+      | Fuzzy_reply { generation; _ } ->
           generation
-      | Stats_json _ | Pong | Shutting_down | Server_error _ | Telemetry_json _ -> -1
+      | Stats_json _ | Pong | Shutting_down | Server_error _ -> -1
     in
     if g > t.max_generation then t.max_generation <- g
 

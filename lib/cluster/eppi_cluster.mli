@@ -11,7 +11,7 @@
       success honestly — a dead replica does not block the others, it
       just shows up as [Error] in the report.  Convergence is checked
       observationally: after a fan-out round, every reachable replica's
-      [Cluster_status] reports the same generation.
+      [Stats] document reports the same generation.
     - {b client side} ({!Client}): a thin wrapper over N
       {!Eppi_net.Client}s with per-endpoint health, round-robin picks,
       and transparent failover — a window of pipelined queries
@@ -74,6 +74,21 @@ val ask :
     [request_timeout] (default 30 s) bounds each request.  {!Fanout}'s
     attempts and probes and the CLI's one-daemon commands use it. *)
 
+(** {1 Replica state} *)
+
+type cluster_status = {
+  generation : int;  (** The replica's current index generation. *)
+  swaps : int;  (** Republishes the daemon has installed: [generation - 1]. *)
+  peers : string list;
+      (** The replica set the daemon was started with ([serve --peers]),
+          verbatim; empty for a standalone daemon. *)
+}
+
+val cluster_status_of_stats : Eppi_prelude.Json.t -> (cluster_status, string) result
+(** The replica-state keys ([generation], [swaps], [peers]) of a parsed
+    [Stats] document ([Eppi_net.Server.stats_json]); [Error] when one is
+    missing or mistyped. *)
+
 (** {1 Coordinator-side republish fan-out} *)
 
 val backoff_delay : base:float -> attempt:int -> u:float -> float
@@ -133,11 +148,12 @@ module Fanout : sig
   val status :
     ?request_timeout:float ->
     Replica_set.t ->
-    (Addr.t * (Wire.cluster_status, string) result) list
-  (** One [Cluster_status] probe per replica, in set order; unreachable
-      replicas report [Error] rather than raising. *)
+    (Addr.t * (cluster_status, string) result) list
+  (** One [Stats] request per replica, in set order, read with
+      {!cluster_status_of_stats}; unreachable replicas report [Error]
+      rather than raising. *)
 
-  val converged : (Addr.t * (Wire.cluster_status, string) result) list -> int option
+  val converged : (Addr.t * (cluster_status, string) result) list -> int option
   (** [Some generation] when {e every} probed replica answered and all
       report that generation — the post-fan-out convergence check.
       [None] on any error or disagreement (or an empty list). *)

@@ -61,6 +61,9 @@ let parse_header header =
     with Scanf.Scan_failure _ | Failure _ | End_of_file -> failwith "Index.of_csv: bad header"
   in
   if owners <= 0 || providers <= 0 then failwith "Index.of_csv: bad dimensions";
+  Option.iter
+    (fun msg -> failwith ("Index.of_csv: " ^ msg))
+    (Bitmatrix.budget_error ~rows:owners ~cols:providers);
   Bitmatrix.create ~rows:owners ~cols:providers
 
 let rec find_comma s i stop =

@@ -40,9 +40,10 @@ val output_csv : out_channel -> t -> unit
 
 val of_csv : string -> t
 (** Inverse of {!to_csv}.  Input is validated: the dimension header must be
-    complete and positive, every line must be an in-range [owner,provider]
-    pair, and duplicate cells are rejected.  Blank lines are skipped but
-    counted.  Lines are parsed one at a time, without a list of them.
+    complete, positive and within {!Eppi_prelude.Bitmatrix.budget_error}'s
+    budgets (checked before the matrix is allocated), every line must be
+    an in-range [owner,provider] pair, and duplicate cells are rejected.
+    Blank lines are skipped but counted.  Lines are parsed one at a time, without a list of them.
     @raise Failure on malformed input, naming the offending line. *)
 
 val input_csv : in_channel -> t

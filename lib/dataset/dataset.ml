@@ -109,6 +109,9 @@ let of_csv text =
          failwith "Dataset.of_csv: bad header")
   | [] -> failwith "Dataset.of_csv: empty input");
   if !providers <= 0 || !owners <= 0 then failwith "Dataset.of_csv: bad dimensions";
+  Option.iter
+    (fun msg -> failwith ("Dataset.of_csv: " ^ msg))
+    (Bitmatrix.budget_error ~rows:!owners ~cols:!providers);
   let membership = Bitmatrix.create ~rows:!owners ~cols:!providers in
   let epsilons = Array.make !owners 0.5 in
   let owner j =

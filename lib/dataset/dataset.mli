@@ -71,6 +71,8 @@ val to_csv : t -> string
 
 val of_csv : string -> t
 (** Inverse of {!to_csv}.
-    @raise Failure on malformed input: a bad header or dimensions, or a
+    @raise Failure on malformed input: a bad header or dimensions
+    (dimensions past {!Eppi_prelude.Bitmatrix.budget_error}'s budgets
+    fail before anything is allocated), or a
     line that is not an [eps] or [m] record with in-range ids and
     numeric fields (["Dataset.of_csv: bad line N"]). *)

@@ -151,8 +151,6 @@ let unexpected what (response : Wire.response) =
     | Shutting_down -> "shutting down"
     | Server_error msg -> Printf.sprintf "server error: %s" msg
     | Fuzzy_reply _ -> "fuzzy reply"
-    | Telemetry_json _ -> "telemetry"
-    | Cluster_status_reply _ -> "cluster status"
   in
   raise (Protocol_error (Printf.sprintf "%s answered with %s" what kind))
 
@@ -176,15 +174,7 @@ let stats_json t =
   | Stats_json json -> json
   | other -> unexpected "stats" other
 
-let telemetry_json t =
-  match call t Wire.Telemetry with
-  | Telemetry_json json -> json
-  | other -> unexpected "telemetry" other
-
-let cluster_status t =
-  match call t Wire.Cluster_status with
-  | Cluster_status_reply status -> status
-  | other -> unexpected "cluster status" other
+let telemetry_json = stats_json
 
 let republish_index t index =
   match call t (Wire.Republish_binary { data = Index_codec.encode index }) with

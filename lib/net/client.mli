@@ -87,20 +87,13 @@ val query_fuzzy : ?k:int -> t -> Eppi_fuzzy.Probe.t -> int * Eppi_serve.Serve.fu
 val audit : t -> provider:int -> int * int list option
 
 val stats_json : t -> string
-(** The engine's {!Eppi_serve.Metrics} snapshot as JSON, followed by the
-    server's trace-drop count ([trace_dropped]). *)
+(** The daemon's one status document ({!Server.stats_json}): counters,
+    request-stage telemetry, generation, swaps, peers and trace state. *)
 
 val telemetry_json : t -> string
-(** The daemon's live telemetry snapshot as JSON ({!Telemetry.json}):
-    rolling-window p50/p99/throughput per request class, per-stage
-    histograms with their conservation check, the slow-request ring and
-    generation/trace info. *)
-
-val cluster_status : t -> Wire.cluster_status
-(** The daemon's replication observables: current index generation,
-    applied-swap count, and the replica set it was started with
-    ({!Server.config.peers}).  Works against any daemon; a standalone one
-    reports an empty peer list. *)
+(** {!stats_json} under its old name, kept (as
+    {!Eppi_serve.Serve.Shed_queue_full} is) because the lifecycle
+    benchmark, perfbench/, calls it. *)
 
 val republish_index : t -> Eppi.Index.t -> (int, string) result
 (** Install a new index on the server as one {!Index_codec} payload;

@@ -319,19 +319,14 @@ let dims_limit = 1 lsl 30
 (* The header alone could demand an arbitrarily large allocation, so
    everything a decoder sizes from it is bounded here, BEFORE anything is
    allocated, by the same rules for both decoders:
-   - [cells_limit] caps the matrix [decode] materializes, n*m bits no
-     matter how sparse the payload is (2^33 bits = 1 GiB of backing), far
-     above any index this daemon serves but far below an allocation that
-     would take the process down;
-   - [table_words_limit] caps, by the same 1 GiB, the tables indexed by
+   - [Bitmatrix.budget_error] caps the matrix [decode] materializes, n*m
+     bits no matter how sparse the payload is, and the tables indexed by
      owner or provider: the n row counts here, and [decode_postings]'s
      n + 1 forward and m + 1 inverse offsets;
    - the published cells are bounded by the body's bit length, since
      every cell costs at least one bit (a Rice gap its terminating 0, a
      bitmap row m >= c bits), so the packed postings grow with the
      payload, not with its header. *)
-let cells_limit = 1 lsl 33
-let table_words_limit = 1 lsl 27
 
 let count_what j = Printf.sprintf "count of row %d" j
 
@@ -347,14 +342,7 @@ let read_header c =
   if n < 1 || n > dims_limit then raise (Fail (Malformed (Printf.sprintf "owner count %d" n)));
   if m < 1 || m > dims_limit then
     raise (Fail (Malformed (Printf.sprintf "provider count %d" m)));
-  if n * m > cells_limit then
-    raise (Fail (Malformed (Printf.sprintf "matrix %dx%d exceeds %d cells" n m cells_limit)));
-  if (2 * n) + m + 2 > table_words_limit then
-    raise
-      (Fail
-         (Malformed
-            (Printf.sprintf "tables for %d owners and %d providers exceed %d words" n m
-               table_words_limit)));
+  Option.iter (fun msg -> raise (Fail (Malformed msg))) (Bitmatrix.budget_error ~rows:n ~cols:m);
   (* Every row count costs at least one byte, so a payload with fewer
      remaining bytes than rows is guaranteed truncated — reject before
      the counts array (n words) is allocated. *)

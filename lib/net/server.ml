@@ -33,28 +33,20 @@ let engine t = t.engine
 
 (* ---- request handling (transport-independent) ---- *)
 
-(* The Stats reply: the engine's metrics plus the trace session's drop
-   count. *)
+(* The Stats reply, the daemon's one status document: the engine's
+   counters (generation and swaps among them), the telemetry store's
+   fields, then the replica set and the trace session. *)
 let stats_json t =
+  let peers = Json.List (List.map (fun p -> Json.Str p) t.config.peers) in
+  let trace =
+    Json.Obj
+      [ ("enabled", Bool (Trace.enabled ())); ("dropped", Json.int (Trace.dropped_events ())) ]
+  in
   Json.to_string
     (Eppi_serve.Metrics.json (Serve.metrics t.engine)
-       ~extra:[ ("trace_dropped", Json.int (Trace.dropped_events ())) ])
-
-let telemetry_json t =
-  let m = Serve.metrics t.engine in
-  let extra =
-    [ ("generation", Json.int m.generation); ("swaps", Json.int m.swaps);
-      ( "trace",
-        Json.Obj
-          [ ("enabled", Bool (Trace.enabled ()));
-            ("dropped", Json.int (Trace.dropped_events ())) ] );
-      ("telemetry_enabled", Bool t.config.telemetry) ]
-  in
-  Json.to_string (Telemetry.json ~extra t.telemetry ~now_ns:(Clock.monotonic_ns ()))
-
-let cluster_status t =
-  let m = Serve.metrics t.engine in
-  Wire.Cluster_status_reply { generation = m.generation; swaps = m.swaps; peers = t.config.peers }
+       ~extra:
+         (Telemetry.fields t.telemetry ~now_ns:(Clock.monotonic_ns ())
+         @ [ ("peers", peers); ("trace", trace); ("telemetry_enabled", Bool t.config.telemetry) ]))
 
 let handle_request t (request : Wire.request) : Wire.response =
   match request with
@@ -65,8 +57,6 @@ let handle_request t (request : Wire.request) : Wire.response =
       Audit_reply
         { generation = Serve.generation t.engine; owners = Serve.audit t.engine ~provider }
   | Stats -> Stats_json (stats_json t)
-  | Telemetry -> Telemetry_json (telemetry_json t)
-  | Cluster_status -> cluster_status t
   | Traced _ ->
       (* [serve_request] peels the one envelope a frame may carry. *)
       Server_error "protocol: nested trace envelope"
@@ -113,6 +103,38 @@ let socket_in_use path =
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINPROGRESS), _, _) -> true
       | exception Unix.Unix_error _ -> false)
 
+(* A Unix socket's file exists from [bind] on but refuses connections
+   until [listen], so a client or a second daemon's in-use probe that
+   looked in between would see a dead socket.  The socket is therefore
+   bound and listening under a temporary name beside [path] — no longer
+   than [path], so it fits wherever [path] does — and only then
+   hard-linked to [path]; [link] fails on an existing name, so it never
+   replaces a live daemon's socket.  The temporary name goes either way. *)
+let bind_unix fd path =
+  let cut = match String.rindex_opt path '/' with Some i -> i + 1 | None -> 0 in
+  let prefix = String.sub path 0 cut in
+  let alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789" in
+  let rng = Random.State.make_self_init () in
+  let rec bind_temp tries =
+    let len = max 1 (min (String.length path - cut) 16) in
+    let name =
+      String.init len (fun i ->
+          if i = 0 && len > 1 then '.' else alphabet.[Random.State.int rng 62])
+    in
+    let temp = prefix ^ name in
+    if temp = path then bind_temp tries
+    else
+      match Unix.bind fd (Unix.ADDR_UNIX temp) with
+      | () -> temp
+      | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when tries > 1 -> bind_temp (tries - 1)
+  in
+  let temp = bind_temp 64 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.unlink temp with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.listen fd 128;
+      Unix.link temp path)
+
 let listen address =
   (match address with
   | Addr.Unix_socket path when Sys.file_exists path -> (
@@ -124,12 +146,13 @@ let listen address =
   | _ -> ());
   let family = match address with Addr.Unix_socket _ -> Unix.PF_UNIX | Addr.Tcp _ -> Unix.PF_INET in
   let fd = Unix.socket family Unix.SOCK_STREAM 0 in
-  (match address with
-  | Addr.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-  | Addr.Unix_socket _ -> ());
   (try
-     Unix.bind fd (Addr.sockaddr address);
-     Unix.listen fd 128
+     match address with
+     | Addr.Unix_socket path -> bind_unix fd path
+     | Addr.Tcp _ ->
+         Unix.setsockopt fd Unix.SO_REUSEADDR true;
+         Unix.bind fd (Addr.sockaddr address);
+         Unix.listen fd 128
    with e ->
      Unix.close fd;
      raise e);

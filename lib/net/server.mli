@@ -47,24 +47,23 @@
     every request is stamped through decode → execute → flush, aggregated
     into per-stage histograms whose sums satisfy an exact conservation
     law, a rolling ~10 s window per request class, and a worst-N
-    slow-request ring — all served by the [Telemetry] wire command.  The
-    [Stats] reply carries the trace session's drop count on top of the
-    engine metrics. *)
+    slow-request ring.  The daemon reports on itself through one reply,
+    [Stats] ({!stats_json}). *)
 
 type config = {
   idle_timeout : float;  (** Seconds; 0 disables the idle sweep. *)
   telemetry : bool;
       (** Per-request stage timing ({!Telemetry}).  On by default; the
           cost is a handful of monotonic-clock reads per request.  The
-          [Telemetry] wire command still answers when off (with empty
-          aggregates) — the switch exists mainly so the bench can measure
-          the instrumentation's own overhead. *)
+          [Stats] document still carries the telemetry fields when off
+          (with empty aggregates) — the switch exists mainly so the bench
+          can measure the instrumentation's own overhead. *)
   peers : string list;
       (** The replica set this daemon belongs to, as address strings
           ([serve --peers]).  Purely descriptive: the daemon never
           contacts its peers (fan-out is driven by the coordinator,
-          {!Eppi_cluster}); the list is echoed in [Cluster_status]
-          replies so clients and operators can discover the set from any
+          {!Eppi_cluster}); the list is echoed in the [Stats] document's
+          [peers] so clients and operators can discover the set from any
           one member.  Empty = standalone. *)
 }
 
@@ -83,15 +82,30 @@ val create : ?config:config -> Eppi_serve.Serve.t -> t
 
 val engine : t -> Eppi_serve.Serve.t
 
+val stats_json : t -> string
+(** The daemon's one status document, the [Stats] reply: one JSON object
+    holding the engine's counters ({!Eppi_serve.Metrics.json}, with the
+    generation and swap count), the telemetry store's request count,
+    windows, stages, conservation check and slow ring
+    ({!Telemetry.fields}), then [peers], [trace] ([enabled], [dropped])
+    and [telemetry_enabled].  No key appears twice; every latency in it
+    is a telemetry read-to-flush time.  Fields and units:
+    docs/OBSERVABILITY.md. *)
+
 val listen : Addr.t -> Unix.file_descr
 (** Bind and listen.  An existing Unix-socket file is probed with a
     connect first: a refused one is a dead server's leftover and is
     removed, an accepted one belongs to a running daemon and is left
-    alone.  A path occupied by a non-socket file is an error too.
-    The returned descriptor is ready for {!run} — clients may already
-    connect (the backlog holds them), which is how tests and the CLI avoid
-    start-up races.
-    @raise Unix.Unix_error as [bind]/[listen] do;
+    alone.  A path occupied by a non-socket file is an error too.  A
+    Unix socket is bound and listening under a temporary name in the
+    path's directory before it is hard-linked to the path, so the path
+    appears only once it accepts connections, and a name that appeared
+    meanwhile is never replaced; the temporary name is removed whether
+    or not that succeeds.  The returned descriptor is ready for {!run} —
+    clients may already connect (the backlog holds them), which is how
+    tests and the CLI avoid start-up races.
+    @raise Unix.Unix_error as [bind]/[listen]/[link] do ([EEXIST] when
+    the path appeared after the probe);
     @raise Failure when a Unix-socket path is a running daemon's socket
     or exists and is not a socket. *)
 

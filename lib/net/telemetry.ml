@@ -35,7 +35,7 @@ let class_of_kind = function
   | 0x09 -> 1 (* fuzzy *)
   | 0x03 -> 2 (* audit *)
   | 0x08 -> 3 (* republish *)
-  | _ -> 4 (* stats, ping, shutdown, telemetry, cluster status *)
+  | _ -> 4 (* stats, ping, shutdown *)
 
 let kind_name = function
   | 0x01 -> "query"
@@ -45,8 +45,6 @@ let kind_name = function
   | 0x07 -> "shutdown"
   | 0x08 -> "republish_binary"
   | 0x09 -> "fuzzy"
-  | 0x0B -> "telemetry"
-  | 0x0C -> "cluster"
   | _ -> "other"
 
 type slow = {
@@ -135,7 +133,7 @@ let stage_sum_ns t = Array.fold_left ( + ) 0 t.stage_sum_ns
 
 (* ---- JSON rendering ---- *)
 
-let json ?(extra = []) t ~now_ns =
+let fields t ~now_ns =
   let int = Json.int in
   let latency ~mean ~p50 ~p99 =
     [ ("mean_s", Json.Num mean); ("p50_s", Num p50); ("p99_s", Num p99) ]
@@ -178,12 +176,10 @@ let json ?(extra = []) t ~now_ns =
                   (Array.to_list stage_names)))
   in
   let stage_sum = stage_sum_ns t in
-  Json.Obj
-    ([ ("requests", int t.finished);
-       ("window", Obj (("span_s", Num (Stats.Windowed.span_s t.windows.(0))) :: window));
-       ("stages", Obj stages);
-       ( "conservation",
-         Obj [ ("stage_sum_ns", int stage_sum); ("total_ns", int t.total_sum_ns);
-               ("exact", Bool (stage_sum = t.total_sum_ns)) ] );
-       ("slow", List slow) ]
-    @ extra)
+  [ ("requests", int t.finished);
+    ("window", Obj (("span_s", Num (Stats.Windowed.span_s t.windows.(0))) :: window));
+    ("stages", Obj stages);
+    ( "conservation",
+      Obj [ ("stage_sum_ns", int stage_sum); ("total_ns", int t.total_sum_ns);
+            ("exact", Bool (stage_sum = t.total_sum_ns)) ] );
+    ("slow", List slow) ]

@@ -39,12 +39,12 @@ val finish : t -> record -> t_written:int -> unit
     monotonic stamp at which the last byte of the response reached the
     socket; it also drives window rotation. *)
 
-val json : ?extra:(string * Eppi_prelude.Json.t) list -> t -> now_ns:int -> Eppi_prelude.Json.t
-(** The snapshot carried by the [Telemetry] wire reply: window summaries
-    per class, per-stage histograms with integer sums, the conservation
-    check, and the slow ring (slowest first), followed by the [extra]
-    fields (the server adds generation, swaps and trace info).  The
-    field list with units is in docs/OBSERVABILITY.md. *)
+val fields : t -> now_ns:int -> (string * Eppi_prelude.Json.t) list
+(** The store's part of the daemon's [Stats] document
+    ({!Server.stats_json}): the request count, window summaries per
+    class, per-stage histograms with integer sums, the conservation
+    check, and the slow ring (slowest first).  The field list with units
+    is in docs/OBSERVABILITY.md. *)
 
 val classes : string array
 (** The window classes, in reply order. *)

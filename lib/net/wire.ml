@@ -31,14 +31,6 @@ type request =
          exported trace.  Additive within version 1 — a peer that
          predates it rejects the tag as [Unknown_tag], so clients only
          wrap when the operator has turned tracing on.  Never nests. *)
-  | Telemetry
-  | Cluster_status
-
-type cluster_status = {
-  generation : int;
-  swaps : int;
-  peers : string list;
-}
 
 type response =
   | Reply of { generation : int; reply : Eppi_serve.Serve.reply }
@@ -52,8 +44,6 @@ type response =
       generation : int;
       result : Eppi_serve.Serve.fuzzy_reply;
     }
-  | Telemetry_json of string
-  | Cluster_status_reply of cluster_status
 
 type frame =
   | Request of request
@@ -72,8 +62,6 @@ let tag_shutdown = 0x07
 let tag_republish_binary = 0x08
 let tag_query_fuzzy = 0x09
 let tag_traced = 0x0A
-let tag_telemetry = 0x0B
-let tag_cluster_status = 0x0C
 let tag_reply = 0x11
 let tag_audit_reply = 0x13
 let tag_stats_json = 0x14
@@ -82,14 +70,14 @@ let tag_pong = 0x16
 let tag_shutting_down = 0x17
 let tag_server_error = 0x18
 let tag_fuzzy_reply = 0x19
-let tag_telemetry_json = 0x1A
-let tag_cluster_status_reply = 0x1B
 
-(* Retired tags decode as [Unknown_tag]: 0x02 and 0x12 carried the Batch
-   request and its reply (pipelined Query frames do that job), 0x05 the
-   CSV republish. *)
+(* Retired tags decode as [Unknown_tag] and are never reused: 0x02 and
+   0x12 carried the Batch request and its reply (pipelined Query frames
+   do that job), 0x05 the CSV republish, 0x0B/0x1A the Telemetry request
+   and reply and 0x0C/0x1B the Cluster_status ones (the Stats document
+   carries both). *)
 let retired tag = tag = 0x02 || tag = 0x05 || tag = 0x12
-let known_request_tag tag = tag >= tag_query && tag <= tag_cluster_status && not (retired tag)
+let known_request_tag tag = tag >= tag_query && tag <= tag_traced && not (retired tag)
 
 (* Probe limits: sane ceilings well above anything the CLI or bench
    generates, well below anything that could balloon a decode. *)
@@ -97,12 +85,6 @@ let max_fuzzy_k = 100_000
 let max_probe_keys = 64
 let max_probe_bits = 1 lsl 20
 let max_probe_hashes = 1024
-
-(* Replica-set bounds for Cluster_status replies: far above any sane
-   deployment, small enough that a hostile peer list cannot balloon a
-   decode. *)
-let max_peers = 64
-let max_peer_bytes = 256
 
 type error =
   | Bad_magic of int
@@ -209,13 +191,11 @@ let request_tag = function
   | Republish_binary _ -> tag_republish_binary
   | Query_fuzzy _ -> tag_query_fuzzy
   | Traced _ -> tag_traced
-  | Telemetry -> tag_telemetry
-  | Cluster_status -> tag_cluster_status
 
 let rec payload_of_request b = function
   | Query { owner } -> put_varint b owner
   | Audit { provider } -> put_varint b provider
-  | Stats | Ping | Shutdown | Telemetry | Cluster_status -> ()
+  | Stats | Ping | Shutdown -> ()
   | Republish_binary { data } -> Buffer.add_string b data
   | Query_fuzzy { probe; k } ->
       put_varint b k;
@@ -271,21 +251,6 @@ let payload_of_response b = function
       | Probe_mismatch -> Buffer.add_char b '\x02'
       | Fuzzy_shed -> Buffer.add_char b '\x03');
       tag_fuzzy_reply
-  | Telemetry_json json ->
-      Buffer.add_string b json;
-      tag_telemetry_json
-  | Cluster_status_reply { generation; swaps; peers } ->
-      if List.length peers > max_peers then invalid_arg "Wire: too many peers";
-      put_varint b generation;
-      put_varint b swaps;
-      put_varint b (List.length peers);
-      List.iter
-        (fun peer ->
-          if String.length peer > max_peer_bytes then invalid_arg "Wire: peer address too long";
-          put_varint b (String.length peer);
-          Buffer.add_string b peer)
-        peers;
-      tag_cluster_status_reply
 
 let add_frame b payload_of value =
   let body = Buffer.create 64 in
@@ -405,28 +370,6 @@ let rec parse_payload tag payload =
       | Request request -> Request (Traced { trace_id; request })
       | Response _ -> assert false (* the inner tag range admits requests only *)
     end
-    else if tag = tag_telemetry then Request Telemetry
-    else if tag = tag_cluster_status then Request Cluster_status
-    else if tag = tag_cluster_status_reply then begin
-      let generation = get_varint c in
-      let swaps = get_varint c in
-      if swaps < 0 then raise (Corrupt_payload (Printf.sprintf "swap count %d" swaps));
-      let count = get_count c ~what:"peer" ~limit:max_peers in
-      let peers =
-        List.init count (fun _ ->
-            (* Each peer's bytes are all in this payload, so a length
-               beyond the remaining bytes is a lie, not a short read. *)
-            let len =
-              get_count c ~what:"peer byte"
-                ~limit:(min max_peer_bytes (String.length payload - c.pos))
-            in
-            let peer = String.sub c.payload c.pos len in
-            c.pos <- c.pos + len;
-            peer)
-      in
-      Response (Cluster_status_reply { generation; swaps; peers })
-    end
-    else if tag = tag_telemetry_json then Response (Telemetry_json (rest c))
     else if tag = tag_reply then begin
       let generation = get_varint c in
       Response (Reply { generation; reply = get_reply c })
@@ -483,7 +426,7 @@ let rec parse_payload tag payload =
 
 let known_tag tag =
   known_request_tag tag
-  || (tag >= tag_reply && tag <= tag_cluster_status_reply && not (retired tag))
+  || (tag >= tag_reply && tag <= tag_fuzzy_reply && not (retired tag))
 
 (* ---- the incremental decoder ---- *)
 

@@ -31,7 +31,12 @@ type request =
           Query frames ({!Client.pipeline}); tags 0x02 and 0x12, the
           retired Batch request and reply, decode as {!Unknown_tag}. *)
   | Audit of { provider : int }  (** Provider-side audit (inverse postings). *)
-  | Stats  (** The engine's merged metrics snapshot as JSON. *)
+  | Stats
+      (** The daemon's one status request: its reply is one JSON document
+          with the engine's counters, the request-stage telemetry and the
+          replica state ({!Server.stats_json}).  Tags 0x0B and 0x0C, the
+          retired Telemetry and Cluster_status requests, and their replies
+          0x1A and 0x1B decode as {!Unknown_tag}. *)
   | Ping  (** Liveness probe. *)
   | Shutdown  (** Graceful stop: the server flushes replies and exits. *)
   | Republish_binary of { data : string }
@@ -57,25 +62,6 @@ type request =
           rejects it as {!Unknown_tag}, so clients only wrap when tracing
           is enabled (see {!Client.connect}).  Envelopes
           never nest, and the inner frame must be a request. *)
-  | Telemetry
-      (** The daemon's live telemetry snapshot as JSON: rolling-window
-          p50/p99/throughput per request class, per-stage pipeline
-          histograms with their conservation check, slow-request ring,
-          generation/swap and trace-drop info. *)
-  | Cluster_status
-      (** Replication introspection: the daemon's current index
-          generation, applied-swap count and configured replica set
-          ({!Server.config.peers}) — the observables a republish fan-out
-          driver compares across replicas to decide the cluster has
-          converged. *)
-
-type cluster_status = {
-  generation : int;  (** The replica's current index generation. *)
-  swaps : int;  (** Republishes the daemon has installed: [generation - 1]. *)
-  peers : string list;
-      (** The replica set the daemon was started with ([serve --peers]),
-          verbatim; empty for a standalone daemon. *)
-}
 
 type response =
   | Reply of { generation : int; reply : Eppi_serve.Serve.reply }
@@ -91,11 +77,6 @@ type response =
   | Fuzzy_reply of { generation : int; result : Eppi_serve.Serve.fuzzy_reply }
       (** Candidate scores travel as basis-point varints (the resolver
           quantizes scores to 1e-4, so the encoding is lossless). *)
-  | Telemetry_json of string  (** Reply to {!request.Telemetry}. *)
-  | Cluster_status_reply of cluster_status
-      (** Reply to {!request.Cluster_status}.  Peers travel as
-          length-prefixed strings, bounded (64 peers of 256 bytes) so a
-          hostile reply cannot balloon the decode. *)
 
 type frame =
   | Request of request

@@ -4,6 +4,22 @@ let create ~rows ~cols =
   if rows < 0 || cols < 0 then invalid_arg "Bitmatrix.create";
   { rows; cols; data = Array.init rows (fun _ -> Bitvec.create cols) }
 
+let cells_limit = 1 lsl 33
+let table_words_limit = 1 lsl 27
+
+let budget_error ~rows ~cols =
+  if rows < 1 || cols < 1 then invalid_arg "Bitmatrix.budget_error";
+  (* [rows > cells_limit / cols] is [rows * cols > cells_limit] without
+     the overflow; past it both are at most 2^33, so the sum below cannot
+     overflow. *)
+  if rows > cells_limit / cols then
+    Some (Printf.sprintf "matrix %dx%d exceeds %d cells" rows cols cells_limit)
+  else if (2 * rows) + cols + 2 > table_words_limit then
+    Some
+      (Printf.sprintf "tables for %d owners and %d providers exceed %d words" rows cols
+         table_words_limit)
+  else None
+
 let rows t = t.rows
 let cols t = t.cols
 

@@ -2,8 +2,8 @@
 
     The SecSumShare protocol works in Z_q where q only needs to exceed the
     largest possible secure sum (the provider count m), so everything fits in
-    native ints.  Multiplication guards against overflow by requiring
-    q < 2^31. *)
+    native ints.  Sharing only adds and subtracts residues; [q < 2^31]
+    keeps every residue within the 4-byte packed share width. *)
 
 type modulus = private int
 
@@ -16,15 +16,6 @@ val reduce : modulus -> int -> int
 
 val add : modulus -> int -> int -> int
 val sub : modulus -> int -> int -> int
-val mul : modulus -> int -> int -> int
-val neg : modulus -> int -> int
-
-val pow : modulus -> int -> int -> int
-(** [pow q b e] for [e >= 0], by binary exponentiation. *)
-
-val inv : modulus -> int -> int
-(** Multiplicative inverse via the extended Euclidean algorithm.
-    @raise Invalid_argument if the argument is not invertible mod q. *)
 
 val is_prime : int -> bool
 (** Deterministic trial-division primality test (fine for small q). *)

@@ -12,7 +12,6 @@ type t = {
   mutable fuzzy_rejected : int;
   mutable fuzzy_shed : int;
   mutable fuzzy_scanned : int;
-  latency : Stats.Log2_histogram.t;
 }
 
 let create () =
@@ -28,7 +27,6 @@ let create () =
     fuzzy_rejected = 0;
     fuzzy_shed = 0;
     fuzzy_scanned = 0;
-    latency = Stats.Log2_histogram.create ();
   }
 
 let incr_queries t = t.queries <- t.queries + 1
@@ -42,7 +40,6 @@ let incr_fuzzy_empty t = t.fuzzy_empty <- t.fuzzy_empty + 1
 let incr_fuzzy_rejected t = t.fuzzy_rejected <- t.fuzzy_rejected + 1
 let incr_fuzzy_shed t = t.fuzzy_shed <- t.fuzzy_shed + 1
 let add_fuzzy_scanned t n = t.fuzzy_scanned <- t.fuzzy_scanned + n
-let record_latency t seconds = Stats.Log2_histogram.add t.latency seconds
 
 type snapshot = {
   queries : int;
@@ -59,23 +56,10 @@ type snapshot = {
   fuzzy_rejected : int;
   fuzzy_shed : int;
   fuzzy_scanned : int;
-  latency_count : int;
-  latency_mean : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
 }
 
-let snapshot ?(generation = 1) ts =
+let snapshot ?(generation = 1) (ts : t list) =
   let sum f = List.fold_left (fun acc t -> acc + f t) 0 ts in
-  let latency =
-    match ts with
-    | [] -> Stats.Log2_histogram.create ()
-    | first :: rest ->
-        List.fold_left
-          (fun acc t -> Stats.Log2_histogram.merge acc t.latency)
-          first.latency rest
-  in
   {
     queries = sum (fun t -> t.queries);
     served = sum (fun t -> t.served);
@@ -91,17 +75,11 @@ let snapshot ?(generation = 1) ts =
     fuzzy_rejected = sum (fun t -> t.fuzzy_rejected);
     fuzzy_shed = sum (fun t -> t.fuzzy_shed);
     fuzzy_scanned = sum (fun t -> t.fuzzy_scanned);
-    latency_count = Stats.Log2_histogram.total latency;
-    latency_mean = Stats.Log2_histogram.mean latency;
-    p50 = Stats.Log2_histogram.quantile latency 0.5;
-    p95 = Stats.Log2_histogram.quantile latency 0.95;
-    p99 = Stats.Log2_histogram.quantile latency 0.99;
   }
 
 (* Interval view: counters subtract (a long-running engine reports
-   per-window rates from two snapshots); the latency distribution fields
-   are not subtractable — a histogram difference has no defined
-   percentiles — so they come from the newer snapshot. *)
+   per-window rates from two snapshots); the generation is a label, so it
+   comes from the newer snapshot. *)
 let diff (newer : snapshot) (older : snapshot) =
   {
     queries = newer.queries - older.queries;
@@ -118,11 +96,6 @@ let diff (newer : snapshot) (older : snapshot) =
     fuzzy_rejected = newer.fuzzy_rejected - older.fuzzy_rejected;
     fuzzy_shed = newer.fuzzy_shed - older.fuzzy_shed;
     fuzzy_scanned = newer.fuzzy_scanned - older.fuzzy_scanned;
-    latency_count = newer.latency_count - older.latency_count;
-    latency_mean = newer.latency_mean;
-    p50 = newer.p50;
-    p95 = newer.p95;
-    p99 = newer.p99;
   }
 
 let json ?(extra = []) s =
@@ -134,16 +107,7 @@ let json ?(extra = []) s =
          ("generation", s.generation); ("swaps", s.swaps); ("fuzzy_queries", s.fuzzy_queries);
          ("fuzzy_resolved", s.fuzzy_resolved); ("fuzzy_empty", s.fuzzy_empty);
          ("fuzzy_rejected", s.fuzzy_rejected); ("fuzzy_shed", s.fuzzy_shed);
-         ("fuzzy_scanned", s.fuzzy_scanned); ("latency_count", s.latency_count) ]
-    @ [ ("latency_mean_s", Json.Num s.latency_mean); ("p50_s", Num s.p50); ("p95_s", Num s.p95);
-        ("p99_s", Num s.p99) ]
+         ("fuzzy_scanned", s.fuzzy_scanned) ]
     @ extra)
 
 let to_json s = Json.to_string (json s)
-
-let pp ppf s =
-  Format.fprintf ppf
-    "queries=%d served=%d unknown=%d shed_rate=%d shed_queue=%d audits=%d gen=%d swaps=%d \
-     fuzzy=%d/%d p50=%.2gs p95=%.2gs p99=%.2gs"
-    s.queries s.served s.unknown s.shed_rate s.shed_queue s.audits s.generation s.swaps
-    s.fuzzy_queries s.fuzzy_resolved s.p50 s.p95 s.p99

@@ -1,10 +1,10 @@
-(** Observability surface of the serving engine.
+(** The serving engine's counters.
 
     The engine owns one [t] and its serving domain is the only writer, so
     the hot path is plain-int increments; a snapshot merges a list of
-    them.  Latencies go into a log2-scaled histogram
-    ({!Eppi_prelude.Stats.Log2_histogram}), so p50/p95/p99 come out of a
-    64-int array, not a sample buffer. *)
+    them.  The engine keeps no latencies: the daemon times every request
+    from read to flush ([Eppi_net.Telemetry]), and its [Stats] document
+    carries these counters beside those times. *)
 
 type t
 
@@ -38,9 +38,6 @@ val incr_fuzzy_shed : t -> unit
 val add_fuzzy_scanned : t -> int -> unit
 (** Candidate signatures scored for one resolve (padding included). *)
 
-val record_latency : t -> float -> unit
-(** Record one query's service time in seconds. *)
-
 type snapshot = {
   queries : int;  (** Requests that reached the engine (including shed). *)
   served : int;  (** Requests answered with a provider list. *)
@@ -61,11 +58,6 @@ type snapshot = {
   fuzzy_rejected : int;  (** No resolver published / probe geometry mismatch. *)
   fuzzy_shed : int;  (** Fuzzy requests shed by the token bucket. *)
   fuzzy_scanned : int;  (** Candidate signatures scored, padding included. *)
-  latency_count : int;  (** Latency samples recorded (sampling may skip). *)
-  latency_mean : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;  (** Seconds; 0 when no samples were recorded. *)
 }
 
 val snapshot : ?generation:int -> t list -> snapshot
@@ -73,20 +65,14 @@ val snapshot : ?generation:int -> t list -> snapshot
 
 val diff : snapshot -> snapshot -> snapshot
 (** [diff newer older] is the interval view between two snapshots of the
-    same engine: every counter (including [latency_count] and [swaps])
-    subtracts, so a long-running engine can report per-window rates; the
-    latency distribution fields ([latency_mean], [p50], [p95], [p99]) and
-    [generation] are taken from [newer] — histograms are cumulative and
-    their difference has no defined percentiles, and a generation is a
-    point-in-time label, not a rate. *)
+    same engine: every counter (including [swaps]) subtracts, so a
+    long-running engine can report per-window rates; [generation] is
+    taken from [newer], since it is a point-in-time label, not a rate. *)
 
 val json : ?extra:(string * Eppi_prelude.Json.t) list -> snapshot -> Eppi_prelude.Json.t
-(** One JSON object with every snapshot field — counters as integers,
-    latencies in seconds under [_s] keys ([latency_mean_s], [p50_s],
-    [p95_s], [p99_s]) — followed by the [extra] fields (the daemon's Stats
-    reply appends its trace-drop count). *)
+(** One JSON object with every snapshot field as an integer, followed by
+    the [extra] fields (the daemon's [Stats] document appends its
+    telemetry and replica state). *)
 
 val to_json : snapshot -> string
 (** [json] without extras, rendered by {!Eppi_prelude.Json.to_string}. *)
-
-val pp : Format.formatter -> snapshot -> unit

@@ -6,10 +6,6 @@ type config = { admission : Admission.config option }
 
 let default_config = { admission = None }
 
-(* Every 16th query has its latency recorded: sampling keeps the clock
-   calls off the common path. *)
-let sample_every = 16
-
 type reply =
   | Providers of int list
   | Unknown_owner
@@ -31,7 +27,6 @@ type t = {
   published : published Atomic.t;
   bucket : Admission.t option;
   metrics : Metrics.t;
-  mutable tick : int;
 }
 
 let create ?(config = default_config) ?resolver index =
@@ -41,7 +36,6 @@ let create ?(config = default_config) ?resolver index =
     published = Atomic.make { generation = 1; store; resolver };
     bucket;
     metrics = Metrics.create ();
-    tick = 0;
   }
 
 let postings t = (Atomic.get t.published).store
@@ -93,17 +87,7 @@ let query_tagged ?now t ~owner =
       Metrics.incr_shed_rate t.metrics;
       Shed_rate_limit
     end
-    else begin
-      t.tick <- t.tick + 1;
-      if t.tick >= sample_every then begin
-        t.tick <- 0;
-        let t0 = Clock.seconds () in
-        let reply = lookup pub t ~owner in
-        Metrics.record_latency t.metrics (Clock.seconds () -. t0);
-        reply
-      end
-      else lookup pub t ~owner
-    end
+    else lookup pub t ~owner
   in
   (pub.generation, reply)
 

@@ -27,8 +27,9 @@ type config = {
 }
 
 val default_config : config
-(** No admission control.  Whatever the config, the engine records the
-    latency of every 16th query. *)
+(** No admission control.  The engine keeps counters, not latencies: the
+    daemon times every request from read to flush
+    ([Eppi_net.Telemetry]). *)
 
 type reply =
   | Providers of int list  (** The QueryPPI answer, ascending provider ids. *)

@@ -71,7 +71,8 @@ rm -f /tmp/eppi_trace_dataset.csv /tmp/eppi_trace_index.csv
 # two hot-swap republishes through `eppi query`/`eppi republish`, assert
 # the metrics conserve every request and record the swaps, then shut down
 # gracefully and check that the daemon exits 0 and leaves no socket file
-# behind.
+# behind.  Then 20 daemons are shut down the moment their socket appears:
+# the socket file is created only once it accepts connections.
 echo "== net smoke =="
 EPPI=./_build/default/bin/eppi_cli.exe
 NET_DIR=$(mktemp -d /tmp/eppi_net_smoke.XXXXXX)
@@ -107,18 +108,19 @@ seq 0 49 | sed 's/^/--owner /' | xargs "$EPPI" query --connect "$NET_SOCK" >"$NE
 test "$(wc -l < "$NET_DIR/replies1.txt")" -eq 50
 test "$(wc -l < "$NET_DIR/replies2.txt")" -eq 50
 "$EPPI" stats --connect "$NET_SOCK" >"$NET_DIR/stats.json"
-# Live telemetry (docs/OBSERVABILITY.md): the reply must list exactly the
-# decode, execute and flush stages, their conservation law must hold as
-# an exact integer identity, neither reply may carry a workers key, and
-# both watch modes must produce bounded output.
-"$EPPI" top --connect "$NET_SOCK" --json >"$NET_DIR/telemetry.json"
+# One status document (docs/OBSERVABILITY.md): the counters and the live
+# telemetry come from the same `eppi stats` reply, which must list exactly
+# the decode, execute and flush stages, hold their conservation law as an
+# exact integer identity and carry no workers key; `top --json` prints a
+# document with the same keys, and the watch mode produces bounded output.
+"$EPPI" top --connect "$NET_SOCK" --json >"$NET_DIR/top.json"
 "$EPPI" stats --connect "$NET_SOCK" --watch 0.2 --iterations 2 >"$NET_DIR/watch.txt"
 test "$(wc -l < "$NET_DIR/watch.txt")" -eq 2
 grep -q "queries" "$NET_DIR/watch.txt"
 # After 100 queries both watch lines carry a measured p50 and p99, not "-".
 test "$(grep -cE 'p50 [0-9.]+[nmu]?s  p99 [0-9.]+[nmu]?s$' "$NET_DIR/watch.txt")" -eq 2
 if command -v python3 >/dev/null 2>&1; then
-  NET_STATS="$NET_DIR/stats.json" NET_TELEMETRY="$NET_DIR/telemetry.json" python3 - <<'EOF'
+  NET_STATS="$NET_DIR/stats.json" NET_TOP="$NET_DIR/top.json" python3 - <<'EOF'
 import json, os
 with open(os.environ["NET_STATS"]) as f:
     m = json.load(f)
@@ -132,33 +134,53 @@ if m["swaps"] != m["generation"] - 1:
     raise SystemExit(f"net: swaps should count the {m['generation'] - 1} republishes: {m}")
 if "workers" in m:
     raise SystemExit(f"net: stats should have no workers key: {m['workers']}")
-if "trace_dropped" not in m:
-    raise SystemExit("net: stats reply lacks trace_dropped")
-with open(os.environ["NET_TELEMETRY"]) as f:
-    t = json.load(f)
-c = t["conservation"]
+if "dropped" not in m["trace"]:
+    raise SystemExit("net: stats reply lacks trace.dropped")
+c = m["conservation"]
 if not c["exact"] or c["stage_sum_ns"] != c["total_ns"]:
     raise SystemExit(f"net: telemetry stage conservation violated: {c}")
-if t["requests"] < 100:
-    raise SystemExit(f"net: telemetry saw {t['requests']} requests, expected >= 100")
-if "workers" in t:
-    raise SystemExit(f"net: telemetry should have no workers key: {t['workers']}")
-stages = [k for k in t["stages"] if k not in ("total", "sum_ns")]
+if m["requests"] < 100:
+    raise SystemExit(f"net: telemetry saw {m['requests']} requests, expected >= 100")
+stages = [k for k in m["stages"] if k not in ("total", "sum_ns")]
 if stages != ["decode", "execute", "flush"]:
     raise SystemExit(f"net: telemetry should list decode, execute, flush: {stages}")
-if t["stages"]["decode"]["count"] != t["stages"]["flush"]["count"]:
-    raise SystemExit(f"net: stage counts disagree: {t['stages']}")
-if not t["slow"]:
+if m["stages"]["decode"]["count"] != m["stages"]["flush"]["count"]:
+    raise SystemExit(f"net: stage counts disagree: {m['stages']}")
+if not m["slow"]:
     raise SystemExit("net: slow-request ring is empty after load")
+def paths(v, prefix=""):
+    if isinstance(v, dict):
+        return {p for k, x in v.items() for p in paths(x, prefix + k + ".")} | {prefix}
+    if isinstance(v, list):
+        return {p for x in v for p in paths(x, prefix + "*.")} | {prefix}
+    return {prefix}
+with open(os.environ["NET_TOP"]) as f:
+    t = json.load(f)
+if paths(t) != paths(m):
+    raise SystemExit(f"net: top --json and stats differ in keys: {paths(t) ^ paths(m)}")
 print(f"net stats ok: {m['queries']} queries conserved, generation {m['generation']}, "
       f"{m['swaps']} swap(s)")
-print(f"net telemetry ok: {t['requests']} requests, stage sum {c['stage_sum_ns']} ns "
-      f"== total {c['total_ns']} ns (exact)")
+print(f"net telemetry ok: {m['requests']} requests, stage sum {c['stage_sum_ns']} ns "
+      f"== total {c['total_ns']} ns (exact); top --json has the same keys")
 EOF
 fi
 "$EPPI" shutdown --connect "$NET_SOCK" 2>/dev/null
 wait "$NET_PID"
 test ! -e "$NET_SOCK"
+# The socket appears only once the daemon accepts: a shutdown sent the
+# moment it appears (polled every 2 ms) reaches the daemon every time.
+for k in $(seq 1 20); do
+  "$EPPI" serve -i "$NET_DIR/index1.csv" --listen "$NET_SOCK" 2>/dev/null >/dev/null &
+  NET_PID=$!
+  i=0
+  while [ ! -S "$NET_SOCK" ] && [ "$i" -lt 2500 ]; do sleep 0.002; i=$((i + 1)); done
+  "$EPPI" shutdown --connect "$NET_SOCK" 2>/dev/null || {
+    echo "net smoke: start $k refused a shutdown sent as its socket appeared" >&2
+    exit 1
+  }
+  wait "$NET_PID"
+done
+echo "20 daemons shut down the moment their socket appeared"
 rm -rf "$NET_DIR"
 trap - EXIT
 

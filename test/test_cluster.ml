@@ -141,13 +141,22 @@ let test_backoff_delay () =
 
 let test_converged () =
   let a = Addr.Unix_socket "/a" and b = Addr.Unix_socket "/b" in
-  let ok g = Ok { Wire.generation = g; swaps = 0; peers = [] } in
+  let ok g = Ok { Eppi_cluster.generation = g; swaps = 0; peers = [] } in
   check_bool "empty list" true (Fanout.converged [] = None);
   check_bool "agreement" true (Fanout.converged [ (a, ok 3); (b, ok 3) ] = Some 3);
   check_bool "single replica" true (Fanout.converged [ (a, ok 1) ] = Some 1);
   check_bool "disagreement" true (Fanout.converged [ (a, ok 3); (b, ok 2) ] = None);
   check_bool "any error spoils it" true
-    (Fanout.converged [ (a, ok 3); (b, Error "unreachable") ] = None)
+    (Fanout.converged [ (a, ok 3); (b, Error "unreachable") ] = None);
+  (* The replica state comes out of a Stats document's own keys. *)
+  let status doc = Eppi_cluster.cluster_status_of_stats (Json.parse_exn doc) in
+  check_bool "status read from a stats document" true
+    (status {|{"queries": 4, "generation": 3, "swaps": 2, "peers": ["a.sock", "h:1"]}|}
+    = Ok { Eppi_cluster.generation = 3; swaps = 2; peers = [ "a.sock"; "h:1" ] });
+  List.iter
+    (fun doc -> check_bool doc true (Result.is_error (status doc)))
+    [ {|{"generation": 3, "swaps": 2}|}; {|{"generation": 3, "swaps": 2, "peers": [1]}|};
+      {|{"generation": "3", "swaps": 2, "peers": []}|} ]
 
 (* ---------- Live daemons ---------- *)
 

@@ -445,6 +445,38 @@ let test_index_csv_malformed () =
   let index = Index.of_csv "# eppi-index owners=2 providers=3\n\n1,2\n\n" in
   Alcotest.(check (list int)) "parsed around blanks" [ 2 ] (Index.query index ~owner:1)
 
+(* [f ()]'s [Failure] message and the bytes it allocated on the way. *)
+let failure_and_allocation f =
+  let before = Gc.allocated_bytes () in
+  let msg = match f () with _ -> "accepted" | exception Failure msg -> msg in
+  (msg, Gc.allocated_bytes () -. before)
+
+(* A header past the matrix budget fails before the matrix is allocated:
+   a one-line file declaring 10^9 owners x 10^9 providers once made
+   [eppi query -i] allocate until the kernel killed it.  Dimensions whose
+   product wraps, and tables past their own budget, fail the same way;
+   a paper-scale header (4,000 owners x 25,000 providers) still loads. *)
+let test_index_csv_budget () =
+  let expect header message =
+    let text = header ^ "\n0,0\n" in
+    List.iter
+      (fun (name, load) ->
+        let msg, bytes = failure_and_allocation load in
+        Alcotest.(check string) (name ^ " message") message msg;
+        check_bool (Printf.sprintf "%s allocated %.0f bytes" name bytes) true (bytes < 65536.0))
+      [ ("of_csv", fun () -> Index.of_csv text);
+        ("input_csv", fun () -> via_channel (fun ic -> Index.input_csv ic) text) ]
+  in
+  expect "# eppi-index owners=1000000000 providers=1000000000"
+    "Index.of_csv: matrix 1000000000x1000000000 exceeds 8589934592 cells";
+  expect "# eppi-index owners=4611686018427387903 providers=4"
+    "Index.of_csv: matrix 4611686018427387903x4 exceeds 8589934592 cells";
+  expect "# eppi-index owners=100000000 providers=1"
+    "Index.of_csv: tables for 100000000 owners and 1 providers exceed 134217728 words";
+  let paper = Index.of_csv "# eppi-index owners=4000 providers=25000\n3999,24999\n" in
+  check_int "paper-scale owners" 4000 (Index.owners paper);
+  Alcotest.(check (list int)) "paper-scale row" [ 24999 ] (Index.query paper ~owner:3999)
+
 (* The index reader as first written: the whole file split into a list of
    lines, then each line into a list of fields.  [Index.of_csv] and
    [Index.input_csv] must accept exactly what it accepts, build the same
@@ -1156,6 +1188,7 @@ let () =
           Alcotest.test_case "csv writers agree" `Quick test_index_csv_writers_agree;
           Alcotest.test_case "csv malformed input" `Quick test_index_csv_malformed;
           Alcotest.test_case "csv readers promote little" `Quick test_index_csv_promotes_little;
+          Alcotest.test_case "csv header budget checked first" `Quick test_index_csv_budget;
           Alcotest.test_case "fp rate" `Quick test_metrics_fp_rate;
           Alcotest.test_case "empty row" `Quick test_metrics_empty_row;
           Alcotest.test_case "success ratio" `Quick test_metrics_success_ratio;

@@ -120,6 +120,19 @@ let test_csv_rejects_garbage () =
   Alcotest.check_raises "empty" (Failure "Dataset.of_csv: bad header") (fun () ->
       ignore (Dataset.of_csv "nonsense"))
 
+(* A header past the matrix budget fails before anything is allocated,
+   and a paper-scale header (25,000 providers x 4,000 owners) loads. *)
+let test_csv_budget () =
+  let before = Gc.allocated_bytes () in
+  Alcotest.check_raises "10^9 x 10^9"
+    (Failure "Dataset.of_csv: matrix 1000000000x1000000000 exceeds 8589934592 cells") (fun () ->
+      ignore (Dataset.of_csv "# providers=1000000000 owners=1000000000\nm,0,0\n"));
+  let bytes = Gc.allocated_bytes () -. before in
+  check_bool (Printf.sprintf "allocated %.0f bytes" bytes) true (bytes < 65536.0);
+  let d = Dataset.of_csv "# providers=25000 owners=4000\nm,3999,24999\n" in
+  check_int "paper-scale owners" 4000 d.owners;
+  check_bool "paper-scale cell" true (Dataset.member d ~provider:24999 ~owner:3999)
+
 let test_stats_summary_runs () =
   let d = small_dataset 14 in
   check_bool "non-empty summary" true (String.length (Dataset.stats_summary d) > 10)
@@ -157,6 +170,7 @@ let () =
           Alcotest.test_case "exact frequency lookup" `Quick test_exact_frequency_owner;
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "csv rejects garbage" `Quick test_csv_rejects_garbage;
+          Alcotest.test_case "csv header budget checked first" `Quick test_csv_budget;
           Alcotest.test_case "stats summary" `Quick test_stats_summary_runs;
         ] );
     ]

@@ -77,15 +77,13 @@ let sample_frames =
       Query_fuzzy { probe = partial_probe; k = 10_000 };
       Ping;
       Shutdown;
-      Telemetry;
-      Cluster_status;
       (* Trace envelopes: ids at both ends of the varint range, wrapping
          payload-free and payload-heavy inner requests alike. *)
       Traced { trace_id = 0; request = Query { owner = 42 } };
       Traced { trace_id = 0x7FFF_FFFF; request = Audit { provider = 300 } };
       Traced { trace_id = 1; request = Query_fuzzy { probe = sample_probe; k = 3 } };
-      Traced { trace_id = 9; request = Telemetry };
-      Traced { trace_id = 2; request = Cluster_status };
+      Traced { trace_id = 9; request = Stats };
+      Traced { trace_id = 2; request = Ping };
     ]
   @ List.map
       (fun r -> Response r)
@@ -118,12 +116,7 @@ let sample_frames =
         Fuzzy_reply { generation = 1; result = Serve.No_resolver };
         Fuzzy_reply { generation = 2; result = Serve.Probe_mismatch };
         Fuzzy_reply { generation = 3; result = Serve.Fuzzy_shed };
-        Telemetry_json "{\"requests\": 12, \"conservation\": {\"exact\": true}}";
-        Telemetry_json "";
-        Cluster_status_reply { generation = 1; swaps = 0; peers = [] };
-        Cluster_status_reply
-          { generation = 42; swaps = 17; peers = [ "/tmp/a.sock"; "host:9001"; ":9002" ] };
-        Cluster_status_reply { generation = 0; swaps = 0; peers = [ "" ] };
+        Stats_json "{\"requests\": 12, \"conservation\": {\"exact\": true}, \"peers\": []}";
         Pong;
         Shutting_down;
         Server_error "republish: truncated payload";
@@ -304,11 +297,26 @@ let test_codec_errors () =
   expect_error "unknown reply kind"
     (header ~tag:0x11 ~len:2 ^ "\x02\x09")
     (function Wire.Corrupt msg -> contains msg "reply kind" | _ -> false);
-  (* The cluster-status tags sit at the top of each range; the next tag
-     up must still be unknown. *)
+  (* The Traced tag sits at the top of the request range, the fuzzy reply
+     at the top of the response range; every tag above them is unknown. *)
   expect_error "request-range hole is unknown" "\xE5\x01\x0D" (function
     | Wire.Unknown_tag 0x0D -> true
     | _ -> false);
+  (* 0x0B/0x1A carried the retired Telemetry request and reply, 0x0C/0x1B
+     the Cluster_status ones (the Stats document carries both): each is an
+     unknown tag, bare or inside an envelope, as 0x02, 0x05 and 0x12 are. *)
+  List.iter
+    (fun (tag, payload) ->
+      let name what = Printf.sprintf "retired tag 0x%02X %s" tag what in
+      expect_error (name "is unknown")
+        (header ~tag ~len:(String.length payload) ^ payload)
+        (function Wire.Unknown_tag t -> t = tag | _ -> false);
+      expect_error (name "refused inside an envelope")
+        (header ~tag:0x0A ~len:(2 + String.length payload) ^ "\x02" ^ String.make 1 (Char.chr tag)
+       ^ payload)
+        (function
+          | Wire.Corrupt msg -> contains msg (Printf.sprintf "wraps tag 0x%02X" tag) | _ -> false))
+    [ (0x0B, ""); (0x0C, ""); (0x1A, "{}"); (0x1B, "\x02\x00\x00") ];
   (* 0x05 carried the retired CSV republish: a frame from a client that
      still sends it is an unknown tag, bare or inside an envelope. *)
   expect_error "retired CSV republish tag is unknown" (header ~tag:0x05 ~len:0) (function
@@ -354,8 +362,8 @@ let test_codec_errors () =
   expect_error "traced frame with trailing inner bytes"
     (header ~tag:0x0A ~len:3 ^ "\x02\x06\x00")
     (function Wire.Corrupt msg -> contains msg "trailing" | _ -> false);
-  expect_error "telemetry request with a payload"
-    (header ~tag:0x0B ~len:1 ^ "\x00")
+  expect_error "stats request with a payload"
+    (header ~tag:0x04 ~len:1 ^ "\x00")
     (function Wire.Corrupt msg -> contains msg "trailing" | _ -> false);
   (* Fuzzy request (0x09) payloads are zigzag varints: k, blocking-key
      count + keys, bits, hashes, then four filters as ascending set-bit
@@ -395,24 +403,7 @@ let test_codec_errors () =
   (* A candidate claiming 10001 basis points: scores live in [0, 1]. *)
   expect_error "candidate score over one"
     (header ~tag:0x19 ~len:7 ^ "\x02\x00\x02\x00\xA2\x9C\x01")
-    (function Wire.Corrupt msg -> contains msg "score" | _ -> false);
-  (* Cluster status (0x0C request, 0x1B reply): the request is
-     payload-free, the reply is generation, swaps, then length-prefixed
-     peers — negative counters and ballooned peer lists are lies. *)
-  expect_error "cluster status request with a payload"
-    (header ~tag:0x0C ~len:1 ^ "\x00")
-    (function Wire.Corrupt msg -> contains msg "trailing" | _ -> false);
-  expect_error "negative swap count"
-    (header ~tag:0x1B ~len:2 ^ "\x02\x01")
-    (function Wire.Corrupt msg -> contains msg "swap" | _ -> false);
-  (* 65 peers declared: one past the bound. *)
-  expect_error "peer count over limit"
-    (header ~tag:0x1B ~len:4 ^ "\x02\x00\x82\x01")
-    (function Wire.Corrupt msg -> contains msg "peer count" | _ -> false);
-  (* One peer of declared length 10 with zero bytes behind it. *)
-  expect_error "peer length exceeding payload"
-    (header ~tag:0x1B ~len:4 ^ "\x02\x00\x02\x14")
-    (function Wire.Corrupt msg -> contains msg "peer byte" | _ -> false)
+    (function Wire.Corrupt msg -> contains msg "score" | _ -> false)
 
 let test_codec_poisoned_decoder () =
   let d = Wire.Decoder.create () in
@@ -1117,9 +1108,10 @@ let test_daemon_republish () =
           check_bool "stats counts the one installed swap" true
             (Json.find_int stats [ "swaps" ] = Some 1)))
 
-(* Cluster_status: generation tracks the number of applied republishes,
-   swaps counts them from the moment they are installed, and peers echoes
-   the daemon's configured replica set verbatim. *)
+(* The replica state in the Stats document: generation tracks the number
+   of applied republishes, swaps counts them from the moment they are
+   installed, and peers echoes the daemon's configured replica set
+   verbatim — read as [Fanout.status] reads it. *)
 let test_daemon_cluster_status () =
   let n = 20 and m = 9 in
   let index1 = test_index ~n ~m in
@@ -1127,24 +1119,34 @@ let test_daemon_cluster_status () =
   let peers = [ "/tmp/a.sock"; "other:9001" ] in
   with_server ~peers index1 (fun addr _engine ->
       let c = Client.connect addr in
+      let status () =
+        match Eppi_cluster.cluster_status_of_stats (Json.parse_exn (Client.stats_json c)) with
+        | Ok status -> status
+        | Error e -> Alcotest.fail e
+      in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
-          let status = Client.cluster_status c in
-          check_int "initial generation" 1 status.Wire.generation;
-          check_int "no swaps yet" 0 status.Wire.swaps;
-          check_bool "peers echoed" true (status.Wire.peers = peers);
+          let s = status () in
+          check_int "initial generation" 1 s.generation;
+          check_int "no swaps yet" 0 s.swaps;
+          check_bool "peers echoed" true (s.peers = peers);
           (match Client.republish_index c index2 with
           | Ok generation -> check_int "republish generation" 2 generation
           | Error e -> Alcotest.fail e);
-          let status = Client.cluster_status c in
-          check_int "post-swap generation" 2 status.Wire.generation;
-          check_int "one swap recorded" 1 status.Wire.swaps;
-          check_bool "peers stable across swap" true (status.Wire.peers = peers)))
+          let s = status () in
+          check_int "post-swap generation" 2 s.generation;
+          check_int "one swap recorded" 1 s.swaps;
+          check_bool "peers stable across swap" true (s.peers = peers);
+          match Eppi_cluster.Fanout.status (Eppi_cluster.Replica_set.of_addrs [ addr ]) with
+          | [ (_, Ok s) ] ->
+              check_bool "fan-out reads the same state" true
+                (s = { Eppi_cluster.generation = 2; swaps = 1; peers })
+          | _ -> Alcotest.fail "one status per replica"))
 
 (* One republish is one swap, however many queries follow: a daemon
-   republished once and then queried reports [swaps = 1] in Stats,
-   Telemetry and Cluster_status alike. *)
+   republished once and then queried reports [swaps = 1], once, in its
+   Stats document. *)
 let test_daemon_swaps_per_republish () =
   let n = 20 and m = 9 in
   let index2 = test_index_v2 ~n ~m in
@@ -1162,10 +1164,12 @@ let test_daemon_swaps_per_republish () =
               true
               (Client.query c ~owner = (2, Serve.Providers (Eppi.Index.query index2 ~owner)))
           done;
-          let swaps json = Json.find_int (Json.parse_exn json) [ "swaps" ] in
-          check_bool "stats swaps" true (swaps (Client.stats_json c) = Some 1);
-          check_bool "telemetry swaps" true (swaps (Client.telemetry_json c) = Some 1);
-          check_int "cluster status swaps" 1 (Client.cluster_status c).Wire.swaps))
+          match Json.parse_exn (Client.stats_json c) with
+          | Json.Obj fields ->
+              check_bool "stats swaps" true (List.assoc_opt "swaps" fields = Some (Json.int 1));
+              check_int "one swaps key" 1
+                (List.length (List.filter (fun (k, _) -> k = "swaps") fields))
+          | _ -> Alcotest.fail "stats reply is not an object"))
 
 let test_daemon_pipeline () =
   let n = 30 and m = 9 in
@@ -1577,6 +1581,62 @@ let test_listen_stale_and_occupied () =
       Alcotest.fail "listening over a regular file must fail");
   Sys.remove path
 
+(* The socket path appears only once it accepts: over 200 listen/close
+   cycles, a domain that dials the moment the path appears is never
+   refused, and no temporary name is left beside it.  A second listen on
+   a live path still fails "in use"; a listen whose link fails — the path
+   appeared after the probe, here as a dangling symlink — leaves no
+   temporary file behind either. *)
+let test_listen_path_appears_listening () =
+  let dir = Filename.temp_file "eppi-listen" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path = Filename.concat dir "d.sock" in
+  let entries () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let dial_on_sight () =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        match Unix.connect fd (Unix.ADDR_UNIX path) with
+        | () -> true
+        | exception Unix.Unix_error _ -> false)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) (entries ());
+      Sys.rmdir dir)
+    (fun () ->
+      let refused = ref 0 in
+      for _ = 1 to 200 do
+        let dialer = Domain.spawn dial_on_sight in
+        let listener = Server.listen (Addr.Unix_socket path) in
+        if not (Domain.join dialer) then incr refused;
+        Unix.close listener;
+        Sys.remove path
+      done;
+      check_int "dials refused" 0 !refused;
+      Alcotest.(check (list string)) "no temporary name survives" [] (entries ());
+      let live = Server.listen (Addr.Unix_socket path) in
+      (match Server.listen (Addr.Unix_socket path) with
+      | exception Failure msg -> check_bool "second listen: in use" true (contains msg "in use")
+      | fd ->
+          Unix.close fd;
+          Alcotest.fail "a second listen took a live path");
+      Unix.close live;
+      Sys.remove path;
+      Unix.symlink (Filename.concat dir "nowhere") path;
+      (match Server.listen (Addr.Unix_socket path) with
+      | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+      | fd ->
+          Unix.close fd;
+          Alcotest.fail "listen replaced an existing name");
+      Alcotest.(check (list string)) "a failed link leaves only the name" [ "d.sock" ] (entries ()))
+
 (* ---------- Raw streams ---------- *)
 
 (* The daemon's loop seen from outside any client: frames written to a
@@ -1713,9 +1773,10 @@ let test_daemon_slow_reader () =
           check_int "replies intact and in request order" 0
             (count_wrong_replies index (List.concat bursts) (List.rev !received))))
 
-(* An old client's Batch (tag 0x02) or CSV republish (tag 0x05) is a
-   framing error: the daemon answers [Server_error], closes that
-   connection and keeps its index and its other clients. *)
+(* An old client's Batch (tag 0x02), CSV republish (0x05), Telemetry
+   (0x0B) or Cluster_status (0x0C) request, or a retired reply tag sent
+   the wrong way, is a framing error: the daemon answers [Server_error],
+   closes that connection and keeps its index and its other clients. *)
 let test_daemon_retired_tag () =
   let index = test_index ~n:8 ~m:5 in
   with_server index (fun addr engine ->
@@ -1731,7 +1792,8 @@ let test_daemon_retired_tag () =
                   Alcotest.fail
                     (Printf.sprintf "tag 0x%02X: expected one Server_error, got %d frames" tag
                        (List.length responses))))
-        [ (0x02, "\x04\x06\x08"); (0x05, "") ];
+        [ (0x02, "\x04\x06\x08"); (0x05, ""); (0x0B, ""); (0x0C, ""); (0x1A, "{}");
+          (0x1B, "\x02\x00\x00") ];
       check_int "generation untouched" 1 (Serve.generation engine);
       let c = Client.connect addr in
       Fun.protect
@@ -1748,9 +1810,9 @@ let eppi_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/eppi_cli.exe"
 
 (* [eppi serve --stdio] runs the daemon's one loop over stdin and stdout:
-   queries and an audit piped in and answered in order, then a telemetry
-   request that accounts for all of them, then EOF on stdin, and the
-   process exits 0. *)
+   queries and an audit piped in and answered in order, then a Stats
+   request whose telemetry accounts for all of them, then EOF on stdin,
+   and the process exits 0. *)
 let test_stdio_daemon () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let n = 20 and m = 9 in
@@ -1777,7 +1839,7 @@ let test_stdio_daemon () =
                  @ [ Wire.Audit { provider = 3 } ]))
               0;
             let responses = read_responses ~count:51 out_r in
-            write_all in_w (frames_of [ Wire.Telemetry ]) 0;
+            write_all in_w (frames_of [ Wire.Stats ]) 0;
             Unix.close in_w;
             (responses, read_responses out_r))
       in
@@ -1790,7 +1852,7 @@ let test_stdio_daemon () =
             (owners = Serve.audit (Serve.create index) ~provider:3)
       | other -> Client.unexpected "stdio audit" other);
       match telemetry with
-      | [ Wire.Telemetry_json raw ] ->
+      | [ Wire.Stats_json raw ] ->
           let v = Json.parse_exn raw in
           check_bool "telemetry accounts for every earlier request" true
             (Json.find_int v [ "requests" ] = Some 51);
@@ -1857,19 +1919,70 @@ let test_client_connection_lost_at_once () =
       check_bool "lost within 0.5 s" true (Unix.gettimeofday () -. t0 < 0.5))
 
 (* Run the built CLI with [args]: its exit status, its stderr lines and
-   the wall time it took. *)
-let run_cli args =
+   the wall time it took.  [under] prefixes the command line (a shell
+   that caps the process's address space, say). *)
+let run_cli ?(under = []) args =
   let err_r, err_w = Unix.pipe ~cloexec:true () in
   let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
   let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
   let t0 = Unix.gettimeofday () in
-  let pid = Unix.create_process eppi_exe (Array.of_list (eppi_exe :: args)) null_in null_out err_w in
+  let argv = Array.of_list (under @ (eppi_exe :: args)) in
+  let pid = Unix.create_process argv.(0) argv null_in null_out err_w in
   List.iter Unix.close [ err_w; null_in; null_out ];
   let ic = Unix.in_channel_of_descr err_r in
   let err = Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> In_channel.input_all ic) in
   let _, status = Unix.waitpid [] pid in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' err) in
   (status, lines, Unix.gettimeofday () -. t0)
+
+(* The built CLI's standard output; the command must exit 0. *)
+let cli_stdout args =
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let pid = Unix.create_process eppi_exe (Array.of_list (eppi_exe :: args)) null out_w null in
+  List.iter Unix.close [ out_w; null ];
+  let ic = Unix.in_channel_of_descr out_r in
+  let out =
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> In_channel.input_all ic)
+  in
+  check_bool (String.concat " " args ^ " exits 0") true
+    (snd (Unix.waitpid [] pid) = Unix.WEXITED 0);
+  out
+
+(* One latency per request class: after depth-1 queries, the
+   [stats --watch] line and the [top] screen print the same p50 and p99,
+   because both read the query class's window in the Stats document. *)
+let test_cli_one_latency () =
+  let n = 20 in
+  with_server (test_index ~n ~m:9) (fun addr _engine ->
+      let c = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          for i = 0 to 199 do
+            ignore (Client.query c ~owner:(i mod n))
+          done);
+      let target = Addr.to_string addr in
+      let words s = List.filter (( <> ) "") (String.split_on_char ' ' (String.trim s)) in
+      let rec after key = function
+        | k :: v :: _ when k = key -> v
+        | _ :: rest -> after key rest
+        | [] -> Alcotest.fail ("the watch line lacks " ^ key)
+      in
+      let watch =
+        words (cli_stdout [ "stats"; "--connect"; target; "--watch"; "0.05"; "--iterations"; "1" ])
+      in
+      let top = String.split_on_char '\n' (cli_stdout [ "top"; "--connect"; target; "--once" ]) in
+      match List.find_opt (fun l -> List.nth_opt (words l) 0 = Some "query") top with
+      | Some row -> (
+          match words row with
+          | [ "query"; _count; _rate; p50; p99 ] ->
+              Alcotest.(check (pair string string))
+                "same p50 and p99" (p50, p99)
+                (after "p50" watch, after "p99" watch);
+              check_bool "a measured p50" true (p50 <> "-")
+          | _ -> Alcotest.fail ("top's query row: " ^ row))
+      | None -> Alcotest.fail "top shows no query row")
 
 (* A CLI command that cannot reach its replica set fails at once with one
    line naming the address, never an uncaught exception (exit 125); a
@@ -1891,8 +2004,7 @@ let test_cli_unreachable () =
 
 (* [eppi serve -i INDEX --listen SOCK] as a process: [f ~csv pid addr]
    runs once the daemon answers a ping, then the daemon is shut down and
-   reaped.  The socket file appears at [bind], a moment before [listen],
-   so a connect that follows it at once may still be refused. *)
+   reaped. *)
 let with_cli_daemon index f =
   let csv = Filename.temp_file "eppi-daemon" ".csv" in
   let path = sock_path () in
@@ -2029,8 +2141,9 @@ let test_cli_startup_failures () =
     Out_channel.with_open_bin path (fun oc -> output_string oc contents);
     path
   in
-  let expect_one_line ~code args needle =
-    let status, lines, _ = run_cli args in
+  let expect_one_line ?under ~code args needle =
+    let status, lines, seconds = run_cli ?under args in
+    check_bool (Printf.sprintf "%s within 5 s" (List.hd args)) true (seconds < 5.0);
     check_bool
       (Printf.sprintf "%s exits %d" (String.concat " " args) code)
       true
@@ -2057,6 +2170,19 @@ let test_cli_startup_failures () =
       let regular = file "not-a-socket" "" in
       expect_one_line ~code:1 [ "serve"; "-i"; good; "--listen"; regular ] "not a socket";
       expect_one_line ~code:1 [ "query"; "-i"; bad; "--owner"; "1" ] "cell out of range";
+      (* A header past the matrix budget fails at once, with one line
+         naming the file.  The CLI runs under a 1 GiB address-space cap,
+         so a loader that allocated what the header declares fails the
+         test, not the machine. *)
+      let capped = [ "/bin/sh"; "-c"; {|ulimit -v 1048576 && exec "$0" "$@"|} ] in
+      let huge = file "huge.csv" "# eppi-index owners=1000000000 providers=1000000000\n" in
+      expect_one_line ~under:capped ~code:1
+        [ "query"; "-i"; huge; "--owner"; "1" ]
+        (huge ^ ": Index.of_csv: matrix 1000000000x1000000000 exceeds 8589934592 cells");
+      let huge_net = file "huge-net.csv" "# providers=1000000000 owners=1000000000\n" in
+      expect_one_line ~under:capped ~code:1
+        [ "construct"; "-d"; huge_net; "-o"; Filename.concat dir "out.csv" ]
+        (huge_net ^ ": Dataset.of_csv: matrix 1000000000x1000000000 exceeds 8589934592 cells");
       let dataset = file "net.csv" "# providers=4 owners=3\nm,3,0\n" in
       expect_one_line ~code:1
         [ "construct"; "-d"; dataset; "-o"; Filename.concat dir "out.csv" ]
@@ -2078,11 +2204,12 @@ let test_cli_startup_failures () =
 
 (* ---- live telemetry ---- *)
 
-(* Drive a mixed load through the daemon, then take it apart via the
-   Telemetry wire command: the three stages must conserve exactly
-   (stages are telescoping differences of one clock, so the integer sums
-   are equal, not merely close), the rolling window must have seen the
-   load, and neither ops reply may carry a [workers] key. *)
+(* Drive a mixed load through the daemon, then take it apart via its
+   Stats document: the three stages must conserve exactly (stages are
+   telescoping differences of one clock, so the integer sums are equal,
+   not merely close), the rolling window must have seen the load, the
+   engine's counters must sit beside the stages, and no [workers] key may
+   appear. *)
 let test_daemon_telemetry () =
   let n = 20 and m = 9 in
   let index = test_index ~n ~m in
@@ -2096,16 +2223,16 @@ let test_daemon_telemetry () =
           done;
           ignore (Client.audit c ~provider:2);
           Client.ping c;
-          let raw = Client.telemetry_json c in
+          let raw = Client.stats_json c in
           let v =
             match Json.parse raw with
             | Ok v -> v
-            | Error e -> Alcotest.fail ("telemetry reply is not JSON: " ^ e)
+            | Error e -> Alcotest.fail ("stats reply is not JSON: " ^ e)
           in
           let geti path =
             match Json.find_int v path with
             | Some x -> x
-            | None -> Alcotest.fail ("telemetry reply lacks " ^ String.concat "." path)
+            | None -> Alcotest.fail ("stats reply lacks " ^ String.concat "." path)
           in
           check_bool "requests recorded" true (geti [ "requests" ] >= n + 2);
           check_int "conservation is exact"
@@ -2126,14 +2253,14 @@ let test_daemon_telemetry () =
           | Some (Json.Obj fields) ->
               check_bool "the reply lists exactly those stages" true
                 (List.map fst fields = [ "decode"; "execute"; "flush"; "total"; "sum_ns" ])
-          | _ -> Alcotest.fail "telemetry reply lacks stages");
+          | _ -> Alcotest.fail "stats reply lacks stages");
           (* Every finished request passes through every stage exactly
              once — the per-stage counts all agree. *)
           Array.iter
             (fun st ->
               check_int (st ^ " counts every request") finished (geti [ "stages"; st; "count" ]))
             Telemetry.stage_names;
-          check_bool "telemetry has no workers" true (Json.find v [ "workers" ] = None);
+          check_bool "the document has no workers" true (Json.find v [ "workers" ] = None);
           (match Json.find v [ "slow" ] with
           | Some (Json.List (s :: _)) ->
               check_bool "slow entry conserves too" true
@@ -2146,18 +2273,10 @@ let test_daemon_telemetry () =
                         0 Telemetry.stage_names
                 | None -> false)
           | _ -> Alcotest.fail "slow ring is empty after load");
-          (* The Stats reply carries the trace session's drop count on
-             top of the engine metrics. *)
-          let stats =
-            match Json.parse (Client.stats_json c) with
-            | Ok v -> v
-            | Error e -> Alcotest.fail ("stats reply is not JSON: " ^ e)
-          in
-          check_bool "stats still counts queries" true
-            (Json.find_int stats [ "queries" ] <> None);
-          check_bool "stats carries trace_dropped" true
-            (Json.find_int stats [ "trace_dropped" ] = Some 0);
-          check_bool "stats has no workers" true (Json.find stats [ "workers" ] = None)))
+          (* The engine's counters and the trace session ride in the same
+             document. *)
+          check_int "queries counted beside the stages" n (geti [ "queries" ]);
+          check_int "trace drops" 0 (geti [ "trace"; "dropped" ])))
 
 (* ---------- reply schemas ---------- *)
 
@@ -2195,7 +2314,7 @@ let shape lines =
   List.fold_left (fun acc p -> if List.mem p acc then acc else acc @ [ p ]) [] (List.map path lines)
 
 (* A fixed engine state: two merged metrics and a telemetry store fed
-   eight hand-stamped requests (one per class, three queries), its slow
+   eight hand-stamped requests (one per class, four queries), its slow
    ring cut to two entries. *)
 let fixture_metrics () =
   let module Metrics = Eppi_serve.Metrics in
@@ -2213,9 +2332,6 @@ let fixture_metrics () =
   Metrics.incr_fuzzy_rejected a;
   Metrics.incr_fuzzy_shed a;
   Metrics.add_fuzzy_scanned a 40;
-  Metrics.record_latency a 2e-6;
-  Metrics.record_latency a 3e-6;
-  Metrics.record_latency b 1.5e-3;
   Metrics.snapshot ~generation:3 [ a; b ]
 
 let fixture_base_ns = 1_000_000_000_000
@@ -2244,8 +2360,7 @@ let fixture_telemetry () =
 let pinned_metrics =
   [ "queries=8"; "served=4"; "unknown=1"; "shed_rate=1"; "shed_queue=0"; "audits=1";
     "generation=3"; "swaps=2"; "fuzzy_queries=5"; "fuzzy_resolved=2"; "fuzzy_empty=1";
-    "fuzzy_rejected=1"; "fuzzy_shed=1"; "fuzzy_scanned=40"; "latency_count=3";
-    "latency_mean_s=0.000502"; "p50_s=2.9e-06"; "p95_s=0.00148"; "p99_s=0.00148" ]
+    "fuzzy_rejected=1"; "fuzzy_shed=1"; "fuzzy_scanned=40" ]
 
 let pinned_telemetry =
   [ "requests=8"; "window.span_s=10"; "window.query.count=4"; "window.query.rate=0.4";
@@ -2272,9 +2387,38 @@ let pinned_telemetry =
     "slow.1.total_ns=104100"; "slow.1.decode_ns=3000"; "slow.1.execute_ns=96400";
     "slow.1.flush_ns=4700" ]
 
-(* The pinned fixture renders field for field; the live replies of a
-   daemon carry the same fields followed by the server's own, with the
-   server's values fixed for an untraced, never-republished daemon. *)
+(* Every object key path of [v] that appears twice in one object. *)
+let duplicate_keys v =
+  let rec go prefix v acc =
+    match v with
+    | Json.Obj fields ->
+        let keys = List.map fst fields in
+        let seen_before i k = List.mem k (List.filteri (fun j _ -> j < i) keys) in
+        let dups = List.filteri seen_before keys in
+        List.fold_left
+          (fun acc (k, v) -> go (prefix ^ k ^ ".") v acc)
+          (List.map (( ^ ) prefix) dups @ acc)
+          fields
+    | Json.List items -> List.fold_left (fun acc v -> go prefix v acc) acc items
+    | _ -> acc
+  in
+  go "" v []
+
+(* Every Stats key the lifecycle benchmark (perfbench/) reads. *)
+let perfbench_keys =
+  [ "queries"; "served"; "unknown"; "shed_rate"; "shed_queue"; "fuzzy_queries"; "fuzzy_resolved";
+    "fuzzy_empty"; "fuzzy_rejected"; "fuzzy_shed"; "fuzzy_scanned"; "swaps"; "requests";
+    "stages.sum_ns"; "conservation.stage_sum_ns"; "conservation.total_ns" ]
+  @ List.concat_map
+      (fun cls -> [ "window." ^ cls ^ ".count"; "window." ^ cls ^ ".mean_s" ])
+      (Array.to_list Telemetry.classes)
+  @ List.map (fun st -> "stages." ^ st ^ ".sum_ns") (Array.to_list Telemetry.stage_names)
+
+(* The pinned fixture renders field for field, the engine's counters and
+   the telemetry store's fields alike; the daemon's one Stats document
+   carries both, in that order, then its own fields, with the server's
+   values fixed for an untraced, never-republished, standalone daemon.
+   No key appears twice, and every key perfbench reads is there. *)
 let test_reply_schemas () =
   let check = Alcotest.(check (list string)) in
   check "stats fields" pinned_metrics
@@ -2283,7 +2427,9 @@ let test_reply_schemas () =
     (leaves
        (Json.parse_exn
           (Json.to_string
-             (Telemetry.json (fixture_telemetry ()) ~now_ns:(fixture_base_ns + 2_000_000_000)))));
+             (Json.Obj
+                (Telemetry.fields (fixture_telemetry ())
+                   ~now_ns:(fixture_base_ns + 2_000_000_000))))));
   let n = 20 in
   with_server (test_index ~n ~m:9) (fun addr _engine ->
       let c = Client.connect addr in
@@ -2293,20 +2439,26 @@ let test_reply_schemas () =
           for i = 0 to 39 do
             ignore (Client.query c ~owner:(i mod (n + 2)))
           done;
-          let stats = leaves (Json.parse_exn (Client.stats_json c)) in
-          let telemetry = leaves (Json.parse_exn (Client.telemetry_json c)) in
-          check "stats reply shape" (shape pinned_metrics @ [ "trace_dropped" ]) (shape stats);
-          check "telemetry reply shape"
-            (shape pinned_telemetry
-            @ [ "generation"; "swaps"; "trace.enabled"; "trace.dropped"; "telemetry_enabled" ])
-            (shape telemetry);
-          let has line reply = check_bool line true (List.mem line reply) in
-          has "trace_dropped=0" stats;
+          let doc = Json.parse_exn (Client.stats_json c) in
+          let stats = leaves doc in
+          check "stats reply shape"
+            (shape pinned_metrics @ shape pinned_telemetry
+            @ [ "peers"; "trace.enabled"; "trace.dropped"; "telemetry_enabled" ])
+            (shape stats);
+          check "no key twice" [] (duplicate_keys doc);
           List.iter
-            (fun l -> has l telemetry)
+            (fun key ->
+              check_bool ("perfbench reads " ^ key) true
+                (Json.find doc (String.split_on_char '.' key) <> None))
+            perfbench_keys;
+          check "the old telemetry call reads the same document" (shape stats)
+            (shape (leaves (Json.parse_exn (Client.telemetry_json c))));
+          List.iter
+            (fun l -> check_bool l true (List.mem l stats))
             [
               "generation=1";
               "swaps=0";
+              "peers=[]";
               "trace.enabled=false";
               "trace.dropped=0";
               "telemetry_enabled=true";
@@ -2395,9 +2547,11 @@ let test_trace_propagation () =
    follow a sequential model: generation g serves [indexes.((g - 1) mod 2)],
    and each accepted republish installs the other index as g + 1.  Every
    third republish or so sends a payload cut one byte short, which must
-   answer [Server_error] and leave the generation alone.  The client
-   half-closes after its last frame and reads to EOF, so an extra or a
-   missing reply fails too. *)
+   answer [Server_error] and leave the generation alone.  Every Stats
+   reply in the stream must parse, name the current generation, and
+   conserve its counters and stage sums.  The client half-closes after
+   its last frame and reads to EOF, so an extra or a missing reply fails
+   too. *)
 type pipeline_op =
   | Op_query of int
   | Op_audit of int
@@ -2471,6 +2625,21 @@ let daemon_pipeline_property =
            (fun owner -> List.mem provider (Eppi.Index.query (index_at g) ~owner))
            (List.init n Fun.id))
   in
+  (* A Stats document in the stream parses, names generation [g], and
+     conserves: every query and every fuzzy request has exactly one
+     outcome, and the finished requests' stages sum to their totals. *)
+  let stats_ok g raw =
+    match Json.parse raw with
+    | Error _ -> false
+    | Ok doc ->
+        let get k = Option.value ~default:(-1) (Json.find_int doc [ k ]) in
+        let sum = List.fold_left (fun acc k -> acc + get k) 0 in
+        get "generation" = g
+        && get "queries" = sum [ "served"; "unknown"; "shed_rate"; "shed_queue" ]
+        && get "fuzzy_queries"
+           = sum [ "fuzzy_resolved"; "fuzzy_empty"; "fuzzy_rejected"; "fuzzy_shed" ]
+        && Json.find doc [ "conservation"; "exact" ] = Some (Json.Bool true)
+  in
   (* [Some g'] when [response] is the model's answer to [op] at
      generation [g], [g'] being the generation after it. *)
   let step g op (response : Wire.response) =
@@ -2486,7 +2655,8 @@ let daemon_pipeline_property =
                 (fun (c : Serve.candidate) -> Serve.Providers c.providers = row g c.owner)
                 cs ->
         Some g
-    | Op_stats, Stats_json _ | Op_ping, Pong -> Some g
+    | Op_stats, Stats_json raw when stats_ok g raw -> Some g
+    | Op_ping, Pong -> Some g
     | Op_republish { short = false }, Republished { generation } when generation = g + 1 ->
         Some (g + 1)
     | Op_republish { short = true }, Server_error msg when contains msg "republish" -> Some g
@@ -2559,8 +2729,6 @@ let qcheck_tests =
         Gen.map2 (fun probe k -> Wire.Query_fuzzy { probe; k }) gen_probe (Gen.int_range 1 2000);
         Gen.return Wire.Ping;
         Gen.return Wire.Shutdown;
-        Gen.return Wire.Telemetry;
-        Gen.return Wire.Cluster_status;
       ]
   in
   (* Any plain request may arrive inside a trace envelope; the envelope
@@ -2606,12 +2774,6 @@ let qcheck_tests =
         Gen.return Wire.Pong;
         Gen.return Wire.Shutting_down;
         Gen.map (fun s -> Wire.Server_error s) Gen.(small_string ~gen:printable);
-        Gen.map
-          (fun (generation, swaps, peers) ->
-            Wire.Cluster_status_reply { generation; swaps; peers })
-          Gen.(
-            triple nat nat
-              (list_size (int_range 0 8) (small_string ~gen:printable)));
       ]
   in
   let gen_frame =
@@ -2779,6 +2941,8 @@ let () =
           Alcotest.test_case "replay loads jsonl" `Quick test_replay_load_jsonl;
           Alcotest.test_case "clean shutdown" `Quick test_daemon_shutdown;
           Alcotest.test_case "listen hygiene" `Quick test_listen_stale_and_occupied;
+          Alcotest.test_case "socket path appears listening" `Quick
+            test_listen_path_appears_listening;
           Alcotest.test_case "half-closed client gets every reply" `Quick
             test_daemon_half_closed;
           Alcotest.test_case "slow reader gets every reply" `Quick test_daemon_slow_reader;
@@ -2795,6 +2959,8 @@ let () =
           Alcotest.test_case "trace id joins client and server tracks" `Quick
             test_trace_propagation;
           Alcotest.test_case "stats and telemetry schemas pinned" `Quick test_reply_schemas;
+          Alcotest.test_case "stats --watch and top print one latency" `Quick
+            test_cli_one_latency;
         ] );
       ( "client robustness",
         [

@@ -632,19 +632,7 @@ let test_modarith_basics () =
   let q = Modarith.modulus 7 in
   check_int "reduce negative" 5 (Modarith.reduce q (-2));
   check_int "add" 3 (Modarith.add q 5 5);
-  check_int "sub" 5 (Modarith.sub q 2 4);
-  check_int "mul" 1 (Modarith.mul q 3 5);
-  check_int "neg" 4 (Modarith.neg q 3);
-  check_int "pow" 2 (Modarith.pow q 3 2)
-
-let test_modarith_inverse () =
-  let q = Modarith.modulus 101 in
-  for a = 1 to 100 do
-    check_int (Printf.sprintf "inv %d" a) 1 (Modarith.mul q a (Modarith.inv q a))
-  done;
-  Alcotest.check_raises "zero not invertible"
-    (Invalid_argument "Modarith.inv: zero is not invertible") (fun () ->
-      ignore (Modarith.inv q 0))
+  check_int "sub" 5 (Modarith.sub q 2 4)
 
 let test_modarith_primes () =
   check_bool "2 prime" true (Modarith.is_prime 2);
@@ -927,7 +915,6 @@ let () =
       ( "modarith",
         [
           Alcotest.test_case "basics" `Quick test_modarith_basics;
-          Alcotest.test_case "inverse" `Quick test_modarith_inverse;
           Alcotest.test_case "primes" `Quick test_modarith_primes;
           Alcotest.test_case "validation" `Quick test_modarith_validation;
         ] );

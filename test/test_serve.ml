@@ -314,16 +314,12 @@ let test_metrics_snapshot_merges_shards () =
   Metrics.incr_queries a;
   Metrics.incr_queries a;
   Metrics.incr_served a;
-  Metrics.record_latency a 1e-6;
   Metrics.incr_queries b;
   Metrics.incr_shed_rate b;
-  Metrics.record_latency b 1e-3;
   let snap = Metrics.snapshot [ a; b ] in
   check_int "queries" 3 snap.queries;
   check_int "served" 1 snap.served;
   check_int "shed_rate" 1 snap.shed_rate;
-  check_int "latency samples" 2 snap.latency_count;
-  check_bool "p95 sees the slow sample" true (snap.p95 > 1e-4);
   (* to_json parses back to the snapshot's values. *)
   let json = Json.parse_exn (Metrics.to_json snap) in
   List.iter
@@ -334,37 +330,32 @@ let test_metrics_snapshot_merges_shards () =
       ("served", 1.0);
       ("shed_rate", 1.0);
       ("shed_queue", 0.0);
-      ("p99_s", snap.p99);
     ]
 
 let test_metrics_diff () =
   let m = Metrics.create () in
   Metrics.incr_queries m;
   Metrics.incr_served m;
-  Metrics.record_latency m 1e-6;
-  let older = Metrics.snapshot [ m ] in
+  let older = Metrics.snapshot ~generation:2 [ m ] in
   Metrics.incr_queries m;
   Metrics.incr_queries m;
   Metrics.incr_served m;
   Metrics.incr_unknown m;
   Metrics.incr_shed_rate m;
-  Metrics.record_latency m 1e-3;
-  let newer = Metrics.snapshot [ m ] in
+  let newer = Metrics.snapshot ~generation:3 [ m ] in
   let d = Metrics.diff newer older in
   (* Counters are the interval's increments... *)
   check_int "queries" 2 d.queries;
   check_int "served" 1 d.served;
   check_int "unknown" 1 d.unknown;
   check_int "shed_rate" 1 d.shed_rate;
-  check_int "latency_count" 1 d.latency_count;
-  (* ...while the distribution fields come from the newer snapshot (the
-     cumulative histogram's difference has no defined percentiles). *)
-  check_close "p99 from newer" newer.p99 d.p99;
-  check_close "mean from newer" newer.latency_mean d.latency_mean;
+  check_int "swaps" 1 d.swaps;
+  (* ...while the generation, a label, comes from the newer snapshot. *)
+  check_int "generation from newer" 3 d.generation;
   (* diff s s zeroes every counter. *)
   let z = Metrics.diff newer newer in
   check_int "self-diff queries" 0 z.queries;
-  check_int "self-diff latency_count" 0 z.latency_count
+  check_int "self-diff swaps" 0 z.swaps
 
 (* ---------- Workload ---------- *)
 
